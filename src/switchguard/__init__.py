@@ -9,17 +9,16 @@ model, the LP reduction and solver, a time-domain harness, and a CLI.
 from .operator_core import (Signal, TruncatedOperator, add, apply, compose, delay,
                             hstack, identity, induced_norm, invert, make_diagonal,
                             resolvent_of_state, row_gain, scale, zero_operator)
-from .switched_model import (ChannelPlant, ModeHistory, SelectionMask,
-                             SwitchedOutputModel, SwitchingAutomaton, SwitchingFIR,
-                             broadcast_taps, build_modes, enumerate_histories,
-                             history_at, instantiate, lift_outputs)
+from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
+                             SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
+                             enumerate_histories, history_at, instantiate, lift_outputs)
 from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, solve
 from .synthesis import (ConstraintRow, SynthesisConfig, SynthesisInfeasibleError,
                         SynthesisResult, assemble_lp, build_performance_rows,
                         build_residual_rows, certify, decision_variables,
                         evaluate_rows, parametrization_residual,
-                        performance_operator, recover_observer_factors,
-                        residual_operator, sweep_relaxation, synthesize)
+                        performance_operator, residual_operator, sweep_relaxation,
+                        synthesize)
 from .simulate import (Scenario, Trace, attack_search, error_operator, make_trace,
                        run_estimator, run_fir_estimator, run_glo, simulate_plant,
                        worst_case_inputs)

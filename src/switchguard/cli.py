@@ -2,17 +2,16 @@
 
 Configs and result bundles are JSON (matrices as row-major nested lists),
 traces are CSV.  Exit codes: 0 ok, 2 input error, 3 infeasible,
-4 numerical failure.  All commands are deterministic under a fixed seed;
-SWITCHGUARD_THREADS caps the sampling parallelism.
+4 numerical failure.  All commands are deterministic under a fixed seed.
+Attack sequences given by --sigma or a scenario file must be admissible
+for the config's automaton.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from . import __version__, demo
 from . import operator_core as oc
 from .lp_solver import LpNumericalError, format_lp
 from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
-from .switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR,
-                             build_modes)
+from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
+                             SwitchingFIR, build_modes, enumerate_histories)
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
                         certify, performance_operator, residual_operator, synthesize)
 
@@ -164,12 +163,29 @@ def _fir_to_json(fir: SwitchingFIR) -> dict:
     }
 
 
-def _fir_from_json(data: dict) -> SwitchingFIR:
-    coeffs = {(tuple(e["history"]), int(e["lag"])): np.array(e["matrix"], dtype=float)
-              for e in data["entries"]}
-    return SwitchingFIR(int(data["memory"]), int(data["fir_length"]),
-                        int(data["in_dim"]), int(data["out_dim"]), coeffs,
-                        output_only=bool(data.get("output_only", False)))
+def _require(obj, keys, path: str) -> None:
+    """obj must be a JSON object holding every key; the error names the missing field."""
+    if not isinstance(obj, dict):
+        raise ConfigError(path, "expected an object")
+    for key in keys:
+        if key not in obj:
+            raise ConfigError(f"{path}.{key}" if path != "$" else key, "missing bundle field")
+
+
+def _fir_from_json(data, path: str) -> SwitchingFIR:
+    _require(data, ("memory", "fir_length", "in_dim", "out_dim", "entries"), path)
+    _expect(isinstance(data["entries"], list), f"{path}.entries", "expected a list")
+    try:
+        coeffs = {(tuple(e["history"]), e["lag"]): np.array(e["matrix"], dtype=float)
+                  for e in data["entries"]}
+        return SwitchingFIR(int(data["memory"]), int(data["fir_length"]),
+                            int(data["in_dim"]), int(data["out_dim"]), coeffs,
+                            output_only=bool(data.get("output_only", False)))
+    except (KeyError, TypeError, ValueError) as exc:
+        # name the first malformed entry; otherwise the error is the FIR's own
+        for i, entry in enumerate(data["entries"]):
+            _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
+        raise ConfigError(path, str(exc)) from None
 
 
 def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> dict:
@@ -194,35 +210,49 @@ def result_from_bundle(bundle: dict) -> SynthesisResult:
         gamma_bar=float(bundle["gamma_bar"]),
         eps_achieved=float(bundle["eps_achieved"]),
         certified_bound=float(bundle["certified_bound"]),
-        Q=_fir_from_json(bundle["Q"]),
-        Z=_fir_from_json(bundle["Z"]),
-        T=_fir_from_json(bundle["T"]),
+        Q=_fir_from_json(bundle["Q"], "Q"),
+        Z=_fir_from_json(bundle["Z"], "Z"),
+        T=_fir_from_json(bundle["T"], "T"),
         status=str(bundle["status"]),
         mode=str(bundle["mode"]),
         lag0_margin=float(bundle["lag0_margin"]),
     )
 
 
+def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: SwitchedOutputModel,
+                   automaton: SwitchingAutomaton, syncfg: SynthesisConfig) -> None:
+    """The stored taps must cover exactly the windows the config's automaton admits."""
+    M, N = syncfg.memory, syncfg.fir_length
+    keys = {(hist, k) for hist in enumerate_histories(automaton, M) for k in range(N)}
+    for name, fir, in_dim in (("Q", result.Q, plant.n), ("Z", result.Z, model.p),
+                              ("T", result.T, model.p)):
+        if (fir.memory, fir.fir_length) != (M, N):
+            raise ConfigError(name, f"memory {fir.memory} and fir_length {fir.fir_length} "
+                                    f"do not match the config's M={M} and N={N}")
+        if (fir.in_dim, fir.out_dim) != (in_dim, plant.n):
+            raise ConfigError(name, f"taps are {fir.out_dim}x{fir.in_dim}, "
+                                    f"expected {plant.n}x{in_dim}")
+        _expect(fir.coeffs.keys() == keys, f"{name}.entries",
+                "tap histories and lags do not match the admissible windows of the "
+                "config's attack automaton")
+
+
 def load_bundle(path: str):
     bundle = load_config(path)
-    for key in ("config", "Q", "Z", "T", "gamma_bar"):
-        _expect(key in bundle, key, "missing bundle field")
+    _require(bundle, ("config", "Q", "Z", "T", "gamma_bar", "eps_achieved",
+                      "certified_bound", "status", "mode", "lag0_margin"), "$")
+    for key in ("gamma_bar", "eps_achieved", "certified_bound", "lag0_margin"):
+        _expect(isinstance(bundle[key], (int, float)), key, "expected a number")
     plant, model, automaton, syncfg, seed = parse_problem(bundle["config"])
-    return bundle, result_from_bundle(bundle), plant, model, automaton, syncfg, seed
+    result = result_from_bundle(bundle)
+    _check_factors(result, plant, model, automaton, syncfg)
+    return bundle, result, plant, model, automaton, syncfg, seed
 
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SWITCHGUARD_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 # ----------------------------------------------------------------- commands
@@ -266,47 +296,38 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _parse_sigma(text: str, mode_count: int) -> tuple[int, ...]:
+def _parse_sigma(text: str, automaton: SwitchingAutomaton) -> tuple[int, ...]:
     try:
         sigma = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError:
         raise ConfigError("--sigma", "expected comma-separated mode indices") from None
     _expect(len(sigma) > 0, "--sigma", "empty sequence")
+    top = automaton.mode_count - 1
     for m in sigma:
-        _expect(0 <= m < mode_count, "--sigma", f"mode {m} outside 0..{mode_count - 1}")
+        _expect(0 <= m <= top, "--sigma", f"mode {m} outside 0..{top}")
+    _expect(automaton.is_admissible(sigma), "--sigma",
+            "not an admissible sequence of the config's attack automaton")
     return sigma
 
 
 def cmd_norm(args) -> int:
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
-    sigmas = []
     if args.sigma:
-        sigmas.append(_parse_sigma(args.sigma, model.mode_count))
+        sigmas = [_parse_sigma(args.sigma, automaton)]
     else:
         rng = np.random.default_rng(seed)
         H = args.horizon or syncfg.verify_horizon
-        for _ in range(args.samples):
-            sigmas.append(automaton.random_sequence(H, rng))
-
-    def evaluate(sigma):
-        H = len(sigma)
-        E = residual_operator(plant, result.Q, result.Z, model, sigma, H,
-                              automaton.padding_mode)
-        Phi = performance_operator(plant, result.Q, result.Z, model, sigma, H,
-                                   automaton.padding_mode)
-        return oc.induced_norm(E), oc.induced_norm(Phi)
-
-    workers = _worker_count()
-    if workers > 1 and len(sigmas) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            norms = list(pool.map(evaluate, sigmas))
-    else:
-        norms = [evaluate(s) for s in sigmas]
+        sigmas = [automaton.random_sequence(H, rng) for _ in range(args.samples)]
 
     writer = csv.writer(sys.stdout)
     writer.writerow(["sigma", "eps", "gamma"])
-    for sigma, (eps, gam) in zip(sigmas, norms):
-        writer.writerow(["".join(map(str, sigma)), f"{eps:.12g}", f"{gam:.12g}"])
+    for sigma in sigmas:
+        E = residual_operator(plant, result.Q, result.Z, model, sigma, len(sigma),
+                              automaton.padding_mode)
+        Phi = performance_operator(plant, result.Q, result.Z, model, sigma, len(sigma),
+                                   automaton.padding_mode)
+        writer.writerow(["".join(map(str, sigma)), f"{oc.induced_norm(E):.12g}",
+                         f"{oc.induced_norm(Phi):.12g}"])
     return EXIT_OK
 
 
@@ -315,7 +336,9 @@ def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
     for key in ("sigma", "w"):
         _expect(key in data, f"scenario.{key}", "missing field")
     w = _matrix(data["w"], "scenario.w")
-    sigma = tuple(int(m) for m in data["sigma"])
+    sigma = data["sigma"]
+    _expect(isinstance(sigma, list) and sigma and all(isinstance(m, int) for m in sigma),
+            "scenario.sigma", "expected a non-empty list of mode indices")
     x0 = np.array(data.get("x0", [0.0] * plant.n), dtype=float)
     return Scenario(sigma=sigma, w=oc.Signal(w), x0=x0, horizon=len(sigma),
                     x0_time=int(data.get("x0_time", 0)))
@@ -325,11 +348,11 @@ def cmd_simulate(args) -> int:
     _, result, plant, model, automaton, syncfg, _ = load_bundle(args.bundle)
     if args.scenario:
         scenario = _load_scenario(args.scenario, plant)
-        scenario.validate(plant)
+        scenario.validate(plant, automaton)
         predicted = None
     else:
         H = args.horizon or syncfg.verify_horizon
-        sigma = (_parse_sigma(args.sigma, model.mode_count) if args.sigma
+        sigma = (_parse_sigma(args.sigma, automaton) if args.sigma
                  else (automaton.padding_mode,) * H)
         scenario, predicted = worst_case_inputs(plant, model, result, sigma,
                                                 len(sigma), automaton.padding_mode)
@@ -469,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario or the worst-case inputs")
     p.add_argument("bundle")
     p.add_argument("--scenario", help="scenario JSON file")
-    p.add_argument("--worst", action="store_true",
-                   help="construct worst-case inputs (default when no scenario)")
-    p.add_argument("--sigma", help="attack sequence for --worst")
+    p.add_argument("--sigma", help="attack sequence of the worst-case inputs built "
+                                    "when no scenario is given")
     p.add_argument("--horizon", type=int)
     p.add_argument("--trace", help="write the trace CSV here")
     p.set_defaults(func=cmd_simulate)

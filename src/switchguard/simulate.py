@@ -56,13 +56,13 @@ class Scenario:
 
     def validate(self, plant: ChannelPlant, automaton: SwitchingAutomaton | None = None) -> None:
         if self.x0.shape != (plant.n,):
-            raise ValueError(f"x0 has shape {self.x0.shape}, expected ({plant.n},)")
+            raise ValueError(f"scenario.x0 has shape {self.x0.shape}, expected ({plant.n},)")
         if self.w.dim != plant.m_w:
-            raise ValueError(f"w has dim {self.w.dim}, expected {plant.m_w}")
+            raise ValueError(f"scenario.w has dim {self.w.dim}, expected {plant.m_w}")
         if float(np.max(np.abs(self.x0), initial=0.0)) > plant.x0_bound + 1e-12:
-            raise ValueError("x0 exceeds the plant's initial-condition bound")
+            raise ValueError("scenario.x0 exceeds the plant's initial-condition bound")
         if automaton is not None and not automaton.is_admissible(self.sigma):
-            raise ValueError("sigma is not admissible for the automaton")
+            raise ValueError("scenario.sigma is not an admissible sequence of the automaton")
 
 
 @dataclass(frozen=True)
@@ -101,16 +101,7 @@ def simulate_plant(plant: ChannelPlant, model: SwitchedOutputModel,
 def run_fir_estimator(T: SwitchingFIR, y_a: Signal, sigma,
                       padding_mode: int = 0) -> Signal:
     """Convolve the received measurements with the window-selected taps."""
-    if T.in_dim != y_a.dim:
-        raise ValueError(f"estimator expects inputs of dim {T.in_dim}, got {y_a.dim}")
-    H = y_a.horizon
-    out = np.zeros((H, T.out_dim))
-    samples = y_a.samples
-    for t in range(H):
-        hist = history_at(sigma, t, T.memory, padding_mode)
-        for k in range(min(t, T.fir_length - 1) + 1):
-            out[t] += T.tap(hist, k) @ samples[t - k]
-    return Signal(out)
+    return oc.apply(instantiate(T, sigma, y_a.horizon, padding_mode), y_a)
 
 
 def run_glo(Q: SwitchingFIR, Z: SwitchingFIR, plant: ChannelPlant,
@@ -252,25 +243,19 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
                 best_sigma, best_value = sigma, value
         return best_sigma, best_value
     if strategy == "greedy":
-        prefix: list[int] = []
+        prefix: tuple[int, ...] = ()
         for t in range(horizon):
-            if t == 0:
-                choices = sorted(automaton.initial)
-            else:
-                choices = [b for b in range(automaton.mode_count)
-                           if automaton.allowed[prefix[-1], b]]
+            choices = automaton.successors(prefix[-1] if prefix else None)
             if not choices:
-                raise ValueError(f"automaton dead-ends after prefix {tuple(prefix)}")
+                raise ValueError(f"automaton dead-ends after prefix {prefix}")
             pick, pick_value = choices[0], -1.0
             for b in choices:
-                cand = tuple(prefix) + (b,)
-                _, value = worst_case_inputs(plant, model, estimator, cand, t + 1, pad)
+                _, value = worst_case_inputs(plant, model, estimator, prefix + (b,), t + 1, pad)
                 if value > pick_value + 1e-15:
                     pick, pick_value = b, value
-            prefix.append(pick)
-        sigma = tuple(prefix)
-        _, value = worst_case_inputs(plant, model, estimator, sigma, horizon, pad)
-        return sigma, value
+            prefix += (pick,)
+        _, value = worst_case_inputs(plant, model, estimator, prefix, horizon, pad)
+        return prefix, value
     raise ValueError(f"unknown strategy '{strategy}'")
 
 

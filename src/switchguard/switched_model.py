@@ -9,6 +9,7 @@ selected by the trailing window of the mode sequence.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ __all__ = [
     "SelectionMask",
     "SwitchedOutputModel",
     "SwitchingAutomaton",
-    "ModeHistory",
     "SwitchingFIR",
     "build_modes",
     "enumerate_histories",
@@ -117,10 +117,6 @@ class SelectionMask:
         for i in self.delivered:
             if not (1 <= i <= channel_count):
                 raise ValueError(f"channel {i} outside 1..{channel_count}")
-
-    @staticmethod
-    def full(channel_count: int) -> "SelectionMask":
-        return SelectionMask(range(1, channel_count + 1))
 
 
 @dataclass(frozen=True)
@@ -236,60 +232,46 @@ class SwitchingAutomaton:
     def complete(mode_count: int, padding_mode: int = 0) -> "SwitchingAutomaton":
         return SwitchingAutomaton(mode_count, padding_mode=padding_mode)
 
-    def is_admissible(self, sigma) -> bool:
-        sigma = list(sigma)
-        if not sigma:
-            return True
-        if sigma[0] not in self.initial:
-            return False
-        return all(self.allowed[a, b] for a, b in zip(sigma, sigma[1:]))
+    def successors(self, prev: int | None) -> list[int]:
+        """Modes that may follow `prev`, ascending; None is the start of a sequence."""
+        if prev is None:
+            return sorted(self.initial)
+        return [b for b in range(self.mode_count) if self.allowed[prev, b]]
 
-    def admissible_sequences(self, length: int):
-        """Yield every admissible mode sequence of the given length."""
+    def paths(self, length: int, first) -> Iterator[tuple[int, ...]]:
+        """Yield, in lexicographic order, every `length`-mode path that starts
+        in a mode of `first` and then steps along `successors`."""
         def extend(prefix):
             if len(prefix) == length:
-                yield tuple(prefix)
+                yield prefix
                 return
-            if not prefix:
-                choices = sorted(self.initial)
-            else:
-                choices = [b for b in range(self.mode_count) if self.allowed[prefix[-1], b]]
-            for b in choices:
-                prefix.append(b)
-                yield from extend(prefix)
-                prefix.pop()
-        yield from extend([])
+            for b in self.successors(prefix[-1]) if prefix else sorted(first):
+                yield from extend(prefix + (b,))
+        yield from extend(())
+
+    def is_admissible(self, sigma) -> bool:
+        prev = None
+        for m in sigma:
+            if m not in self.successors(prev):
+                return False
+            prev = m
+        return True
+
+    def admissible_sequences(self, length: int) -> Iterator[tuple[int, ...]]:
+        """Yield every admissible mode sequence of the given length, lexicographically."""
+        return self.paths(length, self.initial)
 
     def random_sequence(self, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-        seq = []
-        for t in range(length):
-            if t == 0:
-                choices = sorted(self.initial)
-            else:
-                choices = [b for b in range(self.mode_count) if self.allowed[seq[-1], b]]
+        seq: tuple[int, ...] = ()
+        for _ in range(length):
+            choices = self.successors(seq[-1] if seq else None)
             if not choices:
-                raise ValueError(f"automaton dead-ends after prefix {tuple(seq)}")
-            seq.append(int(choices[rng.integers(len(choices))]))
-        return tuple(seq)
+                raise ValueError(f"automaton dead-ends after prefix {seq}")
+            seq += (int(choices[rng.integers(len(choices))]),)
+        return seq
 
 
-@dataclass(frozen=True)
-class ModeHistory:
-    """Trailing window of a mode sequence, most recent mode last."""
-
-    modes: tuple
-
-    def __init__(self, modes):
-        object.__setattr__(self, "modes", tuple(int(m) for m in modes))
-
-    def __len__(self):
-        return len(self.modes)
-
-    def suffix(self, length: int) -> tuple[int, ...]:
-        return self.modes[len(self.modes) - length:]
-
-
-def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[ModeHistory]:
+def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
     """All length-`length` windows a sliding observer of admissible sequences can see.
 
     Interior windows are paths of the transition graph.  Startup windows
@@ -300,30 +282,11 @@ def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[Mode
     """
     if length < 1:
         raise ValueError("history length must be >= 1")
-    allowed = automaton.allowed
-    found: set[tuple[int, ...]] = set()
-
-    def paths(first_choices, remaining):
-        for first in first_choices:
-            stack = [(first,)]
-            while stack:
-                pref = stack.pop()
-                if len(pref) == remaining:
-                    yield pref
-                    continue
-                for b in range(automaton.mode_count):
-                    if allowed[pref[-1], b]:
-                        stack.append(pref + (b,))
-
-    # interior windows: any path
-    for path in paths(range(automaton.mode_count), length):
-        found.add(path)
-    # startup windows: padding prefix + admissible start
+    found = set(automaton.paths(length, range(automaton.mode_count)))
     pad = automaton.padding_mode
     for j in range(1, length):
-        for path in paths(sorted(automaton.initial), length - j):
-            found.add((pad,) * j + path)
-    return [ModeHistory(h) for h in sorted(found)]
+        found.update((pad,) * j + path for path in automaton.admissible_sequences(length - j))
+    return sorted(found)
 
 
 def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, ...]:
@@ -381,11 +344,6 @@ class SwitchingFIR:
     def histories(self) -> list[tuple[int, ...]]:
         return sorted({h for h, _ in self.coeffs})
 
-    def negate(self) -> "SwitchingFIR":
-        return SwitchingFIR(self.memory, self.fir_length, self.in_dim, self.out_dim,
-                            {key: -mat for key, mat in self.coeffs.items()},
-                            output_only=self.output_only)
-
 
 def instantiate(fir: SwitchingFIR, sigma, horizon: int,
                 padding_mode: int = 0) -> TruncatedOperator:
@@ -428,6 +386,6 @@ def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,
     coeffs = {}
     for hist in hists:
         for k in range(fir.fir_length):
-            coeffs[(hist.modes, k)] = fir.tap(source, k)
+            coeffs[(hist, k)] = fir.tap(source, k)
     return SwitchingFIR(fir.memory, fir.fir_length, fir.in_dim, fir.out_dim,
                         coeffs, output_only=fir.output_only)

@@ -33,7 +33,6 @@ __all__ = [
     "synthesize",
     "evaluate_rows",
     "certify",
-    "recover_observer_factors",
     "parametrization_residual",
     "residual_operator",
     "performance_operator",
@@ -171,13 +170,50 @@ class DecisionVariables:
 
 def decision_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
                        n: int, p: int) -> DecisionVariables:
-    hists = [h.modes for h in enumerate_histories(automaton, config.memory)]
-    return DecisionVariables(hists, config.memory, config.fir_length, n, p)
+    return DecisionVariables(enumerate_histories(automaton, config.memory),
+                             config.memory, config.fir_length, n, p)
 
 
 def _check_dims(plant: ChannelPlant, model: SwitchedOutputModel) -> None:
     if model.n != plant.n or model.m_w != plant.m_w:
         raise ValueError("plant and switched output model dimensions disagree")
+
+
+def _kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
+                 automaton: SwitchingAutomaton, config: SynthesisConfig,
+                 variables: DecisionVariables):
+    """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the mode_matrix blocks.
+
+    Yields (window, tap window, state row, entries) for every admissible
+    extended window; entries is a list of (lag, input column, affine form).
+    Lag k of a row reads the tap window anchored at the output time and the
+    mode delivered k steps earlier.
+    """
+    n, q = X.shape
+    p = variables.p
+    M, N, L = config.memory, config.fir_length, config.window
+    # Y0 is -I or 0: looping Q over its full columns would slow the row build
+    y0_terms = [[(r, Y0[r, col]) for r in range(n) if Y0[r, col] != 0.0] for col in range(q)]
+    for h in enumerate_histories(automaton, L):
+        hm = h[L - M:]
+        for i in range(n):
+            entries = []
+            for k in range(N + 1):
+                M_k = mode_matrix(h[L - 1 - k]) if k <= N - 1 else None
+                for col in range(q):
+                    form = LinearForm()
+                    if k == 1:
+                        form.const += X[i, col]
+                    if k <= N - 1:
+                        for c in range(p):
+                            form.add_term(variables.var("Z", hm, k, i, c), M_k[c, col])
+                        for r, y0 in y0_terms[col]:
+                            form.add_term(variables.var("Q", hm, k, i, r), y0)
+                    if 1 <= k <= N:
+                        for r in range(n):
+                            form.add_term(variables.var("Q", hm, k - 1, i, r), X[r, col])
+                    entries.append((k, col, form))
+            yield h, hm, i, entries
 
 
 def build_residual_rows(plant: ChannelPlant, model: SwitchedOutputModel,
@@ -186,37 +222,14 @@ def build_residual_rows(plant: ChannelPlant, model: SwitchedOutputModel,
     """Rows of the contraction operator shift(A) + Z Cbar + Q (shift(A) - I).
 
     One row per admissible extended window and state component; entries are
-    affine in the Q/Z coefficients.  Lag k of the row reads the tap window
-    anchored at the output time and the mode delivered k steps earlier.
+    affine in the Q/Z coefficients.
     """
     _check_dims(plant, model)
     if variables is None:
         variables = decision_variables(automaton, config, plant.n, model.p)
-    A = plant.A
-    n, p = plant.n, model.p
-    M, N, L = config.memory, config.fir_length, config.window
-    rows = []
-    for hist in enumerate_histories(automaton, L):
-        h = hist.modes
-        hm = h[L - M:]
-        for i in range(n):
-            entries = []
-            for k in range(N + 1):
-                C_k = model.C(h[L - 1 - k]) if k <= N - 1 else None
-                for j in range(n):
-                    form = LinearForm()
-                    if k == 1:
-                        form.const += A[i, j]
-                    if k <= N - 1:
-                        for c in range(p):
-                            form.add_term(variables.var("Z", hm, k, i, c), C_k[c, j])
-                        form.add_term(variables.var("Q", hm, k, i, j), -1.0)
-                    if 1 <= k <= N:
-                        for c in range(n):
-                            form.add_term(variables.var("Q", hm, k - 1, i, c), A[c, j])
-                    entries.append((k, j, form))
-            rows.append(ConstraintRow(h, i, "residual", tuple(entries)))
-    return rows
+    return [ConstraintRow(h, i, "residual", tuple(entries))
+            for h, _, i, entries in _kernel_rows(plant.A, model.C, -np.eye(plant.n),
+                                                 automaton, config, variables)]
 
 
 def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
@@ -230,36 +243,18 @@ def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
     _check_dims(plant, model)
     if variables is None:
         variables = decision_variables(automaton, config, plant.n, model.p)
-    B = plant.B
-    n, p, m_w = plant.n, model.p, plant.m_w
-    M, N, L = config.memory, config.fir_length, config.window
+    n, m_w = plant.n, plant.m_w
     rows = []
-    for hist in enumerate_histories(automaton, L):
-        h = hist.modes
-        hm = h[L - M:]
-        for i in range(n):
-            entries = []
-            for k in range(N + 1):
-                D_k = model.D(h[L - 1 - k]) if k <= N - 1 else None
-                for c in range(m_w):
-                    form = LinearForm()
-                    if k == 1:
-                        form.const += B[i, c]
-                    if k <= N - 1:
-                        for d in range(p):
-                            form.add_term(variables.var("Z", hm, k, i, d), D_k[d, c])
-                    if 1 <= k <= N:
-                        for d in range(n):
-                            form.add_term(variables.var("Q", hm, k - 1, i, d), B[d, c])
-                    entries.append((k, c, form))
-            for k in range(N):
-                for j in range(n):
-                    form = LinearForm()
-                    if k == 0 and i == j:
-                        form.const += 1.0
-                    form.add_term(variables.var("Q", hm, k, i, j), 1.0)
-                    entries.append((k, m_w + j, form))
-            rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
+    for h, hm, i, entries in _kernel_rows(plant.B, model.D, np.zeros((n, m_w)),
+                                          automaton, config, variables):
+        for k in range(config.fir_length):
+            for j in range(n):
+                form = LinearForm()
+                if k == 0 and i == j:
+                    form.const += 1.0
+                form.add_term(variables.var("Q", hm, k, i, j), 1.0)
+                entries.append((k, m_w + j, form))
+        rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
     return rows
 
 
@@ -420,20 +415,6 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
         mode=config.mode,
         lag0_margin=_lag0_margin(Z, Q, model),
     )
-
-
-def recover_observer_factors(result: SynthesisResult):
-    """Stable factors of the observer gain (I + Q)^{-1} Z.
-
-    The gain itself is never materialized (it may be unbounded); the note
-    records the lag-0 solve margin the time-domain observer relies on.
-    """
-    note = {
-        "lag0_margin": result.lag0_margin,
-        "histories": len(result.Q.histories()),
-        "invertible": result.lag0_margin > 0.0,
-    }
-    return result.Q, result.Z, note
 
 
 def residual_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,

@@ -25,6 +25,20 @@ def nominal_bundle(tmp_path, nominal_config):
     return out
 
 
+@pytest.fixture(scope="module")
+def restricted_bundle(tmp_path_factory):
+    """Two-mode design whose automaton forbids two attacked steps in a row."""
+    cfg = demo.demo_config_dict()
+    cfg["attack"]["automaton"] = [[1, 1], [1, 0]]
+    cfg["synthesis"]["N"] = 3
+    tmp = tmp_path_factory.mktemp("restricted")
+    path = tmp / "restricted.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp / "restricted.bundle.json")
+    assert main(["synth", str(path), "--out", out]) == 0
+    return out
+
+
 def test_validate_ok(nominal_config, capsys):
     assert main(["validate", nominal_config]) == 0
     assert "ok:" in capsys.readouterr().out
@@ -131,9 +145,47 @@ def test_norm_bad_sigma(nominal_bundle, capsys):
     assert main(["norm", nominal_bundle, "--sigma", "0,7"]) == 2
 
 
+@pytest.mark.parametrize("command", ["norm", "simulate"])
+def test_inadmissible_sigma_rejected(restricted_bundle, command, capsys):
+    assert main([command, restricted_bundle, "--sigma", "0,1,0,1"]) == 0
+    capsys.readouterr()
+    assert main([command, restricted_bundle, "--sigma", "0,1,1,1"]) == 2
+    assert "--sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", [5, [0, 1, 1, 1], ["0"]])
+def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys, sigma):
+    scen = {"sigma": sigma, "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
+    spath = tmp_path / "scen.json"
+    spath.write_text(json.dumps(scen))
+    assert main(["simulate", restricted_bundle, "--scenario", str(spath)]) == 2
+    assert "scenario.sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, path", [
+    # the config gains two modes that the stored taps do not cover
+    pytest.param(lambda b: b["config"]["attack"].update(patterns=[[1, 2], [1], [2]]),
+                 "Q.entries", id="uncovered-modes"),
+    pytest.param(lambda b: b["config"]["synthesis"].update(N=3), "Q: memory",
+                 id="fir-length"),
+    pytest.param(lambda b: b["Z"]["entries"][0].pop("matrix"), "Z.entries[0].matrix",
+                 id="missing-matrix"),
+    pytest.param(lambda b: b["T"]["entries"][1].update(history=[[0]]), "error: T:",
+                 id="nested-history"),
+    pytest.param(lambda b: b.pop("lag0_margin"), "lag0_margin", id="missing-margin"),
+])
+def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper, path):
+    bundle = json.load(open(nominal_bundle))
+    tamper(bundle)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["attack", str(bad), "--horizon", "3"]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_simulate_worst_reaches_gamma(nominal_bundle, tmp_path, capsys):
     trace_path = str(tmp_path / "trace.csv")
-    assert main(["simulate", nominal_bundle, "--worst", "--horizon", "12",
+    assert main(["simulate", nominal_bundle, "--horizon", "12",
                  "--trace", trace_path]) == 0
     out = capsys.readouterr().out
     sup = float([ln for ln in out.splitlines() if ln.startswith("sup_error")][0].split("=")[1])

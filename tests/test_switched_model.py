@@ -70,13 +70,13 @@ def test_mask_idempotence():
 def test_enumerate_complete_two_modes():
     auto = SwitchingAutomaton.complete(2)
     hists = enumerate_histories(auto, 2)
-    assert sorted(h.modes for h in hists) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert hists == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_forbidden_transition_bruteforce():
     allowed = np.array([[True, True], [True, False]])
     auto = SwitchingAutomaton(2, allowed=allowed)
-    hists = {h.modes for h in enumerate_histories(auto, 3)}
+    hists = set(enumerate_histories(auto, 3))
     expected = {h for h in itertools.product((0, 1), repeat=3)
                 if all(allowed[a, b] for a, b in zip(h, h[1:]))}
     assert hists == expected
@@ -86,7 +86,7 @@ def test_enumerate_forbidden_transition_bruteforce():
 def test_enumerate_length_one():
     auto = SwitchingAutomaton.complete(3)
     hists = enumerate_histories(auto, 1)
-    assert [h.modes for h in hists] == [(0,), (1,), (2,)]
+    assert hists == [(0,), (1,), (2,)]
 
 
 def test_enumerate_padding_covers_startup():
@@ -94,7 +94,7 @@ def test_enumerate_padding_covers_startup():
     # the startup window (padding, 1) must still be enumerated
     allowed = np.array([[True, False], [True, True]])
     auto = SwitchingAutomaton(2, allowed=allowed, initial={1}, padding_mode=0)
-    hists = {h.modes for h in enumerate_histories(auto, 2)}
+    hists = set(enumerate_histories(auto, 2))
     assert (0, 1) in hists
     assert hists == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -107,10 +107,39 @@ def test_sliding_windows_subset_of_enumeration():
         allowed |= np.eye(mode_count, dtype=bool)  # keep it live
         auto = SwitchingAutomaton(mode_count, allowed=allowed)
         L = int(rng.integers(1, 4))
-        hists = {h.modes for h in enumerate_histories(auto, L)}
+        hists = set(enumerate_histories(auto, L))
         sigma = auto.random_sequence(12, rng)
         for t in range(12):
             assert history_at(sigma, t, L, auto.padding_mode) in hists
+
+
+def test_walker_matches_brute_force():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        mode_count = int(rng.integers(2, 4))
+        allowed = rng.random((mode_count, mode_count)) < 0.6
+        initial = set(rng.choice(mode_count, int(rng.integers(1, mode_count)),
+                                 replace=False).tolist())
+        pad = int(rng.integers(1, mode_count))
+        auto = SwitchingAutomaton(mode_count, allowed=allowed, initial=initial,
+                                  padding_mode=pad)
+
+        def is_path(s):
+            return all(allowed[a, b] for a, b in zip(s, s[1:]))
+
+        for L in range(6):
+            every = list(itertools.product(range(mode_count), repeat=L))
+            admissible = [s for s in every if not s or (s[0] in initial and is_path(s))]
+            assert [s for s in every if auto.is_admissible(s)] == admissible
+            # lexicographic order is what exhaustive search's tie-break relies on
+            assert list(auto.admissible_sequences(L)) == admissible
+        for L in range(1, 5):
+            interior = {s for s in itertools.product(range(mode_count), repeat=L)
+                        if is_path(s)}
+            startup = {(pad,) * j + s for j in range(1, L)
+                       for s in itertools.product(range(mode_count), repeat=L - j)
+                       if s[0] in initial and is_path(s)}
+            assert enumerate_histories(auto, L) == sorted(interior | startup)
 
 
 def test_instantiate_constant_sigma_is_lti():
@@ -129,7 +158,7 @@ def test_instantiate_matches_direct_convolution():
     for _ in range(20):
         M = int(rng.integers(1, 3))
         N = int(rng.integers(1, 4))
-        taps = {(h.modes, k): rng.uniform(-1, 1, (2, 2))
+        taps = {(h, k): rng.uniform(-1, 1, (2, 2))
                 for h in enumerate_histories(auto, M) for k in range(N)}
         fir = SwitchingFIR(M, N, 2, 2, taps)
         H = 8
@@ -165,7 +194,7 @@ def test_instantiate_missing_history_is_hard_error():
 def test_instantiate_causal_in_sigma():
     rng = np.random.default_rng(3)
     auto = SwitchingAutomaton.complete(2)
-    taps = {(h.modes, k): rng.uniform(-1, 1, (2, 2))
+    taps = {(h, k): rng.uniform(-1, 1, (2, 2))
             for h in enumerate_histories(auto, 2) for k in range(3)}
     fir = SwitchingFIR(2, 3, 2, 2, taps)
     sigma_a = (0, 1, 0, 1, 0, 0)

@@ -11,8 +11,8 @@ from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
                                    assemble_lp, build_performance_rows,
                                    build_residual_rows, certify, decision_variables,
                                    evaluate_rows, parametrization_residual,
-                                   performance_operator, recover_observer_factors,
-                                   residual_operator, sweep_relaxation, synthesize)
+                                   performance_operator, residual_operator,
+                                   sweep_relaxation, synthesize)
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +194,9 @@ def test_infeasible_reports_guidance():
 def test_recover_factors_exact_lag0(switching_synthesis, switching_setup):
     result, _ = switching_synthesis
     _, model, _, _ = switching_setup
-    Q, Z, note = recover_observer_factors(result)
-    assert note["invertible"]
-    assert note["lag0_margin"] > 0.99
+    Q, Z = result.Q, result.Z
+    assert result.lag0_margin > 0.0
+    assert result.lag0_margin > 0.99
     for hist in Z.histories():
         block = Z.tap(hist, 0) @ model.C(hist[-1]) - Q.tap(hist, 0)
         assert np.max(np.abs(block)) <= 1e-9
@@ -205,12 +205,12 @@ def test_recover_factors_exact_lag0(switching_synthesis, switching_setup):
 def test_recover_factors_relaxed_margin(relaxed_nominal, nominal_setup):
     result, cfg = relaxed_nominal
     _, model, _, _ = nominal_setup
-    Q, Z, note = recover_observer_factors(result)
+    Q, Z = result.Q, result.Z
     assert result.eps_achieved <= cfg.eps_bar + 1e-7
     for hist in Z.histories():
         block = Z.tap(hist, 0) @ model.C(hist[-1]) - Q.tap(hist, 0)
         assert np.max(np.sum(np.abs(block), axis=1)) <= cfg.eps_bar + 1e-7
-    assert note["lag0_margin"] >= 1.0 - cfg.eps_bar - 1e-7
+    assert result.lag0_margin >= 1.0 - cfg.eps_bar - 1e-7
 
 
 def test_parametrization_residual_trivial_case(nominal_setup):
