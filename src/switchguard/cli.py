@@ -3,8 +3,9 @@
 Configs and result bundles are JSON (matrices as row-major nested lists),
 traces are CSV.  Exit codes: 0 ok, 2 input error, 3 infeasible,
 4 numerical failure.  All commands are deterministic under a fixed seed.
-Attack sequences given by --sigma or a scenario file must be admissible
-for the config's automaton.
+Attack sequences given by --sigma or a scenario file, and the all-padding
+sequence `simulate` runs without either, must be admissible for the
+config's automaton.
 """
 from __future__ import annotations
 
@@ -45,6 +46,17 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _section(value, path: str) -> dict:
+    _expect(isinstance(value, dict), path, "expected a JSON object")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    _expect(isinstance(value, int) and not isinstance(value, bool), path,
+            "expected an integer")
+    return value
+
+
 def _matrix(value, path: str) -> np.ndarray:
     _expect(isinstance(value, list) and value and all(isinstance(r, list) for r in value),
             path, "expected a non-empty nested list (matrix)")
@@ -62,7 +74,7 @@ def parse_problem(cfg: dict):
     for key in ("plant", "attack", "synthesis"):
         _expect(key in cfg, key, "missing section")
 
-    pc = cfg["plant"]
+    pc = _section(cfg["plant"], "plant")
     A = _matrix(pc.get("A"), "plant.A")
     _expect(A.shape[0] == A.shape[1], "plant.A", f"must be square, got {A.shape}")
     B = _matrix(pc.get("B"), "plant.B")
@@ -73,6 +85,7 @@ def parse_problem(cfg: dict):
             "plant.channels", "expected a non-empty list")
     channels = []
     for i, ch in enumerate(raw_channels):
+        _section(ch, f"plant.channels[{i}]")
         C_i = _matrix(ch.get("C"), f"plant.channels[{i}].C")
         D_i = _matrix(ch.get("D"), f"plant.channels[{i}].D")
         _expect(C_i.shape[1] == A.shape[0], f"plant.channels[{i}].C",
@@ -80,11 +93,14 @@ def parse_problem(cfg: dict):
         _expect(D_i.shape == (C_i.shape[0], B.shape[1]), f"plant.channels[{i}].D",
                 f"needs shape {(C_i.shape[0], B.shape[1])}, got {D_i.shape}")
         channels.append((C_i, D_i))
-    x0_bound = float(pc.get("x0_bound", 1.0))
+    x0_bound = pc.get("x0_bound", 1.0)
+    _expect(isinstance(x0_bound, (int, float)) and not isinstance(x0_bound, bool),
+            "plant.x0_bound", "expected a number")
+    x0_bound = float(x0_bound)
     _expect(x0_bound >= 0.0, "plant.x0_bound", "must be nonnegative")
     plant = ChannelPlant(A=A, B=B, channels=tuple(channels), x0_bound=x0_bound)
 
-    ac = cfg["attack"]
+    ac = _section(cfg["attack"], "attack")
     patterns = ac.get("patterns")
     _expect(isinstance(patterns, list) and patterns, "attack.patterns",
             "expected a non-empty list of delivered-channel sets")
@@ -100,7 +116,7 @@ def parse_problem(cfg: dict):
 
     mode_count = len(patterns)
     raw_auto = ac.get("automaton", "complete")
-    padding = int(ac.get("padding_mode", 0))
+    padding = _integer(ac.get("padding_mode", 0), "attack.padding_mode")
     _expect(0 <= padding < mode_count, "attack.padding_mode",
             f"must lie in 0..{mode_count - 1}")
     if raw_auto == "complete":
@@ -120,7 +136,7 @@ def parse_problem(cfg: dict):
     automaton = SwitchingAutomaton(mode_count, allowed=allowed, initial=initial,
                                    padding_mode=padding)
 
-    sc = cfg["synthesis"]
+    sc = _section(cfg["synthesis"], "synthesis")
     try:
         syncfg = SynthesisConfig(
             memory=int(sc.get("M", 1)),
@@ -133,7 +149,7 @@ def parse_problem(cfg: dict):
     except (TypeError, ValueError) as exc:
         raise ConfigError("synthesis", str(exc)) from None
 
-    seed = int(cfg.get("seed", 0))
+    seed = _integer(cfg.get("seed", 0), "seed")
     return plant, model, automaton, syncfg, seed
 
 
@@ -268,12 +284,12 @@ def cmd_validate(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    if args.mode:
-        cfg.setdefault("synthesis", {})["mode"] = args.mode
-    if args.eps is not None:
-        cfg.setdefault("synthesis", {})["eps_bar"] = args.eps
-    if args.fir is not None:
-        cfg.setdefault("synthesis", {})["N"] = args.fir
+    overrides = {key: value for key, value in
+                 (("mode", args.mode), ("eps_bar", args.eps), ("N", args.fir))
+                 if value is not None}
+    if overrides:
+        _expect(isinstance(cfg, dict), "$", "config must be a JSON object")
+        _section(cfg.setdefault("synthesis", {}), "synthesis").update(overrides)
     plant, model, automaton, syncfg, seed = parse_problem(cfg)
     if args.dump_lp:
         from .synthesis import (assemble_lp, build_performance_rows,
@@ -352,8 +368,14 @@ def cmd_simulate(args) -> int:
         predicted = None
     else:
         H = args.horizon or syncfg.verify_horizon
-        sigma = (_parse_sigma(args.sigma, automaton) if args.sigma
-                 else (automaton.padding_mode,) * H)
+        if args.sigma:
+            sigma = _parse_sigma(args.sigma, automaton)
+        else:
+            sigma = (automaton.padding_mode,) * H
+            _expect(automaton.is_admissible(sigma), "--sigma",
+                    f"the default sequence (padding mode {automaton.padding_mode} "
+                    "throughout) is not admissible for the config's attack automaton; "
+                    "give an admissible sequence with --sigma")
         scenario, predicted = worst_case_inputs(plant, model, result, sigma,
                                                 len(sigma), automaton.padding_mode)
     trace = make_trace(plant, model, result, scenario, automaton.padding_mode)

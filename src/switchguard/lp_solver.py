@@ -4,8 +4,14 @@ Standard form with equalities, inequalities, free and bounded variables.
 Pivoting uses the most-negative-cost rule while progress is made and
 switches to Bland's rule on degenerate stretches, which precludes cycling;
 both rules are fixed, so identical inputs produce bit-identical outputs.
-Problem sizes here are small (hundreds of variables), so robustness and
-determinism win over speed.
+
+The tableau stays dense, but the synthesis LPs are sparse (about 1% of
+the standardized entries are nonzero) and stay sparse while pivoting, so
+each pivot updates only the block of rows with a nonzero in the pivot
+column and columns with a nonzero in the pivot row.  Outside that block
+the full rank-1 update would subtract a signed zero, so restricting it
+changes no value: the pivot path and the solution are those of the full
+update.
 """
 from __future__ import annotations
 
@@ -75,9 +81,18 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Solver outcome with per-phase work counts (phase 1, phase 2).
+
+    Phase-1 pivots include those that drive leftover artificial variables
+    out of the basis; bland_switches counts the switches from the
+    most-negative-cost rule to Bland's rule on degenerate stretches.
+    """
+
     status: str  # optimal | infeasible | unbounded
     objective: float
     values: np.ndarray
+    pivots: tuple[int, int] = (0, 0)
+    bland_switches: tuple[int, int] = (0, 0)
 
 
 def _standardize(lp: LinearProgram):
@@ -88,86 +103,88 @@ def _standardize(lp: LinearProgram):
     bounds shift; finite upper bounds become extra rows.
     """
     n = lp.variable_count
-    col_map = []   # per original var: list of (col, sign)
+    first = np.zeros(n, dtype=int)  # column of each original variable
+    sign = np.ones(n)               # its sign in that column
+    free = []                       # free variables; their negative part is first + 1
     shift = np.zeros(n)
     ncols = 0
     extra_rows = []  # (orig var index, ub-lo) handled after mapping
     for j, (lo, hi) in enumerate(lp.bounds):
+        first[j] = ncols
+        ncols += 1
         if lo is None and hi is None:
-            col_map.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-        elif lo is not None and hi is None:
-            col_map.append([(ncols, 1.0)])
-            shift[j] = lo
+            free.append(j)
             ncols += 1
-        elif lo is None and hi is not None:
-            col_map.append([(ncols, -1.0)])
+        elif lo is None:
+            sign[j] = -1.0
             shift[j] = hi
-            ncols += 1
         else:
-            if hi < lo:
-                # empty box: encode as an infeasible row 0 <= -1
-                col_map.append([(ncols, 1.0)])
-                shift[j] = lo
-                ncols += 1
-                extra_rows.append((j, -1.0))
-                continue
-            col_map.append([(ncols, 1.0)])
             shift[j] = lo
-            ncols += 1
-            extra_rows.append((j, hi - lo))
+            if hi is not None:
+                # an empty box is encoded as the infeasible row 0 <= -1
+                extra_rows.append((j, -1.0 if hi < lo else hi - lo))
+    free = np.array(free, dtype=int)
+    second = first[free] + 1
 
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        rows.append((coeffs, rel, rhs - float(coeffs @ shift)))
-    for j, span in extra_rows:
-        coeffs = np.zeros(n)
-        coeffs[j] = 1.0
-        # u_j <= span in shifted coordinates (already shifted by lo)
-        rows.append((coeffs, LE, span))
+    def place(a: np.ndarray, out: np.ndarray) -> None:
+        # adding 0.0 turns the -0.0 of a zero coefficient times -1 into +0.0
+        out[first] = a * sign + 0.0
+        out[second] = -a[free] + 0.0
 
-    m = len(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel == LE)
+    m = len(lp.constraints) + len(extra_rows)
+    le_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == LE]
+    le_rows += range(len(lp.constraints), m)
+    nslack = len(le_rows)
     A = np.zeros((m, ncols + nslack))
     b = np.zeros(m)
-    slack_col = ncols
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        for j in range(n):
-            a = coeffs[j]
-            if a != 0.0:
-                for col, sgn in col_map[j]:
-                    A[i, col] += a * sgn
-        b[i] = rhs
-        if rel == LE:
-            A[i, slack_col] = 1.0
-            slack_col += 1
-
+    for i, (coeffs, _, rhs) in enumerate(lp.constraints):
+        place(coeffs, A[i])
+        b[i] = rhs - float(coeffs @ shift)
+    for i, (j, span) in enumerate(extra_rows, start=len(lp.constraints)):
+        # u_j <= span in shifted coordinates (already shifted by lo)
+        A[i, first[j]] = 1.0
+        b[i] = span
+    A[le_rows, ncols + np.arange(nslack)] = 1.0
     c = np.zeros(ncols + nslack)
-    for j in range(n):
-        a = lp.objective[j]
-        if a != 0.0:
-            for col, sgn in col_map[j]:
-                c[col] += a * sgn
+    place(lp.objective, c)
 
     def recover(u: np.ndarray) -> np.ndarray:
-        x = shift.copy()
-        for j in range(n):
-            for col, sgn in col_map[j]:
-                x[j] += sgn * u[col]
+        x = shift + sign * u[first]
+        x[free] -= u[second]
         return x
 
     return A, b, c, recover
 
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Pivot on T[row, col]: scale the row to a unit pivot, eliminate col elsewhere.
+
+    Only entries in a row with a nonzero in the pivot column and a column
+    with a nonzero in the scaled pivot row change.  Each of them gets the
+    same multiply and subtract as in the full update T -= outer(T[:, col],
+    T[row]); every other entry would only have a signed zero subtracted.
+    """
     piv = T[row, col]
     if abs(piv) < PIVOT_TOL:
         raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
     T[row] /= piv
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    pivot_row = T[row]
+    cols = np.flatnonzero(pivot_row)
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], pivot_row[cols])
     basis[row] = col
+
+
+def _initial_basis(A: np.ndarray) -> np.ndarray:
+    """Per row, the first unit column (one nonzero, 1.0 in that row), or -1.
+
+    A unit column can only serve its own row, so no column is chosen twice.
+    """
+    unit = (A == 1.0) & (np.count_nonzero(A, axis=0) == 1)
+    if unit.shape[1] == 0:
+        return np.full(unit.shape[0], -1)
+    return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
 
 
 def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
@@ -187,18 +204,21 @@ def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
 STALL_LIMIT = 64
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> str:
+def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
+             max_iter: int) -> tuple[str, int, int]:
     """Simplex iterations on tableau T (objective in the last row).
 
-    Returns 'optimal' or 'unbounded'.  Entering column: most negative
-    reduced cost (Dantzig) while the objective makes progress; after
-    STALL_LIMIT degenerate iterations Bland's rule (lowest eligible index,
-    lowest-index leaving tie-break) takes over until the objective next
-    improves, which precludes cycling: Bland cannot cycle, so every
-    degenerate stretch ends in finitely many steps, and strict
-    improvements cannot revisit a basis.  Both rules are deterministic.
+    Returns (status, pivots, bland_switches) with status 'optimal' or
+    'unbounded'.  Entering column: most negative reduced cost (Dantzig)
+    while the objective makes progress; after STALL_LIMIT degenerate
+    iterations Bland's rule (lowest eligible index, lowest-index leaving
+    tie-break) takes over until the objective next improves, which
+    precludes cycling: Bland cannot cycle, so every degenerate stretch ends
+    in finitely many steps, and strict improvements cannot revisit a basis.
+    Both rules are deterministic.
     """
     bland = False
+    switches = 0
     stall = 0
     last_obj = T[-1, -1]
     for it in range(max_iter):
@@ -206,15 +226,15 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> str
         if bland:
             candidates = np.flatnonzero(reduced < -PIVOT_TOL)
             if candidates.size == 0:
-                return "optimal"
+                return "optimal", it, switches
             enter = int(candidates[0])
         else:
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -PIVOT_TOL:
-                return "optimal"
+                return "optimal", it, switches
         leave = _ratio_row(T, basis, enter)
         if leave < 0:
-            return "unbounded"
+            return "unbounded", it, switches
         _pivot(T, basis, leave, enter)
         obj = T[-1, -1]
         if obj > last_obj + PIVOT_TOL:
@@ -225,6 +245,7 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int) -> str
             stall += 1
             if stall >= STALL_LIMIT:
                 bland = True
+                switches += 1
         if it % 512 == 511 and not np.all(np.isfinite(T)):
             raise LpNumericalError("tableau lost finiteness during pivoting")
     raise LpNumericalError("iteration limit exceeded")
@@ -243,68 +264,49 @@ def solve(lp: LinearProgram) -> LpSolution:
         return LpSolution("optimal", float(lp.objective @ x), x)
 
     neg = b < 0
-    A = A.copy()
     A[neg] *= -1.0
-    b = b.copy()
     b[neg] *= -1.0
 
-    # identity columns usable as an initial basis (unit column with b-compatible sign)
-    basis = np.full(m, -1, dtype=int)
-    used = set()
-    for i in range(m):
-        for j in range(ncols):
-            col = A[:, j]
-            if j not in used and col[i] == 1.0 and np.count_nonzero(col) == 1:
-                basis[i] = j
-                used.add(j)
-                break
-
-    art_cols = []
-    n_art = int(np.sum(basis < 0))
-    T = np.zeros((m + 1, ncols + n_art + 1))
+    # identity columns usable as an initial basis; artificials fill the other rows
+    basis = _initial_basis(A)
+    missing = np.flatnonzero(basis < 0)
+    n_art = missing.size
+    total_cols = ncols + n_art
+    T = np.zeros((m + 1, total_cols + 1))
     T[:m, :ncols] = A
     T[:m, -1] = b
-    k = ncols
-    for i in range(m):
-        if basis[i] < 0:
-            T[i, k] = 1.0
-            basis[i] = k
-            art_cols.append(k)
-            k += 1
+    art_cols = ncols + np.arange(n_art)
+    T[missing, art_cols] = 1.0
+    basis[missing] = art_cols
 
-    total_cols = ncols + n_art
     max_iter = 2000 + 200 * (m + total_cols)
+    pivots = [0, 0]
+    switches = [0, 0]
 
-    if art_cols:
+    if n_art:
         # phase 1: minimize the artificial sum
-        T[-1, :] = 0.0
-        for j in art_cols:
-            T[-1, j] = 1.0
-        for i in range(m):
-            if basis[i] in art_cols:
-                T[-1] -= T[i]
-        status = _simplex(T, basis, total_cols, max_iter)
+        T[-1, ncols:total_cols] = 1.0
+        for i in missing:
+            T[-1] -= T[i]
+        status, pivots[0], switches[0] = _simplex(T, basis, total_cols, max_iter)
         if status != "optimal":
             raise LpNumericalError("phase-1 reported unbounded: inconsistent tableau")
         if T[-1, -1] < -1e-7:
-            return LpSolution("infeasible", np.nan, np.full(lp.variable_count, np.nan))
+            return LpSolution("infeasible", np.nan, np.full(lp.variable_count, np.nan),
+                              tuple(pivots), tuple(switches))
         # drive remaining artificials out of the basis
-        art_set = set(art_cols)
         for i in range(m):
-            if basis[i] in art_set:
-                piv_col = -1
-                for j in range(ncols):
-                    if j not in art_set and abs(T[i, j]) > PIVOT_TOL:
-                        piv_col = j
-                        break
-                if piv_col >= 0:
-                    _pivot(T, basis, i, piv_col)
-        keep_rows = [i for i in range(m) if basis[i] not in art_set]
-        if len(keep_rows) < m:
+            if basis[i] >= ncols:
+                nonzero = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_TOL)
+                if nonzero.size:
+                    _pivot(T, basis, i, int(nonzero[0]))
+                    pivots[0] += 1
+        keep_rows = np.flatnonzero(basis < ncols)
+        if keep_rows.size < m:
             # redundant rows: zero in every structural column
             T = np.vstack([T[keep_rows], T[-1:]])
             basis = basis[keep_rows]
-            m = len(keep_rows)
+            m = keep_rows.size
 
     # phase 2
     T2 = np.zeros((m + 1, ncols + 1))
@@ -315,15 +317,15 @@ def solve(lp: LinearProgram) -> LpSolution:
         cb = c[basis[i]]
         if cb != 0.0:
             T2[-1] -= cb * T2[i]
-    status = _simplex(T2, basis, ncols, max_iter)
+    status, pivots[1], switches[1] = _simplex(T2, basis, ncols, max_iter)
     if status == "unbounded":
-        return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan))
+        return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan),
+                          tuple(pivots), tuple(switches))
 
     u = np.zeros(ncols)
-    for i in range(m):
-        u[basis[i]] = T2[i, -1]
+    u[basis] = T2[:m, -1]
     x = recover(u)
-    return LpSolution("optimal", float(lp.objective @ x), x)
+    return LpSolution("optimal", float(lp.objective @ x), x, tuple(pivots), tuple(switches))
 
 
 def format_lp(lp: LinearProgram, name: str = "problem") -> str:

@@ -23,6 +23,7 @@ __all__ = [
     "add",
     "scale",
     "resolvent_of_state",
+    "is_singular",
     "invert",
     "hstack",
     "apply",
@@ -225,6 +226,17 @@ def resolvent_of_state(A, horizon: int) -> TruncatedOperator:
     return TruncatedOperator(horizon, nd, nd, kernel)
 
 
+def is_singular(mat: np.ndarray) -> bool:
+    """Whether a square matrix is singular to working precision.
+
+    Scale-free: the smallest singular value is compared with the largest
+    (numpy's matrix_rank tolerance), so 1e-5 * I passes where a bare
+    determinant threshold would reject it.
+    """
+    sv = np.linalg.svd(mat, compute_uv=False)
+    return not sv[-1] > sv[0] * max(mat.shape) * np.finfo(float).eps
+
+
 def invert(R: TruncatedOperator) -> TruncatedOperator:
     """Inverse of a causal operator with invertible lag-0 blocks.
 
@@ -237,7 +249,7 @@ def invert(R: TruncatedOperator) -> TruncatedOperator:
     inv0 = []
     for t in range(H):
         mat = R.entry(t, 0)
-        if abs(np.linalg.det(mat)) < 1e-12:
+        if is_singular(mat):
             raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
         inv0.append(np.linalg.inv(mat))
     out: dict[tuple[int, int], np.ndarray] = {}

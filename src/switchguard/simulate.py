@@ -133,7 +133,7 @@ def run_glo(Q: SwitchingFIR, Z: SwitchingFIR, plant: ChannelPlant,
             rhs += Q.tap(hist, k - 1) @ (A @ xh[t - k])
         for k in range(min(t, N - 1) + 1):
             rhs -= Z.tap(hist, k) @ y[t - k]
-        if abs(np.linalg.det(solve_mat)) < 1e-12:
+        if oc.is_singular(solve_mat):
             raise np.linalg.LinAlgError(
                 f"singular lag-0 solve for history {hist} at time {t}")
         xh[t] = np.linalg.solve(solve_mat, rhs)

@@ -62,6 +62,38 @@ def test_validate_empty_patterns(tmp_path, capsys):
     assert "attack.patterns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tamper, path", [
+    pytest.param(lambda c: c.update(plant=5), "plant", id="plant"),
+    pytest.param(lambda c: c.update(attack=[1]), "attack", id="attack"),
+    pytest.param(lambda c: c.update(synthesis="exact"), "synthesis", id="synthesis"),
+    pytest.param(lambda c: c["plant"]["channels"].__setitem__(0, [[1.0]]),
+                 "plant.channels[0]", id="channel"),
+    pytest.param(lambda c: c["plant"].update(x0_bound=None), "plant.x0_bound",
+                 id="x0-bound"),
+    pytest.param(lambda c: c["attack"].update(padding_mode="0"), "attack.padding_mode",
+                 id="padding-string"),
+    pytest.param(lambda c: c["attack"].update(padding_mode=0.5), "attack.padding_mode",
+                 id="padding-float"),
+    pytest.param(lambda c: c.update(seed=None), "seed", id="seed"),
+])
+def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
+    cfg = demo.nominal_config_dict()
+    tamper(cfg)
+    cpath = tmp_path / "bad.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_synth_override_rejects_non_object_synthesis(tmp_path, capsys):
+    cfg = demo.nominal_config_dict()
+    cfg["synthesis"] = 5
+    cpath = tmp_path / "bad.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["synth", str(cpath), "--fir", "3", "--out", str(tmp_path / "b.json")]) == 2
+    assert "error: synthesis: " in capsys.readouterr().err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/config.json"]) == 2
 
@@ -194,6 +226,35 @@ def test_simulate_worst_reaches_gamma(nominal_bundle, tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 12
     assert {"t", "sigma", "x_0", "y_0", "xhat_0", "e_0"} <= set(rows[0])
+
+
+def test_simulate_default_sigma_must_be_admissible(tmp_path, capsys):
+    # padding mode 0 is not an initial mode, so the default 000000 is not admissible
+    cfg = demo.demo_config_dict()
+    cfg["attack"].update(automaton=[[1, 1], [1, 0]], initial=[1])
+    cfg["synthesis"]["N"] = 3
+    cpath = tmp_path / "restricted.json"
+    cpath.write_text(json.dumps(cfg))
+    out = str(tmp_path / "restricted.bundle.json")
+    assert main(["synth", str(cpath), "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["simulate", out, "--horizon", "6"]) == 2
+    assert "--sigma" in capsys.readouterr().err
+    assert main(["simulate", out, "--sigma", "1,0,1,0,1,0"]) == 0
+
+
+def test_simulate_singular_lag0_exits_numerical(nominal_bundle, capsys):
+    # Z = 0 and I + Q0 of rank 2 make the observer's lag-0 solve singular
+    bundle = json.load(open(nominal_bundle))
+    for fir in ("Q", "Z"):
+        for entry in bundle[fir]["entries"]:
+            entry["matrix"] = np.zeros_like(entry["matrix"]).tolist()
+    rank_deficient = np.arange(1.0, 10.0).reshape(3, 3)
+    bundle["Q"]["entries"][0]["matrix"] = (rank_deficient - np.eye(3)).tolist()
+    with open(nominal_bundle, "w") as fh:
+        json.dump(bundle, fh)
+    assert main(["simulate", nominal_bundle, "--horizon", "3"]) == 4
+    assert "singular lag-0 solve" in capsys.readouterr().err
 
 
 def test_simulate_zero_scenario(nominal_bundle, tmp_path, capsys):

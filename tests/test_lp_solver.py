@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from switchguard import lp_solver
 from switchguard.lp_solver import (EQ, LE, LinearProgram, LpNumericalError, format_lp,
                                    solve)
-from util import random_box_lp, vertex_minimum
+from switchguard.synthesis import (assemble_lp, build_performance_rows,
+                                   build_residual_rows, decision_variables)
+from util import (dense_pivot, loop_initial_basis, random_box_lp, random_sparse_lp,
+                  vertex_minimum)
 
 
 def test_minimize_above_lower_bound():
@@ -163,3 +167,98 @@ def test_format_lp_text():
     text = format_lp(lp, name="toy")
     assert "Minimize" in text and "Subject To" in text and "Bounds" in text
     assert "<= 3" in text and "= 1" in text
+
+
+def test_pivot_counts_per_phase():
+    # the slack is the initial basis: no phase 1, one pivot to reach x = 2
+    lp = LinearProgram(1, np.array([-1.0]), bounds=[(0.0, None)])
+    lp.add(np.array([2.0]), LE, 4.0)
+    assert solve(lp).pivots == (0, 1)
+    # 2x = 2 has no unit column: one phase-1 pivot, and that vertex is optimal
+    lp = LinearProgram(1, np.array([1.0]))
+    lp.add(np.array([2.0]), EQ, 2.0)
+    sol = solve(lp)
+    assert sol.pivots == (1, 0)
+    assert sol.bland_switches == (0, 0)
+
+
+def _demo_lp(setup):
+    plant, model, automaton, config = setup
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    return assemble_lp(build_residual_rows(plant, model, automaton, config, variables),
+                       build_performance_rows(plant, model, automaton, config, variables),
+                       config, variables)
+
+
+def _sparse_lp(seed: int) -> LinearProgram:
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 25))
+    c, rows, bounds = random_sparse_lp(rng, n, int(rng.integers(2, 25)))
+    return LinearProgram(n, c, constraints=rows, bounds=bounds)
+
+
+def _solve_dense(lp, monkeypatch) -> lp_solver.LpSolution:
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_solver, "_pivot", dense_pivot)
+        patch.setattr(lp_solver, "_initial_basis", loop_initial_basis)
+        return solve(lp)
+
+
+def _assert_same_solution(lp, monkeypatch):
+    ref = _solve_dense(lp, monkeypatch)
+    sol = solve(lp)
+    assert sol.status == ref.status
+    assert sol.values.tobytes() == ref.values.tobytes()
+    assert sol.objective == ref.objective
+    assert sol.pivots == ref.pivots
+    assert sol.bland_switches == ref.bland_switches
+    return sol
+
+
+@pytest.mark.parametrize("name", ["nominal_setup", "switching_setup"])
+def test_solver_matches_dense_reference_on_demo(name, request, monkeypatch):
+    sol = _assert_same_solution(_demo_lp(request.getfixturevalue(name)), monkeypatch)
+    assert sol.status == "optimal"
+    assert sol.pivots[0] > 0 and sol.pivots[1] > 0
+
+
+def test_solver_matches_dense_reference_on_sparse_lps(monkeypatch):
+    statuses = set()
+    for seed in range(50):
+        statuses.add(_assert_same_solution(_sparse_lp(seed), monkeypatch).status)
+    assert statuses == {"optimal"}
+
+
+def test_restricted_pivot_matches_dense_update():
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        m, n = int(rng.integers(2, 30)), int(rng.integers(2, 40))
+        T = np.where(rng.random((m, n)) < 0.2, rng.normal(size=(m, n)), 0.0)
+        T[rng.random((m, n)) < 0.05] = -0.0
+        rows, cols = np.nonzero(np.abs(T) >= lp_solver.PIVOT_TOL)
+        if rows.size == 0:
+            continue
+        k = int(rng.integers(rows.size))
+        basis = np.arange(m)
+        ref, ref_basis = T.copy(), basis.copy()
+        dense_pivot(ref, ref_basis, rows[k], cols[k])
+        lp_solver._pivot(T, basis, rows[k], cols[k])
+        assert np.array_equal(T, ref)  # -0.0 == 0.0: only signed zeros may differ
+        assert np.array_equal(basis, ref_basis)
+
+
+def test_initial_basis_matches_loop_scan():
+    rng = np.random.default_rng(48)
+    for _ in range(200):
+        m, n = int(rng.integers(1, 8)), int(rng.integers(1, 12))
+        A = rng.choice([-1.0, 0.0, 0.0, 0.0, 1.0, 2.0], size=(m, n))
+        for _ in range(int(rng.integers(0, 4))):
+            # unit columns, sometimes repeated or negated, and emptied rows
+            j, i = int(rng.integers(n)), int(rng.integers(m))
+            A[:, j] = 0.0
+            A[i, j] = rng.choice([1.0, 1.0, -1.0])
+            if rng.random() < 0.5:
+                A[:, int(rng.integers(n))] = A[:, j]
+            if rng.random() < 0.3:
+                A[int(rng.integers(m))] = 0.0
+        assert np.array_equal(lp_solver._initial_basis(A), loop_initial_basis(A))

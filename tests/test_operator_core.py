@@ -272,6 +272,16 @@ def test_invert_singular_lag0():
     op = zero_operator(2, 2, 3)
     with pytest.raises(np.linalg.LinAlgError):
         invert(op)
+    # rank 2 of 3; its determinant rounds to about 7e-16, not to zero
+    rank_deficient = np.arange(1.0, 10.0).reshape(3, 3)
+    with pytest.raises(np.linalg.LinAlgError):
+        invert(make_diagonal(rank_deficient, 2))
+
+
+def test_invert_small_well_conditioned_lag0():
+    # det(1e-5 I) = 1e-15, yet the block is perfectly conditioned
+    R = make_diagonal(1e-5 * np.eye(3), 3)
+    assert np.allclose(invert(R).unroll(), 1e5 * np.eye(9), rtol=1e-12, atol=0)
 
 
 def test_hstack_applies_blockwise():

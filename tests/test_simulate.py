@@ -160,6 +160,26 @@ def test_glo_singular_solve_reports_history():
         run_glo(Q, Z, plant, model, y, (0, 0, 0))
 
 
+def test_glo_lag0_check_is_scale_free():
+    rng = np.random.default_rng(7)
+    plant, model = random_problem(rng, n=3, m_w=1, p=2)
+    Z0 = rng.uniform(-1, 1, (3, 2))
+    for solve_mat, singular in ((1e-5 * np.eye(3), False),
+                                (np.arange(1.0, 10.0).reshape(3, 3), True)):
+        # the lag-0 solve matrix is I - (Z0 C - Q0) = solve_mat
+        Q = SwitchingFIR(1, 1, 3, 3, {((0,), 0): solve_mat - np.eye(3) + Z0 @ model.C(0)})
+        Z = SwitchingFIR(1, 1, 2, 3, {((0,), 0): Z0})
+        y = Signal(rng.uniform(-1, 1, (1, 2)))
+        if singular:
+            with pytest.raises(np.linalg.LinAlgError):
+                run_glo(Q, Z, plant, model, y, (0,))
+        else:
+            xh = run_glo(Q, Z, plant, model, y, (0,))
+            # forming I - (Z0 C - Q0) cancels O(1) terms: about 1e-11 relative error
+            assert np.allclose(xh.samples[0], np.linalg.solve(solve_mat, -Z0 @ y.samples[0]),
+                               rtol=1e-8, atol=0)
+
+
 def test_relaxed_traces_stay_below_certified_bound(nominal_setup):
     plant, model, automaton, _ = nominal_setup
     cfg = SynthesisConfig(memory=1, fir_length=2, mode="relaxed", eps_bar=0.5)

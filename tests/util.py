@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 
+from switchguard.lp_solver import PIVOT_TOL, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator
 
 
@@ -78,3 +79,63 @@ def random_box_lp(rng: np.random.Generator, n: int, m: int):
     G = np.vstack([A, np.eye(n), -np.eye(n)])
     h = np.concatenate([b, hi, -lo])
     return c, A, b, lo, hi, G, h
+
+
+def dense_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Reference simplex pivot: the rank-1 update over the whole tableau."""
+    piv = T[row, col]
+    if abs(piv) < PIVOT_TOL:
+        raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
+    T[row] /= piv
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def loop_initial_basis(A: np.ndarray) -> np.ndarray:
+    """Reference basis scan: per row, the first unused unit column, else -1."""
+    m, ncols = A.shape
+    basis = np.full(m, -1, dtype=int)
+    used = set()
+    for i in range(m):
+        for j in range(ncols):
+            col = A[:, j]
+            if j not in used and col[i] == 1.0 and np.count_nonzero(col) == 1:
+                basis[i] = j
+                used.add(j)
+                break
+    return basis
+
+
+def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 0.25):
+    """Random feasible LP with sparse small-integer rows and mixed bounds.
+
+    Returns (c, rows, bounds): rows are (coeffs, relation, rhs) with
+    relation '<=' or '='; bounds mix free, one-sided and boxed variables.
+    Integer coefficients and rhs values on the feasible point make
+    degenerate vertices and unit columns common.
+    """
+    x_feas = rng.integers(-2, 3, size=n).astype(float)
+    bounds = []
+    for j in range(n):
+        kind = rng.integers(4)
+        lo = x_feas[j] - float(rng.integers(0, 3))
+        hi = x_feas[j] + float(rng.integers(0, 3))
+        bounds.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
+    rows = []
+    for _ in range(m):
+        coeffs = np.where(rng.random(n) < density,
+                          rng.choice([-2.0, -1.0, 1.0, 1.0, 3.0], size=n), 0.0)
+        rel = "=" if rng.random() < 0.3 else "<="
+        rhs = float(coeffs @ x_feas) + (0.0 if rel == "=" else float(rng.integers(0, 3)))
+        rows.append((coeffs, rel, rhs))
+    # rows closing every open side keep the optimum bounded
+    for j, (lo, hi) in enumerate(bounds):
+        for open_side, sign in ((lo is None, -1.0), (hi is None, 1.0)):
+            if open_side:
+                box = np.zeros(n)
+                box[j] = sign
+                rows.append((box, "<=", sign * x_feas[j] + 4.0))
+    c = rng.normal(size=n)
+    return c, rows, bounds
