@@ -5,7 +5,7 @@ traces are CSV.  Exit codes: 0 ok, 2 input error, 3 infeasible,
 4 numerical failure.  All commands are deterministic under a fixed seed.
 Attack sequences given by --sigma or a scenario file, and the all-padding
 sequence `simulate` runs without either, must be admissible for the
-config's automaton.
+config's automaton; --horizon must be positive.
 """
 from __future__ import annotations
 
@@ -326,13 +326,19 @@ def _parse_sigma(text: str, automaton: SwitchingAutomaton) -> tuple[int, ...]:
     return sigma
 
 
+def _check_horizon(args) -> None:
+    _expect(args.horizon is None or args.horizon >= 1, "--horizon",
+            f"must be a positive integer, got {args.horizon}")
+
+
 def cmd_norm(args) -> int:
+    _check_horizon(args)
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
     if args.sigma:
         sigmas = [_parse_sigma(args.sigma, automaton)]
     else:
         rng = np.random.default_rng(seed)
-        H = args.horizon or syncfg.verify_horizon
+        H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         sigmas = [automaton.random_sequence(H, rng) for _ in range(args.samples)]
 
     writer = csv.writer(sys.stdout)
@@ -361,13 +367,14 @@ def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
 
 
 def cmd_simulate(args) -> int:
+    _check_horizon(args)
     _, result, plant, model, automaton, syncfg, _ = load_bundle(args.bundle)
     if args.scenario:
         scenario = _load_scenario(args.scenario, plant)
         scenario.validate(plant, automaton)
         predicted = None
     else:
-        H = args.horizon or syncfg.verify_horizon
+        H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         if args.sigma:
             sigma = _parse_sigma(args.sigma, automaton)
         else:
@@ -402,6 +409,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    _check_horizon(args)
     _, result, plant, model, automaton, _, _ = load_bundle(args.bundle)
     sigma, value = attack_search(plant, model, result, automaton, args.horizon,
                                  strategy=args.strategy)

@@ -217,6 +217,8 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
     in finitely many steps, and strict improvements cannot revisit a basis.
     Both rules are deterministic.
     """
+    if ncols == 0:
+        return "optimal", 0, 0  # no column can enter
     bland = False
     switches = 0
     stall = 0

@@ -6,6 +6,21 @@ convention: the state gets an additive kick of x0 at time x0_time, zero
 state before).  Worst-case construction reads the error operator's kernel
 directly: disturbances excite a full lag window with sign patterns, the
 initial condition excites exactly one lag, maximized over injection times.
+
+The error operator is causal: its block row t depends on sigma[:t+1] only,
+and the worst-case value along sigma is a scan over the rows with t
+ascending.  `_ErrorKernel` therefore builds the operator one block row at a
+time, forming every entry with the same products summed in the same order
+as the operator-algebra formulas, so the rows equal that product chain bit
+for bit.  The attack search walks the tree of admissible prefixes, builds
+row t once at each node of depth t + 1 and carries the scan down to the
+children: 2^(H+1) - 2 rows instead of H 2^H for a complete two-mode
+automaton, and greedy search builds one row per candidate instead of a
+whole operator.
+Ties: a later output row, time, sequence or greedy candidate replaces the
+current peak only when larger by more than 1e-15, so among sequences
+within 1e-15 of each other the lexicographically first is reported.  Many
+sequences tie exactly, which is why the rows must not drift by an ulp.
 """
 from __future__ import annotations
 
@@ -16,8 +31,8 @@ import numpy as np
 from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, history_at, instantiate, lift_outputs)
-from .synthesis import SynthesisResult, performance_operator, residual_operator
+                             SwitchingFIR, history_at, instantiate)
+from .synthesis import SynthesisResult
 
 __all__ = [
     "Scenario",
@@ -150,35 +165,189 @@ def run_estimator(estimator, plant: ChannelPlant, model: SwitchedOutputModel,
     raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
 
 
+def _add_into(acc: dict, k: int, mat: np.ndarray) -> None:
+    """acc[k] += mat with the earlier term on the left, as `operator_core`'s
+    add and compose sum."""
+    acc[k] = acc[k] + mat if k in acc else mat
+
+
+class _ErrorKernel:
+    """Block rows of the error operator of one estimator, one time at a time.
+
+    `row(sigma, t, past)` returns block row t of `error_operator(..., sigma,
+    H)` for every H > t, as (lag, matrix) pairs sorted by lag, together with
+    the data later rows need; `past` holds that data for times 0..t-1 of the
+    same sequence.  Each entry is formed by the same products, summed in the
+    same order, as the operator-algebra formulas in `error_operator`'s
+    docstring evaluated with `operator_core` (compose sums over the
+    intermediate lag j ascending, add puts its left operand first), so the
+    rows equal that product chain bit for bit.
+    """
+
+    def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
+                 padding_mode: int):
+        if isinstance(estimator, SynthesisResult):
+            self.kind = "exact" if estimator.eps_achieved <= 1e-9 else "relaxed"
+            self.Q, self.Z = estimator.Q, estimator.Z
+        elif isinstance(estimator, SwitchingFIR):
+            self.kind = "fir"
+            self.T = estimator
+        else:
+            raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
+        self.model = model
+        self.pad = padding_mode
+        self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
+        self.A = plant.A
+        self.eye = np.eye(plant.n)
+        self.neg_eye = -1.0 * self.eye
+        # the lag-1 blocks of shift o diag(A) and shift o diag(B)
+        self.lam_a = self.eye @ plant.A
+        self.lam_b = self.eye @ plant.B
+        self.powers = [np.eye(plant.n)]  # A^k, the kernel of (I - shift(A))^{-1}
+
+    def _taps(self, fir: SwitchingFIR, sigma, t: int) -> list[np.ndarray]:
+        hist = history_at(sigma, t, fir.memory, self.pad)
+        return [fir.tap(hist, k) for k in range(min(t, fir.fir_length - 1) + 1)]
+
+    def row(self, sigma, t: int, past: list):
+        if not (0 <= sigma[t] < self.model.mode_count):
+            raise ValueError(f"mode {sigma[t]} at time {t} out of range")
+        if self.kind == "fir":
+            return self._fir_row(sigma, t), None
+        q_taps, z_taps = self._taps(self.Q, sigma, t), self._taps(self.Z, sigma, t)
+        phi = self._performance_row(sigma, t, q_taps, z_taps)
+        if self.kind == "exact":
+            return [(k, -1.0 * mat) for k, mat in phi], None
+        res = self._resolvent_row(sigma, t, q_taps, z_taps, past)
+        acc: dict[int, np.ndarray] = {}
+        for j, rmat in res.items():
+            for k2, smat in phi if j == 0 else past[t - j][1]:
+                _add_into(acc, j + k2, rmat @ smat)
+        return [(k, -1.0 * acc[k]) for k in sorted(acc)], (res, phi)
+
+    def _fir_row(self, sigma, t: int) -> list:
+        """Row t of (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0]."""
+        C, D = self.model.C, self.model.D
+        taps = self._taps(self.T, sigma, t)
+        tc_minus_i = [tap @ C(sigma[t - j]) for j, tap in enumerate(taps)]
+        tc_minus_i[0] = tc_minus_i[0] + self.neg_eye
+        while len(self.powers) <= t:
+            self.powers.append(self.A @ self.powers[-1])
+        prefix = []
+        for m in range(t + 1):
+            acc = tc_minus_i[0] @ self.powers[m]
+            for j in range(1, min(m, len(taps) - 1) + 1):
+                acc = acc + tc_minus_i[j] @ self.powers[m - j]
+            prefix.append(acc)
+        row = []
+        for k in range(t + 1):
+            w = prefix[k - 1] @ self.lam_b if k else None
+            if k < len(taps):
+                td = taps[k] @ D(sigma[t - k])
+                w = td if w is None else w + td
+            row.append((k, np.hstack([w, prefix[k]])))
+        return row
+
+    def _performance_row(self, sigma, t: int, q_taps, z_taps) -> list:
+        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q]."""
+        D = self.model.D
+        inner = {k: tap @ D(sigma[t - k]) for k, tap in enumerate(z_taps)}
+        for j, tap in enumerate(q_taps):
+            if t - j >= 1:
+                _add_into(inner, j + 1, tap @ self.lam_b)
+        w_block = {1: self.lam_b} if t >= 1 else {}
+        for k, mat in inner.items():
+            _add_into(w_block, k, mat)
+        x0_block = dict(enumerate(q_taps))
+        x0_block[0] = self.eye + q_taps[0]
+        w_zero, x0_zero = np.zeros((self.n, self.m_w)), np.zeros((self.n, self.n))
+        return [(k, np.hstack([w_block.get(k, w_zero), x0_block.get(k, x0_zero)]))
+                for k in sorted(w_block.keys() | x0_block.keys())]
+
+    def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list) -> dict:
+        """Row t of (I - E)^{-1}, E = shift(A) + Z Cbar + Q (shift(A) - I), by
+        the block forward substitution of `operator_core.invert`."""
+        C = self.model.C
+        q_part: dict[int, np.ndarray] = {}
+        for j, tap in enumerate(q_taps):
+            _add_into(q_part, j, tap @ self.neg_eye)
+            if t - j >= 1:
+                q_part[j + 1] = tap @ self.lam_a
+        inner = {k: tap @ C(sigma[t - k]) for k, tap in enumerate(z_taps)}
+        for k, mat in q_part.items():
+            _add_into(inner, k, mat)
+        E = {1: self.lam_a} if t >= 1 else {}
+        for k, mat in inner.items():
+            _add_into(E, k, mat)
+        M = {k: -1.0 * E[k] for k in sorted(E)}
+        M[0] = self.eye + M[0]
+        if oc.is_singular(M[0]):
+            raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
+        inv0 = np.linalg.inv(M[0])
+        res = {0: inv0}
+        for k in range(1, t + 1):
+            acc = np.zeros((self.n, self.n))
+            for j, rmat in M.items():
+                if 1 <= j <= k:
+                    prev = past[t - j][0].get(k - j)
+                    if prev is not None:
+                        acc += rmat @ prev
+            if np.any(acc):
+                res[k] = -inv0 @ acc
+        return res
+
+    def rows(self, sigma, horizon: int) -> list:
+        """Block rows 0..horizon-1 along sigma."""
+        if len(sigma) < horizon:
+            raise ValueError(f"sigma has {len(sigma)} entries, horizon is {horizon}")
+        past, rows = [], []
+        for t in range(horizon):
+            row, carry = self.row(sigma, t, past)
+            rows.append(row)
+            past.append(carry)
+        return rows
+
+    def scan(self, row, t: int, peak: tuple) -> tuple:
+        """Fold block row t into the running peak (value, t, output row, x0 lag).
+
+        The disturbance takes every lag of an output row; the initial
+        condition, injected once, takes its largest single lag.  Output
+        rows are visited in order and a later one replaces the peak only
+        if it is larger by more than 1e-15.
+        """
+        m_w = self.m_w
+        w_sum = np.zeros(self.n)
+        x0_best = np.zeros(self.n)
+        x0_lag = np.zeros(self.n, dtype=int)
+        for k, mat in row:
+            w_sum += np.sum(np.abs(mat[:, :m_w]), axis=1)
+            x0_rows = np.sum(np.abs(mat[:, m_w:]), axis=1)
+            better = x0_rows > x0_best
+            x0_best[better] = x0_rows[better]
+            x0_lag[better] = k
+        values = w_sum + self.bound * x0_best
+        for i in range(self.n):
+            if values[i] > peak[0] + 1e-15:
+                peak = (float(values[i]), t, i, int(x0_lag[i]))
+        return peak
+
+
+_NO_PEAK = (-1.0, 0, 0, 0)
+
+
 def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
                    sigma, horizon: int, padding_mode: int = 0) -> TruncatedOperator:
     """Map from stacked (w, embedded x0 sequence) to the estimation error.
 
     For plain FIR taps T: (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0].
     For synthesized factors: -(I - residual)^{-1} [performance blocks]; the
-    resolvent factor is skipped when the residual vanished.
+    resolvent factor is skipped when the residual vanished.  The operator
+    is causal, so it is stacked from its block rows, each built from
+    sigma[:t+1] alone.
     """
-    if isinstance(estimator, SynthesisResult):
-        Phi = performance_operator(plant, estimator.Q, estimator.Z, model,
-                                   sigma, horizon, padding_mode)
-        if estimator.eps_achieved <= 1e-9:
-            return oc.scale(Phi, -1.0)
-        E = residual_operator(plant, estimator.Q, estimator.Z, model,
-                              sigma, horizon, padding_mode)
-        eye = oc.identity(plant.n, horizon)
-        resolvent = oc.invert(oc.add(eye, oc.scale(E, -1.0)))
-        return oc.scale(oc.compose(resolvent, Phi), -1.0)
-    if isinstance(estimator, SwitchingFIR):
-        n = plant.n
-        T_op = instantiate(estimator, sigma, horizon, padding_mode)
-        Cbar, Dbar = lift_outputs(model, sigma, horizon)
-        R = oc.resolvent_of_state(plant.A, horizon)
-        lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
-        tc_minus_i = oc.add(oc.compose(T_op, Cbar), oc.scale(oc.identity(n, horizon), -1.0))
-        prefix = oc.compose(tc_minus_i, R)
-        w_block = oc.add(oc.compose(prefix, lam_b), oc.compose(T_op, Dbar))
-        return oc.hstack(w_block, prefix)
-    raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
+    rows = _ErrorKernel(plant, model, estimator, padding_mode).rows(tuple(sigma), horizon)
+    kernel = {(t, k): mat for t, row in enumerate(rows) for k, mat in row}
+    return TruncatedOperator(horizon, plant.m_w + plant.n, plant.n, kernel)
 
 
 def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -191,30 +360,23 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     that maximizes its one-lag contribution (scaled to the plant's bound).
     Simulating the returned scenario reproduces the returned value.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
     sigma = tuple(sigma)[:horizon]
-    E = error_operator(plant, model, estimator, sigma, horizon, padding_mode)
-    m_w, n = plant.m_w, plant.n
-    bound = plant.x0_bound
-    best = (-1.0, 0, 0, 0)  # value, t, row, x0 lag
-    for t in range(horizon):
-        w_sum = np.zeros(E.out_dim)
-        x0_best = np.zeros(E.out_dim)
-        x0_lag = np.zeros(E.out_dim, dtype=int)
-        for k, mat in E.row(t):
-            w_sum += np.sum(np.abs(mat[:, :m_w]), axis=1)
-            x0_rows = np.sum(np.abs(mat[:, m_w:]), axis=1)
-            better = x0_rows > x0_best
-            x0_best[better] = x0_rows[better]
-            x0_lag[better] = k
-        values = w_sum + bound * x0_best
-        for i in range(E.out_dim):
-            if values[i] > best[0] + 1e-15:
-                best = (float(values[i]), t, i, int(x0_lag[i]))
-    value, t_star, i_star, k0 = best
+    kernel = _ErrorKernel(plant, model, estimator, padding_mode)
+    rows = kernel.rows(sigma, horizon)
+    peak = _NO_PEAK
+    for t, row in enumerate(rows):
+        peak = kernel.scan(row, t, peak)
+    value, t_star, i_star, k0 = peak
+    m_w = plant.m_w
     w = np.zeros((horizon, m_w))
-    for k, mat in E.row(t_star):
+    x0_block = np.zeros((plant.n, m_w + plant.n))
+    for k, mat in rows[t_star]:
         w[t_star - k] = np.sign(mat[i_star, :m_w])
-    x0 = bound * np.sign(E.entry(t_star, k0)[i_star, m_w:])
+        if k == k0:
+            x0_block = mat
+    x0 = plant.x0_bound * np.sign(x0_block[i_star, m_w:])
     scenario = Scenario(sigma=sigma, w=Signal(w), x0=x0, horizon=horizon,
                         x0_time=t_star - k0)
     return scenario, max(value, 0.0)
@@ -225,37 +387,58 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
                   strategy: str = "exhaustive") -> tuple[tuple, float]:
     """Search admissible attack sequences for the largest realizable error.
 
-    exhaustive: evaluates every admissible sequence (guarded by a size cap)
-    and is a true maximizer.  greedy: extends one step at a time, keeping
-    the mode whose prefix admits the worst inputs; deterministic and cheap,
-    but only a lower bound on the exhaustive value.
+    The error operator is causal: block row t depends on sigma[:t+1] only,
+    and a sequence's value is a scan over its rows in time order.  So both
+    strategies walk the tree of admissible prefixes, build row t once at
+    each node and carry the scan state down to the children.
+
+    exhaustive: visits every admissible prefix (guarded by a size cap),
+    depth first in lexicographic order, and is a true maximizer; of
+    sequences within 1e-15 of each other the lexicographically first wins.
+    greedy: extends one step at a time, keeping the first mode whose
+    prefix admits worst inputs larger by more than 1e-15; deterministic
+    and cheap, but only a lower bound on the exhaustive value.
     """
-    pad = automaton.padding_mode
+    if horizon < 1:
+        raise ValueError("horizon must be positive")
+    kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode)
     if strategy == "exhaustive":
         if automaton.mode_count ** horizon > 2 ** 20:
             raise ValueError(
                 f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
                 "exceeds the 2^20 cap; use strategy='greedy'")
         best_sigma, best_value = None, -1.0
-        for sigma in automaton.admissible_sequences(horizon):
-            _, value = worst_case_inputs(plant, model, estimator, sigma, horizon, pad)
-            if value > best_value + 1e-15:
-                best_sigma, best_value = sigma, value
+        past, peaks = [], [_NO_PEAK]  # per depth along the current path
+        for prefix in automaton.prefixes(horizon, automaton.initial):
+            t = len(prefix) - 1
+            del past[t:], peaks[t + 1:]
+            row, carry = kernel.row(prefix, t, past)
+            past.append(carry)
+            peaks.append(kernel.scan(row, t, peaks[t]))
+            if t == horizon - 1:
+                value = max(peaks[-1][0], 0.0)
+                if value > best_value + 1e-15:
+                    best_sigma, best_value = prefix, value
         return best_sigma, best_value
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()
+        past, peak = [], _NO_PEAK
         for t in range(horizon):
             choices = automaton.successors(prefix[-1] if prefix else None)
             if not choices:
                 raise ValueError(f"automaton dead-ends after prefix {prefix}")
-            pick, pick_value = choices[0], -1.0
+            options = []
+            pick, pick_value = 0, -1.0
             for b in choices:
-                _, value = worst_case_inputs(plant, model, estimator, prefix + (b,), t + 1, pad)
-                if value > pick_value + 1e-15:
-                    pick, pick_value = b, value
-            prefix += (pick,)
-        _, value = worst_case_inputs(plant, model, estimator, prefix, horizon, pad)
-        return prefix, value
+                row, carry = kernel.row(prefix + (b,), t, past)
+                b_peak = kernel.scan(row, t, peak)
+                if max(b_peak[0], 0.0) > pick_value + 1e-15:
+                    pick, pick_value = len(options), max(b_peak[0], 0.0)
+                options.append((b, carry, b_peak))
+            b, carry, peak = options[pick]
+            prefix += (b,)
+            past.append(carry)
+        return prefix, max(peak[0], 0.0)
     raise ValueError(f"unknown strategy '{strategy}'")
 
 

@@ -238,16 +238,30 @@ class SwitchingAutomaton:
             return sorted(self.initial)
         return [b for b in range(self.mode_count) if self.allowed[prev, b]]
 
+    def prefixes(self, length: int, first) -> Iterator[tuple[int, ...]]:
+        """Walk the tree of paths of up to `length` modes that start in a mode
+        of `first` and then step along `successors`.
+
+        Yields every nonempty prefix depth first in lexicographic order, each
+        parent before its children, so a caller can carry per-node state
+        down the tree.  The walk keeps an explicit stack: its depth is not
+        limited by Python's recursion limit.
+        """
+        if length < 0:
+            raise ValueError("path length must be nonnegative")
+        stack = [(b,) for b in sorted(first, reverse=True)] if length else []
+        while stack:
+            prefix = stack.pop()
+            yield prefix
+            if len(prefix) < length:
+                stack.extend(prefix + (b,) for b in reversed(self.successors(prefix[-1])))
+
     def paths(self, length: int, first) -> Iterator[tuple[int, ...]]:
         """Yield, in lexicographic order, every `length`-mode path that starts
         in a mode of `first` and then steps along `successors`."""
-        def extend(prefix):
-            if len(prefix) == length:
-                yield prefix
-                return
-            for b in self.successors(prefix[-1]) if prefix else sorted(first):
-                yield from extend(prefix + (b,))
-        yield from extend(())
+        if length == 0:
+            return iter([()])
+        return (p for p in self.prefixes(length, first) if len(p) == length)
 
     def is_admissible(self, sigma) -> bool:
         prev = None

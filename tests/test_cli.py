@@ -275,6 +275,24 @@ def test_attack_command(nominal_bundle, capsys):
     assert abs(value - 5.0275) <= 1e-4
 
 
+@pytest.mark.parametrize("command, horizon", [
+    ("attack", "-3"), ("attack", "0"), ("simulate", "0"), ("simulate", "-2"),
+    ("norm", "0"), ("norm", "-1"),
+])
+def test_nonpositive_horizon_rejected(nominal_bundle, capsys, command, horizon):
+    assert main([command, nominal_bundle, "--horizon", horizon]) == 2
+    assert "--horizon" in capsys.readouterr().err
+
+
+def test_attack_long_single_mode_horizon(nominal_bundle, capsys):
+    # one mode passes the mode_count ** horizon cap at any horizon
+    assert main(["attack", nominal_bundle, "--horizon", "1200"]) == 0
+    out = capsys.readouterr().out
+    assert "sigma*  = " + "0" * 1200 in out
+    value = float([ln for ln in out.splitlines() if ln.startswith("value")][0].split("=")[1])
+    assert abs(value - 5.0275) <= 1e-4
+
+
 def test_example_command(capsys):
     code = main(["example"])
     out = capsys.readouterr().out

@@ -33,6 +33,19 @@ def test_infeasible_box():
     assert solve(lp).status == "infeasible"
 
 
+@pytest.mark.parametrize("rel, rhs, status", [
+    (EQ, 0.0, "optimal"), (LE, 1.0, "optimal"), (EQ, 1.0, "infeasible"), (LE, -1.0, "infeasible"),
+])
+def test_no_variables(rel, rhs, status):
+    lp = LinearProgram(0, np.zeros(0))
+    lp.add(np.zeros(0), rel, rhs)
+    sol = solve(lp)
+    assert sol.status == status
+    assert sol.values.shape == (0,)
+    if status == "optimal":
+        assert sol.objective == 0.0
+
+
 def test_unbounded():
     lp = LinearProgram(1, np.array([-1.0]), bounds=[(0.0, None)])
     assert solve(lp).status == "unbounded"

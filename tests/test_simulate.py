@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from switchguard.simulate import (Scenario, attack_search, error_operator, make_
                                   run_fir_estimator, run_glo, simulate_plant,
                                   worst_case_inputs)
 from switchguard.switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR,
-                                        build_modes, instantiate)
+                                        broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import SynthesisConfig, synthesize
-from util import random_signal
+from util import (compose_chain_error_operator, per_sequence_attack_search, random_signal,
+                  reference_worst_case_inputs)
 
 
 def random_problem(rng, n=2, m_w=2, p=2):
@@ -277,3 +280,74 @@ def test_scenario_validation(switching_setup):
         bad.validate(plant)
     with pytest.raises(ValueError):
         Scenario(sigma=(0,), w=Signal(np.zeros((2, 2))), x0=np.zeros(3), horizon=2)
+
+
+@pytest.fixture(scope="module")
+def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
+    """Exact, relaxed (resolvent branch) and blind designs for the demo model, and
+    the exact design's N=5 taps run as a plain FIR (sums of up to five products)."""
+    plant, model, automaton, config = switching_setup
+    relaxed = synthesize(plant, model, automaton,
+                         dataclasses.replace(config, mode="relaxed", eps_bar=0.1))
+    assert relaxed.eps_achieved > 1e-9
+    return {"exact": switching_synthesis[0], "relaxed": relaxed,
+            "blind": nominal_synthesis[0].T, "fir": switching_synthesis[0].T}
+
+
+def _search_automata(complete):
+    """The demo automaton plus live two-mode automata with `initial` a strict
+    subset and padding mode 1, drawn as in test_walker_matches_brute_force."""
+    found = [complete]
+    rng = np.random.default_rng(7)
+    while len(found) < 4:
+        allowed = rng.random((2, 2)) < 0.6
+        if allowed.any(axis=1).all():
+            found.append(SwitchingAutomaton(2, allowed=allowed,
+                                            initial={int(rng.integers(2))}, padding_mode=1))
+    return found
+
+
+def _design_for(designs, name, automaton):
+    if name == "blind":
+        return broadcast_taps(designs["blind"], automaton, source_history=(0,))
+    return designs[name]
+
+
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir"])
+def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name):
+    plant, model, complete, _ = switching_setup
+    H = 8
+    for automaton in _search_automata(complete):
+        design = _design_for(search_designs, name, automaton)
+        pad = automaton.padding_mode
+        for sigma in automaton.admissible_sequences(H):
+            E_ref = compose_chain_error_operator(plant, model, design, sigma, H, pad)
+            assert np.array_equal(error_operator(plant, model, design, sigma, H, pad).unroll(),
+                                  E_ref.unroll())
+            scen, value = worst_case_inputs(plant, model, design, sigma, H, pad)
+            scen_ref, value_ref = reference_worst_case_inputs(plant, E_ref, sigma)
+            assert value == value_ref
+            assert (scen.sigma, scen.x0_time) == (scen_ref.sigma, scen_ref.x0_time)
+            assert np.array_equal(scen.w.samples, scen_ref.w.samples)
+            assert np.array_equal(scen.x0, scen_ref.x0)
+
+
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir"])
+def test_prefix_tree_search_matches_per_sequence_search(search_designs, switching_setup,
+                                                        name):
+    plant, model, complete, _ = switching_setup
+    for automaton in _search_automata(complete):
+        design = _design_for(search_designs, name, automaton)
+        for strategy, H in (("exhaustive", 8), ("greedy", 8), ("greedy", 30)):
+            found = attack_search(plant, model, design, automaton, H, strategy)
+            assert found == per_sequence_attack_search(plant, model, design, automaton, H,
+                                                       strategy)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_setup, horizon):
+    result, _ = nominal_synthesis
+    plant, model, automaton, _ = nominal_setup
+    for strategy in ("exhaustive", "greedy"):
+        with pytest.raises(ValueError, match="horizon"):
+            attack_search(plant, model, result, automaton, horizon, strategy)

@@ -142,6 +142,25 @@ def test_walker_matches_brute_force():
             assert enumerate_histories(auto, L) == sorted(interior | startup)
 
 
+def test_prefix_walk_is_lexicographic_preorder():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        mode_count = int(rng.integers(2, 4))
+        allowed = rng.random((mode_count, mode_count)) < 0.6
+        auto = SwitchingAutomaton(mode_count, allowed=allowed,
+                                  initial=set(rng.choice(mode_count, 2).tolist()))
+        every = [s for L in range(1, 5) for s in itertools.product(range(mode_count), repeat=L)
+                 if auto.is_admissible(s)]
+        # tuple order puts each prefix right before its extensions
+        assert list(auto.prefixes(4, auto.initial)) == sorted(every)
+
+
+def test_paths_do_not_recurse_per_mode():
+    assert list(SwitchingAutomaton(1).paths(5000, [0])) == [(0,) * 5000]
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(SwitchingAutomaton(1).paths(-3, [0]))
+
+
 def test_instantiate_constant_sigma_is_lti():
     rng = np.random.default_rng(1)
     taps = {((0,), k): rng.uniform(-1, 1, (2, 3)) for k in range(3)}

@@ -5,8 +5,12 @@ import itertools
 
 import numpy as np
 
+from switchguard import operator_core as oc
 from switchguard.lp_solver import PIVOT_TOL, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator
+from switchguard.simulate import Scenario
+from switchguard.switched_model import SwitchingFIR, instantiate, lift_outputs
+from switchguard.synthesis import SynthesisResult, performance_operator, residual_operator
 
 
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
@@ -139,3 +143,86 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
                 rows.append((box, "<=", sign * x_feas[j] + 4.0))
     c = rng.normal(size=n)
     return c, rows, bounds
+
+
+def compose_chain_error_operator(plant, model, estimator, sigma, horizon: int,
+                                 padding_mode: int = 0) -> TruncatedOperator:
+    """Reference error operator: the whole-horizon operator-algebra product chain."""
+    if isinstance(estimator, SynthesisResult):
+        Phi = performance_operator(plant, estimator.Q, estimator.Z, model,
+                                   sigma, horizon, padding_mode)
+        if estimator.eps_achieved <= 1e-9:
+            return oc.scale(Phi, -1.0)
+        E = residual_operator(plant, estimator.Q, estimator.Z, model,
+                              sigma, horizon, padding_mode)
+        eye = oc.identity(plant.n, horizon)
+        resolvent = oc.invert(oc.add(eye, oc.scale(E, -1.0)))
+        return oc.scale(oc.compose(resolvent, Phi), -1.0)
+    if isinstance(estimator, SwitchingFIR):
+        n = plant.n
+        T_op = instantiate(estimator, sigma, horizon, padding_mode)
+        Cbar, Dbar = lift_outputs(model, sigma, horizon)
+        R = oc.resolvent_of_state(plant.A, horizon)
+        lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
+        tc_minus_i = oc.add(oc.compose(T_op, Cbar), oc.scale(oc.identity(n, horizon), -1.0))
+        prefix = oc.compose(tc_minus_i, R)
+        w_block = oc.add(oc.compose(prefix, lam_b), oc.compose(T_op, Dbar))
+        return oc.hstack(w_block, prefix)
+    raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
+
+
+def reference_worst_case_inputs(plant, E: TruncatedOperator, sigma):
+    """Reference worst-case inputs read off a whole-horizon error operator E along sigma."""
+    horizon = E.horizon
+    m_w = plant.m_w
+    bound = plant.x0_bound
+    best = (-1.0, 0, 0, 0)  # value, t, row, x0 lag
+    for t in range(horizon):
+        w_sum = np.zeros(E.out_dim)
+        x0_best = np.zeros(E.out_dim)
+        x0_lag = np.zeros(E.out_dim, dtype=int)
+        for k, mat in E.row(t):
+            w_sum += np.sum(np.abs(mat[:, :m_w]), axis=1)
+            x0_rows = np.sum(np.abs(mat[:, m_w:]), axis=1)
+            better = x0_rows > x0_best
+            x0_best[better] = x0_rows[better]
+            x0_lag[better] = k
+        values = w_sum + bound * x0_best
+        for i in range(E.out_dim):
+            if values[i] > best[0] + 1e-15:
+                best = (float(values[i]), t, i, int(x0_lag[i]))
+    value, t_star, i_star, k0 = best
+    w = np.zeros((horizon, m_w))
+    for k, mat in E.row(t_star):
+        w[t_star - k] = np.sign(mat[i_star, :m_w])
+    x0 = bound * np.sign(E.entry(t_star, k0)[i_star, m_w:])
+    scenario = Scenario(sigma=sigma, w=Signal(w), x0=x0, horizon=horizon,
+                        x0_time=t_star - k0)
+    return scenario, max(value, 0.0)
+
+
+def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
+                               strategy: str = "exhaustive"):
+    """Reference attack search: one whole-horizon worst case per sequence or candidate."""
+    def value_of(sigma):
+        E = compose_chain_error_operator(plant, model, estimator, sigma, len(sigma),
+                                         automaton.padding_mode)
+        return reference_worst_case_inputs(plant, E, sigma)[1]
+
+    if strategy == "exhaustive":
+        best_sigma, best_value = None, -1.0
+        for sigma in automaton.admissible_sequences(horizon):
+            value = value_of(sigma)
+            if value > best_value + 1e-15:
+                best_sigma, best_value = sigma, value
+        return best_sigma, best_value
+    prefix = ()
+    for _ in range(horizon):
+        choices = automaton.successors(prefix[-1] if prefix else None)
+        pick, pick_value = choices[0], -1.0
+        for b in choices:
+            value = value_of(prefix + (b,))
+            if value > pick_value + 1e-15:
+                pick, pick_value = b, value
+        prefix += (pick,)
+    return prefix, value_of(prefix)
