@@ -16,9 +16,8 @@ from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, s
 from .synthesis import (ConstraintRow, SynthesisConfig, SynthesisInfeasibleError,
                         SynthesisResult, assemble_lp, build_performance_rows,
                         build_residual_rows, certify, decision_variables,
-                        evaluate_rows, parametrization_residual,
-                        performance_operator, residual_operator, sweep_relaxation,
-                        synthesize)
+                        parametrization_residual, performance_operator,
+                        residual_operator, row_gains, sweep_relaxation, synthesize)
 from .simulate import (Scenario, Trace, attack_search, error_operator, make_trace,
                        run_estimator, run_fir_estimator, run_glo, simulate_plant,
                        worst_case_inputs)

@@ -57,6 +57,15 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _number(value, path: str) -> float:
+    _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path,
+            "expected a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(path, "number out of range") from None
+
+
 def _matrix(value, path: str) -> np.ndarray:
     _expect(isinstance(value, list) and value and all(isinstance(r, list) for r in value),
             path, "expected a non-empty nested list (matrix)")
@@ -66,6 +75,15 @@ def _matrix(value, path: str) -> np.ndarray:
         return np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(path, "matrix entries must be numbers") from None
+
+
+# Integer fields of the synthesis section: JSON key -> (SynthesisConfig field, default).
+_SYNTHESIS_INTEGERS = {"M": ("memory", 1), "N": ("fir_length", 5),
+                       "verify_horizon": ("verify_horizon", 30),
+                       "verify_samples": ("verify_samples", 20)}
+# SynthesisConfig field -> JSON key of the synthesis section.
+_SYNTHESIS_KEYS = {"mode": "mode", "eps_bar": "eps_bar",
+                   **{name: key for key, (name, _) in _SYNTHESIS_INTEGERS.items()}}
 
 
 def parse_problem(cfg: dict):
@@ -93,10 +111,7 @@ def parse_problem(cfg: dict):
         _expect(D_i.shape == (C_i.shape[0], B.shape[1]), f"plant.channels[{i}].D",
                 f"needs shape {(C_i.shape[0], B.shape[1])}, got {D_i.shape}")
         channels.append((C_i, D_i))
-    x0_bound = pc.get("x0_bound", 1.0)
-    _expect(isinstance(x0_bound, (int, float)) and not isinstance(x0_bound, bool),
-            "plant.x0_bound", "expected a number")
-    x0_bound = float(x0_bound)
+    x0_bound = _number(pc.get("x0_bound", 1.0), "plant.x0_bound")
     _expect(x0_bound >= 0.0, "plant.x0_bound", "must be nonnegative")
     plant = ChannelPlant(A=A, B=B, channels=tuple(channels), x0_bound=x0_bound)
 
@@ -137,17 +152,15 @@ def parse_problem(cfg: dict):
                                    padding_mode=padding)
 
     sc = _section(cfg["synthesis"], "synthesis")
+    fields = {name: _integer(sc.get(key, default), f"synthesis.{key}")
+              for key, (name, default) in _SYNTHESIS_INTEGERS.items()}
+    eps_bar = _number(sc.get("eps_bar", 0.0), "synthesis.eps_bar")
     try:
-        syncfg = SynthesisConfig(
-            memory=int(sc.get("M", 1)),
-            fir_length=int(sc.get("N", 5)),
-            mode=str(sc.get("mode", "exact")),
-            eps_bar=float(sc.get("eps_bar", 0.0)),
-            verify_horizon=int(sc.get("verify_horizon", 30)),
-            verify_samples=int(sc.get("verify_samples", 20)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("synthesis", str(exc)) from None
+        syncfg = SynthesisConfig(mode=str(sc.get("mode", "exact")), eps_bar=eps_bar, **fields)
+    except ValueError as exc:
+        # SynthesisConfig's messages start with the offending field's name
+        raise ConfigError(f"synthesis.{_SYNTHESIS_KEYS[str(exc).split()[0]]}",
+                          str(exc)) from None
 
     seed = _integer(cfg.get("seed", 0), "seed")
     return plant, model, automaton, syncfg, seed

@@ -7,6 +7,14 @@ windows: residual rows, which must vanish (exact mode) or stay below a
 contraction bound (relaxed mode), and performance rows, whose worst
 absolute row sum is the estimation-error peak gain to minimize.  The
 recovered estimator is T = -Z; the observer gain factors are (Q, Z).
+
+Only the LP is built from symbolic rows.  Once the taps are fixed,
+`row_gains` evaluates the same kernel entries numerically from the tap
+tables, vectorized over windows: each entry is its constant plus its
+products summed left to right in row-builder term order, and each row's
+absolute entries are summed left to right in row-builder entry order, so
+the gains are the bits the symbolic rows would give.  `synthesize` takes
+eps_achieved from it and `certify` takes gamma_rows and eps_rows.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ __all__ = [
     "build_performance_rows",
     "assemble_lp",
     "synthesize",
-    "evaluate_rows",
+    "row_gains",
     "certify",
     "parametrization_residual",
     "residual_operator",
@@ -49,7 +57,11 @@ class SynthesisInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Knobs of the synthesis: tap memory M, FIR length N, relaxation and verification."""
+    """Knobs of the synthesis: tap memory M, FIR length N, relaxation and verification.
+
+    An invalid value raises ValueError with a message that starts with the
+    field's name.
+    """
 
     memory: int = 1
     fir_length: int = 5
@@ -67,6 +79,10 @@ class SynthesisConfig:
             raise ValueError(f"mode must be '{MODE_EXACT}' or '{MODE_RELAXED}'")
         if self.mode == MODE_RELAXED and not (0.0 <= self.eps_bar < 1.0):
             raise ValueError("eps_bar must lie in [0, 1)")
+        if self.verify_horizon < 1:
+            raise ValueError("verify_horizon must be >= 1")
+        if self.verify_samples < 1:
+            raise ValueError("verify_samples must be >= 1")
 
     @property
     def window(self) -> int:
@@ -85,9 +101,6 @@ class LinearForm:
         if coeff != 0.0:
             self.coeffs[var] = self.coeffs.get(var, 0.0) + coeff
 
-    def value(self, x: np.ndarray) -> float:
-        return self.const + sum(a * x[v] for v, a in self.coeffs.items())
-
     def key(self) -> tuple:
         return (tuple(sorted(self.coeffs.items())), self.const)
 
@@ -104,9 +117,6 @@ class ConstraintRow:
     row_index: int
     kind: str  # "residual" | "performance"
     entries: tuple
-
-    def gain(self, x: np.ndarray) -> float:
-        return sum(abs(form.value(x)) for _, _, form in self.entries)
 
 
 class DecisionVariables:
@@ -152,20 +162,6 @@ class DecisionVariables:
         Q = SwitchingFIR(self.memory, self.fir_length, self.n, self.n, q_coeffs)
         Z = SwitchingFIR(self.memory, self.fir_length, self.p, self.n, z_coeffs)
         return Q, Z
-
-    def pack(self, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
-        """Inverse of unpack; used to evaluate rows at externally given factors."""
-        x = np.zeros(self.count)
-        for hist in self.histories:
-            for lag in range(self.fir_length):
-                qm = Q.tap(hist, lag)
-                zm = Z.tap(hist, lag)
-                for r in range(self.n):
-                    for c in range(self.n):
-                        x[self.index[("Q", hist, lag, r, c)]] = qm[r, c]
-                    for c in range(self.p):
-                        x[self.index[("Z", hist, lag, r, c)]] = zm[r, c]
-        return x
 
 
 def decision_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
@@ -359,9 +355,81 @@ class SynthesisResult:
     lag0_margin: float
 
 
-def evaluate_rows(rows, x: np.ndarray) -> np.ndarray:
-    """Absolute row sums of the constraint rows at a decision point."""
-    return np.array([row.gain(x) for row in rows])
+def _gathered_taps(fir: SwitchingFIR, histories, fir_length: int) -> np.ndarray:
+    """(history, lag, out, in) array of the taps at the given tap histories."""
+    taps = np.empty((len(histories), fir_length, fir.out_dim, fir.in_dim))
+    for a, hist in enumerate(histories):
+        for k in range(fir_length):
+            taps[a, k] = fir.tap(hist, k)
+    return taps
+
+
+def _kernel_gains(X: np.ndarray, mode_mats: np.ndarray, Y0: np.ndarray, lag_modes: np.ndarray,
+                  Qw: np.ndarray, Zw: np.ndarray) -> np.ndarray:
+    """Absolute row sums of shift(X) + Z Mbar + Q (shift(X) + Y0), one row per
+    (window, state row), at the per-window taps Qw (window, lag, n, n) and
+    Zw (window, lag, n, p); lag_modes[:, k] is the mode delivered k steps
+    before the output time.
+
+    Entry (k, col) of row i adds, in _kernel_rows term order, Z_k[i, c] M_k[c, col]
+    over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a nonzero, and
+    Q_{k-1}[i, r] X[r, col] over r, then adds its constant X[i, col] at lag 1.
+    A zero coefficient _kernel_rows leaves out adds a signed zero here, which
+    changes no sum that is not zero and only the sign of one that is.
+    """
+    nw, N, n, p = Zw.shape
+    gains = np.zeros((nw, n))
+    y0_rows = [r for r in range(n) if Y0[r].any()]
+    for k in range(N + 1):
+        entry = np.zeros((nw, n, X.shape[1]))
+        if k <= N - 1:
+            M_k = mode_mats[lag_modes[:, k]]
+            for c in range(p):
+                entry += Zw[:, k, :, c, None] * M_k[:, None, c, :]
+            for r in y0_rows:
+                entry += Qw[:, k, :, r, None] * Y0[r]
+        if k >= 1:
+            for r in range(n):
+                entry += Qw[:, k - 1, :, r, None] * X[r]
+        if k == 1:
+            entry = X + entry
+        for col in range(X.shape[1]):
+            gains += np.abs(entry[:, :, col])
+    return gains
+
+
+def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
+              automaton: SwitchingAutomaton, config: SynthesisConfig,
+              Q: SwitchingFIR, Z: SwitchingFIR) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute row sums of the residual and performance rows at the factors (Q, Z).
+
+    Returns (residual_gains, performance_gains) in build_residual_rows and
+    build_performance_rows row order (window, then state row), without
+    building the rows: the kernel entries are formed from the tap tables,
+    vectorized over windows, with the products and additions of the symbolic
+    rows in the same order, and each row's absolute entries are summed left
+    to right by lag, then column (performance rows then add the I + Q block
+    the same way).  Every gain is bit-identical to evaluating the symbolic
+    row at the packed taps.
+    """
+    _check_dims(plant, model)
+    n, M, N, L = plant.n, config.memory, config.fir_length, config.window
+    windows = enumerate_histories(automaton, L)
+    tap_index: dict[tuple, int] = {}
+    hist_ids = [tap_index.setdefault(h[L - M:], len(tap_index)) for h in windows]
+    Qw = _gathered_taps(Q, list(tap_index), N)[hist_ids]
+    Zw = _gathered_taps(Z, list(tap_index), N)[hist_ids]
+    # column k: the mode delivered k steps before the output time
+    lag_modes = np.array(windows, dtype=np.intp).reshape(len(windows), L)[:, ::-1][:, :N]
+    C_modes = np.array([model.C(j) for j in range(model.mode_count)])
+    D_modes = np.array([model.D(j) for j in range(model.mode_count)])
+    residual = _kernel_gains(plant.A, C_modes, -np.eye(n), lag_modes, Qw, Zw)
+    performance = _kernel_gains(plant.B, D_modes, np.zeros((n, plant.m_w)), lag_modes, Qw, Zw)
+    for k in range(N):
+        block = np.eye(n) + Qw[:, k] if k == 0 else Qw[:, k]
+        for j in range(n):
+            performance += np.abs(block[:, :, j])
+    return residual.reshape(-1), performance.reshape(-1)
 
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
@@ -396,12 +464,11 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     if sol.status != "optimal":
         raise SynthesisInfeasibleError(f"LP solver returned status '{sol.status}'")
 
-    x = sol.values[:variables.count]
-    Q, Z = variables.unpack(x)
+    Q, Z = variables.unpack(sol.values[:variables.count])
     T = SwitchingFIR(Z.memory, Z.fir_length, Z.in_dim, Z.out_dim,
                      {key: -mat for key, mat in Z.coeffs.items()}, output_only=True)
     gamma_bar = float(sol.objective)
-    eps_achieved = float(np.max(evaluate_rows(residual_rows, x)))
+    eps_achieved = float(np.max(row_gains(plant, model, automaton, config, Q, Z)[0]))
     if config.mode == MODE_EXACT:
         certified = gamma_bar
     else:
@@ -474,14 +541,14 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
             result: SynthesisResult, seed: int = 0) -> dict:
     """Independent check of the synthesized factors.
 
-    Re-evaluates the constraint rows at the solution and measures the
-    residual/performance operators along sampled admissible sequences via
-    the kernel algebra (a path independent of the LP rows).
+    gamma_rows and eps_rows are the largest performance and residual row
+    gains at the factors, evaluated numerically by `row_gains` straight
+    from the tap tables (the same bits the symbolic LP rows give, with no
+    decision vector or rows built).  The residual/performance operators
+    are also measured along sampled admissible sequences via the kernel
+    algebra, a path independent of the rows.
     """
-    variables = decision_variables(automaton, config, plant.n, model.p)
-    x = variables.pack(result.Q, result.Z)
-    res_rows = build_residual_rows(plant, model, automaton, config, variables)
-    perf_rows = build_performance_rows(plant, model, automaton, config, variables)
+    res_gains, perf_gains = row_gains(plant, model, automaton, config, result.Q, result.Z)
     rng = np.random.default_rng(seed)
     H = config.verify_horizon
     max_res, max_perf = 0.0, 0.0
@@ -494,8 +561,8 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
         max_res = max(max_res, oc.induced_norm(E))
         max_perf = max(max_perf, oc.induced_norm(Phi))
     return {
-        "gamma_rows": float(np.max(evaluate_rows(perf_rows, x))),
-        "eps_rows": float(np.max(evaluate_rows(res_rows, x))),
+        "gamma_rows": float(np.max(perf_gains)),
+        "eps_rows": float(np.max(res_gains)),
         "sampled_sigmas": config.verify_samples,
         "verify_horizon": H,
         "max_sampled_residual_norm": max_res,

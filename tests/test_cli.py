@@ -8,7 +8,9 @@ import pytest
 from switchguard import demo
 from switchguard.cli import load_bundle, main
 from switchguard.synthesis import (build_performance_rows, build_residual_rows,
-                                   decision_variables, evaluate_rows)
+                                   decision_variables)
+
+from util import evaluate_rows, pack
 
 
 @pytest.fixture()
@@ -75,6 +77,25 @@ def test_validate_empty_patterns(tmp_path, capsys):
     pytest.param(lambda c: c["attack"].update(padding_mode=0.5), "attack.padding_mode",
                  id="padding-float"),
     pytest.param(lambda c: c.update(seed=None), "seed", id="seed"),
+    pytest.param(lambda c: c["synthesis"].update(N=5.7), "synthesis.N", id="N-float"),
+    pytest.param(lambda c: c["synthesis"].update(N=True), "synthesis.N", id="N-bool"),
+    pytest.param(lambda c: c["synthesis"].update(N="5"), "synthesis.N", id="N-string"),
+    pytest.param(lambda c: c["synthesis"].update(N=0), "synthesis.N", id="N-zero"),
+    pytest.param(lambda c: c["synthesis"].update(M=1.0), "synthesis.M", id="M-float"),
+    pytest.param(lambda c: c["synthesis"].update(M=0), "synthesis.M", id="M-zero"),
+    pytest.param(lambda c: c["synthesis"].update(verify_horizon=True),
+                 "synthesis.verify_horizon", id="horizon-bool"),
+    pytest.param(lambda c: c["synthesis"].update(verify_samples="20"),
+                 "synthesis.verify_samples", id="samples-string"),
+    pytest.param(lambda c: c["synthesis"].update(eps_bar="0.1"), "synthesis.eps_bar",
+                 id="eps-string"),
+    pytest.param(lambda c: c["synthesis"].update(eps_bar=False), "synthesis.eps_bar",
+                 id="eps-bool"),
+    pytest.param(lambda c: c["synthesis"].update(mode="relaxed", eps_bar=1.5),
+                 "synthesis.eps_bar", id="eps-range"),
+    pytest.param(lambda c: c["synthesis"].update(mode="fast"), "synthesis.mode", id="mode"),
+    pytest.param(lambda c: c["plant"].update(x0_bound=10 ** 400), "plant.x0_bound",
+                 id="x0-bound-overflow"),
 ])
 def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cfg = demo.nominal_config_dict()
@@ -83,6 +104,21 @@ def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cpath.write_text(json.dumps(cfg))
     assert main(["validate", str(cpath)]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "synth"])
+@pytest.mark.parametrize("key", ["verify_horizon", "verify_samples"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_nonpositive_verification_rejected(tmp_path, capsys, command, key, value):
+    cfg = demo.nominal_config_dict()
+    cfg["synthesis"][key] = value
+    cpath = tmp_path / "bad.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "b.json"
+    argv = [command, str(cpath)] + (["--out", str(out)] if command == "synth" else [])
+    assert main(argv) == 2
+    assert f"error: synthesis.{key}: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_synth_override_rejects_non_object_synthesis(tmp_path, capsys):
@@ -147,7 +183,7 @@ def test_synth_deterministic_bundles(tmp_path, nominal_config):
 def test_bundle_round_trip_recertifies(nominal_bundle):
     bundle, result, plant, model, automaton, syncfg, _ = load_bundle(nominal_bundle)
     variables = decision_variables(automaton, syncfg, plant.n, model.p)
-    x = variables.pack(result.Q, result.Z)
+    x = pack(variables, result.Q, result.Z)
     gamma_rows = np.max(evaluate_rows(
         build_performance_rows(plant, model, automaton, syncfg, variables), x))
     eps_rows = np.max(evaluate_rows(

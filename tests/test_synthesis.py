@@ -1,18 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchguard import demo
+from switchguard.cli import parse_problem
 from switchguard.lp_solver import EQ
 from switchguard.operator_core import induced_norm
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
-                                        history_at)
+                                        enumerate_histories, history_at)
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
                                    assemble_lp, build_performance_rows,
                                    build_residual_rows, certify, decision_variables,
-                                   evaluate_rows, parametrization_residual,
-                                   performance_operator, residual_operator,
-                                   sweep_relaxation, synthesize)
+                                   parametrization_residual, performance_operator,
+                                   residual_operator, row_gains, sweep_relaxation,
+                                   synthesize)
+from util import evaluate_rows, form_value, pack
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +72,8 @@ def test_residual_row_structure_small():
     q0 = x[variables.var("Q", (0,), 0, 0, 0)]
     by_lag = {lag: form for lag, _, form in rows[0].entries}
     # lag 0: Z0 C - Q0 ; lag 1: A + Q0 A
-    assert np.isclose(by_lag[0].value(x), z0 * 1.0 - q0, atol=1e-12)
-    assert np.isclose(by_lag[1].value(x), 0.5 + q0 * 0.5, atol=1e-12)
+    assert np.isclose(form_value(by_lag[0], x), z0 * 1.0 - q0, atol=1e-12)
+    assert np.isclose(form_value(by_lag[1], x), 0.5 + q0 * 0.5, atol=1e-12)
 
 
 def test_switching_row_and_lag_counts(switching_setup):
@@ -108,7 +114,7 @@ def test_reference_taps_reproduce_nominal_cost(nominal_setup):
     Q1 = A + Z1 @ C0 + Q0 @ A  # residual closure; nonzero only through rounding
     Q = SwitchingFIR(1, 2, 3, 3, {((0,), 0): Q0, ((0,), 1): Q1})
     Z = SwitchingFIR(1, 2, 2, 3, {((0,), 0): Z0, ((0,), 1): Z1})
-    x = variables.pack(Q, Z)
+    x = pack(variables, Q, Z)
     perf = evaluate_rows(build_performance_rows(plant, model, automaton, config, variables), x)
     assert abs(np.max(perf) - demo.REFERENCE_NOMINAL_COST) < 0.05
     res = evaluate_rows(build_residual_rows(plant, model, automaton, config, variables), x)
@@ -135,9 +141,9 @@ def test_rows_match_operator_kernels(switching_setup):
             hist = history_at(sigma, t, L, automaton.padding_mode)
             for i in range(plant.n):
                 for lag, col, form in res_by_key[(hist, i)].entries:
-                    assert np.isclose(form.value(x), E.entry(t, lag)[i, col], atol=1e-12)
+                    assert np.isclose(form_value(form, x), E.entry(t, lag)[i, col], atol=1e-12)
                 for lag, col, form in perf_by_key[(hist, i)].entries:
-                    assert np.isclose(form.value(x), Phi.entry(t, lag)[i, col], atol=1e-12)
+                    assert np.isclose(form_value(form, x), Phi.entry(t, lag)[i, col], atol=1e-12)
 
 
 def test_assemble_exact_has_pure_equalities(switching_setup):
@@ -305,3 +311,111 @@ def test_certify_report(nominal_setup, nominal_synthesis):
     assert report["max_sampled_residual_norm"] <= 1e-7
     assert report["max_sampled_performance_norm"] <= result.gamma_bar + 1e-7
     assert report["sampled_sigmas"] == config.verify_samples
+
+
+def assert_row_gains_match_oracle(plant, model, automaton, config, Q, Z):
+    """row_gains equals the symbolic rows evaluated at the packed taps, bit for bit.
+
+    Returns the oracle's (residual, performance) gains.
+    """
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    x = pack(variables, Q, Z)
+    expected = (
+        evaluate_rows(build_residual_rows(plant, model, automaton, config, variables), x),
+        evaluate_rows(build_performance_rows(plant, model, automaton, config, variables), x))
+    for gains, oracle in zip(row_gains(plant, model, automaton, config, Q, Z), expected):
+        assert np.array_equal(gains, oracle)
+    return expected
+
+
+@st.composite
+def row_gain_cases(draw):
+    """A random plant, mode model, automaton and taps, with no LP solve.
+
+    Automata may have `initial` a strict subset and a nonzero padding mode;
+    fir_length may be shorter than memory.  Three-mode cases keep the window
+    length at most 4 so the symbolic oracle stays fast.
+    """
+    n = draw(st.integers(1, 3))
+    m_w = draw(st.integers(1, 2))
+    dims = draw(st.lists(st.integers(1, 2), min_size=1, max_size=2))
+    memory = draw(st.integers(1, 3))
+    fir_length = draw(st.integers(1, 6))
+    mode_count = draw(st.integers(1, 3 if max(memory, fir_length) <= 4 else 2))
+    allowed = draw(st.lists(st.booleans(), min_size=mode_count ** 2,
+                            max_size=mode_count ** 2))
+    initial = draw(st.sets(st.integers(0, mode_count - 1), min_size=1))
+    padding_mode = draw(st.integers(0, mode_count - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def sparse(shape):
+        # exact zeros of both signs exercise the terms the symbolic rows leave out
+        values = rng.uniform(-2.0, 2.0, shape)
+        draw_zero = rng.random(shape)
+        values[draw_zero < 0.2] = 0.0
+        values[draw_zero > 0.9] = -0.0
+        return values
+
+    plant = ChannelPlant(A=sparse((n, n)), B=sparse((n, m_w)),
+                         channels=tuple((sparse((d, n)), sparse((d, m_w))) for d in dims))
+    C0, D0 = plant.stacked()
+    modes = [(C0, D0)]
+    for _ in range(mode_count - 1):
+        keep = (rng.random(plant.p) < 0.6)[:, None]
+        modes.append((keep * C0, keep * D0))
+    model = SwitchedOutputModel(tuple(modes))
+    automaton = SwitchingAutomaton(mode_count,
+                                   allowed=np.reshape(allowed, (mode_count, mode_count)),
+                                   initial=initial, padding_mode=padding_mode)
+    config = SynthesisConfig(memory=memory, fir_length=fir_length)
+    hists = enumerate_histories(automaton, memory)
+    Q = SwitchingFIR(memory, fir_length, n, n,
+                     {(h, k): sparse((n, n)) for h in hists for k in range(fir_length)})
+    Z = SwitchingFIR(memory, fir_length, plant.p, n,
+                     {(h, k): sparse((n, plant.p)) for h in hists for k in range(fir_length)})
+    return plant, model, automaton, config, Q, Z
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_gain_cases())
+def test_row_gains_match_oracle_random(case):
+    assert_row_gains_match_oracle(*case)
+
+
+# (nominal, M, N, mode, eps_bar) of the benchmark's five demo designs; the
+# relaxed M=1 N=5 design is also the relaxed one of the attack-search tests.
+DEMO_DESIGNS = [
+    (True, 1, 2, "exact", 0.0),
+    (False, 1, 5, "exact", 0.0),
+    (False, 2, 4, "exact", 0.0),
+    (False, 1, 5, "relaxed", 0.1),
+    (False, 1, 4, "relaxed", 0.1),
+]
+
+
+@pytest.mark.parametrize("nominal, memory, fir_length, mode, eps_bar", DEMO_DESIGNS)
+def test_row_gains_match_oracle_demo_designs(nominal, memory, fir_length, mode, eps_bar):
+    cfg = demo.nominal_config_dict() if nominal else demo.demo_config_dict()
+    cfg["synthesis"].update(M=memory, N=fir_length, mode=mode, eps_bar=eps_bar)
+    plant, model, automaton, config, _ = parse_problem(cfg)
+    result = synthesize(plant, model, automaton, config)
+    residual, _ = assert_row_gains_match_oracle(plant, model, automaton, config,
+                                                result.Q, result.Z)
+    assert result.eps_achieved == float(np.max(residual))
+
+
+def test_row_gains_match_oracle_zero_padded(switching_synthesis, switching_setup):
+    """The N=5 switching design zero-padded to N=10: 1024 windows."""
+    result, _ = switching_synthesis
+    plant, model, automaton, config = switching_setup
+    padded = dataclasses.replace(config, fir_length=10)
+
+    def pad(fir):
+        coeffs = dict(fir.coeffs)
+        for hist in fir.histories():
+            for lag in range(fir.fir_length, 10):
+                coeffs[(hist, lag)] = np.zeros((fir.out_dim, fir.in_dim))
+        return dataclasses.replace(fir, fir_length=10, coeffs=coeffs)
+
+    assert_row_gains_match_oracle(plant, model, automaton, padded,
+                                  pad(result.Q), pad(result.Z))

@@ -10,7 +10,8 @@ from switchguard.lp_solver import PIVOT_TOL, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator
 from switchguard.simulate import Scenario
 from switchguard.switched_model import SwitchingFIR, instantiate, lift_outputs
-from switchguard.synthesis import SynthesisResult, performance_operator, residual_operator
+from switchguard.synthesis import (DecisionVariables, SynthesisResult, performance_operator,
+                                   residual_operator)
 
 
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
@@ -226,3 +227,43 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
                 pick, pick_value = b, value
         prefix += (pick,)
     return prefix, value_of(prefix)
+
+
+def pack(variables: DecisionVariables, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
+    """Decision vector holding the taps of (Q, Z); the inverse of variables.unpack."""
+    x = np.zeros(variables.count)
+    for hist in variables.histories:
+        for lag in range(variables.fir_length):
+            qm = Q.tap(hist, lag)
+            zm = Z.tap(hist, lag)
+            for r in range(variables.n):
+                for c in range(variables.n):
+                    x[variables.var("Q", hist, lag, r, c)] = qm[r, c]
+                for c in range(variables.p):
+                    x[variables.var("Z", hist, lag, r, c)] = zm[r, c]
+    return x
+
+
+def form_value(form, x: np.ndarray) -> float:
+    """Reference value of a LinearForm at x: const + (((0 + a1*x1) + a2*x2) + ...).
+
+    Summed by an explicit loop, left to right, so the bits do not depend on
+    how the interpreter's sum() adds floats.
+    """
+    total = 0.0
+    for v, a in form.coeffs.items():
+        total = total + a * x[v]
+    return form.const + total
+
+
+def row_gain(row, x: np.ndarray) -> float:
+    """Reference gain of a ConstraintRow: its absolute entries summed left to right."""
+    total = 0.0
+    for _, _, form in row.entries:
+        total = total + abs(form_value(form, x))
+    return total
+
+
+def evaluate_rows(rows, x: np.ndarray) -> np.ndarray:
+    """Reference absolute row sums of symbolic constraint rows at a decision point."""
+    return np.array([row_gain(row, x) for row in rows])
