@@ -13,11 +13,10 @@ from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
                              SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
                              enumerate_histories, history_at, instantiate, lift_outputs)
 from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, solve
-from .synthesis import (ConstraintRow, SynthesisConfig, SynthesisInfeasibleError,
-                        SynthesisResult, assemble_lp, build_performance_rows,
-                        build_residual_rows, certify, decision_variables,
-                        parametrization_residual, performance_operator,
-                        residual_operator, row_gains, sweep_relaxation, synthesize)
+from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
+                        assemble_lp, certify, decision_variables, parametrization_residual,
+                        performance_operator, residual_operator, row_gains,
+                        sweep_relaxation, synthesize)
 from .simulate import (Scenario, Trace, attack_search, error_operator, make_trace,
                        run_estimator, run_fir_estimator, run_glo, simulate_plant,
                        worst_case_inputs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,9 +73,14 @@ def _matrix(value, path: str) -> np.ndarray:
     width = len(value[0])
     _expect(all(len(r) == width for r in value), path, "rows have unequal lengths")
     try:
-        return np.array(value, dtype=float)
+        mat = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(path, "matrix entries must be numbers") from None
+    except OverflowError:
+        raise ConfigError(path, "matrix entries out of range") from None
+    # a Python loop is faster than a numpy reduction on config-sized matrices
+    _expect(all(map(math.isfinite, mat.ravel().tolist())), path, "matrix entries must be finite")
+    return mat
 
 
 # Integer fields of the synthesis section: JSON key -> (SynthesisConfig field, default).
@@ -113,6 +119,7 @@ def parse_problem(cfg: dict):
         channels.append((C_i, D_i))
     x0_bound = _number(pc.get("x0_bound", 1.0), "plant.x0_bound")
     _expect(x0_bound >= 0.0, "plant.x0_bound", "must be nonnegative")
+    _expect(math.isfinite(x0_bound), "plant.x0_bound", "must be finite")
     plant = ChannelPlant(A=A, B=B, channels=tuple(channels), x0_bound=x0_bound)
 
     ac = _section(cfg["attack"], "attack")
@@ -305,12 +312,9 @@ def cmd_synth(args) -> int:
         _section(cfg.setdefault("synthesis", {}), "synthesis").update(overrides)
     plant, model, automaton, syncfg, seed = parse_problem(cfg)
     if args.dump_lp:
-        from .synthesis import (assemble_lp, build_performance_rows,
-                                build_residual_rows, decision_variables)
-        variables = decision_variables(automaton, syncfg, plant.n, model.p)
-        lp = assemble_lp(build_residual_rows(plant, model, automaton, syncfg, variables),
-                         build_performance_rows(plant, model, automaton, syncfg, variables),
-                         syncfg, variables)
+        from .synthesis import assemble_lp, decision_variables
+        lp = assemble_lp(plant, model, automaton, syncfg,
+                         decision_variables(automaton, syncfg, plant.n, model.p))
         with open(args.dump_lp, "w", encoding="utf-8") as fh:
             fh.write(format_lp(lp, name="estimator synthesis"))
         print(f"wrote LP dump to {args.dump_lp}")
@@ -346,6 +350,7 @@ def _check_horizon(args) -> None:
 
 def cmd_norm(args) -> int:
     _check_horizon(args)
+    _expect(args.samples >= 1, "--samples", f"must be a positive integer, got {args.samples}")
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
     if args.sigma:
         sigmas = [_parse_sigma(args.sigma, automaton)]

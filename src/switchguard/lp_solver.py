@@ -57,18 +57,9 @@ class LinearProgram:
             self.bounds = [(None, None)] * self.variable_count
         if len(self.bounds) != self.variable_count:
             raise ValueError("bounds length must equal variable_count")
-        clean = []
-        for coeffs, rel, rhs in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (self.variable_count,):
-                raise ValueError("constraint coefficient length mismatch")
-            if rel not in (LE, EQ):
-                raise ValueError(f"relation must be '{LE}' or '{EQ}'")
-            rhs = float(rhs)
-            if not np.isfinite(rhs):
-                raise ValueError("constraint rhs must be finite")
-            clean.append((coeffs, rel, rhs))
-        self.constraints = clean
+        rows, self.constraints = self.constraints, []
+        for row in rows:
+            self.add(*row)
 
     def add(self, coeffs, rel, rhs) -> None:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -76,7 +67,10 @@ class LinearProgram:
             raise ValueError("constraint coefficient length mismatch")
         if rel not in (LE, EQ):
             raise ValueError(f"relation must be '{LE}' or '{EQ}'")
-        self.constraints.append((coeffs, rel, float(rhs)))
+        rhs = float(rhs)
+        if not np.isfinite(rhs):
+            raise ValueError("constraint rhs must be finite")
+        self.constraints.append((coeffs, rel, rhs))
 
 
 @dataclass(frozen=True)

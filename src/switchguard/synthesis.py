@@ -8,17 +8,24 @@ contraction bound (relaxed mode), and performance rows, whose worst
 absolute row sum is the estimation-error peak gain to minimize.  The
 recovered estimator is T = -Z; the observer gain factors are (Q, Z).
 
-Only the LP is built from symbolic rows.  Once the taps are fixed,
-`row_gains` evaluates the same kernel entries numerically from the tap
-tables, vectorized over windows: each entry is its constant plus its
-products summed left to right in row-builder term order, and each row's
-absolute entries are summed left to right in row-builder entry order, so
-the gains are the bits the symbolic rows would give.  `synthesize` takes
-eps_achieved from it and `certify` takes gamma_rows and eps_rows.
+The kernel entries of those rows are encoded once, by `_kernel_terms`:
+lag by lag, integer variable-id arrays, coefficient arrays and constants
+shaped (window, state row, column, term), with the windows one integer
+array gathered once per tap history.  Variable ids are arithmetic over
+(tap history, lag, Q or Z block entry), so `DecisionVariables.pack` and
+`unpack` are reshapes.  `assemble_lp` stacks the terms, drops the zero
+coefficients and deduplicates slacks and rows by sorting integer keys of
+their (id, coefficient, constant) terms, numbered in order of first
+occurrence.  `row_gains` evaluates the same terms at the packed taps,
+each entry its constant plus its products summed left to right and each
+row's absolute entries summed left to right in entry order, so the gains
+are the bits the LP's affine forms give.  `synthesize` takes eps_achieved
+from it and `certify` takes gamma_rows and eps_rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,12 +38,8 @@ __all__ = [
     "SynthesisConfig",
     "SynthesisResult",
     "SynthesisInfeasibleError",
-    "LinearForm",
-    "ConstraintRow",
     "DecisionVariables",
     "decision_variables",
-    "build_residual_rows",
-    "build_performance_rows",
     "assemble_lp",
     "synthesize",
     "row_gains",
@@ -90,37 +93,13 @@ class SynthesisConfig:
         return max(self.memory, self.fir_length)
 
 
-@dataclass
-class LinearForm:
-    """Affine expression in the decision variables: sum coeffs[v]*x[v] + const."""
-
-    coeffs: dict = field(default_factory=dict)
-    const: float = 0.0
-
-    def add_term(self, var: int, coeff: float) -> None:
-        if coeff != 0.0:
-            self.coeffs[var] = self.coeffs.get(var, 0.0) + coeff
-
-    def key(self) -> tuple:
-        return (tuple(sorted(self.coeffs.items())), self.const)
-
-
-@dataclass(frozen=True)
-class ConstraintRow:
-    """One output row of a kernel operator along a fixed trailing mode window.
-
-    entries holds (lag, input column, affine form) for every kernel entry
-    of the row; the row's gain is the sum of absolute entry values.
-    """
-
-    history: tuple
-    row_index: int
-    kind: str  # "residual" | "performance"
-    entries: tuple
-
-
 class DecisionVariables:
-    """Canonical numbering of the Q/Z coefficient entries."""
+    """Canonical numbering of the Q/Z coefficient entries.
+
+    Per tap history (in `histories` order) and lag, the n x n block of Q and
+    then the n x p block of Z, each row-major: a variable id is arithmetic
+    over (history id, lag, block entry), and `pack`/`unpack` are reshapes.
+    """
 
     def __init__(self, histories, memory: int, fir_length: int, n: int, p: int):
         self.memory = memory
@@ -128,40 +107,37 @@ class DecisionVariables:
         self.n = n
         self.p = p
         self.histories = [tuple(h) for h in histories]
-        self.index: dict[tuple, int] = {}
-        for hist in self.histories:
-            for lag in range(fir_length):
-                for r in range(n):
-                    for c in range(n):
-                        self.index[("Q", hist, lag, r, c)] = len(self.index)
-                for r in range(n):
-                    for c in range(p):
-                        self.index[("Z", hist, lag, r, c)] = len(self.index)
+        self.block = n * (n + p)
 
     @property
     def count(self) -> int:
-        return len(self.index)
+        return len(self.histories) * self.fir_length * self.block
 
-    def var(self, kind: str, hist: tuple, lag: int, r: int, c: int) -> int:
-        return self.index[(kind, hist, lag, r, c)]
+    def q_var(self, hist_id, lag, r, c):
+        """Id of Q_lag[r, c] at the tap history numbered hist_id; broadcasts over arrays."""
+        return (hist_id * self.fir_length + lag) * self.block + r * self.n + c
+
+    def z_var(self, hist_id, lag, r, c):
+        """Id of Z_lag[r, c] at the tap history numbered hist_id; broadcasts over arrays."""
+        return (hist_id * self.fir_length + lag) * self.block + self.n * self.n + r * self.p + c
 
     def unpack(self, x: np.ndarray) -> tuple[SwitchingFIR, SwitchingFIR]:
         """Split a solution vector into the Q and Z switching FIR operators."""
-        q_coeffs, z_coeffs = {}, {}
-        for hist in self.histories:
-            for lag in range(self.fir_length):
-                qm = np.zeros((self.n, self.n))
-                zm = np.zeros((self.n, self.p))
-                for r in range(self.n):
-                    for c in range(self.n):
-                        qm[r, c] = x[self.index[("Q", hist, lag, r, c)]]
-                    for c in range(self.p):
-                        zm[r, c] = x[self.index[("Z", hist, lag, r, c)]]
-                q_coeffs[(hist, lag)] = qm
-                z_coeffs[(hist, lag)] = zm
-        Q = SwitchingFIR(self.memory, self.fir_length, self.n, self.n, q_coeffs)
-        Z = SwitchingFIR(self.memory, self.fir_length, self.p, self.n, z_coeffs)
+        n, p, N = self.n, self.p, self.fir_length
+        blocks = np.reshape(x, (len(self.histories), N, self.block))
+        q_taps = blocks[..., :n * n].reshape(-1, N, n, n)
+        z_taps = blocks[..., n * n:].reshape(-1, N, n, p)
+        keys = [(hist, lag) for hist in self.histories for lag in range(N)]
+        Q = SwitchingFIR(self.memory, N, n, n, dict(zip(keys, q_taps.reshape(-1, n, n))))
+        Z = SwitchingFIR(self.memory, N, p, n, dict(zip(keys, z_taps.reshape(-1, n, p))))
         return Q, Z
+
+    def pack(self, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
+        """Decision vector holding the taps of (Q, Z); the inverse of unpack."""
+        shape = (len(self.histories), self.fir_length, -1)
+        taps = [np.array([[fir.tap(hist, lag) for lag in range(self.fir_length)]
+                          for hist in self.histories]).reshape(shape) for fir in (Q, Z)]
+        return np.concatenate(taps, axis=2).reshape(-1)
 
 
 def decision_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
@@ -175,86 +151,141 @@ def _check_dims(plant: ChannelPlant, model: SwitchedOutputModel) -> None:
         raise ValueError("plant and switched output model dimensions disagree")
 
 
-def _kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
-                 automaton: SwitchingAutomaton, config: SynthesisConfig,
-                 variables: DecisionVariables):
-    """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the mode_matrix blocks.
+_RESIDUAL = "residual"
+_PERFORMANCE = "performance"
 
-    Yields (window, tap window, state row, entries) for every admissible
-    extended window; entries is a list of (lag, input column, affine form).
-    Lag k of a row reads the tap window anchored at the output time and the
-    mode delivered k steps earlier.
+
+def _windows(automaton: SwitchingAutomaton, config: SynthesisConfig):
+    """Every admissible extended window as one (window, L) integer array, in
+    enumerate_histories order, with its tap history: the sorted distinct
+    length-M suffixes, and each window's index among them.
     """
-    n, q = X.shape
-    p = variables.p
-    M, N, L = config.memory, config.fir_length, config.window
-    # Y0 is -I or 0: looping Q over its full columns would slow the row build
-    y0_terms = [[(r, Y0[r, col]) for r in range(n) if Y0[r, col] != 0.0] for col in range(q)]
-    for h in enumerate_histories(automaton, L):
-        hm = h[L - M:]
-        for i in range(n):
-            entries = []
-            for k in range(N + 1):
-                M_k = mode_matrix(h[L - 1 - k]) if k <= N - 1 else None
-                for col in range(q):
-                    form = LinearForm()
-                    if k == 1:
-                        form.const += X[i, col]
-                    if k <= N - 1:
-                        for c in range(p):
-                            form.add_term(variables.var("Z", hm, k, i, c), M_k[c, col])
-                        for r, y0 in y0_terms[col]:
-                            form.add_term(variables.var("Q", hm, k, i, r), y0)
-                    if 1 <= k <= N:
-                        for r in range(n):
-                            form.add_term(variables.var("Q", hm, k - 1, i, r), X[r, col])
-                    entries.append((k, col, form))
-            yield h, hm, i, entries
+    L, M = config.window, config.memory
+    windows = np.array(enumerate_histories(automaton, L), dtype=np.intp)
+    suffixes, tap_ids = np.unique(windows[:, L - M:], axis=0, return_inverse=True)
+    return windows, [tuple(int(m) for m in s) for s in suffixes], tap_ids.reshape(-1)
 
 
-def build_residual_rows(plant: ChannelPlant, model: SwitchedOutputModel,
-                        automaton: SwitchingAutomaton, config: SynthesisConfig,
-                        variables: DecisionVariables | None = None) -> list[ConstraintRow]:
-    """Rows of the contraction operator shift(A) + Z Cbar + Q (shift(A) - I).
+def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
+                  windows: np.ndarray, hist_ids: np.ndarray, variables: DecisionVariables):
+    """Terms of the kernel entries of every residual or performance row, lag by lag.
 
-    One row per admissible extended window and state component; entries are
-    affine in the Q/Z coefficients.
+    Residual rows are those of shift(A) + Z Cbar + Q (shift(A) - I), and
+    performance rows those of [shift(B) + Z Dbar + Q shift(B), I + Q]: one
+    row per (window, state row), the window's tap history numbered by
+    hist_ids.  Yields (lag, col, var, coeff, const) per block of entries, in
+    row entry order: the entries (lag, col + j), with var the integer ids
+    and coeff the coefficients, broadcastable together to (window, state
+    row, column j, term), and const shaped (state row, column j).  An
+    entry's value is const + (((0 + a1 x1) + a2 x2) + ...) over its terms
+    in order.
+
+    Entry (k, col) of shift(X) + Z Mbar + Q (shift(X) + Y0) holds Z_k[i, c]
+    M_k[c, col] over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a
+    nonzero, and Q_{k-1}[i, r] X[r, col] over r, with M_k the mode matrix
+    delivered k steps before the output time; its constant is X[i, col] at
+    lag 1.  Performance rows then add the I + Q block: one term Q_k[i, j]
+    per entry, with constant I[i, j] at lag 0.  Zero coefficients are kept,
+    so every entry of a block has the same number of terms.
     """
-    _check_dims(plant, model)
-    if variables is None:
-        variables = decision_variables(automaton, config, plant.n, model.p)
-    return [ConstraintRow(h, i, "residual", tuple(entries))
-            for h, _, i, entries in _kernel_rows(plant.A, model.C, -np.eye(plant.n),
-                                                 automaton, config, variables)]
+    n, p, N = variables.n, variables.p, variables.fir_length
+    if kind == _RESIDUAL:
+        X, Y0, mats = plant.A, -np.eye(n), model.C
+    else:
+        X, Y0, mats = plant.B, np.zeros((n, plant.m_w)), model.D
+    nw, q = len(windows), X.shape[1]
+    mode_mats = np.array([mats(j) for j in range(model.mode_count)])
+    # column k: the mode delivered k steps before the output time
+    lag_modes = windows[:, ::-1]
+    y0_rows = np.flatnonzero(Y0.any(axis=1))
+    hist = hist_ids[:, None, None]
+    state = np.arange(n)[:, None]
+    for k in range(N + 1):
+        # ids (window, state row, term) and coeffs (window | 1, column, term)
+        ids, coeffs = [], []
+        if k < N:
+            ids.append(variables.z_var(hist, k, state, np.arange(p)))
+            coeffs.append(mode_mats[lag_modes[:, k]].transpose(0, 2, 1))
+            ids.append(variables.q_var(hist, k, state, y0_rows))
+            coeffs.append(Y0[y0_rows].T[None])
+        if k >= 1:
+            ids.append(variables.q_var(hist, k - 1, state, np.arange(n)))
+            coeffs.append(X.T[None])
+        var = np.concatenate(ids, axis=-1)[:, :, None]
+        coeff = np.concatenate([np.broadcast_to(a, (nw, q, a.shape[-1])) for a in coeffs],
+                               axis=-1)[:, None]
+        # constants are sums from 0.0: a -0.0 in X gives 0.0
+        const = 0.0 + X if k == 1 else np.zeros((n, q))
+        yield k, 0, var, coeff, const
+    if kind == _PERFORMANCE:
+        for k in range(N):
+            var = variables.q_var(hist, k, state, np.arange(n))[..., None]
+            yield k, q, var, np.ones((1, 1, 1, 1)), np.eye(n) if k == 0 else np.zeros((n, n))
 
 
-def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
-                           automaton: SwitchingAutomaton, config: SynthesisConfig,
-                           variables: DecisionVariables | None = None) -> list[ConstraintRow]:
-    """Rows of the error gain operator [shift(B) + Z Dbar + Q shift(B), I + Q].
+def _forms(blocks, nvar: int, width: int):
+    """The entries of the rows as affine forms with their zero coefficients dropped.
 
-    Input columns are stacked: disturbance channels first, then the
-    initial-condition channels.
+    Stacks the blocks of _kernel_terms into var and coeff arrays shaped
+    (form, term), padded to `width` terms, and const shaped (form,), the
+    forms in row order (window, state row, entry).  A dropped term keeps its
+    zero coefficient and gets id nvar, and each form's terms are sorted by
+    id, so equal forms have equal ids and equal coefficients up to the sign
+    of a zero.
     """
-    _check_dims(plant, model)
-    if variables is None:
-        variables = decision_variables(automaton, config, plant.n, model.p)
-    n, m_w = plant.n, plant.m_w
-    rows = []
-    for h, hm, i, entries in _kernel_rows(plant.B, model.D, np.zeros((n, m_w)),
-                                          automaton, config, variables):
-        for k in range(config.fir_length):
-            for j in range(n):
-                form = LinearForm()
-                if k == 0 and i == j:
-                    form.const += 1.0
-                form.add_term(variables.var("Q", hm, k, i, j), 1.0)
-                entries.append((k, m_w + j, form))
-        rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
+    var, coeff, const = [], [], []
+    for _, _, v, a, c in blocks:
+        shape = np.broadcast_shapes(v.shape, a.shape)
+        pad = [(0, 0)] * 3 + [(0, width - shape[-1])]
+        var.append(np.pad(np.broadcast_to(v, shape), pad, constant_values=nvar))
+        coeff.append(np.pad(np.broadcast_to(a, shape), pad))
+        const.append(np.broadcast_to(c, shape[:3]))
+    var = np.concatenate(var, axis=2).reshape(-1, width)
+    coeff = np.concatenate(coeff, axis=2).reshape(var.shape)
+    const = np.concatenate(const, axis=2).reshape(-1)
+    var = np.where(coeff != 0.0, var, nvar)
+    order = np.argsort(var, axis=-1)
+    return (np.take_along_axis(var, order, axis=-1), np.take_along_axis(coeff, order, axis=-1),
+            const)
+
+
+def _first_occurrence(keys: np.ndarray):
+    """Number the distinct rows of keys in order of first occurrence.
+
+    Returns each row's number and, per number, the index of its first row.
+    """
+    order = np.lexsort(keys.T)  # stable: equal rows stay in their order
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    first = order[starts]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    number = np.empty_like(order)
+    number[order] = rank[np.cumsum(starts) - 1]
+    return number, np.sort(first)
+
+
+def _dense_rows(var: np.ndarray, coeff: np.ndarray, total: int) -> np.ndarray:
+    """One row of `total` coefficients per form, zero outside its terms."""
+    rows = np.zeros((len(var), total))
+    f, t = np.nonzero(coeff)
+    rows[f, var[f, t]] = coeff[f, t]
     return rows
 
 
-def assemble_lp(residual_rows, performance_rows, config: SynthesisConfig,
+def _form_keys(var: np.ndarray, coeff: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """One integer row per form: its ids, coefficient bits and constant bits.
+
+    Adding 0.0 turns -0.0 into 0.0, so zeros of either sign give one key,
+    as they compare equal.
+    """
+    bits = [(a + 0.0).view(np.int64) for a in (coeff, const[:, None])]
+    return np.concatenate([var] + bits, axis=1)
+
+
+def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
+                automaton: SwitchingAutomaton, config: SynthesisConfig,
                 variables: DecisionVariables) -> LinearProgram:
     """Min-gamma LP: per performance row, the absolute entry values sum to
     at most gamma; residual entries vanish (exact) or their row sums stay
@@ -262,82 +293,61 @@ def assemble_lp(residual_rows, performance_rows, config: SynthesisConfig,
 
     Structurally identical affine entries share one absolute-value slack,
     and identical rows collapse, so the LP stays small while covering
-    every admissible window.
+    every admissible window.  Slacks, rows and equalities are numbered in
+    the order of their first occurrence over the rows (window, then state
+    row, then entry), performance rows first.
     """
-    if not performance_rows:
-        raise ValueError("no performance rows; nothing to optimize")
+    _check_dims(plant, model)
     nvar = variables.count
     gamma = nvar
-    slack_ids: dict[tuple, int] = {}
-    slack_forms: list[LinearForm] = []
-
-    def slack_of(form: LinearForm) -> int:
-        key = form.key()
-        sid = slack_ids.get(key)
-        if sid is None:
-            sid = len(slack_forms)
-            slack_ids[key] = sid
-            slack_forms.append(form)
-        return sid
-
-    perf_row_slacks: dict[tuple, list[int]] = {}
-    for row in performance_rows:
-        sids = [slack_of(form) for _, _, form in row.entries]
-        perf_row_slacks.setdefault(tuple(sorted(sids)), sids)
+    windows, taps, tap_ids = _windows(automaton, config)
+    position = {hist: a for a, hist in enumerate(variables.histories)}
+    hist_ids = np.array([position[hist] for hist in taps], dtype=np.intp)[tap_ids]
+    blocks = [list(_kernel_terms(plant, model, kind, windows, hist_ids, variables))
+              for kind in (_PERFORMANCE, _RESIDUAL)]
+    width = max(b[2].shape[-1] for kind in blocks for b in kind)
+    perf, res = (_forms(kind, nvar, width) for kind in blocks)
 
     relaxed = config.mode == MODE_RELAXED
-    res_eqs: dict[tuple, LinearForm] = {}
-    res_row_slacks: dict[tuple, list[int]] = {}
-    for row in residual_rows:
-        if relaxed:
-            sids = [slack_of(form) for _, _, form in row.entries]
-            res_row_slacks.setdefault(tuple(sorted(sids)), sids)
-        else:
-            for _, _, form in row.entries:
-                res_eqs.setdefault(form.key(), form)
-
-    nslack = len(slack_forms)
+    slacked = (perf, res) if relaxed else (perf,)
+    var, coeff, const = (np.concatenate(parts) for parts in zip(*slacked))
+    sid, first = _first_occurrence(_form_keys(var, coeff, const))
+    nslack = len(first)
     total = nvar + 1 + nslack
-    lp = LinearProgram(
+    nrows = len(windows) * plant.n
+
+    # s >= form and s >= -form, one pair of rows per slack
+    var, coeff, const = var[first], coeff[first], const[first]
+    up, dn = _dense_rows(var, coeff, total), _dense_rows(var, -coeff, total)
+    slack = np.arange(nslack)
+    up[slack, nvar + 1 + slack] = dn[slack, nvar + 1 + slack] = -1.0
+    constraints = [row for u, d, c in zip(up, dn, const) for row in ((u, LE, -c), (d, LE, c))]
+
+    def row_sums(row_sids):
+        # rows with the same multiset of slacks collapse into one
+        _, once = _first_occurrence(np.sort(row_sids, axis=1))
+        sums = np.zeros((len(once), total))
+        np.add.at(sums, (np.arange(len(once))[:, None], nvar + 1 + row_sids[once]), 1.0)
+        return sums
+
+    perf_sums = row_sums(sid[:len(perf[2])].reshape(nrows, -1))
+    perf_sums[:, gamma] = -1.0
+    constraints += [(row, LE, 0.0) for row in perf_sums]
+    if relaxed:
+        res_sums = row_sums(sid[len(perf[2]):].reshape(nrows, -1))
+        constraints += [(row, LE, config.eps_bar) for row in res_sums]
+    else:
+        var, coeff, const = res
+        _, once = _first_occurrence(_form_keys(var, coeff, const))
+        eqs = _dense_rows(var[once], coeff[once], total)
+        constraints += [(row, EQ, -c) for row, c in zip(eqs, const[once])]
+
+    return LinearProgram(
         variable_count=total,
         objective=np.concatenate([np.zeros(nvar), [1.0], np.zeros(nslack)]),
+        constraints=constraints,
         bounds=[(None, None)] * nvar + [(0.0, None)] * (1 + nslack),
     )
-
-    for sid, form in enumerate(slack_forms):
-        # s >= form and s >= -form
-        up = np.zeros(total)
-        for v, a in form.coeffs.items():
-            up[v] = a
-        up[nvar + 1 + sid] = -1.0
-        lp.add(up, LE, -form.const)
-        dn = np.zeros(total)
-        for v, a in form.coeffs.items():
-            dn[v] = -a
-        dn[nvar + 1 + sid] = -1.0
-        lp.add(dn, LE, form.const)
-
-    for sids in perf_row_slacks.values():
-        row = np.zeros(total)
-        for sid in sids:
-            row[nvar + 1 + sid] += 1.0
-        row[gamma] = -1.0
-        lp.add(row, LE, 0.0)
-
-    if relaxed:
-        for sids in res_row_slacks.values():
-            row = np.zeros(total)
-            for sid in sids:
-                row[nvar + 1 + sid] += 1.0
-            lp.add(row, LE, config.eps_bar)
-    else:
-        for form in res_eqs.values():
-            row = np.zeros(total)
-            for v, a in form.coeffs.items():
-                row[v] = a
-            lp.add(row, EQ, -form.const)
-
-    return lp
 
 
 @dataclass(frozen=True)
@@ -355,81 +365,36 @@ class SynthesisResult:
     lag0_margin: float
 
 
-def _gathered_taps(fir: SwitchingFIR, histories, fir_length: int) -> np.ndarray:
-    """(history, lag, out, in) array of the taps at the given tap histories."""
-    taps = np.empty((len(histories), fir_length, fir.out_dim, fir.in_dim))
-    for a, hist in enumerate(histories):
-        for k in range(fir_length):
-            taps[a, k] = fir.tap(hist, k)
-    return taps
-
-
-def _kernel_gains(X: np.ndarray, mode_mats: np.ndarray, Y0: np.ndarray, lag_modes: np.ndarray,
-                  Qw: np.ndarray, Zw: np.ndarray) -> np.ndarray:
-    """Absolute row sums of shift(X) + Z Mbar + Q (shift(X) + Y0), one row per
-    (window, state row), at the per-window taps Qw (window, lag, n, n) and
-    Zw (window, lag, n, p); lag_modes[:, k] is the mode delivered k steps
-    before the output time.
-
-    Entry (k, col) of row i adds, in _kernel_rows term order, Z_k[i, c] M_k[c, col]
-    over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a nonzero, and
-    Q_{k-1}[i, r] X[r, col] over r, then adds its constant X[i, col] at lag 1.
-    A zero coefficient _kernel_rows leaves out adds a signed zero here, which
-    changes no sum that is not zero and only the sign of one that is.
-    """
-    nw, N, n, p = Zw.shape
-    gains = np.zeros((nw, n))
-    y0_rows = [r for r in range(n) if Y0[r].any()]
-    for k in range(N + 1):
-        entry = np.zeros((nw, n, X.shape[1]))
-        if k <= N - 1:
-            M_k = mode_mats[lag_modes[:, k]]
-            for c in range(p):
-                entry += Zw[:, k, :, c, None] * M_k[:, None, c, :]
-            for r in y0_rows:
-                entry += Qw[:, k, :, r, None] * Y0[r]
-        if k >= 1:
-            for r in range(n):
-                entry += Qw[:, k - 1, :, r, None] * X[r]
-        if k == 1:
-            entry = X + entry
-        for col in range(X.shape[1]):
-            gains += np.abs(entry[:, :, col])
-    return gains
-
-
 def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
               automaton: SwitchingAutomaton, config: SynthesisConfig,
               Q: SwitchingFIR, Z: SwitchingFIR) -> tuple[np.ndarray, np.ndarray]:
     """Absolute row sums of the residual and performance rows at the factors (Q, Z).
 
-    Returns (residual_gains, performance_gains) in build_residual_rows and
-    build_performance_rows row order (window, then state row), without
-    building the rows: the kernel entries are formed from the tap tables,
-    vectorized over windows, with the products and additions of the symbolic
-    rows in the same order, and each row's absolute entries are summed left
-    to right by lag, then column (performance rows then add the I + Q block
-    the same way).  Every gain is bit-identical to evaluating the symbolic
-    row at the packed taps.
+    Returns (residual_gains, performance_gains), one per (window, state row)
+    in the LP's row order.  The kernel-entry terms of `_kernel_terms` are
+    evaluated lag by lag at the packed taps, vectorized over windows, and
+    each row's absolute entries are summed left to right in entry order.  A
+    zero coefficient the LP drops adds a signed zero here, which changes no
+    sum that is not zero and only the sign of one that is, so every gain is
+    bit-identical to evaluating the LP's affine forms.
     """
     _check_dims(plant, model)
-    n, M, N, L = plant.n, config.memory, config.fir_length, config.window
-    windows = enumerate_histories(automaton, L)
-    tap_index: dict[tuple, int] = {}
-    hist_ids = [tap_index.setdefault(h[L - M:], len(tap_index)) for h in windows]
-    Qw = _gathered_taps(Q, list(tap_index), N)[hist_ids]
-    Zw = _gathered_taps(Z, list(tap_index), N)[hist_ids]
-    # column k: the mode delivered k steps before the output time
-    lag_modes = np.array(windows, dtype=np.intp).reshape(len(windows), L)[:, ::-1][:, :N]
-    C_modes = np.array([model.C(j) for j in range(model.mode_count)])
-    D_modes = np.array([model.D(j) for j in range(model.mode_count)])
-    residual = _kernel_gains(plant.A, C_modes, -np.eye(n), lag_modes, Qw, Zw)
-    performance = _kernel_gains(plant.B, D_modes, np.zeros((n, plant.m_w)), lag_modes, Qw, Zw)
-    for k in range(N):
-        block = np.eye(n) + Qw[:, k] if k == 0 else Qw[:, k]
-        for j in range(n):
-            performance += np.abs(block[:, :, j])
-    return residual.reshape(-1), performance.reshape(-1)
+    windows, taps, hist_ids = _windows(automaton, config)
+    variables = DecisionVariables(taps, config.memory, config.fir_length, plant.n, model.p)
+    x = variables.pack(Q, Z)
+    gains = []
+    for kind in (_RESIDUAL, _PERFORMANCE):
+        total = np.zeros((len(windows), plant.n))
+        for _, _, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
+                                                     variables):
+            value = 0.0
+            for t in range(var.shape[-1]):
+                value = value + coeff[..., t] * x[var[..., t]]
+            entry = const + value
+            for col in range(entry.shape[-1]):
+                total += np.abs(entry[..., col])
+        gains.append(total.reshape(-1))
+    return gains[0], gains[1]
 
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
@@ -444,7 +409,7 @@ def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -
 
 def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
                automaton: SwitchingAutomaton, config: SynthesisConfig) -> SynthesisResult:
-    """Build the rows, solve the LP, unpack the factors and certify them.
+    """Assemble the LP, solve it, unpack the factors and certify them.
 
     Raises SynthesisInfeasibleError when no FIR factors of the requested
     length satisfy the residual constraints; increasing fir_length or the
@@ -452,9 +417,7 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     """
     _check_dims(plant, model)
     variables = decision_variables(automaton, config, plant.n, model.p)
-    residual_rows = build_residual_rows(plant, model, automaton, config, variables)
-    performance_rows = build_performance_rows(plant, model, automaton, config, variables)
-    lp = assemble_lp(residual_rows, performance_rows, config, variables)
+    lp = assemble_lp(plant, model, automaton, config, variables)
     sol = solve(lp)
     if sol.status == "infeasible":
         raise SynthesisInfeasibleError(
@@ -542,11 +505,11 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
     """Independent check of the synthesized factors.
 
     gamma_rows and eps_rows are the largest performance and residual row
-    gains at the factors, evaluated numerically by `row_gains` straight
-    from the tap tables (the same bits the symbolic LP rows give, with no
-    decision vector or rows built).  The residual/performance operators
-    are also measured along sampled admissible sequences via the kernel
-    algebra, a path independent of the rows.
+    gains at the factors, evaluated numerically by `row_gains` at the
+    packed taps (the same bits the LP's affine forms give, with no LP
+    built).  The residual/performance operators are also measured along
+    sampled admissible sequences via the kernel algebra, a path independent
+    of the rows.
     """
     res_gains, perf_gains = row_gains(plant, model, automaton, config, result.Q, result.Z)
     rng = np.random.default_rng(seed)
@@ -577,10 +540,7 @@ def sweep_relaxation(plant: ChannelPlant, model: SwitchedOutputModel,
     """Scalar sweep over the relaxation bound; None marks infeasible points."""
     out = []
     for eps in eps_values:
-        cfg = SynthesisConfig(memory=config.memory, fir_length=config.fir_length,
-                              mode=MODE_RELAXED, eps_bar=float(eps),
-                              verify_horizon=config.verify_horizon,
-                              verify_samples=config.verify_samples)
+        cfg = dataclasses.replace(config, mode=MODE_RELAXED, eps_bar=float(eps))
         try:
             out.append((float(eps), synthesize(plant, model, automaton, cfg)))
         except SynthesisInfeasibleError:

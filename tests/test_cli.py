@@ -7,10 +7,9 @@ import pytest
 
 from switchguard import demo
 from switchguard.cli import load_bundle, main
-from switchguard.synthesis import (build_performance_rows, build_residual_rows,
-                                   decision_variables)
 
-from util import evaluate_rows, pack
+from util import (build_performance_rows, build_residual_rows, evaluate_rows, pack,
+                  symbolic_variables)
 
 
 @pytest.fixture()
@@ -96,6 +95,22 @@ def test_validate_empty_patterns(tmp_path, capsys):
     pytest.param(lambda c: c["synthesis"].update(mode="fast"), "synthesis.mode", id="mode"),
     pytest.param(lambda c: c["plant"].update(x0_bound=10 ** 400), "plant.x0_bound",
                  id="x0-bound-overflow"),
+    pytest.param(lambda c: c["plant"]["A"][0].__setitem__(0, float("nan")), "plant.A",
+                 id="A-nan"),
+    pytest.param(lambda c: c["plant"]["B"][1].__setitem__(0, float("inf")), "plant.B",
+                 id="B-inf"),
+    pytest.param(lambda c: c["plant"]["A"][2].__setitem__(1, 10 ** 400), "plant.A",
+                 id="A-overflow"),
+    pytest.param(lambda c: c["plant"]["channels"][0]["C"][0].__setitem__(1, float("-inf")),
+                 "plant.channels[0].C", id="C-minus-inf"),
+    pytest.param(lambda c: c["plant"]["channels"][1]["D"][0].__setitem__(0, float("nan")),
+                 "plant.channels[1].D", id="D-nan"),
+    pytest.param(lambda c: c["plant"].update(x0_bound=float("inf")), "plant.x0_bound",
+                 id="x0-bound-inf"),
+    pytest.param(lambda c: c["plant"].update(x0_bound=float("-inf")), "plant.x0_bound",
+                 id="x0-bound-minus-inf"),
+    pytest.param(lambda c: c["plant"].update(x0_bound=float("nan")), "plant.x0_bound",
+                 id="x0-bound-nan"),
 ])
 def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cfg = demo.nominal_config_dict()
@@ -182,7 +197,7 @@ def test_synth_deterministic_bundles(tmp_path, nominal_config):
 
 def test_bundle_round_trip_recertifies(nominal_bundle):
     bundle, result, plant, model, automaton, syncfg, _ = load_bundle(nominal_bundle)
-    variables = decision_variables(automaton, syncfg, plant.n, model.p)
+    variables = symbolic_variables(automaton, syncfg, plant.n, model.p)
     x = pack(variables, result.Q, result.Z)
     gamma_rows = np.max(evaluate_rows(
         build_performance_rows(plant, model, automaton, syncfg, variables), x))
@@ -207,6 +222,14 @@ def test_norm_sampled(nominal_bundle, capsys):
     assert len(rows) == 3
     for row in rows:
         assert float(row["eps"]) <= 1e-7
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_norm_nonpositive_samples_rejected(nominal_bundle, capsys, samples):
+    assert main(["norm", nominal_bundle, "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert "--samples" in captured.err
+    assert captured.out == ""
 
 
 def test_norm_bad_sigma(nominal_bundle, capsys):

@@ -4,8 +4,7 @@ import pytest
 from switchguard import lp_solver
 from switchguard.lp_solver import (EQ, LE, LinearProgram, LpNumericalError, format_lp,
                                    solve)
-from switchguard.synthesis import (assemble_lp, build_performance_rows,
-                                   build_residual_rows, decision_variables)
+from switchguard.synthesis import assemble_lp, decision_variables
 from util import (dense_pivot, loop_initial_basis, random_box_lp, random_sparse_lp,
                   vertex_minimum)
 
@@ -168,6 +167,16 @@ def test_malformed_inputs_rejected():
         LinearProgram(1, np.array([1.0]), constraints=[(np.array([1.0]), LE, np.inf)])
 
 
+@pytest.mark.parametrize("rhs", [np.nan, np.inf, -np.inf])
+def test_add_rejects_non_finite_rhs(rhs):
+    lp = LinearProgram(1, np.array([1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        lp.add(np.array([1.0]), LE, rhs)
+    assert lp.constraints == []
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram(1, np.array([1.0]), constraints=[(np.array([1.0]), EQ, rhs)])
+
+
 def test_numerical_error_is_distinct_type():
     assert issubclass(LpNumericalError, RuntimeError)
     assert not issubclass(LpNumericalError, ValueError)
@@ -197,10 +206,8 @@ def test_pivot_counts_per_phase():
 
 def _demo_lp(setup):
     plant, model, automaton, config = setup
-    variables = decision_variables(automaton, config, plant.n, model.p)
-    return assemble_lp(build_residual_rows(plant, model, automaton, config, variables),
-                       build_performance_rows(plant, model, automaton, config, variables),
-                       config, variables)
+    return assemble_lp(plant, model, automaton, config,
+                       decision_variables(automaton, config, plant.n, model.p))
 
 
 def _sparse_lp(seed: int) -> LinearProgram:

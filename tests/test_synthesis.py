@@ -7,18 +7,17 @@ from hypothesis import strategies as st
 
 from switchguard import demo
 from switchguard.cli import parse_problem
-from switchguard.lp_solver import EQ
+from switchguard.lp_solver import EQ, format_lp
 from switchguard.operator_core import induced_norm
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
                                         enumerate_histories, history_at)
-from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
-                                   assemble_lp, build_performance_rows,
-                                   build_residual_rows, certify, decision_variables,
-                                   parametrization_residual, performance_operator,
-                                   residual_operator, row_gains, sweep_relaxation,
-                                   synthesize)
-from util import evaluate_rows, form_value, pack
+from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
+                                   certify, decision_variables, parametrization_residual,
+                                   performance_operator, residual_operator, row_gains,
+                                   sweep_relaxation, synthesize)
+from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
+                  evaluate_rows, kernel_entries, pack, symbolic_variables)
 
 
 @pytest.fixture(scope="module")
@@ -54,8 +53,9 @@ def test_residual_rows_zero_decision_is_shifted_A(nominal_setup):
     plant, model, automaton, _ = nominal_setup
     cfg = SynthesisConfig(memory=1, fir_length=1)
     variables = decision_variables(automaton, cfg, plant.n, model.p)
-    rows = build_residual_rows(plant, model, automaton, cfg, variables)
-    values = evaluate_rows(rows, np.zeros(variables.count))
+    _, entries = kernel_entries(plant, model, automaton, cfg, variables, "residual",
+                                np.zeros(variables.count))
+    values = sum(np.abs(value) for value in entries.values())
     expected = np.max(np.sum(np.abs(plant.A), axis=1))
     assert np.isclose(np.max(values), expected, atol=1e-12)
 
@@ -64,25 +64,26 @@ def test_residual_row_structure_small():
     plant, model, automaton = tiny_plant(0.0)
     cfg = SynthesisConfig(memory=1, fir_length=1)
     variables = decision_variables(automaton, cfg, plant.n, model.p)
-    rows = build_residual_rows(plant, model, automaton, cfg, variables)
-    assert len(rows) == 1
     rng = np.random.default_rng(0)
     x = rng.uniform(-1, 1, variables.count)
-    z0 = x[variables.var("Z", (0,), 0, 0, 0)]
-    q0 = x[variables.var("Q", (0,), 0, 0, 0)]
-    by_lag = {lag: form for lag, _, form in rows[0].entries}
+    windows, entries = kernel_entries(plant, model, automaton, cfg, variables, "residual", x)
+    assert len(windows) * plant.n == 1
+    z0 = x[variables.z_var(0, 0, 0, 0)]
+    q0 = x[variables.q_var(0, 0, 0, 0)]
+    by_lag = {lag: value[0, 0] for (lag, _), value in entries.items()}
     # lag 0: Z0 C - Q0 ; lag 1: A + Q0 A
-    assert np.isclose(form_value(by_lag[0], x), z0 * 1.0 - q0, atol=1e-12)
-    assert np.isclose(form_value(by_lag[1], x), 0.5 + q0 * 0.5, atol=1e-12)
+    assert np.isclose(by_lag[0], z0 * 1.0 - q0, atol=1e-12)
+    assert np.isclose(by_lag[1], 0.5 + q0 * 0.5, atol=1e-12)
 
 
 def test_switching_row_and_lag_counts(switching_setup):
     plant, model, automaton, config = switching_setup
     variables = decision_variables(automaton, config, plant.n, model.p)
-    rows = build_residual_rows(plant, model, automaton, config, variables)
-    assert len({row.history for row in rows}) == 32
-    assert len(rows) == 32 * 3
-    lags = {lag for lag, _, _ in rows[0].entries}
+    windows, entries = kernel_entries(plant, model, automaton, config, variables, "residual",
+                                      np.zeros(variables.count))
+    assert len(set(windows)) == 32
+    assert len(windows) * plant.n == 32 * 3
+    lags = {lag for lag, _ in entries}
     assert lags == set(range(6))
 
 
@@ -96,16 +97,16 @@ def test_performance_rows_zero_decision():
     automaton = SwitchingAutomaton.complete(1)
     cfg = SynthesisConfig(memory=1, fir_length=2)
     variables = decision_variables(automaton, cfg, plant.n, model.p)
-    rows = build_performance_rows(plant, model, automaton, cfg, variables)
-    values = evaluate_rows(rows, np.zeros(variables.count))
-    for row, value in zip(rows, values):
-        expected = np.sum(np.abs(B[row.row_index])) + 1.0
-        assert np.isclose(value, expected, atol=1e-12)
+    _, entries = kernel_entries(plant, model, automaton, cfg, variables, "performance",
+                                np.zeros(variables.count))
+    values = sum(np.abs(value) for value in entries.values())
+    for row_index in range(plant.n):
+        expected = np.sum(np.abs(B[row_index])) + 1.0
+        assert np.allclose(values[:, row_index], expected, atol=1e-12)
 
 
 def test_reference_taps_reproduce_nominal_cost(nominal_setup):
     plant, model, automaton, config = nominal_setup
-    variables = decision_variables(automaton, config, plant.n, model.p)
     A = plant.A
     C0 = model.C(0)
     Z0 = -demo.REFERENCE_NOMINAL_TAPS[0]
@@ -114,22 +115,19 @@ def test_reference_taps_reproduce_nominal_cost(nominal_setup):
     Q1 = A + Z1 @ C0 + Q0 @ A  # residual closure; nonzero only through rounding
     Q = SwitchingFIR(1, 2, 3, 3, {((0,), 0): Q0, ((0,), 1): Q1})
     Z = SwitchingFIR(1, 2, 2, 3, {((0,), 0): Z0, ((0,), 1): Z1})
-    x = pack(variables, Q, Z)
-    perf = evaluate_rows(build_performance_rows(plant, model, automaton, config, variables), x)
+    res, perf = row_gains(plant, model, automaton, config, Q, Z)
     assert abs(np.max(perf) - demo.REFERENCE_NOMINAL_COST) < 0.05
-    res = evaluate_rows(build_residual_rows(plant, model, automaton, config, variables), x)
     assert np.max(res) < 0.02  # published taps are rounded to ~2 decimals
 
 
 def test_rows_match_operator_kernels(switching_setup):
     plant, model, automaton, config = switching_setup
     variables = decision_variables(automaton, config, plant.n, model.p)
-    res_rows = build_residual_rows(plant, model, automaton, config, variables)
-    perf_rows = build_performance_rows(plant, model, automaton, config, variables)
-    res_by_key = {(r.history, r.row_index): r for r in res_rows}
-    perf_by_key = {(r.history, r.row_index): r for r in perf_rows}
     rng = np.random.default_rng(2)
     x = rng.uniform(-1, 1, variables.count)
+    windows, res = kernel_entries(plant, model, automaton, config, variables, "residual", x)
+    _, perf = kernel_entries(plant, model, automaton, config, variables, "performance", x)
+    window_index = {hist: w for w, hist in enumerate(windows)}
     Q, Z = variables.unpack(x)
     H = 12
     L = config.window
@@ -138,20 +136,18 @@ def test_rows_match_operator_kernels(switching_setup):
         E = residual_operator(plant, Q, Z, model, sigma, H, automaton.padding_mode)
         Phi = performance_operator(plant, Q, Z, model, sigma, H, automaton.padding_mode)
         for t in (L, H - 1):
-            hist = history_at(sigma, t, L, automaton.padding_mode)
+            w = window_index[history_at(sigma, t, L, automaton.padding_mode)]
             for i in range(plant.n):
-                for lag, col, form in res_by_key[(hist, i)].entries:
-                    assert np.isclose(form_value(form, x), E.entry(t, lag)[i, col], atol=1e-12)
-                for lag, col, form in perf_by_key[(hist, i)].entries:
-                    assert np.isclose(form_value(form, x), Phi.entry(t, lag)[i, col], atol=1e-12)
+                for (lag, col), value in res.items():
+                    assert np.isclose(value[w, i], E.entry(t, lag)[i, col], atol=1e-12)
+                for (lag, col), value in perf.items():
+                    assert np.isclose(value[w, i], Phi.entry(t, lag)[i, col], atol=1e-12)
 
 
 def test_assemble_exact_has_pure_equalities(switching_setup):
     plant, model, automaton, config = switching_setup
     variables = decision_variables(automaton, config, plant.n, model.p)
-    res = build_residual_rows(plant, model, automaton, config, variables)
-    perf = build_performance_rows(plant, model, automaton, config, variables)
-    lp = assemble_lp(res, perf, config, variables)
+    lp = assemble_lp(plant, model, automaton, config, variables)
     eq_rows = [c for c in lp.constraints if c[1] == EQ]
     assert eq_rows, "exact mode must carry residual equalities"
     # every equality touches only decision variables (no slack columns)
@@ -159,7 +155,7 @@ def test_assemble_exact_has_pure_equalities(switching_setup):
         assert not np.any(coeffs[variables.count:])
     relaxed = SynthesisConfig(memory=config.memory, fir_length=config.fir_length,
                               mode="relaxed", eps_bar=0.2)
-    lp2 = assemble_lp(res, perf, relaxed, variables)
+    lp2 = assemble_lp(plant, model, automaton, relaxed, variables)
     assert all(c[1] != EQ for c in lp2.constraints)
 
 
@@ -168,6 +164,37 @@ def test_decision_variable_count_audit(switching_setup):
     variables = decision_variables(automaton, config, plant.n, model.p)
     # 2 histories x 5 lags x (3x2 + 3x3) entries
     assert variables.count == 150
+    assert symbolic_variables(automaton, config, plant.n, model.p).count == 150
+
+
+@pytest.mark.parametrize("memory, fir_length, patterns", [
+    (1, 5, [[1, 2], [1]]),
+    (2, 4, [[1, 2], [1]]),
+    (2, 3, [[1, 2], [2], [1]]),
+])
+def test_variable_ids_match_oracle(memory, fir_length, patterns):
+    cfg = demo.demo_config_dict()
+    cfg["attack"]["patterns"] = patterns
+    cfg["synthesis"].update(M=memory, N=fir_length)
+    plant, model, automaton, config, _ = parse_problem(cfg)
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    oracle = symbolic_variables(automaton, config, plant.n, model.p)
+    assert variables.histories == oracle.histories
+    assert variables.count == oracle.count
+    for a, hist in enumerate(variables.histories):
+        for lag in range(fir_length):
+            for r in range(plant.n):
+                for c in range(plant.n):
+                    assert variables.q_var(a, lag, r, c) == oracle.var("Q", hist, lag, r, c)
+                for c in range(model.p):
+                    assert variables.z_var(a, lag, r, c) == oracle.var("Z", hist, lag, r, c)
+    # unpack then pack gives back every bit, signed zeros included
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, variables.count)
+    x[::5] = 0.0
+    x[::7] = -0.0
+    Q, Z = variables.unpack(x)
+    assert variables.pack(Q, Z).tobytes() == x.tobytes()
+    assert pack(oracle, Q, Z).tobytes() == x.tobytes()
 
 
 def test_tiny_deadbeat_matches_grid_search():
@@ -318,7 +345,7 @@ def assert_row_gains_match_oracle(plant, model, automaton, config, Q, Z):
 
     Returns the oracle's (residual, performance) gains.
     """
-    variables = decision_variables(automaton, config, plant.n, model.p)
+    variables = symbolic_variables(automaton, config, plant.n, model.p)
     x = pack(variables, Q, Z)
     expected = (
         evaluate_rows(build_residual_rows(plant, model, automaton, config, variables), x),
@@ -380,6 +407,31 @@ def row_gain_cases(draw):
 @given(row_gain_cases())
 def test_row_gains_match_oracle_random(case):
     assert_row_gains_match_oracle(*case)
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_gain_cases())
+def test_assemble_lp_matches_oracle_random(case):
+    """The array-built LP is the symbolic oracle's LP, bit for bit, in both modes."""
+    plant, model, automaton, exact, _, _ = case
+    for config in (exact, dataclasses.replace(exact, mode="relaxed", eps_bar=0.25)):
+        lp = assemble_lp(plant, model, automaton, config,
+                         decision_variables(automaton, config, plant.n, model.p))
+        oracle_vars = symbolic_variables(automaton, config, plant.n, model.p)
+        oracle = assemble_symbolic_lp(
+            build_residual_rows(plant, model, automaton, config, oracle_vars),
+            build_performance_rows(plant, model, automaton, config, oracle_vars),
+            config, oracle_vars)
+        assert format_lp(lp) == format_lp(oracle)
+        assert lp.variable_count == oracle.variable_count
+        assert lp.objective.tobytes() == oracle.objective.tobytes()
+        assert lp.bounds == oracle.bounds
+        assert len(lp.constraints) == len(oracle.constraints)
+        for (coeffs, rel, rhs), (o_coeffs, o_rel, o_rhs) in zip(lp.constraints,
+                                                                oracle.constraints):
+            assert coeffs.tobytes() == o_coeffs.tobytes()
+            assert rel == o_rel
+            assert np.float64(rhs).tobytes() == np.float64(o_rhs).tobytes()
 
 
 # (nominal, M, N, mode, eps_bar) of the benchmark's five demo designs; the

@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from switchguard import operator_core as oc
-from switchguard.lp_solver import PIVOT_TOL, LpNumericalError
+from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator
 from switchguard.simulate import Scenario
-from switchguard.switched_model import SwitchingFIR, instantiate, lift_outputs
-from switchguard.synthesis import (DecisionVariables, SynthesisResult, performance_operator,
+from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
+                                        SwitchingFIR, enumerate_histories, instantiate,
+                                        lift_outputs)
+from switchguard.synthesis import (MODE_RELAXED, SynthesisConfig, SynthesisResult, _check_dims,
+                                   _kernel_terms, _windows, performance_operator,
                                    residual_operator)
 
 
@@ -229,8 +233,8 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
     return prefix, value_of(prefix)
 
 
-def pack(variables: DecisionVariables, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
-    """Decision vector holding the taps of (Q, Z); the inverse of variables.unpack."""
+def pack(variables: SymbolicVariables, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
+    """Decision vector holding the taps of (Q, Z) in the oracle's numbering."""
     x = np.zeros(variables.count)
     for hist in variables.histories:
         for lag in range(variables.fir_length):
@@ -267,3 +271,260 @@ def row_gain(row, x: np.ndarray) -> float:
 def evaluate_rows(rows, x: np.ndarray) -> np.ndarray:
     """Reference absolute row sums of symbolic constraint rows at a decision point."""
     return np.array([row_gain(row, x) for row in rows])
+
+
+def kernel_entries(plant, model, automaton, config, variables, kind: str, x: np.ndarray):
+    """The production kernel-entry terms of the `kind` rows evaluated at x.
+
+    kind is "residual" or "performance".  Returns (windows, values): the
+    windows as tuples in row order, and per entry (lag, input column), in
+    row entry order, the (window, state row) array of const + (((0 + a1*x1)
+    + a2*x2) + ...) with `variables` numbering the terms.
+    """
+    windows, taps, tap_ids = _windows(automaton, config)
+    position = {hist: a for a, hist in enumerate(variables.histories)}
+    hist_ids = np.array([position[hist] for hist in taps], dtype=np.intp)[tap_ids]
+    values = {}
+    for lag, col, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
+                                                     variables):
+        shape = np.broadcast_shapes(var.shape, coeff.shape)
+        var, coeff = np.broadcast_to(var, shape), np.broadcast_to(coeff, shape)
+        for j in range(shape[2]):
+            total = np.zeros(shape[:2])
+            for t in range(shape[3]):
+                total = total + coeff[:, :, j, t] * x[var[:, :, j, t]]
+            values[(lag, col + j)] = const[:, j] + total
+    return [tuple(w) for w in windows.tolist()], values
+
+
+# ------------------------------------------------------------ symbolic oracle
+#
+# Symbolic constraint rows and LP assembly: one LinearForm dict per kernel
+# entry, numbered by a tuple-keyed dict.  The reference that the
+# array-built kernel-entry terms of synthesis.py must reproduce bit for bit.
+
+
+class SymbolicVariables:
+    """Dict-based numbering of the Q/Z coefficient entries."""
+
+    def __init__(self, histories, memory: int, fir_length: int, n: int, p: int):
+        self.memory = memory
+        self.fir_length = fir_length
+        self.n = n
+        self.p = p
+        self.histories = [tuple(h) for h in histories]
+        self.index: dict[tuple, int] = {}
+        for hist in self.histories:
+            for lag in range(fir_length):
+                for r in range(n):
+                    for c in range(n):
+                        self.index[("Q", hist, lag, r, c)] = len(self.index)
+                for r in range(n):
+                    for c in range(p):
+                        self.index[("Z", hist, lag, r, c)] = len(self.index)
+
+    @property
+    def count(self) -> int:
+        return len(self.index)
+
+    def var(self, kind: str, hist: tuple, lag: int, r: int, c: int) -> int:
+        return self.index[(kind, hist, lag, r, c)]
+
+
+def symbolic_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
+                       n: int, p: int) -> SymbolicVariables:
+    return SymbolicVariables(enumerate_histories(automaton, config.memory),
+                             config.memory, config.fir_length, n, p)
+
+
+@dataclass
+class LinearForm:
+    """Affine expression in the decision variables: sum coeffs[v]*x[v] + const."""
+
+    coeffs: dict = field(default_factory=dict)
+    const: float = 0.0
+
+    def add_term(self, var: int, coeff: float) -> None:
+        if coeff != 0.0:
+            self.coeffs[var] = self.coeffs.get(var, 0.0) + coeff
+
+    def key(self) -> tuple:
+        return (tuple(sorted(self.coeffs.items())), self.const)
+
+
+@dataclass(frozen=True)
+class ConstraintRow:
+    """One output row of a kernel operator along a fixed trailing mode window.
+
+    entries holds (lag, input column, affine form) for every kernel entry
+    of the row; the row's gain is the sum of absolute entry values.
+    """
+
+    history: tuple
+    row_index: int
+    kind: str  # "residual" | "performance"
+    entries: tuple
+
+
+def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
+                automaton: SwitchingAutomaton, config: SynthesisConfig, variables):
+    """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the mode_matrix blocks.
+
+    Yields (window, tap window, state row, entries) for every admissible
+    extended window; entries is a list of (lag, input column, affine form).
+    Lag k of a row reads the tap window anchored at the output time and the
+    mode delivered k steps earlier.
+    """
+    n, q = X.shape
+    p = variables.p
+    M, N, L = config.memory, config.fir_length, config.window
+    # Y0 is -I or 0: looping Q over its full columns would slow the row build
+    y0_terms = [[(r, Y0[r, col]) for r in range(n) if Y0[r, col] != 0.0] for col in range(q)]
+    for h in enumerate_histories(automaton, L):
+        hm = h[L - M:]
+        for i in range(n):
+            entries = []
+            for k in range(N + 1):
+                M_k = mode_matrix(h[L - 1 - k]) if k <= N - 1 else None
+                for col in range(q):
+                    form = LinearForm()
+                    if k == 1:
+                        form.const += X[i, col]
+                    if k <= N - 1:
+                        for c in range(p):
+                            form.add_term(variables.var("Z", hm, k, i, c), M_k[c, col])
+                        for r, y0 in y0_terms[col]:
+                            form.add_term(variables.var("Q", hm, k, i, r), y0)
+                    if 1 <= k <= N:
+                        for r in range(n):
+                            form.add_term(variables.var("Q", hm, k - 1, i, r), X[r, col])
+                    entries.append((k, col, form))
+            yield h, hm, i, entries
+
+
+def build_residual_rows(plant: ChannelPlant, model: SwitchedOutputModel,
+                        automaton: SwitchingAutomaton, config: SynthesisConfig,
+                        variables=None) -> list[ConstraintRow]:
+    """Rows of the contraction operator shift(A) + Z Cbar + Q (shift(A) - I).
+
+    One row per admissible extended window and state component; entries are
+    affine in the Q/Z coefficients.
+    """
+    _check_dims(plant, model)
+    if variables is None:
+        variables = symbolic_variables(automaton, config, plant.n, model.p)
+    return [ConstraintRow(h, i, "residual", tuple(entries))
+            for h, _, i, entries in kernel_rows(plant.A, model.C, -np.eye(plant.n),
+                                                automaton, config, variables)]
+
+
+def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
+                           automaton: SwitchingAutomaton, config: SynthesisConfig,
+                           variables=None) -> list[ConstraintRow]:
+    """Rows of the error gain operator [shift(B) + Z Dbar + Q shift(B), I + Q].
+
+    Input columns are stacked: disturbance channels first, then the
+    initial-condition channels.
+    """
+    _check_dims(plant, model)
+    if variables is None:
+        variables = symbolic_variables(automaton, config, plant.n, model.p)
+    n, m_w = plant.n, plant.m_w
+    rows = []
+    for h, hm, i, entries in kernel_rows(plant.B, model.D, np.zeros((n, m_w)),
+                                         automaton, config, variables):
+        for k in range(config.fir_length):
+            for j in range(n):
+                form = LinearForm()
+                if k == 0 and i == j:
+                    form.const += 1.0
+                form.add_term(variables.var("Q", hm, k, i, j), 1.0)
+                entries.append((k, m_w + j, form))
+        rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
+    return rows
+
+
+def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfig,
+                          variables) -> LinearProgram:
+    """Min-gamma LP: per performance row, the absolute entry values sum to
+    at most gamma; residual entries vanish (exact) or their row sums stay
+    below eps_bar (relaxed).
+
+    Structurally identical affine entries share one absolute-value slack,
+    and identical rows collapse, so the LP stays small while covering
+    every admissible window.
+    """
+    if not performance_rows:
+        raise ValueError("no performance rows; nothing to optimize")
+    nvar = variables.count
+    gamma = nvar
+    slack_ids: dict[tuple, int] = {}
+    slack_forms: list[LinearForm] = []
+
+    def slack_of(form: LinearForm) -> int:
+        key = form.key()
+        sid = slack_ids.get(key)
+        if sid is None:
+            sid = len(slack_forms)
+            slack_ids[key] = sid
+            slack_forms.append(form)
+        return sid
+
+    perf_row_slacks: dict[tuple, list[int]] = {}
+    for row in performance_rows:
+        sids = [slack_of(form) for _, _, form in row.entries]
+        perf_row_slacks.setdefault(tuple(sorted(sids)), sids)
+
+    relaxed = config.mode == MODE_RELAXED
+    res_eqs: dict[tuple, LinearForm] = {}
+    res_row_slacks: dict[tuple, list[int]] = {}
+    for row in residual_rows:
+        if relaxed:
+            sids = [slack_of(form) for _, _, form in row.entries]
+            res_row_slacks.setdefault(tuple(sorted(sids)), sids)
+        else:
+            for _, _, form in row.entries:
+                res_eqs.setdefault(form.key(), form)
+
+    nslack = len(slack_forms)
+    total = nvar + 1 + nslack
+    lp = LinearProgram(
+        variable_count=total,
+        objective=np.concatenate([np.zeros(nvar), [1.0], np.zeros(nslack)]),
+        bounds=[(None, None)] * nvar + [(0.0, None)] * (1 + nslack),
+    )
+
+    for sid, form in enumerate(slack_forms):
+        # s >= form and s >= -form
+        up = np.zeros(total)
+        for v, a in form.coeffs.items():
+            up[v] = a
+        up[nvar + 1 + sid] = -1.0
+        lp.add(up, LE, -form.const)
+        dn = np.zeros(total)
+        for v, a in form.coeffs.items():
+            dn[v] = -a
+        dn[nvar + 1 + sid] = -1.0
+        lp.add(dn, LE, form.const)
+
+    for sids in perf_row_slacks.values():
+        row = np.zeros(total)
+        for sid in sids:
+            row[nvar + 1 + sid] += 1.0
+        row[gamma] = -1.0
+        lp.add(row, LE, 0.0)
+
+    if relaxed:
+        for sids in res_row_slacks.values():
+            row = np.zeros(total)
+            for sid in sids:
+                row[nvar + 1 + sid] += 1.0
+            lp.add(row, LE, config.eps_bar)
+    else:
+        for form in res_eqs.values():
+            row = np.zeros(total)
+            for v, a in form.coeffs.items():
+                row[v] = a
+            lp.add(row, EQ, -form.const)
+
+    return lp
