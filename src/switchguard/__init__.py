@@ -7,8 +7,8 @@ factors.  This package provides the operator algebra, the switching
 model, the LP reduction and solver, a time-domain harness, and a CLI.
 """
 from .operator_core import (Signal, TruncatedOperator, add, apply, compose, delay,
-                            hstack, identity, induced_norm, invert, make_diagonal,
-                            resolvent_of_state, row_gain, scale, zero_operator)
+                            hstack, identity, induced_norm, make_diagonal, row_gain, scale,
+                            zero_operator)
 from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
                              SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
                              enumerate_histories, history_at, instantiate, lift_outputs)

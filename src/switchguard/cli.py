@@ -214,14 +214,21 @@ def _fir_from_json(data, path: str) -> SwitchingFIR:
     try:
         coeffs = {(tuple(e["history"]), e["lag"]): np.array(e["matrix"], dtype=float)
                   for e in data["entries"]}
-        return SwitchingFIR(int(data["memory"]), int(data["fir_length"]),
-                            int(data["in_dim"]), int(data["out_dim"]), coeffs,
-                            output_only=bool(data.get("output_only", False)))
+        fir = SwitchingFIR(int(data["memory"]), int(data["fir_length"]),
+                           int(data["in_dim"]), int(data["out_dim"]), coeffs,
+                           output_only=bool(data.get("output_only", False)))
     except (KeyError, TypeError, ValueError) as exc:
         # name the first malformed entry; otherwise the error is the FIR's own
         for i, entry in enumerate(data["entries"]):
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
+    # one check over all taps; only a failure looks for the entry to name
+    if fir.coeffs and not np.isfinite(np.concatenate(
+            [mat.ravel() for mat in fir.coeffs.values()])).all():
+        for i, entry in enumerate(data["entries"]):
+            _expect(np.isfinite(np.array(entry["matrix"], dtype=float)).all(),
+                    f"{path}.entries[{i}].matrix", "matrix entries must be finite")
+    return fir
 
 
 def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> dict:
@@ -359,15 +366,14 @@ def cmd_norm(args) -> int:
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         sigmas = [automaton.random_sequence(H, rng) for _ in range(args.samples)]
 
+    E = residual_operator(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
+                          automaton.padding_mode)
+    Phi = performance_operator(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
+                               automaton.padding_mode)
     writer = csv.writer(sys.stdout)
     writer.writerow(["sigma", "eps", "gamma"])
-    for sigma in sigmas:
-        E = residual_operator(plant, result.Q, result.Z, model, sigma, len(sigma),
-                              automaton.padding_mode)
-        Phi = performance_operator(plant, result.Q, result.Z, model, sigma, len(sigma),
-                                   automaton.padding_mode)
-        writer.writerow(["".join(map(str, sigma)), f"{oc.induced_norm(E):.12g}",
-                         f"{oc.induced_norm(Phi):.12g}"])
+    for sigma, eps, gamma in zip(sigmas, oc.induced_norm(E), oc.induced_norm(Phi)):
+        writer.writerow(["".join(map(str, sigma)), f"{eps:.12g}", f"{gamma:.12g}"])
     return EXIT_OK
 
 
@@ -379,9 +385,14 @@ def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
     sigma = data["sigma"]
     _expect(isinstance(sigma, list) and sigma and all(isinstance(m, int) for m in sigma),
             "scenario.sigma", "expected a non-empty list of mode indices")
-    x0 = np.array(data.get("x0", [0.0] * plant.n), dtype=float)
-    return Scenario(sigma=sigma, w=oc.Signal(w), x0=x0, horizon=len(sigma),
-                    x0_time=int(data.get("x0_time", 0)))
+    x0 = data.get("x0", [0.0] * plant.n)
+    _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")
+    x0 = np.array([_number(v, "scenario.x0") for v in x0])
+    _expect(all(map(math.isfinite, x0.tolist())), "scenario.x0", "entries must be finite")
+    x0_time = _integer(data.get("x0_time", 0), "scenario.x0_time")
+    _expect(0 <= x0_time < len(sigma), "scenario.x0_time",
+            f"must lie in 0..{len(sigma) - 1}, the times of scenario.sigma")
+    return Scenario(sigma=sigma, w=oc.Signal(w), x0=x0, horizon=len(sigma), x0_time=x0_time)
 
 
 def cmd_simulate(args) -> int:

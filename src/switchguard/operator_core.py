@@ -1,10 +1,14 @@
-"""Finite-horizon causal operators stored as block lower-triangular kernels.
+"""Finite-horizon causal operators stored as read-only lag bands.
 
 A causal linear map between vector-valued sequences is represented by its
 block kernel: entry (t, k) is the matrix multiplying the input sample at
-time t - k when producing the output sample at time t.  Only nonzero
-entries are stored, so diagonal and FIR operators cost O(taps) rather
-than O(horizon^2).  All arithmetic is dense double precision.
+time t - k when producing the output sample at time t.  The kernel is kept
+as one ndarray `band` of shape (..., H, L, out_dim, in_dim) with L <= H:
+band[..., t, k] is the lag-k block at time t, zero where k > t, and lags
+from L on are zero.  Diagonal operators have L = 1 and FIR operators L =
+taps, so storage is O(horizon * lags) rather than O(horizon^2).  Leading
+axes are a batch of operators, e.g. one per sampled mode sequence; every
+operation broadcasts over them.  All arithmetic is dense double precision.
 """
 from __future__ import annotations
 
@@ -22,9 +26,7 @@ __all__ = [
     "compose",
     "add",
     "scale",
-    "resolvent_of_state",
     "is_singular",
-    "invert",
     "hstack",
     "apply",
     "induced_norm",
@@ -75,63 +77,89 @@ class Signal:
 class TruncatedOperator:
     """Causal block-kernel operator on signals of a fixed finite horizon.
 
-    kernel maps (t, k) with 0 <= k <= t < horizon to an (out_dim, in_dim)
-    matrix; absent entries are zero.  Instances are immutable.
+    Built from a kernel dict mapping (t, k) with 0 <= k <= t < horizon to an
+    (out_dim, in_dim) matrix, absent entries being zero, or by `from_band`.
+    Instances and their band are immutable.
     """
 
-    __slots__ = ("horizon", "in_dim", "out_dim", "kernel", "_rows")
+    __slots__ = ("horizon", "in_dim", "out_dim", "band")
 
     def __init__(self, horizon: int, in_dim: int, out_dim: int,
                  kernel: dict[tuple[int, int], np.ndarray]):
         if horizon < 1 or in_dim < 1 or out_dim < 1:
             raise ValueError("horizon and dimensions must be positive")
-        clean: dict[tuple[int, int], np.ndarray] = {}
-        rows: dict[int, list[tuple[int, np.ndarray]]] = {}
+        lags = 1
         for (t, k), mat in kernel.items():
             if not (0 <= k <= t < horizon):
                 raise ValueError(f"kernel index (t={t}, k={k}) is not causal for horizon {horizon}")
-            m = _as_matrix(mat)
-            if m.shape != (out_dim, in_dim):
-                raise ValueError(
-                    f"kernel entry ({t},{k}) has shape {m.shape}, expected {(out_dim, in_dim)}")
-            m = m.copy()
-            m.flags.writeable = False
-            clean[(t, k)] = m
-            rows.setdefault(t, []).append((k, m))
-        for t in rows:
-            rows[t].sort(key=lambda pair: pair[0])
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "in_dim", in_dim)
-        object.__setattr__(self, "out_dim", out_dim)
-        object.__setattr__(self, "kernel", clean)
-        object.__setattr__(self, "_rows", rows)
+            if _as_matrix(mat).shape != (out_dim, in_dim):
+                raise ValueError(f"kernel entry ({t},{k}) has shape {np.shape(mat)}, "
+                                 f"expected {(out_dim, in_dim)}")
+            lags = max(lags, k + 1)
+        band = np.zeros((horizon, lags, out_dim, in_dim))
+        for (t, k), mat in kernel.items():
+            band[t, k] = mat
+        self._set(band)
+
+    @classmethod
+    def from_band(cls, band: np.ndarray) -> "TruncatedOperator":
+        """Wrap a causal band (..., H, L, out_dim, in_dim), L <= H, without copying.
+
+        The caller hands the array over: it is made read-only.
+        """
+        if band.ndim < 4 or band.shape[-3] > band.shape[-4] or 0 in band.shape[-4:]:
+            raise ValueError(f"band shape {band.shape} is not (..., H, L <= H, out, in)")
+        op = cls.__new__(cls)
+        op._set(band)
+        return op
+
+    def _set(self, band: np.ndarray) -> None:
+        band.flags.writeable = False
+        object.__setattr__(self, "band", band)
+        object.__setattr__(self, "horizon", band.shape[-4])
+        object.__setattr__(self, "out_dim", band.shape[-2])
+        object.__setattr__(self, "in_dim", band.shape[-1])
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedOperator is immutable")
 
+    @property
+    def lags(self) -> int:
+        """Band width L: kernel entries of lag L and beyond are zero."""
+        return self.band.shape[-3]
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        return self.band.shape[:-4]
+
     def entry(self, t: int, k: int) -> np.ndarray:
-        """Kernel entry at (t, k), materializing zeros for absent indices."""
-        mat = self.kernel.get((t, k))
-        if mat is None:
-            return np.zeros((self.out_dim, self.in_dim))
-        return mat
+        """Kernel entry at (t, k); zero outside the band."""
+        if 0 <= k <= t < self.horizon and k < self.lags:
+            return self.band[..., t, k, :, :]
+        return np.zeros(self.batch_shape + (self.out_dim, self.in_dim))
 
     def row(self, t: int) -> list[tuple[int, np.ndarray]]:
-        """Stored (lag, matrix) pairs of block row t, sorted by lag."""
-        return list(self._rows.get(t, ()))
+        """(lag, matrix) pairs of block row t inside the band, sorted by lag."""
+        return [(k, self.band[..., t, k, :, :]) for k in range(min(t + 1, self.lags))]
+
+    @property
+    def kernel(self) -> dict[tuple[int, int], np.ndarray]:
+        """Every causal entry inside the band, keyed by (t, k)."""
+        return {(t, k): self.band[..., t, k, :, :]
+                for t in range(self.horizon) for k in range(min(t + 1, self.lags))}
 
     def unroll(self) -> np.ndarray:
         """Dense (out_dim*horizon, in_dim*horizon) block lower-triangular matrix."""
         p, m, H = self.out_dim, self.in_dim, self.horizon
-        dense = np.zeros((p * H, m * H))
-        for (t, k), mat in self.kernel.items():
-            s = t - k
-            dense[t * p:(t + 1) * p, s * m:(s + 1) * m] = mat
-        return dense
+        dense = np.zeros(self.batch_shape + (H, H, p, m))
+        for k in range(self.lags):
+            t = np.arange(k, H)
+            dense[..., t, t - k, :, :] = self.band[..., k:, k, :, :]
+        return dense.swapaxes(-3, -2).reshape(self.batch_shape + (H * p, H * m))
 
     def __repr__(self):
         return (f"TruncatedOperator(horizon={self.horizon}, in_dim={self.in_dim}, "
-                f"out_dim={self.out_dim}, nnz={len(self.kernel)})")
+                f"out_dim={self.out_dim}, lags={self.lags}, batch={self.batch_shape})")
 
 
 def make_diagonal(blocks, horizon: int) -> TruncatedOperator:
@@ -152,17 +180,17 @@ def make_diagonal(blocks, horizon: int) -> TruncatedOperator:
     for i, b in enumerate(seq):
         if b.shape != shape:
             raise ValueError(f"block {i} has shape {b.shape}, expected {shape}")
-    kernel = {(t, 0): seq[t] for t in range(horizon)}
-    return TruncatedOperator(horizon, shape[1], shape[0], kernel)
+    return TruncatedOperator.from_band(np.array(seq)[:, None])
 
 
 def delay(power: int, dim: int, horizon: int) -> TruncatedOperator:
     """The shift operator raised to `power`: prepends zeros, truncates at the horizon."""
     if power < 0:
         raise ValueError("delay power must be nonnegative")
-    eye = np.eye(dim)
-    kernel = {(t, power): eye for t in range(power, horizon)}
-    return TruncatedOperator(horizon, dim, dim, kernel)
+    band = np.zeros((horizon, min(power + 1, horizon), dim, dim))
+    if power < horizon:
+        band[power:, power] = np.eye(dim)
+    return TruncatedOperator.from_band(band)
 
 
 def identity(dim: int, horizon: int) -> TruncatedOperator:
@@ -174,56 +202,38 @@ def zero_operator(in_dim: int, out_dim: int, horizon: int) -> TruncatedOperator:
 
 
 def compose(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
-    """Operator product R o S; kernel convolution over intermediate lags."""
+    """Operator product R o S; kernel convolution over intermediate lags.
+
+    Entry (t, k) sums R(t, j) S(t - j, k - j) over the intermediate lag j
+    ascending, one batched matmul per lag j of R.
+    """
     if S.out_dim != R.in_dim:
         raise ValueError(f"inner dimensions differ: R takes {R.in_dim}, S yields {S.out_dim}")
     if R.horizon != S.horizon:
         raise ValueError("horizons differ")
     H = R.horizon
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for (t, j), rmat in R.kernel.items():
-        for k2, smat in S._rows.get(t - j, ()):
-            key = (t, j + k2)
-            prod = rmat @ smat
-            if key in out:
-                out[key] = out[key] + prod
-            else:
-                out[key] = prod
-    return TruncatedOperator(H, S.in_dim, R.out_dim, out)
+    lags = min(H, R.lags + S.lags - 1)
+    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
+    out = np.zeros(batch + (H, lags, R.out_dim, S.in_dim))
+    r, s = R.band, S.band
+    for j in range(R.lags):
+        w = min(S.lags, lags - j)
+        out[..., j:, j:j + w, :, :] += r[..., j:, j, None, :, :] @ s[..., :H - j, :w, :, :]
+    return TruncatedOperator.from_band(out)
 
 
 def add(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
     if (R.in_dim, R.out_dim, R.horizon) != (S.in_dim, S.out_dim, S.horizon):
         raise ValueError("operands must share dimensions and horizon")
-    out = dict(R.kernel)
-    for key, mat in S.kernel.items():
-        if key in out:
-            out[key] = out[key] + mat
-        else:
-            out[key] = mat
-    return TruncatedOperator(R.horizon, R.in_dim, R.out_dim, out)
+    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
+    out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim))
+    out[..., :R.lags, :, :] = R.band
+    out[..., :S.lags, :, :] += S.band
+    return TruncatedOperator.from_band(out)
 
 
 def scale(R: TruncatedOperator, c: float) -> TruncatedOperator:
-    out = {key: c * mat for key, mat in R.kernel.items()}
-    return TruncatedOperator(R.horizon, R.in_dim, R.out_dim, out)
-
-
-def resolvent_of_state(A, horizon: int) -> TruncatedOperator:
-    """Inverse of (I - shift o diag(A)) for a constant state matrix A.
-
-    Kernel entry (t, k) is A^k; finite horizon keeps the sum finite even
-    for unstable A.
-    """
-    A = _as_matrix(A)
-    nd = A.shape[0]
-    if A.shape != (nd, nd):
-        raise ValueError("state matrix must be square")
-    powers = [np.eye(nd)]
-    for _ in range(1, horizon):
-        powers.append(A @ powers[-1])
-    kernel = {(t, k): powers[k] for t in range(horizon) for k in range(t + 1)}
-    return TruncatedOperator(horizon, nd, nd, kernel)
+    return TruncatedOperator.from_band(c * R.band)
 
 
 def is_singular(mat: np.ndarray) -> bool:
@@ -237,77 +247,50 @@ def is_singular(mat: np.ndarray) -> bool:
     return not sv[-1] > sv[0] * max(mat.shape) * np.finfo(float).eps
 
 
-def invert(R: TruncatedOperator) -> TruncatedOperator:
-    """Inverse of a causal operator with invertible lag-0 blocks.
-
-    Block forward substitution on the kernel; raises if any lag-0 block
-    is singular.
-    """
-    if R.in_dim != R.out_dim:
-        raise ValueError("only square operators can be inverted")
-    H, nd = R.horizon, R.in_dim
-    inv0 = []
-    for t in range(H):
-        mat = R.entry(t, 0)
-        if is_singular(mat):
-            raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
-        inv0.append(np.linalg.inv(mat))
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for t in range(H):
-        out[(t, 0)] = inv0[t]
-        for k in range(1, t + 1):
-            acc = np.zeros((nd, nd))
-            for j, rmat in R._rows.get(t, ()):
-                if 1 <= j <= k:
-                    prev = out.get((t - j, k - j))
-                    if prev is not None:
-                        acc += rmat @ prev
-            if np.any(acc):
-                out[(t, k)] = -inv0[t] @ acc
-    return TruncatedOperator(H, nd, nd, out)
-
-
 def hstack(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
     """Concatenate input channels: [R S] acting on stacked (u_R, u_S)."""
     if R.out_dim != S.out_dim or R.horizon != S.horizon:
         raise ValueError("operands must share out_dim and horizon")
-    kernel = {}
-    for key in set(R.kernel) | set(S.kernel):
-        t, k = key
-        kernel[key] = np.hstack([R.entry(t, k), S.entry(t, k)])
-    return TruncatedOperator(R.horizon, R.in_dim + S.in_dim, R.out_dim, kernel)
+    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
+    out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim + S.in_dim))
+    out[..., :R.lags, :, :R.in_dim] = R.band
+    out[..., :S.lags, :, R.in_dim:] = S.band
+    return TruncatedOperator.from_band(out)
 
 
 def apply(R: TruncatedOperator, u: Signal) -> Signal:
-    """y(t) = sum_k kernel(t, k) u(t - k)."""
+    """y(t) = sum_k kernel(t, k) u(t - k), summed over k ascending."""
+    if R.batch_shape:
+        raise ValueError("apply takes a single operator, not a batch")
     if u.dim != R.in_dim:
         raise ValueError(f"signal dim {u.dim} does not match operator in_dim {R.in_dim}")
     if u.horizon != R.horizon:
         raise ValueError("signal horizon does not match operator horizon")
-    out = np.zeros((R.horizon, R.out_dim))
-    samples = u.samples
-    for (t, k), mat in R.kernel.items():
-        out[t] += mat @ samples[t - k]
-    return Signal(out)
+    H = R.horizon
+    out = np.zeros((H, R.out_dim, 1))
+    samples = u.samples[:, :, None]
+    for k in range(R.lags):
+        out[k:] += R.band[k:, k] @ samples[:H - k]
+    return Signal(out[:, :, 0])
 
 
-def _row_abs_sums(R: TruncatedOperator, t: int) -> np.ndarray:
-    """Per-output-row sum of absolute kernel entries of block row t."""
-    sums = np.zeros(R.out_dim)
-    for _, mat in R._rows.get(t, ()):
-        sums += np.sum(np.abs(mat), axis=1)
-    return sums
+def _abs_row_sums(band: np.ndarray) -> np.ndarray:
+    """(..., H, out_dim) absolute row sums: |entries| summed over the inputs,
+    then over the lags in ascending order."""
+    total = np.sum(np.abs(band[..., 0, :, :]), axis=-1)
+    for k in range(1, band.shape[-3]):
+        total += np.sum(np.abs(band[..., k, :, :]), axis=-1)
+    return total
 
 
-def induced_norm(R: TruncatedOperator) -> float:
+def induced_norm(R: TruncatedOperator):
     """Worst-case peak-to-peak gain: max over time and output rows of the
-    absolute row sum across all lags."""
-    best = 0.0
-    for t in range(R.horizon):
-        sums = _row_abs_sums(R, t)
-        if sums.size:
-            best = max(best, float(np.max(sums)))
-    return best
+    absolute row sum across all lags.
+
+    A float for a single operator, an array of batch_shape for a batch.
+    """
+    norms = np.max(_abs_row_sums(R.band), axis=(-2, -1), initial=0.0)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def row_gain(R: TruncatedOperator, t: int) -> tuple[float, Signal]:
@@ -316,12 +299,13 @@ def row_gain(R: TruncatedOperator, t: int) -> tuple[float, Signal]:
     The witness w satisfies apply(R, w)(t)[i*] == value exactly, where i*
     is the maximizing output row.
     """
+    if R.batch_shape:
+        raise ValueError("row_gain takes a single operator, not a batch")
     if not (0 <= t < R.horizon):
         raise ValueError(f"time {t} outside horizon {R.horizon}")
-    sums = _row_abs_sums(R, t)
-    i_star = int(np.argmax(sums)) if sums.size else 0
-    value = float(sums[i_star]) if sums.size else 0.0
+    sums = _abs_row_sums(R.band[t:t + 1])[0]
+    i_star = int(np.argmax(sums))
     witness = np.zeros((R.horizon, R.in_dim))
-    for k, mat in R._rows.get(t, ()):
+    for k, mat in R.row(t):
         witness[t - k] = np.sign(mat[i_star])
-    return value, Signal(witness)
+    return float(sums[i_star]), Signal(witness)

@@ -175,13 +175,15 @@ class _ErrorKernel:
     """Block rows of the error operator of one estimator, one time at a time.
 
     `row(sigma, t, past)` returns block row t of `error_operator(..., sigma,
-    H)` for every H > t, as (lag, matrix) pairs sorted by lag, together with
-    the data later rows need; `past` holds that data for times 0..t-1 of the
-    same sequence.  Each entry is formed by the same products, summed in the
-    same order, as the operator-algebra formulas in `error_operator`'s
-    docstring evaluated with `operator_core` (compose sums over the
+    H)` for every H > t, as one (lags, n, m_w + n) array whose entry k is
+    the lag-k block, together with the data later rows need; `past` holds
+    that data for times 0..t-1 of the same sequence.  Each entry is formed
+    by the same products, summed in the same order, as the operator-algebra
+    formulas in `error_operator`'s docstring (compose sums over the
     intermediate lag j ascending, add puts its left operand first), so the
-    rows equal that product chain bit for bit.
+    rows equal that product chain bit for bit.  A product over several lags
+    is one stacked matmul, whose per-lag products are those of separate
+    matmuls.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -195,6 +197,8 @@ class _ErrorKernel:
         else:
             raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
         self.model = model
+        self.C = np.array([C_j for C_j, _ in model.modes])
+        self.D = np.array([D_j for _, D_j in model.modes])
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
         self.A = plant.A
@@ -203,11 +207,22 @@ class _ErrorKernel:
         # the lag-1 blocks of shift o diag(A) and shift o diag(B)
         self.lam_a = self.eye @ plant.A
         self.lam_b = self.eye @ plant.B
-        self.powers = [np.eye(plant.n)]  # A^k, the kernel of (I - shift(A))^{-1}
+        self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
+        self._tap_stacks: dict = {}
 
-    def _taps(self, fir: SwitchingFIR, sigma, t: int) -> list[np.ndarray]:
+    def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
+        """The taps of lags 0..min(t, N - 1) at time t, stacked (lags, out, in)."""
         hist = history_at(sigma, t, fir.memory, self.pad)
-        return [fir.tap(hist, k) for k in range(min(t, fir.fir_length - 1) + 1)]
+        key = (id(fir), hist, min(t, fir.fir_length - 1) + 1)
+        taps = self._tap_stacks.get(key)
+        if taps is None:
+            taps = np.array([fir.tap(hist, k) for k in range(key[2])])
+            self._tap_stacks[key] = taps
+        return taps
+
+    def _modes_back(self, sigma, t: int, count: int) -> list[int]:
+        """The modes delivered 0..count-1 steps before time t."""
+        return [sigma[t - k] for k in range(count)]
 
     def row(self, sigma, t: int, past: list):
         if not (0 <= sigma[t] < self.model.mode_count):
@@ -217,56 +232,53 @@ class _ErrorKernel:
         q_taps, z_taps = self._taps(self.Q, sigma, t), self._taps(self.Z, sigma, t)
         phi = self._performance_row(sigma, t, q_taps, z_taps)
         if self.kind == "exact":
-            return [(k, -1.0 * mat) for k, mat in phi], None
+            return -1.0 * phi, None
         res = self._resolvent_row(sigma, t, q_taps, z_taps, past)
-        acc: dict[int, np.ndarray] = {}
+        acc = np.zeros((t + 1,) + phi.shape[1:])
+        used = 0
         for j, rmat in res.items():
-            for k2, smat in phi if j == 0 else past[t - j][1]:
-                _add_into(acc, j + k2, rmat @ smat)
-        return [(k, -1.0 * acc[k]) for k in sorted(acc)], (res, phi)
+            later = phi if j == 0 else past[t - j][1]
+            acc[j:j + len(later)] += rmat @ later
+            used = max(used, j + len(later))
+        return -1.0 * acc[:used], (res, phi)
 
-    def _fir_row(self, sigma, t: int) -> list:
+    def _fir_row(self, sigma, t: int) -> np.ndarray:
         """Row t of (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0]."""
-        C, D = self.model.C, self.model.D
         taps = self._taps(self.T, sigma, t)
-        tc_minus_i = [tap @ C(sigma[t - j]) for j, tap in enumerate(taps)]
-        tc_minus_i[0] = tc_minus_i[0] + self.neg_eye
+        modes = self._modes_back(sigma, t, len(taps))
+        tc_minus_i = taps @ self.C[modes]
+        tc_minus_i[0] += self.neg_eye
         while len(self.powers) <= t:
-            self.powers.append(self.A @ self.powers[-1])
-        prefix = []
-        for m in range(t + 1):
-            acc = tc_minus_i[0] @ self.powers[m]
-            for j in range(1, min(m, len(taps) - 1) + 1):
-                acc = acc + tc_minus_i[j] @ self.powers[m - j]
-            prefix.append(acc)
-        row = []
-        for k in range(t + 1):
-            w = prefix[k - 1] @ self.lam_b if k else None
-            if k < len(taps):
-                td = taps[k] @ D(sigma[t - k])
-                w = td if w is None else w + td
-            row.append((k, np.hstack([w, prefix[k]])))
+            self.powers = np.concatenate([self.powers, self.A @ self.powers[-1:]])
+        # prefix[m] = sum over j ascending of tc_minus_i[j] A^(m-j)
+        prefix = tc_minus_i[0] @ self.powers[:t + 1]
+        for j in range(1, len(taps)):
+            prefix[j:] += tc_minus_i[j] @ self.powers[:t + 1 - j]
+        row = np.empty((t + 1, self.n, self.m_w + self.n))
+        row[:, :, self.m_w:] = prefix
+        w_block = row[:, :, :self.m_w]
+        w_block[0] = taps[0] @ self.D[sigma[t]]
+        w_block[1:] = prefix[:t] @ self.lam_b
+        w_block[1:len(taps)] += taps[1:] @ self.D[modes[1:]]
         return row
 
-    def _performance_row(self, sigma, t: int, q_taps, z_taps) -> list:
+    def _performance_row(self, sigma, t: int, q_taps, z_taps) -> np.ndarray:
         """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q]."""
-        D = self.model.D
-        inner = {k: tap @ D(sigma[t - k]) for k, tap in enumerate(z_taps)}
-        for j, tap in enumerate(q_taps):
-            if t - j >= 1:
-                _add_into(inner, j + 1, tap @ self.lam_b)
-        w_block = {1: self.lam_b} if t >= 1 else {}
-        for k, mat in inner.items():
-            _add_into(w_block, k, mat)
-        x0_block = dict(enumerate(q_taps))
-        x0_block[0] = self.eye + q_taps[0]
-        w_zero, x0_zero = np.zeros((self.n, self.m_w)), np.zeros((self.n, self.n))
-        return [(k, np.hstack([w_block.get(k, w_zero), x0_block.get(k, x0_zero)]))
-                for k in sorted(w_block.keys() | x0_block.keys())]
+        m_w = self.m_w
+        row = np.zeros((min(t, max(len(q_taps), len(z_taps))) + 1, self.n, m_w + self.n))
+        w_block, x0_block = row[:, :, :m_w], row[:, :, m_w:]
+        w_block[:len(z_taps)] = z_taps @ self.D[self._modes_back(sigma, t, len(z_taps))]
+        shifted = min(len(q_taps), t)  # Q_j shift(B) reaches lag j + 1 <= t
+        w_block[1:shifted + 1] += q_taps[:shifted] @ self.lam_b
+        if t >= 1:
+            w_block[1] += self.lam_b
+        x0_block[:len(q_taps)] = q_taps
+        x0_block[0] += self.eye
+        return row
 
     def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list) -> dict:
         """Row t of (I - E)^{-1}, E = shift(A) + Z Cbar + Q (shift(A) - I), by
-        the block forward substitution of `operator_core.invert`."""
+        block forward substitution."""
         C = self.model.C
         q_part: dict[int, np.ndarray] = {}
         for j, tap in enumerate(q_taps):
@@ -307,28 +319,24 @@ class _ErrorKernel:
             past.append(carry)
         return rows
 
-    def scan(self, row, t: int, peak: tuple) -> tuple:
+    def scan(self, row: np.ndarray, t: int, peak: tuple) -> tuple:
         """Fold block row t into the running peak (value, t, output row, x0 lag).
 
-        The disturbance takes every lag of an output row; the initial
-        condition, injected once, takes its largest single lag.  Output
-        rows are visited in order and a later one replaces the peak only
-        if it is larger by more than 1e-15.
+        The disturbance takes every lag of an output row, its absolute
+        entries summed over the inputs, then over the lags ascending; the
+        initial condition, injected once, takes its largest single lag, the
+        first of equal ones.  Output rows are visited in order and a later
+        one replaces the peak only if it is larger by more than 1e-15.
         """
         m_w = self.m_w
-        w_sum = np.zeros(self.n)
-        x0_best = np.zeros(self.n)
-        x0_lag = np.zeros(self.n, dtype=int)
-        for k, mat in row:
-            w_sum += np.sum(np.abs(mat[:, :m_w]), axis=1)
-            x0_rows = np.sum(np.abs(mat[:, m_w:]), axis=1)
-            better = x0_rows > x0_best
-            x0_best[better] = x0_rows[better]
-            x0_lag[better] = k
-        values = w_sum + self.bound * x0_best
-        for i in range(self.n):
-            if values[i] > peak[0] + 1e-15:
-                peak = (float(values[i]), t, i, int(x0_lag[i]))
+        mags = np.abs(row)
+        w_sum = np.add.accumulate(np.sum(mags[:, :, :m_w], axis=2), axis=0)[-1]
+        x0_rows = np.sum(mags[:, :, m_w:], axis=2)
+        x0_lag = np.argmax(x0_rows, axis=0)
+        values = w_sum + self.bound * np.max(x0_rows, axis=0)
+        for i, value in enumerate(values.tolist()):
+            if value > peak[0] + 1e-15:
+                peak = (value, t, i, int(x0_lag[i]))
         return peak
 
 
@@ -346,8 +354,10 @@ def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     sigma[:t+1] alone.
     """
     rows = _ErrorKernel(plant, model, estimator, padding_mode).rows(tuple(sigma), horizon)
-    kernel = {(t, k): mat for t, row in enumerate(rows) for k, mat in row}
-    return TruncatedOperator(horizon, plant.m_w + plant.n, plant.n, kernel)
+    band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
+    for t, row in enumerate(rows):
+        band[t, :len(row)] = row
+    return TruncatedOperator.from_band(band)
 
 
 def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -371,12 +381,9 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     value, t_star, i_star, k0 = peak
     m_w = plant.m_w
     w = np.zeros((horizon, m_w))
-    x0_block = np.zeros((plant.n, m_w + plant.n))
-    for k, mat in rows[t_star]:
-        w[t_star - k] = np.sign(mat[i_star, :m_w])
-        if k == k0:
-            x0_block = mat
-    x0 = plant.x0_bound * np.sign(x0_block[i_star, m_w:])
+    row = rows[t_star]
+    w[t_star - np.arange(len(row))] = np.sign(row[:, i_star, :m_w])
+    x0 = plant.x0_bound * np.sign(row[k0, i_star, m_w:])
     scenario = Scenario(sigma=sigma, w=Signal(w), x0=x0, horizon=horizon,
                         x0_time=t_star - k0)
     return scenario, max(value, 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator_core import TruncatedOperator, make_diagonal
+from .operator_core import TruncatedOperator
 
 __all__ = [
     "ChannelPlant",
@@ -359,32 +359,61 @@ class SwitchingFIR:
         return sorted({h for h, _ in self.coeffs})
 
 
+def _sigma_array(sigma, horizon: int) -> np.ndarray:
+    """A mode sequence, or a batch of them, as an integer array (..., horizon)."""
+    arr = np.asarray(sigma)
+    if arr.ndim == 0 or (arr.size and arr.dtype.kind not in "iu"):
+        raise ValueError("sigma must be a sequence of integer modes, or a batch of them")
+    if arr.shape[-1] < horizon:
+        raise ValueError(f"sigma has {arr.shape[-1]} entries, horizon is {horizon}")
+    return arr[..., :horizon].astype(np.intp, copy=False)
+
+
 def instantiate(fir: SwitchingFIR, sigma, horizon: int,
                 padding_mode: int = 0) -> TruncatedOperator:
-    """Freeze the switching FIR along a mode sequence into a kernel operator."""
-    sigma = tuple(sigma)
-    if len(sigma) < horizon:
-        raise ValueError(f"sigma has {len(sigma)} entries, horizon is {horizon}")
-    kernel = {}
-    for t in range(horizon):
-        hist = history_at(sigma, t, fir.memory, padding_mode)
-        for k in range(min(t, fir.fir_length - 1) + 1):
-            kernel[(t, k)] = fir.tap(hist, k)
-    return TruncatedOperator(horizon, fir.in_dim, fir.out_dim, kernel)
+    """Freeze the switching FIR along a mode sequence into a kernel operator.
+
+    sigma may be a batch of sequences, shape (..., horizon); the result is
+    then a batch of operators.  Band entry (t, k) is the lag-k tap of the
+    window ending at time t, gathered through the windows' history ids.
+    """
+    sigma = _sigma_array(sigma, horizon)
+    M, lags = fir.memory, min(fir.fir_length, horizon)
+    padded = np.concatenate([np.full(sigma.shape[:-1] + (M - 1,), padding_mode, np.intp),
+                             sigma], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, M, axis=-1)
+    distinct, window_ids = np.unique(windows.reshape(-1, M), axis=0, return_inverse=True)
+    window_ids = window_ids.reshape(sigma.shape)
+    # a window seen last at time t is read at lags 0..t only
+    last_time = np.zeros(len(distinct), dtype=np.intp)
+    np.maximum.at(last_time, window_ids.reshape(-1),
+                  np.broadcast_to(np.arange(horizon), sigma.shape).reshape(-1))
+    taps = np.zeros((len(distinct), lags, fir.out_dim, fir.in_dim))
+    for w, hist in enumerate(map(tuple, distinct.tolist())):
+        for k in range(min(lags, last_time[w] + 1)):
+            mat = fir.coeffs.get((hist, k))
+            if mat is None:
+                fir.tap(hist, k)  # raises the KeyError naming the window and lag
+            taps[w, k] = mat
+    band = taps[window_ids]
+    t, k = np.ogrid[:horizon, :lags]
+    band[..., k > t, :, :] = 0.0
+    return TruncatedOperator.from_band(band)
 
 
 def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
                  ) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Diagonal operators with blocks C^{sigma(t)}, D^{sigma(t)}."""
-    sigma = tuple(sigma)
-    if len(sigma) < horizon:
-        raise ValueError(f"sigma has {len(sigma)} entries, horizon is {horizon}")
-    for t in range(horizon):
-        if not (0 <= sigma[t] < model.mode_count):
-            raise ValueError(f"mode {sigma[t]} at time {t} out of range")
-    Cbar = make_diagonal([model.C(sigma[t]) for t in range(horizon)], horizon)
-    Dbar = make_diagonal([model.D(sigma[t]) for t in range(horizon)], horizon)
-    return Cbar, Dbar
+    """Diagonal operators with blocks C^{sigma(t)}, D^{sigma(t)}; a batch of
+    operators for a batch of sequences."""
+    sigma = _sigma_array(sigma, horizon)
+    bad = np.argwhere((sigma < 0) | (sigma >= model.mode_count))
+    if len(bad):
+        where = tuple(bad[0])
+        raise ValueError(f"mode {sigma[where]} at time {where[-1]} out of range")
+    C = np.array([C_j for C_j, _ in model.modes])
+    D = np.array([D_j for _, D_j in model.modes])
+    return (TruncatedOperator.from_band(C[sigma][..., None, :, :]),
+            TruncatedOperator.from_band(D[sigma][..., None, :, :]))
 
 
 def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,

@@ -1,9 +1,13 @@
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from switchguard import demo
 from switchguard.synthesis import synthesize
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +41,17 @@ def switching_synthesis(switching_setup):
     t0 = time.perf_counter()
     result = synthesize(plant, model, automaton, config)
     return result, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def perfbench_workloads():
+    """The benchmark's workloads module, imported from perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    return workloads
+
+
+@pytest.fixture(scope="session")
+def stress_state(perfbench_workloads):
+    """The `stress` workload's state: frozen designs, the padded N=10 design."""
+    return perfbench_workloads._stress_setup(PERFBENCH / "data", 0)

@@ -7,15 +7,14 @@ import numpy as np
 
 from switchguard.lp_solver import LE, LinearProgram, solve
 from switchguard.operator_core import (add, apply, compose, delay, identity,
-                                       induced_norm, make_diagonal,
-                                       resolvent_of_state, scale)
+                                       induced_norm, make_diagonal, scale)
 from switchguard.simulate import (Scenario, attack_search, make_trace,
                                   worst_case_inputs)
 from switchguard.switched_model import broadcast_taps
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
                                    parametrization_residual, synthesize)
 from util import (max_abs_row_sum, random_box_lp, random_operator, random_signal,
-                  vertex_minimum)
+                  resolvent_of_state, vertex_minimum)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

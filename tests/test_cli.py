@@ -63,6 +63,22 @@ def test_validate_empty_patterns(tmp_path, capsys):
     assert "attack.patterns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", [float("nan"), 0.0, 0.0]),
+    ("x0_time", 1.7),
+    ("x0_time", "2"),
+    ("x0_time", 9),
+    ("x0_time", -1),
+])
+def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsys, field, value):
+    scen = {"sigma": [0, 1, 0, 1], "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
+    scen[field] = value
+    spath = tmp_path / "scen.json"
+    spath.write_text(json.dumps(scen))
+    assert main(["simulate", restricted_bundle, "--scenario", str(spath)]) == 2
+    assert f"scenario.{field}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tamper, path", [
     pytest.param(lambda c: c.update(plant=5), "plant", id="plant"),
     pytest.param(lambda c: c.update(attack=[1]), "attack", id="attack"),
@@ -264,6 +280,10 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
     pytest.param(lambda b: b["T"]["entries"][1].update(history=[[0]]), "error: T:",
                  id="nested-history"),
     pytest.param(lambda b: b.pop("lag0_margin"), "lag0_margin", id="missing-margin"),
+    pytest.param(lambda b: b["Q"]["entries"][0]["matrix"][0].__setitem__(0, float("nan")),
+                 "Q.entries[0].matrix", id="nan-tap"),
+    pytest.param(lambda b: b["T"]["entries"][1]["matrix"][1].__setitem__(1, float("-inf")),
+                 "T.entries[1].matrix", id="infinite-tap"),
 ])
 def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper, path):
     bundle = json.load(open(nominal_bundle))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchguard import demo
 from switchguard.operator_core import (Signal, TruncatedOperator, add, apply, compose,
-                                       delay, hstack, identity, induced_norm, invert,
-                                       make_diagonal, resolvent_of_state, row_gain,
-                                       scale, zero_operator)
-from util import dense_blockdiag, max_abs_row_sum, random_operator, random_signal
+                                       delay, hstack, identity, induced_norm,
+                                       make_diagonal, row_gain, scale, zero_operator)
+from util import (DictOperator, dense_blockdiag, dict_add, dict_apply, dict_compose,
+                  dict_hstack, dict_induced_norm, dict_scale, invert, max_abs_row_sum,
+                  random_operator, random_signal, resolvent_of_state)
 
 
 def test_make_diagonal_identity_acts_as_identity():
@@ -294,3 +297,84 @@ def test_hstack_applies_blockwise():
     lhs = apply(hstack(R, S), stacked)
     rhs = apply(R, u).samples + apply(S, v).samples
     assert np.allclose(lhs.samples, rhs, atol=1e-12)
+
+
+@st.composite
+def band_cases(draw):
+    """Random causal kernels for three operators R (p x q), S (q x m) and
+    T (p x m2), each a batch of `count` dicts with its own band width, and a
+    scale factor.
+
+    Entries are left out at random and hold exact zeros of both signs; each
+    dict is filled t-major with lags ascending, the order in which the dict
+    algebra sums the products of a compose.
+    """
+    H = draw(st.integers(1, 7))
+    p, q, m, m2 = (draw(st.integers(1, 3)) for _ in range(4))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def kernels(out_dim, in_dim):
+        lags = int(rng.integers(1, H + 1))
+        found = []
+        for _ in range(count):
+            kernel = {}
+            for t in range(H):
+                for k in range(min(t + 1, lags)):
+                    if rng.random() < 0.75:
+                        values = rng.uniform(-2.0, 2.0, (out_dim, in_dim))
+                        draw_zero = rng.random(values.shape)
+                        values[draw_zero < 0.2] = 0.0
+                        values[draw_zero > 0.9] = -0.0
+                        kernel[(t, k)] = values
+            found.append(kernel)
+        return lags, found
+
+    c = draw(st.sampled_from([-1.0, 0.0, 0.3, 2.5]))
+    return H, (p, q, m, m2), kernels(p, q), kernels(q, m), kernels(p, q), kernels(p, m2), c
+
+
+def _batched(H, in_dim, out_dim, lags, dicts):
+    band = np.zeros((len(dicts), H, lags, out_dim, in_dim))
+    for b, kernel in enumerate(dicts):
+        for (t, k), mat in kernel.items():
+            band[b, t, k] = mat
+    return TruncatedOperator.from_band(band)
+
+
+@settings(max_examples=150, deadline=None)
+@given(band_cases())
+def test_band_operations_match_dict_oracle(case):
+    """Batched band compose/add/scale/hstack/induced_norm and per-sequence apply
+    equal the dict oracle bit for bit (array_equal: zeros of either sign are equal)."""
+    H, (p, q, m, m2), (lr, rs), (ls, ss), (lr2, r2s), (lt, ts), c = case
+    R, S = _batched(H, q, p, lr, rs), _batched(H, m, q, ls, ss)
+    R2, T = _batched(H, q, p, lr2, r2s), _batched(H, m2, p, lt, ts)
+    results = {
+        "compose": (compose(R, S), lambda b: dict_compose(ro[b], so[b])),
+        "add": (add(R, R2), lambda b: dict_add(ro[b], r2o[b])),
+        "scale": (scale(R, c), lambda b: dict_scale(ro[b], c)),
+        "hstack": (hstack(R, T), lambda b: dict_hstack(ro[b], to[b])),
+        # an unbatched right operand broadcasts over the batch
+        "compose_broadcast": (compose(R, TruncatedOperator(H, m, q, ss[0])),
+                              lambda b: dict_compose(ro[b], so[0])),
+    }
+    ro = [DictOperator(H, q, p, k) for k in rs]
+    so = [DictOperator(H, m, q, k) for k in ss]
+    r2o = [DictOperator(H, q, p, k) for k in r2s]
+    to = [DictOperator(H, m2, p, k) for k in ts]
+    rng = np.random.default_rng(0)
+    for name, (band_op, oracle) in results.items():
+        norms = induced_norm(band_op)
+        assert norms.shape == (len(rs),)
+        for b in range(len(rs)):
+            expected = oracle(b)
+            single = TruncatedOperator.from_band(band_op.band[b])
+            assert np.array_equal(single.unroll(), expected.unroll()), name
+            assert induced_norm(single) == norms[b] == dict_induced_norm(expected), name
+            u = random_signal(rng, H, single.in_dim)
+            assert np.array_equal(apply(single, u).samples, dict_apply(expected, u).samples)
+    for kernel, oracle in zip(rs, ro):
+        single = TruncatedOperator(H, q, p, kernel)
+        assert np.array_equal(single.unroll(), oracle.unroll())
+        assert induced_norm(single) == dict_induced_norm(oracle)

@@ -41,3 +41,22 @@ def test_traced_synth_and_certify_report_the_lp(nominal_setup):
     assert layers["synthesis.lp_nnz"] == nnz
     assert layers["synthesis.decision_vars"] == variables.count
     assert layers["lp_solver.solve_calls"] == 1
+
+
+def test_traced_certify_reports_the_operator_norms(nominal_setup, nominal_synthesis):
+    """certify's sampled norms are the spans `synthesis.operator_norms_s` sums."""
+    plant, model, automaton, config = nominal_setup
+    result, _ = nominal_synthesis
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer):
+        with tracer.span("bench.certify", kind="certify", label="nominal"):
+            synthesis.certify(plant, model, automaton, config, result, seed=0)
+    (certify_span,) = [i for i, span in enumerate(tracer.spans)
+                       if span.name == "synthesis.certify"]
+    for name in ("synthesis.residual_operator", "synthesis.performance_operator",
+                 "operator_core.induced_norm"):
+        assert [span.parent for span in tracer.spans if span.name == name] \
+            == [certify_span] * (2 if name == "operator_core.induced_norm" else 1)
+    layers = metrics.pass_layers(tracer.spans)
+    assert layers["synthesis.operator_norms_s"] > 0.0
+    assert layers["operator_core.induced_norm_s"] > 0.0

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from switchguard import demo
-from switchguard.operator_core import (Signal, apply, compose, delay,
-                                       make_diagonal, resolvent_of_state)
-from switchguard.simulate import (Scenario, attack_search, error_operator, make_trace,
-                                  run_fir_estimator, run_glo, simulate_plant,
+from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
+from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_operator,
+                                  make_trace, run_fir_estimator, run_glo, simulate_plant,
                                   worst_case_inputs)
 from switchguard.switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR,
                                         broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import SynthesisConfig, synthesize
-from util import (compose_chain_error_operator, per_sequence_attack_search, random_signal,
-                  reference_worst_case_inputs)
+from util import (compose_chain_error_operator, loop_scan, per_sequence_attack_search,
+                  random_signal, reference_worst_case_inputs, resolvent_of_state)
 
 
 def random_problem(rng, n=2, m_w=2, p=2):
@@ -351,3 +350,26 @@ def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_se
     for strategy in ("exhaustive", "greedy"):
         with pytest.raises(ValueError, match="horizon"):
             attack_search(plant, model, result, automaton, horizon, strategy)
+
+
+def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workloads,
+                                                   monkeypatch):
+    """Every row the four `stress` searches fold gives the per-lag loop's peak."""
+    plant, model, automaton = stress_state.problem
+    scan = _ErrorKernel.scan
+    scanned = []
+
+    def checked(kernel, row, t, peak):
+        found = scan(kernel, row, t, peak)
+        assert found == loop_scan(list(enumerate(row)), t, peak, kernel.n, kernel.m_w,
+                                  kernel.bound)
+        scanned.append(t)
+        return found
+
+    monkeypatch.setattr(_ErrorKernel, "scan", checked)
+    for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
+        found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
+                              strategy)
+        assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
+    # 2046 prefix-tree nodes per exhaustive H=10 search, two candidates per greedy step
+    assert len(scanned) == 2 * 2046 + 2 * 60 + 2 * 30

@@ -17,7 +17,7 @@ from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, as
                                    performance_operator, residual_operator, row_gains,
                                    sweep_relaxation, synthesize)
 from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
-                  evaluate_rows, kernel_entries, pack, symbolic_variables)
+                  evaluate_rows, kernel_entries, pack, sampled_norms_loop, symbolic_variables)
 
 
 @pytest.fixture(scope="module")
@@ -445,15 +445,60 @@ DEMO_DESIGNS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def demo_design():
+    """(plant, model, automaton, config, result) of a DEMO_DESIGNS entry, each
+    synthesized once per module."""
+    built = {}
+
+    def get(*design):
+        if design not in built:
+            nominal, memory, fir_length, mode, eps_bar = design
+            cfg = demo.nominal_config_dict() if nominal else demo.demo_config_dict()
+            cfg["synthesis"].update(M=memory, N=fir_length, mode=mode, eps_bar=eps_bar)
+            plant, model, automaton, config, _ = parse_problem(cfg)
+            built[design] = (plant, model, automaton, config,
+                             synthesize(plant, model, automaton, config))
+        return built[design]
+    return get
+
+
 @pytest.mark.parametrize("nominal, memory, fir_length, mode, eps_bar", DEMO_DESIGNS)
-def test_row_gains_match_oracle_demo_designs(nominal, memory, fir_length, mode, eps_bar):
-    cfg = demo.nominal_config_dict() if nominal else demo.demo_config_dict()
-    cfg["synthesis"].update(M=memory, N=fir_length, mode=mode, eps_bar=eps_bar)
-    plant, model, automaton, config, _ = parse_problem(cfg)
-    result = synthesize(plant, model, automaton, config)
+def test_row_gains_match_oracle_demo_designs(demo_design, nominal, memory, fir_length, mode,
+                                             eps_bar):
+    plant, model, automaton, config, result = demo_design(nominal, memory, fir_length, mode,
+                                                          eps_bar)
     residual, _ = assert_row_gains_match_oracle(plant, model, automaton, config,
                                                 result.Q, result.Z)
     assert result.eps_achieved == float(np.max(residual))
+
+
+def assert_sampled_norms_match_oracle(plant, model, automaton, config, result):
+    """certify's batched sampled norms equal the dict oracle's per-sequence loop."""
+    residual, performance = sampled_norms_loop(plant, model, automaton, config, result, seed=3)
+    report = certify(plant, model, automaton, config, result, seed=3)
+    assert report["max_sampled_residual_norm"] == max([0.0] + residual)
+    assert report["max_sampled_performance_norm"] == max([0.0] + performance)
+    rng = np.random.default_rng(3)
+    H = config.verify_horizon
+    sigmas = [automaton.random_sequence(H, rng) for _ in range(config.verify_samples)]
+    for build, oracle in ((residual_operator, residual), (performance_operator, performance)):
+        op = build(plant, result.Q, result.Z, model, sigmas, H, automaton.padding_mode)
+        assert op.batch_shape == (config.verify_samples,)
+        assert induced_norm(op).tolist() == oracle
+
+
+@pytest.mark.parametrize("nominal, memory, fir_length, mode, eps_bar", DEMO_DESIGNS)
+def test_certify_norms_match_dict_oracle_demo_designs(demo_design, nominal, memory, fir_length,
+                                                      mode, eps_bar):
+    assert_sampled_norms_match_oracle(*demo_design(nominal, memory, fir_length, mode, eps_bar))
+
+
+def test_certify_norms_match_dict_oracle_stress(stress_state):
+    """The `stress` workload's certify state: the frozen N=5 design padded to N=10."""
+    plant, model, automaton = stress_state.problem
+    assert_sampled_norms_match_oracle(plant, model, automaton, stress_state.padded_config,
+                                      stress_state.padded)
 
 
 def test_row_gains_match_oracle_zero_padded(switching_synthesis, switching_setup):

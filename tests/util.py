@@ -6,16 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from switchguard import operator_core as oc
 from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
-from switchguard.operator_core import Signal, TruncatedOperator
+from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR, enumerate_histories, instantiate,
-                                        lift_outputs)
+                                        SwitchingFIR, enumerate_histories, history_at)
 from switchguard.synthesis import (MODE_RELAXED, SynthesisConfig, SynthesisResult, _check_dims,
-                                   _kernel_terms, _windows, performance_operator,
-                                   residual_operator)
+                                   _kernel_terms, _windows)
 
 
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
@@ -151,32 +148,33 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
 
 
 def compose_chain_error_operator(plant, model, estimator, sigma, horizon: int,
-                                 padding_mode: int = 0) -> TruncatedOperator:
-    """Reference error operator: the whole-horizon operator-algebra product chain."""
+                                 padding_mode: int = 0) -> DictOperator:
+    """Reference error operator: the whole-horizon product chain of the dict oracle."""
     if isinstance(estimator, SynthesisResult):
-        Phi = performance_operator(plant, estimator.Q, estimator.Z, model,
-                                   sigma, horizon, padding_mode)
+        Phi = dict_performance_operator(plant, estimator.Q, estimator.Z, model,
+                                        sigma, horizon, padding_mode)
         if estimator.eps_achieved <= 1e-9:
-            return oc.scale(Phi, -1.0)
-        E = residual_operator(plant, estimator.Q, estimator.Z, model,
-                              sigma, horizon, padding_mode)
-        eye = oc.identity(plant.n, horizon)
-        resolvent = oc.invert(oc.add(eye, oc.scale(E, -1.0)))
-        return oc.scale(oc.compose(resolvent, Phi), -1.0)
+            return dict_scale(Phi, -1.0)
+        E = dict_residual_operator(plant, estimator.Q, estimator.Z, model,
+                                   sigma, horizon, padding_mode)
+        eye = dict_delay(0, plant.n, horizon)
+        resolvent = dict_invert(dict_add(eye, dict_scale(E, -1.0)))
+        return dict_scale(dict_compose(resolvent, Phi), -1.0)
     if isinstance(estimator, SwitchingFIR):
         n = plant.n
-        T_op = instantiate(estimator, sigma, horizon, padding_mode)
-        Cbar, Dbar = lift_outputs(model, sigma, horizon)
-        R = oc.resolvent_of_state(plant.A, horizon)
-        lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
-        tc_minus_i = oc.add(oc.compose(T_op, Cbar), oc.scale(oc.identity(n, horizon), -1.0))
-        prefix = oc.compose(tc_minus_i, R)
-        w_block = oc.add(oc.compose(prefix, lam_b), oc.compose(T_op, Dbar))
-        return oc.hstack(w_block, prefix)
+        T_op = dict_instantiate(estimator, sigma, horizon, padding_mode)
+        Cbar, Dbar = dict_lift_outputs(model, sigma, horizon)
+        R = dict_resolvent_of_state(plant.A, horizon)
+        lam_b = dict_compose(dict_delay(1, n, horizon), dict_make_diagonal(plant.B, horizon))
+        tc_minus_i = dict_add(dict_compose(T_op, Cbar),
+                              dict_scale(dict_delay(0, n, horizon), -1.0))
+        prefix = dict_compose(tc_minus_i, R)
+        w_block = dict_add(dict_compose(prefix, lam_b), dict_compose(T_op, Dbar))
+        return dict_hstack(w_block, prefix)
     raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
 
 
-def reference_worst_case_inputs(plant, E: TruncatedOperator, sigma):
+def reference_worst_case_inputs(plant, E: DictOperator, sigma):
     """Reference worst-case inputs read off a whole-horizon error operator E along sigma."""
     horizon = E.horizon
     m_w = plant.m_w
@@ -528,3 +526,239 @@ def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfi
             lp.add(row, EQ, -form.const)
 
     return lp
+
+
+# ------------------------------------------------------------ dict operator oracle
+#
+# The kernel-dict operator algebra that operator_core's lag bands replaced:
+# only stored entries, products formed entry by entry and summed over the
+# lags in ascending order.  The
+# reference that the band operations must reproduce bit for bit (zeros of
+# either sign comparing equal), and the home of the inverse and resolvent,
+# which src/ no longer needs.
+
+
+class DictOperator:
+    """Causal operator kept as a dict (t, k) -> matrix of its stored entries."""
+
+    def __init__(self, horizon: int, in_dim: int, out_dim: int, kernel: dict):
+        if horizon < 1 or in_dim < 1 or out_dim < 1:
+            raise ValueError("horizon and dimensions must be positive")
+        self.horizon, self.in_dim, self.out_dim = horizon, in_dim, out_dim
+        self.kernel: dict[tuple[int, int], np.ndarray] = {}
+        self._rows: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for (t, k), mat in kernel.items():
+            if not (0 <= k <= t < horizon):
+                raise ValueError(f"kernel index (t={t}, k={k}) is not causal for horizon {horizon}")
+            m = np.array(mat, dtype=float)
+            if m.shape != (out_dim, in_dim):
+                raise ValueError(f"kernel entry ({t},{k}) has shape {m.shape}")
+            self.kernel[(t, k)] = m
+            self._rows.setdefault(t, []).append((k, m))
+        for row in self._rows.values():
+            row.sort(key=lambda pair: pair[0])
+
+    @staticmethod
+    def of(op: TruncatedOperator) -> "DictOperator":
+        """The oracle copy of a single band operator, every in-band entry stored."""
+        return DictOperator(op.horizon, op.in_dim, op.out_dim, op.kernel)
+
+    def to_band(self) -> TruncatedOperator:
+        return TruncatedOperator(self.horizon, self.in_dim, self.out_dim, self.kernel)
+
+    def entry(self, t: int, k: int) -> np.ndarray:
+        mat = self.kernel.get((t, k))
+        return np.zeros((self.out_dim, self.in_dim)) if mat is None else mat
+
+    def row(self, t: int) -> list[tuple[int, np.ndarray]]:
+        return list(self._rows.get(t, ()))
+
+    def unroll(self) -> np.ndarray:
+        p, m, H = self.out_dim, self.in_dim, self.horizon
+        dense = np.zeros((p * H, m * H))
+        for (t, k), mat in self.kernel.items():
+            s = t - k
+            dense[t * p:(t + 1) * p, s * m:(s + 1) * m] = mat
+        return dense
+
+
+def dict_make_diagonal(blocks, horizon: int) -> DictOperator:
+    first = np.asarray(blocks, dtype=float)
+    seq = [first] * horizon if first.ndim == 2 else [np.asarray(b, float) for b in blocks]
+    return DictOperator(horizon, seq[0].shape[1], seq[0].shape[0],
+                        {(t, 0): seq[t] for t in range(horizon)})
+
+
+def dict_delay(power: int, dim: int, horizon: int) -> DictOperator:
+    eye = np.eye(dim)
+    return DictOperator(horizon, dim, dim, {(t, power): eye for t in range(power, horizon)})
+
+
+def dict_compose(R: DictOperator, S: DictOperator) -> DictOperator:
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for (t, j), rmat in sorted(R.kernel.items(), key=lambda item: item[0]):
+        for k2, smat in S._rows.get(t - j, ()):
+            key = (t, j + k2)
+            prod = rmat @ smat
+            out[key] = out[key] + prod if key in out else prod
+    return DictOperator(R.horizon, S.in_dim, R.out_dim, out)
+
+
+def dict_add(R: DictOperator, S: DictOperator) -> DictOperator:
+    out = dict(R.kernel)
+    for key, mat in S.kernel.items():
+        out[key] = out[key] + mat if key in out else mat
+    return DictOperator(R.horizon, R.in_dim, R.out_dim, out)
+
+
+def dict_scale(R: DictOperator, c: float) -> DictOperator:
+    return DictOperator(R.horizon, R.in_dim, R.out_dim,
+                        {key: c * mat for key, mat in R.kernel.items()})
+
+
+def dict_hstack(R: DictOperator, S: DictOperator) -> DictOperator:
+    kernel = {}
+    for key in sorted(set(R.kernel) | set(S.kernel)):
+        kernel[key] = np.hstack([R.entry(*key), S.entry(*key)])
+    return DictOperator(R.horizon, R.in_dim + S.in_dim, R.out_dim, kernel)
+
+
+def dict_apply(R: DictOperator, u: Signal) -> Signal:
+    out = np.zeros((R.horizon, R.out_dim))
+    for (t, k), mat in sorted(R.kernel.items(), key=lambda item: item[0]):
+        out[t] += mat @ u.samples[t - k]
+    return Signal(out)
+
+
+def dict_row_abs_sums(R: DictOperator, t: int) -> np.ndarray:
+    sums = np.zeros(R.out_dim)
+    for _, mat in R._rows.get(t, ()):
+        sums += np.sum(np.abs(mat), axis=1)
+    return sums
+
+
+def dict_induced_norm(R: DictOperator) -> float:
+    best = 0.0
+    for t in range(R.horizon):
+        best = max(best, float(np.max(dict_row_abs_sums(R, t))))
+    return best
+
+
+def dict_resolvent_of_state(A, horizon: int) -> DictOperator:
+    """Inverse of (I - shift o diag(A)): kernel entry (t, k) is A^k."""
+    A = np.asarray(A, dtype=float)
+    powers = [np.eye(A.shape[0])]
+    for _ in range(1, horizon):
+        powers.append(A @ powers[-1])
+    return DictOperator(horizon, A.shape[0], A.shape[0],
+                        {(t, k): powers[k] for t in range(horizon) for k in range(t + 1)})
+
+
+def dict_invert(R: DictOperator) -> DictOperator:
+    """Inverse of a causal operator with invertible lag-0 blocks, by block
+    forward substitution; raises LinAlgError if a lag-0 block is singular."""
+    if R.in_dim != R.out_dim:
+        raise ValueError("only square operators can be inverted")
+    H, nd = R.horizon, R.in_dim
+    inv0 = []
+    for t in range(H):
+        mat = R.entry(t, 0)
+        if is_singular(mat):
+            raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
+        inv0.append(np.linalg.inv(mat))
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for t in range(H):
+        out[(t, 0)] = inv0[t]
+        for k in range(1, t + 1):
+            acc = np.zeros((nd, nd))
+            for j, rmat in R._rows.get(t, ()):
+                if 1 <= j <= k:
+                    prev = out.get((t - j, k - j))
+                    if prev is not None:
+                        acc += rmat @ prev
+            if np.any(acc):
+                out[(t, k)] = -inv0[t] @ acc
+    return DictOperator(H, nd, nd, out)
+
+
+def invert(R: TruncatedOperator) -> TruncatedOperator:
+    """Inverse of a single band operator, computed by the dict oracle."""
+    return dict_invert(DictOperator.of(R)).to_band()
+
+
+def resolvent_of_state(A, horizon: int) -> TruncatedOperator:
+    """(I - shift o diag(A))^{-1} for a constant A, as a band operator."""
+    return dict_resolvent_of_state(A, horizon).to_band()
+
+
+def dict_instantiate(fir: SwitchingFIR, sigma, horizon: int,
+                     padding_mode: int = 0) -> DictOperator:
+    kernel = {}
+    for t in range(horizon):
+        hist = history_at(sigma, t, fir.memory, padding_mode)
+        for k in range(min(t, fir.fir_length - 1) + 1):
+            kernel[(t, k)] = fir.tap(hist, k)
+    return DictOperator(horizon, fir.in_dim, fir.out_dim, kernel)
+
+
+def dict_lift_outputs(model: SwitchedOutputModel, sigma, horizon: int):
+    return (dict_make_diagonal([model.C(sigma[t]) for t in range(horizon)], horizon),
+            dict_make_diagonal([model.D(sigma[t]) for t in range(horizon)], horizon))
+
+
+def dict_residual_operator(plant, Q, Z, model, sigma, horizon: int,
+                           padding_mode: int = 0) -> DictOperator:
+    """shift(A) + Z Cbar + Q (shift(A) - I) along one sigma, in the dict algebra."""
+    n = plant.n
+    lam_a = dict_compose(dict_delay(1, n, horizon), dict_make_diagonal(plant.A, horizon))
+    Cbar, _ = dict_lift_outputs(model, sigma, horizon)
+    Q_op = dict_instantiate(Q, sigma, horizon, padding_mode)
+    Z_op = dict_instantiate(Z, sigma, horizon, padding_mode)
+    lam_a_minus_i = dict_add(lam_a, dict_scale(dict_delay(0, n, horizon), -1.0))
+    return dict_add(lam_a, dict_add(dict_compose(Z_op, Cbar), dict_compose(Q_op, lam_a_minus_i)))
+
+
+def dict_performance_operator(plant, Q, Z, model, sigma, horizon: int,
+                              padding_mode: int = 0) -> DictOperator:
+    """[shift(B) + Z Dbar + Q shift(B), I + Q] along one sigma, in the dict algebra."""
+    n = plant.n
+    lam_b = dict_compose(dict_delay(1, n, horizon), dict_make_diagonal(plant.B, horizon))
+    _, Dbar = dict_lift_outputs(model, sigma, horizon)
+    Q_op = dict_instantiate(Q, sigma, horizon, padding_mode)
+    Z_op = dict_instantiate(Z, sigma, horizon, padding_mode)
+    w_block = dict_add(lam_b, dict_add(dict_compose(Z_op, Dbar), dict_compose(Q_op, lam_b)))
+    return dict_hstack(w_block, dict_add(dict_delay(0, n, horizon), Q_op))
+
+
+def sampled_norms_loop(plant, model, automaton, config, result, seed: int = 0):
+    """certify's sampled (residual, performance) norms, one sequence at a time
+    in the dict algebra: two lists in sampling order."""
+    rng = np.random.default_rng(seed)
+    H = config.verify_horizon
+    res, perf = [], []
+    for _ in range(config.verify_samples):
+        sigma = automaton.random_sequence(H, rng)
+        res.append(dict_induced_norm(dict_residual_operator(
+            plant, result.Q, result.Z, model, sigma, H, automaton.padding_mode)))
+        perf.append(dict_induced_norm(dict_performance_operator(
+            plant, result.Q, result.Z, model, sigma, H, automaton.padding_mode)))
+    return res, perf
+
+
+def loop_scan(row, t: int, peak: tuple, n: int, m_w: int, bound: float) -> tuple:
+    """The per-lag loop that folded an error-operator block row, given as
+    (lag, matrix) pairs, into the running peak (value, t, output row, x0 lag)."""
+    w_sum = np.zeros(n)
+    x0_best = np.zeros(n)
+    x0_lag = np.zeros(n, dtype=int)
+    for k, mat in row:
+        w_sum += np.sum(np.abs(mat[:, :m_w]), axis=1)
+        x0_rows = np.sum(np.abs(mat[:, m_w:]), axis=1)
+        better = x0_rows > x0_best
+        x0_best[better] = x0_rows[better]
+        x0_lag[better] = k
+    values = w_sum + bound * x0_best
+    for i in range(n):
+        if values[i] > peak[0] + 1e-15:
+            peak = (float(values[i]), t, i, int(x0_lag[i]))
+    return peak
