@@ -7,8 +7,7 @@ factors.  This package provides the operator algebra, the switching
 model, the LP reduction and solver, a time-domain harness, and a CLI.
 """
 from .operator_core import (Signal, TruncatedOperator, add, apply, compose, delay,
-                            hstack, identity, induced_norm, make_diagonal, row_gain, scale,
-                            zero_operator)
+                            hstack, identity, induced_norm, make_diagonal, scale)
 from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
                              SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
                              enumerate_histories, history_at, instantiate, lift_outputs)

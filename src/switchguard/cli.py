@@ -52,9 +52,13 @@ def _section(value, path: str) -> dict:
     return value
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _integer(value, path: str) -> int:
-    _expect(isinstance(value, int) and not isinstance(value, bool), path,
-            "expected an integer")
+    _expect(_is_int(value), path, "expected an integer")
     return value
 
 
@@ -130,7 +134,7 @@ def parse_problem(cfg: dict):
     for i, pat in enumerate(patterns):
         _expect(isinstance(pat, list), f"attack.patterns[{i}]", "expected a list")
         for c in pat:
-            _expect(isinstance(c, int) and 1 <= c <= N, f"attack.patterns[{i}]",
+            _expect(_is_int(c) and 1 <= c <= N, f"attack.patterns[{i}]",
                     f"channel numbers must lie in 1..{N}")
     _expect(sorted(patterns[0]) == list(range(1, N + 1)), "attack.patterns[0]",
             "pattern 0 must deliver all channels")
@@ -153,7 +157,7 @@ def parse_problem(cfg: dict):
         _expect(isinstance(initial, list) and initial, "attack.initial",
                 "expected a non-empty list of mode indices")
         for m in initial:
-            _expect(isinstance(m, int) and 0 <= m < mode_count, "attack.initial",
+            _expect(_is_int(m) and 0 <= m < mode_count, "attack.initial",
                     f"mode indices must lie in 0..{mode_count - 1}")
     automaton = SwitchingAutomaton(mode_count, allowed=allowed, initial=initial,
                                    padding_mode=padding)
@@ -193,8 +197,8 @@ def _fir_to_json(fir: SwitchingFIR) -> dict:
         "out_dim": fir.out_dim,
         "output_only": fir.output_only,
         "entries": [
-            {"history": list(hist), "lag": lag, "matrix": mat.tolist()}
-            for (hist, lag), mat in sorted(fir.coeffs.items())
+            {"history": list(hist), "lag": lag, "matrix": fir.taps[h, lag].tolist()}
+            for h, hist in enumerate(fir.histories()) for lag in range(fir.fir_length)
         ],
     }
 
@@ -214,17 +218,19 @@ def _fir_from_json(data, path: str) -> SwitchingFIR:
     try:
         coeffs = {(tuple(e["history"]), e["lag"]): np.array(e["matrix"], dtype=float)
                   for e in data["entries"]}
-        fir = SwitchingFIR(int(data["memory"]), int(data["fir_length"]),
-                           int(data["in_dim"]), int(data["out_dim"]), coeffs,
-                           output_only=bool(data.get("output_only", False)))
+        dims = [int(data[key]) for key in ("memory", "fir_length", "in_dim", "out_dim")]
     except (KeyError, TypeError, ValueError) as exc:
         # name the first malformed entry; otherwise the error is the FIR's own
         for i, entry in enumerate(data["entries"]):
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
+    try:
+        fir = SwitchingFIR(*dims, coeffs, output_only=bool(data.get("output_only", False)))
+    except (TypeError, ValueError) as exc:
+        # past a valid memory and fir_length, what is wrong lies in the entries
+        raise ConfigError(path if min(dims[:2]) < 1 else f"{path}.entries", str(exc)) from None
     # one check over all taps; only a failure looks for the entry to name
-    if fir.coeffs and not np.isfinite(np.concatenate(
-            [mat.ravel() for mat in fir.coeffs.values()])).all():
+    if not np.isfinite(fir.taps).all():
         for i, entry in enumerate(data["entries"]):
             _expect(np.isfinite(np.array(entry["matrix"], dtype=float)).all(),
                     f"{path}.entries[{i}].matrix", "matrix entries must be finite")
@@ -266,7 +272,7 @@ def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: Switched
                    automaton: SwitchingAutomaton, syncfg: SynthesisConfig) -> None:
     """The stored taps must cover exactly the windows the config's automaton admits."""
     M, N = syncfg.memory, syncfg.fir_length
-    keys = {(hist, k) for hist in enumerate_histories(automaton, M) for k in range(N)}
+    histories = enumerate_histories(automaton, M)
     for name, fir, in_dim in (("Q", result.Q, plant.n), ("Z", result.Z, model.p),
                               ("T", result.T, model.p)):
         if (fir.memory, fir.fir_length) != (M, N):
@@ -275,7 +281,8 @@ def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: Switched
         if (fir.in_dim, fir.out_dim) != (in_dim, plant.n):
             raise ConfigError(name, f"taps are {fir.out_dim}x{fir.in_dim}, "
                                     f"expected {plant.n}x{in_dim}")
-        _expect(fir.coeffs.keys() == keys, f"{name}.entries",
+        # every history holds every lag 0..N-1, so equal histories mean equal entries
+        _expect(fir.histories() == histories, f"{name}.entries",
                 "tap histories and lags do not match the admissible windows of the "
                 "config's attack automaton")
 
@@ -383,7 +390,7 @@ def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
         _expect(key in data, f"scenario.{key}", "missing field")
     w = _matrix(data["w"], "scenario.w")
     sigma = data["sigma"]
-    _expect(isinstance(sigma, list) and sigma and all(isinstance(m, int) for m in sigma),
+    _expect(isinstance(sigma, list) and sigma and all(map(_is_int, sigma)),
             "scenario.sigma", "expected a non-empty list of mode indices")
     x0 = data.get("x0", [0.0] * plant.n)
     _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")

@@ -251,14 +251,6 @@ def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex; returns a vertex solution when optimal."""
     A, b, c, recover = _standardize(lp)
     m, ncols = A.shape
-    if m == 0:
-        # unconstrained: optimal iff no improving direction exists
-        if np.any(c < -PIVOT_TOL):
-            return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan))
-        u = np.zeros(ncols)
-        x = recover(u)
-        return LpSolution("optimal", float(lp.objective @ x), x)
-
     neg = b < 0
     A[neg] *= -1.0
     b[neg] *= -1.0

@@ -9,6 +9,8 @@ from L on are zero.  Diagonal operators have L = 1 and FIR operators L =
 taps, so storage is O(horizon * lags) rather than O(horizon^2).  Leading
 axes are a batch of operators, e.g. one per sampled mode sequence; every
 operation broadcasts over them.  All arithmetic is dense double precision.
+`TruncatedOperator(band)` is the one constructor; `entry`, `kernel` and
+`unroll` are read views of the band.
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ __all__ = [
     "make_diagonal",
     "delay",
     "identity",
-    "zero_operator",
     "compose",
     "add",
     "scale",
@@ -30,15 +31,7 @@ __all__ = [
     "hstack",
     "apply",
     "induced_norm",
-    "row_gain",
 ]
-
-
-def _as_matrix(m) -> np.ndarray:
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -69,51 +62,20 @@ class Signal:
             return 0.0
         return float(np.max(np.abs(self.samples)))
 
-    @staticmethod
-    def zeros(horizon: int, dim: int) -> "Signal":
-        return Signal(np.zeros((horizon, dim)))
-
 
 class TruncatedOperator:
     """Causal block-kernel operator on signals of a fixed finite horizon.
 
-    Built from a kernel dict mapping (t, k) with 0 <= k <= t < horizon to an
-    (out_dim, in_dim) matrix, absent entries being zero, or by `from_band`.
-    Instances and their band are immutable.
+    Wraps a causal band (..., H, L, out_dim, in_dim), L <= H, without
+    copying: the caller hands the array over and it is made read-only, so
+    instances and their band are immutable.
     """
 
     __slots__ = ("horizon", "in_dim", "out_dim", "band")
 
-    def __init__(self, horizon: int, in_dim: int, out_dim: int,
-                 kernel: dict[tuple[int, int], np.ndarray]):
-        if horizon < 1 or in_dim < 1 or out_dim < 1:
-            raise ValueError("horizon and dimensions must be positive")
-        lags = 1
-        for (t, k), mat in kernel.items():
-            if not (0 <= k <= t < horizon):
-                raise ValueError(f"kernel index (t={t}, k={k}) is not causal for horizon {horizon}")
-            if _as_matrix(mat).shape != (out_dim, in_dim):
-                raise ValueError(f"kernel entry ({t},{k}) has shape {np.shape(mat)}, "
-                                 f"expected {(out_dim, in_dim)}")
-            lags = max(lags, k + 1)
-        band = np.zeros((horizon, lags, out_dim, in_dim))
-        for (t, k), mat in kernel.items():
-            band[t, k] = mat
-        self._set(band)
-
-    @classmethod
-    def from_band(cls, band: np.ndarray) -> "TruncatedOperator":
-        """Wrap a causal band (..., H, L, out_dim, in_dim), L <= H, without copying.
-
-        The caller hands the array over: it is made read-only.
-        """
+    def __init__(self, band: np.ndarray):
         if band.ndim < 4 or band.shape[-3] > band.shape[-4] or 0 in band.shape[-4:]:
             raise ValueError(f"band shape {band.shape} is not (..., H, L <= H, out, in)")
-        op = cls.__new__(cls)
-        op._set(band)
-        return op
-
-    def _set(self, band: np.ndarray) -> None:
         band.flags.writeable = False
         object.__setattr__(self, "band", band)
         object.__setattr__(self, "horizon", band.shape[-4])
@@ -138,10 +100,6 @@ class TruncatedOperator:
             return self.band[..., t, k, :, :]
         return np.zeros(self.batch_shape + (self.out_dim, self.in_dim))
 
-    def row(self, t: int) -> list[tuple[int, np.ndarray]]:
-        """(lag, matrix) pairs of block row t inside the band, sorted by lag."""
-        return [(k, self.band[..., t, k, :, :]) for k in range(min(t + 1, self.lags))]
-
     @property
     def kernel(self) -> dict[tuple[int, int], np.ndarray]:
         """Every causal entry inside the band, keyed by (t, k)."""
@@ -162,25 +120,12 @@ class TruncatedOperator:
                 f"out_dim={self.out_dim}, lags={self.lags}, batch={self.batch_shape})")
 
 
-def make_diagonal(blocks, horizon: int) -> TruncatedOperator:
-    """Block-diagonal operator from a per-time family of matrices.
-
-    blocks may be a single matrix (replicated across the horizon, the
-    time-invariant case) or a sequence with at least `horizon` matrices.
-    """
-    first = np.asarray(blocks, dtype=float)
-    if first.ndim == 2:
-        seq = [first] * horizon
-    else:
-        seq = [_as_matrix(b) for b in blocks]
-        if len(seq) < horizon:
-            raise ValueError(f"need at least {horizon} blocks, got {len(seq)}")
-        seq = seq[:horizon]
-    shape = seq[0].shape
-    for i, b in enumerate(seq):
-        if b.shape != shape:
-            raise ValueError(f"block {i} has shape {b.shape}, expected {shape}")
-    return TruncatedOperator.from_band(np.array(seq)[:, None])
+def make_diagonal(block, horizon: int) -> TruncatedOperator:
+    """Time-invariant block-diagonal operator: the matrix `block` at every time."""
+    mat = np.asarray(block, dtype=float)
+    if mat.ndim != 2:
+        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
+    return TruncatedOperator(np.array([mat] * horizon)[:, None])
 
 
 def delay(power: int, dim: int, horizon: int) -> TruncatedOperator:
@@ -190,15 +135,11 @@ def delay(power: int, dim: int, horizon: int) -> TruncatedOperator:
     band = np.zeros((horizon, min(power + 1, horizon), dim, dim))
     if power < horizon:
         band[power:, power] = np.eye(dim)
-    return TruncatedOperator.from_band(band)
+    return TruncatedOperator(band)
 
 
 def identity(dim: int, horizon: int) -> TruncatedOperator:
     return delay(0, dim, horizon)
-
-
-def zero_operator(in_dim: int, out_dim: int, horizon: int) -> TruncatedOperator:
-    return TruncatedOperator(horizon, in_dim, out_dim, {})
 
 
 def compose(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
@@ -219,7 +160,7 @@ def compose(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
     for j in range(R.lags):
         w = min(S.lags, lags - j)
         out[..., j:, j:j + w, :, :] += r[..., j:, j, None, :, :] @ s[..., :H - j, :w, :, :]
-    return TruncatedOperator.from_band(out)
+    return TruncatedOperator(out)
 
 
 def add(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
@@ -229,11 +170,11 @@ def add(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
     out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim))
     out[..., :R.lags, :, :] = R.band
     out[..., :S.lags, :, :] += S.band
-    return TruncatedOperator.from_band(out)
+    return TruncatedOperator(out)
 
 
 def scale(R: TruncatedOperator, c: float) -> TruncatedOperator:
-    return TruncatedOperator.from_band(c * R.band)
+    return TruncatedOperator(c * R.band)
 
 
 def is_singular(mat: np.ndarray) -> bool:
@@ -255,7 +196,7 @@ def hstack(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
     out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim + S.in_dim))
     out[..., :R.lags, :, :R.in_dim] = R.band
     out[..., :S.lags, :, R.in_dim:] = S.band
-    return TruncatedOperator.from_band(out)
+    return TruncatedOperator(out)
 
 
 def apply(R: TruncatedOperator, u: Signal) -> Signal:
@@ -292,20 +233,3 @@ def induced_norm(R: TruncatedOperator):
     norms = np.max(_abs_row_sums(R.band), axis=(-2, -1), initial=0.0)
     return float(norms) if norms.ndim == 0 else norms
 
-
-def row_gain(R: TruncatedOperator, t: int) -> tuple[float, Signal]:
-    """Worst output-row gain at time t and a sign-pattern input achieving it.
-
-    The witness w satisfies apply(R, w)(t)[i*] == value exactly, where i*
-    is the maximizing output row.
-    """
-    if R.batch_shape:
-        raise ValueError("row_gain takes a single operator, not a batch")
-    if not (0 <= t < R.horizon):
-        raise ValueError(f"time {t} outside horizon {R.horizon}")
-    sums = _abs_row_sums(R.band[t:t + 1])[0]
-    i_star = int(np.argmax(sums))
-    witness = np.zeros((R.horizon, R.in_dim))
-    for k, mat in R.row(t):
-        witness[t - k] = np.sign(mat[i_star])
-    return float(sums[i_star]), Signal(witness)

@@ -208,17 +208,11 @@ class _ErrorKernel:
         self.lam_a = self.eye @ plant.A
         self.lam_b = self.eye @ plant.B
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
-        self._tap_stacks: dict = {}
 
     def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
-        """The taps of lags 0..min(t, N - 1) at time t, stacked (lags, out, in)."""
-        hist = history_at(sigma, t, fir.memory, self.pad)
-        key = (id(fir), hist, min(t, fir.fir_length - 1) + 1)
-        taps = self._tap_stacks.get(key)
-        if taps is None:
-            taps = np.array([fir.tap(hist, k) for k in range(key[2])])
-            self._tap_stacks[key] = taps
-        return taps
+        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in): a view
+        of the tap table."""
+        return fir.taps[fir.history_id(history_at(sigma, t, fir.memory, self.pad)), :t + 1]
 
     def _modes_back(self, sigma, t: int, count: int) -> list[int]:
         """The modes delivered 0..count-1 steps before time t."""
@@ -357,7 +351,7 @@ def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
     for t, row in enumerate(rows):
         band[t, :len(row)] = row
-    return TruncatedOperator.from_band(band)
+    return TruncatedOperator(band)
 
 
 def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator,

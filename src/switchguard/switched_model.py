@@ -4,13 +4,16 @@ An attacker drops measurement channels; each drop pattern defines a mode
 whose stacked output matrices are the nominal ones with the undelivered
 rows zeroed.  Admissible attack sequences are paths of a transition
 automaton, and estimator building blocks are FIR operators whose taps are
-selected by the trailing window of the mode sequence.
+selected by the trailing window of the mode sequence.  A `SwitchingFIR`
+keeps its taps in one read-only table indexed by (history, lag), and every
+consumer reads that table: `instantiate` freezes it along a batch of mode
+sequences with a single gather.
 """
 from __future__ import annotations
 
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -316,8 +319,12 @@ class SwitchingFIR:
     """FIR operator whose taps are selected by the trailing mode window.
 
     coeffs maps (history tuple of length `memory`, lag in 0..fir_length-1)
-    to an (out_dim, in_dim) matrix.  output_only marks operators intended
-    as output-only switching systems (taps read the mode window only).
+    to an (out_dim, in_dim) matrix, and every history must have every lag.
+    The taps are stored once, in the read-only table `taps` of shape
+    (history, lag, out_dim, in_dim), the histories in `histories()` order;
+    the coeffs values are views into it.  output_only marks operators
+    intended as output-only switching systems (taps read the mode window
+    only).
     """
 
     memory: int
@@ -326,11 +333,12 @@ class SwitchingFIR:
     out_dim: int
     coeffs: dict
     output_only: bool = False
+    taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.memory < 1 or self.fir_length < 1:
             raise ValueError("memory and fir_length must be >= 1")
-        clean = {}
+        by_history: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
         for (hist, k), mat in self.coeffs.items():
             hist = tuple(int(m) for m in hist)
             if len(hist) != self.memory:
@@ -341,22 +349,36 @@ class SwitchingFIR:
             if mat.shape != (self.out_dim, self.in_dim):
                 raise ValueError(
                     f"coeff {(hist, k)} has shape {mat.shape}, expected {(self.out_dim, self.in_dim)}")
-            mat = mat.copy()
-            mat.flags.writeable = False
-            clean[(hist, int(k))] = mat
-        object.__setattr__(self, "coeffs", clean)
+            by_history.setdefault(hist, {})[int(k)] = mat
+        histories = sorted(by_history)
+        keys = [(hist, k) for hist in histories for k in range(self.fir_length)]
+        for hist, k in keys:
+            if k not in by_history[hist]:
+                raise ValueError(f"history {hist} is missing lag {k}")
+        taps = np.array([by_history[hist][k] for hist, k in keys]).reshape(
+            len(histories), self.fir_length, self.out_dim, self.in_dim)
+        taps.flags.writeable = False
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "coeffs", dict(zip(keys, taps.reshape(len(keys), self.out_dim,
+                                                                       self.in_dim))))
+        object.__setattr__(self, "_ids", {hist: h for h, hist in enumerate(histories)})
+
+    def history_id(self, window) -> int:
+        """Index of the window's taps along the first axis of `taps`."""
+        h = self._ids.get(tuple(window))
+        if h is None:
+            raise KeyError(
+                f"no coefficient for history {tuple(window)}; "
+                "the admissible-switching set and the stored taps disagree")
+        return h
 
     def tap(self, history, lag: int) -> np.ndarray:
-        key = (tuple(history), lag)
-        mat = self.coeffs.get(key)
-        if mat is None:
-            raise KeyError(
-                f"no coefficient for history {tuple(history)} at lag {lag}; "
-                "the admissible-switching set and the stored taps disagree")
-        return mat
+        if not (0 <= lag < self.fir_length):
+            raise KeyError(f"no coefficient for history {tuple(history)} at lag {lag}")
+        return self.taps[self.history_id(history), lag]
 
     def histories(self) -> list[tuple[int, ...]]:
-        return sorted({h for h, _ in self.coeffs})
+        return list(self._ids)
 
 
 def _sigma_array(sigma, horizon: int) -> np.ndarray:
@@ -375,7 +397,8 @@ def instantiate(fir: SwitchingFIR, sigma, horizon: int,
 
     sigma may be a batch of sequences, shape (..., horizon); the result is
     then a batch of operators.  Band entry (t, k) is the lag-k tap of the
-    window ending at time t, gathered through the windows' history ids.
+    window ending at time t: one gather of the tap table at the windows'
+    history ids.
     """
     sigma = _sigma_array(sigma, horizon)
     M, lags = fir.memory, min(fir.fir_length, horizon)
@@ -383,22 +406,11 @@ def instantiate(fir: SwitchingFIR, sigma, horizon: int,
                              sigma], axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, M, axis=-1)
     distinct, window_ids = np.unique(windows.reshape(-1, M), axis=0, return_inverse=True)
-    window_ids = window_ids.reshape(sigma.shape)
-    # a window seen last at time t is read at lags 0..t only
-    last_time = np.zeros(len(distinct), dtype=np.intp)
-    np.maximum.at(last_time, window_ids.reshape(-1),
-                  np.broadcast_to(np.arange(horizon), sigma.shape).reshape(-1))
-    taps = np.zeros((len(distinct), lags, fir.out_dim, fir.in_dim))
-    for w, hist in enumerate(map(tuple, distinct.tolist())):
-        for k in range(min(lags, last_time[w] + 1)):
-            mat = fir.coeffs.get((hist, k))
-            if mat is None:
-                fir.tap(hist, k)  # raises the KeyError naming the window and lag
-            taps[w, k] = mat
-    band = taps[window_ids]
+    ids = np.array([fir.history_id(w) for w in distinct.tolist()], dtype=np.intp)
+    band = fir.taps[:, :lags][ids[window_ids.reshape(sigma.shape)]]
     t, k = np.ogrid[:horizon, :lags]
     band[..., k > t, :, :] = 0.0
-    return TruncatedOperator.from_band(band)
+    return TruncatedOperator(band)
 
 
 def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
@@ -412,8 +424,8 @@ def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
         raise ValueError(f"mode {sigma[where]} at time {where[-1]} out of range")
     C = np.array([C_j for C_j, _ in model.modes])
     D = np.array([D_j for _, D_j in model.modes])
-    return (TruncatedOperator.from_band(C[sigma][..., None, :, :]),
-            TruncatedOperator.from_band(D[sigma][..., None, :, :]))
+    return (TruncatedOperator(C[sigma][..., None, :, :]),
+            TruncatedOperator(D[sigma][..., None, :, :]))
 
 
 def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,

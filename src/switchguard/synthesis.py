@@ -134,9 +134,9 @@ class DecisionVariables:
 
     def pack(self, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
         """Decision vector holding the taps of (Q, Z); the inverse of unpack."""
-        shape = (len(self.histories), self.fir_length, -1)
-        taps = [np.array([[fir.tap(hist, lag) for lag in range(self.fir_length)]
-                          for hist in self.histories]).reshape(shape) for fir in (Q, Z)]
+        n, p, N = self.n, self.p, self.fir_length
+        taps = [fir.taps[[fir.history_id(hist) for hist in self.histories]]
+                .reshape(len(self.histories), N, size) for fir, size in ((Q, n * n), (Z, n * p))]
         return np.concatenate(taps, axis=2).reshape(-1)
 
 
@@ -399,12 +399,10 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
     """1 - max row sum of the lag-0 contraction block, over all tap windows."""
-    worst = 0.0
-    for hist in Z.histories():
-        j = hist[-1]
-        block = Z.tap(hist, 0) @ model.C(j) - Q.tap(hist, 0)
-        worst = max(worst, float(np.max(np.sum(np.abs(block), axis=1))))
-    return 1.0 - worst
+    hists = Z.histories()
+    C = np.array([model.C(hist[-1]) for hist in hists])
+    blocks = Z.taps[:, 0] @ C - Q.taps[[Q.history_id(hist) for hist in hists], 0]
+    return 1.0 - float(np.max(np.sum(np.abs(blocks), axis=-1), initial=0.0))
 
 
 def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,

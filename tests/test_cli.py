@@ -91,6 +91,11 @@ def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsy
                  id="padding-string"),
     pytest.param(lambda c: c["attack"].update(padding_mode=0.5), "attack.padding_mode",
                  id="padding-float"),
+    # JSON true and false are not channel numbers or mode indices
+    pytest.param(lambda c: c["attack"].update(patterns=[[1, 2], [True]]), "attack.patterns[1]",
+                 id="pattern-bool"),
+    pytest.param(lambda c: c["attack"].update(initial=[False]), "attack.initial",
+                 id="initial-bool"),
     pytest.param(lambda c: c.update(seed=None), "seed", id="seed"),
     pytest.param(lambda c: c["synthesis"].update(N=5.7), "synthesis.N", id="N-float"),
     pytest.param(lambda c: c["synthesis"].update(N=True), "synthesis.N", id="N-bool"),
@@ -260,7 +265,7 @@ def test_inadmissible_sigma_rejected(restricted_bundle, command, capsys):
     assert "--sigma" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sigma", [5, [0, 1, 1, 1], ["0"]])
+@pytest.mark.parametrize("sigma", [5, [0, 1, 1, 1], ["0"], [True, False, True, False]])
 def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys, sigma):
     scen = {"sigma": sigma, "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
     spath = tmp_path / "scen.json"
@@ -277,6 +282,8 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
                  id="fir-length"),
     pytest.param(lambda b: b["Z"]["entries"][0].pop("matrix"), "Z.entries[0].matrix",
                  id="missing-matrix"),
+    # the taps of a history must hold every lag 0..N-1
+    pytest.param(lambda b: b["Q"]["entries"].pop(1), "Q.entries", id="missing-entry"),
     pytest.param(lambda b: b["T"]["entries"][1].update(history=[[0]]), "error: T:",
                  id="nested-history"),
     pytest.param(lambda b: b.pop("lag0_margin"), "lag0_margin", id="missing-margin"),

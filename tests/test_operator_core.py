@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from switchguard import demo
 from switchguard.operator_core import (Signal, TruncatedOperator, add, apply, compose,
                                        delay, hstack, identity, induced_norm,
-                                       make_diagonal, row_gain, scale, zero_operator)
+                                       make_diagonal, scale)
 from util import (DictOperator, dense_blockdiag, dict_add, dict_apply, dict_compose,
                   dict_hstack, dict_induced_norm, dict_scale, invert, max_abs_row_sum,
                   random_operator, random_signal, resolvent_of_state)
@@ -19,24 +19,18 @@ def test_make_diagonal_identity_acts_as_identity():
     assert np.array_equal(apply(op, u).samples, u.samples)
 
 
-def test_make_diagonal_mode_blocks_match_blockdiag():
-    model = demo.demo_model()
-    sigma = (0, 1, 0)
-    blocks = [model.C(j) for j in sigma]
-    op = make_diagonal(blocks, 3)
-    assert np.allclose(op.unroll(), dense_blockdiag(blocks))
-
-
 def test_make_diagonal_random_blockdiag_oracle():
     rng = np.random.default_rng(1)
-    blocks = [rng.uniform(-1, 1, (2, 3)) for _ in range(6)]
-    op = make_diagonal(blocks, 6)
-    assert np.allclose(op.unroll(), dense_blockdiag(blocks), atol=0)
+    block = rng.uniform(-1, 1, (2, 3))
+    op = make_diagonal(block, 6)
+    assert np.array_equal(op.unroll(), dense_blockdiag([block] * 6))
 
 
 def test_make_diagonal_shape_error():
-    with pytest.raises(ValueError):
-        make_diagonal([np.eye(2), np.eye(3)], 2)
+    # one matrix for every time: a per-time stack or a vector is rejected
+    for bad in (np.ones((2, 2, 2)), np.ones(3)):
+        with pytest.raises(ValueError):
+            make_diagonal(bad, 2)
 
 
 def test_delay_zero_is_identity():
@@ -100,7 +94,7 @@ def test_add_with_negation_is_zero():
 
 def test_add_identity_plus_zero():
     eye = identity(3, 4)
-    total = add(eye, zero_operator(3, 3, 4))
+    total = add(eye, TruncatedOperator(np.zeros((4, 1, 3, 3))))
     assert np.allclose(total.unroll(), eye.unroll(), atol=0)
 
 
@@ -163,13 +157,10 @@ def test_induced_norm_identity():
 
 
 def test_induced_norm_scalar_fir():
-    kernel = {}
-    for t in range(4):
-        kernel[(t, 0)] = np.array([[2.0]])
-        if t >= 1:
-            kernel[(t, 1)] = np.array([[-1.0]])
-    op = TruncatedOperator(4, 1, 1, kernel)
-    assert induced_norm(op) == 3.0
+    band = np.zeros((4, 2, 1, 1))
+    band[:, 0] = 2.0
+    band[1:, 1] = -1.0
+    assert induced_norm(TruncatedOperator(band)) == 3.0
 
 
 def test_induced_norm_dense_oracle():
@@ -182,53 +173,35 @@ def test_induced_norm_dense_oracle():
         assert np.isclose(induced_norm(R), expected, atol=1e-12)
 
 
-def test_row_gain_identity():
-    value, witness = row_gain(identity(2, 4), 2)
-    assert value == 1.0
-    assert np.count_nonzero(witness.samples) == 1
-
-
-def test_row_gain_zero_operator():
-    value, _ = row_gain(zero_operator(2, 2, 4), 3)
-    assert value == 0.0
-
-
-def test_row_gain_witness_achieves_value():
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        R = random_operator(rng, 7, 3, 2)
-        t = int(rng.integers(0, 7))
-        value, witness = row_gain(R, t)
-        y = apply(R, witness)
-        assert np.isclose(np.max(np.abs(y.samples[t])), value, atol=1e-12)
-
-
-def test_row_gain_out_of_range():
-    with pytest.raises(ValueError):
-        row_gain(identity(2, 4), 4)
-
-
 def test_unroll_roundtrip_bijective():
     rng = np.random.default_rng(15)
     R = random_operator(rng, 6, 2, 3)
     dense = R.unroll()
-    p, m = R.out_dim, R.in_dim
-    kernel = {}
-    for t in range(R.horizon):
+    p, m, H = R.out_dim, R.in_dim, R.horizon
+    band = np.zeros((H, H, p, m))
+    for t in range(H):
         for k in range(t + 1):
             s = t - k
-            block = dense[t * p:(t + 1) * p, s * m:(s + 1) * m]
-            if np.any(block):
-                kernel[(t, k)] = block
-    rebuilt = TruncatedOperator(R.horizon, m, p, kernel)
+            band[t, k] = dense[t * p:(t + 1) * p, s * m:(s + 1) * m]
+    rebuilt = TruncatedOperator(band)
     assert np.allclose(rebuilt.unroll(), dense, atol=0)
     for key, mat in R.kernel.items():
         assert np.allclose(rebuilt.entry(*key), mat, atol=0)
 
 
 def test_kernel_causality_enforced():
-    with pytest.raises(ValueError):
-        TruncatedOperator(3, 1, 1, {(1, 2): np.array([[1.0]])})
+    # a band wider than the horizon would hold lags t < k; empty or flat bands are not operators
+    for shape in ((3, 4, 1, 1), (0, 1, 1, 1), (3, 1, 0, 1), (3, 1, 1)):
+        with pytest.raises(ValueError):
+            TruncatedOperator(np.zeros(shape))
+
+
+def test_band_is_handed_over_read_only():
+    band = np.zeros((3, 2, 1, 1))
+    op = TruncatedOperator(band)
+    assert op.band is band and not band.flags.writeable
+    with pytest.raises(AttributeError):
+        op.horizon = 4
 
 
 def test_time_invariance_of_constant_diagonal():
@@ -272,7 +245,7 @@ def test_invert_forward_substitution():
 
 
 def test_invert_singular_lag0():
-    op = zero_operator(2, 2, 3)
+    op = TruncatedOperator(np.zeros((3, 1, 2, 2)))
     with pytest.raises(np.linalg.LinAlgError):
         invert(op)
     # rank 2 of 3; its determinant rounds to about 7e-16, not to zero
@@ -339,7 +312,7 @@ def _batched(H, in_dim, out_dim, lags, dicts):
     for b, kernel in enumerate(dicts):
         for (t, k), mat in kernel.items():
             band[b, t, k] = mat
-    return TruncatedOperator.from_band(band)
+    return TruncatedOperator(band)
 
 
 @settings(max_examples=150, deadline=None)
@@ -356,7 +329,7 @@ def test_band_operations_match_dict_oracle(case):
         "scale": (scale(R, c), lambda b: dict_scale(ro[b], c)),
         "hstack": (hstack(R, T), lambda b: dict_hstack(ro[b], to[b])),
         # an unbatched right operand broadcasts over the batch
-        "compose_broadcast": (compose(R, TruncatedOperator(H, m, q, ss[0])),
+        "compose_broadcast": (compose(R, TruncatedOperator(S.band[0])),
                               lambda b: dict_compose(ro[b], so[0])),
     }
     ro = [DictOperator(H, q, p, k) for k in rs]
@@ -369,12 +342,12 @@ def test_band_operations_match_dict_oracle(case):
         assert norms.shape == (len(rs),)
         for b in range(len(rs)):
             expected = oracle(b)
-            single = TruncatedOperator.from_band(band_op.band[b])
+            single = TruncatedOperator(band_op.band[b])
             assert np.array_equal(single.unroll(), expected.unroll()), name
             assert induced_norm(single) == norms[b] == dict_induced_norm(expected), name
             u = random_signal(rng, H, single.in_dim)
             assert np.array_equal(apply(single, u).samples, dict_apply(expected, u).samples)
-    for kernel, oracle in zip(rs, ro):
-        single = TruncatedOperator(H, q, p, kernel)
+    for b, oracle in enumerate(ro):
+        single = TruncatedOperator(R.band[b])
         assert np.array_equal(single.unroll(), oracle.unroll())
         assert induced_norm(single) == dict_induced_norm(oracle)

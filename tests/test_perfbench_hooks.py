@@ -2,16 +2,19 @@
 
 perfbench/tracing.py wraps the package's functions by name and records
 the LP dimensions from the result of `synthesis.assemble_lp`; a rename in
-the package would leave a traced benchmark run with silent zeros.
+the package would leave a traced benchmark run with silent zeros.  The
+`stress` set-up rebuilds frozen FIRs through `SwitchingFIR`'s dataclass
+fields, `coeffs` and `histories()`, so that surface is pinned here too.
 """
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from switchguard import synthesis
+from switchguard import cli, synthesis
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 import metrics  # noqa: E402
 import tracing  # noqa: E402
 
@@ -60,3 +63,15 @@ def test_traced_certify_reports_the_operator_norms(nominal_setup, nominal_synthe
     layers = metrics.pass_layers(tracer.spans)
     assert layers["synthesis.operator_norms_s"] > 0.0
     assert layers["operator_core.induced_norm_s"] > 0.0
+
+
+def test_stress_zero_pad_keeps_the_fir_surface(perfbench_workloads, stress_state):
+    """`_zero_pad` extends the frozen N=5 design to 10 lags with zero taps."""
+    frozen = cli.load_bundle(str(PERFBENCH / "data" / perfbench_workloads.SWITCHING_BUNDLE))[1]
+    for name in ("Q", "Z", "T"):
+        fir, padded = getattr(frozen, name), getattr(stress_state.padded, name)
+        assert fir.fir_length == 5 and padded.fir_length == 10
+        assert padded.taps.shape == (len(fir.histories()), 10, fir.out_dim, fir.in_dim)
+        assert padded.histories() == fir.histories()
+        assert np.array_equal(padded.taps[:, :5], fir.taps)
+        assert not np.any(padded.taps[:, 5:])

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from switchguard import demo
-from switchguard.operator_core import apply
 from switchguard.switched_model import (ChannelPlant, SelectionMask, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes,
                                         enumerate_histories, history_at, instantiate,
                                         lift_outputs)
-from util import dense_blockdiag, random_signal
+from util import dense_blockdiag, dict_instantiate
 
 
 def test_build_modes_reference_matrices():
@@ -172,24 +171,24 @@ def test_instantiate_constant_sigma_is_lti():
 
 
 def test_instantiate_matches_direct_convolution():
+    """Single sequences and a batch of them gather the taps the per-time
+    loop of the dict oracle reads, bit for bit."""
     rng = np.random.default_rng(2)
     auto = SwitchingAutomaton.complete(2)
     for _ in range(20):
         M = int(rng.integers(1, 3))
         N = int(rng.integers(1, 4))
-        taps = {(h, k): rng.uniform(-1, 1, (2, 2))
+        pad = int(rng.integers(0, 2))
+        taps = {(h, k): rng.uniform(-1, 1, (2, 3))
                 for h in enumerate_histories(auto, M) for k in range(N)}
-        fir = SwitchingFIR(M, N, 2, 2, taps)
-        H = 8
-        sigma = auto.random_sequence(H, rng)
-        u = random_signal(rng, H, 2)
-        y = apply(instantiate(fir, sigma, H), u)
-        expected = np.zeros((H, 2))
-        for t in range(H):
-            hist = history_at(sigma, t, M, 0)
-            for k in range(min(t, N - 1) + 1):
-                expected[t] += taps[(hist, k)] @ u.samples[t - k]
-        assert np.allclose(y.samples, expected, atol=1e-12)
+        fir = SwitchingFIR(M, N, 3, 2, taps)
+        H = int(rng.integers(1, 9))
+        sigmas = [auto.random_sequence(H, rng) for _ in range(4)]
+        batch = instantiate(fir, sigmas, H, pad).unroll()
+        for b, sigma in enumerate(sigmas):
+            expected = dict_instantiate(fir, sigma, H, pad).unroll().tobytes()
+            assert instantiate(fir, sigma, H, pad).unroll().tobytes() == expected
+            assert batch[b].tobytes() == expected
 
 
 def test_instantiate_alternating_sigma_selects_current_mode_taps():
@@ -201,6 +200,36 @@ def test_instantiate_alternating_sigma_selects_current_mode_taps():
     for t in range(10):
         for k in range(min(t, 4) + 1):
             assert np.array_equal(op.entry(t, k), taps[((sigma[t],), k)])
+
+
+def test_switching_fir_rejects_a_missing_lag():
+    taps = {((0,), 0): np.eye(2), ((0,), 2): np.eye(2), ((1,), 0): np.eye(2)}
+    with pytest.raises(ValueError, match=r"history \(0,\) is missing lag 1"):
+        SwitchingFIR(1, 3, 2, 2, taps)
+
+
+def test_switching_fir_keeps_one_read_only_tap_table():
+    rng = np.random.default_rng(7)
+    taps = {((j,), k): rng.uniform(-1, 1, (3, 2)) for j in (1, 0) for k in (2, 0, 1)}
+    fir = SwitchingFIR(1, 3, 2, 3, taps)
+    assert fir.histories() == [(0,), (1,)]
+    assert fir.taps.shape == (2, 3, 3, 2) and not fir.taps.flags.writeable
+    for (hist, k), mat in taps.items():
+        h = fir.history_id(hist)
+        assert np.array_equal(fir.taps[h, k], mat)
+        assert np.shares_memory(fir.coeffs[(hist, k)], fir.taps)
+        assert not np.shares_memory(mat, fir.taps)
+    with pytest.raises(ValueError):
+        fir.coeffs[((0,), 0)][0, 0] = 1.0
+
+
+def test_tap_rejects_unknown_history_and_lag():
+    fir = SwitchingFIR(1, 2, 2, 2, {((0,), 0): np.eye(2), ((0,), 1): 2 * np.eye(2)})
+    for hist, lag in (((1,), 0), ((0, 0), 0), ((0,), 2), ((0,), -1)):
+        with pytest.raises(KeyError):
+            fir.tap(hist, lag)
+    with pytest.raises(KeyError):
+        fir.history_id((1,))
 
 
 def test_instantiate_missing_history_is_hard_error():

@@ -15,6 +15,15 @@ from switchguard.synthesis import (MODE_RELAXED, SynthesisConfig, SynthesisResul
                                    _kernel_terms, _windows)
 
 
+def band_operator(horizon: int, in_dim: int, out_dim: int, kernel: dict) -> TruncatedOperator:
+    """The band operator of a causal kernel dict (t, k) -> matrix, absent
+    entries zero; the band is as wide as the largest stored lag."""
+    band = np.zeros((horizon, 1 + max((k for _, k in kernel), default=0), out_dim, in_dim))
+    for (t, k), mat in kernel.items():
+        band[t, k] = mat
+    return TruncatedOperator(band)
+
+
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
                     density: float = 0.7) -> TruncatedOperator:
     kernel = {}
@@ -22,7 +31,7 @@ def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim
         for k in range(t + 1):
             if rng.random() < density:
                 kernel[(t, k)] = rng.uniform(-1.0, 1.0, (out_dim, in_dim))
-    return TruncatedOperator(horizon, in_dim, out_dim, kernel)
+    return band_operator(horizon, in_dim, out_dim, kernel)
 
 
 def random_signal(rng: np.random.Generator, horizon: int, dim: int) -> Signal:
@@ -564,7 +573,7 @@ class DictOperator:
         return DictOperator(op.horizon, op.in_dim, op.out_dim, op.kernel)
 
     def to_band(self) -> TruncatedOperator:
-        return TruncatedOperator(self.horizon, self.in_dim, self.out_dim, self.kernel)
+        return band_operator(self.horizon, self.in_dim, self.out_dim, self.kernel)
 
     def entry(self, t: int, k: int) -> np.ndarray:
         mat = self.kernel.get((t, k))
