@@ -292,7 +292,7 @@ def load_bundle(path: str):
     _require(bundle, ("config", "Q", "Z", "T", "gamma_bar", "eps_achieved",
                       "certified_bound", "status", "mode", "lag0_margin"), "$")
     for key in ("gamma_bar", "eps_achieved", "certified_bound", "lag0_margin"):
-        _expect(isinstance(bundle[key], (int, float)), key, "expected a number")
+        _expect(math.isfinite(_number(bundle[key], key)), key, "must be finite")
     plant, model, automaton, syncfg, seed = parse_problem(bundle["config"])
     result = result_from_bundle(bundle)
     _check_factors(result, plant, model, automaton, syncfg)

@@ -198,8 +198,8 @@ def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
 STALL_LIMIT = 64
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
-             max_iter: int) -> tuple[str, int, int]:
+def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
+             art_sum: float | None = None) -> tuple[str, int, int]:
     """Simplex iterations on tableau T (objective in the last row).
 
     Returns (status, pivots, bland_switches) with status 'optimal' or
@@ -210,9 +210,18 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
     precludes cycling: Bland cannot cycle, so every degenerate stretch ends
     in finitely many steps, and strict improvements cannot revisit a basis.
     Both rules are deterministic.
+
+    In phase 1, art_sum is the sum of the artificial variables' right-hand
+    sides.  The objective entry T[-1, -1] is minus the artificial sum, so it
+    provably stays in [-art_sum, 0]; leaving that range by more than a
+    tolerance scaled with art_sum means the tableau has lost accuracy, and
+    LpNumericalError is raised instead of pivoting on.
     """
     if ncols == 0:
         return "optimal", 0, 0  # no column can enter
+    if art_sum is not None:
+        slack = PIVOT_TOL * max(art_sum, 1.0)
+        low, high = -art_sum - slack, slack
     bland = False
     switches = 0
     stall = 0
@@ -233,6 +242,10 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int,
             return "unbounded", it, switches
         _pivot(T, basis, leave, enter)
         obj = T[-1, -1]
+        if art_sum is not None and not low <= obj <= high:
+            raise LpNumericalError(
+                f"phase-1 objective {-obj:.6g} left its range [0, {art_sum:.6g}] "
+                f"after {it + 1} pivots")
         if obj > last_obj + PIVOT_TOL:
             stall = 0
             bland = False
@@ -276,7 +289,8 @@ def solve(lp: LinearProgram) -> LpSolution:
         T[-1, ncols:total_cols] = 1.0
         for i in missing:
             T[-1] -= T[i]
-        status, pivots[0], switches[0] = _simplex(T, basis, total_cols, max_iter)
+        status, pivots[0], switches[0] = _simplex(T, basis, total_cols, max_iter,
+                                                  float(b[missing].sum()))
         if status != "optimal":
             raise LpNumericalError("phase-1 reported unbounded: inconsistent tableau")
         if T[-1, -1] < -1e-7:

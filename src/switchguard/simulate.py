@@ -16,7 +16,8 @@ for bit.  The attack search walks the tree of admissible prefixes, builds
 row t once at each node of depth t + 1 and carries the scan down to the
 children: 2^(H+1) - 2 rows instead of H 2^H for a complete two-mode
 automaton, and greedy search builds one row per candidate instead of a
-whole operator.
+whole operator.  Exhaustive search on a finite-memory design goes further
+and builds each distinct (t, last-window modes) row once.
 Ties: a later output row, time, sequence or greedy candidate replaces the
 current peak only when larger by more than 1e-15, so among sequences
 within 1e-15 of each other the lexicographically first is reported.  Many
@@ -196,6 +197,12 @@ class _ErrorKernel:
             self.T = estimator
         else:
             raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
+        # Row t of the exact and FIR kinds reads t and the last `window` modes:
+        # the `memory`-mode tap history and the modes of lags 0..N-1.  The
+        # relaxed row reads the resolvent rows of the whole prefix.
+        firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
+        self.window = (None if self.kind == "relaxed"
+                       else max(max(f.memory, f.fir_length) for f in firs))
         self.model = model
         self.C = np.array([C_j for C_j, _ in model.modes])
         self.D = np.array([D_j for _, D_j in model.modes])
@@ -313,25 +320,35 @@ class _ErrorKernel:
             past.append(carry)
         return rows
 
-    def scan(self, row: np.ndarray, t: int, peak: tuple) -> tuple:
-        """Fold block row t into the running peak (value, t, output row, x0 lag).
+    def summary(self, row: np.ndarray) -> tuple[list, list]:
+        """Per output row of block row t, its worst-case value and x0 lag.
 
         The disturbance takes every lag of an output row, its absolute
         entries summed over the inputs, then over the lags ascending; the
         initial condition, injected once, takes its largest single lag, the
-        first of equal ones.  Output rows are visited in order and a later
-        one replaces the peak only if it is larger by more than 1e-15.
+        first of equal ones.
         """
         m_w = self.m_w
         mags = np.abs(row)
         w_sum = np.add.accumulate(np.sum(mags[:, :, :m_w], axis=2), axis=0)[-1]
         x0_rows = np.sum(mags[:, :, m_w:], axis=2)
-        x0_lag = np.argmax(x0_rows, axis=0)
         values = w_sum + self.bound * np.max(x0_rows, axis=0)
-        for i, value in enumerate(values.tolist()):
+        return values.tolist(), np.argmax(x0_rows, axis=0).tolist()
+
+    @staticmethod
+    def fold(summary: tuple[list, list], t: int, peak: tuple) -> tuple:
+        """Fold the summary of block row t into the running peak (value, t,
+        output row, x0 lag): output rows are visited in order and a later one
+        replaces the peak only if it is larger by more than 1e-15."""
+        values, x0_lags = summary
+        for i, value in enumerate(values):
             if value > peak[0] + 1e-15:
-                peak = (value, t, i, int(x0_lag[i]))
+                peak = (value, t, i, x0_lags[i])
         return peak
+
+    def scan(self, row: np.ndarray, t: int, peak: tuple) -> tuple:
+        """Fold block row t into the running peak."""
+        return self.fold(self.summary(row), t, peak)
 
 
 _NO_PEAK = (-1.0, 0, 0, 0)
@@ -396,6 +413,12 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     exhaustive: visits every admissible prefix (guarded by a size cap),
     depth first in lexicographic order, and is a true maximizer; of
     sequences within 1e-15 of each other the lexicographically first wins.
+    For exact factors and plain FIR taps, row t depends only on t and the
+    last `window` modes (the tap history and the N lags), so each distinct
+    (t, window) row is built and summarized once per call and its summary
+    is folded at every node that shares it: at most H * mode_count^window
+    rows however many prefixes there are.  Relaxed factors build a row at
+    every node, because their resolvent row t reads the whole prefix.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
     and cheap, but only a lower bound on the exhaustive value.
@@ -408,14 +431,23 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             raise ValueError(
                 f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
                 "exceeds the 2^20 cap; use strategy='greedy'")
+        window = kernel.window
+        summaries: dict[tuple, tuple] = {}  # (t, last window modes) -> summary of row t
         best_sigma, best_value = None, -1.0
         past, peaks = [], [_NO_PEAK]  # per depth along the current path
         for prefix in automaton.prefixes(horizon, automaton.initial):
             t = len(prefix) - 1
             del past[t:], peaks[t + 1:]
-            row, carry = kernel.row(prefix, t, past)
-            past.append(carry)
-            peaks.append(kernel.scan(row, t, peaks[t]))
+            if window is None:
+                row, carry = kernel.row(prefix, t, past)
+                past.append(carry)
+                summary = kernel.summary(row)
+            else:
+                key = (t, prefix[max(0, t - window + 1):])
+                summary = summaries.get(key)
+                if summary is None:
+                    summary = summaries[key] = kernel.summary(kernel.row(prefix, t, past)[0])
+            peaks.append(kernel.fold(summary, t, peaks[t]))
             if t == horizon - 1:
                 value = max(peaks[-1][0], 0.0)
                 if value > best_value + 1e-15:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
@@ -291,6 +292,13 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
                  "Q.entries[0].matrix", id="nan-tap"),
     pytest.param(lambda b: b["T"]["entries"][1]["matrix"][1].__setitem__(1, float("-inf")),
                  "T.entries[1].matrix", id="infinite-tap"),
+    # the bundle's scalars are finite numbers; JSON true is not one
+    pytest.param(lambda b: b.update(certified_bound=True), "certified_bound",
+                 id="boolean-bound"),
+    pytest.param(lambda b: b.update(gamma_bar=float("nan")), "gamma_bar", id="nan-gamma"),
+    pytest.param(lambda b: b.update(eps_achieved="0"), "eps_achieved", id="string-eps"),
+    pytest.param(lambda b: b.update(lag0_margin=float("-inf")), "lag0_margin",
+                 id="infinite-margin"),
 ])
 def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper, path):
     bundle = json.load(open(nominal_bundle))
@@ -299,6 +307,22 @@ def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper
     bad.write_text(json.dumps(bundle))
     assert main(["attack", str(bad), "--horizon", "3"]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fir_length", [3, 5])
+def test_synth_phase1_breakdown_exits_numerical(tmp_path, capsys, fir_length):
+    """On this three-mode LP the dense simplex loses accuracy in phase 1; the
+    artificial sum leaving its range [0, sum of the artificial right-hand
+    sides] ends the run with exit 4 within seconds instead of pivoting on."""
+    cfg = demo.demo_config_dict()
+    cfg["attack"].update(patterns=[[1, 2], [1], [2]], initial=[1, 2], padding_mode=2)
+    cfg["synthesis"].update(M=2, N=fir_length)
+    path = tmp_path / "three_modes.json"
+    path.write_text(json.dumps(cfg))
+    t0 = time.perf_counter()
+    assert main(["synth", str(path), "--out", str(tmp_path / "out.json")]) == 4
+    assert time.perf_counter() - t0 < 60
+    assert "phase-1 objective" in capsys.readouterr().err
 
 
 def test_simulate_worst_reaches_gamma(nominal_bundle, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -283,14 +284,32 @@ def test_scenario_validation(switching_setup):
 
 @pytest.fixture(scope="module")
 def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
-    """Exact, relaxed (resolvent branch) and blind designs for the demo model, and
-    the exact design's N=5 taps run as a plain FIR (sums of up to five products)."""
+    """Exact, relaxed (resolvent branch) and blind designs for the demo model,
+    the exact design's N=5 taps run as a plain FIR (sums of up to five
+    products), the demo's memory-2 N=4 synthesis, and random memory-3 N=2 FIR
+    taps, whose tap history reaches further back than their lags."""
     plant, model, automaton, config = switching_setup
     relaxed = synthesize(plant, model, automaton,
                          dataclasses.replace(config, mode="relaxed", eps_bar=0.1))
     assert relaxed.eps_achieved > 1e-9
+    memory2 = synthesize(plant, model, automaton,
+                         dataclasses.replace(config, memory=2, fir_length=4))
+    assert memory2.eps_achieved <= 1e-9
+    # the oldest mode of the tap history scales the taps, so a search that
+    # keyed rows on fewer modes than the history would misvalue sequences
+    rng = np.random.default_rng(11)
+    long_memory = SwitchingFIR(3, 2, model.p, plant.n, {
+        (hist, k): (1 + 2 * hist[0]) * rng.uniform(-1, 1, (plant.n, model.p))
+        for hist in itertools.product(range(2), repeat=3) for k in range(2)})
     return {"exact": switching_synthesis[0], "relaxed": relaxed,
-            "blind": nominal_synthesis[0].T, "fir": switching_synthesis[0].T}
+            "blind": nominal_synthesis[0].T, "fir": switching_synthesis[0].T,
+            "memory2": memory2, "fir_m3n2": long_memory}
+
+
+# The modes a row of each design reads: max(tap memory, FIR length); relaxed
+# rows read the whole prefix.
+SEARCH_WINDOWS = {"exact": 5, "blind": 2, "fir": 5, "memory2": 4, "fir_m3n2": 3,
+                  "relaxed": None}
 
 
 def _search_automata(complete):
@@ -343,6 +362,47 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
                                                        strategy)
 
 
+@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind"])
+def test_window_cached_search_matches_per_sequence_search(search_designs, switching_setup,
+                                                          name):
+    """Three steps past the window, rows built for one prefix are reused by others."""
+    plant, model, complete, _ = switching_setup
+    H = SEARCH_WINDOWS[name] + 3
+    for automaton in _search_automata(complete):
+        design = _design_for(search_designs, name, automaton)
+        assert attack_search(plant, model, design, automaton, H) == \
+            per_sequence_attack_search(plant, model, design, automaton, H)
+
+
+@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "fir", "relaxed"])
+def test_exhaustive_search_builds_each_window_row_once(search_designs, switching_setup,
+                                                       name, monkeypatch):
+    plant, model, complete, _ = switching_setup
+    window = SEARCH_WINDOWS[name]
+    row = _ErrorKernel.row
+    built = []
+
+    def counted(kernel, sigma, t, past):
+        built.append((t, tuple(sigma[:t + 1])))
+        return row(kernel, sigma, t, past)
+
+    monkeypatch.setattr(_ErrorKernel, "row", counted)
+    H = (window or 5) + 2
+    for automaton in _search_automata(complete):
+        design = _design_for(search_designs, name, automaton)
+        del built[:]
+        attack_search(plant, model, design, automaton, H)
+        nodes = list(automaton.prefixes(H, automaton.initial))
+        if window is None:
+            assert built == [(len(p) - 1, p) for p in nodes]
+        else:
+            keys = [(t, p[max(0, t - window + 1):]) for t, p in built]
+            assert len(set(keys)) == len(keys)
+            assert set(keys) == {(len(p) - 1, p[max(0, len(p) - window):]) for p in nodes}
+            if automaton is complete:
+                assert len(built) < len(nodes)
+
+
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_setup, horizon):
     result, _ = nominal_synthesis
@@ -354,22 +414,33 @@ def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_se
 
 def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workloads,
                                                    monkeypatch):
-    """Every row the four `stress` searches fold gives the per-lag loop's peak."""
+    """Every row the four `stress` searches fold gives the per-lag loop's peak,
+    at every node that folds it."""
     plant, model, automaton = stress_state.problem
-    scan = _ErrorKernel.scan
-    scanned = []
+    summary, fold = _ErrorKernel.summary, _ErrorKernel.fold
+    row_of = {}  # id of a summary -> (summary, the row it summarizes)
+    folded = []
 
-    def checked(kernel, row, t, peak):
-        found = scan(kernel, row, t, peak)
-        assert found == loop_scan(list(enumerate(row)), t, peak, kernel.n, kernel.m_w,
-                                  kernel.bound)
-        scanned.append(t)
+    def recorded(kernel, row):
+        found = summary(kernel, row)
+        row_of[id(found)] = (found, row)
         return found
 
-    monkeypatch.setattr(_ErrorKernel, "scan", checked)
+    def checked(kernel, found_summary, t, peak):
+        found = fold(found_summary, t, peak)
+        row = row_of[id(found_summary)][1]
+        assert found == loop_scan(list(enumerate(row)), t, peak, kernel.n, kernel.m_w,
+                                  kernel.bound)
+        folded.append(t)
+        return found
+
+    monkeypatch.setattr(_ErrorKernel, "summary", recorded)
+    monkeypatch.setattr(_ErrorKernel, "fold", checked)
     for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
     # 2046 prefix-tree nodes per exhaustive H=10 search, two candidates per greedy step
-    assert len(scanned) == 2 * 2046 + 2 * 60 + 2 * 30
+    assert len(folded) == 2 * 2046 + 2 * 60 + 2 * 30
+    # distinct (t, window) rows: 222 resilient (window 5) and 38 blind (window 2)
+    assert len(row_of) == 222 + 38 + 2 * 60 + 2 * 30
