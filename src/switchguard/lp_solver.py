@@ -11,7 +11,10 @@ each pivot updates only the block of rows with a nonzero in the pivot
 column and columns with a nonzero in the pivot row.  Outside that block
 the full rank-1 update would subtract a signed zero, so restricting it
 changes no value: the pivot path and the solution are those of the full
-update.
+update.  The block is gathered, updated and scattered back through flat
+indices into the C-contiguous tableau, a few rows at a time, so that no
+temporary holds more than BLOCK entries; each entry still gets the one
+multiply and subtract of the full update.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
+BLOCK = 1 << 14  # most entries a pivot gathers, updates and scatters at once
 
 LE = "<="
 EQ = "="
@@ -157,7 +161,19 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     with a nonzero in the scaled pivot row change.  Each of them gets the
     same multiply and subtract as in the full update T -= outer(T[:, col],
     T[row]); every other entry would only have a signed zero subtracted.
+
+    The touched rows are updated in slices of at most BLOCK // len(cols)
+    rows, each gathered, updated and scattered back through flat indices
+    row * width + col.  The slices are disjoint and exclude the pivot row,
+    so each reads the T[r, col] and T[row, cols] that a one-shot update
+    would read, and the result is bit-identical to it, signed zeros too.
+    The update must write into T itself, so the flat view is taken with
+    np.reshape(..., copy=False): every C-contiguous tableau, which is all
+    solve builds, flattens to a view, and a layout that does not (Fortran
+    order, a column slice) raises ValueError before anything is written
+    instead of updating a copy.
     """
+    flat = np.reshape(T, -1, copy=False)
     piv = T[row, col]
     if abs(piv) < PIVOT_TOL:
         raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
@@ -166,7 +182,15 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     cols = np.flatnonzero(pivot_row)
     rows = np.flatnonzero(T[:, col])
     rows = rows[rows != row]
-    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], pivot_row[cols])
+    scaled = pivot_row[cols]
+    width = T.shape[1]
+    step = max(1, BLOCK // cols.size)
+    for start in range(0, rows.size, step):
+        r = rows[start:start + step]
+        idx = (r * width)[:, None] + cols
+        blk = flat[idx]
+        blk -= np.multiply.outer(T[r, col], scaled)
+        flat[idx] = blk
     basis[row] = col
 
 
@@ -182,16 +206,19 @@ def _initial_basis(A: np.ndarray) -> np.ndarray:
 
 
 def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
-    """Min-ratio row; ties broken by smallest basic variable index (Bland)."""
+    """Min-ratio row; ties broken by smallest basic variable index (Bland).
+
+    Only rows whose entering-column entry exceeds PIVOT_TOL are eligible;
+    -1 when there is none.
+    """
     m = T.shape[0] - 1
     col = T[:m, enter]
-    eligible = col > PIVOT_TOL
-    if not np.any(eligible):
+    eligible = np.flatnonzero(col > PIVOT_TOL)
+    if eligible.size == 0:
         return -1
-    ratios = np.full(m, np.inf)
-    ratios[eligible] = T[:m, -1][eligible] / col[eligible]
+    ratios = T[eligible, -1] / col[eligible]
     best = float(np.min(ratios))
-    ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+    ties = eligible[ratios <= best + PIVOT_TOL]
     return int(ties[np.argmin(basis[ties])])
 
 
@@ -275,6 +302,7 @@ def solve(lp: LinearProgram) -> LpSolution:
     total_cols = ncols + n_art
     T = np.zeros((m + 1, total_cols + 1))
     T[:m, :ncols] = A
+    del A  # T holds it now; do not keep both alive through the pivots
     T[:m, -1] = b
     art_cols = ncols + np.arange(n_art)
     T[missing, art_cols] = 1.0

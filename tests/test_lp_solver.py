@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from switchguard import lp_solver
 from switchguard.lp_solver import (EQ, LE, LinearProgram, LpNumericalError, format_lp,
                                    solve)
 from switchguard.synthesis import assemble_lp, decision_variables
-from util import (dense_pivot, loop_initial_basis, random_box_lp, random_sparse_lp,
-                  vertex_minimum)
+from util import (dense_pivot, full_ratio_row, ix_pivot, loop_initial_basis, random_box_lp,
+                  random_sparse_lp, vertex_minimum)
 
 
 def test_minimize_above_lower_bound():
@@ -224,14 +226,17 @@ def _solve_dense(lp, monkeypatch) -> lp_solver.LpSolution:
         return solve(lp)
 
 
-def _assert_same_solution(lp, monkeypatch):
-    ref = _solve_dense(lp, monkeypatch)
-    sol = solve(lp)
+def _assert_same(sol, ref):
     assert sol.status == ref.status
     assert sol.values.tobytes() == ref.values.tobytes()
     assert sol.objective == ref.objective
     assert sol.pivots == ref.pivots
     assert sol.bland_switches == ref.bland_switches
+
+
+def _assert_same_solution(lp, monkeypatch):
+    sol = solve(lp)
+    _assert_same(sol, _solve_dense(lp, monkeypatch))
     return sol
 
 
@@ -265,6 +270,100 @@ def test_restricted_pivot_matches_dense_update():
         lp_solver._pivot(T, basis, rows[k], cols[k])
         assert np.array_equal(T, ref)  # -0.0 == 0.0: only signed zeros may differ
         assert np.array_equal(basis, ref_basis)
+
+
+def test_solver_matches_ix_pivot_on_largest_demo_lp(switching_setup, monkeypatch):
+    # the demo's M=2 N=4 exact LP has the largest pivot blocks of the demo
+    plant, model, automaton, config = switching_setup
+    lp = _demo_lp((plant, model, automaton,
+                   dataclasses.replace(config, memory=2, fir_length=4)))
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_solver, "_pivot", ix_pivot)
+        patch.setattr(lp_solver, "_ratio_row", full_ratio_row)
+        ref = solve(lp)
+    touched = []
+    pivot = lp_solver._pivot
+
+    def counting_pivot(T, basis, row, col):
+        touched.append((np.count_nonzero(T[:, col]) - 1) * np.count_nonzero(T[row]))
+        pivot(T, basis, row, col)
+
+    monkeypatch.setattr(lp_solver, "_pivot", counting_pivot)
+    sol = solve(lp)
+    _assert_same(sol, ref)
+    assert sol.status == "optimal"
+    assert len(touched) == sum(sol.pivots)
+    assert max(touched) > 8 * lp_solver.BLOCK  # many row blocks in one pivot
+
+
+def test_blocked_pivot_matches_ix_pivot():
+    rng = np.random.default_rng(50)
+    slices = []
+    for _ in range(12):
+        m, n = int(rng.integers(300, 701)), int(rng.integers(400, 801))
+        T = np.where(rng.random((m, n)) < 0.05, rng.normal(size=(m, n)), 0.0)
+        T[rng.random((m, n)) < 0.02] = -0.0
+        row, col = int(rng.integers(m)), int(rng.integers(n))
+        # a pivot column nonzero in most rows, 40-400 pivot-row nonzeros
+        T[:, col] = np.where(rng.random(m) < 0.9, rng.normal(size=m), T[:, col])
+        k = int(rng.integers(40, 401))
+        T[row] = np.where(rng.random(n) < 0.1, -0.0, 0.0)
+        T[row, rng.choice(n, k, replace=False)] = rng.normal(size=k)
+        T[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+        rows, cols = np.count_nonzero(T[:, col]) - 1, np.count_nonzero(T[row])
+        slices.append(-(-rows // (lp_solver.BLOCK // cols)))
+        basis = np.arange(m)
+        ref, ref_basis = T.copy(), basis.copy()
+        ix_pivot(ref, ref_basis, row, col)
+        lp_solver._pivot(T, basis, row, col)
+        assert T.tobytes() == ref.tobytes()  # signed zeros included
+        assert np.array_equal(basis, ref_basis)
+    assert min(slices) > 1 and max(slices) >= 8  # every case spans several row blocks
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-slice"])
+def test_pivot_rejects_tableau_without_flat_view(layout):
+    wide = np.arange(1.0, 25.0).reshape(3, 8)
+    T = np.asfortranarray(wide[:, :4]) if layout == "fortran" else wide[:, :4]
+    before, basis = T.copy(), np.arange(3)
+    with pytest.raises(ValueError):
+        lp_solver._pivot(T, basis, 0, 0)
+    assert T.tobytes() == before.tobytes()
+    assert np.array_equal(basis, np.arange(3))
+
+
+def test_pivot_writes_through_evenly_strided_view():
+    # every other column of a C array flattens to a strided view, not a copy
+    wide = np.repeat(np.arange(1.0, 13.0).reshape(3, 4), 2, axis=1)
+    T = wide[:, ::2]
+    ref, basis, ref_basis = T.copy(), np.arange(3), np.arange(3)
+    ix_pivot(ref, ref_basis, 1, 2)
+    lp_solver._pivot(T, basis, 1, 2)
+    assert wide[:, ::2].tobytes() == ref.tobytes()
+    assert np.array_equal(basis, ref_basis)
+
+
+def test_ratio_row_matches_full_ratio_test():
+    rng = np.random.default_rng(49)
+    tol = lp_solver.PIVOT_TOL
+    entries = [0.0, -0.0, -1.0, -3.0, 0.5 * tol, tol, 0.25, 0.5, 1.0, 2.0]
+    rhs = [0.0, 0.5, 1.0, 1.0 + 0.4 * tol, 2.0, 3.0]
+    none_eligible = exact_ties = 0
+    for _ in range(2000):
+        m = int(rng.integers(1, 25))
+        T = np.zeros((m + 1, 3))
+        T[:m, 0] = rng.choice(entries, size=m)
+        T[:m, -1] = rng.choice(rhs, size=m)
+        basis = rng.permutation(3 * m)[:m]
+        want = full_ratio_row(T, basis, 0)
+        assert lp_solver._ratio_row(T, basis, 0) == want
+        eligible = T[:m, 0] > tol
+        if want < 0:
+            none_eligible += 1
+        else:
+            ratios = T[:m, -1][eligible] / T[:m, 0][eligible]
+            exact_ties += np.count_nonzero(ratios == ratios.min()) > 1
+    assert none_eligible > 50 and exact_ties > 50
 
 
 def test_initial_basis_matches_loop_scan():

@@ -108,6 +108,36 @@ def dense_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
+def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Reference restricted pivot: one np.ix_ gather, outer product and
+    scatter over the touched rows and columns (any memory layout)."""
+    piv = T[row, col]
+    if abs(piv) < PIVOT_TOL:
+        raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
+    T[row] /= piv
+    pivot_row = T[row]
+    cols = np.flatnonzero(pivot_row)
+    rows = np.flatnonzero(T[:, col])
+    rows = rows[rows != row]
+    T[np.ix_(rows, cols)] -= np.outer(T[rows, col], pivot_row[cols])
+    basis[row] = col
+
+
+def full_ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
+    """Reference ratio test over every row: ineligible rows get ratio inf;
+    ties broken by smallest basic variable index (Bland), -1 if none."""
+    m = T.shape[0] - 1
+    col = T[:m, enter]
+    eligible = col > PIVOT_TOL
+    if not np.any(eligible):
+        return -1
+    ratios = np.full(m, np.inf)
+    ratios[eligible] = T[:m, -1][eligible] / col[eligible]
+    best = float(np.min(ratios))
+    ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+    return int(ties[np.argmin(basis[ties])])
+
+
 def loop_initial_basis(A: np.ndarray) -> np.ndarray:
     """Reference basis scan: per row, the first unused unit column, else -1."""
     m, ncols = A.shape
