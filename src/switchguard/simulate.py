@@ -12,19 +12,24 @@ and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  The attack search walks the tree of admissible prefixes, builds
-row t once at each node of depth t + 1 and carries the scan down to the
-children: 2^(H+1) - 2 rows instead of H 2^H for a complete two-mode
-automaton, and greedy search builds one row per candidate instead of a
-whole operator.  Exhaustive search on a finite-memory design goes further
-and builds each distinct (t, last-window modes) row once.
+for bit.  Exhaustive search on an exact or FIR design, whose row t reads
+only t and the last `window` modes, runs over the reachable (t, window)
+states of the automaton, one row per state: at most H * modes^window rows
+however many sequences there are, and exact rows from t = window on are
+built once per window.  Otherwise it walks the tree of admissible
+prefixes, builds row t once at each node of depth t + 1 and carries the
+scan down to the children, and greedy search builds one row per candidate
+instead of a whole operator.
 Ties: a later output row, time, sequence or greedy candidate replaces the
 current peak only when larger by more than 1e-15, so among sequences
 within 1e-15 of each other the lexicographically first is reported.  Many
-sequences tie exactly, which is why the rows must not drift by an ulp.
+sequences tie exactly, which is why the rows must not drift by an ulp; the
+state search checks at run time that no two distinct row values lie
+within the margin, and walks the prefixes when they do.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +37,7 @@ import numpy as np
 from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, history_at, instantiate)
+                             SwitchingFIR, _distinct_rows, history_at, instantiate)
 from .synthesis import SynthesisResult
 
 __all__ = [
@@ -198,8 +203,10 @@ class _ErrorKernel:
         else:
             raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
         # Row t of the exact and FIR kinds reads t and the last `window` modes:
-        # the `memory`-mode tap history and the modes of lags 0..N-1.  The
-        # relaxed row reads the resolvent rows of the whole prefix.
+        # the `memory`-mode tap history and the modes of lags 0..N-1; an exact
+        # row has N + 1 lags from t = N on, so from t = window on it reads the
+        # window alone.  The relaxed row reads the resolvent rows of the whole
+        # prefix.
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
@@ -400,25 +407,133 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     return scenario, max(value, 0.0)
 
 
+_CAP = 2 ** 20
+
+
+def _separated(values) -> bool:
+    """True when every value is finite and any two distinct values differ by
+    more than the 1e-15 tie margin, as `fold` compares them."""
+    ordered = sorted(values)
+    return all(map(math.isfinite, ordered)) and all(
+        high == low or high > low + 1e-15 for low, high in zip(ordered, ordered[1:]))
+
+
+def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
+    """Exhaustive search over the reachable (t, last `window` modes) states.
+
+    Row t of an exact or FIR design reads only t and the state's window, so
+    one row and one summary per state, built from the window with padding in
+    front, value every sequence through that state.  Exact rows are
+    stationary: from t = window on they depend on the window alone and are
+    built once, at t = window.  When `_separated` holds for all summary
+    values, `fold` makes a sequence's value exactly the largest value of its
+    states, so the search keeps "later wins only by more than 1e-15": a
+    backward max over the states gives the best value, and taking at each
+    step the smallest successor that can still reach it gives the
+    lexicographically first maximizer.  Returns None when the values are
+    not separated, and (None, -1.0) when no sequence has `horizon` modes.
+    """
+    window, pad = kernel.window, automaton.padding_mode
+    layers = [np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)]
+    edges = []  # per step t -> t + 1: the (parent, successor) states of each transition
+    count = len(layers[0])
+    for _ in range(1, horizon):
+        parent, extended = automaton.extend(layers[-1], keep=window)
+        states, succ = _distinct_rows(extended)
+        count += len(states)
+        if count > _CAP:
+            raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
+                             "exceeds the 2^20 cap; use strategy='greedy'")
+        layers.append(states)
+        edges.append(list(zip(parent.tolist(), succ.tolist())))
+    summaries: dict[tuple, tuple] = {}  # (t built at, window) -> summary
+    tops = []  # per time, the largest summary value of each state
+    for t, states in enumerate(layers):
+        built_at = min(t, window) if kernel.kind == "exact" else t
+        top = []
+        for state in map(tuple, states.tolist()):
+            summary = summaries.get((built_at, state))
+            if summary is None:
+                sigma = (pad,) * (built_at + 1 - len(state)) + state
+                summary = kernel.summary(kernel.row(sigma, built_at, [])[0])
+                summaries[(built_at, state)] = summary
+            top.append(max(summary[0]))
+        tops.append(top)
+    if not _separated([v for values, _ in summaries.values() for v in values]):
+        return None
+    best = [tops[-1]]  # per time and state, the best value over its completions
+    for steps, top in zip(reversed(edges), reversed(tops[:-1])):
+        later, reach = best[0], [-math.inf] * len(top)
+        for a, b in steps:
+            reach[a] = max(reach[a], later[b])
+        best.insert(0, [max(v, r) if r > -math.inf else r for v, r in zip(top, reach)])
+    value = max(best[0], default=-math.inf)
+    if value == -math.inf:
+        return None, -1.0
+    sigma, run, choices = [], -math.inf, range(len(layers[0]))
+    for t in range(horizon):
+        state = next(c for c in choices
+                     if best[t][c] > -math.inf and max(run, best[t][c]) == value)
+        sigma.append(int(layers[t][state, -1]))
+        run = max(run, tops[t][state])
+        if t + 1 < horizon:
+            choices = [b for a, b in edges[t] if a == state]
+    return tuple(sigma), value
+
+
+def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
+    """Exhaustive search over the tree of admissible prefixes, depth first in
+    lexicographic order, carrying the scan down to the children."""
+    if automaton.mode_count ** horizon > _CAP:
+        raise ValueError(
+            f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
+            "exceeds the 2^20 cap; use strategy='greedy'")
+    window = kernel.window
+    summaries: dict[tuple, tuple] = {}  # (t, last window modes) -> summary of row t
+    best_sigma, best_value = None, -1.0
+    past, peaks = [], [_NO_PEAK]  # per depth along the current path
+    for prefix in automaton.prefixes(horizon, automaton.initial):
+        t = len(prefix) - 1
+        del past[t:], peaks[t + 1:]
+        if window is None:
+            row, carry = kernel.row(prefix, t, past)
+            past.append(carry)
+            summary = kernel.summary(row)
+        else:
+            key = (t, prefix[max(0, t - window + 1):])
+            summary = summaries.get(key)
+            if summary is None:
+                summary = summaries[key] = kernel.summary(kernel.row(prefix, t, past)[0])
+        peaks.append(kernel.fold(summary, t, peaks[t]))
+        if t == horizon - 1:
+            value = max(peaks[-1][0], 0.0)
+            if value > best_value + 1e-15:
+                best_sigma, best_value = prefix, value
+    return best_sigma, best_value
+
+
 def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
                   automaton: SwitchingAutomaton, horizon: int,
                   strategy: str = "exhaustive") -> tuple[tuple, float]:
     """Search admissible attack sequences for the largest realizable error.
 
     The error operator is causal: block row t depends on sigma[:t+1] only,
-    and a sequence's value is a scan over its rows in time order.  So both
-    strategies walk the tree of admissible prefixes, build row t once at
-    each node and carry the scan state down to the children.
+    and a sequence's value is a scan over its rows in time order.
 
-    exhaustive: visits every admissible prefix (guarded by a size cap),
-    depth first in lexicographic order, and is a true maximizer; of
-    sequences within 1e-15 of each other the lexicographically first wins.
-    For exact factors and plain FIR taps, row t depends only on t and the
-    last `window` modes (the tap history and the N lags), so each distinct
-    (t, window) row is built and summarized once per call and its summary
-    is folded at every node that shares it: at most H * mode_count^window
-    rows however many prefixes there are.  Relaxed factors build a row at
-    every node, because their resolvent row t reads the whole prefix.
+    exhaustive: a true maximizer; of sequences within 1e-15 of each other
+    the lexicographically first wins.  For exact factors and plain FIR
+    taps, row t depends only on t and the last `window` modes (the tap
+    history and the N lags), so the search runs over the reachable
+    (t, window) states, at most H * mode_count^window of them, with one row
+    per state, and per window alone from t = window on for exact factors.
+    It needs every pair of distinct row values to lie more than 1e-15
+    apart, which is checked at run time; without it, and for relaxed
+    factors, whose resolvent row t reads the whole prefix, the search walks
+    the tree of admissible prefixes depth first in lexicographic order,
+    builds row t once per node (per distinct (t, window) for exact and FIR
+    designs) and carries the scan down to the children.  The 2^20 cap
+    bounds what is enumerated: the (t, window) states, or the
+    mode_count^H sequences of the walk.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
     and cheap, but only a lower bound on the exhaustive value.
@@ -427,32 +542,8 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
         raise ValueError("horizon must be positive")
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode)
     if strategy == "exhaustive":
-        if automaton.mode_count ** horizon > 2 ** 20:
-            raise ValueError(
-                f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
-                "exceeds the 2^20 cap; use strategy='greedy'")
-        window = kernel.window
-        summaries: dict[tuple, tuple] = {}  # (t, last window modes) -> summary of row t
-        best_sigma, best_value = None, -1.0
-        past, peaks = [], [_NO_PEAK]  # per depth along the current path
-        for prefix in automaton.prefixes(horizon, automaton.initial):
-            t = len(prefix) - 1
-            del past[t:], peaks[t + 1:]
-            if window is None:
-                row, carry = kernel.row(prefix, t, past)
-                past.append(carry)
-                summary = kernel.summary(row)
-            else:
-                key = (t, prefix[max(0, t - window + 1):])
-                summary = summaries.get(key)
-                if summary is None:
-                    summary = summaries[key] = kernel.summary(kernel.row(prefix, t, past)[0])
-            peaks.append(kernel.fold(summary, t, peaks[t]))
-            if t == horizon - 1:
-                value = max(peaks[-1][0], 0.0)
-                if value > best_value + 1e-15:
-                    best_sigma, best_value = prefix, value
-        return best_sigma, best_value
+        found = None if kernel.window is None else _state_search(kernel, automaton, horizon)
+        return _walk_search(kernel, automaton, horizon) if found is None else found
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()
         past, peak = [], _NO_PEAK

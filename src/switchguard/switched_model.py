@@ -27,6 +27,7 @@ __all__ = [
     "SwitchingFIR",
     "build_modes",
     "enumerate_histories",
+    "history_array",
     "history_at",
     "instantiate",
     "lift_outputs",
@@ -241,6 +242,21 @@ class SwitchingAutomaton:
             return sorted(self.initial)
         return [b for b in range(self.mode_count) if self.allowed[prev, b]]
 
+    def extend(self, paths: np.ndarray, keep: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """One step of the array walk: every row of the integer array `paths`
+        followed by every successor of its last mode.
+
+        Returns the parent row of each step and the extended rows, cut to
+        their last `keep` modes when `keep` is given.  `allowed` is read row
+        major, so the steps come ordered by parent row, then by mode: steps
+        from lexicographically sorted, distinct rows are sorted and distinct
+        until a cut drops a mode.
+        """
+        parent, mode = np.nonzero(self.allowed[paths[:, -1]])
+        start = 0 if keep is None else max(0, paths.shape[1] + 1 - keep)
+        return parent, np.concatenate([paths[parent, start:], mode[:, None]], axis=1)
+
     def prefixes(self, length: int, first) -> Iterator[tuple[int, ...]]:
         """Walk the tree of paths of up to `length` modes that start in a mode
         of `first` and then step along `successors`.
@@ -288,6 +304,35 @@ class SwitchingAutomaton:
         return seq
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-d integer array, lexicographically sorted, and
+    the index of every row among them: one lexsort and a neighbour compare."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = starts.cumsum() - 1
+    return ordered[starts], inverse
+
+
+def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
+    """`enumerate_histories` as one (window, length) integer array."""
+    if length < 1:
+        raise ValueError("history length must be >= 1")
+    interior = np.arange(automaton.mode_count, dtype=np.intp)[:, None]
+    tails = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
+    startup = []
+    for j in range(length - 1, 0, -1):
+        # j padding modes, then an admissible path of length - j modes
+        startup.append(np.concatenate(
+            [np.full((len(tails), j), automaton.padding_mode, dtype=np.intp), tails], axis=1))
+        interior, tails = automaton.extend(interior)[1], automaton.extend(tails)[1]
+    if not startup:
+        return interior
+    return _distinct_rows(np.concatenate([interior] + startup))[0]
+
+
 def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
     """All length-`length` windows a sliding observer of admissible sequences can see.
 
@@ -297,13 +342,7 @@ def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[tupl
     virtual padding-to-start junction is exempt from the transition check.
     Deduplicated, lexicographically sorted.
     """
-    if length < 1:
-        raise ValueError("history length must be >= 1")
-    found = set(automaton.paths(length, range(automaton.mode_count)))
-    pad = automaton.padding_mode
-    for j in range(1, length):
-        found.update((pad,) * j + path for path in automaton.admissible_sequences(length - j))
-    return sorted(found)
+    return list(map(tuple, history_array(automaton, length).tolist()))
 
 
 def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, ...]:

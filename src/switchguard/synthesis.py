@@ -32,7 +32,8 @@ import numpy as np
 from . import operator_core as oc
 from .lp_solver import EQ, LE, LinearProgram, solve
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, enumerate_histories, instantiate, lift_outputs)
+                             SwitchingFIR, _distinct_rows, enumerate_histories, history_array,
+                             instantiate, lift_outputs)
 
 __all__ = [
     "SynthesisConfig",
@@ -161,9 +162,9 @@ def _windows(automaton: SwitchingAutomaton, config: SynthesisConfig):
     length-M suffixes, and each window's index among them.
     """
     L, M = config.window, config.memory
-    windows = np.array(enumerate_histories(automaton, L), dtype=np.intp)
-    suffixes, tap_ids = np.unique(windows[:, L - M:], axis=0, return_inverse=True)
-    return windows, [tuple(int(m) for m in s) for s in suffixes], tap_ids.reshape(-1)
+    windows = history_array(automaton, L)
+    suffixes, tap_ids = _distinct_rows(windows[:, L - M:])
+    return windows, list(map(tuple, suffixes.tolist())), tap_ids
 
 
 def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
@@ -171,7 +172,7 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     """Terms of the kernel entries of every residual or performance row, lag by lag.
 
     Residual rows are those of shift(A) + Z Cbar + Q (shift(A) - I), and
-    performance rows those of [shift(B) + Z Dbar + Q shift(B), I + Q]: one
+    performance rows those of [shift(B) + Z Dbar + Q shift(B), b (I + Q)]: one
     row per (window, state row), the window's tap history numbered by
     hist_ids.  Yields (lag, col, var, coeff, const) per block of entries, in
     row entry order: the entries (lag, col + j), with var the integer ids
@@ -184,9 +185,10 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     M_k[c, col] over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a
     nonzero, and Q_{k-1}[i, r] X[r, col] over r, with M_k the mode matrix
     delivered k steps before the output time; its constant is X[i, col] at
-    lag 1.  Performance rows then add the I + Q block: one term Q_k[i, j]
-    per entry, with constant I[i, j] at lag 0.  Zero coefficients are kept,
-    so every entry of a block has the same number of terms.
+    lag 1.  Performance rows then add the I + Q block scaled by the plant's
+    initial-condition bound b: one term b Q_k[i, j] per entry, with
+    constant b I[i, j] at lag 0.  Zero coefficients are kept, so every
+    entry of a block has the same number of terms.
     """
     n, p, N = variables.n, variables.p, variables.fir_length
     if kind == _RESIDUAL:
@@ -218,9 +220,11 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
         const = 0.0 + X if k == 1 else np.zeros((n, q))
         yield k, 0, var, coeff, const
     if kind == _PERFORMANCE:
+        bound = float(plant.x0_bound)
         for k in range(N):
             var = variables.q_var(hist, k, state, np.arange(n))[..., None]
-            yield k, q, var, np.ones((1, 1, 1, 1)), np.eye(n) if k == 0 else np.zeros((n, n))
+            yield (k, q, var, np.full((1, 1, 1, 1), bound),
+                   bound * np.eye(n) if k == 0 else np.zeros((n, n)))
 
 
 def _forms(blocks, nvar: int, width: int):
@@ -465,10 +469,12 @@ def residual_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
 def performance_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
                          model: SwitchedOutputModel, sigma, horizon: int,
                          padding_mode: int = 0) -> oc.TruncatedOperator:
-    """[shift(B) + Z Dbar + Q shift(B), I + Q] frozen along sigma.
+    """[shift(B) + Z Dbar + Q shift(B), b (I + Q)] frozen along sigma, b the
+    plant's initial-condition bound.
 
-    Maps the stacked (disturbance, initial-condition) input to the
-    estimation error when the residual vanishes.  sigma may be a batch of
+    Maps the stacked (disturbance, initial condition in units of b) input
+    to the estimation error when the residual vanishes, so its gain covers
+    initial conditions up to the bound.  sigma may be a batch of
     sequences, shape (..., horizon), giving a batch of operators.
     """
     n = plant.n
@@ -478,6 +484,8 @@ def performance_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     Z_op = instantiate(Z, sigma, horizon, padding_mode)
     w_block = oc.add(lam_b, oc.add(oc.compose(Z_op, Dbar), oc.compose(Q_op, lam_b)))
     x0_block = oc.add(oc.identity(n, horizon), Q_op)
+    if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
+        x0_block = oc.scale(x0_block, float(plant.x0_bound))
     return oc.hstack(w_block, x0_block)
 
 

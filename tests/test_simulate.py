@@ -4,14 +4,14 @@ import itertools
 import numpy as np
 import pytest
 
-from switchguard import demo
+from switchguard import demo, simulate
 from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
-from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_operator,
-                                  make_trace, run_fir_estimator, run_glo, simulate_plant,
-                                  worst_case_inputs)
-from switchguard.switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR,
-                                        broadcast_taps, build_modes, instantiate)
-from switchguard.synthesis import SynthesisConfig, synthesize
+from switchguard.simulate import (_NO_PEAK, Scenario, _ErrorKernel, attack_search,
+                                  error_operator, make_trace, run_fir_estimator, run_glo,
+                                  simulate_plant, worst_case_inputs)
+from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
+                                        SwitchingFIR, broadcast_taps, build_modes, instantiate)
+from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
 from util import (compose_chain_error_operator, loop_scan, per_sequence_attack_search,
                   random_signal, reference_worst_case_inputs, resolvent_of_state)
 
@@ -250,13 +250,20 @@ def test_attack_exhaustive_dominates_greedy(switching_synthesis, switching_setup
 
 
 def test_attack_exhaustive_cap():
+    """Relaxed factors are searched by the prefix walk, which enumerates 2^25 sequences."""
     plant, model = random_problem(np.random.default_rng(9))
     model2 = build_modes(plant, [{1, 2}, {1}])
     automaton = SwitchingAutomaton.complete(2)
-    T = SwitchingFIR(1, 1, model2.p, plant.n,
-                     {((j,), 0): np.zeros((plant.n, model2.p)) for j in (0, 1)})
+
+    def zero(in_dim):
+        return SwitchingFIR(1, 1, in_dim, plant.n,
+                            {((j,), 0): np.zeros((plant.n, in_dim)) for j in (0, 1)})
+
+    relaxed = SynthesisResult(gamma_bar=1.0, eps_achieved=0.5, certified_bound=2.0,
+                              Q=zero(plant.n), Z=zero(model2.p), T=zero(model2.p),
+                              status="optimal", mode="relaxed", lag0_margin=1.0)
     with pytest.raises(ValueError, match="2\\^20"):
-        attack_search(plant, model2, T, automaton, 25, "exhaustive")
+        attack_search(plant, model2, relaxed, automaton, 25, "exhaustive")
 
 
 def test_error_operator_matches_factor_path(switching_synthesis, switching_setup):
@@ -310,6 +317,14 @@ def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
 # rows read the whole prefix.
 SEARCH_WINDOWS = {"exact": 5, "blind": 2, "fir": 5, "memory2": 4, "fir_m3n2": 3,
                   "relaxed": None}
+# Exact factors, whose rows from t = window on depend on the window alone.
+STATIONARY = {"exact", "memory2"}
+
+
+def _state_keys(prefixes, window, stationary):
+    """The (t a row is built at, window) key of every prefix's last state."""
+    return {(min(len(p) - 1, window) if stationary else len(p) - 1,
+             p[max(0, len(p) - window):]) for p in prefixes}
 
 
 def _search_automata(complete):
@@ -398,7 +413,7 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
         else:
             keys = [(t, p[max(0, t - window + 1):]) for t, p in built]
             assert len(set(keys)) == len(keys)
-            assert set(keys) == {(len(p) - 1, p[max(0, len(p) - window):]) for p in nodes}
+            assert set(keys) == _state_keys(nodes, window, name in STATIONARY)
             if automaton is complete:
                 assert len(built) < len(nodes)
 
@@ -414,8 +429,8 @@ def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_se
 
 def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workloads,
                                                    monkeypatch):
-    """Every row the four `stress` searches fold gives the per-lag loop's peak,
-    at every node that folds it."""
+    """Every summary the four `stress` searches use gives, per output row, the
+    per-lag loop's value and x0 lag, and every fold gives the loop's peak."""
     plant, model, automaton = stress_state.problem
     summary, fold = _ErrorKernel.summary, _ErrorKernel.fold
     row_of = {}  # id of a summary -> (summary, the row it summarizes)
@@ -423,6 +438,10 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
 
     def recorded(kernel, row):
         found = summary(kernel, row)
+        for i, (value, lag) in enumerate(zip(*found)):
+            output_row = [(k, mat[i:i + 1]) for k, mat in enumerate(row)]
+            assert loop_scan(output_row, 0, _NO_PEAK, 1, kernel.m_w, kernel.bound) == \
+                (value, 0, 0, lag)
         row_of[id(found)] = (found, row)
         return found
 
@@ -440,7 +459,123 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
-    # 2046 prefix-tree nodes per exhaustive H=10 search, two candidates per greedy step
-    assert len(folded) == 2 * 2046 + 2 * 60 + 2 * 30
-    # distinct (t, window) rows: 222 resilient (window 5) and 38 blind (window 2)
-    assert len(row_of) == 222 + 38 + 2 * 60 + 2 * 30
+    # two candidates per greedy step; the state search folds no row
+    assert len(folded) == 2 * 60 + 2 * 30
+    # one summary per reachable state of the H=10 searches: the exact resilient
+    # design (window 5) builds rows from t = 5 on per window alone, 62 + 32;
+    # the blind FIR (window 2) one per (t, window), 2 + 9 * 4
+    nodes = list(automaton.prefixes(10, automaton.initial))
+    states = len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False))
+    assert states == 94 + 38
+    assert len(row_of) == states + 2 * 60 + 2 * 30
+
+
+def _state_search_and_walk(monkeypatch, search):
+    """search() by the state search, which must pass the gap check, and by the
+    prefix walk, forced by failing the check."""
+    checks = []
+    separated = simulate._separated
+    monkeypatch.setattr(simulate, "_separated",
+                        lambda values: checks.append(separated(values)) or checks[-1])
+    by_states = search()
+    assert checks == [True]
+    monkeypatch.setattr(simulate, "_separated", lambda values: False)
+    by_walk = search()
+    monkeypatch.setattr(simulate, "_separated", separated)
+    return by_states, by_walk
+
+
+@pytest.mark.parametrize("name", ["exact", "blind", "fir", "memory2", "fir_m3n2"])
+def test_state_search_matches_walk(search_designs, switching_setup, name, monkeypatch):
+    """Bit for bit, before, at and three steps past the window, also where
+    mode 1 is a dead end and where every path dies after two modes."""
+    plant, model, complete, _ = switching_setup
+    dead_ends = [SwitchingAutomaton(2, allowed=[[True, True], [False, False]]),
+                 SwitchingAutomaton(2, allowed=[[False, True], [False, False]], initial={0})]
+    for automaton in _search_automata(complete) + dead_ends:
+        design = _design_for(search_designs, name, automaton)
+        for H in range(1, SEARCH_WINDOWS[name] + 4):
+            by_states, by_walk = _state_search_and_walk(
+                monkeypatch, lambda: attack_search(plant, model, design, automaton, H))
+            assert repr(by_states) == repr(by_walk)
+
+
+def test_state_search_matches_walk_on_stress_designs(stress_state, monkeypatch):
+    plant, model, automaton = stress_state.problem
+    for design in stress_state.designs.values():
+        for H in range(1, 15):
+            by_states, by_walk = _state_search_and_walk(
+                monkeypatch, lambda: attack_search(plant, model, design, automaton, H))
+            assert repr(by_states) == repr(by_walk)
+
+
+def test_near_tie_falls_back_to_the_walk():
+    """Two state values 5e-16 apart: the fold keeps the earlier one, so the
+    largest state value is not the sequence value and the walk must run."""
+    plant = ChannelPlant(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
+                         channels=((np.zeros((1, 1)), np.ones((1, 1))),), x0_bound=0.0)
+    model = SwitchedOutputModel(tuple((np.zeros((1, 1)), np.ones((1, 1))) for _ in range(2)))
+    low, high = 0.5, 0.5 + 5e-16
+    assert 0 < high - low < 1e-15
+    # the row of mode j holds the single entry T_j D_j = T_j
+    T = SwitchingFIR(1, 1, 1, 1, {((0,), 0): np.array([[low]]), ((1,), 0): np.array([[high]])})
+    automaton = SwitchingAutomaton.complete(2)
+    kernel = _ErrorKernel(plant, model, T, automaton.padding_mode)
+    assert simulate._state_search(kernel, automaton, 3) is None
+    found = attack_search(plant, model, T, automaton, 3)
+    assert found == ((0, 0, 0), low)
+    assert found == per_sequence_attack_search(plant, model, T, automaton, 3)
+
+
+def test_long_horizon_state_search(switching_synthesis, switching_setup, nominal_synthesis,
+                                   monkeypatch):
+    """Horizons far past the walk's 2^20 cap.  The exact design's value stays
+    below its certified bound; the blind design has none under switching."""
+    plant, model, automaton, _ = switching_setup
+    exact = switching_synthesis[0]
+    blind = broadcast_taps(nominal_synthesis[0].T, automaton)
+    values = []
+    for design, H in ((exact, 1000), (blind, 200)):
+        sigma, value = attack_search(plant, model, design, automaton, H)
+        assert len(sigma) == H and automaton.is_admissible(sigma)
+        _, witnessed = worst_case_inputs(plant, model, design, sigma, H,
+                                         automaton.padding_mode)
+        assert repr(witnessed) == repr(value)
+        values.append(value)
+    assert values[0] <= exact.certified_bound < values[1]
+    # the walk, cap included, is what a failed gap check falls back to
+    monkeypatch.setattr(simulate, "_separated", lambda values: False)
+    with pytest.raises(ValueError, match="2\\^20"):
+        attack_search(plant, model, exact, automaton, 1000)
+
+
+def test_state_search_cap(switching_synthesis, switching_setup, monkeypatch):
+    plant, model, automaton, _ = switching_setup
+    monkeypatch.setattr(simulate, "_CAP", 221)
+    with pytest.raises(ValueError, match=r"\(t, window\) states"):
+        attack_search(plant, model, switching_synthesis[0], automaton, 10)
+    monkeypatch.setattr(simulate, "_CAP", 222)
+    assert attack_search(plant, model, switching_synthesis[0], automaton, 10)[0] == (0,) * 10
+
+
+@pytest.mark.parametrize("mode", ["exact", "relaxed"])
+@pytest.mark.parametrize("x0_bound", [0.0, 0.5, 10.0])
+def test_witnesses_stay_below_certified_bound_at_any_x0_bound(switching_setup, mode, x0_bound):
+    """The certified bound covers initial conditions up to plant.x0_bound: the
+    exhaustive attack value and the simulated worst case stay below it."""
+    plant, model, automaton, config = switching_setup
+    plant = dataclasses.replace(plant, x0_bound=x0_bound)
+    if mode == "relaxed":
+        config = dataclasses.replace(config, mode="relaxed", eps_bar=0.1)
+    result = synthesize(plant, model, automaton, config)
+    assert (result.eps_achieved > 1e-9) == (mode == "relaxed")
+    bound = result.certified_bound * (1 + 1e-9)
+    sigma, value = attack_search(plant, model, result, automaton, 10)
+    assert value <= bound
+    scenario, predicted = worst_case_inputs(plant, model, result, sigma, 10,
+                                            automaton.padding_mode)
+    assert predicted == value
+    assert float(np.max(np.abs(scenario.x0))) == x0_bound
+    assert make_trace(plant, model, result, scenario, automaton.padding_mode).sup_error <= bound
+    report = certify(plant, model, automaton, config, result)
+    assert report["max_sampled_performance_norm"] <= report["gamma_rows"] * (1 + 1e-9)

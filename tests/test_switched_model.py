@@ -5,10 +5,10 @@ import pytest
 
 from switchguard import demo
 from switchguard.switched_model import (ChannelPlant, SelectionMask, SwitchingAutomaton,
-                                        SwitchingFIR, broadcast_taps, build_modes,
-                                        enumerate_histories, history_at, instantiate,
-                                        lift_outputs)
-from util import dense_blockdiag, dict_instantiate
+                                        SwitchingFIR, _distinct_rows, broadcast_taps,
+                                        build_modes, enumerate_histories, history_array,
+                                        history_at, instantiate, lift_outputs)
+from util import dense_blockdiag, dict_instantiate, generator_histories
 
 
 def test_build_modes_reference_matrices():
@@ -139,6 +139,48 @@ def test_walker_matches_brute_force():
                        for s in itertools.product(range(mode_count), repeat=L - j)
                        if s[0] in initial and is_path(s)}
             assert enumerate_histories(auto, L) == sorted(interior | startup)
+
+
+def test_array_walker_matches_generator_walk():
+    """Random automata, dead ends and an empty `initial` included."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        mode_count = int(rng.integers(1, 4))
+        allowed = rng.random((mode_count, mode_count)) < rng.uniform(0.2, 0.9)
+        initial = set(rng.choice(mode_count, int(rng.integers(0, mode_count + 1)),
+                                 replace=False).tolist())
+        auto = SwitchingAutomaton(mode_count, allowed=allowed, initial=initial,
+                                  padding_mode=int(rng.integers(mode_count)))
+        for L in range(1, 7):
+            expected = generator_histories(auto, L)
+            assert enumerate_histories(auto, L) == expected
+            windows = history_array(auto, L)
+            assert windows.dtype == np.intp and windows.shape == (len(expected), L)
+        for L in range(1, 5):
+            first = np.array(sorted(auto.initial), dtype=np.intp).reshape(-1, 1)
+            paths = first
+            for _ in range(L - 1):
+                parent, paths = auto.extend(paths)
+            assert list(map(tuple, paths.tolist())) == list(auto.admissible_sequences(L))
+
+
+def test_extend_keeps_the_last_modes():
+    auto = SwitchingAutomaton(2, allowed=[[True, True], [True, False]])
+    parent, steps = auto.extend(np.array([[0, 1], [1, 0]]), keep=2)
+    assert parent.tolist() == [0, 1, 1]
+    assert steps.tolist() == [[1, 0], [0, 0], [0, 1]]
+    parent, steps = auto.extend(np.array([[1]]), keep=1)
+    assert parent.tolist() == [0] and steps.tolist() == [[0]]
+
+
+def test_distinct_rows_matches_unique():
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        rows = rng.integers(0, 3, (int(rng.integers(1, 40)), int(rng.integers(1, 5))))
+        distinct, inverse = _distinct_rows(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, expected)
+        assert np.array_equal(inverse, expected_inverse.reshape(-1))
 
 
 def test_prefix_walk_is_lexicographic_preorder():

@@ -409,7 +409,7 @@ def test_row_gains_match_oracle_random(case):
     assert_row_gains_match_oracle(*case)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(row_gain_cases())
 def test_assemble_lp_matches_oracle_random(case):
     """The array-built LP is the symbolic oracle's LP, bit for bit, in both modes."""
@@ -516,3 +516,30 @@ def test_row_gains_match_oracle_zero_padded(switching_synthesis, switching_setup
 
     assert_row_gains_match_oracle(plant, model, automaton, padded,
                                   pad(result.Q), pad(result.Z))
+
+
+@pytest.mark.parametrize("x0_bound", [0.0, 0.5, 10.0])
+def test_x0_bound_scales_the_initial_condition_block(switching_setup, x0_bound):
+    """The LP, the row gains and the performance operator weigh the I + Q
+    block by plant.x0_bound; the LP and gains equal the symbolic oracle's."""
+    plant, model, automaton, _ = switching_setup
+    scaled = dataclasses.replace(plant, x0_bound=x0_bound)
+    exact = SynthesisConfig(memory=1, fir_length=2)
+    for config in (exact, dataclasses.replace(exact, mode="relaxed", eps_bar=0.25)):
+        variables = decision_variables(automaton, config, plant.n, model.p)
+        oracle_vars = symbolic_variables(automaton, config, plant.n, model.p)
+        oracle = assemble_symbolic_lp(
+            build_residual_rows(scaled, model, automaton, config, oracle_vars),
+            build_performance_rows(scaled, model, automaton, config, oracle_vars),
+            config, oracle_vars)
+        assert format_lp(assemble_lp(scaled, model, automaton, config, variables)) == \
+            format_lp(oracle)
+    rng = np.random.default_rng(14)
+    Q, Z = variables.unpack(rng.uniform(-1, 1, variables.count))
+    assert_row_gains_match_oracle(scaled, model, automaton, exact, Q, Z)
+    sigmas = [automaton.random_sequence(8, rng) for _ in range(3)]
+    unit = performance_operator(plant, Q, Z, model, sigmas, 8).band
+    band = performance_operator(scaled, Q, Z, model, sigmas, 8).band
+    m_w = plant.m_w
+    assert np.array_equal(band[..., :m_w], unit[..., :m_w])
+    assert np.array_equal(band[..., m_w:], x0_bound * unit[..., m_w:])

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -186,12 +186,24 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
     return c, rows, bounds
 
 
+def generator_histories(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
+    """Reference `enumerate_histories`: a set union of tuple paths from the
+    generator walk, interior paths plus padding-mode prefixes followed by an
+    admissible path, sorted."""
+    found = set(automaton.paths(length, range(automaton.mode_count)))
+    pad = automaton.padding_mode
+    for j in range(1, length):
+        found.update((pad,) * j + path for path in automaton.admissible_sequences(length - j))
+    return sorted(found)
+
+
 def compose_chain_error_operator(plant, model, estimator, sigma, horizon: int,
                                  padding_mode: int = 0) -> DictOperator:
     """Reference error operator: the whole-horizon product chain of the dict oracle."""
     if isinstance(estimator, SynthesisResult):
-        Phi = dict_performance_operator(plant, estimator.Q, estimator.Z, model,
-                                        sigma, horizon, padding_mode)
+        # the embedded x0 sequence enters unscaled; the bound scales the chosen x0
+        Phi = dict_performance_operator(replace(plant, x0_bound=1.0), estimator.Q,
+                                        estimator.Z, model, sigma, horizon, padding_mode)
         if estimator.eps_achieved <= 1e-9:
             return dict_scale(Phi, -1.0)
         E = dict_residual_operator(plant, estimator.Q, estimator.Z, model,
@@ -458,7 +470,8 @@ def build_residual_rows(plant: ChannelPlant, model: SwitchedOutputModel,
 def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
                            automaton: SwitchingAutomaton, config: SynthesisConfig,
                            variables=None) -> list[ConstraintRow]:
-    """Rows of the error gain operator [shift(B) + Z Dbar + Q shift(B), I + Q].
+    """Rows of the error gain operator [shift(B) + Z Dbar + Q shift(B), b (I + Q)],
+    b the plant's initial-condition bound.
 
     Input columns are stacked: disturbance channels first, then the
     initial-condition channels.
@@ -474,8 +487,8 @@ def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
             for j in range(n):
                 form = LinearForm()
                 if k == 0 and i == j:
-                    form.const += 1.0
-                form.add_term(variables.var("Q", hm, k, i, j), 1.0)
+                    form.const += plant.x0_bound
+                form.add_term(variables.var("Q", hm, k, i, j), plant.x0_bound)
                 entries.append((k, m_w + j, form))
         rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
     return rows
@@ -759,14 +772,16 @@ def dict_residual_operator(plant, Q, Z, model, sigma, horizon: int,
 
 def dict_performance_operator(plant, Q, Z, model, sigma, horizon: int,
                               padding_mode: int = 0) -> DictOperator:
-    """[shift(B) + Z Dbar + Q shift(B), I + Q] along one sigma, in the dict algebra."""
+    """[shift(B) + Z Dbar + Q shift(B), b (I + Q)] along one sigma, in the dict
+    algebra, b the plant's initial-condition bound."""
     n = plant.n
     lam_b = dict_compose(dict_delay(1, n, horizon), dict_make_diagonal(plant.B, horizon))
     _, Dbar = dict_lift_outputs(model, sigma, horizon)
     Q_op = dict_instantiate(Q, sigma, horizon, padding_mode)
     Z_op = dict_instantiate(Z, sigma, horizon, padding_mode)
     w_block = dict_add(lam_b, dict_add(dict_compose(Z_op, Dbar), dict_compose(Q_op, lam_b)))
-    return dict_hstack(w_block, dict_add(dict_delay(0, n, horizon), Q_op))
+    return dict_hstack(w_block, dict_scale(dict_add(dict_delay(0, n, horizon), Q_op),
+                                           plant.x0_bound))
 
 
 def sampled_norms_loop(plant, model, automaton, config, result, seed: int = 0):
