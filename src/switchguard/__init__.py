@@ -10,12 +10,11 @@ from .operator_core import (Signal, TruncatedOperator, add, apply, compose, dela
                             hstack, identity, induced_norm, make_diagonal, scale)
 from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
                              SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
-                             enumerate_histories, history_at, instantiate, lift_outputs)
+                             history_array, instantiate, lift_outputs)
 from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, solve
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
                         assemble_lp, certify, decision_variables, parametrization_residual,
-                        performance_operator, residual_operator, row_gains,
-                        sweep_relaxation, synthesize)
+                        performance_operator, residual_operator, row_gains, synthesize)
 from .simulate import (Scenario, Trace, attack_search, error_operator, make_trace,
                        run_estimator, run_fir_estimator, run_glo, simulate_plant,
                        worst_case_inputs)

@@ -22,7 +22,7 @@ from . import operator_core as oc
 from .lp_solver import LpNumericalError, format_lp
 from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, build_modes, enumerate_histories)
+                             SwitchingFIR, build_modes, history_array)
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
                         certify, performance_operator, residual_operator, synthesize)
 
@@ -197,8 +197,8 @@ def _fir_to_json(fir: SwitchingFIR) -> dict:
         "out_dim": fir.out_dim,
         "output_only": fir.output_only,
         "entries": [
-            {"history": list(hist), "lag": lag, "matrix": fir.taps[h, lag].tolist()}
-            for h, hist in enumerate(fir.histories()) for lag in range(fir.fir_length)
+            {"history": hist, "lag": lag, "matrix": fir.taps[h, lag].tolist()}
+            for h, hist in enumerate(fir.windows.tolist()) for lag in range(fir.fir_length)
         ],
     }
 
@@ -272,7 +272,7 @@ def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: Switched
                    automaton: SwitchingAutomaton, syncfg: SynthesisConfig) -> None:
     """The stored taps must cover exactly the windows the config's automaton admits."""
     M, N = syncfg.memory, syncfg.fir_length
-    histories = enumerate_histories(automaton, M)
+    histories = history_array(automaton, M).tolist()
     for name, fir, in_dim in (("Q", result.Q, plant.n), ("Z", result.Z, model.p),
                               ("T", result.T, model.p)):
         if (fir.memory, fir.fir_length) != (M, N):
@@ -282,7 +282,7 @@ def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: Switched
             raise ConfigError(name, f"taps are {fir.out_dim}x{fir.in_dim}, "
                                     f"expected {plant.n}x{in_dim}")
         # every history holds every lag 0..N-1, so equal histories mean equal entries
-        _expect(fir.histories() == histories, f"{name}.entries",
+        _expect(fir.windows.tolist() == histories, f"{name}.entries",
                 "tap histories and lags do not match the admissible windows of the "
                 "config's attack automaton")
 
@@ -456,10 +456,8 @@ def cmd_attack(args) -> int:
 
 
 def _tap_diff(fir: SwitchingFIR, reference, history) -> float:
-    worst = 0.0
-    for k, ref in enumerate(reference):
-        worst = max(worst, float(np.max(np.abs(fir.tap(history, k) - ref))))
-    return worst
+    taps = fir.taps[fir.history_ids(history), :len(reference)]
+    return float(np.max(np.abs(taps - np.array(reference))))
 
 
 def cmd_example(args) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, _distinct_rows, history_at, instantiate)
+                             SwitchingFIR, _distinct_rows, instantiate)
 from .synthesis import SynthesisResult
 
 __all__ = [
@@ -140,23 +140,25 @@ def run_glo(Q: SwitchingFIR, Z: SwitchingFIR, plant: ChannelPlant,
     A = plant.A
     xh = np.zeros((H, n))
     y = y_a.samples
+    q_band = instantiate(Q, sigma, H, padding_mode).band
+    z_band = instantiate(Z, sigma, H, padding_mode).band
     for t in range(H):
-        hist = history_at(sigma, t, Q.memory, padding_mode)
+        q, z = q_band[t], z_band[t]
         j = int(sigma[t])
-        solve_mat = np.eye(n) - (Z.tap(hist, 0) @ model.C(j) - Q.tap(hist, 0))
+        solve_mat = np.eye(n) - (z[0] @ model.C(j) - q[0])
         rhs = np.zeros(n)
         for k in range(1, min(t, N - 1) + 1):
             mode_k = int(sigma[t - k])
-            rhs += (Z.tap(hist, k) @ model.C(mode_k) - Q.tap(hist, k)) @ xh[t - k]
+            rhs += (z[k] @ model.C(mode_k) - q[k]) @ xh[t - k]
         if t >= 1:
             rhs += A @ xh[t - 1]
         for k in range(1, min(t, N) + 1):
-            rhs += Q.tap(hist, k - 1) @ (A @ xh[t - k])
+            rhs += q[k - 1] @ (A @ xh[t - k])
         for k in range(min(t, N - 1) + 1):
-            rhs -= Z.tap(hist, k) @ y[t - k]
+            rhs -= z[k] @ y[t - k]
         if oc.is_singular(solve_mat):
-            raise np.linalg.LinAlgError(
-                f"singular lag-0 solve for history {hist} at time {t}")
+            hist = ((padding_mode,) * Q.memory + tuple(map(int, sigma[:t + 1])))[-Q.memory:]
+            raise np.linalg.LinAlgError(f"singular lag-0 solve for history {hist} at time {t}")
         xh[t] = np.linalg.solve(solve_mat, rhs)
     return Signal(xh)
 
@@ -224,9 +226,11 @@ class _ErrorKernel:
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
 
     def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
-        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in): a view
-        of the tap table."""
-        return fir.taps[fir.history_id(history_at(sigma, t, fir.memory, self.pad)), :t + 1]
+        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in): a table view."""
+        M = fir.memory
+        window = (sigma[t + 1 - M:t + 1] if t + 1 >= M
+                  else (self.pad,) * (M - 1 - t) + tuple(sigma[:t + 1]))
+        return fir.taps[fir.history_ids(window), :t + 1]
 
     def _modes_back(self, sigma, t: int, count: int) -> list[int]:
         """The modes delivered 0..count-1 steps before time t."""
@@ -423,29 +427,32 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
 
     Row t of an exact or FIR design reads only t and the state's window, so
     one row and one summary per state, built from the window with padding in
-    front, value every sequence through that state.  Exact rows are
-    stationary: from t = window on they depend on the window alone and are
-    built once, at t = window.  When `_separated` holds for all summary
-    values, `fold` makes a sequence's value exactly the largest value of its
-    states, so the search keeps "later wins only by more than 1e-15": a
-    backward max over the states gives the best value, and taking at each
-    step the smallest successor that can still reach it gives the
-    lexicographically first maximizer.  Returns None when the values are
-    not separated, and (None, -1.0) when no sequence has `horizon` modes.
-    """
+    front, value every sequence through that state; once two layers of
+    states are equal, every later layer and step repeats them.  Exact rows
+    are stationary too: from t = window on they depend on the window alone
+    and are built once, at t = window.  When `_separated` holds for all
+    summary values, `fold` makes a sequence's value exactly the largest
+    value of its states, so the search keeps "later wins only by more than
+    1e-15": a backward max over the states gives the best value, and taking
+    at each step the smallest successor that can still reach it gives the
+    lexicographically first maximizer.  Returns None when the values are not
+    separated, and (None, -1.0) when no sequence has `horizon` modes."""
     window, pad = kernel.window, automaton.padding_mode
-    layers = [np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)]
+    states = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
+    layers = [states]
     edges = []  # per step t -> t + 1: the (parent, successor) states of each transition
-    count = len(layers[0])
+    count = len(states)
     for _ in range(1, horizon):
-        parent, extended = automaton.extend(layers[-1], keep=window)
-        states, succ = _distinct_rows(extended)
+        if len(layers) < 2 or states is not layers[-2] and not np.array_equal(states, layers[-2]):
+            parent, extended = automaton.extend(states, keep=window)
+            states, succ = _distinct_rows(extended)
+            steps = list(zip(parent.tolist(), succ.tolist()))
+        layers.append(states)
+        edges.append(steps)
         count += len(states)
         if count > _CAP:
             raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
                              "exceeds the 2^20 cap; use strategy='greedy'")
-        layers.append(states)
-        edges.append(list(zip(parent.tolist(), succ.tolist())))
     summaries: dict[tuple, tuple] = {}  # (t built at, window) -> summary
     tops = []  # per time, the largest summary value of each state
     for t, states in enumerate(layers):

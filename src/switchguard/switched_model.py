@@ -4,16 +4,18 @@ An attacker drops measurement channels; each drop pattern defines a mode
 whose stacked output matrices are the nominal ones with the undelivered
 rows zeroed.  Admissible attack sequences are paths of a transition
 automaton, and estimator building blocks are FIR operators whose taps are
-selected by the trailing window of the mode sequence.  A `SwitchingFIR`
-keeps its taps in one read-only table indexed by (history, lag), and every
-consumer reads that table: `instantiate` freezes it along a batch of mode
-sequences with a single gather.
+selected by the trailing window of the mode sequence, a row of an integer
+array.  A `SwitchingFIR` keeps its taps in one read-only table indexed by
+(history, lag), and `history_ids` maps windows to its rows: `instantiate`
+freezes it along a batch of mode sequences with one lookup and one gather.
 """
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,9 +28,7 @@ __all__ = [
     "SwitchingAutomaton",
     "SwitchingFIR",
     "build_modes",
-    "enumerate_histories",
     "history_array",
-    "history_at",
     "instantiate",
     "lift_outputs",
     "broadcast_taps",
@@ -275,13 +275,6 @@ class SwitchingAutomaton:
             if len(prefix) < length:
                 stack.extend(prefix + (b,) for b in reversed(self.successors(prefix[-1])))
 
-    def paths(self, length: int, first) -> Iterator[tuple[int, ...]]:
-        """Yield, in lexicographic order, every `length`-mode path that starts
-        in a mode of `first` and then steps along `successors`."""
-        if length == 0:
-            return iter([()])
-        return (p for p in self.prefixes(length, first) if len(p) == length)
-
     def is_admissible(self, sigma) -> bool:
         prev = None
         for m in sigma:
@@ -289,10 +282,6 @@ class SwitchingAutomaton:
                 return False
             prev = m
         return True
-
-    def admissible_sequences(self, length: int) -> Iterator[tuple[int, ...]]:
-        """Yield every admissible mode sequence of the given length, lexicographically."""
-        return self.paths(length, self.initial)
 
     def random_sequence(self, length: int, rng: np.random.Generator) -> tuple[int, ...]:
         seq: tuple[int, ...] = ()
@@ -317,7 +306,14 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
-    """`enumerate_histories` as one (window, length) integer array."""
+    """All length-`length` windows a sliding observer of admissible sequences
+    can see, as the sorted distinct rows of one integer array.
+
+    Interior windows are paths of the transition graph.  Startup windows
+    (times before a full window of real modes exists) are padding-mode
+    prefixes followed by an admissible path starting in `initial`; the
+    virtual padding-to-start junction is exempt from the transition check.
+    """
     if length < 1:
         raise ValueError("history length must be >= 1")
     interior = np.arange(automaton.mode_count, dtype=np.intp)[:, None]
@@ -333,24 +329,41 @@ def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
     return _distinct_rows(np.concatenate([interior] + startup))[0]
 
 
-def enumerate_histories(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
-    """All length-`length` windows a sliding observer of admissible sequences can see.
+class _WindowRows:
+    """Rows of a sorted (row, M) integer array of distinct, nonnegative mode
+    windows, found by mixed-radix keys in base one past the largest mode:
+    `searchsorted` for an array of windows, `bisect` for a tuple, without a
+    round trip through numpy.  A mode outside 0..base-1 matches no row."""
 
-    Interior windows are paths of the transition graph.  Startup windows
-    (times before a full window of real modes exists) are padding-mode
-    prefixes followed by an admissible path starting in `initial`; the
-    virtual padding-to-start junction is exempt from the transition check.
-    Deduplicated, lexicographically sorted.
-    """
-    return list(map(tuple, history_array(automaton, length).tolist()))
+    def __init__(self, windows: np.ndarray):
+        self.windows, self.base = windows, int(windows.max(initial=-1)) + 1
+        if self.base ** windows.shape[1] >= 2 ** 62:
+            raise ValueError(f"windows of modes below {self.base} overflow 64-bit keys")
+        self.radix = self.base ** np.arange(windows.shape[1] - 1, -1, -1, dtype=np.int64)
+        self.key_list = (windows @ self.radix).tolist()
+        self.keys = np.array(self.key_list + [2 ** 63 - 1])  # the sentinel matches nothing
 
-
-def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, ...]:
-    """Window (sigma(t-length+1), ..., sigma(t)) with padding before time 0."""
-    out = []
-    for s in range(t - length + 1, t + 1):
-        out.append(int(sigma[s]) if s >= 0 else padding_mode)
-    return tuple(out)
+    def __call__(self, windows):
+        if type(windows) is tuple:
+            base, keys, key = self.base, self.key_list, 0
+            for mode in windows:
+                key = key * base + mode if key >= 0 and 0 <= mode < base else -1
+            row = bisect_left(keys, key)
+            if len(windows) == len(self.radix) and keys[row:row + 1] == [key]:
+                return row
+        else:
+            windows = np.asarray(windows)
+            if windows.shape[-1:] != self.radix.shape:
+                raise KeyError(f"windows of shape {windows.shape} are not {self.radix.shape}")
+            inside = ((windows >= 0) & (windows < self.base)).all(axis=-1)
+            keys = np.where(inside, windows @ self.radix, -1)
+            rows = np.searchsorted(self.keys, keys)
+            missing = self.keys[rows] != keys
+            if not missing.any():
+                return rows
+            windows = tuple(windows[np.unravel_index(np.argmax(missing), missing.shape)].tolist())
+        raise KeyError(f"no coefficient for history {windows}; "
+                       "the admissible-switching set and the stored taps disagree")
 
 
 @dataclass(frozen=True)
@@ -360,10 +373,10 @@ class SwitchingFIR:
     coeffs maps (history tuple of length `memory`, lag in 0..fir_length-1)
     to an (out_dim, in_dim) matrix, and every history must have every lag.
     The taps are stored once, in the read-only table `taps` of shape
-    (history, lag, out_dim, in_dim), the histories in `histories()` order;
-    the coeffs values are views into it.  output_only marks operators
-    intended as output-only switching systems (taps read the mode window
-    only).
+    (history, lag, out_dim, in_dim), the coeffs values being views into it,
+    and the histories as the rows of the read-only, sorted integer array
+    `windows`.  output_only marks operators intended as output-only
+    switching systems (taps read the mode window only).
     """
 
     memory: int
@@ -373,6 +386,7 @@ class SwitchingFIR:
     coeffs: dict
     output_only: bool = False
     taps: np.ndarray = field(init=False, repr=False, compare=False)
+    windows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.memory < 1 or self.fir_length < 1:
@@ -380,8 +394,8 @@ class SwitchingFIR:
         by_history: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
         for (hist, k), mat in self.coeffs.items():
             hist = tuple(int(m) for m in hist)
-            if len(hist) != self.memory:
-                raise ValueError(f"history {hist} has length {len(hist)}, expected {self.memory}")
+            if len(hist) != self.memory or min(hist) < 0:
+                raise ValueError(f"history {hist} must hold {self.memory} nonnegative modes")
             if not (0 <= k < self.fir_length):
                 raise ValueError(f"lag {k} outside 0..{self.fir_length - 1}")
             mat = _mat(mat, f"coeff{(hist, k)}")
@@ -396,28 +410,27 @@ class SwitchingFIR:
                 raise ValueError(f"history {hist} is missing lag {k}")
         taps = np.array([by_history[hist][k] for hist, k in keys]).reshape(
             len(histories), self.fir_length, self.out_dim, self.in_dim)
-        taps.flags.writeable = False
+        windows = np.array(histories, dtype=np.intp).reshape(len(histories), self.memory)
+        taps.flags.writeable = windows.flags.writeable = False
         object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "coeffs", dict(zip(keys, taps.reshape(len(keys), self.out_dim,
                                                                        self.in_dim))))
-        object.__setattr__(self, "_ids", {hist: h for h, hist in enumerate(histories)})
 
-    def history_id(self, window) -> int:
-        """Index of the window's taps along the first axis of `taps`."""
-        h = self._ids.get(tuple(window))
-        if h is None:
-            raise KeyError(
-                f"no coefficient for history {tuple(window)}; "
-                "the admissible-switching set and the stored taps disagree")
-        return h
+    @cached_property
+    def history_ids(self) -> _WindowRows:
+        """history_ids(windows): the rows of `taps` for an integer array of
+        windows (..., memory), or an int for a tuple; KeyError names the
+        first window without taps.  Built at the first lookup, not at init."""
+        return _WindowRows(self.windows)
 
     def tap(self, history, lag: int) -> np.ndarray:
         if not (0 <= lag < self.fir_length):
             raise KeyError(f"no coefficient for history {tuple(history)} at lag {lag}")
-        return self.taps[self.history_id(history), lag]
+        return self.taps[self.history_ids(tuple(history)), lag]
 
     def histories(self) -> list[tuple[int, ...]]:
-        return list(self._ids)
+        return list(map(tuple, self.windows.tolist()))
 
 
 def _sigma_array(sigma, horizon: int) -> np.ndarray:
@@ -436,17 +449,15 @@ def instantiate(fir: SwitchingFIR, sigma, horizon: int,
 
     sigma may be a batch of sequences, shape (..., horizon); the result is
     then a batch of operators.  Band entry (t, k) is the lag-k tap of the
-    window ending at time t: one gather of the tap table at the windows'
-    history ids.
+    window ending at time t: one lookup of the windows' tap rows and one
+    gather of the tap table.
     """
     sigma = _sigma_array(sigma, horizon)
     M, lags = fir.memory, min(fir.fir_length, horizon)
     padded = np.concatenate([np.full(sigma.shape[:-1] + (M - 1,), padding_mode, np.intp),
                              sigma], axis=-1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, M, axis=-1)
-    distinct, window_ids = np.unique(windows.reshape(-1, M), axis=0, return_inverse=True)
-    ids = np.array([fir.history_id(w) for w in distinct.tolist()], dtype=np.intp)
-    band = fir.taps[:, :lags][ids[window_ids.reshape(sigma.shape)]]
+    band = fir.taps[:, :lags][fir.history_ids(windows)]
     t, k = np.ogrid[:horizon, :lags]
     band[..., k > t, :, :] = 0.0
     return TruncatedOperator(band)
@@ -476,10 +487,8 @@ def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,
     """
     source = (tuple(source_history) if source_history is not None
               else (automaton.padding_mode,) * fir.memory)
-    hists = enumerate_histories(automaton, fir.memory)
-    coeffs = {}
-    for hist in hists:
-        for k in range(fir.fir_length):
-            coeffs[(hist, k)] = fir.tap(source, k)
+    taps = fir.taps[fir.history_ids(source)]
+    hists = map(tuple, history_array(automaton, fir.memory).tolist())
+    coeffs = {(hist, k): taps[k] for hist in hists for k in range(fir.fir_length)}
     return SwitchingFIR(fir.memory, fir.fir_length, fir.in_dim, fir.out_dim,
                         coeffs, output_only=fir.output_only)

@@ -24,7 +24,6 @@ from it and `certify` takes gamma_rows and eps_rows.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from . import operator_core as oc
 from .lp_solver import EQ, LE, LinearProgram, solve
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, _distinct_rows, enumerate_histories, history_array,
+                             SwitchingFIR, _distinct_rows, _WindowRows, history_array,
                              instantiate, lift_outputs)
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "parametrization_residual",
     "residual_operator",
     "performance_operator",
-    "sweep_relaxation",
 ]
 
 MODE_EXACT = "exact"
@@ -97,9 +95,10 @@ class SynthesisConfig:
 class DecisionVariables:
     """Canonical numbering of the Q/Z coefficient entries.
 
-    Per tap history (in `histories` order) and lag, the n x n block of Q and
-    then the n x p block of Z, each row-major: a variable id is arithmetic
-    over (history id, lag, block entry), and `pack`/`unpack` are reshapes.
+    Per tap history (a row of the sorted array `histories`, numbered by
+    `history_ids`) and lag, the n x n block of Q and then the n x p block
+    of Z, each row-major: a variable id is arithmetic over (history id,
+    lag, block entry), and `pack`/`unpack` are reshapes.
     """
 
     def __init__(self, histories, memory: int, fir_length: int, n: int, p: int):
@@ -107,7 +106,8 @@ class DecisionVariables:
         self.fir_length = fir_length
         self.n = n
         self.p = p
-        self.histories = [tuple(h) for h in histories]
+        self.history_ids = _WindowRows(np.asarray(histories, dtype=np.intp).reshape(-1, memory))
+        self.histories = self.history_ids.windows
         self.block = n * (n + p)
 
     @property
@@ -128,7 +128,7 @@ class DecisionVariables:
         blocks = np.reshape(x, (len(self.histories), N, self.block))
         q_taps = blocks[..., :n * n].reshape(-1, N, n, n)
         z_taps = blocks[..., n * n:].reshape(-1, N, n, p)
-        keys = [(hist, lag) for hist in self.histories for lag in range(N)]
+        keys = [(hist, lag) for hist in map(tuple, self.histories.tolist()) for lag in range(N)]
         Q = SwitchingFIR(self.memory, N, n, n, dict(zip(keys, q_taps.reshape(-1, n, n))))
         Z = SwitchingFIR(self.memory, N, p, n, dict(zip(keys, z_taps.reshape(-1, n, p))))
         return Q, Z
@@ -136,14 +136,14 @@ class DecisionVariables:
     def pack(self, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
         """Decision vector holding the taps of (Q, Z); the inverse of unpack."""
         n, p, N = self.n, self.p, self.fir_length
-        taps = [fir.taps[[fir.history_id(hist) for hist in self.histories]]
-                .reshape(len(self.histories), N, size) for fir, size in ((Q, n * n), (Z, n * p))]
+        taps = [fir.taps[fir.history_ids(self.histories)].reshape(len(self.histories), N, size)
+                for fir, size in ((Q, n * n), (Z, n * p))]
         return np.concatenate(taps, axis=2).reshape(-1)
 
 
 def decision_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
                        n: int, p: int) -> DecisionVariables:
-    return DecisionVariables(enumerate_histories(automaton, config.memory),
+    return DecisionVariables(history_array(automaton, config.memory),
                              config.memory, config.fir_length, n, p)
 
 
@@ -158,13 +158,13 @@ _PERFORMANCE = "performance"
 
 def _windows(automaton: SwitchingAutomaton, config: SynthesisConfig):
     """Every admissible extended window as one (window, L) integer array, in
-    enumerate_histories order, with its tap history: the sorted distinct
-    length-M suffixes, and each window's index among them.
+    history_array order, with its tap history: the sorted distinct length-M
+    suffixes, and each window's index among them.
     """
     L, M = config.window, config.memory
     windows = history_array(automaton, L)
     suffixes, tap_ids = _distinct_rows(windows[:, L - M:])
-    return windows, list(map(tuple, suffixes.tolist())), tap_ids
+    return windows, suffixes, tap_ids
 
 
 def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
@@ -305,8 +305,7 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     nvar = variables.count
     gamma = nvar
     windows, taps, tap_ids = _windows(automaton, config)
-    position = {hist: a for a, hist in enumerate(variables.histories)}
-    hist_ids = np.array([position[hist] for hist in taps], dtype=np.intp)[tap_ids]
+    hist_ids = variables.history_ids(taps)[tap_ids]
     blocks = [list(_kernel_terms(plant, model, kind, windows, hist_ids, variables))
               for kind in (_PERFORMANCE, _RESIDUAL)]
     width = max(b[2].shape[-1] for kind in blocks for b in kind)
@@ -403,9 +402,8 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
     """1 - max row sum of the lag-0 contraction block, over all tap windows."""
-    hists = Z.histories()
-    C = np.array([model.C(hist[-1]) for hist in hists])
-    blocks = Z.taps[:, 0] @ C - Q.taps[[Q.history_id(hist) for hist in hists], 0]
+    C = np.array([model.C(mode) for mode in Z.windows[:, -1].tolist()])
+    blocks = Z.taps[:, 0] @ C - Q.taps[Q.history_ids(Z.windows), 0]
     return 1.0 - float(np.max(np.sum(np.abs(blocks), axis=-1), initial=0.0))
 
 
@@ -541,17 +539,3 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
         "max_sampled_performance_norm": float(np.max(perf_norms, initial=0.0)),
         "seed": seed,
     }
-
-
-def sweep_relaxation(plant: ChannelPlant, model: SwitchedOutputModel,
-                     automaton: SwitchingAutomaton, config: SynthesisConfig,
-                     eps_values) -> list[tuple[float, SynthesisResult | None]]:
-    """Scalar sweep over the relaxation bound; None marks infeasible points."""
-    out = []
-    for eps in eps_values:
-        cfg = dataclasses.replace(config, mode=MODE_RELAXED, eps_bar=float(eps))
-        try:
-            out.append((float(eps), synthesize(plant, model, automaton, cfg)))
-        except SynthesisInfeasibleError:
-            out.append((float(eps), None))
-    return out

@@ -3,6 +3,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchguard import demo, simulate
 from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
@@ -12,8 +14,9 @@ from switchguard.simulate import (_NO_PEAK, Scenario, _ErrorKernel, attack_searc
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
-from util import (compose_chain_error_operator, loop_scan, per_sequence_attack_search,
-                  random_signal, reference_worst_case_inputs, resolvent_of_state)
+from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
+                  per_sequence_attack_search, random_signal, reference_worst_case_inputs,
+                  resolvent_of_state)
 
 
 def random_problem(rng, n=2, m_w=2, p=2):
@@ -353,7 +356,7 @@ def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name)
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
         pad = automaton.padding_mode
-        for sigma in automaton.admissible_sequences(H):
+        for sigma in admissible_sequences(automaton, H):
             E_ref = compose_chain_error_operator(plant, model, design, sigma, H, pad)
             assert np.array_equal(error_operator(plant, model, design, sigma, H, pad).unroll(),
                                   E_ref.unroll())
@@ -530,13 +533,25 @@ def test_near_tie_falls_back_to_the_walk():
 def test_long_horizon_state_search(switching_synthesis, switching_setup, nominal_synthesis,
                                    monkeypatch):
     """Horizons far past the walk's 2^20 cap.  The exact design's value stays
-    below its certified bound; the blind design has none under switching."""
+    below its certified bound; the blind design has none under switching.
+    The reachable states stop changing at t = window, so the search extends
+    its layers at most window + 2 times."""
     plant, model, automaton, _ = switching_setup
     exact = switching_synthesis[0]
     blind = broadcast_taps(nominal_synthesis[0].T, automaton)
+    extend, calls = SwitchingAutomaton.extend, []
+
+    def counted(self, paths, keep=None):
+        calls.append(keep)
+        return extend(self, paths, keep)
+
+    monkeypatch.setattr(SwitchingAutomaton, "extend", counted)
     values = []
     for design, H in ((exact, 1000), (blind, 200)):
+        calls.clear()
         sigma, value = attack_search(plant, model, design, automaton, H)
+        window = _ErrorKernel(plant, model, design, automaton.padding_mode).window
+        assert 0 < len(calls) <= window + 2
         assert len(sigma) == H and automaton.is_admissible(sigma)
         _, witnessed = worst_case_inputs(plant, model, design, sigma, H,
                                          automaton.padding_mode)
@@ -556,6 +571,18 @@ def test_state_search_cap(switching_synthesis, switching_setup, monkeypatch):
         attack_search(plant, model, switching_synthesis[0], automaton, 10)
     monkeypatch.setattr(simulate, "_CAP", 222)
     assert attack_search(plant, model, switching_synthesis[0], automaton, 10)[0] == (0,) * 10
+
+
+@settings(max_examples=8, deadline=None)
+@given(x0_bound=st.floats(0.0, 10.0), horizon=st.integers(1, 8))
+def test_attacks_stay_below_certified_bound_over_random_x0_bound(nominal_setup, x0_bound,
+                                                                 horizon):
+    plant, model, automaton, config = nominal_setup
+    plant = dataclasses.replace(plant, x0_bound=x0_bound)
+    result = synthesize(plant, model, automaton, config)
+    bound = result.certified_bound * (1 + 1e-9)
+    for strategy in ("exhaustive", "greedy"):
+        assert attack_search(plant, model, result, automaton, horizon, strategy)[1] <= bound
 
 
 @pytest.mark.parametrize("mode", ["exact", "relaxed"])

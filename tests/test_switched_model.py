@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,14 @@ import pytest
 from switchguard import demo
 from switchguard.switched_model import (ChannelPlant, SelectionMask, SwitchingAutomaton,
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
-                                        build_modes, enumerate_histories, history_array,
-                                        history_at, instantiate, lift_outputs)
-from util import dense_blockdiag, dict_instantiate, generator_histories
+                                        build_modes, history_array, instantiate, lift_outputs)
+from util import (admissible_sequences, dense_blockdiag, dict_instantiate, generator_histories,
+                  history_at)
+
+
+def histories(automaton, length):
+    """history_array's windows as tuples."""
+    return list(map(tuple, history_array(automaton, length).tolist()))
 
 
 def test_build_modes_reference_matrices():
@@ -68,14 +74,14 @@ def test_mask_idempotence():
 
 def test_enumerate_complete_two_modes():
     auto = SwitchingAutomaton.complete(2)
-    hists = enumerate_histories(auto, 2)
+    hists = histories(auto, 2)
     assert hists == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_enumerate_forbidden_transition_bruteforce():
     allowed = np.array([[True, True], [True, False]])
     auto = SwitchingAutomaton(2, allowed=allowed)
-    hists = set(enumerate_histories(auto, 3))
+    hists = set(histories(auto, 3))
     expected = {h for h in itertools.product((0, 1), repeat=3)
                 if all(allowed[a, b] for a, b in zip(h, h[1:]))}
     assert hists == expected
@@ -84,7 +90,7 @@ def test_enumerate_forbidden_transition_bruteforce():
 
 def test_enumerate_length_one():
     auto = SwitchingAutomaton.complete(3)
-    hists = enumerate_histories(auto, 1)
+    hists = histories(auto, 1)
     assert hists == [(0,), (1,), (2,)]
 
 
@@ -93,7 +99,7 @@ def test_enumerate_padding_covers_startup():
     # the startup window (padding, 1) must still be enumerated
     allowed = np.array([[True, False], [True, True]])
     auto = SwitchingAutomaton(2, allowed=allowed, initial={1}, padding_mode=0)
-    hists = set(enumerate_histories(auto, 2))
+    hists = set(histories(auto, 2))
     assert (0, 1) in hists
     assert hists == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -106,7 +112,7 @@ def test_sliding_windows_subset_of_enumeration():
         allowed |= np.eye(mode_count, dtype=bool)  # keep it live
         auto = SwitchingAutomaton(mode_count, allowed=allowed)
         L = int(rng.integers(1, 4))
-        hists = set(enumerate_histories(auto, L))
+        hists = set(histories(auto, L))
         sigma = auto.random_sequence(12, rng)
         for t in range(12):
             assert history_at(sigma, t, L, auto.padding_mode) in hists
@@ -131,14 +137,14 @@ def test_walker_matches_brute_force():
             admissible = [s for s in every if not s or (s[0] in initial and is_path(s))]
             assert [s for s in every if auto.is_admissible(s)] == admissible
             # lexicographic order is what exhaustive search's tie-break relies on
-            assert list(auto.admissible_sequences(L)) == admissible
+            assert admissible_sequences(auto, L) == admissible
         for L in range(1, 5):
             interior = {s for s in itertools.product(range(mode_count), repeat=L)
                         if is_path(s)}
             startup = {(pad,) * j + s for j in range(1, L)
                        for s in itertools.product(range(mode_count), repeat=L - j)
                        if s[0] in initial and is_path(s)}
-            assert enumerate_histories(auto, L) == sorted(interior | startup)
+            assert histories(auto, L) == sorted(interior | startup)
 
 
 def test_array_walker_matches_generator_walk():
@@ -153,7 +159,7 @@ def test_array_walker_matches_generator_walk():
                                   padding_mode=int(rng.integers(mode_count)))
         for L in range(1, 7):
             expected = generator_histories(auto, L)
-            assert enumerate_histories(auto, L) == expected
+            assert histories(auto, L) == expected
             windows = history_array(auto, L)
             assert windows.dtype == np.intp and windows.shape == (len(expected), L)
         for L in range(1, 5):
@@ -161,7 +167,7 @@ def test_array_walker_matches_generator_walk():
             paths = first
             for _ in range(L - 1):
                 parent, paths = auto.extend(paths)
-            assert list(map(tuple, paths.tolist())) == list(auto.admissible_sequences(L))
+            assert list(map(tuple, paths.tolist())) == admissible_sequences(auto, L)
 
 
 def test_extend_keeps_the_last_modes():
@@ -197,9 +203,10 @@ def test_prefix_walk_is_lexicographic_preorder():
 
 
 def test_paths_do_not_recurse_per_mode():
-    assert list(SwitchingAutomaton(1).paths(5000, [0])) == [(0,) * 5000]
+    walk = list(SwitchingAutomaton(1).prefixes(5000, [0]))
+    assert len(walk) == 5000 and walk[-1] == (0,) * 5000
     with pytest.raises(ValueError, match="nonnegative"):
-        list(SwitchingAutomaton(1).paths(-3, [0]))
+        list(SwitchingAutomaton(1).prefixes(-3, [0]))
 
 
 def test_instantiate_constant_sigma_is_lti():
@@ -222,7 +229,7 @@ def test_instantiate_matches_direct_convolution():
         N = int(rng.integers(1, 4))
         pad = int(rng.integers(0, 2))
         taps = {(h, k): rng.uniform(-1, 1, (2, 3))
-                for h in enumerate_histories(auto, M) for k in range(N)}
+                for h in histories(auto, M) for k in range(N)}
         fir = SwitchingFIR(M, N, 3, 2, taps)
         H = int(rng.integers(1, 9))
         sigmas = [auto.random_sequence(H, rng) for _ in range(4)]
@@ -257,7 +264,7 @@ def test_switching_fir_keeps_one_read_only_tap_table():
     assert fir.histories() == [(0,), (1,)]
     assert fir.taps.shape == (2, 3, 3, 2) and not fir.taps.flags.writeable
     for (hist, k), mat in taps.items():
-        h = fir.history_id(hist)
+        h = fir.history_ids(hist)
         assert np.array_equal(fir.taps[h, k], mat)
         assert np.shares_memory(fir.coeffs[(hist, k)], fir.taps)
         assert not np.shares_memory(mat, fir.taps)
@@ -271,7 +278,7 @@ def test_tap_rejects_unknown_history_and_lag():
         with pytest.raises(KeyError):
             fir.tap(hist, lag)
     with pytest.raises(KeyError):
-        fir.history_id((1,))
+        fir.history_ids((1,))
 
 
 def test_instantiate_missing_history_is_hard_error():
@@ -285,7 +292,7 @@ def test_instantiate_causal_in_sigma():
     rng = np.random.default_rng(3)
     auto = SwitchingAutomaton.complete(2)
     taps = {(h, k): rng.uniform(-1, 1, (2, 2))
-            for h in enumerate_histories(auto, 2) for k in range(3)}
+            for h in histories(auto, 2) for k in range(3)}
     fir = SwitchingFIR(2, 3, 2, 2, taps)
     sigma_a = (0, 1, 0, 1, 0, 0)
     sigma_b = (0, 1, 0, 1, 1, 1)  # differs only at t >= 4
@@ -339,7 +346,59 @@ def test_broadcast_taps_copies_source():
             assert np.array_equal(blind.tap(hist, k), taps[((0,), k)])
 
 
-def test_history_at_padding():
-    sigma = (1, 0, 1)
-    assert history_at(sigma, 0, 3, padding_mode=0) == (0, 0, 1)
-    assert history_at(sigma, 2, 2, padding_mode=0) == (0, 1)
+
+def test_history_ids_match_tuple_dict_oracle():
+    """history_ids against a tuple-keyed dict over every history_array window,
+    for complete, restricted and padding != 0 automata, with batch shapes."""
+    rng = np.random.default_rng(14)
+    automata = [SwitchingAutomaton.complete(2), SwitchingAutomaton.complete(3, padding_mode=2),
+                SwitchingAutomaton(2, allowed=[[True, True], [True, False]]),
+                SwitchingAutomaton(3, allowed=[[True, False, True], [True, True, False],
+                                               [False, True, True]],
+                                   initial={1, 2}, padding_mode=1)]
+    for auto in automata:
+        for M in (1, 2, 3):
+            windows = history_array(auto, M)
+            fir = SwitchingFIR(M, 2, 1, 1, {(h, k): rng.uniform(-1, 1, (1, 1))
+                                            for h in histories(auto, M) for k in range(2)})
+            oracle = {hist: row for row, hist in enumerate(fir.histories())}
+            expected = np.array([oracle[w] for w in map(tuple, windows.tolist())])
+            assert np.array_equal(fir.history_ids(windows), expected)
+            assert [fir.history_ids(w) for w in map(tuple, windows.tolist())] == expected.tolist()
+            assert np.array_equal(fir.history_ids(windows[::-1, None, :]), expected[::-1, None])
+            assert fir.history_ids(windows[:0]).shape == (0,)
+            sigmas = np.array([auto.random_sequence(7, rng) for _ in range(3)])
+            padded = np.concatenate([np.full((3, M - 1), auto.padding_mode), sigmas], axis=1)
+            batch = np.lib.stride_tricks.sliding_window_view(padded, M, axis=-1)
+            ids = fir.history_ids(batch)
+            assert ids.shape == (3, 7)
+            for b, sigma in enumerate(sigmas.tolist()):
+                for t in range(7):
+                    assert ids[b, t] == oracle[history_at(sigma, t, M, auto.padding_mode)]
+
+
+def test_history_ids_reject_windows_without_taps():
+    """An unknown window, a mode >= mode_count and a negative mode raise
+    KeyError naming the first such window; a negative mode never wraps
+    around to the last row."""
+    auto = SwitchingAutomaton(2, allowed=[[True, True], [True, False]])
+    fir = SwitchingFIR(2, 1, 1, 1, {(h, 0): np.eye(1) for h in histories(auto, 2)})
+    assert fir.histories() == [(0, 0), (0, 1), (1, 0)]
+    for window in ((1, 1), (0, 2), (2, 0), (0, -1), (1, -1), (-1, 0), (-1, -1), (0,), (0, 0, 0)):
+        with pytest.raises(KeyError, match=re.escape(str(window))):
+            fir.history_ids(window)
+        if len(window) == 2:
+            with pytest.raises(KeyError, match=re.escape(str(window))):
+                fir.history_ids(np.array([[0, 0], window, [1, 1]]))
+    with pytest.raises(KeyError):
+        fir.history_ids(np.array([0, 0, 0]))
+    single = SwitchingFIR(1, 1, 1, 1, {((0,), 0): np.eye(1), ((1,), 0): 2 * np.eye(1)})
+    for window in ((-1,), (2,), (-2,)):
+        with pytest.raises(KeyError):
+            single.history_ids(window)
+        with pytest.raises(KeyError):
+            single.history_ids(np.array([window]))
+    with pytest.raises(KeyError):
+        instantiate(single, (0, -1, 1), 3)
+    with pytest.raises(ValueError, match="nonnegative modes"):
+        SwitchingFIR(1, 1, 1, 1, {((-1,), 0): np.eye(1)})

@@ -11,13 +11,14 @@ from switchguard.lp_solver import EQ, format_lp
 from switchguard.operator_core import induced_norm
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
-                                        enumerate_histories, history_at)
+                                        history_array)
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
                                    certify, decision_variables, parametrization_residual,
                                    performance_operator, residual_operator, row_gains,
-                                   sweep_relaxation, synthesize)
+                                   synthesize)
 from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
-                  evaluate_rows, kernel_entries, pack, sampled_norms_loop, symbolic_variables)
+                  evaluate_rows, history_at, kernel_entries, pack, sampled_norms_loop,
+                  symbolic_variables)
 
 
 @pytest.fixture(scope="module")
@@ -179,9 +180,9 @@ def test_variable_ids_match_oracle(memory, fir_length, patterns):
     plant, model, automaton, config, _ = parse_problem(cfg)
     variables = decision_variables(automaton, config, plant.n, model.p)
     oracle = symbolic_variables(automaton, config, plant.n, model.p)
-    assert variables.histories == oracle.histories
+    assert list(map(tuple, variables.histories.tolist())) == oracle.histories
     assert variables.count == oracle.count
-    for a, hist in enumerate(variables.histories):
+    for a, hist in enumerate(oracle.histories):
         for lag in range(fir_length):
             for r in range(plant.n):
                 for c in range(plant.n):
@@ -299,9 +300,10 @@ def test_bound_ordering(switching_synthesis, relaxed_nominal):
 
 def test_sweep_relaxation_monotone(nominal_setup):
     plant, model, automaton, config = nominal_setup
-    points = sweep_relaxation(plant, model, automaton, config, [0.0, 0.2, 0.4])
-    gammas = [r.gamma_bar for _, r in points if r is not None]
-    assert len(gammas) == 3
+    # every point is feasible: an infeasible one raises SynthesisInfeasibleError
+    gammas = [synthesize(plant, model, automaton,
+                         dataclasses.replace(config, mode="relaxed", eps_bar=eps)).gamma_bar
+              for eps in (0.0, 0.2, 0.4)]
     assert all(a >= b - 1e-9 for a, b in zip(gammas, gammas[1:]))
 
 
@@ -395,7 +397,7 @@ def row_gain_cases(draw):
                                    allowed=np.reshape(allowed, (mode_count, mode_count)),
                                    initial=initial, padding_mode=padding_mode)
     config = SynthesisConfig(memory=memory, fir_length=fir_length)
-    hists = enumerate_histories(automaton, memory)
+    hists = list(map(tuple, history_array(automaton, memory).tolist()))
     Q = SwitchingFIR(memory, fir_length, n, n,
                      {(h, k): sparse((n, n)) for h in hists for k in range(fir_length)})
     Z = SwitchingFIR(memory, fir_length, plant.p, n,

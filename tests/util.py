@@ -10,7 +10,7 @@ from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalE
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR, enumerate_histories, history_at)
+                                        SwitchingFIR)
 from switchguard.synthesis import (MODE_RELAXED, SynthesisConfig, SynthesisResult, _check_dims,
                                    _kernel_terms, _windows)
 
@@ -186,15 +186,34 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
     return c, rows, bounds
 
 
+def paths(automaton: SwitchingAutomaton, length: int, first) -> list[tuple[int, ...]]:
+    """Every `length`-mode path that starts in a mode of `first` and then
+    steps along `successors`, in lexicographic order: the full-length
+    prefixes of the tree walk."""
+    if length == 0:
+        return [()]
+    return [p for p in automaton.prefixes(length, first) if len(p) == length]
+
+
+def admissible_sequences(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
+    """Every admissible mode sequence of the given length, lexicographically."""
+    return paths(automaton, length, automaton.initial)
+
+
 def generator_histories(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
-    """Reference `enumerate_histories`: a set union of tuple paths from the
-    generator walk, interior paths plus padding-mode prefixes followed by an
-    admissible path, sorted."""
-    found = set(automaton.paths(length, range(automaton.mode_count)))
+    """Reference `history_array` as tuples: a set union of tuple paths from
+    the generator walk, interior paths plus padding-mode prefixes followed by
+    an admissible path, sorted."""
+    found = set(paths(automaton, length, range(automaton.mode_count)))
     pad = automaton.padding_mode
     for j in range(1, length):
-        found.update((pad,) * j + path for path in automaton.admissible_sequences(length - j))
+        found.update((pad,) * j + path for path in admissible_sequences(automaton, length - j))
     return sorted(found)
+
+
+def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, ...]:
+    """Reference window (sigma(t-length+1), ..., sigma(t)), padding before time 0."""
+    return tuple(int(sigma[s]) if s >= 0 else padding_mode for s in range(t - length + 1, t + 1))
 
 
 def compose_chain_error_operator(plant, model, estimator, sigma, horizon: int,
@@ -265,7 +284,7 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
 
     if strategy == "exhaustive":
         best_sigma, best_value = None, -1.0
-        for sigma in automaton.admissible_sequences(horizon):
+        for sigma in admissible_sequences(automaton, horizon):
             value = value_of(sigma)
             if value > best_value + 1e-15:
                 best_sigma, best_value = sigma, value
@@ -331,8 +350,10 @@ def kernel_entries(plant, model, automaton, config, variables, kind: str, x: np.
     + a2*x2) + ...) with `variables` numbering the terms.
     """
     windows, taps, tap_ids = _windows(automaton, config)
-    position = {hist: a for a, hist in enumerate(variables.histories)}
-    hist_ids = np.array([position[hist] for hist in taps], dtype=np.intp)[tap_ids]
+    histories = map(tuple, np.asarray(variables.histories).tolist())
+    position = {hist: a for a, hist in enumerate(histories)}
+    hist_ids = np.array([position[hist] for hist in map(tuple, taps.tolist())],
+                        dtype=np.intp)[tap_ids]
     values = {}
     for lag, col, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
                                                      variables):
@@ -382,7 +403,7 @@ class SymbolicVariables:
 
 def symbolic_variables(automaton: SwitchingAutomaton, config: SynthesisConfig,
                        n: int, p: int) -> SymbolicVariables:
-    return SymbolicVariables(enumerate_histories(automaton, config.memory),
+    return SymbolicVariables(generator_histories(automaton, config.memory),
                              config.memory, config.fir_length, n, p)
 
 
@@ -429,7 +450,7 @@ def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
     M, N, L = config.memory, config.fir_length, config.window
     # Y0 is -I or 0: looping Q over its full columns would slow the row build
     y0_terms = [[(r, Y0[r, col]) for r in range(n) if Y0[r, col] != 0.0] for col in range(q)]
-    for h in enumerate_histories(automaton, L):
+    for h in generator_histories(automaton, L):
         hm = h[L - M:]
         for i in range(n):
             entries = []
