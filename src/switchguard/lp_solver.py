@@ -18,6 +18,7 @@ multiply and subtract of the full update.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
+REL_PIVOT_TOL = 1e-7  # smallest pivot, relative to the largest entry of its column
 BLOCK = 1 << 14  # most entries a pivot gathers, updates and scatters at once
 
 LE = "<="
@@ -57,10 +59,15 @@ class LinearProgram:
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.shape != (self.variable_count,):
             raise ValueError("objective length must equal variable_count")
+        if not np.isfinite(self.objective).all():
+            raise ValueError("objective coefficients must be finite")
         if not self.bounds:
             self.bounds = [(None, None)] * self.variable_count
         if len(self.bounds) != self.variable_count:
             raise ValueError("bounds length must equal variable_count")
+        sides = [side for pair in self.bounds for side in pair if side is not None]
+        if not all(map(math.isfinite, sides)):
+            raise ValueError("bounds must be finite numbers or None")
         rows, self.constraints = self.constraints, []
         for row in rows:
             self.add(*row)
@@ -71,8 +78,10 @@ class LinearProgram:
             raise ValueError("constraint coefficient length mismatch")
         if rel not in (LE, EQ):
             raise ValueError(f"relation must be '{LE}' or '{EQ}'")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("constraint coefficients must be finite")
         rhs = float(rhs)
-        if not np.isfinite(rhs):
+        if not math.isfinite(rhs):
             raise ValueError("constraint rhs must be finite")
         self.constraints.append((coeffs, rel, rhs))
 
@@ -208,12 +217,16 @@ def _initial_basis(A: np.ndarray) -> np.ndarray:
 def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
     """Min-ratio row; ties broken by smallest basic variable index (Bland).
 
-    Only rows whose entering-column entry exceeds PIVOT_TOL are eligible;
-    -1 when there is none.
+    Only rows whose entering-column entry exceeds PIVOT_TOL and REL_PIVOT_TOL
+    times the column's largest magnitude are eligible; -1 when there is
+    none.  Once pivoting has grown some entries of a column, an entry that
+    only clears the absolute tolerance is round-off, and pivoting on it
+    blows the tableau up.
     """
     m = T.shape[0] - 1
     col = T[:m, enter]
-    eligible = np.flatnonzero(col > PIVOT_TOL)
+    tol = max(PIVOT_TOL, REL_PIVOT_TOL * float(np.abs(col).max(initial=0.0)))
+    eligible = np.flatnonzero(col > tol)
     if eligible.size == 0:
         return -1
     ratios = T[eligible, -1] / col[eligible]
@@ -338,22 +351,21 @@ def solve(lp: LinearProgram) -> LpSolution:
             basis = basis[keep_rows]
             m = keep_rows.size
 
-    # phase 2
-    T2 = np.zeros((m + 1, ncols + 1))
-    T2[:m, :ncols] = T[:m, :ncols]
-    T2[:m, -1] = T[:m, -1]
-    T2[-1, :ncols] = c
+    # phase 2 in the same tableau; no pivot touches the zeroed artificial columns
+    T[:, ncols:total_cols] = 0.0
+    T[-1] = 0.0
+    T[-1, :ncols] = c
     for i in range(m):
         cb = c[basis[i]]
         if cb != 0.0:
-            T2[-1] -= cb * T2[i]
-    status, pivots[1], switches[1] = _simplex(T2, basis, ncols, max_iter)
+            T[-1] -= cb * T[i]
+    status, pivots[1], switches[1] = _simplex(T, basis, ncols, max_iter)
     if status == "unbounded":
         return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan),
                           tuple(pivots), tuple(switches))
 
     u = np.zeros(ncols)
-    u[basis] = T2[:m, -1]
+    u[basis] = T[:m, -1]
     x = recover(u)
     return LpSolution("optimal", float(lp.objective @ x), x, tuple(pivots), tuple(switches))
 

@@ -173,12 +173,6 @@ def run_estimator(estimator, plant: ChannelPlant, model: SwitchedOutputModel,
     raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
 
 
-def _add_into(acc: dict, k: int, mat: np.ndarray) -> None:
-    """acc[k] += mat with the earlier term on the left, as `operator_core`'s
-    add and compose sum."""
-    acc[k] = acc[k] + mat if k in acc else mat
-
-
 class _ErrorKernel:
     """Block rows of the error operator of one estimator, one time at a time.
 
@@ -245,12 +239,12 @@ class _ErrorKernel:
         phi = self._performance_row(sigma, t, q_taps, z_taps)
         if self.kind == "exact":
             return -1.0 * phi, None
-        res = self._resolvent_row(sigma, t, q_taps, z_taps, past)
+        res, lags = self._resolvent_row(sigma, t, q_taps, z_taps, past)
         acc = np.zeros((t + 1,) + phi.shape[1:])
         used = 0
-        for j, rmat in res.items():
+        for j in lags:
             later = phi if j == 0 else past[t - j][1]
-            acc[j:j + len(later)] += rmat @ later
+            acc[j:j + len(later)] += res[j] @ later
             used = max(used, j + len(later))
         return -1.0 * acc[:used], (res, phi)
 
@@ -288,37 +282,35 @@ class _ErrorKernel:
         x0_block[0] += self.eye
         return row
 
-    def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list) -> dict:
+    def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list):
         """Row t of (I - E)^{-1}, E = shift(A) + Z Cbar + Q (shift(A) - I), by
-        block forward substitution."""
-        C = self.model.C
-        q_part: dict[int, np.ndarray] = {}
-        for j, tap in enumerate(q_taps):
-            _add_into(q_part, j, tap @ self.neg_eye)
-            if t - j >= 1:
-                q_part[j + 1] = tap @ self.lam_a
-        inner = {k: tap @ C(sigma[t - k]) for k, tap in enumerate(z_taps)}
-        for k, mat in q_part.items():
-            _add_into(inner, k, mat)
-        E = {1: self.lam_a} if t >= 1 else {}
-        for k, mat in inner.items():
-            _add_into(E, k, mat)
-        M = {k: -1.0 * E[k] for k in sorted(E)}
+        block forward substitution: the (t + 1, n, n) array of its lags and
+        the lags with a nonzero sum of products, ascending, which are those
+        the product chain stores.  The lags it leaves out are zero blocks
+        here; they add only zeros to sums that start at +0.0, so no value
+        changes."""
+        shifted = min(len(q_taps), t)  # Q_j shift(A) reaches lag j + 1 <= t
+        E = np.zeros((max(len(z_taps), shifted + 1), self.n, self.n))
+        E[1:shifted + 1] = q_taps[:shifted] @ self.lam_a
+        E[:len(q_taps)] += q_taps @ self.neg_eye
+        lz = len(z_taps)
+        E[:lz] = z_taps @ self.C[self._modes_back(sigma, t, lz)] + E[:lz]
+        if t >= 1:
+            E[1] = self.lam_a + E[1]
+        M = -1.0 * E
         M[0] = self.eye + M[0]
         if oc.is_singular(M[0]):
             raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
         inv0 = np.linalg.inv(M[0])
-        res = {0: inv0}
-        for k in range(1, t + 1):
-            acc = np.zeros((self.n, self.n))
-            for j, rmat in M.items():
-                if 1 <= j <= k:
-                    prev = past[t - j][0].get(k - j)
-                    if prev is not None:
-                        acc += rmat @ prev
-            if np.any(acc):
-                res[k] = -inv0 @ acc
-        return res
+        # acc[k] sums M[j] res_{t-j}[k-j] over j ascending
+        acc = np.zeros((t + 1, self.n, self.n))
+        for j in range(1, len(M)):
+            acc[j:] += M[j] @ past[t - j][0]
+        res = -inv0 @ acc
+        res[0] = inv0
+        nonzero = acc.any(axis=(1, 2))
+        nonzero[0] = True
+        return res, np.flatnonzero(nonzero).tolist()
 
     def rows(self, sigma, horizon: int) -> list:
         """Block rows 0..horizon-1 along sigma."""

@@ -75,8 +75,8 @@ class ChannelPlant:
                 raise ValueError(
                     f"D_{idx} has shape {D_i.shape}, expected {(C_i.shape[0], B.shape[1])}")
             chans.append((C_i, D_i))
-        if self.x0_bound < 0:
-            raise ValueError("x0_bound must be nonnegative")
+        if not 0 <= self.x0_bound < np.inf:
+            raise ValueError("x0_bound must be finite and nonnegative")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "channels", tuple(chans))

@@ -179,6 +179,24 @@ def test_add_rejects_non_finite_rhs(rhs):
         LinearProgram(1, np.array([1.0]), constraints=[(np.array([1.0]), EQ, rhs)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(bad):
+    """A non-finite coefficient or bound would reach the tableau: a NaN
+    coefficient made solve report 'unbounded' with objective -inf, and a
+    lower bound of -inf 'optimal' at -inf."""
+    lp = LinearProgram(1, np.array([1.0]))
+    with pytest.raises(ValueError, match="constraint coefficients must be finite"):
+        lp.add([bad], LE, 1.0)
+    assert lp.constraints == []
+    with pytest.raises(ValueError, match="constraint coefficients must be finite"):
+        LinearProgram(1, np.array([1.0]), constraints=[([bad], EQ, 1.0)])
+    with pytest.raises(ValueError, match="objective coefficients must be finite"):
+        LinearProgram(1, [bad])
+    for bounds in ([(bad, None)], [(None, bad)], [(0.0, bad)]):
+        with pytest.raises(ValueError, match="bounds must be finite numbers or None"):
+            LinearProgram(1, np.array([1.0]), bounds=bounds)
+
+
 def test_numerical_error_is_distinct_type():
     assert issubclass(LpNumericalError, RuntimeError)
     assert not issubclass(LpNumericalError, ValueError)
@@ -240,11 +258,17 @@ def _assert_same_solution(lp, monkeypatch):
     return sol
 
 
+# (pivots, bland_switches) per phase of the demo LPs.  The dense reference
+# shares the phase-2 set-up with solve, so only these counts can see a
+# change there.
+DEMO_PIVOTS = {"nominal_setup": ((71, 2), (0, 0)), "switching_setup": ((908, 2), (3, 0))}
+
+
 @pytest.mark.parametrize("name", ["nominal_setup", "switching_setup"])
 def test_solver_matches_dense_reference_on_demo(name, request, monkeypatch):
     sol = _assert_same_solution(_demo_lp(request.getfixturevalue(name)), monkeypatch)
     assert sol.status == "optimal"
-    assert sol.pivots[0] > 0 and sol.pivots[1] > 0
+    assert (sol.pivots, sol.bland_switches) == DEMO_PIVOTS[name]
 
 
 def test_solver_matches_dense_reference_on_sparse_lps(monkeypatch):
@@ -341,6 +365,21 @@ def test_pivot_writes_through_evenly_strided_view():
     lp_solver._pivot(T, basis, 1, 2)
     assert wide[:, ::2].tobytes() == ref.tobytes()
     assert np.array_equal(basis, ref_basis)
+
+
+def test_ratio_row_skips_round_off_entries():
+    """An entry above PIVOT_TOL but at most REL_PIVOT_TOL times its column's
+    largest magnitude is round-off: not a pivot, even at the smallest ratio."""
+    big = 1e4
+    small = 0.5 * lp_solver.REL_PIVOT_TOL * big
+    assert small > lp_solver.PIVOT_TOL
+    for top in (big, -big):
+        T = np.array([[top, 1.0], [small, 0.0], [1.0, 3.0], [0.0, 0.0]])
+        basis = np.array([0, 1, 2])
+        want = 0 if top > 0 else 2
+        assert lp_solver._ratio_row(T, basis, 0) == full_ratio_row(T, basis, 0) == want
+    T[1, 0] = 4.0 * small  # above the relative tolerance: the zero ratio wins
+    assert lp_solver._ratio_row(T, basis, 0) == full_ratio_row(T, basis, 0) == 1
 
 
 def test_ratio_row_matches_full_ratio_test():

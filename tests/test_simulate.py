@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchguard import demo, simulate
@@ -269,6 +269,38 @@ def test_attack_exhaustive_cap():
         attack_search(plant, model2, relaxed, automaton, 25, "exhaustive")
 
 
+def test_relaxed_rows_with_vanishing_resolvent_lags():
+    """A = 0, zero Q and a lag-0 Z leave the resolvent only its lag-0 block,
+    so block row t keeps the min(t, N) + 1 lags of the performance row: the
+    length `worst_case_inputs` writes w over, which unrolled operators
+    cannot show."""
+    plant, _ = random_problem(np.random.default_rng(12))
+    plant = dataclasses.replace(plant, A=np.zeros((plant.n, plant.n)))
+    model = build_modes(plant, [{1, 2}, {1}])
+    automaton = SwitchingAutomaton.complete(2)
+    rng = np.random.default_rng(13)
+    N, hists = 3, [(0,), (1,)]
+    z_taps = {(h, k): (rng.uniform(-1, 1, (plant.n, model.p)) if k == 0
+                       else np.zeros((plant.n, model.p))) for h in hists for k in range(N)}
+    Q = SwitchingFIR(1, N, plant.n, plant.n,
+                     {(h, k): np.zeros((plant.n, plant.n)) for h in hists for k in range(N)})
+    Z = SwitchingFIR(1, N, model.p, plant.n, z_taps)
+    T = SwitchingFIR(1, N, model.p, plant.n, {key: -tap for key, tap in z_taps.items()})
+    design = SynthesisResult(gamma_bar=1.0, eps_achieved=0.5, certified_bound=2.0,
+                             Q=Q, Z=Z, T=T, status="optimal", mode="relaxed",
+                             lag0_margin=1.0)
+    H = 6
+    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+    for sigma in admissible_sequences(automaton, H):
+        assert [len(row) for row in kernel.rows(sigma, H)] == [1, 2, 3, 4, 4, 4]
+        E_ref = compose_chain_error_operator(plant, model, design, sigma, H)
+        assert np.array_equal(error_operator(plant, model, design, sigma, H).unroll(),
+                              E_ref.unroll())
+    for strategy, H in (("exhaustive", 6), ("greedy", 6), ("greedy", 12)):
+        assert attack_search(plant, model, design, automaton, H, strategy) == \
+            per_sequence_attack_search(plant, model, design, automaton, H, strategy)
+
+
 def test_error_operator_matches_factor_path(switching_synthesis, switching_setup):
     # exact factors: the plain-estimator formula and the factor formula agree
     result, _ = switching_synthesis
@@ -390,6 +422,16 @@ def test_window_cached_search_matches_per_sequence_search(search_designs, switch
         design = _design_for(search_designs, name, automaton)
         assert attack_search(plant, model, design, automaton, H) == \
             per_sequence_attack_search(plant, model, design, automaton, H)
+
+
+def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
+    """The relaxed demo design's attacks, which no benchmark gate covers."""
+    plant, model, automaton, _ = switching_setup
+    relaxed = search_designs["relaxed"]
+    assert attack_search(plant, model, relaxed, automaton, 10) == \
+        ((0, 0, 0, 0, 1, 1, 0, 0, 1, 1), 25.541406250000037)
+    assert attack_search(plant, model, relaxed, automaton, 60, "greedy") == \
+        ((0, 0) + (1,) * 8 + (0,) * 50, 25.54140625)
 
 
 @pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "fir", "relaxed"])
@@ -575,6 +617,11 @@ def test_state_search_cap(switching_synthesis, switching_setup, monkeypatch):
 
 @settings(max_examples=8, deadline=None)
 @given(x0_bound=st.floats(0.0, 10.0), horizon=st.integers(1, 8))
+# each of these broke the LP solve down in phase 1 while the I + Q block's
+# terms were scaled by x0_bound and pivots were held only to PIVOT_TOL
+@example(x0_bound=2.0 ** -24, horizon=1)
+@example(x0_bound=1e-8, horizon=2)
+@example(x0_bound=7.5712802970510085, horizon=3)
 def test_attacks_stay_below_certified_bound_over_random_x0_bound(nominal_setup, x0_bound,
                                                                  horizon):
     plant, model, automaton, config = nominal_setup

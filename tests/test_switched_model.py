@@ -61,6 +61,14 @@ def test_channel_plant_validation():
                      channels=((np.ones((1, 3)), np.zeros((1, 1))),))
 
 
+@pytest.mark.parametrize("x0_bound", [np.nan, np.inf, -1.0])
+def test_channel_plant_rejects_bad_x0_bound(x0_bound):
+    """A NaN or infinite bound used to pass and fail later inside the LP."""
+    with pytest.raises(ValueError, match="x0_bound must be finite and nonnegative"):
+        ChannelPlant(A=np.eye(2), B=np.zeros((2, 1)),
+                     channels=((np.ones((1, 2)), np.zeros((1, 1))),), x0_bound=x0_bound)
+
+
 def test_mask_idempotence():
     plant = demo.demo_plant()
     model = build_modes(plant, demo.demo_masks())

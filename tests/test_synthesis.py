@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -436,6 +437,25 @@ def test_assemble_lp_matches_oracle_random(case):
             assert np.float64(rhs).tobytes() == np.float64(o_rhs).tobytes()
 
 
+# sha256 of the text `synth --dump-lp` writes for each perfbench demo case.
+DEMO_LP_SHA256 = {
+    "nominal M=1 N=2": "ad0dc3845d5890bb6c6418cec76cc4d3c0889f03255c20b24b8659aceed9440e",
+    "switching M=1 N=5": "20930261ca3faf2d3ca3a5c81adeb0a33355b20acf41df3edca56be65823f843",
+    "switching M=2 N=4": "b76659ad0501e3edfefe5434449c25631e127dd3d4c24f2172be15cea996928a",
+    "relaxed M=1 N=5": "3a06777ea1ae4287b55d2669bc1525480e3ac23ca738560da5a67c5a0309a5dc",
+    "relaxed M=1 N=4": "84be83b241d18b89b1268e7a3dd5e36831e921e670de8551c97b7d5045e0a878",
+}
+
+
+def test_demo_lp_dumps_are_pinned(perfbench_workloads):
+    for case in perfbench_workloads.DEMO_EXACT + perfbench_workloads.DEMO_RELAXED:
+        plant, model, automaton, config, _ = parse_problem(case.config())
+        lp = assemble_lp(plant, model, automaton, config,
+                         decision_variables(automaton, config, plant.n, model.p))
+        text = format_lp(lp, name="estimator synthesis")
+        assert hashlib.sha256(text.encode()).hexdigest() == DEMO_LP_SHA256[case.name], case.name
+
+
 # (nominal, M, N, mode, eps_bar) of the benchmark's five demo designs; the
 # relaxed M=1 N=5 design is also the relaxed one of the attack-search tests.
 DEMO_DESIGNS = [
@@ -545,3 +565,25 @@ def test_x0_bound_scales_the_initial_condition_block(switching_setup, x0_bound):
     m_w = plant.m_w
     assert np.array_equal(band[..., :m_w], unit[..., :m_w])
     assert np.array_equal(band[..., m_w:], x0_bound * unit[..., m_w:])
+
+
+@pytest.mark.parametrize("x0_bound", [2.0 ** -24, 0.5, 10.0])
+def test_x0_bound_only_weighs_the_performance_row_sums(nominal_setup, x0_bound):
+    """The slack rows s >= +-form do not depend on plant.x0_bound, so their
+    coefficients keep the unit scale however small it is; the performance
+    row sums weigh the I + Q block's slacks by it, the others as at 1.0."""
+    plant, model, automaton, config = nominal_setup
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    unit = assemble_lp(plant, model, automaton, config, variables)
+    lp = assemble_lp(dataclasses.replace(plant, x0_bound=x0_bound), model, automaton, config,
+                     variables)
+    assert lp.variable_count == unit.variable_count
+    slack_rows = 2 * (lp.variable_count - variables.count - 1)
+    for (coeffs, rel, rhs), (u_coeffs, u_rel, u_rhs) in zip(lp.constraints[:slack_rows],
+                                                            unit.constraints[:slack_rows]):
+        assert coeffs.tobytes() == u_coeffs.tobytes() and (rel, rhs) == (u_rel, u_rhs)
+    def weights(lp):
+        return {float(a) for coeffs, _, _ in lp.constraints[slack_rows:]
+                for a in coeffs[variables.count + 1:] if a != 0.0}
+
+    assert weights(lp) == weights(unit) | {x0_bound}
