@@ -32,7 +32,6 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
-REL_PIVOT_TOL = 1e-7  # smallest pivot, relative to the largest entry of its column
 BLOCK = 1 << 14  # most entries a pivot gathers, updates and scatters at once
 
 LE = "<="
@@ -217,16 +216,12 @@ def _initial_basis(A: np.ndarray) -> np.ndarray:
 def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
     """Min-ratio row; ties broken by smallest basic variable index (Bland).
 
-    Only rows whose entering-column entry exceeds PIVOT_TOL and REL_PIVOT_TOL
-    times the column's largest magnitude are eligible; -1 when there is
-    none.  Once pivoting has grown some entries of a column, an entry that
-    only clears the absolute tolerance is round-off, and pivoting on it
-    blows the tableau up.
+    Only rows whose entering-column entry exceeds PIVOT_TOL are eligible;
+    -1 when there is none.
     """
     m = T.shape[0] - 1
     col = T[:m, enter]
-    tol = max(PIVOT_TOL, REL_PIVOT_TOL * float(np.abs(col).max(initial=0.0)))
-    eligible = np.flatnonzero(col > tol)
+    eligible = np.flatnonzero(col > PIVOT_TOL)
     if eligible.size == 0:
         return -1
     ratios = T[eligible, -1] / col[eligible]

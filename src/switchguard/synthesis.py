@@ -18,10 +18,9 @@ coefficients and deduplicates slacks and rows by sorting integer keys of
 their (id, coefficient, constant) terms, numbered in order of first
 occurrence.  `row_gains` evaluates the same terms at the packed taps,
 each entry its constant plus its products summed left to right and each
-row's absolute entries (those of the initial-condition block times its
-bound) summed left to right in entry order, so the gains are the bits the
-LP's affine forms give.  `synthesize` takes eps_achieved from it and
-`certify` takes gamma_rows and eps_rows.
+row's absolute entries summed left to right in entry order, so the gains
+are the bits the LP's affine forms give.  `synthesize` takes eps_achieved
+from it and `certify` takes gamma_rows and eps_rows.
 """
 from __future__ import annotations
 
@@ -186,12 +185,10 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     M_k[c, col] over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a
     nonzero, and Q_{k-1}[i, r] X[r, col] over r, with M_k the mode matrix
     delivered k steps before the output time; its constant is X[i, col] at
-    lag 1.  Performance rows then add the I + Q block, yielded with col = q:
-    one term Q_k[i, j] per entry, with constant I[i, j] at lag 0.  Row sums
-    weigh these entries by the plant's initial-condition bound b instead of
-    scaling their terms, so the LP's slack rows keep unit coefficients
-    however small b is.  Zero coefficients are kept, so every entry of a
-    block has the same number of terms.
+    lag 1.  Performance rows then add the I + Q block scaled by the plant's
+    initial-condition bound b: one term b Q_k[i, j] per entry, with
+    constant b I[i, j] at lag 0.  Zero coefficients are kept, so every
+    entry of a block has the same number of terms.
     """
     n, p, N = variables.n, variables.p, variables.fir_length
     if kind == _RESIDUAL:
@@ -223,9 +220,11 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
         const = 0.0 + X if k == 1 else np.zeros((n, q))
         yield k, 0, var, coeff, const
     if kind == _PERFORMANCE:
+        bound = float(plant.x0_bound)
         for k in range(N):
             var = variables.q_var(hist, k, state, np.arange(n))[..., None]
-            yield k, q, var, np.ones((1, 1, 1, 1)), np.eye(n) if k == 0 else np.zeros((n, n))
+            yield (k, q, var, np.full((1, 1, 1, 1), bound),
+                   bound * np.eye(n) if k == 0 else np.zeros((n, n)))
 
 
 def _forms(blocks, nvar: int, width: int):
@@ -287,16 +286,15 @@ def _form_keys(var: np.ndarray, coeff: np.ndarray, const: np.ndarray) -> np.ndar
 def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
                 automaton: SwitchingAutomaton, config: SynthesisConfig,
                 variables: DecisionVariables) -> LinearProgram:
-    """Min-gamma LP: per performance row, the absolute entry values, those
-    of the I + Q block times the plant's x0_bound, sum to at most gamma;
-    residual entries vanish (exact) or their row sums stay below eps_bar
-    (relaxed).
+    """Min-gamma LP: per performance row, the absolute entry values sum to
+    at most gamma; residual entries vanish (exact) or their row sums stay
+    below eps_bar (relaxed).
 
     Structurally identical affine entries share one absolute-value slack,
-    and rows with the same multiset of (slack, weight) collapse, so the LP
-    stays small while covering every admissible window.  Slacks, rows and
-    equalities are numbered in the order of their first occurrence over the
-    rows (window, then state row, then entry), performance rows first.
+    and identical rows collapse, so the LP stays small while covering
+    every admissible window.  Slacks, rows and equalities are numbered in
+    the order of their first occurrence over the rows (window, then state
+    row, then entry), performance rows first.
     """
     _check_dims(plant, model)
     nvar = variables.count
@@ -323,24 +321,18 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     up[slack, nvar + 1 + slack] = dn[slack, nvar + 1 + slack] = -1.0
     constraints = [row for u, d, c in zip(up, dn, const) for row in ((u, LE, -c), (d, LE, c))]
 
-    def row_sums(row_sids, weight):
-        # rows with the same multiset of (slack, weight) collapse into one
-        key = np.where(weight == 1.0, row_sids, row_sids + nslack)
-        _, once = _first_occurrence(np.sort(key, axis=1))
+    def row_sums(row_sids):
+        # rows with the same multiset of slacks collapse into one
+        _, once = _first_occurrence(np.sort(row_sids, axis=1))
         sums = np.zeros((len(once), total))
-        np.add.at(sums, (np.arange(len(once))[:, None], nvar + 1 + row_sids[once]),
-                  np.broadcast_to(weight, row_sids.shape)[once])
+        np.add.at(sums, (np.arange(len(once))[:, None], nvar + 1 + row_sids[once]), 1.0)
         return sums
 
-    # the last N n entries of a performance row are its I + Q block, weighed by b
-    perf_sids = sid[:len(perf[2])].reshape(nrows, -1)
-    weight = np.ones(perf_sids.shape[1])
-    weight[weight.size - config.fir_length * plant.n:] = float(plant.x0_bound)
-    perf_sums = row_sums(perf_sids, weight)
+    perf_sums = row_sums(sid[:len(perf[2])].reshape(nrows, -1))
     perf_sums[:, gamma] = -1.0
     constraints += [(row, LE, 0.0) for row in perf_sums]
     if relaxed:
-        res_sums = row_sums(sid[len(perf[2]):].reshape(nrows, -1), 1.0)
+        res_sums = row_sums(sid[len(perf[2]):].reshape(nrows, -1))
         constraints += [(row, LE, config.eps_bar) for row in res_sums]
     else:
         var, coeff, const = res
@@ -379,11 +371,10 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
     Returns (residual_gains, performance_gains), one per (window, state row)
     in the LP's row order.  The kernel-entry terms of `_kernel_terms` are
     evaluated lag by lag at the packed taps, vectorized over windows, and
-    each row's absolute entries, those of the I + Q block times b, are
-    summed left to right in entry order.  A zero coefficient the LP drops
-    adds a signed zero here, which changes no sum that is not zero and only
-    the sign of one that is, so every gain is bit-identical to evaluating
-    the LP's affine forms.
+    each row's absolute entries are summed left to right in entry order.  A
+    zero coefficient the LP drops adds a signed zero here, which changes no
+    sum that is not zero and only the sign of one that is, so every gain is
+    bit-identical to evaluating the LP's affine forms.
     """
     _check_dims(plant, model)
     windows, taps, hist_ids = _windows(automaton, config)
@@ -392,16 +383,14 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
     gains = []
     for kind in (_RESIDUAL, _PERFORMANCE):
         total = np.zeros((len(windows), plant.n))
-        for _, first, var, coeff, const in _kernel_terms(plant, model, kind, windows,
-                                                         hist_ids, variables):
+        for _, _, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
+                                                     variables):
             value = 0.0
             for t in range(var.shape[-1]):
                 value = value + coeff[..., t] * x[var[..., t]]
-            entry = np.abs(const + value)
-            if first:  # the I + Q block, from input column q on, is weighed by b as in the LP
-                entry *= float(plant.x0_bound)
+            entry = const + value
             for col in range(entry.shape[-1]):
-                total += entry[..., col]
+                total += np.abs(entry[..., col])
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
 

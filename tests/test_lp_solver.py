@@ -69,6 +69,20 @@ def test_upper_bounds():
     assert np.isclose(sol.values[0], 2.5, atol=1e-9)
 
 
+@pytest.mark.parametrize("big", [1e8, -1e8])
+def test_small_pivot_beside_large_column_entry(big):
+    """min -x, x >= 0, with big x <= rhs and 0.5 x <= 1: the 0.5 entry is a
+    genuine pivot however large the other entry of its column, and skipping
+    it returns x = 10 (big > 0) or 'unbounded' (big < 0)."""
+    lp = LinearProgram(1, np.array([-1.0]), bounds=[(0.0, None)])
+    lp.add(np.array([big]), LE, 1e9 if big > 0 else 1.0)
+    lp.add(np.array([0.5]), LE, 1.0)
+    sol = solve(lp)
+    assert sol.status == "optimal"
+    assert np.isclose(sol.values[0], 2.0, atol=1e-9)
+    assert np.isclose(sol.objective, -2.0, atol=1e-9)
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(42)
     checked = 0
@@ -365,21 +379,6 @@ def test_pivot_writes_through_evenly_strided_view():
     lp_solver._pivot(T, basis, 1, 2)
     assert wide[:, ::2].tobytes() == ref.tobytes()
     assert np.array_equal(basis, ref_basis)
-
-
-def test_ratio_row_skips_round_off_entries():
-    """An entry above PIVOT_TOL but at most REL_PIVOT_TOL times its column's
-    largest magnitude is round-off: not a pivot, even at the smallest ratio."""
-    big = 1e4
-    small = 0.5 * lp_solver.REL_PIVOT_TOL * big
-    assert small > lp_solver.PIVOT_TOL
-    for top in (big, -big):
-        T = np.array([[top, 1.0], [small, 0.0], [1.0, 3.0], [0.0, 0.0]])
-        basis = np.array([0, 1, 2])
-        want = 0 if top > 0 else 2
-        assert lp_solver._ratio_row(T, basis, 0) == full_ratio_row(T, basis, 0) == want
-    T[1, 0] = 4.0 * small  # above the relative tolerance: the zero ratio wins
-    assert lp_solver._ratio_row(T, basis, 0) == full_ratio_row(T, basis, 0) == 1
 
 
 def test_ratio_row_matches_full_ratio_test():

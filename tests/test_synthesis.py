@@ -565,25 +565,3 @@ def test_x0_bound_scales_the_initial_condition_block(switching_setup, x0_bound):
     m_w = plant.m_w
     assert np.array_equal(band[..., :m_w], unit[..., :m_w])
     assert np.array_equal(band[..., m_w:], x0_bound * unit[..., m_w:])
-
-
-@pytest.mark.parametrize("x0_bound", [2.0 ** -24, 0.5, 10.0])
-def test_x0_bound_only_weighs_the_performance_row_sums(nominal_setup, x0_bound):
-    """The slack rows s >= +-form do not depend on plant.x0_bound, so their
-    coefficients keep the unit scale however small it is; the performance
-    row sums weigh the I + Q block's slacks by it, the others as at 1.0."""
-    plant, model, automaton, config = nominal_setup
-    variables = decision_variables(automaton, config, plant.n, model.p)
-    unit = assemble_lp(plant, model, automaton, config, variables)
-    lp = assemble_lp(dataclasses.replace(plant, x0_bound=x0_bound), model, automaton, config,
-                     variables)
-    assert lp.variable_count == unit.variable_count
-    slack_rows = 2 * (lp.variable_count - variables.count - 1)
-    for (coeffs, rel, rhs), (u_coeffs, u_rel, u_rhs) in zip(lp.constraints[:slack_rows],
-                                                            unit.constraints[:slack_rows]):
-        assert coeffs.tobytes() == u_coeffs.tobytes() and (rel, rhs) == (u_rel, u_rhs)
-    def weights(lp):
-        return {float(a) for coeffs, _, _ in lp.constraints[slack_rows:]
-                for a in coeffs[variables.count + 1:] if a != 0.0}
-
-    assert weights(lp) == weights(unit) | {x0_bound}

@@ -6,8 +6,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from switchguard.lp_solver import (EQ, LE, PIVOT_TOL, REL_PIVOT_TOL, LinearProgram,
-                                   LpNumericalError)
+from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
@@ -125,13 +124,11 @@ def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 
 
 def full_ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
-    """Reference ratio test over every row: ineligible rows, those with an
-    entry at most PIVOT_TOL or REL_PIVOT_TOL times the column's largest
-    magnitude, get ratio inf; ties broken by smallest basic variable index
-    (Bland), -1 if none."""
+    """Reference ratio test over every row: ineligible rows get ratio inf;
+    ties broken by smallest basic variable index (Bland), -1 if none."""
     m = T.shape[0] - 1
     col = T[:m, enter]
-    eligible = (col > PIVOT_TOL) & (col > REL_PIVOT_TOL * np.max(np.abs(col), initial=0.0))
+    eligible = col > PIVOT_TOL
     if not np.any(eligible):
         return -1
     ratios = np.full(m, np.inf)
@@ -332,11 +329,10 @@ def form_value(form, x: np.ndarray) -> float:
 
 
 def row_gain(row, x: np.ndarray) -> float:
-    """Reference gain of a ConstraintRow: its weighted absolute entries summed
-    left to right."""
+    """Reference gain of a ConstraintRow: its absolute entries summed left to right."""
     total = 0.0
-    for _, _, form, weight in row.entries:
-        total = total + weight * abs(form_value(form, x))
+    for _, _, form in row.entries:
+        total = total + abs(form_value(form, x))
     return total
 
 
@@ -351,8 +347,7 @@ def kernel_entries(plant, model, automaton, config, variables, kind: str, x: np.
     kind is "residual" or "performance".  Returns (windows, values): the
     windows as tuples in row order, and per entry (lag, input column), in
     row entry order, the (window, state row) array of const + (((0 + a1*x1)
-    + a2*x2) + ...) with `variables` numbering the terms; the I + Q block's
-    entries come without their weight b.
+    + a2*x2) + ...) with `variables` numbering the terms.
     """
     windows, taps, tap_ids = _windows(automaton, config)
     histories = map(tuple, np.asarray(variables.histories).tolist())
@@ -431,9 +426,8 @@ class LinearForm:
 class ConstraintRow:
     """One output row of a kernel operator along a fixed trailing mode window.
 
-    entries holds (lag, input column, affine form, weight) for every kernel
-    entry of the row; the row's gain is the sum of the weighted absolute
-    entry values.
+    entries holds (lag, input column, affine form) for every kernel entry
+    of the row; the row's gain is the sum of absolute entry values.
     """
 
     history: tuple
@@ -447,8 +441,7 @@ def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
     """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the mode_matrix blocks.
 
     Yields (window, tap window, state row, entries) for every admissible
-    extended window; entries is a list of (lag, input column, affine form,
-    weight), every weight 1.0.
+    extended window; entries is a list of (lag, input column, affine form).
     Lag k of a row reads the tap window anchored at the output time and the
     mode delivered k steps earlier.
     """
@@ -475,7 +468,7 @@ def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
                     if 1 <= k <= N:
                         for r in range(n):
                             form.add_term(variables.var("Q", hm, k - 1, i, r), X[r, col])
-                    entries.append((k, col, form, 1.0))
+                    entries.append((k, col, form))
             yield h, hm, i, entries
 
 
@@ -502,8 +495,7 @@ def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
     b the plant's initial-condition bound.
 
     Input columns are stacked: disturbance channels first, then the
-    initial-condition channels, whose entries are the forms of I + Q with
-    weight b.
+    initial-condition channels.
     """
     _check_dims(plant, model)
     if variables is None:
@@ -516,23 +508,22 @@ def build_performance_rows(plant: ChannelPlant, model: SwitchedOutputModel,
             for j in range(n):
                 form = LinearForm()
                 if k == 0 and i == j:
-                    form.const += 1.0
-                form.add_term(variables.var("Q", hm, k, i, j), 1.0)
-                entries.append((k, m_w + j, form, plant.x0_bound))
+                    form.const += plant.x0_bound
+                form.add_term(variables.var("Q", hm, k, i, j), plant.x0_bound)
+                entries.append((k, m_w + j, form))
         rows.append(ConstraintRow(h, i, "performance", tuple(entries)))
     return rows
 
 
 def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfig,
                           variables) -> LinearProgram:
-    """Min-gamma LP: per performance row, the weighted absolute entry values
-    sum to at most gamma; residual entries vanish (exact) or their row sums
-    stay below eps_bar (relaxed).
+    """Min-gamma LP: per performance row, the absolute entry values sum to
+    at most gamma; residual entries vanish (exact) or their row sums stay
+    below eps_bar (relaxed).
 
     Structurally identical affine entries share one absolute-value slack,
-    each row sum weighs its slacks by the entries' weights, and rows with
-    the same (slack, weight) multiset collapse, so the LP stays small while
-    covering every admissible window.
+    and identical rows collapse, so the LP stays small while covering
+    every admissible window.
     """
     if not performance_rows:
         raise ValueError("no performance rows; nothing to optimize")
@@ -550,20 +541,20 @@ def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfi
             slack_forms.append(form)
         return sid
 
-    perf_row_slacks: dict[tuple, list[tuple]] = {}
+    perf_row_slacks: dict[tuple, list[int]] = {}
     for row in performance_rows:
-        terms = [(slack_of(form), weight) for _, _, form, weight in row.entries]
-        perf_row_slacks.setdefault(tuple(sorted(terms)), terms)
+        sids = [slack_of(form) for _, _, form in row.entries]
+        perf_row_slacks.setdefault(tuple(sorted(sids)), sids)
 
     relaxed = config.mode == MODE_RELAXED
     res_eqs: dict[tuple, LinearForm] = {}
     res_row_slacks: dict[tuple, list[int]] = {}
     for row in residual_rows:
         if relaxed:
-            sids = [slack_of(form) for _, _, form, _ in row.entries]
+            sids = [slack_of(form) for _, _, form in row.entries]
             res_row_slacks.setdefault(tuple(sorted(sids)), sids)
         else:
-            for _, _, form, _ in row.entries:
+            for _, _, form in row.entries:
                 res_eqs.setdefault(form.key(), form)
 
     nslack = len(slack_forms)
@@ -587,10 +578,10 @@ def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfi
         dn[nvar + 1 + sid] = -1.0
         lp.add(dn, LE, form.const)
 
-    for terms in perf_row_slacks.values():
+    for sids in perf_row_slacks.values():
         row = np.zeros(total)
-        for sid, weight in terms:
-            row[nvar + 1 + sid] += weight
+        for sid in sids:
+            row[nvar + 1 + sid] += 1.0
         row[gamma] = -1.0
         lp.add(row, LE, 0.0)
 
