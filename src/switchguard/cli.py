@@ -225,16 +225,14 @@ def _fir_from_json(data, path: str) -> SwitchingFIR:
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
     try:
-        fir = SwitchingFIR(*dims, coeffs, output_only=bool(data.get("output_only", False)))
+        return SwitchingFIR(*dims, coeffs, output_only=bool(data.get("output_only", False)))
     except (TypeError, ValueError) as exc:
-        # past a valid memory and fir_length, what is wrong lies in the entries
-        raise ConfigError(path if min(dims[:2]) < 1 else f"{path}.entries", str(exc)) from None
-    # one check over all taps; only a failure looks for the entry to name
-    if not np.isfinite(fir.taps).all():
+        # the FIR checks its taps once; only a failure looks for the entry to name
         for i, entry in enumerate(data["entries"]):
             _expect(np.isfinite(np.array(entry["matrix"], dtype=float)).all(),
                     f"{path}.entries[{i}].matrix", "matrix entries must be finite")
-    return fir
+        # past a valid memory and fir_length, what is wrong lies in the entries
+        raise ConfigError(path if min(dims[:2]) < 1 else f"{path}.entries", str(exc)) from None
 
 
 def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> dict:

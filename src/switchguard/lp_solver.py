@@ -5,6 +5,11 @@ Pivoting uses the most-negative-cost rule while progress is made and
 switches to Bland's rule on degenerate stretches, which precludes cycling;
 both rules are fixed, so identical inputs produce bit-identical outputs.
 
+The tableau is the one array of its size in a solve.  Each row is
+standardized straight into it, with its width fixed beforehand by one pass
+over the rows; phase 2 runs in the same tableau, and rows made redundant
+in phase 1 are dropped by moving the kept rows up, in place.
+
 The tableau stays dense, but the synthesis LPs are sparse (about 1% of
 the standardized entries are nonzero) and stay sparse while pivoting, so
 each pivot updates only the block of rows with a nonzero in the pivot
@@ -14,7 +19,8 @@ changes no value: the pivot path and the solution are those of the full
 update.  The block is gathered, updated and scattered back through flat
 indices into the C-contiguous tableau, a few rows at a time, so that no
 temporary holds more than BLOCK entries; each entry still gets the one
-multiply and subtract of the full update.
+multiply and subtract of the full update.  The entering column is copied
+once per iteration, and the ratio test and the pivot read it from there.
 """
 from __future__ import annotations
 
@@ -101,26 +107,37 @@ class LpSolution:
     bland_switches: tuple[int, int] = (0, 0)
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as min c.u s.t. A u = b, u >= 0 plus the original-variable map.
+def _tableau(lp: LinearProgram):
+    """Phase-1 tableau of min c.u s.t. A u = b, u >= 0, built in place.
 
-    Returns (A, b, c, recover) where recover(u) yields the original vector.
-    Free variables split into differences of nonnegatives; finite lower
-    bounds shift; finite upper bounds become extra rows.
+    Returns (T, basis, ncols, c, recover).  T is [A | art | b] above a zero
+    objective row: A has ncols structural and slack columns, a row whose
+    right-hand side is negative is negated (its zeros become -0.0), so
+    b >= 0, and each artificial column is a unit column of a row without
+    one in A.  basis holds per row its first unit column, else its
+    artificial; recover(u) yields the original vector.  Free variables
+    split into differences of nonnegatives; finite lower bounds shift;
+    finite upper bounds become extra rows.
+
+    T is the only array of its size: one pass over the rows finds the
+    right-hand sides and, per variable, its nonzero count, the row of its
+    last nonzero and the sum of its coefficients.  These fix the unit
+    columns, so the artificial count, before T is allocated; a second pass
+    writes each row straight into T.
     """
     n = lp.variable_count
     first = np.zeros(n, dtype=int)  # column of each original variable
     sign = np.ones(n)               # its sign in that column
     free = []                       # free variables; their negative part is first + 1
     shift = np.zeros(n)
-    ncols = 0
+    nvar = 0
     extra_rows = []  # (orig var index, ub-lo) handled after mapping
     for j, (lo, hi) in enumerate(lp.bounds):
-        first[j] = ncols
-        ncols += 1
+        first[j] = nvar
+        nvar += 1
         if lo is None and hi is None:
             free.append(j)
-            ncols += 1
+            nvar += 1
         elif lo is None:
             sign[j] = -1.0
             shift[j] = hi
@@ -137,21 +154,57 @@ def _standardize(lp: LinearProgram):
         out[first] = a * sign + 0.0
         out[second] = -a[free] + 0.0
 
-    m = len(lp.constraints) + len(extra_rows)
-    le_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == LE]
-    le_rows += range(len(lp.constraints), m)
-    nslack = len(le_rows)
-    A = np.zeros((m, ncols + nslack))
+    rows = lp.constraints
+    m = len(rows) + len(extra_rows)
     b = np.zeros(m)
-    for i, (coeffs, _, rhs) in enumerate(lp.constraints):
-        place(coeffs, A[i])
+    count = np.zeros(n, dtype=int)  # nonzeros of each variable's column
+    last = np.zeros(n, dtype=int)   # row of its last nonzero
+    total = np.zeros(n)             # sum of its coefficients: the one nonzero when count is 1
+    for i, (coeffs, _, rhs) in enumerate(rows):
         b[i] = rhs - float(coeffs @ shift)
-    for i, (j, span) in enumerate(extra_rows, start=len(lp.constraints)):
-        # u_j <= span in shifted coordinates (already shifted by lo)
-        A[i, first[j]] = 1.0
-        b[i] = span
-    A[le_rows, ncols + np.arange(nslack)] = 1.0
-    c = np.zeros(ncols + nslack)
+        nonzero = coeffs != 0.0
+        count += nonzero
+        last[nonzero] = i
+        total += coeffs
+    extra = np.array([j for j, _ in extra_rows], dtype=int)  # u_j <= span, shifted by lo
+    b[len(rows):] = [span for _, span in extra_rows]
+    count[extra] += 1
+    last[extra] = len(rows) + np.arange(extra.size)
+    total[extra] += 1.0
+    neg = b < 0
+    b[neg] *= -1.0
+
+    le_rows = np.array([i for i, (_, rel, _) in enumerate(rows) if rel == LE]
+                       + list(range(len(rows), m)), dtype=int)
+    slack_cols = nvar + np.arange(le_rows.size)
+    ncols = nvar + le_rows.size
+    # a unit column beats the artificial (index ncols), a structural one the slack
+    basis = np.full(m, ncols)
+    usable = ~neg[le_rows]
+    basis[le_rows[usable]] = slack_cols[usable]
+    single = np.flatnonzero(count == 1)
+    at = last[single]
+    entry = np.where(neg[at], -total[single], total[single])  # after the row's flip
+    is_free = np.zeros(n, dtype=bool)
+    is_free[free] = True
+    unit_first = entry * sign[single] == 1.0              # column first[j] holds sign[j] * a
+    unit_second = is_free[single] & (entry == -1.0)       # column first[j] + 1 holds -a
+    np.minimum.at(basis, np.concatenate([at[unit_first], at[unit_second]]),
+                  np.concatenate([first[single[unit_first]], first[single[unit_second]] + 1]))
+    missing = np.flatnonzero(basis == ncols)
+    art_cols = ncols + np.arange(missing.size)
+    basis[missing] = art_cols
+
+    T = np.zeros((m + 1, ncols + missing.size + 1))
+    for i, (coeffs, _, _) in enumerate(rows):
+        place(coeffs, T[i])
+    T[len(rows) + np.arange(extra.size), first[extra]] = 1.0
+    T[le_rows, slack_cols] = 1.0
+    for i in np.flatnonzero(neg):
+        T[i, :ncols] *= -1.0
+    T[missing, art_cols] = 1.0
+    T[:m, -1] = b
+    c = np.zeros(ncols)
     place(lp.objective, c)
 
     def recover(u: np.ndarray) -> np.ndarray:
@@ -159,22 +212,24 @@ def _standardize(lp: LinearProgram):
         x[free] -= u[second]
         return x
 
-    return A, b, c, recover
+    return T, basis, ncols, c, recover
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, column: np.ndarray) -> None:
     """Pivot on T[row, col]: scale the row to a unit pivot, eliminate col elsewhere.
 
-    Only entries in a row with a nonzero in the pivot column and a column
-    with a nonzero in the scaled pivot row change.  Each of them gets the
-    same multiply and subtract as in the full update T -= outer(T[:, col],
-    T[row]); every other entry would only have a signed zero subtracted.
+    column is a copy of T[:, col] taken before the pivot.  Only entries in
+    a row with a nonzero in the pivot column and a column with a nonzero
+    in the scaled pivot row change.  Each of them gets the same multiply
+    and subtract as in the full update T -= outer(T[:, col], T[row]);
+    every other entry would only have a signed zero subtracted.
 
     The touched rows are updated in slices of at most BLOCK // len(cols)
     rows, each gathered, updated and scattered back through flat indices
     row * width + col.  The slices are disjoint and exclude the pivot row,
-    so each reads the T[r, col] and T[row, cols] that a one-shot update
-    would read, and the result is bit-identical to it, signed zeros too.
+    so each T[r, col] is unchanged until its own slice and equals
+    column[r], which supplies the multipliers; the result is bit-identical
+    to a one-shot update, signed zeros too.
     The update must write into T itself, so the flat view is taken with
     np.reshape(..., copy=False): every C-contiguous tableau, which is all
     solve builds, flattens to a view, and a layout that does not (Fortran
@@ -182,45 +237,34 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     instead of updating a copy.
     """
     flat = np.reshape(T, -1, copy=False)
-    piv = T[row, col]
+    piv = column[row]
     if abs(piv) < PIVOT_TOL:
         raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
     T[row] /= piv
     pivot_row = T[row]
     cols = np.flatnonzero(pivot_row)
-    rows = np.flatnonzero(T[:, col])
+    rows = np.flatnonzero(column)
     rows = rows[rows != row]
+    factors = column[rows]
     scaled = pivot_row[cols]
     width = T.shape[1]
     step = max(1, BLOCK // cols.size)
     for start in range(0, rows.size, step):
-        r = rows[start:start + step]
-        idx = (r * width)[:, None] + cols
+        idx = (rows[start:start + step] * width)[:, None] + cols
         blk = flat[idx]
-        blk -= np.multiply.outer(T[r, col], scaled)
+        blk -= np.multiply.outer(factors[start:start + step], scaled)
         flat[idx] = blk
     basis[row] = col
 
 
-def _initial_basis(A: np.ndarray) -> np.ndarray:
-    """Per row, the first unit column (one nonzero, 1.0 in that row), or -1.
-
-    A unit column can only serve its own row, so no column is chosen twice.
-    """
-    unit = (A == 1.0) & (np.count_nonzero(A, axis=0) == 1)
-    if unit.shape[1] == 0:
-        return np.full(unit.shape[0], -1)
-    return np.where(unit.any(axis=1), unit.argmax(axis=1), -1)
-
-
-def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
-    """Min-ratio row; ties broken by smallest basic variable index (Bland).
+def _ratio_row(T: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
+    """Min-ratio row for the entering column `column` (a copy of it);
+    ties broken by smallest basic variable index (Bland).
 
     Only rows whose entering-column entry exceeds PIVOT_TOL are eligible;
     -1 when there is none.
     """
-    m = T.shape[0] - 1
-    col = T[:m, enter]
+    col = column[:T.shape[0] - 1]
     eligible = np.flatnonzero(col > PIVOT_TOL)
     if eligible.size == 0:
         return -1
@@ -228,6 +272,20 @@ def _ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
     best = float(np.min(ratios))
     ties = eligible[ratios <= best + PIVOT_TOL]
     return int(ties[np.argmin(basis[ties])])
+
+
+def _drop_rows(T: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """T with only the constraint rows `keep` (ascending) and the objective row.
+
+    The kept rows move up in place, in ascending order, so each lands on a
+    row already moved or dropped; the result is the leading, C-contiguous
+    view T[:keep.size + 1], and no second tableau is allocated.
+    """
+    for dst, src in enumerate(keep):
+        if dst != src:
+            T[dst] = T[src]
+    T[keep.size] = T[-1]
+    return T[:keep.size + 1]
 
 
 STALL_LIMIT = 64
@@ -272,10 +330,11 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
             enter = int(np.argmin(reduced))
             if reduced[enter] >= -PIVOT_TOL:
                 return "optimal", it, switches
-        leave = _ratio_row(T, basis, enter)
+        column = T[:, enter].copy()
+        leave = _ratio_row(T, basis, column)
         if leave < 0:
             return "unbounded", it, switches
-        _pivot(T, basis, leave, enter)
+        _pivot(T, basis, leave, enter, column)
         obj = T[-1, -1]
         if art_sum is not None and not low <= obj <= high:
             raise LpNumericalError(
@@ -290,43 +349,30 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
             if stall >= STALL_LIMIT:
                 bland = True
                 switches += 1
-        if it % 512 == 511 and not np.all(np.isfinite(T)):
+        # min and max are NaN or infinite exactly when an entry is, and
+        # unlike np.isfinite(T) they allocate no tableau-sized mask
+        if it % 512 == 511 and not (math.isfinite(T.min()) and math.isfinite(T.max())):
             raise LpNumericalError("tableau lost finiteness during pivoting")
     raise LpNumericalError("iteration limit exceeded")
 
 
 def solve(lp: LinearProgram) -> LpSolution:
     """Two-phase primal simplex; returns a vertex solution when optimal."""
-    A, b, c, recover = _standardize(lp)
-    m, ncols = A.shape
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-
-    # identity columns usable as an initial basis; artificials fill the other rows
-    basis = _initial_basis(A)
-    missing = np.flatnonzero(basis < 0)
-    n_art = missing.size
-    total_cols = ncols + n_art
-    T = np.zeros((m + 1, total_cols + 1))
-    T[:m, :ncols] = A
-    del A  # T holds it now; do not keep both alive through the pivots
-    T[:m, -1] = b
-    art_cols = ncols + np.arange(n_art)
-    T[missing, art_cols] = 1.0
-    basis[missing] = art_cols
+    T, basis, ncols, c, recover = _tableau(lp)
+    m, total_cols = T.shape[0] - 1, T.shape[1] - 1
+    missing = np.flatnonzero(basis >= ncols)  # rows with an artificial basic variable
 
     max_iter = 2000 + 200 * (m + total_cols)
     pivots = [0, 0]
     switches = [0, 0]
 
-    if n_art:
+    if missing.size:
         # phase 1: minimize the artificial sum
         T[-1, ncols:total_cols] = 1.0
         for i in missing:
             T[-1] -= T[i]
         status, pivots[0], switches[0] = _simplex(T, basis, total_cols, max_iter,
-                                                  float(b[missing].sum()))
+                                                  float(T[missing, -1].sum()))
         if status != "optimal":
             raise LpNumericalError("phase-1 reported unbounded: inconsistent tableau")
         if T[-1, -1] < -1e-7:
@@ -337,12 +383,13 @@ def solve(lp: LinearProgram) -> LpSolution:
             if basis[i] >= ncols:
                 nonzero = np.flatnonzero(np.abs(T[i, :ncols]) > PIVOT_TOL)
                 if nonzero.size:
-                    _pivot(T, basis, i, int(nonzero[0]))
+                    j = int(nonzero[0])
+                    _pivot(T, basis, i, j, T[:, j].copy())
                     pivots[0] += 1
         keep_rows = np.flatnonzero(basis < ncols)
         if keep_rows.size < m:
             # redundant rows: zero in every structural column
-            T = np.vstack([T[keep_rows], T[-1:]])
+            T = _drop_rows(T, keep_rows)
             basis = basis[keep_rows]
             m = keep_rows.size
 

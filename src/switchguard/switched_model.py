@@ -371,7 +371,8 @@ class SwitchingFIR:
     """FIR operator whose taps are selected by the trailing mode window.
 
     coeffs maps (history tuple of length `memory`, lag in 0..fir_length-1)
-    to an (out_dim, in_dim) matrix, and every history must have every lag.
+    to an (out_dim, in_dim) matrix of finite entries, and every history
+    must have every lag.
     The taps are stored once, in the read-only table `taps` of shape
     (history, lag, out_dim, in_dim), the coeffs values being views into it,
     and the histories as the rows of the read-only, sorted integer array
@@ -410,6 +411,9 @@ class SwitchingFIR:
                 raise ValueError(f"history {hist} is missing lag {k}")
         taps = np.array([by_history[hist][k] for hist, k in keys]).reshape(
             len(histories), self.fir_length, self.out_dim, self.in_dim)
+        if not np.isfinite(taps).all():
+            bad = np.flatnonzero(~np.isfinite(taps))[0] // (self.out_dim * self.in_dim)
+            raise ValueError(f"coeff {keys[bad]} has non-finite entries")
         windows = np.array(histories, dtype=np.intp).reshape(len(histories), self.memory)
         taps.flags.writeable = windows.flags.writeable = False
         object.__setattr__(self, "taps", taps)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from switchguard import lp_solver
 from switchguard.lp_solver import (EQ, LE, LinearProgram, LpNumericalError, format_lp,
                                    solve)
 from switchguard.synthesis import assemble_lp, decision_variables
-from util import (dense_pivot, full_ratio_row, ix_pivot, loop_initial_basis, random_box_lp,
-                  random_sparse_lp, vertex_minimum)
+from util import (dense_pivot, dense_tableau, full_ratio_row, ix_pivot, random_box_lp,
+                  random_sparse_lp, random_standard_form_lp, vertex_minimum, vstack_drop_rows)
 
 
 def test_minimize_above_lower_bound():
@@ -252,16 +253,18 @@ def _sparse_lp(seed: int) -> LinearProgram:
 
 
 def _solve_dense(lp, monkeypatch) -> lp_solver.LpSolution:
+    # the reference build (dense A, loop basis scan), pivot and row drop
     with monkeypatch.context() as patch:
+        patch.setattr(lp_solver, "_tableau", dense_tableau)
         patch.setattr(lp_solver, "_pivot", dense_pivot)
-        patch.setattr(lp_solver, "_initial_basis", loop_initial_basis)
+        patch.setattr(lp_solver, "_drop_rows", vstack_drop_rows)
         return solve(lp)
 
 
 def _assert_same(sol, ref):
     assert sol.status == ref.status
     assert sol.values.tobytes() == ref.values.tobytes()
-    assert sol.objective == ref.objective
+    assert np.float64(sol.objective).tobytes() == np.float64(ref.objective).tobytes()  # NaN too
     assert sol.pivots == ref.pivots
     assert sol.bland_switches == ref.bland_switches
 
@@ -304,8 +307,8 @@ def test_restricted_pivot_matches_dense_update():
         k = int(rng.integers(rows.size))
         basis = np.arange(m)
         ref, ref_basis = T.copy(), basis.copy()
-        dense_pivot(ref, ref_basis, rows[k], cols[k])
-        lp_solver._pivot(T, basis, rows[k], cols[k])
+        dense_pivot(ref, ref_basis, rows[k], cols[k], None)
+        lp_solver._pivot(T, basis, rows[k], cols[k], T[:, cols[k]].copy())
         assert np.array_equal(T, ref)  # -0.0 == 0.0: only signed zeros may differ
         assert np.array_equal(basis, ref_basis)
 
@@ -322,9 +325,9 @@ def test_solver_matches_ix_pivot_on_largest_demo_lp(switching_setup, monkeypatch
     touched = []
     pivot = lp_solver._pivot
 
-    def counting_pivot(T, basis, row, col):
-        touched.append((np.count_nonzero(T[:, col]) - 1) * np.count_nonzero(T[row]))
-        pivot(T, basis, row, col)
+    def counting_pivot(T, basis, row, col, column):
+        touched.append((np.count_nonzero(column) - 1) * np.count_nonzero(T[row]))
+        pivot(T, basis, row, col, column)
 
     monkeypatch.setattr(lp_solver, "_pivot", counting_pivot)
     sol = solve(lp)
@@ -352,8 +355,8 @@ def test_blocked_pivot_matches_ix_pivot():
         slices.append(-(-rows // (lp_solver.BLOCK // cols)))
         basis = np.arange(m)
         ref, ref_basis = T.copy(), basis.copy()
-        ix_pivot(ref, ref_basis, row, col)
-        lp_solver._pivot(T, basis, row, col)
+        ix_pivot(ref, ref_basis, row, col, None)
+        lp_solver._pivot(T, basis, row, col, T[:, col].copy())
         assert T.tobytes() == ref.tobytes()  # signed zeros included
         assert np.array_equal(basis, ref_basis)
     assert min(slices) > 1 and max(slices) >= 8  # every case spans several row blocks
@@ -365,7 +368,7 @@ def test_pivot_rejects_tableau_without_flat_view(layout):
     T = np.asfortranarray(wide[:, :4]) if layout == "fortran" else wide[:, :4]
     before, basis = T.copy(), np.arange(3)
     with pytest.raises(ValueError):
-        lp_solver._pivot(T, basis, 0, 0)
+        lp_solver._pivot(T, basis, 0, 0, T[:, 0].copy())
     assert T.tobytes() == before.tobytes()
     assert np.array_equal(basis, np.arange(3))
 
@@ -375,8 +378,8 @@ def test_pivot_writes_through_evenly_strided_view():
     wide = np.repeat(np.arange(1.0, 13.0).reshape(3, 4), 2, axis=1)
     T = wide[:, ::2]
     ref, basis, ref_basis = T.copy(), np.arange(3), np.arange(3)
-    ix_pivot(ref, ref_basis, 1, 2)
-    lp_solver._pivot(T, basis, 1, 2)
+    ix_pivot(ref, ref_basis, 1, 2, None)
+    lp_solver._pivot(T, basis, 1, 2, T[:, 2].copy())
     assert wide[:, ::2].tobytes() == ref.tobytes()
     assert np.array_equal(basis, ref_basis)
 
@@ -393,8 +396,8 @@ def test_ratio_row_matches_full_ratio_test():
         T[:m, 0] = rng.choice(entries, size=m)
         T[:m, -1] = rng.choice(rhs, size=m)
         basis = rng.permutation(3 * m)[:m]
-        want = full_ratio_row(T, basis, 0)
-        assert lp_solver._ratio_row(T, basis, 0) == want
+        want = full_ratio_row(T, basis, T[:, 0].copy())
+        assert lp_solver._ratio_row(T, basis, T[:, 0].copy()) == want
         eligible = T[:m, 0] > tol
         if want < 0:
             none_eligible += 1
@@ -418,4 +421,71 @@ def test_initial_basis_matches_loop_scan():
                 A[:, int(rng.integers(n))] = A[:, j]
             if rng.random() < 0.3:
                 A[int(rng.integers(m))] = 0.0
-        assert np.array_equal(lp_solver._initial_basis(A), loop_initial_basis(A))
+        # u = x >= 0, so A is the structural block; a negative rhs negates its row
+        rows = [(A[i], EQ if rng.random() < 0.5 else LE, float(rng.choice([-1.0, 0.0, 1.0])))
+                for i in range(m)]
+        lp = LinearProgram(n, np.zeros(n), constraints=rows, bounds=[(0.0, None)] * n)
+        basis, ref = lp_solver._tableau(lp)[1], dense_tableau(lp)[1]
+        assert np.array_equal(basis, ref)
+
+
+def test_tableau_matches_dense_oracle(monkeypatch):
+    """The in-place build equals the dense A copied into [A | art | b], bit
+    for bit, and solve with the in-place build and row drop returns what it
+    returns with the dense build and np.vstack."""
+    rng = np.random.default_rng(51)
+    dropped = unit_eq = 0
+    seen = set()
+    drop_rows = lp_solver._drop_rows
+    for _ in range(400):
+        lp = random_standard_form_lp(rng)
+        T, basis, ncols, c, _ = lp_solver._tableau(lp)
+        ref_T, ref_basis, ref_ncols, ref_c, _ = dense_tableau(lp)
+        assert T.shape == ref_T.shape and T.tobytes() == ref_T.tobytes()
+        assert basis.tobytes() == ref_basis.tobytes()
+        assert ncols == ref_ncols and c.tobytes() == ref_c.tobytes()
+        eq = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == EQ]
+        unit_eq += int(np.any(basis[eq] < ncols))  # an equality row has no slack
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_solver, "_drop_rows",
+                          lambda T, keep: calls.append(keep) or drop_rows(T, keep))
+            sol = solve(lp)
+        dropped += bool(calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_solver, "_tableau", dense_tableau)
+            patch.setattr(lp_solver, "_drop_rows", vstack_drop_rows)
+            _assert_same(sol, solve(lp))
+        seen.add(sol.status)
+    assert seen == {"optimal", "infeasible", "unbounded"}
+    assert dropped > 50 and unit_eq > 50
+
+
+@pytest.mark.parametrize("mode", ["exact", "relaxed"])
+def test_solve_holds_one_tableau(switching_setup, monkeypatch, mode):
+    """solve allocates no second array of the tableau's size: its traced
+    peak stays within 1.25 times the tableau it builds, whose leading rows
+    phase 2 runs in.  The exact M=1 N=5 demo LP drops 48 redundant rows
+    after phase 1."""
+    plant, model, automaton, config = switching_setup
+    config = dataclasses.replace(config, mode=mode, eps_bar=0.1 if mode == "relaxed" else 0.0)
+    lp = _demo_lp((plant, model, automaton, config))
+    shapes = []
+    simplex = lp_solver._simplex
+
+    def recording_simplex(T, *args):
+        shapes.append(T.shape)
+        return simplex(T, *args)
+
+    monkeypatch.setattr(lp_solver, "_simplex", recording_simplex)
+    tracemalloc.start()
+    try:
+        sol = solve(lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    (rows, width), (final_rows, final_width) = shapes
+    assert final_width == width
+    assert rows - final_rows == (48 if mode == "exact" else 0)
+    assert peak <= 1.25 * rows * width * 8

@@ -265,6 +265,19 @@ def test_switching_fir_rejects_a_missing_lag():
         SwitchingFIR(1, 3, 2, 2, taps)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_switching_fir_rejects_non_finite_taps(bad):
+    """A NaN tap never beats the running peak of the attack search, which
+    then skipped every sequence through its window: on the demo plant, N=2
+    taps zero but for a NaN lag-0 block of history (1,) made exhaustive and
+    greedy H=4 report ((0, 0, 0, 0), 9.0).  The first bad key is named."""
+    taps = {((j,), k): np.zeros((3, 2)) for j in (1, 0) for k in (1, 0)}
+    taps[((1,), 1)][0, 0] = bad
+    taps[((1,), 0)][2, 1] = bad
+    with pytest.raises(ValueError, match=re.escape("coeff ((1,), 0) has non-finite entries")):
+        SwitchingFIR(1, 2, 2, 3, taps)
+
+
 def test_switching_fir_keeps_one_read_only_tap_table():
     rng = np.random.default_rng(7)
     taps = {((j,), k): rng.uniform(-1, 1, (3, 2)) for j in (1, 0) for k in (2, 0, 1)}

@@ -96,8 +96,10 @@ def random_box_lp(rng: np.random.Generator, n: int, m: int):
     return c, A, b, lo, hi, G, h
 
 
-def dense_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Reference simplex pivot: the rank-1 update over the whole tableau."""
+def dense_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
+                column: np.ndarray) -> None:
+    """Reference simplex pivot: the rank-1 update over the whole tableau.
+    Reads its multipliers from T; column (the solver's copy) is unused."""
     piv = T[row, col]
     if abs(piv) < PIVOT_TOL:
         raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
@@ -108,9 +110,11 @@ def dense_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
+             column: np.ndarray) -> None:
     """Reference restricted pivot: one np.ix_ gather, outer product and
-    scatter over the touched rows and columns (any memory layout)."""
+    scatter over the touched rows and columns (any memory layout).  Reads
+    its rows and multipliers from T; column is unused."""
     piv = T[row, col]
     if abs(piv) < PIVOT_TOL:
         raise LpNumericalError(f"pivot breakdown: |{piv:.3e}| below tolerance")
@@ -123,11 +127,12 @@ def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def full_ratio_row(T: np.ndarray, basis: np.ndarray, enter: int) -> int:
-    """Reference ratio test over every row: ineligible rows get ratio inf;
-    ties broken by smallest basic variable index (Bland), -1 if none."""
+def full_ratio_row(T: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
+    """Reference ratio test over every row of the entering column: ineligible
+    rows get ratio inf; ties broken by smallest basic variable index
+    (Bland), -1 if none."""
     m = T.shape[0] - 1
-    col = T[:m, enter]
+    col = column[:m]
     eligible = col > PIVOT_TOL
     if not np.any(eligible):
         return -1
@@ -151,6 +156,132 @@ def loop_initial_basis(A: np.ndarray) -> np.ndarray:
                 used.add(j)
                 break
     return basis
+
+
+def dense_standardize(lp: LinearProgram):
+    """Reference standardization: min c.u s.t. A u = b, u >= 0 with a dense A.
+
+    Returns (A, b, c, recover) where recover(u) yields the original vector.
+    Free variables split into differences of nonnegatives; finite lower
+    bounds shift; finite upper bounds become extra rows.
+    """
+    n = lp.variable_count
+    first = np.zeros(n, dtype=int)  # column of each original variable
+    sign = np.ones(n)               # its sign in that column
+    free = []                       # free variables; their negative part is first + 1
+    shift = np.zeros(n)
+    ncols = 0
+    extra_rows = []  # (orig var index, ub-lo) handled after mapping
+    for j, (lo, hi) in enumerate(lp.bounds):
+        first[j] = ncols
+        ncols += 1
+        if lo is None and hi is None:
+            free.append(j)
+            ncols += 1
+        elif lo is None:
+            sign[j] = -1.0
+            shift[j] = hi
+        else:
+            shift[j] = lo
+            if hi is not None:
+                # an empty box is encoded as the infeasible row 0 <= -1
+                extra_rows.append((j, -1.0 if hi < lo else hi - lo))
+    free = np.array(free, dtype=int)
+    second = first[free] + 1
+
+    def place(a: np.ndarray, out: np.ndarray) -> None:
+        # adding 0.0 turns the -0.0 of a zero coefficient times -1 into +0.0
+        out[first] = a * sign + 0.0
+        out[second] = -a[free] + 0.0
+
+    m = len(lp.constraints) + len(extra_rows)
+    le_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == LE]
+    le_rows += range(len(lp.constraints), m)
+    nslack = len(le_rows)
+    A = np.zeros((m, ncols + nslack))
+    b = np.zeros(m)
+    for i, (coeffs, _, rhs) in enumerate(lp.constraints):
+        place(coeffs, A[i])
+        b[i] = rhs - float(coeffs @ shift)
+    for i, (j, span) in enumerate(extra_rows, start=len(lp.constraints)):
+        # u_j <= span in shifted coordinates (already shifted by lo)
+        A[i, first[j]] = 1.0
+        b[i] = span
+    A[le_rows, ncols + np.arange(nslack)] = 1.0
+    c = np.zeros(ncols + nslack)
+    place(lp.objective, c)
+
+    def recover(u: np.ndarray) -> np.ndarray:
+        x = shift + sign * u[first]
+        x[free] -= u[second]
+        return x
+
+    return A, b, c, recover
+
+
+def dense_tableau(lp: LinearProgram):
+    """Reference phase-1 tableau with lp_solver._tableau's signature: a
+    dense A from dense_standardize, its negative-rhs rows negated in one
+    step, the basis of loop_initial_basis, and A copied into
+    [A | art | b] above a zero objective row."""
+    A, b, c, recover = dense_standardize(lp)
+    m, ncols = A.shape
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+    basis = loop_initial_basis(A)
+    missing = np.flatnonzero(basis < 0)
+    T = np.zeros((m + 1, ncols + missing.size + 1))
+    T[:m, :ncols] = A
+    T[:m, -1] = b
+    art_cols = ncols + np.arange(missing.size)
+    T[missing, art_cols] = 1.0
+    basis[missing] = art_cols
+    return T, basis, ncols, c, recover
+
+
+def vstack_drop_rows(T: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Reference row drop: a new tableau of the kept rows and the objective row."""
+    return np.vstack([T[keep], T[-1:]])
+
+
+def random_standard_form_lp(rng: np.random.Generator) -> LinearProgram:
+    """Small random LP for the tableau build, often infeasible or unbounded.
+
+    Variables are free, lower-bounded, upper-only, boxed or (now and then)
+    an empty box; rows mix '=' and '<=' with right-hand sides of either
+    sign; some equality rows appear twice (redundant), and some variables
+    have one nonzero, +-1, in one row, so that their column can be a
+    unit column of an equality row.
+    """
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    units = int(rng.integers(0, 3))  # unit variables n.., at zero
+    x_feas = rng.integers(-2, 3, size=n).astype(float)
+    bounds = []
+    for j in range(n):
+        lo = x_feas[j] - float(rng.integers(0, 3))
+        hi = x_feas[j] + float(rng.integers(0, 3))
+        kinds = [(None, None), (lo, None), (None, hi), (lo, hi)]
+        if rng.random() < 0.1:
+            kinds = [(hi + 1.0, lo)]  # empty box
+        bounds.append(kinds[int(rng.integers(len(kinds)))])
+    for _ in range(units):
+        bounds.append([(None, None), (0.0, None), (None, 0.0), (0.0, 1.0)][int(rng.integers(4))])
+    rows = []
+    for _ in range(m):
+        coeffs = np.zeros(n + units)
+        coeffs[:n] = np.where(rng.random(n) < 0.5,
+                              rng.choice([-2.0, -1.0, -0.5, 1.0, 1.0, 3.0], size=n), 0.0)
+        rel = EQ if rng.random() < 0.5 else LE
+        rhs = float(coeffs[:n] @ x_feas) + (0.0 if rel == EQ else float(rng.integers(-1, 3)))
+        rows.append((coeffs, rel, rhs))
+    for i in rng.permutation(m)[:int(rng.integers(0, 3))]:
+        if rows[i][1] == EQ:
+            rows.append((rows[i][0].copy(), EQ, rows[i][2]))
+    for k in range(units):
+        rows[int(rng.integers(len(rows)))][0][n + k] = rng.choice([-1.0, 1.0])
+    c = np.concatenate([rng.normal(size=n), np.zeros(units)])
+    return LinearProgram(n + units, c, constraints=rows, bounds=bounds)
 
 
 def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 0.25):
