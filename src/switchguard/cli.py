@@ -3,6 +3,8 @@
 Configs and result bundles are JSON (matrices as row-major nested lists),
 traces are CSV.  Exit codes: 0 ok, 2 input error, 3 infeasible,
 4 numerical failure.  All commands are deterministic under a fixed seed.
+The model constructors own the rules on config values and the defaults;
+this module checks JSON types and names the field path of every error.
 Attack sequences given by --sigma or a scenario file, and the all-padding
 sequence `simulate` runs without either, must be admissible for the
 config's automaton; --horizon must be positive.
@@ -87,93 +89,89 @@ def _matrix(value, path: str) -> np.ndarray:
     return mat
 
 
-# Integer fields of the synthesis section: JSON key -> (SynthesisConfig field, default).
-_SYNTHESIS_INTEGERS = {"M": ("memory", 1), "N": ("fir_length", 5),
-                       "verify_horizon": ("verify_horizon", 30),
-                       "verify_samples": ("verify_samples", 20)}
-# SynthesisConfig field -> JSON key of the synthesis section.
-_SYNTHESIS_KEYS = {"mode": "mode", "eps_bar": "eps_bar",
-                   **{name: key for key, (name, _) in _SYNTHESIS_INTEGERS.items()}}
+def _string(value, path: str) -> str:
+    _expect(isinstance(value, str), path, "expected a string")
+    return value
+
+
+def _modes(value, path: str) -> list:
+    _expect(isinstance(value, list) and value and all(map(_is_int, value)), path,
+            "expected a non-empty list of mode indices")
+    return value
+
+
+def _allowed(value, path: str):
+    return None if value == "complete" else _matrix(value, path) != 0.0
+
+
+# Model field -> JSON key, where the two differ.
+_JSON_KEYS = {"memory": "M", "fir_length": "N", "allowed": "automaton"}
+
+
+def _build(section: dict, path: str, make, *args, optional=None, **kwargs):
+    """make(*args, **kwargs) plus the fields of `optional` (field -> parser)
+    whose keys the JSON section at `path` holds; absent ones keep the model's
+    defaults.  The model's ValueError names the offending field first and
+    becomes a ConfigError at that key, or at `path` if it names no key."""
+    for field, parse in (optional or {}).items():
+        key = _JSON_KEYS.get(field, field)
+        if key in section:
+            kwargs[field] = parse(section[key], f"{path}.{key}")
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        key = str(exc).partition(" ")[0]
+        key = _JSON_KEYS.get(key, key)
+        raise ConfigError(f"{path}.{key}" if key.partition("[")[0] in section else path,
+                          str(exc)) from None
 
 
 def parse_problem(cfg: dict):
-    """Validate a config mapping and build the problem objects."""
+    """Check a config's JSON types and build the problem objects; besides
+    the models' rules, the seed must be nonnegative and no mode reachable
+    from the initial ones may lack a successor."""
     _expect(isinstance(cfg, dict), "$", "config must be a JSON object")
     for key in ("plant", "attack", "synthesis"):
         _expect(key in cfg, key, "missing section")
 
     pc = _section(cfg["plant"], "plant")
     A = _matrix(pc.get("A"), "plant.A")
-    _expect(A.shape[0] == A.shape[1], "plant.A", f"must be square, got {A.shape}")
     B = _matrix(pc.get("B"), "plant.B")
-    _expect(B.shape[0] == A.shape[0], "plant.B",
-            f"needs {A.shape[0]} rows, got {B.shape[0]}")
     raw_channels = pc.get("channels")
-    _expect(isinstance(raw_channels, list) and raw_channels,
-            "plant.channels", "expected a non-empty list")
+    _expect(isinstance(raw_channels, list), "plant.channels", "expected a list")
     channels = []
     for i, ch in enumerate(raw_channels):
         _section(ch, f"plant.channels[{i}]")
-        C_i = _matrix(ch.get("C"), f"plant.channels[{i}].C")
-        D_i = _matrix(ch.get("D"), f"plant.channels[{i}].D")
-        _expect(C_i.shape[1] == A.shape[0], f"plant.channels[{i}].C",
-                f"needs {A.shape[0]} columns, got {C_i.shape[1]}")
-        _expect(D_i.shape == (C_i.shape[0], B.shape[1]), f"plant.channels[{i}].D",
-                f"needs shape {(C_i.shape[0], B.shape[1])}, got {D_i.shape}")
-        channels.append((C_i, D_i))
-    x0_bound = _number(pc.get("x0_bound", 1.0), "plant.x0_bound")
-    _expect(x0_bound >= 0.0, "plant.x0_bound", "must be nonnegative")
-    _expect(math.isfinite(x0_bound), "plant.x0_bound", "must be finite")
-    plant = ChannelPlant(A=A, B=B, channels=tuple(channels), x0_bound=x0_bound)
+        channels.append((_matrix(ch.get("C"), f"plant.channels[{i}].C"),
+                         _matrix(ch.get("D"), f"plant.channels[{i}].D")))
+    plant = _build(pc, "plant", ChannelPlant, A=A, B=B, channels=tuple(channels),
+                   optional={"x0_bound": _number})
 
     ac = _section(cfg["attack"], "attack")
     patterns = ac.get("patterns")
-    _expect(isinstance(patterns, list) and patterns, "attack.patterns",
-            "expected a non-empty list of delivered-channel sets")
-    N = plant.channel_count
+    _expect(isinstance(patterns, list), "attack.patterns",
+            "expected a list of delivered-channel sets")
     for i, pat in enumerate(patterns):
-        _expect(isinstance(pat, list), f"attack.patterns[{i}]", "expected a list")
-        for c in pat:
-            _expect(_is_int(c) and 1 <= c <= N, f"attack.patterns[{i}]",
-                    f"channel numbers must lie in 1..{N}")
-    _expect(sorted(patterns[0]) == list(range(1, N + 1)), "attack.patterns[0]",
-            "pattern 0 must deliver all channels")
-    model = build_modes(plant, [set(p) for p in patterns])
-
-    mode_count = len(patterns)
-    raw_auto = ac.get("automaton", "complete")
-    padding = _integer(ac.get("padding_mode", 0), "attack.padding_mode")
-    _expect(0 <= padding < mode_count, "attack.padding_mode",
-            f"must lie in 0..{mode_count - 1}")
-    if raw_auto == "complete":
-        allowed = None
-    else:
-        allowed_mat = _matrix(raw_auto, "attack.automaton")
-        _expect(allowed_mat.shape == (mode_count, mode_count), "attack.automaton",
-                f"must be {mode_count}x{mode_count}")
-        allowed = allowed_mat != 0.0
-    initial = ac.get("initial")
-    if initial is not None:
-        _expect(isinstance(initial, list) and initial, "attack.initial",
-                "expected a non-empty list of mode indices")
-        for m in initial:
-            _expect(_is_int(m) and 0 <= m < mode_count, "attack.initial",
-                    f"mode indices must lie in 0..{mode_count - 1}")
-    automaton = SwitchingAutomaton(mode_count, allowed=allowed, initial=initial,
-                                   padding_mode=padding)
+        _expect(isinstance(pat, list) and all(map(_is_int, pat)), f"attack.patterns[{i}]",
+                "expected a list of channel numbers")
+    model = _build(ac, "attack", build_modes, plant, patterns)
+    automaton = _build(ac, "attack", SwitchingAutomaton, model.mode_count, optional={
+        "allowed": _allowed, "initial": _modes, "padding_mode": _integer})
+    reached, frontier = set(), set(automaton.initial)
+    while frontier:
+        reached |= frontier
+        frontier = {b for a in frontier for b in automaton.successors(a)} - reached
+    dead = [a for a in sorted(reached) if not automaton.successors(a)]
+    _expect(not dead, "attack.automaton", f"modes {dead} are reachable from the initial "
+            "ones but have no successor, so sequences through them end")
 
     sc = _section(cfg["synthesis"], "synthesis")
-    fields = {name: _integer(sc.get(key, default), f"synthesis.{key}")
-              for key, (name, default) in _SYNTHESIS_INTEGERS.items()}
-    eps_bar = _number(sc.get("eps_bar", 0.0), "synthesis.eps_bar")
-    try:
-        syncfg = SynthesisConfig(mode=str(sc.get("mode", "exact")), eps_bar=eps_bar, **fields)
-    except ValueError as exc:
-        # SynthesisConfig's messages start with the offending field's name
-        raise ConfigError(f"synthesis.{_SYNTHESIS_KEYS[str(exc).split()[0]]}",
-                          str(exc)) from None
+    syncfg = _build(sc, "synthesis", SynthesisConfig, optional={
+        "memory": _integer, "fir_length": _integer, "mode": _string, "eps_bar": _number,
+        "verify_horizon": _integer, "verify_samples": _integer})
 
     seed = _integer(cfg.get("seed", 0), "seed")
+    _expect(seed >= 0, "seed", "must be a nonnegative integer")
     return plant, model, automaton, syncfg, seed
 
 
@@ -383,21 +381,17 @@ def cmd_norm(args) -> int:
 
 
 def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
-    data = load_config(path)
+    data = _section(load_config(path), "scenario")
     for key in ("sigma", "w"):
         _expect(key in data, f"scenario.{key}", "missing field")
     w = _matrix(data["w"], "scenario.w")
-    sigma = data["sigma"]
-    _expect(isinstance(sigma, list) and sigma and all(map(_is_int, sigma)),
-            "scenario.sigma", "expected a non-empty list of mode indices")
+    sigma = _modes(data["sigma"], "scenario.sigma")
     x0 = data.get("x0", [0.0] * plant.n)
     _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")
     x0 = np.array([_number(v, "scenario.x0") for v in x0])
     _expect(all(map(math.isfinite, x0.tolist())), "scenario.x0", "entries must be finite")
-    x0_time = _integer(data.get("x0_time", 0), "scenario.x0_time")
-    _expect(0 <= x0_time < len(sigma), "scenario.x0_time",
-            f"must lie in 0..{len(sigma) - 1}, the times of scenario.sigma")
-    return Scenario(sigma=sigma, w=oc.Signal(w), x0=x0, horizon=len(sigma), x0_time=x0_time)
+    return _build(data, "scenario", Scenario, sigma=sigma, w=oc.Signal(w), x0=x0,
+                  horizon=len(sigma), optional={"x0_time": _integer})
 
 
 def cmd_simulate(args) -> int:

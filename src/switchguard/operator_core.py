@@ -68,13 +68,13 @@ class TruncatedOperator:
 
     Wraps a causal band (..., H, L, out_dim, in_dim), L <= H, without
     copying: the caller hands the array over and it is made read-only, so
-    instances and their band are immutable.
+    instances and their band are immutable.  Only in_dim may be 0.
     """
 
     __slots__ = ("horizon", "in_dim", "out_dim", "band")
 
     def __init__(self, band: np.ndarray):
-        if band.ndim < 4 or band.shape[-3] > band.shape[-4] or 0 in band.shape[-4:]:
+        if band.ndim < 4 or band.shape[-3] > band.shape[-4] or 0 in band.shape[-4:-1]:
             raise ValueError(f"band shape {band.shape} is not (..., H, L <= H, out, in)")
         band.flags.writeable = False
         object.__setattr__(self, "band", band)

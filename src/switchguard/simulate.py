@@ -53,6 +53,8 @@ __all__ = [
     "make_trace",
 ]
 
+_TIE_MARGIN = 1e-15  # see "Ties" in the module docstring
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -70,10 +72,12 @@ class Scenario:
         x0 = x0.copy()
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
-        if len(self.sigma) != self.horizon or self.w.horizon != self.horizon:
-            raise ValueError("sigma and w lengths must equal the horizon")
+        if len(self.sigma) != self.horizon:
+            raise ValueError(f"sigma has {len(self.sigma)} modes, the horizon is {self.horizon}")
+        if self.w.horizon != self.horizon:
+            raise ValueError(f"w has {self.w.horizon} samples, the horizon is {self.horizon}")
         if not (0 <= self.x0_time < self.horizon):
-            raise ValueError("x0_time must lie inside the horizon")
+            raise ValueError(f"x0_time must lie in 0..{self.horizon - 1}, the times of sigma")
 
     def validate(self, plant: ChannelPlant, automaton: SwitchingAutomaton | None = None) -> None:
         if self.x0.shape != (plant.n,):
@@ -345,7 +349,7 @@ class _ErrorKernel:
         replaces the peak only if it is larger by more than 1e-15."""
         values, x0_lags = summary
         for i, value in enumerate(values):
-            if value > peak[0] + 1e-15:
+            if value > peak[0] + _TIE_MARGIN:
                 peak = (value, t, i, x0_lags[i])
         return peak
 
@@ -411,7 +415,7 @@ def _separated(values) -> bool:
     more than the 1e-15 tie margin, as `fold` compares them."""
     ordered = sorted(values)
     return all(map(math.isfinite, ordered)) and all(
-        high == low or high > low + 1e-15 for low, high in zip(ordered, ordered[1:]))
+        high == low or high > low + _TIE_MARGIN for low, high in zip(ordered, ordered[1:]))
 
 
 def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
@@ -506,7 +510,7 @@ def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: i
         peaks.append(kernel.fold(summary, t, peaks[t]))
         if t == horizon - 1:
             value = max(peaks[-1][0], 0.0)
-            if value > best_value + 1e-15:
+            if value > best_value + _TIE_MARGIN:
                 best_sigma, best_value = prefix, value
     return best_sigma, best_value
 
@@ -555,7 +559,7 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             for b in choices:
                 row, carry = kernel.row(prefix + (b,), t, past)
                 b_peak = kernel.scan(row, t, peak)
-                if max(b_peak[0], 0.0) > pick_value + 1e-15:
+                if max(b_peak[0], 0.0) > pick_value + _TIE_MARGIN:
                     pick, pick_value = len(options), max(b_peak[0], 0.0)
                 options.append((b, carry, b_peak))
             b, carry, peak = options[pick]

@@ -48,6 +48,7 @@ class ChannelPlant:
 
     x(t+1) = A x(t) + B w(t); channel i measures C_i x(t) + D_i w(t).
     x0_bound is the peak-norm budget assumed for the initial condition.
+    ValueError messages start with the field: A, B, channels[i].C (0-based).
     """
 
     A: np.ndarray
@@ -64,16 +65,16 @@ class ChannelPlant:
         if B.shape[0] != n:
             raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
         if not self.channels:
-            raise ValueError("at least one measurement channel is required")
+            raise ValueError("channels must hold at least one measurement channel")
         chans = []
-        for idx, (C_i, D_i) in enumerate(self.channels, start=1):
-            C_i = _mat(C_i, f"C_{idx}")
-            D_i = _mat(D_i, f"D_{idx}")
+        for i, (C_i, D_i) in enumerate(self.channels):
+            C_i = _mat(C_i, f"channels[{i}].C")
+            D_i = _mat(D_i, f"channels[{i}].D")
             if C_i.shape[1] != n:
-                raise ValueError(f"C_{idx} has {C_i.shape[1]} columns, expected {n}")
+                raise ValueError(f"channels[{i}].C has {C_i.shape[1]} columns, expected {n}")
             if D_i.shape != (C_i.shape[0], B.shape[1]):
-                raise ValueError(
-                    f"D_{idx} has shape {D_i.shape}, expected {(C_i.shape[0], B.shape[1])}")
+                raise ValueError(f"channels[{i}].D has shape {D_i.shape}, "
+                                 f"expected {(C_i.shape[0], B.shape[1])}")
             chans.append((C_i, D_i))
         if not 0 <= self.x0_bound < np.inf:
             raise ValueError("x0_bound must be finite and nonnegative")
@@ -116,11 +117,6 @@ class SelectionMask:
 
     def __init__(self, delivered):
         object.__setattr__(self, "delivered", frozenset(int(i) for i in delivered))
-
-    def validate(self, channel_count: int) -> None:
-        for i in self.delivered:
-            if not (1 <= i <= channel_count):
-                raise ValueError(f"channel {i} outside 1..{channel_count}")
 
 
 @dataclass(frozen=True)
@@ -169,21 +165,23 @@ class SwitchedOutputModel:
 def build_modes(plant: ChannelPlant, patterns) -> SwitchedOutputModel:
     """Stack the channel matrices and zero the rows each pattern drops.
 
-    patterns[0] must deliver every channel (the nominal mode).
+    patterns[0] must deliver every channel (the nominal mode).  ValueError
+    messages start with `patterns`.
     """
     patterns = [p if isinstance(p, SelectionMask) else SelectionMask(p) for p in patterns]
     if not patterns:
-        raise ValueError("at least one selection pattern is required")
-    N = plant.channel_count
-    for pat in patterns:
-        pat.validate(N)
-    if patterns[0].delivered != frozenset(range(1, N + 1)):
-        raise ValueError("pattern 0 must deliver all channels (nominal mode)")
+        raise ValueError("patterns must hold at least one selection pattern")
+    full = frozenset(range(1, plant.channel_count + 1))
     seen = set()
     for j, pat in enumerate(patterns):
+        if not pat.delivered <= full:
+            raise ValueError(f"patterns[{j}] holds channels {sorted(pat.delivered - full)} "
+                             f"outside 1..{len(full)}")
         if pat.delivered in seen:
             warnings.warn(f"selection pattern {j} duplicates an earlier mode")
         seen.add(pat.delivered)
+    if patterns[0].delivered != full:
+        raise ValueError("patterns[0] must deliver all channels (nominal mode)")
     C0, D0 = plant.stacked()
     dims = plant.channel_dims
     offsets = np.concatenate(([0], np.cumsum(dims)))
@@ -202,7 +200,8 @@ class SwitchingAutomaton:
 
     allowed[a, b] permits a step from mode a to mode b; initial is the set
     of modes a sequence may start in; padding_mode is the mode assumed for
-    virtual times before the sequence begins.
+    virtual times before the sequence begins; sequences end at a mode
+    without successors.  ValueError messages start with the field's name.
     """
 
     mode_count: int
@@ -222,11 +221,10 @@ class SwitchingAutomaton:
         allowed_arr = allowed_arr.copy()
         allowed_arr.flags.writeable = False
         init = frozenset(range(mode_count)) if initial is None else frozenset(int(i) for i in initial)
-        for i in init:
-            if not (0 <= i < mode_count):
-                raise ValueError(f"initial mode {i} out of range")
+        if not init <= frozenset(range(mode_count)):
+            raise ValueError(f"initial modes {sorted(init)} must lie in 0..{mode_count - 1}")
         if not (0 <= padding_mode < mode_count):
-            raise ValueError("padding_mode out of range")
+            raise ValueError(f"padding_mode {padding_mode} outside 0..{mode_count - 1}")
         object.__setattr__(self, "mode_count", mode_count)
         object.__setattr__(self, "allowed", allowed_arr)
         object.__setattr__(self, "initial", init)

@@ -70,6 +70,7 @@ def test_validate_empty_patterns(tmp_path, capsys):
     ("x0_time", "2"),
     ("x0_time", 9),
     ("x0_time", -1),
+    ("w", [[0.0, 0.0]] * 3),  # four modes in sigma
 ])
 def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsys, field, value):
     scen = {"sigma": [0, 1, 0, 1], "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
@@ -78,6 +79,14 @@ def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsy
     spath.write_text(json.dumps(scen))
     assert main(["simulate", restricted_bundle, "--scenario", str(spath)]) == 2
     assert f"scenario.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [5, [[0, 1], [[0.0, 0.0]] * 2]], ids=["integer", "list"])
+def test_simulate_rejects_non_object_scenario(restricted_bundle, tmp_path, capsys, scenario):
+    spath = tmp_path / "scen.json"
+    spath.write_text(json.dumps(scenario))
+    assert main(["simulate", restricted_bundle, "--scenario", str(spath)]) == 2
+    assert "error: scenario: expected a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tamper, path", [
@@ -133,6 +142,23 @@ def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsy
                  id="x0-bound-minus-inf"),
     pytest.param(lambda c: c["plant"].update(x0_bound=float("nan")), "plant.x0_bound",
                  id="x0-bound-nan"),
+    pytest.param(lambda c: c.update(seed=-1), "seed", id="seed-negative"),
+    # dimension and range rules of the model constructors
+    pytest.param(lambda c: c["plant"].update(A=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), "plant.A",
+                 id="A-not-square"),
+    pytest.param(lambda c: c["plant"]["B"].pop(), "plant.B", id="B-rows"),
+    pytest.param(lambda c: c["plant"]["channels"][1].update(D=[[0.0, 0.0, 0.0]]),
+                 "plant.channels[1].D", id="D-shape"),
+    pytest.param(lambda c: c["attack"].update(patterns=[[1, 2], [3]]), "attack.patterns[1]",
+                 id="channel-3-of-2"),
+    pytest.param(lambda c: c["attack"].update(patterns=[[1]]), "attack.patterns[0]",
+                 id="pattern-0-not-full"),
+    pytest.param(lambda c: c["attack"].update(padding_mode=2), "attack.padding_mode",
+                 id="padding-range"),
+    pytest.param(lambda c: c["attack"].update(automaton=[[1, 1, 1]] * 3), "attack.automaton",
+                 id="automaton-3x3"),
+    pytest.param(lambda c: c["attack"].update(initial=[5]), "attack.initial",
+                 id="initial-range"),
 ])
 def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cfg = demo.nominal_config_dict()
@@ -141,6 +167,45 @@ def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cpath.write_text(json.dumps(cfg))
     assert main(["validate", str(cpath)]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("automaton, initial, ok", [
+    pytest.param([[0, 1], [0, 0]], None, False, id="reached-dead-end"),
+    pytest.param([[1, 1], [0, 0]], None, False, id="initial-dead-end"),
+    pytest.param([[1, 0], [0, 0]], [0], True, id="unreachable-dead-end"),
+])
+def test_validate_rejects_reachable_dead_ends(tmp_path, capsys, automaton, initial, ok):
+    cfg = demo.demo_config_dict()
+    cfg["attack"]["automaton"] = automaton
+    if initial is not None:
+        cfg["attack"]["initial"] = initial
+    cpath = tmp_path / "auto.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == (0 if ok else 2)
+    assert ("error: attack.automaton: " in capsys.readouterr().err) is not ok
+
+
+def test_validate_accepts_repeated_channel_number(tmp_path, capsys):
+    cfg = demo.demo_config_dict()
+    cfg["attack"]["patterns"][0] = [1, 2, 2]
+    cpath = tmp_path / "repeat.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == 0
+    assert "2 modes" in capsys.readouterr().out
+
+
+def test_synth_plant_without_disturbance(tmp_path):
+    cfg = demo.demo_config_dict()
+    cfg["plant"]["B"] = [[], [], []]
+    for channel in cfg["plant"]["channels"]:
+        channel["D"] = [[]] * len(channel["C"])
+    cpath = tmp_path / "no_w.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "no_w.bundle.json"
+    assert main(["synth", str(cpath), "--out", str(out)]) == 0
+    bundle = json.load(open(out))
+    assert np.isclose(bundle["certification"]["gamma_rows"], bundle["gamma_bar"], atol=1e-9)
+    assert np.isclose(bundle["certified_bound"], bundle["gamma_bar"], atol=1e-9)
 
 
 @pytest.mark.parametrize("command", ["validate", "synth"])
