@@ -78,6 +78,10 @@ def _matrix(value, path: str) -> np.ndarray:
             path, "expected a non-empty nested list (matrix)")
     width = len(value[0])
     _expect(all(len(r) == width for r in value), path, "rows have unequal lengths")
+    kinds = [type(entry) for row in value for entry in row]
+    if bool in kinds:
+        i, j = divmod(kinds.index(bool), width)
+        raise ConfigError(f"{path}[{i}][{j}]", "expected a number, not true or false")
     try:
         mat = np.array(value, dtype=float)
     except (TypeError, ValueError):
@@ -380,7 +384,7 @@ def cmd_norm(args) -> int:
     return EXIT_OK
 
 
-def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
+def _load_scenario(path: str, plant: ChannelPlant, automaton: SwitchingAutomaton) -> Scenario:
     data = _section(load_config(path), "scenario")
     for key in ("sigma", "w"):
         _expect(key in data, f"scenario.{key}", "missing field")
@@ -390,16 +394,17 @@ def _load_scenario(path: str, plant: ChannelPlant) -> Scenario:
     _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")
     x0 = np.array([_number(v, "scenario.x0") for v in x0])
     _expect(all(map(math.isfinite, x0.tolist())), "scenario.x0", "entries must be finite")
-    return _build(data, "scenario", Scenario, sigma=sigma, w=oc.Signal(w), x0=x0,
-                  horizon=len(sigma), optional={"x0_time": _integer})
+    scenario = _build(data, "scenario", Scenario, sigma=sigma, w=oc.Signal(w), x0=x0,
+                      horizon=len(sigma), optional={"x0_time": _integer})
+    _build(data, "scenario", scenario.validate, plant, automaton)
+    return scenario
 
 
 def cmd_simulate(args) -> int:
     _check_horizon(args)
     _, result, plant, model, automaton, syncfg, _ = load_bundle(args.bundle)
     if args.scenario:
-        scenario = _load_scenario(args.scenario, plant)
-        scenario.validate(plant, automaton)
+        scenario = _load_scenario(args.scenario, plant, automaton)
         predicted = None
     else:
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon

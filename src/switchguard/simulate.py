@@ -80,14 +80,18 @@ class Scenario:
             raise ValueError(f"x0_time must lie in 0..{self.horizon - 1}, the times of sigma")
 
     def validate(self, plant: ChannelPlant, automaton: SwitchingAutomaton | None = None) -> None:
+        """Check the scenario against a plant and, if given, an automaton.
+
+        ValueError messages start with the field's name.
+        """
         if self.x0.shape != (plant.n,):
-            raise ValueError(f"scenario.x0 has shape {self.x0.shape}, expected ({plant.n},)")
+            raise ValueError(f"x0 has shape {self.x0.shape}, expected ({plant.n},)")
         if self.w.dim != plant.m_w:
-            raise ValueError(f"scenario.w has dim {self.w.dim}, expected {plant.m_w}")
+            raise ValueError(f"w has dim {self.w.dim}, expected {plant.m_w}")
         if float(np.max(np.abs(self.x0), initial=0.0)) > plant.x0_bound + 1e-12:
-            raise ValueError("scenario.x0 exceeds the plant's initial-condition bound")
+            raise ValueError("x0 exceeds the plant's initial-condition bound")
         if automaton is not None and not automaton.is_admissible(self.sigma):
-            raise ValueError("scenario.sigma is not an admissible sequence of the automaton")
+            raise ValueError("sigma is not an admissible sequence of the automaton")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -229,16 +230,17 @@ class SwitchingAutomaton:
         object.__setattr__(self, "allowed", allowed_arr)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "padding_mode", int(padding_mode))
+        object.__setattr__(self, "_successors", tuple(
+            tuple(compress(range(mode_count), row)) for row in allowed_arr.tolist()))
+        object.__setattr__(self, "_initial", tuple(sorted(init)))
 
     @staticmethod
     def complete(mode_count: int, padding_mode: int = 0) -> "SwitchingAutomaton":
         return SwitchingAutomaton(mode_count, padding_mode=padding_mode)
 
-    def successors(self, prev: int | None) -> list[int]:
+    def successors(self, prev: int | None) -> tuple[int, ...]:
         """Modes that may follow `prev`, ascending; None is the start of a sequence."""
-        if prev is None:
-            return sorted(self.initial)
-        return [b for b in range(self.mode_count) if self.allowed[prev, b]]
+        return self._initial if prev is None else self._successors[prev]
 
     def extend(self, paths: np.ndarray, keep: int | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -282,13 +284,13 @@ class SwitchingAutomaton:
         return True
 
     def random_sequence(self, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-        seq: tuple[int, ...] = ()
+        seq: list[int] = []
         for _ in range(length):
             choices = self.successors(seq[-1] if seq else None)
             if not choices:
-                raise ValueError(f"automaton dead-ends after prefix {seq}")
-            seq += (int(choices[rng.integers(len(choices))]),)
-        return seq
+                raise ValueError(f"automaton dead-ends after prefix {tuple(seq)}")
+            seq.append(choices[rng.integers(len(choices))])
+        return tuple(seq)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,11 +16,13 @@ array gathered once per tap history.  Variable ids are arithmetic over
 `unpack` are reshapes.  `assemble_lp` stacks the terms, drops the zero
 coefficients and deduplicates slacks and rows by sorting integer keys of
 their (id, coefficient, constant) terms, numbered in order of first
-occurrence.  `row_gains` evaluates the same terms at the packed taps,
-each entry its constant plus its products summed left to right and each
-row's absolute entries summed left to right in entry order, so the gains
-are the bits the LP's affine forms give.  `synthesize` takes eps_achieved
-from it and `certify` takes gamma_rows and eps_rows.
+occurrence.  `row_gains` evaluates the same terms at the packed taps, each
+entry its constant plus its products summed left to right.  A row's lag-k
+entries depend only on its tap history, k and the mode at lag k, so the
+entries are evaluated once per (tap history, lag mode) pair, and each
+window sums its pairs' absolute entries left to right in entry order: the
+gains are the bits the LP's affine forms give.  `synthesize` takes
+eps_achieved from it and `certify` takes gamma_rows and eps_rows.
 """
 from __future__ import annotations
 
@@ -369,28 +371,38 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
     """Absolute row sums of the residual and performance rows at the factors (Q, Z).
 
     Returns (residual_gains, performance_gains), one per (window, state row)
-    in the LP's row order.  The kernel-entry terms of `_kernel_terms` are
-    evaluated lag by lag at the packed taps, vectorized over windows, and
-    each row's absolute entries are summed left to right in entry order.  A
-    zero coefficient the LP drops adds a signed zero here, which changes no
-    sum that is not zero and only the sign of one that is, so every gain is
+    in the LP's row order.  A row's lag-k entries depend only on its tap
+    history, k and the mode delivered k steps before the output time, so
+    the kernel-entry terms of `_kernel_terms` are evaluated at the packed
+    taps once per (tap history, lag mode) pair: on one window per pair
+    whose lags all hold that mode.  Each window then gathers its pairs'
+    absolute entries and sums them left to right in entry order.  A zero
+    coefficient the LP drops adds a signed zero here, which changes no sum
+    that is not zero and only the sign of one that is, so every gain is
     bit-identical to evaluating the LP's affine forms.
     """
     _check_dims(plant, model)
     windows, taps, hist_ids = _windows(automaton, config)
     variables = DecisionVariables(taps, config.memory, config.fir_length, plant.n, model.p)
     x = variables.pack(Q, Z)
+    modes, L = automaton.mode_count, windows.shape[1]
+    # pair hist * modes + mode: a window whose lags all hold the mode
+    pair_hists, pair_modes = np.divmod(np.arange(len(taps) * modes), modes)
+    pair_windows = np.repeat(pair_modes[:, None], L, axis=1)
+    lag_modes = windows[:, ::-1]
     gains = []
     for kind in (_RESIDUAL, _PERFORMANCE):
         total = np.zeros((len(windows), plant.n))
-        for _, _, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
-                                                     variables):
+        for k, _, var, coeff, const in _kernel_terms(plant, model, kind, pair_windows,
+                                                     pair_hists, variables):
             value = 0.0
             for t in range(var.shape[-1]):
                 value = value + coeff[..., t] * x[var[..., t]]
-            entry = const + value
+            # past the window no mode matrix is read, so any mode does
+            pair = hist_ids * modes + (lag_modes[:, k] if k < L else 0)
+            entry = np.abs(const + value).take(pair, axis=0)
             for col in range(entry.shape[-1]):
-                total += np.abs(entry[..., col])
+                total += entry[..., col]
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
 

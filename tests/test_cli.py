@@ -81,6 +81,23 @@ def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsy
     assert f"scenario.{field}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("x0", [0.0, 0.0]),  # the plant has three states
+    ("w", [[0.0]] * 4),  # and two disturbance inputs
+    ("x0", [0.0, 1.5, 0.0]),  # above the default x0_bound of 1
+    ("sigma", [0, 1, 1, 0]),  # two attacked steps in a row
+])
+def test_simulate_scenario_plant_and_automaton_errors_name_the_field(
+        restricted_bundle, tmp_path, capsys, field, value):
+    scen = {"sigma": [0, 1, 0, 1], "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
+    scen[field] = value
+    spath = tmp_path / "scen.json"
+    spath.write_text(json.dumps(scen))
+    assert main(["simulate", restricted_bundle, "--scenario", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario.{field}: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("scenario", [5, [[0, 1], [[0.0, 0.0]] * 2]], ids=["integer", "list"])
 def test_simulate_rejects_non_object_scenario(restricted_bundle, tmp_path, capsys, scenario):
     spath = tmp_path / "scen.json"
@@ -167,6 +184,20 @@ def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cpath.write_text(json.dumps(cfg))
     assert main(["validate", str(cpath)]) == 2
     assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, path", [
+    pytest.param(lambda c: c["plant"]["A"][0].__setitem__(0, True), "plant.A[0][0]", id="A"),
+    pytest.param(lambda c: c["attack"].update(automaton=[[True, True], [True, False]]),
+                 "attack.automaton[0][0]", id="automaton"),
+])
+def test_validate_rejects_boolean_matrix_entries(tmp_path, capsys, tamper, path):
+    cfg = demo.demo_config_dict()
+    tamper(cfg)
+    cpath = tmp_path / "bool.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == 2
+    assert f"error: {path}: expected a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("automaton, initial, ok", [

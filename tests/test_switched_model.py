@@ -9,7 +9,7 @@ from switchguard.switched_model import (ChannelPlant, SelectionMask, SwitchingAu
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
                                         build_modes, history_array, instantiate, lift_outputs)
 from util import (admissible_sequences, dense_blockdiag, dict_instantiate, generator_histories,
-                  history_at)
+                  history_at, tuple_random_sequence)
 
 
 def histories(automaton, length):
@@ -124,6 +124,19 @@ def test_sliding_windows_subset_of_enumeration():
         sigma = auto.random_sequence(12, rng)
         for t in range(12):
             assert history_at(sigma, t, L, auto.padding_mode) in hists
+
+
+@pytest.mark.parametrize("auto", [
+    SwitchingAutomaton.complete(3),
+    SwitchingAutomaton(3, allowed=[[1, 1, 0], [0, 0, 1], [1, 0, 1]], initial=[1, 2],
+                       padding_mode=2),
+], ids=["complete", "restricted"])
+def test_random_sequence_matches_reference_walk(auto):
+    """Seeded draws equal the reference walk's, and leave the generator in the same state."""
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert auto.random_sequence(40, rng) == tuple_random_sequence(auto, 40, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_walker_matches_brute_force():

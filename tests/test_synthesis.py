@@ -19,7 +19,7 @@ from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, as
                                    synthesize)
 from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
                   evaluate_rows, history_at, kernel_entries, pack, sampled_norms_loop,
-                  symbolic_variables)
+                  symbolic_variables, window_row_gains)
 
 
 @pytest.fixture(scope="module")
@@ -412,6 +412,20 @@ def test_row_gains_match_oracle_random(case):
     assert_row_gains_match_oracle(*case)
 
 
+def assert_row_gains_match_window_oracle(plant, model, automaton, config, Q, Z):
+    """row_gains, evaluated once per (tap history, lag mode), equals the terms
+    evaluated once per window, byte for byte: signed zeros included."""
+    for gains, oracle in zip(row_gains(plant, model, automaton, config, Q, Z),
+                             window_row_gains(plant, model, automaton, config, Q, Z)):
+        assert gains.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_gain_cases())
+def test_row_gains_match_window_oracle_random(case):
+    assert_row_gains_match_window_oracle(*case)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(row_gain_cases())
 def test_assemble_lp_matches_oracle_random(case):
@@ -493,6 +507,32 @@ def test_row_gains_match_oracle_demo_designs(demo_design, nominal, memory, fir_l
     residual, _ = assert_row_gains_match_oracle(plant, model, automaton, config,
                                                 result.Q, result.Z)
     assert result.eps_achieved == float(np.max(residual))
+
+
+@pytest.mark.parametrize("nominal, memory, fir_length, mode, eps_bar", DEMO_DESIGNS)
+def test_row_gains_match_window_oracle_demo_designs(demo_design, nominal, memory, fir_length,
+                                                    mode, eps_bar):
+    plant, model, automaton, config, result = demo_design(nominal, memory, fir_length, mode,
+                                                          eps_bar)
+    assert_row_gains_match_window_oracle(plant, model, automaton, config, result.Q, result.Z)
+
+
+def test_row_gains_match_window_oracle_stress(stress_state):
+    """The `stress` workload's certify design: the frozen N=5 design padded to N=10."""
+    plant, model, automaton = stress_state.problem
+    assert_row_gains_match_window_oracle(plant, model, automaton, stress_state.padded_config,
+                                         stress_state.padded.Q, stress_state.padded.Z)
+
+
+def test_row_gains_match_window_oracle_x0_bound(switching_setup):
+    """Random M=2 N=3 taps at x0_bound 7.5 on an automaton without two attacked steps in a row."""
+    plant, model, _, _ = switching_setup
+    scaled = dataclasses.replace(plant, x0_bound=7.5)
+    automaton = SwitchingAutomaton(2, allowed=[[1, 1], [1, 0]])
+    config = SynthesisConfig(memory=2, fir_length=3)
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    Q, Z = variables.unpack(np.random.default_rng(16).uniform(-1, 1, variables.count))
+    assert_row_gains_match_window_oracle(scaled, model, automaton, config, Q, Z)
 
 
 def assert_sampled_norms_match_oracle(plant, model, automaton, config, result):

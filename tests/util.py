@@ -11,8 +11,8 @@ from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR)
-from switchguard.synthesis import (MODE_RELAXED, SynthesisConfig, SynthesisResult, _check_dims,
-                                   _kernel_terms, _windows)
+from switchguard.synthesis import (MODE_RELAXED, DecisionVariables, SynthesisConfig,
+                                   SynthesisResult, _check_dims, _kernel_terms, _windows)
 
 
 def band_operator(horizon: int, in_dim: int, out_dim: int, kernel: dict) -> TruncatedOperator:
@@ -432,6 +432,20 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
     return prefix, value_of(prefix)
 
 
+def tuple_random_sequence(automaton: SwitchingAutomaton, length: int,
+                          rng: np.random.Generator) -> tuple[int, ...]:
+    """Reference seeded walk: successors read from `allowed` at every step and
+    the sequence grown one tuple at a time."""
+    seq: tuple[int, ...] = ()
+    for _ in range(length):
+        choices = (sorted(automaton.initial) if not seq else
+                   [b for b in range(automaton.mode_count) if automaton.allowed[seq[-1], b]])
+        if not choices:
+            raise ValueError(f"automaton dead-ends after prefix {seq}")
+        seq += (int(choices[rng.integers(len(choices))]),)
+    return seq
+
+
 def pack(variables: SymbolicVariables, Q: SwitchingFIR, Z: SwitchingFIR) -> np.ndarray:
     """Decision vector holding the taps of (Q, Z) in the oracle's numbering."""
     x = np.zeros(variables.count)
@@ -496,6 +510,29 @@ def kernel_entries(plant, model, automaton, config, variables, kind: str, x: np.
                 total = total + coeff[:, :, j, t] * x[var[:, :, j, t]]
             values[(lag, col + j)] = const[:, j] + total
     return [tuple(w) for w in windows.tolist()], values
+
+
+def window_row_gains(plant, model, automaton, config, Q, Z):
+    """Reference (residual, performance) row gains: the kernel-entry terms of
+    `_kernel_terms` evaluated once per window at the packed taps, each row's
+    absolute entries summed left to right in entry order."""
+    _check_dims(plant, model)
+    windows, taps, hist_ids = _windows(automaton, config)
+    variables = DecisionVariables(taps, config.memory, config.fir_length, plant.n, model.p)
+    x = variables.pack(Q, Z)
+    gains = []
+    for kind in ("residual", "performance"):
+        total = np.zeros((len(windows), plant.n))
+        for _, _, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
+                                                     variables):
+            value = 0.0
+            for t in range(var.shape[-1]):
+                value = value + coeff[..., t] * x[var[..., t]]
+            entry = const + value
+            for col in range(entry.shape[-1]):
+                total += np.abs(entry[..., col])
+        gains.append(total.reshape(-1))
+    return gains[0], gains[1]
 
 
 # ------------------------------------------------------------ symbolic oracle
