@@ -8,9 +8,9 @@ model, the LP reduction and solver, a time-domain harness, and a CLI.
 """
 from .operator_core import (Signal, TruncatedOperator, add, apply, compose, delay,
                             hstack, identity, induced_norm, make_diagonal, scale)
-from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
-                             SwitchingAutomaton, SwitchingFIR, broadcast_taps, build_modes,
-                             history_array, instantiate, lift_outputs)
+from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
+                             SwitchingFIR, broadcast_taps, build_modes, history_array,
+                             instantiate, lift_outputs)
 from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, solve
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
                         assemble_lp, certify, decision_variables, parametrization_residual,

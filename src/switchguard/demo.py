@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .switched_model import (ChannelPlant, SelectionMask, SwitchedOutputModel,
-                             SwitchingAutomaton, build_modes)
+from .switched_model import ChannelPlant, SwitchedOutputModel, SwitchingAutomaton, build_modes
 from .synthesis import SynthesisConfig
 
 __all__ = [
@@ -77,8 +76,9 @@ def demo_plant() -> ChannelPlant:
     return ChannelPlant(A=A, B=B, channels=channels, x0_bound=1.0)
 
 
-def demo_masks() -> list[SelectionMask]:
-    return [SelectionMask({1, 2}), SelectionMask({1})]
+def demo_masks() -> list[set[int]]:
+    """Delivered channels per mode: mode 0 delivers both, mode 1 drops channel 2."""
+    return [{1, 2}, {1}]
 
 
 def demo_model() -> SwitchedOutputModel:

@@ -123,7 +123,7 @@ def simulate_plant(plant: ChannelPlant, model: SwitchedOutputModel,
     y = np.zeros((H, model.p))
     for t in range(H):
         j = scenario.sigma[t]
-        y[t] = model.C(j) @ x[t] + model.D(j) @ w[t]
+        y[t] = model.C[j] @ x[t] + model.D[j] @ w[t]
     return Signal(x), Signal(y)
 
 
@@ -153,11 +153,11 @@ def run_glo(Q: SwitchingFIR, Z: SwitchingFIR, plant: ChannelPlant,
     for t in range(H):
         q, z = q_band[t], z_band[t]
         j = int(sigma[t])
-        solve_mat = np.eye(n) - (z[0] @ model.C(j) - q[0])
+        solve_mat = np.eye(n) - (z[0] @ model.C[j] - q[0])
         rhs = np.zeros(n)
         for k in range(1, min(t, N - 1) + 1):
             mode_k = int(sigma[t - k])
-            rhs += (z[k] @ model.C(mode_k) - q[k]) @ xh[t - k]
+            rhs += (z[k] @ model.C[mode_k] - q[k]) @ xh[t - k]
         if t >= 1:
             rhs += A @ xh[t - 1]
         for k in range(1, min(t, N) + 1):
@@ -214,9 +214,7 @@ class _ErrorKernel:
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
-        self.model = model
-        self.C = np.array([C_j for C_j, _ in model.modes])
-        self.D = np.array([D_j for _, D_j in model.modes])
+        self.C, self.D = model.C, model.D
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
         self.A = plant.A
@@ -239,7 +237,7 @@ class _ErrorKernel:
         return [sigma[t - k] for k in range(count)]
 
     def row(self, sigma, t: int, past: list):
-        if not (0 <= sigma[t] < self.model.mode_count):
+        if not (0 <= sigma[t] < len(self.C)):
             raise ValueError(f"mode {sigma[t]} at time {t} out of range")
         if self.kind == "fir":
             return self._fir_row(sigma, t), None

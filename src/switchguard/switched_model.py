@@ -1,8 +1,9 @@
-"""Plant, measurement channels, DoS selection masks and switching FIR operators.
+"""Plant, measurement channels, DoS drop patterns and switching FIR operators.
 
 An attacker drops measurement channels; each drop pattern defines a mode
 whose stacked output matrices are the nominal ones with the undelivered
-rows zeroed.  Admissible attack sequences are paths of a transition
+rows zeroed, one slice of the model's (mode, p, n) and (mode, p, m_w)
+stacks.  Admissible attack sequences are paths of a transition
 automaton, and estimator building blocks are FIR operators whose taps are
 selected by the trailing window of the mode sequence, a row of an integer
 array.  A `SwitchingFIR` keeps its taps in one read-only table indexed by
@@ -24,7 +25,6 @@ from .operator_core import TruncatedOperator
 
 __all__ = [
     "ChannelPlant",
-    "SelectionMask",
     "SwitchedOutputModel",
     "SwitchingAutomaton",
     "SwitchingFIR",
@@ -111,88 +111,68 @@ class ChannelPlant:
 
 
 @dataclass(frozen=True)
-class SelectionMask:
-    """Set of delivered channel numbers (1-based, matching y_1 .. y_N)."""
-
-    delivered: frozenset
-
-    def __init__(self, delivered):
-        object.__setattr__(self, "delivered", frozenset(int(i) for i in delivered))
-
-
-@dataclass(frozen=True)
 class SwitchedOutputModel:
-    """Per-mode stacked output matrices; mode 0 is the nominal (full) one."""
+    """Per-mode stacked output matrices as two read-only stacks: C of shape
+    (mode, p, n) and D of shape (mode, p, m_w); mode 0 is the nominal (full)
+    one.  ValueError messages start with the field: C, D."""
 
-    modes: tuple
+    C: np.ndarray
+    D: np.ndarray
 
     def __post_init__(self):
-        if not self.modes:
-            raise ValueError("at least one mode is required")
-        shape_c = self.modes[0][0].shape
-        shape_d = self.modes[0][1].shape
-        clean = []
-        for j, (C_j, D_j) in enumerate(self.modes):
-            C_j = _mat(C_j, f"C^{j}")
-            D_j = _mat(D_j, f"D^{j}")
-            if C_j.shape != shape_c or D_j.shape != shape_d:
-                raise ValueError(f"mode {j} matrices do not match mode 0 shapes")
-            clean.append((C_j, D_j))
-        object.__setattr__(self, "modes", tuple(clean))
+        C = np.array(self.C, dtype=float)
+        D = np.array(self.D, dtype=float)
+        if C.ndim != 3 or not len(C):
+            raise ValueError(f"C must stack at least one (p, n) matrix, got shape {C.shape}")
+        if D.ndim != 3 or D.shape[:2] != C.shape[:2]:
+            raise ValueError(f"D has shape {D.shape}, expected {C.shape[:2]} + (m_w,)")
+        C.flags.writeable = D.flags.writeable = False
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
 
     @property
     def mode_count(self) -> int:
-        return len(self.modes)
+        return self.C.shape[0]
 
     @property
     def p(self) -> int:
-        return self.modes[0][0].shape[0]
+        return self.C.shape[1]
 
     @property
     def n(self) -> int:
-        return self.modes[0][0].shape[1]
+        return self.C.shape[2]
 
     @property
     def m_w(self) -> int:
-        return self.modes[0][1].shape[1]
-
-    def C(self, mode: int) -> np.ndarray:
-        return self.modes[mode][0]
-
-    def D(self, mode: int) -> np.ndarray:
-        return self.modes[mode][1]
+        return self.D.shape[2]
 
 
 def build_modes(plant: ChannelPlant, patterns) -> SwitchedOutputModel:
-    """Stack the channel matrices and zero the rows each pattern drops.
+    """Zero the stacked output rows of the channels each pattern drops.
 
-    patterns[0] must deliver every channel (the nominal mode).  ValueError
-    messages start with `patterns`.
+    A pattern is a collection of delivered channel numbers (1-based,
+    matching y_1 .. y_N); patterns[0] must deliver every channel (the
+    nominal mode).  ValueError messages start with `patterns`.
     """
-    patterns = [p if isinstance(p, SelectionMask) else SelectionMask(p) for p in patterns]
+    patterns = [frozenset(int(i) for i in pat) for pat in patterns]
     if not patterns:
         raise ValueError("patterns must hold at least one selection pattern")
     full = frozenset(range(1, plant.channel_count + 1))
     seen = set()
     for j, pat in enumerate(patterns):
-        if not pat.delivered <= full:
-            raise ValueError(f"patterns[{j}] holds channels {sorted(pat.delivered - full)} "
+        if not pat <= full:
+            raise ValueError(f"patterns[{j}] holds channels {sorted(pat - full)} "
                              f"outside 1..{len(full)}")
-        if pat.delivered in seen:
+        if pat in seen:
             warnings.warn(f"selection pattern {j} duplicates an earlier mode")
-        seen.add(pat.delivered)
-    if patterns[0].delivered != full:
+        seen.add(pat)
+    if patterns[0] != full:
         raise ValueError("patterns[0] must deliver all channels (nominal mode)")
     C0, D0 = plant.stacked()
-    dims = plant.channel_dims
-    offsets = np.concatenate(([0], np.cumsum(dims)))
-    modes = []
-    for pat in patterns:
-        keep = np.zeros(plant.p)
-        for i in pat.delivered:
-            keep[offsets[i - 1]:offsets[i]] = 1.0
-        modes.append((keep[:, None] * C0, keep[:, None] * D0))
-    return SwitchedOutputModel(tuple(modes))
+    # the channel of every stacked output row; a plain list keeps setup cheap
+    channel = [i for i, dim in enumerate(plant.channel_dims, 1) for _ in range(dim)]
+    delivered = np.array([[float(i in pat) for i in channel] for pat in patterns])[:, :, None]
+    return SwitchedOutputModel(delivered * C0, delivered * D0)
 
 
 @dataclass(frozen=True)
@@ -230,17 +210,19 @@ class SwitchingAutomaton:
         object.__setattr__(self, "allowed", allowed_arr)
         object.__setattr__(self, "initial", init)
         object.__setattr__(self, "padding_mode", int(padding_mode))
-        object.__setattr__(self, "_successors", tuple(
+        successors = {None: tuple(sorted(init))}
+        successors.update(enumerate(
             tuple(compress(range(mode_count), row)) for row in allowed_arr.tolist()))
-        object.__setattr__(self, "_initial", tuple(sorted(init)))
+        object.__setattr__(self, "_successors", successors)
 
     @staticmethod
     def complete(mode_count: int, padding_mode: int = 0) -> "SwitchingAutomaton":
         return SwitchingAutomaton(mode_count, padding_mode=padding_mode)
 
     def successors(self, prev: int | None) -> tuple[int, ...]:
-        """Modes that may follow `prev`, ascending; None is the start of a sequence."""
-        return self._initial if prev is None else self._successors[prev]
+        """Modes that may follow `prev`, ascending; None is the start of a
+        sequence.  KeyError for a `prev` outside 0..mode_count-1."""
+        return self._successors[prev]
 
     def extend(self, paths: np.ndarray, keep: int | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -428,11 +410,6 @@ class SwitchingFIR:
         first window without taps.  Built at the first lookup, not at init."""
         return _WindowRows(self.windows)
 
-    def tap(self, history, lag: int) -> np.ndarray:
-        if not (0 <= lag < self.fir_length):
-            raise KeyError(f"no coefficient for history {tuple(history)} at lag {lag}")
-        return self.taps[self.history_ids(tuple(history)), lag]
-
     def histories(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.windows.tolist()))
 
@@ -476,10 +453,8 @@ def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
     if len(bad):
         where = tuple(bad[0])
         raise ValueError(f"mode {sigma[where]} at time {where[-1]} out of range")
-    C = np.array([C_j for C_j, _ in model.modes])
-    D = np.array([D_j for _, D_j in model.modes])
-    return (TruncatedOperator(C[sigma][..., None, :, :]),
-            TruncatedOperator(D[sigma][..., None, :, :]))
+    return (TruncatedOperator(model.C[sigma][..., None, :, :]),
+            TruncatedOperator(model.D[sigma][..., None, :, :]))
 
 
 def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,

@@ -194,11 +194,10 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     """
     n, p, N = variables.n, variables.p, variables.fir_length
     if kind == _RESIDUAL:
-        X, Y0, mats = plant.A, -np.eye(n), model.C
+        X, Y0, mode_mats = plant.A, -np.eye(n), model.C
     else:
-        X, Y0, mats = plant.B, np.zeros((n, plant.m_w)), model.D
+        X, Y0, mode_mats = plant.B, np.zeros((n, plant.m_w)), model.D
     nw, q = len(windows), X.shape[1]
-    mode_mats = np.array([mats(j) for j in range(model.mode_count)])
     # column k: the mode delivered k steps before the output time
     lag_modes = windows[:, ::-1]
     y0_rows = np.flatnonzero(Y0.any(axis=1))
@@ -409,8 +408,7 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
     """1 - max row sum of the lag-0 contraction block, over all tap windows."""
-    C = np.array([model.C(mode) for mode in Z.windows[:, -1].tolist()])
-    blocks = Z.taps[:, 0] @ C - Q.taps[Q.history_ids(Z.windows), 0]
+    blocks = Z.taps[:, 0] @ model.C[Z.windows[:, -1]] - Q.taps[Q.history_ids(Z.windows), 0]
     return 1.0 - float(np.max(np.sum(np.abs(blocks), axis=-1), initial=0.0))
 
 

@@ -63,8 +63,8 @@ def test_simulate_plant_matches_operator_form():
         forced = Signal(apply(lam_b, w).samples + x0_seq)
         x_op = apply(R, forced)
         assert np.allclose(x.samples, x_op.samples, atol=1e-9)
-        Cbar = make_diagonal(model.C(0), H)
-        Dbar = make_diagonal(model.D(0), H)
+        Cbar = make_diagonal(model.C[0], H)
+        Dbar = make_diagonal(model.D[0], H)
         y_op = apply(Cbar, x_op).samples + apply(Dbar, w).samples
         assert np.allclose(y.samples, y_op, atol=1e-9)
 
@@ -111,7 +111,7 @@ def test_fir_estimator_attack_uses_first_channel_only(switching_synthesis, switc
     manual = np.zeros((H, 3))
     for t in range(H):
         for k in range(min(t, 4) + 1):
-            tap = result.T.tap((1,), k)
+            tap = result.T.taps[result.T.history_ids((1,)), k]
             manual[t] += tap[:, 0] * y.samples[t - k, 0] + tap[:, 1] * y.samples[t - k, 1]
     assert np.allclose(xh.samples, manual, atol=1e-12)
     # under the drop, taps on the second channel multiply a zero signal:
@@ -133,7 +133,7 @@ def test_glo_reduces_to_classical_observer():
     _, y = simulate_plant(plant, model, scen)
     xh = run_glo(Q, Z, plant, model, y, scen.sigma)
     # classical static-gain recursion with the lag-0 loop solved each step
-    C = model.C(0)
+    C = model.C[0]
     expected = np.zeros((H, 2))
     for t in range(H):
         rhs = (plant.A @ expected[t - 1] if t >= 1 else np.zeros(2)) - Z0 @ y.samples[t]
@@ -173,7 +173,7 @@ def test_glo_lag0_check_is_scale_free():
     for solve_mat, singular in ((1e-5 * np.eye(3), False),
                                 (np.arange(1.0, 10.0).reshape(3, 3), True)):
         # the lag-0 solve matrix is I - (Z0 C - Q0) = solve_mat
-        Q = SwitchingFIR(1, 1, 3, 3, {((0,), 0): solve_mat - np.eye(3) + Z0 @ model.C(0)})
+        Q = SwitchingFIR(1, 1, 3, 3, {((0,), 0): solve_mat - np.eye(3) + Z0 @ model.C[0]})
         Z = SwitchingFIR(1, 1, 2, 3, {((0,), 0): Z0})
         y = Signal(rng.uniform(-1, 1, (1, 2)))
         if singular:
@@ -559,7 +559,7 @@ def test_near_tie_falls_back_to_the_walk():
     largest state value is not the sequence value and the walk must run."""
     plant = ChannelPlant(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
                          channels=((np.zeros((1, 1)), np.ones((1, 1))),), x0_bound=0.0)
-    model = SwitchedOutputModel(tuple((np.zeros((1, 1)), np.ones((1, 1))) for _ in range(2)))
+    model = SwitchedOutputModel(np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
     low, high = 0.5, 0.5 + 5e-16
     assert 0 < high - low < 1e-15
     # the row of mode j holds the single entry T_j D_j = T_j

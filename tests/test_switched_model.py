@@ -1,15 +1,16 @@
 import itertools
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from switchguard import demo
-from switchguard.switched_model import (ChannelPlant, SelectionMask, SwitchingAutomaton,
+from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
                                         build_modes, history_array, instantiate, lift_outputs)
 from util import (admissible_sequences, dense_blockdiag, dict_instantiate, generator_histories,
-                  history_at, tuple_random_sequence)
+                  history_at, row_slice_modes, tuple_random_sequence)
 
 
 def histories(automaton, length):
@@ -19,38 +20,88 @@ def histories(automaton, length):
 
 def test_build_modes_reference_matrices():
     model = demo.demo_model()
-    assert np.array_equal(model.C(0), np.array([[0.0, 1, 0], [1, -1, -2]]))
-    assert np.array_equal(model.D(0), np.array([[2.0, 0], [0, 0.01]]))
-    assert np.array_equal(model.C(1), np.array([[0.0, 1, 0], [0, 0, 0]]))
-    assert np.array_equal(model.D(1), np.array([[2.0, 0], [0, 0]]))
+    assert np.array_equal(model.C[0], np.array([[0.0, 1, 0], [1, -1, -2]]))
+    assert np.array_equal(model.D[0], np.array([[2.0, 0], [0, 0.01]]))
+    assert np.array_equal(model.C[1], np.array([[0.0, 1, 0], [0, 0, 0]]))
+    assert np.array_equal(model.D[1], np.array([[2.0, 0], [0, 0]]))
 
 
 def test_build_modes_full_mask_only():
     plant = demo.demo_plant()
-    model = build_modes(plant, [SelectionMask({1, 2})])
+    model = build_modes(plant, [{1, 2}])
     assert model.mode_count == 1
     C0, D0 = plant.stacked()
-    assert np.array_equal(model.C(0), C0)
-    assert np.array_equal(model.D(0), D0)
+    assert np.array_equal(model.C[0], C0)
+    assert np.array_equal(model.D[0], D0)
 
 
 def test_build_modes_empty_mask_zeroes_everything():
     plant = demo.demo_plant()
-    model = build_modes(plant, [SelectionMask({1, 2}), SelectionMask(set())])
-    assert np.all(model.C(1) == 0.0)
-    assert np.all(model.D(1) == 0.0)
+    model = build_modes(plant, [{1, 2}, set()])
+    assert np.all(model.C[1] == 0.0)
+    assert np.all(model.D[1] == 0.0)
 
 
 def test_build_modes_requires_full_first_pattern():
     plant = demo.demo_plant()
     with pytest.raises(ValueError):
-        build_modes(plant, [SelectionMask({1})])
+        build_modes(plant, [{1}])
 
 
 def test_build_modes_duplicate_mask_warns():
     plant = demo.demo_plant()
     with pytest.warns(UserWarning):
-        build_modes(plant, [SelectionMask({1, 2}), SelectionMask({1}), SelectionMask({1})])
+        build_modes(plant, [{1, 2}, {1}, {1}])
+
+
+def test_build_modes_matches_row_slice_oracle():
+    """The broadcast mask equals the per-pattern row slices bit for bit, on
+    random channel dims and patterns with repeated channel numbers, an empty
+    pattern and duplicates, which warn."""
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n, m_w = (int(v) for v in rng.integers(1, 4, 2))
+        dims = rng.integers(1, 4, int(rng.integers(1, 5))).tolist()
+        channels = tuple((rng.uniform(-1, 1, (d, n)), rng.uniform(-1, 1, (d, m_w)))
+                         for d in dims)
+        plant = ChannelPlant(A=np.eye(n), B=np.zeros((n, m_w)), channels=channels)
+        numbers = list(range(1, len(dims) + 1))
+        patterns = [numbers + numbers[:1], []]
+        for _ in range(int(rng.integers(0, 4))):
+            patterns.append(rng.choice(numbers, int(rng.integers(0, 2 * len(dims)))).tolist())
+        sets = [frozenset(pat) for pat in patterns]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = build_modes(plant, patterns)
+        assert len(caught) == len(sets) - len(set(sets))
+        C, D = row_slice_modes(plant, patterns)
+        assert model.C.tobytes() == C.tobytes() and model.C.shape == C.shape
+        assert model.D.tobytes() == D.tobytes() and model.D.shape == D.shape
+        assert (model.mode_count, model.p, model.n, model.m_w) == (len(patterns), sum(dims),
+                                                                   n, m_w)
+
+
+def test_switched_output_model_stacks_are_read_only_copies():
+    C, D = np.ones((2, 1, 3)), np.ones((2, 1, 2))
+    model = SwitchedOutputModel(C, D)
+    C[0, 0, 0] = D[0, 0, 0] = 5.0
+    assert model.C[0, 0, 0] == model.D[0, 0, 0] == 1.0
+    for stack in (model.C, model.D, demo.demo_model().C, demo.demo_model().D):
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("C_shape, D_shape, field", [
+    ((2, 1, 3), (3, 1, 2), "D"),  # mode counts differ
+    ((2, 1, 3), (2, 2, 2), "D"),  # row counts differ
+    ((2, 1, 3), (2, 1), "D"),
+    ((1, 3), (1, 2), "C"),
+    ((0, 1, 3), (0, 1, 2), "C"),
+])
+def test_switched_output_model_rejects_mismatched_stacks(C_shape, D_shape, field):
+    with pytest.raises(ValueError, match=f"^{field} "):
+        SwitchedOutputModel(np.zeros(C_shape), np.zeros(D_shape))
 
 
 def test_channel_plant_validation():
@@ -73,11 +124,11 @@ def test_mask_idempotence():
     plant = demo.demo_plant()
     model = build_modes(plant, demo.demo_masks())
     for j in range(model.mode_count):
-        keep = (np.sum(np.abs(model.C(j)), axis=1)
-                + np.sum(np.abs(model.D(j)), axis=1)) > 0
+        keep = (np.sum(np.abs(model.C[j]), axis=1)
+                + np.sum(np.abs(model.D[j]), axis=1)) > 0
         # reapplying the row selection changes nothing
-        assert np.array_equal(keep[:, None] * model.C(j), model.C(j))
-        assert np.array_equal(keep[:, None] * model.D(j), model.D(j))
+        assert np.array_equal(keep[:, None] * model.C[j], model.C[j])
+        assert np.array_equal(keep[:, None] * model.D[j], model.D[j])
 
 
 def test_enumerate_complete_two_modes():
@@ -124,6 +175,16 @@ def test_sliding_windows_subset_of_enumeration():
         sigma = auto.random_sequence(12, rng)
         for t in range(12):
             assert history_at(sigma, t, L, auto.padding_mode) in hists
+
+
+def test_successors_reject_modes_outside_the_automaton():
+    """A negative `prev` used to return a real mode's successors through
+    negative indexing; every prev outside 0..mode_count-1 raises KeyError."""
+    auto = SwitchingAutomaton(2, allowed=[[True, False], [False, True]], initial={1})
+    assert [auto.successors(prev) for prev in (None, 0, 1)] == [(1,), (0,), (1,)]
+    for prev in (-1, -2, 2, 3):
+        with pytest.raises(KeyError):
+            auto.successors(prev)
 
 
 @pytest.mark.parametrize("auto", [
@@ -308,11 +369,9 @@ def test_switching_fir_keeps_one_read_only_tap_table():
 
 def test_tap_rejects_unknown_history_and_lag():
     fir = SwitchingFIR(1, 2, 2, 2, {((0,), 0): np.eye(2), ((0,), 1): 2 * np.eye(2)})
-    for hist, lag in (((1,), 0), ((0, 0), 0), ((0,), 2), ((0,), -1)):
+    for hist in ((1,), (0, 0)):
         with pytest.raises(KeyError):
-            fir.tap(hist, lag)
-    with pytest.raises(KeyError):
-        fir.history_ids((1,))
+            fir.history_ids(hist)
 
 
 def test_instantiate_missing_history_is_hard_error():
@@ -340,8 +399,8 @@ def test_instantiate_causal_in_sigma():
 def test_lift_outputs_nominal_lti():
     model = demo.demo_model()
     Cbar, Dbar = lift_outputs(model, (0,) * 4, 4)
-    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C(0)] * 4), atol=0)
-    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D(0)] * 4), atol=0)
+    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C[0]] * 4), atol=0)
+    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D[0]] * 4), atol=0)
 
 
 def test_lift_outputs_attack_drops_second_row():
@@ -353,14 +412,12 @@ def test_lift_outputs_attack_drops_second_row():
 
 def test_lift_outputs_random_blockdiag_oracle():
     rng = np.random.default_rng(4)
-    modes = tuple((rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 2)))
-                  for _ in range(3))
-    from switchguard.switched_model import SwitchedOutputModel
-    model = SwitchedOutputModel(modes)
+    modes = [(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
+    model = SwitchedOutputModel(np.array([C for C, _ in modes]), np.array([D for _, D in modes]))
     sigma = tuple(int(rng.integers(0, 3)) for _ in range(6))
     Cbar, Dbar = lift_outputs(model, sigma, 6)
-    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C(j) for j in sigma]), atol=0)
-    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D(j) for j in sigma]), atol=0)
+    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C[j] for j in sigma]), atol=0)
+    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D[j] for j in sigma]), atol=0)
 
 
 def test_lift_outputs_mode_out_of_range():
@@ -377,7 +434,7 @@ def test_broadcast_taps_copies_source():
     blind = broadcast_taps(fir, auto)
     for hist in ((0,), (1,)):
         for k in range(2):
-            assert np.array_equal(blind.tap(hist, k), taps[((0,), k)])
+            assert np.array_equal(blind.taps[blind.history_ids(hist), k], taps[((0,), k)])
 
 
 

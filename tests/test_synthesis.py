@@ -110,7 +110,7 @@ def test_performance_rows_zero_decision():
 def test_reference_taps_reproduce_nominal_cost(nominal_setup):
     plant, model, automaton, config = nominal_setup
     A = plant.A
-    C0 = model.C(0)
+    C0 = model.C[0]
     Z0 = -demo.REFERENCE_NOMINAL_TAPS[0]
     Z1 = -demo.REFERENCE_NOMINAL_TAPS[1]
     Q0 = Z0 @ C0
@@ -233,7 +233,8 @@ def test_recover_factors_exact_lag0(switching_synthesis, switching_setup):
     assert result.lag0_margin > 0.0
     assert result.lag0_margin > 0.99
     for hist in Z.histories():
-        block = Z.tap(hist, 0) @ model.C(hist[-1]) - Q.tap(hist, 0)
+        block = (Z.taps[Z.history_ids(hist), 0] @ model.C[hist[-1]]
+                 - Q.taps[Q.history_ids(hist), 0])
         assert np.max(np.abs(block)) <= 1e-9
 
 
@@ -243,7 +244,8 @@ def test_recover_factors_relaxed_margin(relaxed_nominal, nominal_setup):
     Q, Z = result.Q, result.Z
     assert result.eps_achieved <= cfg.eps_bar + 1e-7
     for hist in Z.histories():
-        block = Z.tap(hist, 0) @ model.C(hist[-1]) - Q.tap(hist, 0)
+        block = (Z.taps[Z.history_ids(hist), 0] @ model.C[hist[-1]]
+                 - Q.taps[Q.history_ids(hist), 0])
         assert np.max(np.sum(np.abs(block), axis=1)) <= cfg.eps_bar + 1e-7
     assert result.lag0_margin >= 1.0 - cfg.eps_bar - 1e-7
 
@@ -287,7 +289,7 @@ def test_residual_operator_norm_exact(switching_synthesis, switching_setup):
 def test_mode_collapse_matches_nominal(nominal_setup, nominal_synthesis):
     plant, model, _, config = nominal_setup
     nominal, _ = nominal_synthesis
-    twin = SwitchedOutputModel((model.modes[0], model.modes[0]))
+    twin = SwitchedOutputModel(model.C[[0, 0]], model.D[[0, 0]])
     result = synthesize(plant, twin, SwitchingAutomaton.complete(2), config)
     assert np.isclose(result.gamma_bar, nominal.gamma_bar, atol=1e-6)
 
@@ -389,11 +391,9 @@ def row_gain_cases(draw):
     plant = ChannelPlant(A=sparse((n, n)), B=sparse((n, m_w)),
                          channels=tuple((sparse((d, n)), sparse((d, m_w))) for d in dims))
     C0, D0 = plant.stacked()
-    modes = [(C0, D0)]
-    for _ in range(mode_count - 1):
-        keep = (rng.random(plant.p) < 0.6)[:, None]
-        modes.append((keep * C0, keep * D0))
-    model = SwitchedOutputModel(tuple(modes))
+    keep = np.concatenate([np.ones((1, plant.p), dtype=bool),
+                           rng.random((mode_count - 1, plant.p)) < 0.6])[:, :, None]
+    model = SwitchedOutputModel(keep * C0, keep * D0)
     automaton = SwitchingAutomaton(mode_count,
                                    allowed=np.reshape(allowed, (mode_count, mode_count)),
                                    initial=initial, padding_mode=padding_mode)

@@ -432,6 +432,22 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
     return prefix, value_of(prefix)
 
 
+def row_slice_modes(plant: ChannelPlant, patterns) -> tuple[np.ndarray, np.ndarray]:
+    """Reference mode stacks: one pattern at a time, a 0/1 row vector with the
+    row slice of every delivered channel set to 1, times the stacked
+    matrices, stacked into (mode, p, n) and (mode, p, m_w) arrays."""
+    C0, D0 = plant.stacked()
+    offsets = np.concatenate(([0], np.cumsum(plant.channel_dims)))
+    Cs, Ds = [], []
+    for pat in patterns:
+        keep = np.zeros(plant.p)
+        for i in pat:
+            keep[offsets[i - 1]:offsets[i]] = 1.0
+        Cs.append(keep[:, None] * C0)
+        Ds.append(keep[:, None] * D0)
+    return np.array(Cs), np.array(Ds)
+
+
 def tuple_random_sequence(automaton: SwitchingAutomaton, length: int,
                           rng: np.random.Generator) -> tuple[int, ...]:
     """Reference seeded walk: successors read from `allowed` at every step and
@@ -451,8 +467,8 @@ def pack(variables: SymbolicVariables, Q: SwitchingFIR, Z: SwitchingFIR) -> np.n
     x = np.zeros(variables.count)
     for hist in variables.histories:
         for lag in range(variables.fir_length):
-            qm = Q.tap(hist, lag)
-            zm = Z.tap(hist, lag)
+            qm = Q.taps[Q.history_ids(hist), lag]
+            zm = Z.taps[Z.history_ids(hist), lag]
             for r in range(variables.n):
                 for c in range(variables.n):
                     x[variables.var("Q", hist, lag, r, c)] = qm[r, c]
@@ -604,9 +620,10 @@ class ConstraintRow:
     entries: tuple
 
 
-def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
+def kernel_rows(X: np.ndarray, mode_mats: np.ndarray, Y0: np.ndarray,
                 automaton: SwitchingAutomaton, config: SynthesisConfig, variables):
-    """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the mode_matrix blocks.
+    """Rows of shift(X) + Z Mbar + Q (shift(X) + Y0), Mbar the blocks of the
+    (mode, p, q) stack mode_mats.
 
     Yields (window, tap window, state row, entries) for every admissible
     extended window; entries is a list of (lag, input column, affine form).
@@ -623,7 +640,7 @@ def kernel_rows(X: np.ndarray, mode_matrix, Y0: np.ndarray,
         for i in range(n):
             entries = []
             for k in range(N + 1):
-                M_k = mode_matrix(h[L - 1 - k]) if k <= N - 1 else None
+                M_k = mode_mats[h[L - 1 - k]] if k <= N - 1 else None
                 for col in range(q):
                     form = LinearForm()
                     if k == 1:
@@ -938,13 +955,13 @@ def dict_instantiate(fir: SwitchingFIR, sigma, horizon: int,
     for t in range(horizon):
         hist = history_at(sigma, t, fir.memory, padding_mode)
         for k in range(min(t, fir.fir_length - 1) + 1):
-            kernel[(t, k)] = fir.tap(hist, k)
+            kernel[(t, k)] = fir.taps[fir.history_ids(hist), k]
     return DictOperator(horizon, fir.in_dim, fir.out_dim, kernel)
 
 
 def dict_lift_outputs(model: SwitchedOutputModel, sigma, horizon: int):
-    return (dict_make_diagonal([model.C(sigma[t]) for t in range(horizon)], horizon),
-            dict_make_diagonal([model.D(sigma[t]) for t in range(horizon)], horizon))
+    return (dict_make_diagonal([model.C[sigma[t]] for t in range(horizon)], horizon),
+            dict_make_diagonal([model.D[sigma[t]] for t in range(horizon)], horizon))
 
 
 def dict_residual_operator(plant, Q, Z, model, sigma, horizon: int,
