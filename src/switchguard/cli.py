@@ -26,7 +26,7 @@ from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, build_modes, history_array)
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
-                        certify, performance_operator, residual_operator, synthesize)
+                        certify, factor_operators, synthesize)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -373,10 +373,8 @@ def cmd_norm(args) -> int:
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         sigmas = [automaton.random_sequence(H, rng) for _ in range(args.samples)]
 
-    E = residual_operator(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
-                          automaton.padding_mode)
-    Phi = performance_operator(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
-                               automaton.padding_mode)
+    E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
+                              automaton.padding_mode)
     writer = csv.writer(sys.stdout)
     writer.writerow(["sigma", "eps", "gamma"])
     for sigma, eps, gamma in zip(sigmas, oc.induced_norm(E), oc.induced_norm(Phi)):

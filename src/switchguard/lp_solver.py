@@ -48,7 +48,7 @@ class LpNumericalError(RuntimeError):
     """Pivot breakdown or iteration blow-up, distinct from infeasibility."""
 
 
-@dataclass
+@dataclass(eq=False)
 class LinearProgram:
     """minimize objective . v  subject to rows (coeffs, relation, rhs) and bounds.
 
@@ -91,7 +91,7 @@ class LinearProgram:
         self.constraints.append((coeffs, rel, rhs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """Solver outcome with per-phase work counts (phase 1, phase 2).
 

@@ -12,14 +12,15 @@ and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  Exhaustive search on an exact or FIR design, whose row t reads
-only t and the last `window` modes, runs over the reachable (t, window)
-states of the automaton, one row per state: at most H * modes^window rows
-however many sequences there are, and exact rows from t = window on are
-built once per window.  Otherwise it walks the tree of admissible
+for bit.  The row t of an exact or FIR design reads only t and the last
+`window` modes, and an exact row from t = window on the modes alone, so
+every search builds it once per (time built at, window): exhaustive search
+runs over the reachable (t, window) states of the automaton, at most
+H * modes^window rows however many sequences there are, and greedy search
+on an exact design builds a row per key, not one per candidate and step.
+Relaxed rows read the whole prefix: the search walks the tree of admissible
 prefixes, builds row t once at each node of depth t + 1 and carries the
-scan down to the children, and greedy search builds one row per candidate
-instead of a whole operator.
+scan down to the children.
 Ties: a later output row, time, sequence or greedy candidate replaces the
 current peak only when larger by more than 1e-15, so among sequences
 within 1e-15 of each other the lexicographically first is reported.  Many
@@ -56,7 +57,7 @@ __all__ = [
 _TIE_MARGIN = 1e-15  # see "Ties" in the module docstring
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """Attack sequence, disturbance, and initial condition for one run."""
 
@@ -94,7 +95,7 @@ class Scenario:
             raise ValueError("sigma is not an admissible sequence of the automaton")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """State, received measurements, estimate and error of one scenario run."""
 
@@ -121,8 +122,9 @@ def simulate_plant(plant: ChannelPlant, model: SwitchedOutputModel,
             if t == scenario.x0_time:
                 x[t] = x[t] + scenario.x0
     y = np.zeros((H, model.p))
-    for t in range(H):
-        j = scenario.sigma[t]
+    for t, j in enumerate(scenario.sigma):
+        if not 0 <= j < model.mode_count:
+            raise ValueError(f"sigma mode {j} at time {t} out of range")
         y[t] = model.C[j] @ x[t] + model.D[j] @ w[t]
     return Signal(x), Signal(y)
 
@@ -214,6 +216,7 @@ class _ErrorKernel:
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
+        self.summaries: dict[tuple, tuple] = {}  # see summary_at
         self.C, self.D = model.C, model.D
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
@@ -318,6 +321,28 @@ class _ErrorKernel:
         nonzero[0] = True
         return res, np.flatnonzero(nonzero).tolist()
 
+    def summary_at(self, t: int, modes: tuple) -> tuple[list, list]:
+        """The summary of row t of an exact or FIR design along any sequence
+        whose last min(t + 1, window) modes are `modes`, built once per (time
+        built at, modes) from the modes with padding in front: at
+        min(t, window) for exact designs, whose rows are stationary, else at t."""
+        built_at = min(t, self.window) if self.kind == "exact" else t
+        key = (built_at, modes)
+        summary = self.summaries.get(key)
+        if summary is None:
+            sigma = (self.pad,) * (built_at + 1 - len(modes)) + modes
+            summary = self.summaries[key] = self.summary(self.row(sigma, built_at, [])[0])
+        return summary
+
+    def summary_after(self, prefix: tuple, past: list) -> tuple:
+        """The summary of the last row of `prefix` and `row`'s carry, given
+        `past`: relaxed rows are built along the prefix, others read `summary_at`."""
+        t = len(prefix) - 1
+        if self.window is None:
+            row, carry = self.row(prefix, t, past)
+            return self.summary(row), carry
+        return self.summary_at(t, prefix[-self.window:]), None
+
     def rows(self, sigma, horizon: int) -> list:
         """Block rows 0..horizon-1 along sigma."""
         if len(sigma) < horizon:
@@ -354,10 +379,6 @@ class _ErrorKernel:
             if value > peak[0] + _TIE_MARGIN:
                 peak = (value, t, i, x0_lags[i])
         return peak
-
-    def scan(self, row: np.ndarray, t: int, peak: tuple) -> tuple:
-        """Fold block row t into the running peak."""
-        return self.fold(self.summary(row), t, peak)
 
 
 _NO_PEAK = (-1.0, 0, 0, 0)
@@ -397,7 +418,7 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     rows = kernel.rows(sigma, horizon)
     peak = _NO_PEAK
     for t, row in enumerate(rows):
-        peak = kernel.scan(row, t, peak)
+        peak = kernel.fold(kernel.summary(row), t, peak)
     value, t_star, i_star, k0 = peak
     m_w = plant.m_w
     w = np.zeros((horizon, m_w))
@@ -424,18 +445,15 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     """Exhaustive search over the reachable (t, last `window` modes) states.
 
     Row t of an exact or FIR design reads only t and the state's window, so
-    one row and one summary per state, built from the window with padding in
-    front, value every sequence through that state; once two layers of
-    states are equal, every later layer and step repeats them.  Exact rows
-    are stationary too: from t = window on they depend on the window alone
-    and are built once, at t = window.  When `_separated` holds for all
-    summary values, `fold` makes a sequence's value exactly the largest
+    one summary per state (`summary_at`) values every sequence through that
+    state; once two layers of states are equal, every later layer and step
+    repeats them.  When `_separated` holds for all summary values, `fold` makes a sequence's value exactly the largest
     value of its states, so the search keeps "later wins only by more than
     1e-15": a backward max over the states gives the best value, and taking
     at each step the smallest successor that can still reach it gives the
     lexicographically first maximizer.  Returns None when the values are not
     separated, and (None, -1.0) when no sequence has `horizon` modes."""
-    window, pad = kernel.window, automaton.padding_mode
+    window = kernel.window
     states = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
     layers = [states]
     edges = []  # per step t -> t + 1: the (parent, successor) states of each transition
@@ -451,20 +469,12 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
         if count > _CAP:
             raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
                              "exceeds the 2^20 cap; use strategy='greedy'")
-    summaries: dict[tuple, tuple] = {}  # (t built at, window) -> summary
-    tops = []  # per time, the largest summary value of each state
-    for t, states in enumerate(layers):
-        built_at = min(t, window) if kernel.kind == "exact" else t
-        top = []
-        for state in map(tuple, states.tolist()):
-            summary = summaries.get((built_at, state))
-            if summary is None:
-                sigma = (pad,) * (built_at + 1 - len(state)) + state
-                summary = kernel.summary(kernel.row(sigma, built_at, [])[0])
-                summaries[(built_at, state)] = summary
-            top.append(max(summary[0]))
-        tops.append(top)
-    if not _separated([v for values, _ in summaries.values() for v in values]):
+    # per time, the largest summary value of each state
+    tops = [[max(kernel.summary_at(t, state)[0]) for state in map(tuple, states.tolist())]
+            for t, states in enumerate(layers)]
+    # every summary the kernel built; one from an earlier search can only fail
+    # the check, which falls back to the walk
+    if not _separated([v for values, _ in kernel.summaries.values() for v in values]):
         return None
     best = [tops[-1]]  # per time and state, the best value over its completions
     for steps, top in zip(reversed(edges), reversed(tops[:-1])):
@@ -493,22 +503,13 @@ def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: i
         raise ValueError(
             f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
             "exceeds the 2^20 cap; use strategy='greedy'")
-    window = kernel.window
-    summaries: dict[tuple, tuple] = {}  # (t, last window modes) -> summary of row t
     best_sigma, best_value = None, -1.0
     past, peaks = [], [_NO_PEAK]  # per depth along the current path
     for prefix in automaton.prefixes(horizon, automaton.initial):
         t = len(prefix) - 1
         del past[t:], peaks[t + 1:]
-        if window is None:
-            row, carry = kernel.row(prefix, t, past)
-            past.append(carry)
-            summary = kernel.summary(row)
-        else:
-            key = (t, prefix[max(0, t - window + 1):])
-            summary = summaries.get(key)
-            if summary is None:
-                summary = summaries[key] = kernel.summary(kernel.row(prefix, t, past)[0])
+        summary, carry = kernel.summary_after(prefix, past)
+        past.append(carry)
         peaks.append(kernel.fold(summary, t, peaks[t]))
         if t == horizon - 1:
             value = max(peaks[-1][0], 0.0)
@@ -535,13 +536,14 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     apart, which is checked at run time; without it, and for relaxed
     factors, whose resolvent row t reads the whole prefix, the search walks
     the tree of admissible prefixes depth first in lexicographic order,
-    builds row t once per node (per distinct (t, window) for exact and FIR
-    designs) and carries the scan down to the children.  The 2^20 cap
+    builds row t once per node (per (time built at, window) for exact and
+    FIR designs) and carries the scan down to the children.  The 2^20 cap
     bounds what is enumerated: the (t, window) states, or the
     mode_count^H sequences of the walk.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
-    and cheap, but only a lower bound on the exhaustive value.
+    and cheap (one row per candidate, and per (time built at, window) for
+    exact and FIR designs), but only a lower bound on the exhaustive value.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
@@ -556,15 +558,13 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             choices = automaton.successors(prefix[-1] if prefix else None)
             if not choices:
                 raise ValueError(f"automaton dead-ends after prefix {prefix}")
-            options = []
-            pick, pick_value = 0, -1.0
+            pick = None  # (value, mode, carry, peak) of the first best candidate
             for b in choices:
-                row, carry = kernel.row(prefix + (b,), t, past)
-                b_peak = kernel.scan(row, t, peak)
-                if max(b_peak[0], 0.0) > pick_value + _TIE_MARGIN:
-                    pick, pick_value = len(options), max(b_peak[0], 0.0)
-                options.append((b, carry, b_peak))
-            b, carry, peak = options[pick]
+                summary, carry = kernel.summary_after(prefix + (b,), past)
+                b_peak = kernel.fold(summary, t, peak)
+                if pick is None or max(b_peak[0], 0.0) > pick[0] + _TIE_MARGIN:
+                    pick = (max(b_peak[0], 0.0), b, carry, b_peak)
+            _, b, carry, peak = pick
             prefix += (b,)
             past.append(carry)
         return prefix, max(peak[0], 0.0)

@@ -43,7 +43,7 @@ def _mat(m, name: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelPlant:
     """Linear plant with per-channel measurements.
 
@@ -110,7 +110,7 @@ class ChannelPlant:
         return C, D
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchedOutputModel:
     """Per-mode stacked output matrices as two read-only stacks: C of shape
     (mode, p, n) and D of shape (mode, p, m_w); mode 0 is the nominal (full)
@@ -175,7 +175,7 @@ def build_modes(plant: ChannelPlant, patterns) -> SwitchedOutputModel:
     return SwitchedOutputModel(delivered * C0, delivered * D0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingAutomaton:
     """Transition structure of admissible mode sequences.
 
@@ -348,7 +348,7 @@ class _WindowRows:
                        "the admissible-switching set and the stored taps disagree")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchingFIR:
     """FIR operator whose taps are selected by the trailing mode window.
 
@@ -368,8 +368,8 @@ class SwitchingFIR:
     out_dim: int
     coeffs: dict
     output_only: bool = False
-    taps: np.ndarray = field(init=False, repr=False, compare=False)
-    windows: np.ndarray = field(init=False, repr=False, compare=False)
+    taps: np.ndarray = field(init=False, repr=False)
+    windows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.memory < 1 or self.fir_length < 1:

@@ -49,6 +49,7 @@ __all__ = [
     "parametrization_residual",
     "residual_operator",
     "performance_operator",
+    "factor_operators",
 ]
 
 MODE_EXACT = "exact"
@@ -349,7 +350,7 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisResult:
     """Optimal gain, achieved contraction, certified bound and the FIR factors."""
 
@@ -452,6 +453,31 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     )
 
 
+def _frozen(Q: SwitchingFIR, Z: SwitchingFIR, model: SwitchedOutputModel, sigma,
+            horizon: int, padding_mode: int) -> tuple:
+    """Q, Z, Cbar and Dbar frozen along sigma."""
+    Cbar, Dbar = lift_outputs(model, sigma, horizon)
+    return (instantiate(Q, sigma, horizon, padding_mode),
+            instantiate(Z, sigma, horizon, padding_mode), Cbar, Dbar)
+
+
+def _residual(plant: ChannelPlant, Q_op, Z_op, Cbar, horizon: int) -> oc.TruncatedOperator:
+    n = plant.n
+    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
+    lam_a_minus_i = oc.add(lam_a, oc.scale(oc.identity(n, horizon), -1.0))
+    return oc.add(lam_a, oc.add(oc.compose(Z_op, Cbar), oc.compose(Q_op, lam_a_minus_i)))
+
+
+def _performance(plant: ChannelPlant, Q_op, Z_op, Dbar, horizon: int) -> oc.TruncatedOperator:
+    n = plant.n
+    lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
+    w_block = oc.add(lam_b, oc.add(oc.compose(Z_op, Dbar), oc.compose(Q_op, lam_b)))
+    x0_block = oc.add(oc.identity(n, horizon), Q_op)
+    if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
+        x0_block = oc.scale(x0_block, float(plant.x0_bound))
+    return oc.hstack(w_block, x0_block)
+
+
 def residual_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
                       model: SwitchedOutputModel, sigma, horizon: int,
                       padding_mode: int = 0) -> oc.TruncatedOperator:
@@ -460,13 +486,8 @@ def residual_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     sigma may be a batch of sequences, shape (..., horizon), giving a batch
     of operators.
     """
-    n = plant.n
-    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
-    Cbar, _ = lift_outputs(model, sigma, horizon)
-    Q_op = instantiate(Q, sigma, horizon, padding_mode)
-    Z_op = instantiate(Z, sigma, horizon, padding_mode)
-    lam_a_minus_i = oc.add(lam_a, oc.scale(oc.identity(n, horizon), -1.0))
-    return oc.add(lam_a, oc.add(oc.compose(Z_op, Cbar), oc.compose(Q_op, lam_a_minus_i)))
+    Q_op, Z_op, Cbar, _ = _frozen(Q, Z, model, sigma, horizon, padding_mode)
+    return _residual(plant, Q_op, Z_op, Cbar, horizon)
 
 
 def performance_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
@@ -480,16 +501,18 @@ def performance_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     initial conditions up to the bound.  sigma may be a batch of
     sequences, shape (..., horizon), giving a batch of operators.
     """
-    n = plant.n
-    lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
-    _, Dbar = lift_outputs(model, sigma, horizon)
-    Q_op = instantiate(Q, sigma, horizon, padding_mode)
-    Z_op = instantiate(Z, sigma, horizon, padding_mode)
-    w_block = oc.add(lam_b, oc.add(oc.compose(Z_op, Dbar), oc.compose(Q_op, lam_b)))
-    x0_block = oc.add(oc.identity(n, horizon), Q_op)
-    if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
-        x0_block = oc.scale(x0_block, float(plant.x0_bound))
-    return oc.hstack(w_block, x0_block)
+    Q_op, Z_op, _, Dbar = _frozen(Q, Z, model, sigma, horizon, padding_mode)
+    return _performance(plant, Q_op, Z_op, Dbar, horizon)
+
+
+def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
+                     model: SwitchedOutputModel, sigma, horizon: int,
+                     padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
+    """`residual_operator` and `performance_operator` along sigma, with Q, Z
+    and the outputs frozen once for both."""
+    Q_op, Z_op, Cbar, Dbar = _frozen(Q, Z, model, sigma, horizon, padding_mode)
+    return (_residual(plant, Q_op, Z_op, Cbar, horizon),
+            _performance(plant, Q_op, Z_op, Dbar, horizon))
 
 
 def parametrization_residual(T: SwitchingFIR, Q: SwitchingFIR, plant: ChannelPlant,
@@ -530,11 +553,9 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
     rng = np.random.default_rng(seed)
     H = config.verify_horizon
     sigmas = [automaton.random_sequence(H, rng) for _ in range(config.verify_samples)]
-    pad = automaton.padding_mode
-    res_norms = oc.induced_norm(residual_operator(plant, result.Q, result.Z, model, sigmas, H,
-                                                  pad))
-    perf_norms = oc.induced_norm(performance_operator(plant, result.Q, result.Z, model, sigmas,
-                                                      H, pad))
+    E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, H,
+                              automaton.padding_mode)
+    res_norms, perf_norms = oc.induced_norm(E), oc.induced_norm(Phi)
     return {
         "gamma_rows": float(np.max(perf_gains)),
         "eps_rows": float(np.max(res_gains)),

@@ -1,13 +1,17 @@
 import csv
 import io
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchguard import demo
-from switchguard.cli import load_bundle, main
+from switchguard.cli import _fir_from_json, _fir_to_json, load_bundle, main
+from switchguard.switched_model import SwitchingFIR
 
 from util import (build_performance_rows, build_residual_rows, evaluate_rows, pack,
                   symbolic_variables)
@@ -311,6 +315,36 @@ def test_synth_deterministic_bundles(tmp_path, nominal_config):
     assert main(["synth", nominal_config, "--out", out1]) == 0
     assert main(["synth", nominal_config, "--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
+
+
+# -0.0, the smallest subnormal, a subnormal near the normal range, and the
+# ends of the finite range, besides any finite float
+_TAP_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                         1e308, -1e308, 1.7976931348623157e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _switching_firs(draw):
+    memory, fir_length = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    shape = (2 ** memory, fir_length, draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    size = int(np.prod(shape))
+    taps = np.array(draw(st.lists(_TAP_VALUES, min_size=size, max_size=size))).reshape(shape)
+    coeffs = {(hist, k): taps[h, k]
+              for h, hist in enumerate(itertools.product(range(2), repeat=memory))
+              for k in range(fir_length)}
+    return SwitchingFIR(memory, fir_length, shape[3], shape[2], coeffs,
+                        output_only=draw(st.booleans()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fir=_switching_firs())
+def test_fir_json_round_trip_is_bit_exact(fir):
+    back = _fir_from_json(json.loads(json.dumps(_fir_to_json(fir))), "Q")
+    assert (back.memory, back.fir_length, back.in_dim, back.out_dim, back.output_only) == \
+        (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim, fir.output_only)
+    assert back.taps.tobytes() == fir.taps.tobytes()
+    assert np.array_equal(back.windows, fir.windows)
 
 
 def test_bundle_round_trip_recertifies(nominal_bundle):

@@ -47,7 +47,8 @@ def test_traced_synth_and_certify_report_the_lp(nominal_setup):
 
 
 def test_traced_certify_reports_the_operator_norms(nominal_setup, nominal_synthesis):
-    """certify's sampled norms are the spans `synthesis.operator_norms_s` sums."""
+    """certify builds both sampled operators in one `factor_operators` call and
+    measures each; `synthesis.operator_norms_s` sums the two norm spans."""
     plant, model, automaton, config = nominal_setup
     result, _ = nominal_synthesis
     tracer = tracing.Tracer()
@@ -56,8 +57,7 @@ def test_traced_certify_reports_the_operator_norms(nominal_setup, nominal_synthe
             synthesis.certify(plant, model, automaton, config, result, seed=0)
     (certify_span,) = [i for i, span in enumerate(tracer.spans)
                        if span.name == "synthesis.certify"]
-    for name in ("synthesis.residual_operator", "synthesis.performance_operator",
-                 "operator_core.induced_norm"):
+    for name in ("synthesis.factor_operators", "operator_core.induced_norm"):
         assert [span.parent for span in tracer.spans if span.name == name] \
             == [certify_span] * (2 if name == "operator_core.induced_norm" else 1)
     layers = metrics.pass_layers(tracer.spans)

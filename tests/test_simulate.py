@@ -36,6 +36,16 @@ def test_simulate_plant_zero_inputs(switching_setup):
     assert x.norm() == 0.0 and y.norm() == 0.0
 
 
+@pytest.mark.parametrize("mode", [-1, 2])
+def test_simulate_plant_rejects_modes_out_of_range(mode):
+    """Mode -1 would read the last mode's matrices, mode mode_count none."""
+    plant, model = demo.demo_plant(), demo.demo_model()
+    assert model.mode_count == 2
+    scen = Scenario(sigma=(0, mode, 1), w=Signal(np.zeros((3, 2))), x0=np.zeros(3), horizon=3)
+    with pytest.raises(ValueError, match=rf"^sigma mode {mode} at time 1 out of range"):
+        simulate_plant(plant, model, scen)
+
+
 def test_simulate_plant_hand_computed_first_steps(switching_setup):
     plant, model, _, _ = switching_setup
     x0 = demo.REFERENCE_INITIAL_STATE
@@ -410,6 +420,9 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
             found = attack_search(plant, model, design, automaton, H, strategy)
             assert found == per_sequence_attack_search(plant, model, design, automaton, H,
                                                        strategy)
+        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+        assert simulate._walk_search(kernel, automaton, 8) == \
+            per_sequence_attack_search(plant, model, design, automaton, 8)
 
 
 @pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind"])
@@ -463,6 +476,43 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
                 assert len(built) < len(nodes)
 
 
+@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind"])
+def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_setup, name,
+                                                    monkeypatch):
+    """Greedy search and the prefix walk read the kernel's row table: each
+    (time built at, window) row is built at most once, and only the rows of
+    the prefixes they visit."""
+    plant, model, complete, _ = switching_setup
+    window, stationary = SEARCH_WINDOWS[name], name in STATIONARY
+    row, built = _ErrorKernel.row, []
+
+    def counted(kernel, sigma, t, past):
+        built.append((t, tuple(sigma[:t + 1])[-window:]))
+        return row(kernel, sigma, t, past)
+
+    monkeypatch.setattr(_ErrorKernel, "row", counted)
+    for automaton in _search_automata(complete):
+        design = _design_for(search_designs, name, automaton)
+        H = window + 3
+        del built[:]
+        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+        walked = simulate._walk_search(kernel, automaton, H)
+        walk_rows = built[:]
+        assert walked == attack_search(plant, model, design, automaton, H)
+        nodes = list(automaton.prefixes(H, automaton.initial))
+        assert len(set(walk_rows)) == len(walk_rows)
+        assert set(walk_rows) == _state_keys(nodes, window, stationary)
+        for H in (window + 3, 30):
+            del built[:]
+            sigma, _ = attack_search(plant, model, design, automaton, H, "greedy")
+            candidates = [sigma[:t] + (b,) for t in range(H)
+                          for b in automaton.successors(sigma[t - 1] if t else None)]
+            assert len(set(built)) == len(built)
+            assert set(built) == _state_keys(candidates, window, stationary)
+            if stationary and H == 30:
+                assert len(built) < len(candidates)
+
+
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_setup, horizon):
     result, _ = nominal_synthesis
@@ -500,10 +550,13 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
 
     monkeypatch.setattr(_ErrorKernel, "summary", recorded)
     monkeypatch.setattr(_ErrorKernel, "fold", checked)
+    built = {}  # per search, the summaries it built
     for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
+        before = len(row_of)
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
+        built[name] = len(row_of) - before
     # two candidates per greedy step; the state search folds no row
     assert len(folded) == 2 * 60 + 2 * 30
     # one summary per reachable state of the H=10 searches: the exact resilient
@@ -512,7 +565,12 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
     nodes = list(automaton.prefixes(10, automaton.initial))
     states = len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False))
     assert states == 94 + 38
-    assert len(row_of) == states + 2 * 60 + 2 * 30
+    # greedy builds one summary per (time built at, window) of its candidates:
+    # the resilient design two per step up to t = 4 and then two windows, the
+    # blind FIR two per step
+    assert built == {"resilient_exhaustive_h10": 94, "blind_exhaustive_h10": 38,
+                     "resilient_greedy_h60": 12, "blind_greedy_h30": 60}
+    assert len(row_of) == states + 12 + 60 == 204
 
 
 def _state_search_and_walk(monkeypatch, search):

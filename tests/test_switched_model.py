@@ -26,6 +26,19 @@ def test_build_modes_reference_matrices():
     assert np.array_equal(model.D[1], np.array([[2.0, 0], [0, 0]]))
 
 
+def test_array_dataclasses_compare_by_identity(switching_synthesis):
+    """`==` on a model object that holds arrays is a bool, not an array error."""
+    objects = {"plant": demo.demo_plant, "model": demo.demo_model,
+               "automaton": demo.demo_automaton,
+               "fir": lambda: broadcast_taps(switching_synthesis[0].T, demo.demo_automaton())}
+    for name, make in objects.items():
+        first, second = make(), make()
+        assert (first == first) is True, name
+        assert (first == second) is False, name
+        assert (first != second) is True, name
+    assert (switching_synthesis[0] == switching_synthesis[0]) is True
+
+
 def test_build_modes_full_mask_only():
     plant = demo.demo_plant()
     model = build_modes(plant, [{1, 2}])
