@@ -14,10 +14,14 @@ time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
 for bit.  The row t of an exact or FIR design reads only t and the last
 `window` modes, and an exact row from t = window on the modes alone, so
-every search builds it once per (time built at, window): exhaustive search
-runs over the reachable (t, window) states of the automaton, at most
-H * modes^window rows however many sequences there are, and greedy search
-on an exact design builds a row per key, not one per candidate and step.
+every search reads one summary per (t, window): exhaustive search runs
+over the reachable (t, window) states of the automaton, at most
+H * modes^window of them however many sequences there are.  An exact
+design builds each (time built at, window) row once, the new rows of a
+layer of states in one stacked step; plain FIR taps, once the window is
+full, build one lag table per window, whose first t + 1 lags are row t,
+and read every t's summary from prefix scans over it.  Greedy search
+reads the same summaries, not one row per candidate and step.
 Relaxed rows read the whole prefix: the search walks the tree of admissible
 prefixes, builds row t once at each node of depth t + 1 and carries the
 scan down to the children.
@@ -195,11 +199,16 @@ class _ErrorKernel:
     intermediate lag j ascending, add puts its left operand first), so the
     rows equal that product chain bit for bit.  A product over several lags
     is one stacked matmul, whose per-lag products are those of separate
-    matmuls.
+    matmuls, and so is a product over a leading axis of sequences.
+
+    Once the window is full, row t of plain FIR taps is the first t + 1 lags
+    of one lag sequence per window of modes: `_table` builds those lags once
+    per window, up to `horizon` lags, with `_fir_row`, and the summaries of
+    all its rows at once by prefix scans.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
-                 padding_mode: int):
+                 padding_mode: int, horizon: int):
         if isinstance(estimator, SynthesisResult):
             self.kind = "exact" if estimator.eps_achieved <= 1e-9 else "relaxed"
             self.Q, self.Z = estimator.Q, estimator.Z
@@ -216,7 +225,9 @@ class _ErrorKernel:
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
+        self.horizon = horizon
         self.summaries: dict[tuple, tuple] = {}  # see summary_at
+        self.tables: dict[tuple, tuple] = {}  # see _table
         self.C, self.D = model.C, model.D
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
@@ -229,19 +240,32 @@ class _ErrorKernel:
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
 
     def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
-        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in): a table view."""
+        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in), or
+        (sequence, lags, out, in) for a 2-d integer array of sequences."""
         M = fir.memory
-        window = (sigma[t + 1 - M:t + 1] if t + 1 >= M
-                  else (self.pad,) * (M - 1 - t) + tuple(sigma[:t + 1]))
+        if isinstance(sigma, np.ndarray):
+            window = sigma[:, max(0, t + 1 - M):t + 1]
+            if t + 1 < M:
+                window = np.concatenate([np.full((len(sigma), M - 1 - t), self.pad), window],
+                                        axis=1)
+        else:
+            window = (sigma[t + 1 - M:t + 1] if t + 1 >= M
+                      else (self.pad,) * (M - 1 - t) + tuple(sigma[:t + 1]))
         return fir.taps[fir.history_ids(window), :t + 1]
 
-    def _modes_back(self, sigma, t: int, count: int) -> list[int]:
-        """The modes delivered 0..count-1 steps before time t."""
+    def _modes_back(self, sigma, t: int, count: int):
+        """The modes delivered 0..count-1 steps before time t, per sequence
+        for a 2-d array of sequences."""
+        if isinstance(sigma, np.ndarray):
+            return sigma[:, t + 1 - count:t + 1][:, ::-1]
         return [sigma[t - k] for k in range(count)]
 
+    def _check_mode(self, mode: int, t: int) -> None:
+        if not (0 <= mode < len(self.C)):
+            raise ValueError(f"mode {mode} at time {t} out of range")
+
     def row(self, sigma, t: int, past: list):
-        if not (0 <= sigma[t] < len(self.C)):
-            raise ValueError(f"mode {sigma[t]} at time {t} out of range")
+        self._check_mode(sigma[t], t)
         if self.kind == "fir":
             return self._fir_row(sigma, t), None
         q_taps, z_taps = self._taps(self.Q, sigma, t), self._taps(self.Z, sigma, t)
@@ -278,17 +302,19 @@ class _ErrorKernel:
         return row
 
     def _performance_row(self, sigma, t: int, q_taps, z_taps) -> np.ndarray:
-        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q]."""
+        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q], with the taps'
+        leading sequence axis, if any."""
         m_w = self.m_w
-        row = np.zeros((min(t, max(len(q_taps), len(z_taps))) + 1, self.n, m_w + self.n))
-        w_block, x0_block = row[:, :, :m_w], row[:, :, m_w:]
-        w_block[:len(z_taps)] = z_taps @ self.D[self._modes_back(sigma, t, len(z_taps))]
-        shifted = min(len(q_taps), t)  # Q_j shift(B) reaches lag j + 1 <= t
-        w_block[1:shifted + 1] += q_taps[:shifted] @ self.lam_b
+        lq, lz = q_taps.shape[-3], z_taps.shape[-3]
+        row = np.zeros(q_taps.shape[:-3] + (min(t, max(lq, lz)) + 1, self.n, m_w + self.n))
+        w_block, x0_block = row[..., :m_w], row[..., m_w:]
+        w_block[..., :lz, :, :] = z_taps @ self.D[self._modes_back(sigma, t, lz)]
+        shifted = min(lq, t)  # Q_j shift(B) reaches lag j + 1 <= t
+        w_block[..., 1:shifted + 1, :, :] += q_taps[..., :shifted, :, :] @ self.lam_b
         if t >= 1:
-            w_block[1] += self.lam_b
-        x0_block[:len(q_taps)] = q_taps
-        x0_block[0] += self.eye
+            w_block[..., 1, :, :] += self.lam_b
+        x0_block[..., :lq, :, :] = q_taps
+        x0_block[..., 0, :, :] += self.eye
         return row
 
     def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list):
@@ -321,18 +347,76 @@ class _ErrorKernel:
         nonzero[0] = True
         return res, np.flatnonzero(nonzero).tolist()
 
+    def _tabled(self, t: int) -> bool:
+        """True when row t of plain FIR taps reads a full window: a table row."""
+        return self.kind == "fir" and t + 1 >= self.window
+
+    def _built_at(self, t: int) -> int:
+        """The time row t is built at: min(t, window) for exact designs, whose
+        rows are stationary from t = window on, else t."""
+        return min(t, self.window) if self.kind == "exact" else t
+
+    def _table(self, modes: tuple, t: int) -> tuple:
+        """The lag table of plain FIR taps for the window `modes`, and the
+        summaries of its rows: lags (L, n, m_w + n), whose first t + 1 are
+        row t of every sequence ending in `modes` at t >= window - 1, and
+        per time the (L, n) values and x0 lags of `summary`.  Built once with
+        L = max(horizon, t + 1), again only when a later t asks for more."""
+        table = self.tables.get(modes)
+        if table is None or len(table[0]) <= t:
+            self._check_mode(modes[-1], t)
+            length = max(self.horizon, t + 1)
+            lags = self._fir_row((self.pad,) * (length - len(modes)) + modes, length - 1)
+            table = self.tables[modes] = (lags,) + self._scan(lags)
+        return table
+
+    def _build(self, built_at: int, windows: list) -> None:
+        """Store the summary of row `built_at` at each window (the last modes
+        of a sequence, padded in front): one stacked build for several
+        windows of an exact design, else one row per window."""
+        sigmas = [(self.pad,) * (built_at + 1 - len(w)) + w for w in windows]
+        if self.kind == "exact" and len(windows) > 1:
+            sigma = np.array(sigmas, dtype=np.intp)
+            for mode in sigma[:, built_at].tolist():
+                self._check_mode(mode, built_at)
+            q_taps = self._taps(self.Q, sigma, built_at)
+            z_taps = self._taps(self.Z, sigma, built_at)
+            phi = self._performance_row(sigma, built_at, q_taps, z_taps)
+            found = zip(*self.summary(-1.0 * phi))
+        else:
+            found = (self.summary(self.row(s, built_at, [])[0]) for s in sigmas)
+        for window, summary in zip(windows, found):
+            self.summaries[built_at, window] = summary
+
     def summary_at(self, t: int, modes: tuple) -> tuple[list, list]:
         """The summary of row t of an exact or FIR design along any sequence
-        whose last min(t + 1, window) modes are `modes`, built once per (time
-        built at, modes) from the modes with padding in front: at
-        min(t, window) for exact designs, whose rows are stationary, else at t."""
-        built_at = min(t, self.window) if self.kind == "exact" else t
-        key = (built_at, modes)
+        whose last min(t + 1, window) modes are `modes`.  Plain FIR taps read
+        it from the window's table once the window is full; otherwise it is
+        built once per (time built at, modes)."""
+        if self._tabled(t):
+            _, values, x0_lags = self._table(modes, t)
+            return values[t].tolist(), x0_lags[t].tolist()
+        key = (self._built_at(t), modes)
         summary = self.summaries.get(key)
         if summary is None:
-            sigma = (self.pad,) * (built_at + 1 - len(modes)) + modes
-            summary = self.summaries[key] = self.summary(self.row(sigma, built_at, [])[0])
+            self._build(key[0], [modes])
+            summary = self.summaries[key]
         return summary
+
+    def layer_values(self, t: int, states: np.ndarray) -> np.ndarray:
+        """The (state, n) summary values of row t at each row of `states`,
+        the last min(t + 1, window) modes of a sequence, as `summary_at`
+        gives them: the windows not built before are built in one step."""
+        windows = list(map(tuple, states.tolist()))
+        if self._tabled(t):
+            found = [self._table(window, t)[1][t] for window in windows]
+        else:
+            built_at = self._built_at(t)
+            missing = [w for w in windows if (built_at, w) not in self.summaries]
+            if missing:
+                self._build(built_at, missing)
+            found = [self.summaries[built_at, w][0] for w in windows]
+        return np.array(found, dtype=float).reshape(len(windows), self.n)
 
     def summary_after(self, prefix: tuple, past: list) -> tuple:
         """The summary of the last row of `prefix` and `row`'s carry, given
@@ -344,18 +428,24 @@ class _ErrorKernel:
         return self.summary_at(t, prefix[-self.window:]), None
 
     def rows(self, sigma, horizon: int) -> list:
-        """Block rows 0..horizon-1 along sigma."""
+        """Block rows 0..horizon-1 along sigma; plain FIR rows with a full
+        window are views into the window's table."""
         if len(sigma) < horizon:
             raise ValueError(f"sigma has {len(sigma)} entries, horizon is {horizon}")
         past, rows = [], []
         for t in range(horizon):
-            row, carry = self.row(sigma, t, past)
+            if self._tabled(t):
+                window = tuple(sigma[t + 1 - self.window:t + 1])
+                row, carry = self._table(window, t)[0][:t + 1], None
+            else:
+                row, carry = self.row(sigma, t, past)
             rows.append(row)
             past.append(carry)
         return rows
 
     def summary(self, row: np.ndarray) -> tuple[list, list]:
-        """Per output row of block row t, its worst-case value and x0 lag.
+        """Per output row of block row t, its worst-case value and x0 lag, as
+        nested lists over the row's leading sequence axis, if any.
 
         The disturbance takes every lag of an output row, its absolute
         entries summed over the inputs, then over the lags ascending; the
@@ -364,10 +454,26 @@ class _ErrorKernel:
         """
         m_w = self.m_w
         mags = np.abs(row)
-        w_sum = np.add.accumulate(np.sum(mags[:, :, :m_w], axis=2), axis=0)[-1]
-        x0_rows = np.sum(mags[:, :, m_w:], axis=2)
-        values = w_sum + self.bound * np.max(x0_rows, axis=0)
-        return values.tolist(), np.argmax(x0_rows, axis=0).tolist()
+        w_sum = np.add.accumulate(np.sum(mags[..., :m_w], axis=-1), axis=-2)[..., -1, :]
+        x0_rows = np.sum(mags[..., m_w:], axis=-1)
+        values = w_sum + self.bound * np.max(x0_rows, axis=-2)
+        return values.tolist(), np.argmax(x0_rows, axis=-2).tolist()
+
+    def _scan(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`summary` of every leading block lags[:t + 1] of a lag table, as
+        (t, output row) arrays of values and x0 lags: running sums and maxima
+        over the lags, and the first lag of the maximum, where the running
+        maximum last rose.  Like np.argmax, a NaN counts as the maximum, so
+        the running maximum rises at the first NaN and never after."""
+        m_w = self.m_w
+        mags = np.abs(lags)
+        w_sums = np.add.accumulate(np.sum(mags[:, :, :m_w], axis=2), axis=0)
+        x0_max = np.maximum.accumulate(np.sum(mags[:, :, m_w:], axis=2), axis=0)
+        rose = np.ones(x0_max.shape, dtype=bool)
+        before = x0_max[:-1]
+        rose[1:] = (x0_max[1:] != before) & (before == before)
+        first = np.maximum.accumulate(np.where(rose, np.arange(len(lags))[:, None], 0), axis=0)
+        return w_sums + self.bound * x0_max, first
 
     @staticmethod
     def fold(summary: tuple[list, list], t: int, peak: tuple) -> tuple:
@@ -394,7 +500,8 @@ def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     is causal, so it is stacked from its block rows, each built from
     sigma[:t+1] alone.
     """
-    rows = _ErrorKernel(plant, model, estimator, padding_mode).rows(tuple(sigma), horizon)
+    kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
+    rows = kernel.rows(tuple(sigma), horizon)
     band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
     for t, row in enumerate(rows):
         band[t, :len(row)] = row
@@ -414,7 +521,7 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     if horizon < 1:
         raise ValueError("horizon must be positive")
     sigma = tuple(sigma)[:horizon]
-    kernel = _ErrorKernel(plant, model, estimator, padding_mode)
+    kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
     rows = kernel.rows(sigma, horizon)
     peak = _NO_PEAK
     for t, row in enumerate(rows):
@@ -445,54 +552,61 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     """Exhaustive search over the reachable (t, last `window` modes) states.
 
     Row t of an exact or FIR design reads only t and the state's window, so
-    one summary per state (`summary_at`) values every sequence through that
-    state; once two layers of states are equal, every later layer and step
-    repeats them.  When `_separated` holds for all summary values, `fold` makes a sequence's value exactly the largest
-    value of its states, so the search keeps "later wins only by more than
-    1e-15": a backward max over the states gives the best value, and taking
-    at each step the smallest successor that can still reach it gives the
-    lexicographically first maximizer.  Returns None when the values are not
-    separated, and (None, -1.0) when no sequence has `horizon` modes."""
+    one summary per state (`layer_values`, a layer at a time) values every
+    sequence through that state; once two layers of states are equal, every
+    later layer and step repeats them.  When `_separated` holds for the
+    summary values the search reads, `fold` makes a sequence's value exactly
+    the largest value of its states, so the search keeps "later wins only by
+    more than 1e-15": a backward max over the states, one array step per
+    time, gives the best value, and taking at each step the smallest
+    successor that can still reach it gives the lexicographically first
+    maximizer.  Returns None when the values are not separated, and
+    (None, -1.0) when no sequence has `horizon` modes."""
     window = kernel.window
     states = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
     layers = [states]
-    edges = []  # per step t -> t + 1: the (parent, successor) states of each transition
+    edges = []  # per step t -> t + 1: the (parent, successor) state arrays of the transitions
     count = len(states)
     for _ in range(1, horizon):
         if len(layers) < 2 or states is not layers[-2] and not np.array_equal(states, layers[-2]):
             parent, extended = automaton.extend(states, keep=window)
             states, succ = _distinct_rows(extended)
-            steps = list(zip(parent.tolist(), succ.tolist()))
+            steps = (parent, succ)
         layers.append(states)
         edges.append(steps)
         count += len(states)
         if count > _CAP:
             raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
                              "exceeds the 2^20 cap; use strategy='greedy'")
-    # per time, the largest summary value of each state
-    tops = [[max(kernel.summary_at(t, state)[0]) for state in map(tuple, states.tolist())]
-            for t, states in enumerate(layers)]
-    # every summary the kernel built; one from an earlier search can only fail
-    # the check, which falls back to the walk
-    if not _separated([v for values, _ in kernel.summaries.values() for v in values]):
+    # per time, the summary values of each state and their largest; a layer
+    # equal to the one before and built at the same time has its values
+    read, tops = [], []
+    for t, states in enumerate(layers):
+        if t and states is layers[t - 1] and kernel._built_at(t) == kernel._built_at(t - 1):
+            tops.append(tops[-1])
+            continue
+        read.append(kernel.layer_values(t, states))
+        tops.append(read[-1].max(axis=1))
+    if not _separated(np.concatenate([values.ravel() for values in read]).tolist()):
         return None
     best = [tops[-1]]  # per time and state, the best value over its completions
-    for steps, top in zip(reversed(edges), reversed(tops[:-1])):
-        later, reach = best[0], [-math.inf] * len(top)
-        for a, b in steps:
-            reach[a] = max(reach[a], later[b])
-        best.insert(0, [max(v, r) if r > -math.inf else r for v, r in zip(top, reach)])
-    value = max(best[0], default=-math.inf)
+    for (parent, succ), top in zip(reversed(edges), reversed(tops[:-1])):
+        reach = np.full(len(top), -math.inf)
+        np.maximum.at(reach, parent, best[-1][succ])
+        best.append(np.where(reach > -math.inf, np.maximum(top, reach), -math.inf))
+    best.reverse()
+    value = float(best[0].max(initial=-math.inf))
     if value == -math.inf:
         return None, -1.0
-    sigma, run, choices = [], -math.inf, range(len(layers[0]))
+    sigma, run, choices = [], -math.inf, np.arange(len(layers[0]))
     for t in range(horizon):
-        state = next(c for c in choices
-                     if best[t][c] > -math.inf and max(run, best[t][c]) == value)
+        reach = best[t][choices]
+        state = choices[np.argmax((reach > -math.inf) & (np.maximum(run, reach) == value))]
         sigma.append(int(layers[t][state, -1]))
         run = max(run, tops[t][state])
         if t + 1 < horizon:
-            choices = [b for a, b in edges[t] if a == state]
+            parent, succ = edges[t]
+            choices = succ[parent == state]
     return tuple(sigma), value
 
 
@@ -530,24 +644,27 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     the lexicographically first wins.  For exact factors and plain FIR
     taps, row t depends only on t and the last `window` modes (the tap
     history and the N lags), so the search runs over the reachable
-    (t, window) states, at most H * mode_count^window of them, with one row
-    per state, and per window alone from t = window on for exact factors.
+    (t, window) states, at most H * mode_count^window of them, with one
+    summary per state: exact factors build one row per state, and per
+    window alone from t = window on; plain FIR taps read it from one lag
+    table per window once the window is full.
     It needs every pair of distinct row values to lie more than 1e-15
     apart, which is checked at run time; without it, and for relaxed
     factors, whose resolvent row t reads the whole prefix, the search walks
     the tree of admissible prefixes depth first in lexicographic order,
-    builds row t once per node (per (time built at, window) for exact and
-    FIR designs) and carries the scan down to the children.  The 2^20 cap
+    builds row t once per node (reads the summary of (t, window) for exact
+    and FIR designs) and carries the scan down to the children.  The 2^20 cap
     bounds what is enumerated: the (t, window) states, or the
     mode_count^H sequences of the walk.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
-    and cheap (one row per candidate, and per (time built at, window) for
-    exact and FIR designs), but only a lower bound on the exhaustive value.
+    and cheap (one row per candidate for relaxed factors; exact and FIR
+    designs read the summaries the exhaustive search reads), but only a
+    lower bound on the exhaustive value.
     """
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode)
+    kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":
         found = None if kernel.window is None else _state_search(kernel, automaton, horizon)
         return _walk_search(kernel, automaton, horizon) if found is None else found

@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import json
+import tempfile
 import time
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchguard import demo
-from switchguard.cli import _fir_from_json, _fir_to_json, load_bundle, main
-from switchguard.switched_model import SwitchingFIR
+from switchguard.cli import (_fir_from_json, _fir_to_json, _write_json, bundle_from_result,
+                             load_bundle, main, parse_problem)
+from switchguard.switched_model import SwitchingFIR, history_array
+from switchguard.synthesis import SynthesisResult
 
 from util import (build_performance_rows, build_residual_rows, evaluate_rows, pack,
                   symbolic_variables)
@@ -345,6 +348,87 @@ def test_fir_json_round_trip_is_bit_exact(fir):
         (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim, fir.output_only)
     assert back.taps.tobytes() == fir.taps.tobytes()
     assert np.array_equal(back.windows, fir.windows)
+
+
+def _same_json(a, b) -> bool:
+    """Equal JSON values, floats bit for bit (so -0.0 is not 0.0)."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same_json(a[key], b[key]) for key in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_json, a, b))
+    if isinstance(a, float):
+        return type(b) is float and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+@st.composite
+def _bundle_parts(draw):
+    """A config with drawn plant entries, automaton and synthesis options,
+    and a certify report with drawn values."""
+    n, m_w, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+    def matrix(rows, cols):
+        return [[draw(_TAP_VALUES) for _ in range(cols)] for _ in range(rows)]
+
+    config = {
+        "plant": {"A": matrix(n, n), "B": matrix(n, m_w),
+                  "channels": [{"C": matrix(1, n), "D": matrix(1, m_w)} for _ in range(p)],
+                  "x0_bound": draw(st.sampled_from([0.0, 5e-324, 1.0, 1e308])
+                                   | st.floats(0.0, 1e308))},
+        "attack": {"patterns": [list(range(1, p + 1)), []],
+                   "automaton": draw(st.sampled_from(["complete", [[1, 1], [1, 0]],
+                                                      [[0.0, 2.5], [1.0, 1.0]]])),
+                   "initial": draw(st.sampled_from([[0], [0, 1]])),
+                   "padding_mode": draw(st.integers(0, 1))},
+        "synthesis": {"M": draw(st.integers(1, 2)), "N": draw(st.integers(1, 3)),
+                      "mode": draw(st.sampled_from(["exact", "relaxed"])),
+                      "eps_bar": draw(st.sampled_from([0.0, -0.0, 5e-324])
+                                      | st.floats(0.0, 1.0, exclude_max=True)),
+                      "verify_horizon": draw(st.integers(1, 50)),
+                      "verify_samples": draw(st.integers(1, 50))},
+        "seed": draw(st.integers(0, 2 ** 63)),
+    }
+    report = {key: draw(_TAP_VALUES) for key in (
+        "eps_rows", "gamma_rows", "max_sampled_performance_norm", "max_sampled_residual_norm")}
+    report.update({key: draw(st.integers(0, 2 ** 63))
+                   for key in ("sampled_sigmas", "seed", "verify_horizon")})
+    return config, report
+
+
+@settings(max_examples=40, deadline=None)
+@given(parts=_bundle_parts())
+def test_bundle_json_round_trip_is_bit_exact(parts):
+    """The plant, config and certify report of a bundle written by `synth`'s
+    writer come back from `load_bundle` bit for bit."""
+    config, report = parts
+    plant, model, automaton, syncfg, seed = parse_problem(config)
+    windows = history_array(automaton, syncfg.memory).tolist()
+
+    def zero(in_dim):
+        return SwitchingFIR(syncfg.memory, syncfg.fir_length, in_dim, plant.n, {
+            (tuple(hist), k): np.zeros((plant.n, in_dim))
+            for hist in windows for k in range(syncfg.fir_length)})
+
+    result = SynthesisResult(gamma_bar=1.0, eps_achieved=0.0, certified_bound=1.0,
+                             Q=zero(plant.n), Z=zero(model.p), T=zero(model.p),
+                             status="optimal", mode=syncfg.mode, lag0_margin=1.0)
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/bundle.json"
+        _write_json(path, bundle_from_result(config, result, report))
+        bundle, _, back, back_model, back_automaton, back_syncfg, back_seed = load_bundle(path)
+    assert _same_json(bundle["config"], config)
+    assert _same_json(bundle["certification"], report)
+    for mine, theirs in ((plant.A, back.A), (plant.B, back.B), (model.C, back_model.C),
+                         (model.D, back_model.D)):
+        assert mine.tobytes() == theirs.tobytes()
+    assert [c.tobytes() + d.tobytes() for c, d in plant.channels] == \
+        [c.tobytes() + d.tobytes() for c, d in back.channels]
+    assert plant.x0_bound.hex() == back.x0_bound.hex()
+    assert np.array_equal(automaton.allowed, back_automaton.allowed)
+    assert (automaton.initial, automaton.padding_mode) == \
+        (back_automaton.initial, back_automaton.padding_mode)
+    assert repr(syncfg) == repr(back_syncfg) and seed == back_seed
 
 
 def test_bundle_round_trip_recertifies(nominal_bundle):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -300,7 +301,7 @@ def test_relaxed_rows_with_vanishing_resolvent_lags():
                              Q=Q, Z=Z, T=T, status="optimal", mode="relaxed",
                              lag0_margin=1.0)
     H = 6
-    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
     for sigma in admissible_sequences(automaton, H):
         assert [len(row) for row in kernel.rows(sigma, H)] == [1, 2, 3, 4, 4, 4]
         E_ref = compose_chain_error_operator(plant, model, design, sigma, H)
@@ -420,7 +421,7 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
             found = attack_search(plant, model, design, automaton, H, strategy)
             assert found == per_sequence_attack_search(plant, model, design, automaton, H,
                                                        strategy)
-        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, 8)
         assert simulate._walk_search(kernel, automaton, 8) == \
             per_sequence_attack_search(plant, model, design, automaton, 8)
 
@@ -447,70 +448,141 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
         ((0, 0) + (1,) * 8 + (0,) * 50, 25.54140625)
 
 
+def _record_kernel(monkeypatch):
+    """Patch `_ErrorKernel` to record the (time built at, window) keys it
+    builds, the FIR window tables it builds, the rows built one at a time,
+    and every summary a search reads: (kernel, t, window, (values, x0 lags)),
+    the lags None for a state search's layer values."""
+    record = SimpleNamespace(built=[], tables=[], rows=[], reads=[])
+    build, table, row = _ErrorKernel._build, _ErrorKernel._table, _ErrorKernel.row
+    layer_values, summary_at = _ErrorKernel.layer_values, _ErrorKernel.summary_at
+
+    def built(kernel, built_at, windows):
+        record.built.extend((built_at, window) for window in windows)
+        return build(kernel, built_at, windows)
+
+    def tabled(kernel, modes, t):
+        before = kernel.tables.get(modes)
+        found = table(kernel, modes, t)
+        if found is not before:
+            record.tables.append(modes)
+        return found
+
+    def rowed(kernel, sigma, t, past):
+        record.rows.append((t, tuple(sigma[:t + 1])))
+        return row(kernel, sigma, t, past)
+
+    def layer(kernel, t, states):
+        values = layer_values(kernel, t, states)
+        record.reads.extend((kernel, t, tuple(state), (found, None))
+                            for state, found in zip(states.tolist(), values.tolist()))
+        return values
+
+    def read(kernel, t, modes):
+        found = summary_at(kernel, t, modes)
+        record.reads.append((kernel, t, modes, found))
+        return found
+
+    for name, fn in (("_build", built), ("_table", tabled), ("row", rowed),
+                     ("layer_values", layer), ("summary_at", read)):
+        monkeypatch.setattr(_ErrorKernel, name, fn)
+    return record
+
+
+def _clear(record):
+    for found in vars(record).values():
+        del found[:]
+
+
+def _row_alone(kernel, t, modes):
+    """Row t of a sequence ending in `modes`, built by itself at t."""
+    return kernel.row((kernel.pad,) * (t + 1 - len(modes)) + modes, t, [])[0]
+
+
+def _assert_reads_match_rows(reads):
+    """Every summary read is, bit for bit, `summary` of the row built alone."""
+    for kernel, t, modes, (values, x0_lags) in reads:
+        want_values, want_lags = kernel.summary(_row_alone(kernel, t, modes))
+        assert repr(values) == repr(want_values)
+        assert x0_lags in (None, want_lags)
+
+
+def _assert_built_once(record, prefixes, window, stationary):
+    """Each (time built at, window) key of the prefixes' last states is built
+    once and each FIR window table once: FIR rows with a full window come
+    from the tables, all others from the keys."""
+    keys = _state_keys(prefixes, window, stationary)
+    tabled = {key for key in keys if not stationary and key[0] + 1 >= window}
+    assert len(set(record.built)) == len(record.built)
+    assert set(record.built) == keys - tabled
+    assert len(set(record.tables)) == len(record.tables)
+    assert set(record.tables) == {modes for _, modes in tabled}
+
+
 @pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "fir", "relaxed"])
 def test_exhaustive_search_builds_each_window_row_once(search_designs, switching_setup,
                                                        name, monkeypatch):
+    """The state search builds each key and table once, reads only the
+    summaries of rows built alone, and checks exactly those values for
+    separation; the relaxed walk builds one row per node."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
-    row = _ErrorKernel.row
-    built = []
-
-    def counted(kernel, sigma, t, past):
-        built.append((t, tuple(sigma[:t + 1])))
-        return row(kernel, sigma, t, past)
-
-    monkeypatch.setattr(_ErrorKernel, "row", counted)
+    record = _record_kernel(monkeypatch)
+    separated, checked = simulate._separated, []
+    monkeypatch.setattr(simulate, "_separated",
+                        lambda values: checked.append(values) or separated(values))
     H = (window or 5) + 2
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
-        del built[:]
+        _clear(record)
+        del checked[:]
         attack_search(plant, model, design, automaton, H)
         nodes = list(automaton.prefixes(H, automaton.initial))
         if window is None:
-            assert built == [(len(p) - 1, p) for p in nodes]
-        else:
-            keys = [(t, p[max(0, t - window + 1):]) for t, p in built]
-            assert len(set(keys)) == len(keys)
-            assert set(keys) == _state_keys(nodes, window, name in STATIONARY)
-            if automaton is complete:
-                assert len(built) < len(nodes)
+            assert record.rows == [(len(p) - 1, p) for p in nodes]
+            assert checked == []
+            continue
+        stationary = name in STATIONARY
+        _assert_built_once(record, nodes, window, stationary)
+        assert {(min(t, window) if stationary else t, modes)
+                for _, t, modes, _ in record.reads} == _state_keys(nodes, window, stationary)
+        _assert_reads_match_rows(record.reads)
+        [values] = checked
+        assert sorted(values) == sorted(v for *_, (found, _) in record.reads for v in found)
+        if automaton is complete:
+            assert len(record.built) + len(record.tables) < len(nodes)
 
 
-@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind"])
+@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir"])
 def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_setup, name,
                                                     monkeypatch):
-    """Greedy search and the prefix walk read the kernel's row table: each
-    (time built at, window) row is built at most once, and only the rows of
-    the prefixes they visit."""
+    """Greedy search and the prefix walk read the kernel's summaries: each
+    (time built at, window) key and FIR window table is built at most once,
+    only for the prefixes they visit, and each summary read is that of the
+    row built alone."""
     plant, model, complete, _ = switching_setup
     window, stationary = SEARCH_WINDOWS[name], name in STATIONARY
-    row, built = _ErrorKernel.row, []
-
-    def counted(kernel, sigma, t, past):
-        built.append((t, tuple(sigma[:t + 1])[-window:]))
-        return row(kernel, sigma, t, past)
-
-    monkeypatch.setattr(_ErrorKernel, "row", counted)
+    record = _record_kernel(monkeypatch)
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
         H = window + 3
-        del built[:]
-        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode)
+        _clear(record)
+        kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
         walked = simulate._walk_search(kernel, automaton, H)
-        walk_rows = built[:]
+        walk_record = SimpleNamespace(**{key: found[:] for key, found in vars(record).items()})
         assert walked == attack_search(plant, model, design, automaton, H)
         nodes = list(automaton.prefixes(H, automaton.initial))
-        assert len(set(walk_rows)) == len(walk_rows)
-        assert set(walk_rows) == _state_keys(nodes, window, stationary)
+        _assert_built_once(walk_record, nodes, window, stationary)
+        _assert_reads_match_rows(walk_record.reads)
         for H in (window + 3, 30):
-            del built[:]
+            _clear(record)
             sigma, _ = attack_search(plant, model, design, automaton, H, "greedy")
             candidates = [sigma[:t] + (b,) for t in range(H)
                           for b in automaton.successors(sigma[t - 1] if t else None)]
-            assert len(set(built)) == len(built)
-            assert set(built) == _state_keys(candidates, window, stationary)
-            if stationary and H == 30:
-                assert len(built) < len(candidates)
+            _assert_built_once(record, candidates, window, stationary)
+            _assert_reads_match_rows(record.reads)
+            if H == 30:
+                assert len(record.built) + len(record.tables) < len(candidates)
 
 
 @pytest.mark.parametrize("horizon", [0, -3])
@@ -524,53 +596,96 @@ def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_se
 
 def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workloads,
                                                    monkeypatch):
-    """Every summary the four `stress` searches use gives, per output row, the
-    per-lag loop's value and x0 lag, and every fold gives the loop's peak."""
+    """Every summary the four `stress` searches read gives, per output row,
+    the per-lag loop's value and x0 lag over the row built alone, and every
+    fold gives the loop's peak over that row."""
     plant, model, automaton = stress_state.problem
-    summary, fold = _ErrorKernel.summary, _ErrorKernel.fold
-    row_of = {}  # id of a summary -> (summary, the row it summarizes)
-    folded = []
-
-    def recorded(kernel, row):
-        found = summary(kernel, row)
-        for i, (value, lag) in enumerate(zip(*found)):
-            output_row = [(k, mat[i:i + 1]) for k, mat in enumerate(row)]
-            assert loop_scan(output_row, 0, _NO_PEAK, 1, kernel.m_w, kernel.bound) == \
-                (value, 0, 0, lag)
-        row_of[id(found)] = (found, row)
-        return found
+    record = _record_kernel(monkeypatch)
+    fold, folded = _ErrorKernel.fold, []
 
     def checked(kernel, found_summary, t, peak):
         found = fold(found_summary, t, peak)
-        row = row_of[id(found_summary)][1]
+        [(_, _, modes, _)] = [read for read in record.reads if read[3] is found_summary][:1]
+        row = _row_alone(kernel, t, modes)
         assert found == loop_scan(list(enumerate(row)), t, peak, kernel.n, kernel.m_w,
                                   kernel.bound)
         folded.append(t)
         return found
 
-    monkeypatch.setattr(_ErrorKernel, "summary", recorded)
     monkeypatch.setattr(_ErrorKernel, "fold", checked)
-    built = {}  # per search, the summaries it built
+    built = {}  # per search, the keys and tables it built
     for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
-        before = len(row_of)
+        _clear(record)
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
-        built[name] = len(row_of) - before
+        built[name] = (len(record.built), len(record.tables))
+        for kernel, t, modes, (values, x0_lags) in record.reads:
+            row = _row_alone(kernel, t, modes)
+            for i, value in enumerate(values):
+                output_row = [(k, mat[i:i + 1]) for k, mat in enumerate(row)]
+                scan = loop_scan(output_row, 0, _NO_PEAK, 1, kernel.m_w, kernel.bound)
+                assert scan[:3] == (value, 0, 0)
+                assert x0_lags is None or scan[3] == x0_lags[i]
     # two candidates per greedy step; the state search folds no row
     assert len(folded) == 2 * 60 + 2 * 30
-    # one summary per reachable state of the H=10 searches: the exact resilient
-    # design (window 5) builds rows from t = 5 on per window alone, 62 + 32;
-    # the blind FIR (window 2) one per (t, window), 2 + 9 * 4
+    # the H=10 state searches read one summary per reachable state: the exact
+    # resilient design (window 5) builds its rows per window alone from t = 5
+    # on, 62 + 32 keys in one stacked build per layer; the blind FIR (window 2)
+    # reads 2 + 9 * 4 summaries from 2 rows before its window fills and one
+    # table per window after; greedy builds the keys and tables of its
+    # candidates: the resilient design two keys per step up to t = 4 and then
+    # two windows, the blind FIR two keys at t = 0 and then all four windows
     nodes = list(automaton.prefixes(10, automaton.initial))
-    states = len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False))
-    assert states == 94 + 38
-    # greedy builds one summary per (time built at, window) of its candidates:
-    # the resilient design two per step up to t = 4 and then two windows, the
-    # blind FIR two per step
-    assert built == {"resilient_exhaustive_h10": 94, "blind_exhaustive_h10": 38,
-                     "resilient_greedy_h60": 12, "blind_greedy_h30": 60}
-    assert len(row_of) == states + 12 + 60 == 204
+    assert len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False)) == 94 + 38
+    assert built == {"resilient_exhaustive_h10": (94, 0), "blind_exhaustive_h10": (2, 4),
+                     "resilient_greedy_h60": (12, 0), "blind_greedy_h30": (2, 4)}
+
+
+def _outcome(search):
+    """repr of search()'s result, or the type and message of its exception."""
+    try:
+        return repr(search())
+    except Exception as exc:  # noqa: BLE001 - the outcome under test
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["blind", "fir", "fir_m3n2"])
+def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching_setup, name,
+                                                      monkeypatch):
+    """An unstable A whose powers overflow within the horizon fills the FIR
+    tables with infinities and NaNs: the table path and the per-row path
+    (every row built alone) give the same summaries, rows and search
+    outcomes, value or exception."""
+    plant, model, complete, _ = switching_setup
+    plant = dataclasses.replace(plant, A=1e40 * plant.A)
+    H, searches = 12, (("exhaustive", 12), ("greedy", 12), ("greedy", 30))
+    for automaton in _search_automata(complete)[:2]:
+        design = _design_for(search_designs, name, automaton)
+        sigma = automaton.random_sequence(H, np.random.default_rng(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
+            lags = kernel._table(sigma[-kernel.window:], H - 1)[0]
+            assert np.isinf(lags).any() and np.isnan(lags).any()
+            for t in range(kernel.window - 1, H):
+                assert repr(kernel.summary_at(t, sigma[t + 1 - kernel.window:t + 1])) == \
+                    repr(kernel.summary(_row_alone(kernel, t, sigma[:t + 1])))
+            tabled = [_outcome(lambda: attack_search(plant, model, design, automaton, h, s))
+                      for s, h in searches]
+            witness = worst_case_inputs(plant, model, design, sigma, H, automaton.padding_mode)
+            operator = error_operator(plant, model, design, sigma, H, automaton.padding_mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(_ErrorKernel, "_tabled", lambda kernel, t: False)
+                alone = [_outcome(lambda: attack_search(plant, model, design, automaton, h, s))
+                         for s, h in searches]
+                witness_alone = worst_case_inputs(plant, model, design, sigma, H,
+                                                  automaton.padding_mode)
+                operator_alone = error_operator(plant, model, design, sigma, H,
+                                                automaton.padding_mode)
+        assert tabled == alone
+        assert repr(witness[1]) == repr(witness_alone[1])
+        assert np.array_equal(witness[0].w.samples, witness_alone[0].w.samples, equal_nan=True)
+        assert np.array_equal(operator.band, operator_alone.band, equal_nan=True)
 
 
 def _state_search_and_walk(monkeypatch, search):
@@ -623,7 +738,7 @@ def test_near_tie_falls_back_to_the_walk():
     # the row of mode j holds the single entry T_j D_j = T_j
     T = SwitchingFIR(1, 1, 1, 1, {((0,), 0): np.array([[low]]), ((1,), 0): np.array([[high]])})
     automaton = SwitchingAutomaton.complete(2)
-    kernel = _ErrorKernel(plant, model, T, automaton.padding_mode)
+    kernel = _ErrorKernel(plant, model, T, automaton.padding_mode, 3)
     assert simulate._state_search(kernel, automaton, 3) is None
     found = attack_search(plant, model, T, automaton, 3)
     assert found == ((0, 0, 0), low)
@@ -650,7 +765,7 @@ def test_long_horizon_state_search(switching_synthesis, switching_setup, nominal
     for design, H in ((exact, 1000), (blind, 200)):
         calls.clear()
         sigma, value = attack_search(plant, model, design, automaton, H)
-        window = _ErrorKernel(plant, model, design, automaton.padding_mode).window
+        window = _ErrorKernel(plant, model, design, automaton.padding_mode, H).window
         assert 0 < len(calls) <= window + 2
         assert len(sigma) == H and automaton.is_admissible(sigma)
         _, witnessed = worst_case_inputs(plant, model, design, sigma, H,
