@@ -391,7 +391,6 @@ def _load_scenario(path: str, plant: ChannelPlant, automaton: SwitchingAutomaton
     x0 = data.get("x0", [0.0] * plant.n)
     _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")
     x0 = np.array([_number(v, "scenario.x0") for v in x0])
-    _expect(all(map(math.isfinite, x0.tolist())), "scenario.x0", "entries must be finite")
     scenario = _build(data, "scenario", Scenario, sigma=sigma, w=oc.Signal(w), x0=x0,
                       horizon=len(sigma), optional={"x0_time": _integer})
     _build(data, "scenario", scenario.validate, plant, automaton)

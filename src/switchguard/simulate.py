@@ -13,15 +13,12 @@ ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
 for bit.  The row t of an exact or FIR design reads only t and the last
-`window` modes, and an exact row from t = window on the modes alone, so
-every search reads one summary per (t, window): exhaustive search runs
-over the reachable (t, window) states of the automaton, at most
-H * modes^window of them however many sequences there are.  An exact
-design builds each (time built at, window) row once, the new rows of a
-layer of states in one stacked step; plain FIR taps, once the window is
-full, build one lag table per window, whose first t + 1 lags are row t,
-and read every t's summary from prefix scans over it.  Greedy search
-reads the same summaries, not one row per candidate and step.
+`window` modes, and an exact row from t = window on the modes alone: the
+kernel keeps each such row once, next to its values, and the searches
+carry values only, read in one call per layer of states or greedy step.
+Exhaustive search runs over the reachable (t, window) states of the
+automaton, at most H * modes^window of them however many sequences there
+are; `error_operator` and `worst_case_inputs` read the same rows.
 Relaxed rows read the whole prefix: the search walks the tree of admissible
 prefixes, builds row t once at each node of depth t + 1 and carries the
 scan down to the children.
@@ -93,7 +90,10 @@ class Scenario:
             raise ValueError(f"x0 has shape {self.x0.shape}, expected ({plant.n},)")
         if self.w.dim != plant.m_w:
             raise ValueError(f"w has dim {self.w.dim}, expected {plant.m_w}")
-        if float(np.max(np.abs(self.x0), initial=0.0)) > plant.x0_bound + 1e-12:
+        peak = float(np.max(np.abs(self.x0), initial=0.0))
+        if not math.isfinite(peak):
+            raise ValueError("x0 entries must be finite")
+        if peak > plant.x0_bound * (1 + 1e-12):
             raise ValueError("x0 exceeds the plant's initial-condition bound")
         if automaton is not None and not automaton.is_admissible(self.sigma):
             raise ValueError("sigma is not an admissible sequence of the automaton")
@@ -188,27 +188,28 @@ def run_estimator(estimator, plant: ChannelPlant, model: SwitchedOutputModel,
 
 
 class _ErrorKernel:
-    """Block rows of the error operator of one estimator, one time at a time.
+    """Block rows of the error operator of one estimator, and their values.
 
-    `row(sigma, t, past)` returns block row t of `error_operator(..., sigma,
-    H)` for every H > t, as one (lags, n, m_w + n) array whose entry k is
-    the lag-k block, together with the data later rows need; `past` holds
-    that data for times 0..t-1 of the same sequence.  Each entry is formed
-    by the same products, summed in the same order, as the operator-algebra
-    formulas in `error_operator`'s docstring (compose sums over the
-    intermediate lag j ascending, add puts its left operand first), so the
-    rows equal that product chain bit for bit.  A product over several lags
-    is one stacked matmul, whose per-lag products are those of separate
-    matmuls, and so is a product over a leading axis of sequences.
+    Block row t of `error_operator(..., sigma, H)`, for every H > t, is one
+    (lags, n, m_w + n) array whose entry k is the lag-k block.  Each entry
+    is formed by the same products, summed in the same order, as the
+    operator-algebra formulas in `error_operator`'s docstring (compose sums
+    over the intermediate lag j ascending, add puts its left operand first),
+    so the rows equal that product chain bit for bit.  A product over
+    several lags is one stacked matmul, whose per-lag products are those of
+    separate matmuls, and so is a product over a leading axis of sequences.
 
-    Once the window is full, row t of plain FIR taps is the first t + 1 lags
-    of one lag sequence per window of modes: `_table` builds those lags once
-    per window, up to `horizon` lags, with `_fir_row`, and the summaries of
-    all its rows at once by prefix scans.
+    Exact and FIR rows are built once per (time built at, window) by
+    `_build` or, for plain FIR taps with a full window, read from one lag
+    table per window (`_table`); `values` reads their values, `rows` the
+    rows along one sequence.  `relaxed_row` builds a relaxed row from the
+    data of the rows before it.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
                  padding_mode: int, horizon: int):
+        if horizon < 1:
+            raise ValueError("horizon must be positive")
         if isinstance(estimator, SynthesisResult):
             self.kind = "exact" if estimator.eps_achieved <= 1e-9 else "relaxed"
             self.Q, self.Z = estimator.Q, estimator.Z
@@ -218,15 +219,13 @@ class _ErrorKernel:
         else:
             raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
         # Row t of the exact and FIR kinds reads t and the last `window` modes:
-        # the `memory`-mode tap history and the modes of lags 0..N-1; an exact
-        # row has N + 1 lags from t = N on, so from t = window on it reads the
-        # window alone.  The relaxed row reads the resolvent rows of the whole
-        # prefix.
+        # the `memory`-mode tap history and the modes of lags 0..N-1.  The
+        # relaxed row reads the resolvent rows of the whole prefix.
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
         self.horizon = horizon
-        self.summaries: dict[tuple, tuple] = {}  # see summary_at
+        self.built: dict[tuple, tuple] = {}  # see _build
         self.tables: dict[tuple, tuple] = {}  # see _table
         self.C, self.D = model.C, model.D
         self.pad = padding_mode
@@ -264,14 +263,13 @@ class _ErrorKernel:
         if not (0 <= mode < len(self.C)):
             raise ValueError(f"mode {mode} at time {t} out of range")
 
-    def row(self, sigma, t: int, past: list):
+    def relaxed_row(self, sigma, t: int, past: list):
+        """Row t of a relaxed design along sigma, -(I - E)^{-1} applied to the
+        performance rows, and the (resolvent row, performance row) pair
+        later rows read; `past` holds those pairs for times 0..t-1."""
         self._check_mode(sigma[t], t)
-        if self.kind == "fir":
-            return self._fir_row(sigma, t), None
         q_taps, z_taps = self._taps(self.Q, sigma, t), self._taps(self.Z, sigma, t)
         phi = self._performance_row(sigma, t, q_taps, z_taps)
-        if self.kind == "exact":
-            return -1.0 * phi, None
         res, lags = self._resolvent_row(sigma, t, q_taps, z_taps, past)
         acc = np.zeros((t + 1,) + phi.shape[1:])
         used = 0
@@ -353,141 +351,94 @@ class _ErrorKernel:
 
     def _built_at(self, t: int) -> int:
         """The time row t is built at: min(t, window) for exact designs, whose
-        rows are stationary from t = window on, else t."""
+        rows read the window alone from t = window on, else t."""
         return min(t, self.window) if self.kind == "exact" else t
 
     def _table(self, modes: tuple, t: int) -> tuple:
-        """The lag table of plain FIR taps for the window `modes`, and the
-        summaries of its rows: lags (L, n, m_w + n), whose first t + 1 are
-        row t of every sequence ending in `modes` at t >= window - 1, and
-        per time the (L, n) values and x0 lags of `summary`.  Built once with
-        L = max(horizon, t + 1), again only when a later t asks for more."""
+        """The lag table of plain FIR taps for the window `modes`, built once:
+        `horizon` lags (H, n, m_w + n), whose first t + 1 are row t of every
+        sequence ending in `modes` at t >= window - 1, and the (H, n) values
+        of those rows, by running sums and maxima over the lags."""
         table = self.tables.get(modes)
-        if table is None or len(table[0]) <= t:
+        if table is None:
             self._check_mode(modes[-1], t)
-            length = max(self.horizon, t + 1)
-            lags = self._fir_row((self.pad,) * (length - len(modes)) + modes, length - 1)
-            table = self.tables[modes] = (lags,) + self._scan(lags)
+            H = self.horizon
+            lags = self._fir_row((self.pad,) * (H - len(modes)) + modes, H - 1)
+            mags = np.abs(lags)
+            w_sums = np.add.accumulate(np.sum(mags[:, :, :self.m_w], axis=2), axis=0)
+            x0_max = np.maximum.accumulate(np.sum(mags[:, :, self.m_w:], axis=2), axis=0)
+            table = self.tables[modes] = (lags, (w_sums + self.bound * x0_max).tolist())
         return table
 
     def _build(self, built_at: int, windows: list) -> None:
-        """Store the summary of row `built_at` at each window (the last modes
-        of a sequence, padded in front): one stacked build for several
-        windows of an exact design, else one row per window."""
+        """Store row `built_at` next to its values at each window (the last
+        modes of a sequence, padded in front): one stacked build of all the
+        windows for an exact design, one row per window for FIR taps."""
         sigmas = [(self.pad,) * (built_at + 1 - len(w)) + w for w in windows]
-        if self.kind == "exact" and len(windows) > 1:
+        for sigma in sigmas:
+            self._check_mode(sigma[built_at], built_at)
+        if self.kind == "exact":
             sigma = np.array(sigmas, dtype=np.intp)
-            for mode in sigma[:, built_at].tolist():
-                self._check_mode(mode, built_at)
             q_taps = self._taps(self.Q, sigma, built_at)
             z_taps = self._taps(self.Z, sigma, built_at)
-            phi = self._performance_row(sigma, built_at, q_taps, z_taps)
-            found = zip(*self.summary(-1.0 * phi))
+            rows = -1.0 * self._performance_row(sigma, built_at, q_taps, z_taps)
         else:
-            found = (self.summary(self.row(s, built_at, [])[0]) for s in sigmas)
-        for window, summary in zip(windows, found):
-            self.summaries[built_at, window] = summary
+            rows = np.stack([self._fir_row(sigma, built_at) for sigma in sigmas])
+        for window, row, values in zip(windows, rows, self.row_values(rows).tolist()):
+            self.built[built_at, window] = (row, values)
 
-    def summary_at(self, t: int, modes: tuple) -> tuple[list, list]:
-        """The summary of row t of an exact or FIR design along any sequence
-        whose last min(t + 1, window) modes are `modes`.  Plain FIR taps read
-        it from the window's table once the window is full; otherwise it is
-        built once per (time built at, modes)."""
+    def _entries(self, t: int, windows: list) -> list:
+        """(row t, its values) at each of `windows`: from the window's lag
+        table for plain FIR taps with a full window, else from the (time built
+        at, window) rows, those not built before built in one step."""
         if self._tabled(t):
-            _, values, x0_lags = self._table(modes, t)
-            return values[t].tolist(), x0_lags[t].tolist()
-        key = (self._built_at(t), modes)
-        summary = self.summaries.get(key)
-        if summary is None:
-            self._build(key[0], [modes])
-            summary = self.summaries[key]
-        return summary
+            return [(lags[:t + 1], values[t])
+                    for lags, values in (self._table(w, t) for w in windows)]
+        built_at = self._built_at(t)
+        missing = [w for w in windows if (built_at, w) not in self.built]
+        if missing:
+            self._build(built_at, missing)
+        return [self.built[built_at, w] for w in windows]
 
-    def layer_values(self, t: int, states: np.ndarray) -> np.ndarray:
-        """The (state, n) summary values of row t at each row of `states`,
-        the last min(t + 1, window) modes of a sequence, as `summary_at`
-        gives them: the windows not built before are built in one step."""
-        windows = list(map(tuple, states.tolist()))
-        if self._tabled(t):
-            found = [self._table(window, t)[1][t] for window in windows]
-        else:
-            built_at = self._built_at(t)
-            missing = [w for w in windows if (built_at, w) not in self.summaries]
-            if missing:
-                self._build(built_at, missing)
-            found = [self.summaries[built_at, w][0] for w in windows]
-        return np.array(found, dtype=float).reshape(len(windows), self.n)
+    def values(self, t: int, windows: list) -> list:
+        """The (window, n) values of row t of an exact or FIR design, nested
+        lists, at each of `windows`, the last min(t + 1, window) modes."""
+        return [values for _, values in self._entries(t, windows)]
 
-    def summary_after(self, prefix: tuple, past: list) -> tuple:
-        """The summary of the last row of `prefix` and `row`'s carry, given
-        `past`: relaxed rows are built along the prefix, others read `summary_at`."""
-        t = len(prefix) - 1
-        if self.window is None:
-            row, carry = self.row(prefix, t, past)
-            return self.summary(row), carry
-        return self.summary_at(t, prefix[-self.window:]), None
-
-    def rows(self, sigma, horizon: int) -> list:
-        """Block rows 0..horizon-1 along sigma; plain FIR rows with a full
-        window are views into the window's table."""
-        if len(sigma) < horizon:
-            raise ValueError(f"sigma has {len(sigma)} entries, horizon is {horizon}")
+    def rows(self, sigma) -> list:
+        """Block rows 0..horizon-1 along sigma: relaxed rows built in time
+        order, the others read from the table `values` reads."""
+        if len(sigma) < self.horizon:
+            raise ValueError(f"sigma has {len(sigma)} entries, horizon is {self.horizon}")
         past, rows = [], []
-        for t in range(horizon):
-            if self._tabled(t):
-                window = tuple(sigma[t + 1 - self.window:t + 1])
-                row, carry = self._table(window, t)[0][:t + 1], None
+        for t in range(self.horizon):
+            if self.window is None:
+                row, carry = self.relaxed_row(sigma, t, past)
+                past.append(carry)
             else:
-                row, carry = self.row(sigma, t, past)
+                self._check_mode(sigma[t], t)
+                [(row, _)] = self._entries(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
             rows.append(row)
-            past.append(carry)
         return rows
 
-    def summary(self, row: np.ndarray) -> tuple[list, list]:
-        """Per output row of block row t, its worst-case value and x0 lag, as
-        nested lists over the row's leading sequence axis, if any.
-
-        The disturbance takes every lag of an output row, its absolute
-        entries summed over the inputs, then over the lags ascending; the
-        initial condition, injected once, takes its largest single lag, the
-        first of equal ones.
-        """
+    def row_values(self, row: np.ndarray) -> np.ndarray:
+        """The worst-case value of each output row of a block row, over its
+        leading sequence axis, if any: the disturbance takes every lag, its
+        absolute entries summed over the inputs, then over the lags
+        ascending; the initial condition, injected once, its largest lag."""
         m_w = self.m_w
         mags = np.abs(row)
         w_sum = np.add.accumulate(np.sum(mags[..., :m_w], axis=-1), axis=-2)[..., -1, :]
-        x0_rows = np.sum(mags[..., m_w:], axis=-1)
-        values = w_sum + self.bound * np.max(x0_rows, axis=-2)
-        return values.tolist(), np.argmax(x0_rows, axis=-2).tolist()
-
-    def _scan(self, lags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`summary` of every leading block lags[:t + 1] of a lag table, as
-        (t, output row) arrays of values and x0 lags: running sums and maxima
-        over the lags, and the first lag of the maximum, where the running
-        maximum last rose.  Like np.argmax, a NaN counts as the maximum, so
-        the running maximum rises at the first NaN and never after."""
-        m_w = self.m_w
-        mags = np.abs(lags)
-        w_sums = np.add.accumulate(np.sum(mags[:, :, :m_w], axis=2), axis=0)
-        x0_max = np.maximum.accumulate(np.sum(mags[:, :, m_w:], axis=2), axis=0)
-        rose = np.ones(x0_max.shape, dtype=bool)
-        before = x0_max[:-1]
-        rose[1:] = (x0_max[1:] != before) & (before == before)
-        first = np.maximum.accumulate(np.where(rose, np.arange(len(lags))[:, None], 0), axis=0)
-        return w_sums + self.bound * x0_max, first
-
-    @staticmethod
-    def fold(summary: tuple[list, list], t: int, peak: tuple) -> tuple:
-        """Fold the summary of block row t into the running peak (value, t,
-        output row, x0 lag): output rows are visited in order and a later one
-        replaces the peak only if it is larger by more than 1e-15."""
-        values, x0_lags = summary
-        for i, value in enumerate(values):
-            if value > peak[0] + _TIE_MARGIN:
-                peak = (value, t, i, x0_lags[i])
-        return peak
+        return w_sum + self.bound * np.max(np.sum(mags[..., m_w:], axis=-1), axis=-2)
 
 
-_NO_PEAK = (-1.0, 0, 0, 0)
+def _fold(values: list, peak: float) -> float:
+    """Fold the values of a block row's output rows, in order, into the
+    running peak: a later one replaces it only if larger by more than 1e-15."""
+    for value in values:
+        if value > peak + _TIE_MARGIN:
+            peak = value
+    return peak
 
 
 def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -501,7 +452,7 @@ def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     sigma[:t+1] alone.
     """
     kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
-    rows = kernel.rows(tuple(sigma), horizon)
+    rows = kernel.rows(tuple(sigma))
     band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
     for t, row in enumerate(rows):
         band[t, :len(row)] = row
@@ -518,20 +469,20 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     that maximizes its one-lag contribution (scaled to the plant's bound).
     Simulating the returned scenario reproduces the returned value.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     sigma = tuple(sigma)[:horizon]
     kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
-    rows = kernel.rows(sigma, horizon)
-    peak = _NO_PEAK
+    rows = kernel.rows(sigma)
+    value, t_star, i_star = -1.0, 0, 0
     for t, row in enumerate(rows):
-        peak = kernel.fold(kernel.summary(row), t, peak)
-    value, t_star, i_star, k0 = peak
+        for i, found in enumerate(kernel.row_values(row).tolist()):
+            if found > value + _TIE_MARGIN:
+                value, t_star, i_star = found, t, i
     m_w = plant.m_w
+    row = rows[t_star][:, i_star]
+    k0 = int(np.argmax(np.sum(np.abs(row[:, m_w:]), axis=-1)))
     w = np.zeros((horizon, m_w))
-    row = rows[t_star]
-    w[t_star - np.arange(len(row))] = np.sign(row[:, i_star, :m_w])
-    x0 = plant.x0_bound * np.sign(row[k0, i_star, m_w:])
+    w[t_star - np.arange(len(row))] = np.sign(row[:, :m_w])
+    x0 = plant.x0_bound * np.sign(row[k0, m_w:])
     scenario = Scenario(sigma=sigma, w=Signal(w), x0=x0, horizon=horizon,
                         x0_time=t_star - k0)
     return scenario, max(value, 0.0)
@@ -542,7 +493,7 @@ _CAP = 2 ** 20
 
 def _separated(values) -> bool:
     """True when every value is finite and any two distinct values differ by
-    more than the 1e-15 tie margin, as `fold` compares them."""
+    more than the 1e-15 tie margin, as `_fold` compares them."""
     ordered = sorted(values)
     return all(map(math.isfinite, ordered)) and all(
         high == low or high > low + _TIE_MARGIN for low, high in zip(ordered, ordered[1:]))
@@ -552,10 +503,10 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     """Exhaustive search over the reachable (t, last `window` modes) states.
 
     Row t of an exact or FIR design reads only t and the state's window, so
-    one summary per state (`layer_values`, a layer at a time) values every
-    sequence through that state; once two layers of states are equal, every
-    later layer and step repeats them.  When `_separated` holds for the
-    summary values the search reads, `fold` makes a sequence's value exactly
+    the values of one row per state (`values`, a layer at a time) value
+    every sequence through that state; once two layers of states are equal,
+    every later layer and step repeats them.  When `_separated` holds for
+    the values the search reads, `_fold` makes a sequence's value exactly
     the largest value of its states, so the search keeps "later wins only by
     more than 1e-15": a backward max over the states, one array step per
     time, gives the best value, and taking at each step the smallest
@@ -578,14 +529,15 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
         if count > _CAP:
             raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
                              "exceeds the 2^20 cap; use strategy='greedy'")
-    # per time, the summary values of each state and their largest; a layer
+    # per time, the values of each state and their largest; a layer
     # equal to the one before and built at the same time has its values
     read, tops = [], []
     for t, states in enumerate(layers):
         if t and states is layers[t - 1] and kernel._built_at(t) == kernel._built_at(t - 1):
             tops.append(tops[-1])
             continue
-        read.append(kernel.layer_values(t, states))
+        found = kernel.values(t, list(map(tuple, states.tolist())))
+        read.append(np.array(found, dtype=float).reshape(len(states), kernel.n))
         tops.append(read[-1].max(axis=1))
     if not _separated(np.concatenate([values.ravel() for values in read]).tolist()):
         return None
@@ -610,6 +562,16 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     return tuple(sigma), value
 
 
+def _step(kernel: _ErrorKernel, t: int, prefixes: list, past: list) -> tuple[list, list]:
+    """The values of row t along each prefix of t + 1 modes, as lists, and
+    the data each row passes to later rows: relaxed rows are built given
+    `past`, that data for times 0..t-1; the others read in one `values` call."""
+    if kernel.window is None:
+        found = [kernel.relaxed_row(prefix, t, past) for prefix in prefixes]
+        return [kernel.row_values(row).tolist() for row, _ in found], [c for _, c in found]
+    return kernel.values(t, [p[-kernel.window:] for p in prefixes]), [None] * len(prefixes)
+
+
 def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
     """Exhaustive search over the tree of admissible prefixes, depth first in
     lexicographic order, carrying the scan down to the children."""
@@ -618,15 +580,15 @@ def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: i
             f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
             "exceeds the 2^20 cap; use strategy='greedy'")
     best_sigma, best_value = None, -1.0
-    past, peaks = [], [_NO_PEAK]  # per depth along the current path
+    past, peaks = [], [-1.0]  # per depth along the current path
     for prefix in automaton.prefixes(horizon, automaton.initial):
         t = len(prefix) - 1
         del past[t:], peaks[t + 1:]
-        summary, carry = kernel.summary_after(prefix, past)
+        [values], [carry] = _step(kernel, t, [prefix], past)
         past.append(carry)
-        peaks.append(kernel.fold(summary, t, peaks[t]))
+        peaks.append(_fold(values, peaks[t]))
         if t == horizon - 1:
-            value = max(peaks[-1][0], 0.0)
+            value = max(peaks[-1], 0.0)
             if value > best_value + _TIE_MARGIN:
                 best_sigma, best_value = prefix, value
     return best_sigma, best_value
@@ -644,47 +606,45 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     the lexicographically first wins.  For exact factors and plain FIR
     taps, row t depends only on t and the last `window` modes (the tap
     history and the N lags), so the search runs over the reachable
-    (t, window) states, at most H * mode_count^window of them, with one
-    summary per state: exact factors build one row per state, and per
-    window alone from t = window on; plain FIR taps read it from one lag
-    table per window once the window is full.
+    (t, window) states, at most H * mode_count^window of them, reading the
+    values of one row per state: exact factors build one row per state, and
+    per window alone from t = window on; plain FIR taps read it from one
+    lag table per window once the window is full.
     It needs every pair of distinct row values to lie more than 1e-15
     apart, which is checked at run time; without it, and for relaxed
     factors, whose resolvent row t reads the whole prefix, the search walks
     the tree of admissible prefixes depth first in lexicographic order,
-    builds row t once per node (reads the summary of (t, window) for exact
+    builds row t once per node (reads the values of (t, window) for exact
     and FIR designs) and carries the scan down to the children.  The 2^20 cap
     bounds what is enumerated: the (t, window) states, or the
     mode_count^H sequences of the walk.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
     and cheap (one row per candidate for relaxed factors; exact and FIR
-    designs read the summaries the exhaustive search reads), but only a
+    designs read the values of a step's candidates at once), but only a
     lower bound on the exhaustive value.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":
         found = None if kernel.window is None else _state_search(kernel, automaton, horizon)
         return _walk_search(kernel, automaton, horizon) if found is None else found
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()
-        past, peak = [], _NO_PEAK
+        past, peak = [], -1.0
         for t in range(horizon):
             choices = automaton.successors(prefix[-1] if prefix else None)
             if not choices:
                 raise ValueError(f"automaton dead-ends after prefix {prefix}")
+            values, carries = _step(kernel, t, [prefix + (b,) for b in choices], past)
             pick = None  # (value, mode, carry, peak) of the first best candidate
-            for b in choices:
-                summary, carry = kernel.summary_after(prefix + (b,), past)
-                b_peak = kernel.fold(summary, t, peak)
-                if pick is None or max(b_peak[0], 0.0) > pick[0] + _TIE_MARGIN:
-                    pick = (max(b_peak[0], 0.0), b, carry, b_peak)
+            for b, b_values, carry in zip(choices, values, carries):
+                b_peak = _fold(b_values, peak)
+                if pick is None or max(b_peak, 0.0) > pick[0] + _TIE_MARGIN:
+                    pick = (max(b_peak, 0.0), b, carry, b_peak)
             _, b, carry, peak = pick
             prefix += (b,)
             past.append(carry)
-        return prefix, max(peak[0], 0.0)
+        return prefix, max(peak, 0.0)
     raise ValueError(f"unknown strategy '{strategy}'")
 
 

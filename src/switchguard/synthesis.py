@@ -47,8 +47,6 @@ __all__ = [
     "row_gains",
     "certify",
     "parametrization_residual",
-    "residual_operator",
-    "performance_operator",
     "factor_operators",
 ]
 
@@ -453,66 +451,32 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     )
 
 
-def _frozen(Q: SwitchingFIR, Z: SwitchingFIR, model: SwitchedOutputModel, sigma,
-            horizon: int, padding_mode: int) -> tuple:
-    """Q, Z, Cbar and Dbar frozen along sigma."""
-    Cbar, Dbar = lift_outputs(model, sigma, horizon)
-    return (instantiate(Q, sigma, horizon, padding_mode),
-            instantiate(Z, sigma, horizon, padding_mode), Cbar, Dbar)
+def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
+                     model: SwitchedOutputModel, sigma, horizon: int,
+                     padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
+    """The residual and performance operators along sigma, via operator algebra.
 
-
-def _residual(plant: ChannelPlant, Q_op, Z_op, Cbar, horizon: int) -> oc.TruncatedOperator:
+    The residual is shift(A) + Z Cbar + Q (shift(A) - I); the performance
+    operator is [shift(B) + Z Dbar + Q shift(B), b (I + Q)], b the plant's
+    initial-condition bound: it maps the stacked (disturbance, initial
+    condition in units of b) input to the estimation error when the
+    residual vanishes, so its gain covers initial conditions up to the
+    bound.  Q, Z and the outputs are frozen once for both.  sigma may be a
+    batch of sequences, shape (..., horizon), giving batches of operators.
+    """
     n = plant.n
+    Cbar, Dbar = lift_outputs(model, sigma, horizon)
+    Q_op = instantiate(Q, sigma, horizon, padding_mode)
+    Z_op = instantiate(Z, sigma, horizon, padding_mode)
     lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
     lam_a_minus_i = oc.add(lam_a, oc.scale(oc.identity(n, horizon), -1.0))
-    return oc.add(lam_a, oc.add(oc.compose(Z_op, Cbar), oc.compose(Q_op, lam_a_minus_i)))
-
-
-def _performance(plant: ChannelPlant, Q_op, Z_op, Dbar, horizon: int) -> oc.TruncatedOperator:
-    n = plant.n
+    residual = oc.add(lam_a, oc.add(oc.compose(Z_op, Cbar), oc.compose(Q_op, lam_a_minus_i)))
     lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
     w_block = oc.add(lam_b, oc.add(oc.compose(Z_op, Dbar), oc.compose(Q_op, lam_b)))
     x0_block = oc.add(oc.identity(n, horizon), Q_op)
     if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
         x0_block = oc.scale(x0_block, float(plant.x0_bound))
-    return oc.hstack(w_block, x0_block)
-
-
-def residual_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
-                      model: SwitchedOutputModel, sigma, horizon: int,
-                      padding_mode: int = 0) -> oc.TruncatedOperator:
-    """shift(A) + Z Cbar + Q (shift(A) - I) frozen along sigma, via operator algebra.
-
-    sigma may be a batch of sequences, shape (..., horizon), giving a batch
-    of operators.
-    """
-    Q_op, Z_op, Cbar, _ = _frozen(Q, Z, model, sigma, horizon, padding_mode)
-    return _residual(plant, Q_op, Z_op, Cbar, horizon)
-
-
-def performance_operator(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
-                         model: SwitchedOutputModel, sigma, horizon: int,
-                         padding_mode: int = 0) -> oc.TruncatedOperator:
-    """[shift(B) + Z Dbar + Q shift(B), b (I + Q)] frozen along sigma, b the
-    plant's initial-condition bound.
-
-    Maps the stacked (disturbance, initial condition in units of b) input
-    to the estimation error when the residual vanishes, so its gain covers
-    initial conditions up to the bound.  sigma may be a batch of
-    sequences, shape (..., horizon), giving a batch of operators.
-    """
-    Q_op, Z_op, _, Dbar = _frozen(Q, Z, model, sigma, horizon, padding_mode)
-    return _performance(plant, Q_op, Z_op, Dbar, horizon)
-
-
-def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
-                     model: SwitchedOutputModel, sigma, horizon: int,
-                     padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
-    """`residual_operator` and `performance_operator` along sigma, with Q, Z
-    and the outputs frozen once for both."""
-    Q_op, Z_op, Cbar, Dbar = _frozen(Q, Z, model, sigma, horizon, padding_mode)
-    return (_residual(plant, Q_op, Z_op, Cbar, horizon),
-            _performance(plant, Q_op, Z_op, Dbar, horizon))
+    return residual, oc.hstack(w_block, x0_block)
 
 
 def parametrization_residual(T: SwitchingFIR, Q: SwitchingFIR, plant: ChannelPlant,

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from switchguard import demo, simulate
 from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
-from switchguard.simulate import (_NO_PEAK, Scenario, _ErrorKernel, attack_search,
-                                  error_operator, make_trace, run_fir_estimator, run_glo,
-                                  simulate_plant, worst_case_inputs)
+from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_operator,
+                                  make_trace, run_fir_estimator, run_glo, simulate_plant,
+                                  worst_case_inputs)
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
@@ -303,7 +303,7 @@ def test_relaxed_rows_with_vanishing_resolvent_lags():
     H = 6
     kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
     for sigma in admissible_sequences(automaton, H):
-        assert [len(row) for row in kernel.rows(sigma, H)] == [1, 2, 3, 4, 4, 4]
+        assert [len(row) for row in kernel.rows(sigma)] == [1, 2, 3, 4, 4, 4]
         E_ref = compose_chain_error_operator(plant, model, design, sigma, H)
         assert np.array_equal(error_operator(plant, model, design, sigma, H).unroll(),
                               E_ref.unroll())
@@ -331,6 +331,20 @@ def test_scenario_validation(switching_setup):
     bad = Scenario(sigma=(0, 0), w=Signal(np.zeros((2, 2))), x0=2.5 * np.ones(3), horizon=2)
     with pytest.raises(ValueError, match="bound"):
         bad.validate(plant)
+    for entry in (np.nan, np.inf, -np.inf):
+        bad = Scenario(sigma=(0, 0), w=Signal(np.zeros((2, 2))), x0=[0.0, entry, 0.0], horizon=2)
+        with pytest.raises(ValueError, match="^x0 entries must be finite"):
+            bad.validate(plant)
+    # the bound's slack is relative: at a bound of 1e-20 the bound itself
+    # passes, and 5e-13 (inside an absolute 1e-12 slack) does not
+    tiny = dataclasses.replace(plant, x0_bound=1e-20)
+    for entry, ok in ((1e-20, True), (-1e-20, True), (1.1e-20, False), (5e-13, False)):
+        scen = Scenario(sigma=(0, 0), w=Signal(np.zeros((2, 2))), x0=[0.0, entry, 0.0], horizon=2)
+        if ok:
+            scen.validate(tiny, automaton)
+        else:
+            with pytest.raises(ValueError, match="^x0 exceeds"):
+                scen.validate(tiny, automaton)
     with pytest.raises(ValueError):
         Scenario(sigma=(0,), w=Signal(np.zeros((2, 2))), x0=np.zeros(3), horizon=2)
 
@@ -450,12 +464,11 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
 
 def _record_kernel(monkeypatch):
     """Patch `_ErrorKernel` to record the (time built at, window) keys it
-    builds, the FIR window tables it builds, the rows built one at a time,
-    and every summary a search reads: (kernel, t, window, (values, x0 lags)),
-    the lags None for a state search's layer values."""
+    builds, the FIR window tables it builds, the relaxed rows it builds, and
+    every row's values a search reads: (kernel, t, window, values)."""
     record = SimpleNamespace(built=[], tables=[], rows=[], reads=[])
-    build, table, row = _ErrorKernel._build, _ErrorKernel._table, _ErrorKernel.row
-    layer_values, summary_at = _ErrorKernel.layer_values, _ErrorKernel.summary_at
+    build, table = _ErrorKernel._build, _ErrorKernel._table
+    relaxed_row, values = _ErrorKernel.relaxed_row, _ErrorKernel.values
 
     def built(kernel, built_at, windows):
         record.built.extend((built_at, window) for window in windows)
@@ -470,21 +483,16 @@ def _record_kernel(monkeypatch):
 
     def rowed(kernel, sigma, t, past):
         record.rows.append((t, tuple(sigma[:t + 1])))
-        return row(kernel, sigma, t, past)
+        return relaxed_row(kernel, sigma, t, past)
 
-    def layer(kernel, t, states):
-        values = layer_values(kernel, t, states)
-        record.reads.extend((kernel, t, tuple(state), (found, None))
-                            for state, found in zip(states.tolist(), values.tolist()))
-        return values
-
-    def read(kernel, t, modes):
-        found = summary_at(kernel, t, modes)
-        record.reads.append((kernel, t, modes, found))
+    def read(kernel, t, windows):
+        found = values(kernel, t, windows)
+        record.reads.extend((kernel, t, window, row_values)
+                            for window, row_values in zip(windows, found))
         return found
 
-    for name, fn in (("_build", built), ("_table", tabled), ("row", rowed),
-                     ("layer_values", layer), ("summary_at", read)):
+    for name, fn in (("_build", built), ("_table", tabled), ("relaxed_row", rowed),
+                     ("values", read)):
         monkeypatch.setattr(_ErrorKernel, name, fn)
     return record
 
@@ -495,16 +503,19 @@ def _clear(record):
 
 
 def _row_alone(kernel, t, modes):
-    """Row t of a sequence ending in `modes`, built by itself at t."""
-    return kernel.row((kernel.pad,) * (t + 1 - len(modes)) + modes, t, [])[0]
+    """Row t of an exact or FIR design along a sequence ending in `modes`,
+    built by itself at t from that one sequence, outside every table."""
+    sigma = (kernel.pad,) * (t + 1 - len(modes)) + tuple(modes)
+    if kernel.kind == "fir":
+        return kernel._fir_row(sigma, t)
+    q_taps, z_taps = kernel._taps(kernel.Q, sigma, t), kernel._taps(kernel.Z, sigma, t)
+    return -1.0 * kernel._performance_row(sigma, t, q_taps, z_taps)
 
 
 def _assert_reads_match_rows(reads):
-    """Every summary read is, bit for bit, `summary` of the row built alone."""
-    for kernel, t, modes, (values, x0_lags) in reads:
-        want_values, want_lags = kernel.summary(_row_alone(kernel, t, modes))
-        assert repr(values) == repr(want_values)
-        assert x0_lags in (None, want_lags)
+    """Every value read is, bit for bit, that of the row built alone."""
+    for kernel, t, modes, values in reads:
+        assert repr(values) == repr(kernel.row_values(_row_alone(kernel, t, modes)).tolist())
 
 
 def _assert_built_once(record, prefixes, window, stationary):
@@ -523,7 +534,7 @@ def _assert_built_once(record, prefixes, window, stationary):
 def test_exhaustive_search_builds_each_window_row_once(search_designs, switching_setup,
                                                        name, monkeypatch):
     """The state search builds each key and table once, reads only the
-    summaries of rows built alone, and checks exactly those values for
+    values of rows built alone, and checks exactly those values for
     separation; the relaxed walk builds one row per node."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
@@ -548,7 +559,7 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
                 for _, t, modes, _ in record.reads} == _state_keys(nodes, window, stationary)
         _assert_reads_match_rows(record.reads)
         [values] = checked
-        assert sorted(values) == sorted(v for *_, (found, _) in record.reads for v in found)
+        assert sorted(values) == sorted(v for *_, found in record.reads for v in found)
         if automaton is complete:
             assert len(record.built) + len(record.tables) < len(nodes)
 
@@ -556,9 +567,9 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
 @pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir"])
 def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_setup, name,
                                                     monkeypatch):
-    """Greedy search and the prefix walk read the kernel's summaries: each
+    """Greedy search and the prefix walk read the kernel's values: each
     (time built at, window) key and FIR window table is built at most once,
-    only for the prefixes they visit, and each summary read is that of the
+    only for the prefixes they visit, and each value read is that of the
     row built alone."""
     plant, model, complete, _ = switching_setup
     window, stationary = SEARCH_WINDOWS[name], name in STATIONARY
@@ -587,59 +598,84 @@ def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_se
 
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_attack_search_rejects_nonpositive_horizon(nominal_synthesis, nominal_setup, horizon):
+    """So do `error_operator` and `worst_case_inputs`."""
     result, _ = nominal_synthesis
     plant, model, automaton, _ = nominal_setup
     for strategy in ("exhaustive", "greedy"):
         with pytest.raises(ValueError, match="horizon"):
             attack_search(plant, model, result, automaton, horizon, strategy)
+    for build in (error_operator, worst_case_inputs):
+        with pytest.raises(ValueError, match="^horizon must be positive$"):
+            build(plant, model, result, (0,) * 4, horizon)
 
 
 def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workloads,
                                                    monkeypatch):
-    """Every summary the four `stress` searches read gives, per output row,
-    the per-lag loop's value and x0 lag over the row built alone, and every
-    fold gives the loop's peak over that row."""
+    """Every value the four `stress` searches read is, per output row, the
+    per-lag loop's value over the row built alone, and every greedy fold
+    gives the loop's peak over the row of the values it folds."""
     plant, model, automaton = stress_state.problem
     record = _record_kernel(monkeypatch)
-    fold, folded = _ErrorKernel.fold, []
-
-    def checked(kernel, found_summary, t, peak):
-        found = fold(found_summary, t, peak)
-        [(_, _, modes, _)] = [read for read in record.reads if read[3] is found_summary][:1]
-        row = _row_alone(kernel, t, modes)
-        assert found == loop_scan(list(enumerate(row)), t, peak, kernel.n, kernel.m_w,
-                                  kernel.bound)
-        folded.append(t)
-        return found
-
-    monkeypatch.setattr(_ErrorKernel, "fold", checked)
-    built = {}  # per search, the keys and tables it built
+    fold, folds = simulate._fold, []  # per fold: (values, peak before, peak after)
+    monkeypatch.setattr(simulate, "_fold", lambda values, peak: folds.append(
+        (values, peak, fold(values, peak))) or folds[-1][2])
+    built, folded = {}, 0  # per search, the keys and tables it built
     for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
         _clear(record)
+        del folds[:]
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
         built[name] = (len(record.built), len(record.tables))
-        for kernel, t, modes, (values, x0_lags) in record.reads:
+        for kernel, t, modes, values in record.reads:
             row = _row_alone(kernel, t, modes)
             for i, value in enumerate(values):
                 output_row = [(k, mat[i:i + 1]) for k, mat in enumerate(row)]
-                scan = loop_scan(output_row, 0, _NO_PEAK, 1, kernel.m_w, kernel.bound)
+                scan = loop_scan(output_row, 0, (-1.0, 0, 0, 0), 1, kernel.m_w, kernel.bound)
                 assert scan[:3] == (value, 0, 0)
-                assert x0_lags is None or scan[3] == x0_lags[i]
+        # greedy folds each candidate's values right after the step reads them
+        assert len(folds) == (len(record.reads) if strategy == "greedy" else 0)
+        for (kernel, t, modes, read), (values, peak, after) in zip(record.reads, folds):
+            assert values == read
+            row = list(enumerate(_row_alone(kernel, t, modes)))
+            assert after == loop_scan(row, t, (peak, 0, 0, 0), kernel.n, kernel.m_w,
+                                      kernel.bound)[0]
+        folded += len(folds)
     # two candidates per greedy step; the state search folds no row
-    assert len(folded) == 2 * 60 + 2 * 30
-    # the H=10 state searches read one summary per reachable state: the exact
-    # resilient design (window 5) builds its rows per window alone from t = 5
-    # on, 62 + 32 keys in one stacked build per layer; the blind FIR (window 2)
-    # reads 2 + 9 * 4 summaries from 2 rows before its window fills and one
-    # table per window after; greedy builds the keys and tables of its
-    # candidates: the resilient design two keys per step up to t = 4 and then
-    # two windows, the blind FIR two keys at t = 0 and then all four windows
+    assert folded == 2 * 60 + 2 * 30
+    # the H=10 state searches read one row's values per reachable state: the
+    # exact resilient design (window 5) builds its rows per window alone from
+    # t = 5 on, 62 + 32 keys in one stacked build per layer; the blind FIR
+    # (window 2) reads 2 + 9 * 4 values from 2 rows before its window fills
+    # and one table per window after; greedy builds the keys and tables of
+    # its candidates: the resilient design two keys per step up to t = 4 and
+    # then two windows, the blind FIR two keys at t = 0 and then all four
+    # windows
     nodes = list(automaton.prefixes(10, automaton.initial))
     assert len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False)) == 94 + 38
     assert built == {"resilient_exhaustive_h10": (94, 0), "blind_exhaustive_h10": (2, 4),
                      "resilient_greedy_h60": (12, 0), "blind_greedy_h30": (2, 4)}
+
+
+@pytest.mark.parametrize("name", ["exact", "memory2"])
+def test_rows_of_exact_design_build_each_window_row_once(search_designs, switching_setup, name,
+                                                         monkeypatch):
+    """`rows`, which `error_operator` and `worst_case_inputs` read, takes an
+    exact design's rows from the table the searches read: along an H=60
+    sequence each (time built at, window) key is built once, and every row
+    is bit for bit the row built alone at its own time."""
+    plant, model, automaton, _ = switching_setup
+    design, window = search_designs[name], SEARCH_WINDOWS[name]
+    record = _record_kernel(monkeypatch)
+    H = 60
+    sigma = automaton.random_sequence(H, np.random.default_rng(14))
+    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
+    rows = kernel.rows(sigma)
+    prefixes = [sigma[:t + 1] for t in range(H)]
+    _assert_built_once(record, prefixes, window, True)
+    assert len(record.built) < H
+    for t, row in enumerate(rows):
+        assert np.array_equal(row, _row_alone(kernel, t, sigma[max(0, t + 1 - window):t + 1]))
 
 
 def _outcome(search):
@@ -655,7 +691,7 @@ def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching
                                                       monkeypatch):
     """An unstable A whose powers overflow within the horizon fills the FIR
     tables with infinities and NaNs: the table path and the per-row path
-    (every row built alone) give the same summaries, rows and search
+    (every row built alone) give the same values, rows and search
     outcomes, value or exception."""
     plant, model, complete, _ = switching_setup
     plant = dataclasses.replace(plant, A=1e40 * plant.A)
@@ -668,8 +704,8 @@ def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching
             lags = kernel._table(sigma[-kernel.window:], H - 1)[0]
             assert np.isinf(lags).any() and np.isnan(lags).any()
             for t in range(kernel.window - 1, H):
-                assert repr(kernel.summary_at(t, sigma[t + 1 - kernel.window:t + 1])) == \
-                    repr(kernel.summary(_row_alone(kernel, t, sigma[:t + 1])))
+                assert repr(kernel.values(t, [sigma[t + 1 - kernel.window:t + 1]])) == \
+                    repr([kernel.row_values(_row_alone(kernel, t, sigma[:t + 1])).tolist()])
             tabled = [_outcome(lambda: attack_search(plant, model, design, automaton, h, s))
                       for s, h in searches]
             witness = worst_case_inputs(plant, model, design, sigma, H, automaton.padding_mode)

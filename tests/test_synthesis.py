@@ -14,9 +14,8 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
                                         history_array)
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
-                                   certify, decision_variables, parametrization_residual,
-                                   performance_operator, residual_operator, row_gains,
-                                   synthesize)
+                                   certify, decision_variables, factor_operators,
+                                   parametrization_residual, row_gains, synthesize)
 from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
                   evaluate_rows, history_at, kernel_entries, pack, sampled_norms_loop,
                   symbolic_variables, window_row_gains)
@@ -135,8 +134,7 @@ def test_rows_match_operator_kernels(switching_setup):
     L = config.window
     for _ in range(5):
         sigma = automaton.random_sequence(H, rng)
-        E = residual_operator(plant, Q, Z, model, sigma, H, automaton.padding_mode)
-        Phi = performance_operator(plant, Q, Z, model, sigma, H, automaton.padding_mode)
+        E, Phi = factor_operators(plant, Q, Z, model, sigma, H, automaton.padding_mode)
         for t in (L, H - 1):
             w = window_index[history_at(sigma, t, L, automaton.padding_mode)]
             for i in range(plant.n):
@@ -282,7 +280,7 @@ def test_residual_operator_norm_exact(switching_synthesis, switching_setup):
     rng = np.random.default_rng(4)
     for _ in range(5):
         sigma = automaton.random_sequence(15, rng)
-        E = residual_operator(plant, result.Q, result.Z, model, sigma, 15)
+        E = factor_operators(plant, result.Q, result.Z, model, sigma, 15)[0]
         assert induced_norm(E) <= 1e-7
 
 
@@ -544,8 +542,9 @@ def assert_sampled_norms_match_oracle(plant, model, automaton, config, result):
     rng = np.random.default_rng(3)
     H = config.verify_horizon
     sigmas = [automaton.random_sequence(H, rng) for _ in range(config.verify_samples)]
-    for build, oracle in ((residual_operator, residual), (performance_operator, performance)):
-        op = build(plant, result.Q, result.Z, model, sigmas, H, automaton.padding_mode)
+    for which, oracle in ((0, residual), (1, performance)):
+        op = factor_operators(plant, result.Q, result.Z, model, sigmas, H,
+                              automaton.padding_mode)[which]
         assert op.batch_shape == (config.verify_samples,)
         assert induced_norm(op).tolist() == oracle
 
@@ -600,8 +599,8 @@ def test_x0_bound_scales_the_initial_condition_block(switching_setup, x0_bound):
     Q, Z = variables.unpack(rng.uniform(-1, 1, variables.count))
     assert_row_gains_match_oracle(scaled, model, automaton, exact, Q, Z)
     sigmas = [automaton.random_sequence(8, rng) for _ in range(3)]
-    unit = performance_operator(plant, Q, Z, model, sigmas, 8).band
-    band = performance_operator(scaled, Q, Z, model, sigmas, 8).band
+    unit = factor_operators(plant, Q, Z, model, sigmas, 8)[1].band
+    band = factor_operators(scaled, Q, Z, model, sigmas, 8)[1].band
     m_w = plant.m_w
     assert np.array_equal(band[..., :m_w], unit[..., :m_w])
     assert np.array_equal(band[..., m_w:], x0_bound * unit[..., m_w:])
