@@ -12,10 +12,11 @@ and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  The row t of an exact or FIR design reads only t and the last
-`window` modes, and an exact row from t = window on the modes alone: the
-kernel keeps each such row once, next to its values, and the searches
-carry values only, read in one call per layer of states or greedy step.
+for bit.  Row t of an exact or FIR design reads only t and the last
+`window` modes, padded in front with the padding mode before they fill:
+it is the first t + 1 lags of one lag table per padded window, which the
+kernel builds once, next to the values of every t, and the searches carry
+values only, read in one call per layer of states or greedy step.
 Exhaustive search runs over the reachable (t, window) states of the
 automaton, at most H * modes^window of them however many sequences there
 are; `error_operator` and `worst_case_inputs` read the same rows.
@@ -199,11 +200,15 @@ class _ErrorKernel:
     several lags is one stacked matmul, whose per-lag products are those of
     separate matmuls, and so is a product over a leading axis of sequences.
 
-    Exact and FIR rows are built once per (time built at, window) by
-    `_build` or, for plain FIR taps with a full window, read from one lag
-    table per window (`_table`); `values` reads their values, `rows` the
-    rows along one sequence.  `relaxed_row` builds a relaxed row from the
-    data of the rows before it.
+    Row t of an exact or FIR design reads the modes of lags 0..t and the
+    tap history at t, all among the last `window` modes padded in front with
+    `padding_mode`.  So along every sequence ending in one such padded
+    window it is the first t + 1 lags of a longer row of that window, its
+    lag table: the same taps and modes give the same per-lag products,
+    summed in the same order.  `_build` builds each table once, into
+    `tables`; `values` reads the values of row t, `rows` the rows along one
+    sequence.  `relaxed_row` builds a relaxed row from the data of the rows
+    before it.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -225,8 +230,7 @@ class _ErrorKernel:
         self.window = (None if self.kind == "relaxed"
                        else max(max(f.memory, f.fir_length) for f in firs))
         self.horizon = horizon
-        self.built: dict[tuple, tuple] = {}  # see _build
-        self.tables: dict[tuple, tuple] = {}  # see _table
+        self.tables: dict[tuple, tuple] = {}  # per padded window, see _build
         self.C, self.D = model.C, model.D
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
@@ -240,13 +244,11 @@ class _ErrorKernel:
 
     def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
         """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in), or
-        (sequence, lags, out, in) for a 2-d integer array of sequences."""
+        (sequence, lags, out, in) for a 2-d integer array of sequences, which
+        must reach back M modes from t."""
         M = fir.memory
         if isinstance(sigma, np.ndarray):
-            window = sigma[:, max(0, t + 1 - M):t + 1]
-            if t + 1 < M:
-                window = np.concatenate([np.full((len(sigma), M - 1 - t), self.pad), window],
-                                        axis=1)
+            window = sigma[:, t + 1 - M:t + 1]
         else:
             window = (sigma[t + 1 - M:t + 1] if t + 1 >= M
                       else (self.pad,) * (M - 1 - t) + tuple(sigma[:t + 1]))
@@ -345,69 +347,52 @@ class _ErrorKernel:
         nonzero[0] = True
         return res, np.flatnonzero(nonzero).tolist()
 
-    def _tabled(self, t: int) -> bool:
-        """True when row t of plain FIR taps reads a full window: a table row."""
-        return self.kind == "fir" and t + 1 >= self.window
-
-    def _built_at(self, t: int) -> int:
-        """The time row t is built at: min(t, window) for exact designs, whose
-        rows read the window alone from t = window on, else t."""
-        return min(t, self.window) if self.kind == "exact" else t
-
-    def _table(self, modes: tuple, t: int) -> tuple:
-        """The lag table of plain FIR taps for the window `modes`, built once:
-        `horizon` lags (H, n, m_w + n), whose first t + 1 are row t of every
-        sequence ending in `modes` at t >= window - 1, and the (H, n) values
-        of those rows, by running sums and maxima over the lags."""
-        table = self.tables.get(modes)
-        if table is None:
-            self._check_mode(modes[-1], t)
-            H = self.horizon
-            lags = self._fir_row((self.pad,) * (H - len(modes)) + modes, H - 1)
-            mags = np.abs(lags)
-            w_sums = np.add.accumulate(np.sum(mags[:, :, :self.m_w], axis=2), axis=0)
-            x0_max = np.maximum.accumulate(np.sum(mags[:, :, self.m_w:], axis=2), axis=0)
-            table = self.tables[modes] = (lags, (w_sums + self.bound * x0_max).tolist())
-        return table
-
-    def _build(self, built_at: int, windows: list) -> None:
-        """Store row `built_at` next to its values at each window (the last
-        modes of a sequence, padded in front): one stacked build of all the
-        windows for an exact design, one row per window for FIR taps."""
-        sigmas = [(self.pad,) * (built_at + 1 - len(w)) + w for w in windows]
-        for sigma in sigmas:
-            self._check_mode(sigma[built_at], built_at)
+    def _build(self, t: int, windows: list) -> None:
+        """Store the lag table of each of `windows` (`window` modes each),
+        read at time t, next to the values of its row at every time
+        k < horizon: those of its first k + 1 lags, by running sums and maxima
+        over the lags.  An exact table is the row at time `window` of the
+        window with one more mode in front, every window in one stacked step;
+        its N + 1 lags are all an exact row has, so its last values repeat.
+        A FIR table is the row at the last time of the window padded in front
+        to max(horizon, window) modes, one lag for every time."""
+        for window in windows:
+            self._check_mode(window[-1], t)
         if self.kind == "exact":
-            sigma = np.array(sigmas, dtype=np.intp)
-            q_taps = self._taps(self.Q, sigma, built_at)
-            z_taps = self._taps(self.Z, sigma, built_at)
-            rows = -1.0 * self._performance_row(sigma, built_at, q_taps, z_taps)
+            sigma = np.array([(self.pad,) + window for window in windows], dtype=np.intp)
+            q_taps = self._taps(self.Q, sigma, self.window)
+            z_taps = self._taps(self.Z, sigma, self.window)
+            lags = -1.0 * self._performance_row(sigma, self.window, q_taps, z_taps)
         else:
-            rows = np.stack([self._fir_row(sigma, built_at) for sigma in sigmas])
-        for window, row, values in zip(windows, rows, self.row_values(rows).tolist()):
-            self.built[built_at, window] = (row, values)
+            length = max(self.horizon, self.window)
+            pad = (self.pad,) * (length - self.window)
+            lags = np.stack([self._fir_row(pad + window, length - 1) for window in windows])
+        mags = np.abs(lags)
+        w_sums = np.add.accumulate(np.sum(mags[..., :self.m_w], axis=-1), axis=-2)
+        x0_max = np.maximum.accumulate(np.sum(mags[..., self.m_w:], axis=-1), axis=-2)
+        for window, table, values in zip(windows, lags,
+                                         (w_sums + self.bound * x0_max).tolist()):
+            self.tables[window] = (table, values + values[-1:] * (self.horizon - len(values)))
 
-    def _entries(self, t: int, windows: list) -> list:
-        """(row t, its values) at each of `windows`: from the window's lag
-        table for plain FIR taps with a full window, else from the (time built
-        at, window) rows, those not built before built in one step."""
-        if self._tabled(t):
-            return [(lags[:t + 1], values[t])
-                    for lags, values in (self._table(w, t) for w in windows)]
-        built_at = self._built_at(t)
-        missing = [w for w in windows if (built_at, w) not in self.built]
+    def _tables(self, t: int, windows: list) -> list:
+        """The (lags, values) table of each of `windows`, the last
+        min(t + 1, window) modes at time t, padded in front to `window` modes;
+        tables not built before are built in one step."""
+        if t + 1 < self.window:
+            windows = [(self.pad,) * (self.window - t - 1) + window for window in windows]
+        missing = [window for window in windows if window not in self.tables]
         if missing:
-            self._build(built_at, missing)
-        return [self.built[built_at, w] for w in windows]
+            self._build(t, missing)
+        return [self.tables[window] for window in windows]
 
     def values(self, t: int, windows: list) -> list:
         """The (window, n) values of row t of an exact or FIR design, nested
         lists, at each of `windows`, the last min(t + 1, window) modes."""
-        return [values for _, values in self._entries(t, windows)]
+        return [values[t] for _, values in self._tables(t, windows)]
 
     def rows(self, sigma) -> list:
         """Block rows 0..horizon-1 along sigma: relaxed rows built in time
-        order, the others read from the table `values` reads."""
+        order, the others the first t + 1 lags of the tables `values` reads."""
         if len(sigma) < self.horizon:
             raise ValueError(f"sigma has {len(sigma)} entries, horizon is {self.horizon}")
         past, rows = [], []
@@ -417,7 +402,8 @@ class _ErrorKernel:
                 past.append(carry)
             else:
                 self._check_mode(sigma[t], t)
-                [(row, _)] = self._entries(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
+                [(lags, _)] = self._tables(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
+                row = lags[:t + 1]
             rows.append(row)
         return rows
 
@@ -529,11 +515,12 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
         if count > _CAP:
             raise ValueError(f"exhaustive search over more than {_CAP} (t, window) states "
                              "exceeds the 2^20 cap; use strategy='greedy'")
-    # per time, the values of each state and their largest; a layer
-    # equal to the one before and built at the same time has its values
+    # per time, the values of each state and their largest; an exact row
+    # reads its window alone from t = window on, so a layer past it equal to
+    # the one before has its values
     read, tops = [], []
     for t, states in enumerate(layers):
-        if t and states is layers[t - 1] and kernel._built_at(t) == kernel._built_at(t - 1):
+        if kernel.kind == "exact" and t > kernel.window and states is layers[t - 1]:
             tops.append(tops[-1])
             continue
         found = kernel.values(t, list(map(tuple, states.tolist())))
@@ -607,9 +594,9 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     taps, row t depends only on t and the last `window` modes (the tap
     history and the N lags), so the search runs over the reachable
     (t, window) states, at most H * mode_count^window of them, reading the
-    values of one row per state: exact factors build one row per state, and
-    per window alone from t = window on; plain FIR taps read it from one
-    lag table per window once the window is full.
+    values of one row per state from one lag table per window of modes
+    (padded in front before it fills), each built once; an exact row stops
+    depending on t from t = window on, so a repeated layer is read once.
     It needs every pair of distinct row values to lie more than 1e-15
     apart, which is checked at run time; without it, and for relaxed
     factors, whose resolvent row t reads the whole prefix, the search walks
@@ -621,8 +608,8 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
     and cheap (one row per candidate for relaxed factors; exact and FIR
-    designs read the values of a step's candidates at once), but only a
-    lower bound on the exhaustive value.
+    designs read the values of a step's candidates at once, from at most
+    one table per window), but only a lower bound on the exhaustive value.
     """
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":

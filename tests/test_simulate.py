@@ -354,7 +354,8 @@ def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
     """Exact, relaxed (resolvent branch) and blind designs for the demo model,
     the exact design's N=5 taps run as a plain FIR (sums of up to five
     products), the demo's memory-2 N=4 synthesis, and random memory-3 N=2 FIR
-    taps, whose tap history reaches further back than their lags."""
+    taps and exact factors, whose tap history reaches further back than their
+    lags."""
     plant, model, automaton, config = switching_setup
     relaxed = synthesize(plant, model, automaton,
                          dataclasses.replace(config, mode="relaxed", eps_bar=0.1))
@@ -368,22 +369,42 @@ def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
     long_memory = SwitchingFIR(3, 2, model.p, plant.n, {
         (hist, k): (1 + 2 * hist[0]) * rng.uniform(-1, 1, (plant.n, model.p))
         for hist in itertools.product(range(2), repeat=3) for k in range(2)})
+
+    def long_memory_taps(out_dim, in_dim):
+        return {(hist, k): (1 + 2 * hist[0]) * rng.uniform(-0.5, 0.5, (out_dim, in_dim))
+                for hist in itertools.product(range(2), repeat=3) for k in range(2)}
+
+    # random factors, not a solution of the LP: the demo LP is infeasible at
+    # M=3 N=2, and the kernel reads eps_achieved 0 as exact rows
+    z_taps = long_memory_taps(plant.n, model.p)
+    long_memory_exact = SynthesisResult(
+        gamma_bar=1.0, eps_achieved=0.0, certified_bound=1.0,
+        Q=SwitchingFIR(3, 2, plant.n, plant.n, long_memory_taps(plant.n, plant.n)),
+        Z=SwitchingFIR(3, 2, model.p, plant.n, z_taps),
+        T=SwitchingFIR(3, 2, model.p, plant.n, {key: -tap for key, tap in z_taps.items()}),
+        status="optimal", mode="exact", lag0_margin=1.0)
     return {"exact": switching_synthesis[0], "relaxed": relaxed,
             "blind": nominal_synthesis[0].T, "fir": switching_synthesis[0].T,
-            "memory2": memory2, "fir_m3n2": long_memory}
+            "memory2": memory2, "fir_m3n2": long_memory, "exact_m3n2": long_memory_exact}
 
 
 # The modes a row of each design reads: max(tap memory, FIR length); relaxed
 # rows read the whole prefix.
 SEARCH_WINDOWS = {"exact": 5, "blind": 2, "fir": 5, "memory2": 4, "fir_m3n2": 3,
-                  "relaxed": None}
-# Exact factors, whose rows from t = window on depend on the window alone.
-STATIONARY = {"exact", "memory2"}
+                  "exact_m3n2": 3, "relaxed": None}
 
 
-def _state_keys(prefixes, window, stationary):
-    """The (t a row is built at, window) key of every prefix's last state."""
-    return {(min(len(p) - 1, window) if stationary else len(p) - 1,
+def _padded_windows(prefixes, window, pad):
+    """The window of every prefix's last state, its last `window` modes
+    padded in front with `pad`: the key of the lag table its row reads."""
+    return {((pad,) * window + tuple(p))[-window:] for p in prefixes}
+
+
+def _states(prefixes, window, exact):
+    """The (t, last `window` modes) state of every prefix's last mode, with t
+    capped at `window` for an exact design, whose rows from there on read
+    the window alone."""
+    return {(min(len(p) - 1, window) if exact else len(p) - 1,
              p[max(0, len(p) - window):]) for p in prefixes}
 
 
@@ -406,7 +427,7 @@ def _design_for(designs, name, automaton):
     return designs[name]
 
 
-@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir"])
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2"])
 def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name):
     plant, model, complete, _ = switching_setup
     H = 8
@@ -425,7 +446,7 @@ def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name)
             assert np.array_equal(scen.x0, scen_ref.x0)
 
 
-@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir"])
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2"])
 def test_prefix_tree_search_matches_per_sequence_search(search_designs, switching_setup,
                                                         name):
     plant, model, complete, _ = switching_setup
@@ -440,10 +461,10 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
             per_sequence_attack_search(plant, model, design, automaton, 8)
 
 
-@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind"])
+@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "exact_m3n2"])
 def test_window_cached_search_matches_per_sequence_search(search_designs, switching_setup,
                                                           name):
-    """Three steps past the window, rows built for one prefix are reused by others."""
+    """Three steps past the window, tables built for one prefix are read by others."""
     plant, model, complete, _ = switching_setup
     H = SEARCH_WINDOWS[name] + 3
     for automaton in _search_automata(complete):
@@ -463,23 +484,15 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
 
 
 def _record_kernel(monkeypatch):
-    """Patch `_ErrorKernel` to record the (time built at, window) keys it
-    builds, the FIR window tables it builds, the relaxed rows it builds, and
-    every row's values a search reads: (kernel, t, window, values)."""
-    record = SimpleNamespace(built=[], tables=[], rows=[], reads=[])
-    build, table = _ErrorKernel._build, _ErrorKernel._table
-    relaxed_row, values = _ErrorKernel.relaxed_row, _ErrorKernel.values
+    """Patch `_ErrorKernel` to record the padded windows whose lag tables it
+    builds, the relaxed rows it builds, and every row's values a search
+    reads: (kernel, t, window, values)."""
+    record = SimpleNamespace(tables=[], rows=[], reads=[])
+    build, relaxed_row, values = _ErrorKernel._build, _ErrorKernel.relaxed_row, _ErrorKernel.values
 
-    def built(kernel, built_at, windows):
-        record.built.extend((built_at, window) for window in windows)
-        return build(kernel, built_at, windows)
-
-    def tabled(kernel, modes, t):
-        before = kernel.tables.get(modes)
-        found = table(kernel, modes, t)
-        if found is not before:
-            record.tables.append(modes)
-        return found
+    def built(kernel, t, windows):
+        record.tables.extend(windows)
+        return build(kernel, t, windows)
 
     def rowed(kernel, sigma, t, past):
         record.rows.append((t, tuple(sigma[:t + 1])))
@@ -491,8 +504,7 @@ def _record_kernel(monkeypatch):
                             for window, row_values in zip(windows, found))
         return found
 
-    for name, fn in (("_build", built), ("_table", tabled), ("relaxed_row", rowed),
-                     ("values", read)):
+    for name, fn in (("_build", built), ("relaxed_row", rowed), ("values", read)):
         monkeypatch.setattr(_ErrorKernel, name, fn)
     return record
 
@@ -518,23 +530,20 @@ def _assert_reads_match_rows(reads):
         assert repr(values) == repr(kernel.row_values(_row_alone(kernel, t, modes)).tolist())
 
 
-def _assert_built_once(record, prefixes, window, stationary):
-    """Each (time built at, window) key of the prefixes' last states is built
-    once and each FIR window table once: FIR rows with a full window come
-    from the tables, all others from the keys."""
-    keys = _state_keys(prefixes, window, stationary)
-    tabled = {key for key in keys if not stationary and key[0] + 1 >= window}
-    assert len(set(record.built)) == len(record.built)
-    assert set(record.built) == keys - tabled
+def _assert_built_once(record, prefixes, window, pad):
+    """The lag table of each padded window of the prefixes' last states is
+    built once, and no other table is built."""
     assert len(set(record.tables)) == len(record.tables)
-    assert set(record.tables) == {modes for _, modes in tabled}
+    assert set(record.tables) == _padded_windows(prefixes, window, pad)
 
 
-@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "fir", "relaxed"])
+@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "fir", "exact_m3n2",
+                                  "relaxed"])
 def test_exhaustive_search_builds_each_window_row_once(search_designs, switching_setup,
                                                        name, monkeypatch):
-    """The state search builds each key and table once, reads only the
-    values of rows built alone, and checks exactly those values for
+    """The state search builds each window's table once, reads the values
+    of one row per state (an exact design's layers past the window repeat),
+    only values of rows built alone, and checks exactly those values for
     separation; the relaxed walk builds one row per node."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
@@ -553,26 +562,25 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
             assert record.rows == [(len(p) - 1, p) for p in nodes]
             assert checked == []
             continue
-        stationary = name in STATIONARY
-        _assert_built_once(record, nodes, window, stationary)
-        assert {(min(t, window) if stationary else t, modes)
-                for _, t, modes, _ in record.reads} == _state_keys(nodes, window, stationary)
+        exact = isinstance(design, SynthesisResult)
+        _assert_built_once(record, nodes, window, automaton.padding_mode)
+        assert {(min(t, window) if exact else t, modes)
+                for _, t, modes, _ in record.reads} == _states(nodes, window, exact)
         _assert_reads_match_rows(record.reads)
         [values] = checked
         assert sorted(values) == sorted(v for *_, found in record.reads for v in found)
         if automaton is complete:
-            assert len(record.built) + len(record.tables) < len(nodes)
+            assert len(record.tables) < len(nodes)
 
 
-@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir"])
+@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir", "exact_m3n2"])
 def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_setup, name,
                                                     monkeypatch):
     """Greedy search and the prefix walk read the kernel's values: each
-    (time built at, window) key and FIR window table is built at most once,
-    only for the prefixes they visit, and each value read is that of the
-    row built alone."""
+    window's table is built at most once, only for the prefixes they visit,
+    and each value read is that of the row built alone."""
     plant, model, complete, _ = switching_setup
-    window, stationary = SEARCH_WINDOWS[name], name in STATIONARY
+    window = SEARCH_WINDOWS[name]
     record = _record_kernel(monkeypatch)
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
@@ -583,17 +591,17 @@ def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_se
         walk_record = SimpleNamespace(**{key: found[:] for key, found in vars(record).items()})
         assert walked == attack_search(plant, model, design, automaton, H)
         nodes = list(automaton.prefixes(H, automaton.initial))
-        _assert_built_once(walk_record, nodes, window, stationary)
+        _assert_built_once(walk_record, nodes, window, automaton.padding_mode)
         _assert_reads_match_rows(walk_record.reads)
         for H in (window + 3, 30):
             _clear(record)
             sigma, _ = attack_search(plant, model, design, automaton, H, "greedy")
             candidates = [sigma[:t] + (b,) for t in range(H)
                           for b in automaton.successors(sigma[t - 1] if t else None)]
-            _assert_built_once(record, candidates, window, stationary)
+            _assert_built_once(record, candidates, window, automaton.padding_mode)
             _assert_reads_match_rows(record.reads)
             if H == 30:
-                assert len(record.built) + len(record.tables) < len(candidates)
+                assert len(record.tables) < len(candidates)
 
 
 @pytest.mark.parametrize("horizon", [0, -3])
@@ -619,14 +627,14 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
     fold, folds = simulate._fold, []  # per fold: (values, peak before, peak after)
     monkeypatch.setattr(simulate, "_fold", lambda values, peak: folds.append(
         (values, peak, fold(values, peak))) or folds[-1][2])
-    built, folded = {}, 0  # per search, the keys and tables it built
+    built, folded = {}, 0  # per search, the tables it built
     for name, design, strategy, horizon in perfbench_workloads.ATTACKS:
         _clear(record)
         del folds[:]
         found = attack_search(plant, model, stress_state.designs[design], automaton, horizon,
                               strategy)
         assert perfbench_workloads.check_attack(stress_state.expected[name], None, found) == []
-        built[name] = (len(record.built), len(record.tables))
+        built[name] = len(record.tables)
         for kernel, t, modes, values in record.reads:
             row = _row_alone(kernel, t, modes)
             for i, value in enumerate(values):
@@ -643,27 +651,40 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
         folded += len(folds)
     # two candidates per greedy step; the state search folds no row
     assert folded == 2 * 60 + 2 * 30
-    # the H=10 state searches read one row's values per reachable state: the
-    # exact resilient design (window 5) builds its rows per window alone from
-    # t = 5 on, 62 + 32 keys in one stacked build per layer; the blind FIR
-    # (window 2) reads 2 + 9 * 4 values from 2 rows before its window fills
-    # and one table per window after; greedy builds the keys and tables of
-    # its candidates: the resilient design two keys per step up to t = 4 and
-    # then two windows, the blind FIR two keys at t = 0 and then all four
-    # windows
+    # the H=10 state searches read one row's values per reachable state, 94
+    # of the resilient design (window 5; its layers repeat from t = 6 on) and
+    # 38 of the blind FIR (window 2), from one table per padded window: all
+    # 32 and 4 windows; greedy builds the tables of its candidates' windows,
+    # the resilient design's two (all zeros, then a last 1) and the blind
+    # FIR's four
     nodes = list(automaton.prefixes(10, automaton.initial))
-    assert len(_state_keys(nodes, 5, True)) + len(_state_keys(nodes, 2, False)) == 94 + 38
-    assert built == {"resilient_exhaustive_h10": (94, 0), "blind_exhaustive_h10": (2, 4),
-                     "resilient_greedy_h60": (12, 0), "blind_greedy_h30": (2, 4)}
+    assert len(_states(nodes, 5, True)) + len(_states(nodes, 2, False)) == 94 + 38
+    assert built == {"resilient_exhaustive_h10": 32, "blind_exhaustive_h10": 4,
+                     "resilient_greedy_h60": 2, "blind_greedy_h30": 4}
 
 
-@pytest.mark.parametrize("name", ["exact", "memory2"])
+def test_stress_attacks_are_pinned(stress_state, perfbench_workloads):
+    """sigma and value.hex() of the four `stress` searches, bit for bit: the
+    benchmark's gate checks the value to 1e-12 relative only."""
+    plant, model, automaton = stress_state.problem
+    found = {name: attack_search(plant, model, stress_state.designs[design], automaton,
+                                 horizon, strategy)
+             for name, design, strategy, horizon in perfbench_workloads.ATTACKS}
+    assert {name: ("".join(map(str, sigma)), value.hex())
+            for name, (sigma, value) in found.items()} == {
+        "resilient_exhaustive_h10": ("0" * 10, "0x1.8ffffffffffe6p+4"),
+        "blind_exhaustive_h10": ("0000000010", "0x1.9840f5c28f5c3p+9"),
+        "resilient_greedy_h60": ("0" * 60, "0x1.8ffffffffffe6p+4"),
+        "blind_greedy_h30": ("110010101001010010101001010010", "0x1.b5e4dc81eb854p+24")}
+
+
+@pytest.mark.parametrize("name", ["exact", "memory2", "exact_m3n2"])
 def test_rows_of_exact_design_build_each_window_row_once(search_designs, switching_setup, name,
                                                          monkeypatch):
     """`rows`, which `error_operator` and `worst_case_inputs` read, takes an
-    exact design's rows from the table the searches read: along an H=60
-    sequence each (time built at, window) key is built once, and every row
-    is bit for bit the row built alone at its own time."""
+    exact design's rows from the tables the searches read: along an H=60
+    sequence each window's table is built once, and every row is bit for
+    bit the row built alone at its own time."""
     plant, model, automaton, _ = switching_setup
     design, window = search_designs[name], SEARCH_WINDOWS[name]
     record = _record_kernel(monkeypatch)
@@ -672,8 +693,8 @@ def test_rows_of_exact_design_build_each_window_row_once(search_designs, switchi
     kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
     rows = kernel.rows(sigma)
     prefixes = [sigma[:t + 1] for t in range(H)]
-    _assert_built_once(record, prefixes, window, True)
-    assert len(record.built) < H
+    _assert_built_once(record, prefixes, window, automaton.padding_mode)
+    assert len(record.tables) < H
     for t, row in enumerate(rows):
         assert np.array_equal(row, _row_alone(kernel, t, sigma[max(0, t + 1 - window):t + 1]))
 
@@ -690,9 +711,9 @@ def _outcome(search):
 def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching_setup, name,
                                                       monkeypatch):
     """An unstable A whose powers overflow within the horizon fills the FIR
-    tables with infinities and NaNs: the table path and the per-row path
-    (every row built alone) give the same values, rows and search
-    outcomes, value or exception."""
+    tables with infinities and NaNs: the tables and every row built alone
+    give the same values at every t, rows and search outcomes, value or
+    exception."""
     plant, model, complete, _ = switching_setup
     plant = dataclasses.replace(plant, A=1e40 * plant.A)
     H, searches = 12, (("exhaustive", 12), ("greedy", 12), ("greedy", 30))
@@ -701,17 +722,22 @@ def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching
         sigma = automaton.random_sequence(H, np.random.default_rng(3))
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
-            lags = kernel._table(sigma[-kernel.window:], H - 1)[0]
+            [(lags, _)] = kernel._tables(H - 1, [sigma[-kernel.window:]])
             assert np.isinf(lags).any() and np.isnan(lags).any()
-            for t in range(kernel.window - 1, H):
-                assert repr(kernel.values(t, [sigma[t + 1 - kernel.window:t + 1]])) == \
-                    repr([kernel.row_values(_row_alone(kernel, t, sigma[:t + 1])).tolist()])
+            for t in range(H):
+                window = sigma[max(0, t + 1 - kernel.window):t + 1]
+                assert repr(kernel.values(t, [window])) == \
+                    repr([kernel.row_values(_row_alone(kernel, t, window)).tolist()])
             tabled = [_outcome(lambda: attack_search(plant, model, design, automaton, h, s))
                       for s, h in searches]
             witness = worst_case_inputs(plant, model, design, sigma, H, automaton.padding_mode)
             operator = error_operator(plant, model, design, sigma, H, automaton.padding_mode)
             with monkeypatch.context() as patch:
-                patch.setattr(_ErrorKernel, "_tabled", lambda kernel, t: False)
+                patch.setattr(_ErrorKernel, "values", lambda kernel, t, windows: [
+                    kernel.row_values(_row_alone(kernel, t, w)).tolist() for w in windows])
+                patch.setattr(_ErrorKernel, "rows", lambda kernel, sigma: [
+                    _row_alone(kernel, t, sigma[max(0, t + 1 - kernel.window):t + 1])
+                    for t in range(kernel.horizon)])
                 alone = [_outcome(lambda: attack_search(plant, model, design, automaton, h, s))
                          for s, h in searches]
                 witness_alone = worst_case_inputs(plant, model, design, sigma, H,
@@ -739,7 +765,7 @@ def _state_search_and_walk(monkeypatch, search):
     return by_states, by_walk
 
 
-@pytest.mark.parametrize("name", ["exact", "blind", "fir", "memory2", "fir_m3n2"])
+@pytest.mark.parametrize("name", ["exact", "blind", "fir", "memory2", "fir_m3n2", "exact_m3n2"])
 def test_state_search_matches_walk(search_designs, switching_setup, name, monkeypatch):
     """Bit for bit, before, at and three steps past the window, also where
     mode 1 is a dead end and where every path dies after two modes."""
