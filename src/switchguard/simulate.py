@@ -12,17 +12,18 @@ and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  Row t of an exact or FIR design reads only t and the last
-`window` modes, padded in front with the padding mode before they fill:
-it is the first t + 1 lags of one lag table per padded window, which the
-kernel builds once, next to the values of every t, and the searches carry
-values only, read in one call per layer of states or greedy step.
-Exhaustive search runs over the reachable (t, window) states of the
-automaton, at most H * modes^window of them however many sequences there
-are; `error_operator` and `worst_case_inputs` read the same rows.
-Relaxed rows read the whole prefix: the search walks the tree of admissible
-prefixes, builds row t once at each node of depth t + 1 and carries the
-scan down to the children.
+for bit.  Row t reads only t and the last `window` modes, padded in front
+with the padding mode before they fill, except for a relaxed row's
+resolvent substitution, which reads the rows before it.  What it reads of
+the window is the first t + 1 lags of one table per padded window, which
+the kernel builds once.  Exact and FIR tables hold the values of every t,
+so the searches carry values only, read in one call per layer of states
+or greedy step.  Exhaustive search runs over the reachable (t, window)
+states of the automaton, at most H * modes^window of them however many
+sequences there are; `error_operator` and `worst_case_inputs` read the
+same rows.  For a relaxed design the search walks the tree of admissible
+prefixes, builds row t once at each node of depth t + 1 from its window's
+table and the rows above it, and carries the scan down to the children.
 Ties: a later output row, time, sequence or greedy candidate replaces the
 current peak only when larger by more than 1e-15, so among sequences
 within 1e-15 of each other the lexicographically first is reported.  Many
@@ -198,17 +199,19 @@ class _ErrorKernel:
     over the intermediate lag j ascending, add puts its left operand first),
     so the rows equal that product chain bit for bit.  A product over
     several lags is one stacked matmul, whose per-lag products are those of
-    separate matmuls, and so is a product over a leading axis of sequences.
+    separate matmuls, and so is a product over a leading axis of windows.
 
-    Row t of an exact or FIR design reads the modes of lags 0..t and the
-    tap history at t, all among the last `window` modes padded in front with
-    `padding_mode`.  So along every sequence ending in one such padded
-    window it is the first t + 1 lags of a longer row of that window, its
-    lag table: the same taps and modes give the same per-lag products,
-    summed in the same order.  `_build` builds each table once, into
-    `tables`; `values` reads the values of row t, `rows` the rows along one
-    sequence.  `relaxed_row` builds a relaxed row from the data of the rows
-    before it.
+    Every row builder takes one (..., modes) integer array whose last mode
+    is delivered at time t.  Row t reads the modes of lags 0..t and the tap
+    history at t, all among the last `window` modes padded in front with
+    `padding_mode`, and so do a relaxed row's performance row, the lags of
+    I - E and the inverse of their lag-0 block.  Along every sequence ending
+    in one such padded window, these are the first t + 1 lags of longer ones
+    of that window, its table: the same taps and modes give the same per-lag
+    products, summed in the same order.  `_build` builds each table once,
+    into `tables`; `values` reads the values of row t of an exact or FIR
+    design, `rows` the rows along one sequence.  `relaxed_row` builds a
+    relaxed row from its table and the data of the rows before it.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -223,12 +226,10 @@ class _ErrorKernel:
             self.T = estimator
         else:
             raise TypeError(f"unsupported estimator type {type(estimator).__name__}")
-        # Row t of the exact and FIR kinds reads t and the last `window` modes:
-        # the `memory`-mode tap history and the modes of lags 0..N-1.  The
-        # relaxed row reads the resolvent rows of the whole prefix.
+        # a row's window part reads t and the last `window` modes: the
+        # `memory`-mode tap history and the modes of lags 0..N-1
         firs = (self.T,) if self.kind == "fir" else (self.Q, self.Z)
-        self.window = (None if self.kind == "relaxed"
-                       else max(max(f.memory, f.fir_length) for f in firs))
+        self.window = max(max(f.memory, f.fir_length) for f in firs)
         self.horizon = horizon
         self.tables: dict[tuple, tuple] = {}  # per padded window, see _build
         self.C, self.D = model.C, model.D
@@ -242,73 +243,66 @@ class _ErrorKernel:
         self.lam_b = self.eye @ plant.B
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
 
-    def _taps(self, fir: SwitchingFIR, sigma, t: int) -> np.ndarray:
-        """The taps of lags 0..min(t, N - 1) at time t, (lags, out, in), or
-        (sequence, lags, out, in) for a 2-d integer array of sequences, which
-        must reach back M modes from t."""
-        M = fir.memory
-        if isinstance(sigma, np.ndarray):
-            window = sigma[:, t + 1 - M:t + 1]
-        else:
-            window = (sigma[t + 1 - M:t + 1] if t + 1 >= M
-                      else (self.pad,) * (M - 1 - t) + tuple(sigma[:t + 1]))
-        return fir.taps[fir.history_ids(window), :t + 1]
+    @staticmethod
+    def _taps(fir: SwitchingFIR, modes: np.ndarray, t: int) -> np.ndarray:
+        """The taps of lags 0..min(t, N - 1) at time t, (..., lags, out, in)."""
+        return fir.taps[fir.history_ids(modes[..., -fir.memory:]), :t + 1]
 
-    def _modes_back(self, sigma, t: int, count: int):
-        """The modes delivered 0..count-1 steps before time t, per sequence
-        for a 2-d array of sequences."""
-        if isinstance(sigma, np.ndarray):
-            return sigma[:, t + 1 - count:t + 1][:, ::-1]
-        return [sigma[t - k] for k in range(count)]
-
-    def _check_mode(self, mode: int, t: int) -> None:
-        if not (0 <= mode < len(self.C)):
-            raise ValueError(f"mode {mode} at time {t} out of range")
-
-    def relaxed_row(self, sigma, t: int, past: list):
-        """Row t of a relaxed design along sigma, -(I - E)^{-1} applied to the
-        performance rows, and the (resolvent row, performance row) pair
-        later rows read; `past` holds those pairs for times 0..t-1."""
-        self._check_mode(sigma[t], t)
-        q_taps, z_taps = self._taps(self.Q, sigma, t), self._taps(self.Z, sigma, t)
-        phi = self._performance_row(sigma, t, q_taps, z_taps)
-        res, lags = self._resolvent_row(sigma, t, q_taps, z_taps, past)
-        acc = np.zeros((t + 1,) + phi.shape[1:])
+    def relaxed_row(self, table: tuple, t: int, past: list):
+        """Row t of a relaxed design, -(I - E)^{-1} applied to the performance
+        rows, from the table of its window, and the (resolvent row,
+        performance row) pair later rows read; `past` holds those pairs for
+        times 0..t-1.  The resolvent row, the (t + 1, n, n) array of its
+        lags, comes by block forward substitution; it needs only the lags
+        with a nonzero sum of products, ascending, which are those the
+        product chain stores.  The lags it leaves out are zero blocks here;
+        they add only zeros to sums that start at +0.0, so no value changes."""
+        phi, contraction, inv0 = table
+        phi, contraction = phi[:t + 1], contraction[:t + 1]
+        # acc[k] sums contraction[j] res_{t-j}[k-j] over j ascending
+        acc = np.zeros((t + 1, self.n, self.n))
+        for j in range(1, len(contraction)):
+            acc[j:] += contraction[j] @ past[t - j][0]
+        res = -inv0 @ acc
+        res[0] = inv0
+        nonzero = acc.any(axis=(1, 2))
+        nonzero[0] = True
+        row = np.zeros((t + 1,) + phi.shape[1:])
         used = 0
-        for j in lags:
+        for j in np.flatnonzero(nonzero).tolist():
             later = phi if j == 0 else past[t - j][1]
-            acc[j:j + len(later)] += res[j] @ later
+            row[j:j + len(later)] += res[j] @ later
             used = max(used, j + len(later))
-        return -1.0 * acc[:used], (res, phi)
+        return -1.0 * row[:used], (res, phi)
 
-    def _fir_row(self, sigma, t: int) -> np.ndarray:
+    def _fir_row(self, modes: np.ndarray, t: int) -> np.ndarray:
         """Row t of (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0]."""
-        taps = self._taps(self.T, sigma, t)
-        modes = self._modes_back(sigma, t, len(taps))
-        tc_minus_i = taps @ self.C[modes]
-        tc_minus_i[0] += self.neg_eye
+        taps = self._taps(self.T, modes, t)
+        lags = taps.shape[-3]
+        back = modes[..., ::-1][..., :lags]
+        tc_minus_i = taps @ self.C[back]
+        tc_minus_i[..., 0, :, :] += self.neg_eye
         while len(self.powers) <= t:
             self.powers = np.concatenate([self.powers, self.A @ self.powers[-1:]])
         # prefix[m] = sum over j ascending of tc_minus_i[j] A^(m-j)
-        prefix = tc_minus_i[0] @ self.powers[:t + 1]
-        for j in range(1, len(taps)):
-            prefix[j:] += tc_minus_i[j] @ self.powers[:t + 1 - j]
-        row = np.empty((t + 1, self.n, self.m_w + self.n))
-        row[:, :, self.m_w:] = prefix
-        w_block = row[:, :, :self.m_w]
-        w_block[0] = taps[0] @ self.D[sigma[t]]
-        w_block[1:] = prefix[:t] @ self.lam_b
-        w_block[1:len(taps)] += taps[1:] @ self.D[modes[1:]]
+        prefix = tc_minus_i[..., :1, :, :] @ self.powers[:t + 1]
+        for j in range(1, lags):
+            prefix[..., j:, :, :] += tc_minus_i[..., j:j + 1, :, :] @ self.powers[:t + 1 - j]
+        row = np.empty(prefix.shape[:-1] + (self.m_w + self.n,))
+        row[..., self.m_w:] = prefix
+        w_block = row[..., :self.m_w]
+        w_block[..., 0, :, :] = taps[..., 0, :, :] @ self.D[back[..., 0]]
+        w_block[..., 1:, :, :] = prefix[..., :t, :, :] @ self.lam_b
+        w_block[..., 1:lags, :, :] += taps[..., 1:, :, :] @ self.D[back[..., 1:]]
         return row
 
-    def _performance_row(self, sigma, t: int, q_taps, z_taps) -> np.ndarray:
-        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q], with the taps'
-        leading sequence axis, if any."""
+    def _performance_row(self, modes: np.ndarray, t: int, q_taps, z_taps) -> np.ndarray:
+        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q]."""
         m_w = self.m_w
         lq, lz = q_taps.shape[-3], z_taps.shape[-3]
         row = np.zeros(q_taps.shape[:-3] + (min(t, max(lq, lz)) + 1, self.n, m_w + self.n))
         w_block, x0_block = row[..., :m_w], row[..., m_w:]
-        w_block[..., :lz, :, :] = z_taps @ self.D[self._modes_back(sigma, t, lz)]
+        w_block[..., :lz, :, :] = z_taps @ self.D[modes[..., ::-1][..., :lz]]
         shifted = min(lq, t)  # Q_j shift(B) reaches lag j + 1 <= t
         w_block[..., 1:shifted + 1, :, :] += q_taps[..., :shifted, :, :] @ self.lam_b
         if t >= 1:
@@ -317,67 +311,68 @@ class _ErrorKernel:
         x0_block[..., 0, :, :] += self.eye
         return row
 
-    def _resolvent_row(self, sigma, t: int, q_taps, z_taps, past: list):
-        """Row t of (I - E)^{-1}, E = shift(A) + Z Cbar + Q (shift(A) - I), by
-        block forward substitution: the (t + 1, n, n) array of its lags and
-        the lags with a nonzero sum of products, ascending, which are those
-        the product chain stores.  The lags it leaves out are zero blocks
-        here; they add only zeros to sums that start at +0.0, so no value
-        changes."""
-        shifted = min(len(q_taps), t)  # Q_j shift(A) reaches lag j + 1 <= t
-        E = np.zeros((max(len(z_taps), shifted + 1), self.n, self.n))
-        E[1:shifted + 1] = q_taps[:shifted] @ self.lam_a
-        E[:len(q_taps)] += q_taps @ self.neg_eye
-        lz = len(z_taps)
-        E[:lz] = z_taps @ self.C[self._modes_back(sigma, t, lz)] + E[:lz]
+    def _contraction(self, modes: np.ndarray, t: int, q_taps, z_taps) -> np.ndarray:
+        """The lags of I - E at time t, E = shift(A) + Z Cbar + Q (shift(A) - I)."""
+        lq, lz = q_taps.shape[-3], z_taps.shape[-3]
+        shifted = min(lq, t)  # Q_j shift(A) reaches lag j + 1 <= t
+        E = np.zeros(q_taps.shape[:-3] + (max(lz, shifted + 1), self.n, self.n))
+        E[..., 1:shifted + 1, :, :] = q_taps[..., :shifted, :, :] @ self.lam_a
+        E[..., :lq, :, :] += q_taps @ self.neg_eye
+        E[..., :lz, :, :] = z_taps @ self.C[modes[..., ::-1][..., :lz]] + E[..., :lz, :, :]
         if t >= 1:
-            E[1] = self.lam_a + E[1]
-        M = -1.0 * E
-        M[0] = self.eye + M[0]
-        if oc.is_singular(M[0]):
-            raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
-        inv0 = np.linalg.inv(M[0])
-        # acc[k] sums M[j] res_{t-j}[k-j] over j ascending
-        acc = np.zeros((t + 1, self.n, self.n))
-        for j in range(1, len(M)):
-            acc[j:] += M[j] @ past[t - j][0]
-        res = -inv0 @ acc
-        res[0] = inv0
-        nonzero = acc.any(axis=(1, 2))
-        nonzero[0] = True
-        return res, np.flatnonzero(nonzero).tolist()
+            E[..., 1, :, :] = self.lam_a + E[..., 1, :, :]
+        contraction = -1.0 * E
+        contraction[..., 0, :, :] = self.eye + contraction[..., 0, :, :]
+        return contraction
 
-    def _build(self, t: int, windows: list) -> None:
-        """Store the lag table of each of `windows` (`window` modes each),
-        read at time t, next to the values of its row at every time
-        k < horizon: those of its first k + 1 lags, by running sums and maxima
-        over the lags.  An exact table is the row at time `window` of the
-        window with one more mode in front, every window in one stacked step;
-        its N + 1 lags are all an exact row has, so its last values repeat.
-        A FIR table is the row at the last time of the window padded in front
-        to max(horizon, window) modes, one lag for every time."""
-        for window in windows:
-            self._check_mode(window[-1], t)
-        if self.kind == "exact":
-            sigma = np.array([(self.pad,) + window for window in windows], dtype=np.intp)
-            q_taps = self._taps(self.Q, sigma, self.window)
-            z_taps = self._taps(self.Z, sigma, self.window)
-            lags = -1.0 * self._performance_row(sigma, self.window, q_taps, z_taps)
-        else:
-            length = max(self.horizon, self.window)
-            pad = (self.pad,) * (length - self.window)
-            lags = np.stack([self._fir_row(pad + window, length - 1) for window in windows])
+    def _running_values(self, lags: np.ndarray) -> np.ndarray:
+        """The values of the output rows of the first k + 1 lags, for every
+        k: the disturbance takes every lag, its absolute entries summed over
+        the inputs, then over the lags ascending; the initial condition,
+        injected once, its largest lag."""
         mags = np.abs(lags)
         w_sums = np.add.accumulate(np.sum(mags[..., :self.m_w], axis=-1), axis=-2)
         x0_max = np.maximum.accumulate(np.sum(mags[..., self.m_w:], axis=-1), axis=-2)
-        for window, table, values in zip(windows, lags,
-                                         (w_sums + self.bound * x0_max).tolist()):
+        return w_sums + self.bound * x0_max
+
+    def _build(self, t: int, windows: list) -> None:
+        """Store the table of each of `windows` (`window` modes each), read
+        at time t, in one stacked step.  Exact and relaxed tables are read at
+        time `window` off the window with one more mode in front, whose N + 1
+        lags are all such a row has: the row's lags, or the performance row,
+        the lags of I - E and the inverse of their lag-0 block.  A FIR table
+        is the row at the last time of the window padded in front to
+        max(horizon, window) modes, one lag for every time.  Exact and FIR
+        tables keep the values of their row at every time k < horizon, those
+        of its first k + 1 lags (an exact table's last values repeat)."""
+        for window in windows:
+            if not 0 <= window[-1] < len(self.C):
+                raise ValueError(f"mode {window[-1]} at time {t} out of range")
+        if self.kind == "fir":
+            length = max(self.horizon, self.window)
+            pad = (self.pad,) * (length - self.window)
+            lags = self._fir_row(np.array([pad + window for window in windows], dtype=np.intp),
+                                 length - 1)
+        else:
+            modes = np.array([(self.pad,) + window for window in windows], dtype=np.intp)
+            q_taps = self._taps(self.Q, modes, self.window)
+            z_taps = self._taps(self.Z, modes, self.window)
+            phi = self._performance_row(modes, self.window, q_taps, z_taps)
+            if self.kind == "relaxed":
+                contraction = self._contraction(modes, self.window, q_taps, z_taps)
+                if any(map(oc.is_singular, contraction[:, 0])):
+                    raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
+                self.tables.update(zip(windows, zip(phi, contraction,
+                                                    np.linalg.inv(contraction[:, 0]))))
+                return
+            lags = -1.0 * phi
+        for window, table, values in zip(windows, lags, self._running_values(lags).tolist()):
             self.tables[window] = (table, values + values[-1:] * (self.horizon - len(values)))
 
     def _tables(self, t: int, windows: list) -> list:
-        """The (lags, values) table of each of `windows`, the last
-        min(t + 1, window) modes at time t, padded in front to `window` modes;
-        tables not built before are built in one step."""
+        """The table of each of `windows`, the last min(t + 1, window) modes
+        at time t, padded in front to `window` modes; tables not built
+        before are built in one step."""
         if t + 1 < self.window:
             windows = [(self.pad,) * (self.window - t - 1) + window for window in windows]
         missing = [window for window in windows if window not in self.tables]
@@ -397,25 +392,18 @@ class _ErrorKernel:
             raise ValueError(f"sigma has {len(sigma)} entries, horizon is {self.horizon}")
         past, rows = [], []
         for t in range(self.horizon):
-            if self.window is None:
-                row, carry = self.relaxed_row(sigma, t, past)
+            [table] = self._tables(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
+            if self.kind == "relaxed":
+                row, carry = self.relaxed_row(table, t, past)
                 past.append(carry)
             else:
-                self._check_mode(sigma[t], t)
-                [(lags, _)] = self._tables(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
-                row = lags[:t + 1]
+                row = table[0][:t + 1]
             rows.append(row)
         return rows
 
     def row_values(self, row: np.ndarray) -> np.ndarray:
-        """The worst-case value of each output row of a block row, over its
-        leading sequence axis, if any: the disturbance takes every lag, its
-        absolute entries summed over the inputs, then over the lags
-        ascending; the initial condition, injected once, its largest lag."""
-        m_w = self.m_w
-        mags = np.abs(row)
-        w_sum = np.add.accumulate(np.sum(mags[..., :m_w], axis=-1), axis=-2)[..., -1, :]
-        return w_sum + self.bound * np.max(np.sum(mags[..., m_w:], axis=-1), axis=-2)
+        """The worst-case value of each output row of a block row."""
+        return self._running_values(row)[-1]
 
 
 def _fold(values: list, peak: float) -> float:
@@ -551,12 +539,14 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
 
 def _step(kernel: _ErrorKernel, t: int, prefixes: list, past: list) -> tuple[list, list]:
     """The values of row t along each prefix of t + 1 modes, as lists, and
-    the data each row passes to later rows: relaxed rows are built given
-    `past`, that data for times 0..t-1; the others read in one `values` call."""
-    if kernel.window is None:
-        found = [kernel.relaxed_row(prefix, t, past) for prefix in prefixes]
+    the data each row passes to later rows: relaxed rows are built from
+    their tables given `past`, that data for times 0..t-1; the others read
+    in one `values` call."""
+    windows = [p[-kernel.window:] for p in prefixes]
+    if kernel.kind == "relaxed":
+        found = [kernel.relaxed_row(table, t, past) for table in kernel._tables(t, windows)]
         return [kernel.row_values(row).tolist() for row, _ in found], [c for _, c in found]
-    return kernel.values(t, [p[-kernel.window:] for p in prefixes]), [None] * len(prefixes)
+    return kernel.values(t, windows), [None] * len(prefixes)
 
 
 def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
@@ -594,26 +584,27 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     taps, row t depends only on t and the last `window` modes (the tap
     history and the N lags), so the search runs over the reachable
     (t, window) states, at most H * mode_count^window of them, reading the
-    values of one row per state from one lag table per window of modes
+    values of one row per state from one table per window of modes
     (padded in front before it fills), each built once; an exact row stops
     depending on t from t = window on, so a repeated layer is read once.
     It needs every pair of distinct row values to lie more than 1e-15
     apart, which is checked at run time; without it, and for relaxed
-    factors, whose resolvent row t reads the whole prefix, the search walks
-    the tree of admissible prefixes depth first in lexicographic order,
-    builds row t once per node (reads the values of (t, window) for exact
-    and FIR designs) and carries the scan down to the children.  The 2^20 cap
-    bounds what is enumerated: the (t, window) states, or the
-    mode_count^H sequences of the walk.
+    factors, whose resolvent row t reads the rows before it, the search
+    walks the tree of admissible prefixes depth first in lexicographic
+    order, builds row t once per node (a relaxed row from its window's
+    table; exact and FIR designs read the values of (t, window)) and
+    carries the scan down to the children.  The 2^20 cap bounds what is
+    enumerated: the (t, window) states, or the mode_count^H sequences of
+    the walk.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits worst inputs larger by more than 1e-15; deterministic
-    and cheap (one row per candidate for relaxed factors; exact and FIR
-    designs read the values of a step's candidates at once, from at most
-    one table per window), but only a lower bound on the exhaustive value.
+    and cheap (one row per candidate for relaxed factors; every design
+    reads a step's candidates from at most one table per window, built in
+    one step), but only a lower bound on the exhaustive value.
     """
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":
-        found = None if kernel.window is None else _state_search(kernel, automaton, horizon)
+        found = None if kernel.kind == "relaxed" else _state_search(kernel, automaton, horizon)
         return _walk_search(kernel, automaton, horizon) if found is None else found
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()

@@ -13,7 +13,6 @@ freezes it along a batch of mode sequences with one lookup and one gather.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -313,38 +312,29 @@ def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
 
 class _WindowRows:
     """Rows of a sorted (row, M) integer array of distinct, nonnegative mode
-    windows, found by mixed-radix keys in base one past the largest mode:
-    `searchsorted` for an array of windows, `bisect` for a tuple, without a
-    round trip through numpy.  A mode outside 0..base-1 matches no row."""
+    windows, found by `searchsorted` on mixed-radix keys in base one past
+    the largest mode.  A mode outside 0..base-1 matches no row."""
 
     def __init__(self, windows: np.ndarray):
         self.windows, self.base = windows, int(windows.max(initial=-1)) + 1
         if self.base ** windows.shape[1] >= 2 ** 62:
             raise ValueError(f"windows of modes below {self.base} overflow 64-bit keys")
         self.radix = self.base ** np.arange(windows.shape[1] - 1, -1, -1, dtype=np.int64)
-        self.key_list = (windows @ self.radix).tolist()
-        self.keys = np.array(self.key_list + [2 ** 63 - 1])  # the sentinel matches nothing
+        self.keys = np.append(windows @ self.radix, 2 ** 63 - 1)  # the sentinel matches nothing
 
     def __call__(self, windows):
-        if type(windows) is tuple:
-            base, keys, key = self.base, self.key_list, 0
-            for mode in windows:
-                key = key * base + mode if key >= 0 and 0 <= mode < base else -1
-            row = bisect_left(keys, key)
-            if len(windows) == len(self.radix) and keys[row:row + 1] == [key]:
-                return row
-        else:
-            windows = np.asarray(windows)
-            if windows.shape[-1:] != self.radix.shape:
-                raise KeyError(f"windows of shape {windows.shape} are not {self.radix.shape}")
+        windows = np.asarray(windows)
+        if windows.shape[-1:] == self.radix.shape:
             inside = ((windows >= 0) & (windows < self.base)).all(axis=-1)
             keys = np.where(inside, windows @ self.radix, -1)
             rows = np.searchsorted(self.keys, keys)
             missing = self.keys[rows] != keys
             if not missing.any():
                 return rows
-            windows = tuple(windows[np.unravel_index(np.argmax(missing), missing.shape)].tolist())
-        raise KeyError(f"no coefficient for history {windows}; "
+            windows = windows[np.unravel_index(np.argmax(missing), missing.shape)]
+        elif windows.ndim > 1:
+            raise KeyError(f"windows of shape {windows.shape} are not {self.radix.shape}")
+        raise KeyError(f"no coefficient for history {tuple(windows.tolist())}; "
                        "the admissible-switching set and the stored taps disagree")
 
 
@@ -406,7 +396,7 @@ class SwitchingFIR:
     @cached_property
     def history_ids(self) -> _WindowRows:
         """history_ids(windows): the rows of `taps` for an integer array of
-        windows (..., memory), or an int for a tuple; KeyError names the
+        windows (..., memory), a tuple being one window; KeyError names the
         first window without taps.  Built at the first lookup, not at init."""
         return _WindowRows(self.windows)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -634,3 +635,115 @@ def test_example_json_deterministic(capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["nominal"]["met"] and payload["switching"]["met"]
+
+
+# sha256/16 of the stdout, stderr and files of the CLI commands below, on
+# the demo configs: bundles, LP dumps, attack, norm, simulate and example.
+CLI_OUTPUT_HASHES = {
+    "attack nominal_m1n2 H1": "rc=0 out=f3cd0718e0449e08 err=e3b0c44298fc1c14",
+    "attack nominal_m1n2 H10": "rc=0 out=cb98a089e7b6aa2b err=e3b0c44298fc1c14",
+    "attack nominal_m1n2 H12": "rc=0 out=d6b3c4df28eec8a4 err=e3b0c44298fc1c14",
+    "attack nominal_m1n2 H6": "rc=0 out=5f31a875408bb48b err=e3b0c44298fc1c14",
+    "attack nominal_m1n2 greedy30": "rc=0 out=2f7406a8cd853677 err=e3b0c44298fc1c14",
+    "attack relaxed_m1n5 H1": "rc=0 out=92ca6c60e4559285 err=e3b0c44298fc1c14",
+    "attack relaxed_m1n5 H10": "rc=0 out=32082c723c57b421 err=e3b0c44298fc1c14",
+    "attack relaxed_m1n5 H12": "rc=0 out=4aafd3e1319bdfdb err=e3b0c44298fc1c14",
+    "attack relaxed_m1n5 H6": "rc=0 out=8fbea09810454ac6 err=e3b0c44298fc1c14",
+    "attack relaxed_m1n5 greedy30": "rc=0 out=0b4270b8c3f49555 err=e3b0c44298fc1c14",
+    "attack switching_m1n5 H1": "rc=0 out=7dfd95ff0aa0503a err=e3b0c44298fc1c14",
+    "attack switching_m1n5 H10": "rc=0 out=c530fb1857046571 err=e3b0c44298fc1c14",
+    "attack switching_m1n5 H12": "rc=0 out=49b24e1bee4c5191 err=e3b0c44298fc1c14",
+    "attack switching_m1n5 H6": "rc=0 out=78484a78967dd4fc err=e3b0c44298fc1c14",
+    "attack switching_m1n5 greedy30": "rc=0 out=287c6d9a44622aa5 err=e3b0c44298fc1c14",
+    "attack switching_m2n4 H1": "rc=0 out=e117512c3c448da3 err=e3b0c44298fc1c14",
+    "attack switching_m2n4 H10": "rc=0 out=de5a52de9e763f47 err=e3b0c44298fc1c14",
+    "attack switching_m2n4 H12": "rc=0 out=fcb26e150e788d27 err=e3b0c44298fc1c14",
+    "attack switching_m2n4 H6": "rc=0 out=828a9369dfe72540 err=e3b0c44298fc1c14",
+    "attack switching_m2n4 greedy30": "rc=0 out=5c1e748c288aa97a err=e3b0c44298fc1c14",
+    "bundle nominal_m1n2": "fa25f74c7519d99a",
+    "bundle relaxed_m1n4": "0e29b366ca3f9d78",
+    "bundle relaxed_m1n5": "2a0a1eee29a081a5",
+    "bundle switching_m1n5": "becbac2bd56f725a",
+    "bundle switching_m2n4": "c0e4083e9d40ce0d",
+    "example": "rc=0 out=196c3ee1762fe885 err=e3b0c44298fc1c14",
+    "example --json": "rc=0 out=ab1da2995d588939 err=e3b0c44298fc1c14",
+    "lp nominal_m1n2": "ad0dc3845d5890bb",
+    "lp relaxed_m1n4": "84be83b241d18b89",
+    "lp relaxed_m1n5": "3a06777ea1ae4287",
+    "lp switching_m1n5": "20930261ca3faf2d",
+    "lp switching_m2n4": "b76659ad0501e3ed",
+    "norm nominal_m1n2 h15": "rc=0 out=11f3dee4658da293 err=e3b0c44298fc1c14",
+    "norm nominal_m1n2 sigma": "rc=2 out=e3b0c44298fc1c14 err=df000849e79bd253",
+    "norm relaxed_m1n5 h15": "rc=0 out=6d9e442214a7a888 err=e3b0c44298fc1c14",
+    "norm relaxed_m1n5 sigma": "rc=0 out=6eaf245bf88cd023 err=e3b0c44298fc1c14",
+    "norm switching_m1n5 h15": "rc=0 out=f9891c357255fa65 err=e3b0c44298fc1c14",
+    "norm switching_m1n5 sigma": "rc=0 out=89ce1e672601a270 err=e3b0c44298fc1c14",
+    "norm switching_m2n4 h15": "rc=0 out=3210cddb00dac04b err=e3b0c44298fc1c14",
+    "norm switching_m2n4 sigma": "rc=0 out=1500e72ab9b4644d err=e3b0c44298fc1c14",
+    "simulate csv nominal_m1n2": "093f5d38383b6e9f",
+    "simulate csv relaxed_m1n5": "c16ff209009edb5c",
+    "simulate csv switching_m1n5": "6f85571ebd1cf43a",
+    "simulate csv switching_m2n4": "3202ea81642f232d",
+    "simulate nominal_m1n2": "rc=0 out=e83fcb6d25b133d2 err=e3b0c44298fc1c14",
+    "simulate nominal_m1n2 sigma": "rc=2 out=e3b0c44298fc1c14 err=df000849e79bd253",
+    "simulate relaxed_m1n5": "rc=0 out=c4fc08e5c1737261 err=e3b0c44298fc1c14",
+    "simulate relaxed_m1n5 sigma": "rc=0 out=2c206e377b3d44fb err=e3b0c44298fc1c14",
+    "simulate switching_m1n5": "rc=0 out=486e6a544c624a96 err=e3b0c44298fc1c14",
+    "simulate switching_m1n5 sigma": "rc=0 out=cae546939cfbc829 err=e3b0c44298fc1c14",
+    "simulate switching_m2n4": "rc=0 out=6af0405f871fc760 err=e3b0c44298fc1c14",
+    "simulate switching_m2n4 sigma": "rc=0 out=2b4939fb2a600bdd err=e3b0c44298fc1c14",
+    "synth nominal_m1n2": "rc=0 out=5f7eb3b8d87c14a2 err=e3b0c44298fc1c14",
+    "synth relaxed_m1n4": "rc=0 out=5f1f6191d78b168b err=e3b0c44298fc1c14",
+    "synth relaxed_m1n5": "rc=0 out=4c7b439d0acb7d84 err=e3b0c44298fc1c14",
+    "synth switching_m1n5": "rc=0 out=7094ebaece69ae71 err=e3b0c44298fc1c14",
+    "synth switching_m2n4": "rc=0 out=85cda3763b150c51 err=e3b0c44298fc1c14",
+}
+
+
+def _demo_configs() -> dict:
+    """The five demo configs: nominal N=2; switching M=1 N=5 and M=2 N=4;
+    relaxed eps_bar=0.1 at N=5 and N=4."""
+    configs = {"nominal_m1n2": demo.nominal_config_dict(),
+               "switching_m1n5": demo.demo_config_dict()}
+    for name, synthesis in (("switching_m2n4", {"M": 2, "N": 4}),
+                            ("relaxed_m1n5", {"mode": "relaxed", "eps_bar": 0.1}),
+                            ("relaxed_m1n4", {"mode": "relaxed", "eps_bar": 0.1, "N": 4})):
+        configs[name] = demo.demo_config_dict()
+        configs[name]["synthesis"].update(synthesis)
+    return configs
+
+
+def test_cli_outputs_are_pinned(tmp_path, monkeypatch, capsys):
+    """Every output byte of the CLI on the demo configs, by hash."""
+    monkeypatch.chdir(tmp_path)
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    def run(*argv) -> str:
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        return f"rc={code} out={digest(out.encode())} err={digest(err.encode())}"
+
+    found = {}
+    for name, config in _demo_configs().items():
+        (tmp_path / f"{name}_config.json").write_text(json.dumps(config))
+        found[f"synth {name}"] = run("synth", f"{name}_config.json", "--out", f"{name}.json",
+                                     "--dump-lp", f"{name}.lp")
+        found[f"bundle {name}"] = digest((tmp_path / f"{name}.json").read_bytes())
+        found[f"lp {name}"] = digest((tmp_path / f"{name}.lp").read_bytes())
+    for name in ("nominal_m1n2", "switching_m1n5", "switching_m2n4", "relaxed_m1n5"):
+        bundle = f"{name}.json"
+        for horizon in (1, 6, 10, 12):
+            found[f"attack {name} H{horizon}"] = run("attack", bundle, "--horizon", str(horizon))
+        found[f"attack {name} greedy30"] = run("attack", bundle, "--horizon", "30",
+                                               "--strategy", "greedy")
+        found[f"norm {name} h15"] = run("norm", bundle, "--horizon", "15")
+        found[f"norm {name} sigma"] = run("norm", bundle, "--sigma", "0,1,0,1,1,0")
+        found[f"simulate {name}"] = run("simulate", bundle, "--trace", f"{name}.csv")
+        found[f"simulate csv {name}"] = digest((tmp_path / f"{name}.csv").read_bytes())
+        found[f"simulate {name} sigma"] = run("simulate", bundle,
+                                              "--sigma", "0,1,1,0,1,0,0,1,1,1")
+    found["example"] = run("example")
+    found["example --json"] = run("example", "--json")
+    assert found == CLI_OUTPUT_HASHES

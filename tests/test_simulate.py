@@ -354,8 +354,8 @@ def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
     """Exact, relaxed (resolvent branch) and blind designs for the demo model,
     the exact design's N=5 taps run as a plain FIR (sums of up to five
     products), the demo's memory-2 N=4 synthesis, and random memory-3 N=2 FIR
-    taps and exact factors, whose tap history reaches further back than their
-    lags."""
+    taps and exact and relaxed factors, whose tap history reaches further
+    back than their lags."""
     plant, model, automaton, config = switching_setup
     relaxed = synthesize(plant, model, automaton,
                          dataclasses.replace(config, mode="relaxed", eps_bar=0.1))
@@ -383,15 +383,23 @@ def search_designs(switching_synthesis, nominal_synthesis, switching_setup):
         Z=SwitchingFIR(3, 2, model.p, plant.n, z_taps),
         T=SwitchingFIR(3, 2, model.p, plant.n, {key: -tap for key, tap in z_taps.items()}),
         status="optimal", mode="exact", lag0_margin=1.0)
+    z_taps = long_memory_taps(plant.n, model.p)
+    long_memory_relaxed = SynthesisResult(
+        gamma_bar=1.0, eps_achieved=0.5, certified_bound=2.0,
+        Q=SwitchingFIR(3, 2, plant.n, plant.n, long_memory_taps(plant.n, plant.n)),
+        Z=SwitchingFIR(3, 2, model.p, plant.n, z_taps),
+        T=SwitchingFIR(3, 2, model.p, plant.n, {key: -tap for key, tap in z_taps.items()}),
+        status="optimal", mode="relaxed", lag0_margin=1.0)
     return {"exact": switching_synthesis[0], "relaxed": relaxed,
             "blind": nominal_synthesis[0].T, "fir": switching_synthesis[0].T,
-            "memory2": memory2, "fir_m3n2": long_memory, "exact_m3n2": long_memory_exact}
+            "memory2": memory2, "fir_m3n2": long_memory, "exact_m3n2": long_memory_exact,
+            "relaxed_m3n2": long_memory_relaxed}
 
 
-# The modes a row of each design reads: max(tap memory, FIR length); relaxed
-# rows read the whole prefix.
+# The modes a row's window part reads: max(tap memory, FIR length); a relaxed
+# row reads the prefix only through the rows before it.
 SEARCH_WINDOWS = {"exact": 5, "blind": 2, "fir": 5, "memory2": 4, "fir_m3n2": 3,
-                  "exact_m3n2": 3, "relaxed": None}
+                  "exact_m3n2": 3, "relaxed": 5, "relaxed_m3n2": 3}
 
 
 def _padded_windows(prefixes, window, pad):
@@ -427,7 +435,8 @@ def _design_for(designs, name, automaton):
     return designs[name]
 
 
-@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2"])
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2",
+                                  "relaxed_m3n2"])
 def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name):
     plant, model, complete, _ = switching_setup
     H = 8
@@ -446,7 +455,8 @@ def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name)
             assert np.array_equal(scen.x0, scen_ref.x0)
 
 
-@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2"])
+@pytest.mark.parametrize("name", ["exact", "relaxed", "blind", "fir", "exact_m3n2",
+                                  "relaxed_m3n2"])
 def test_prefix_tree_search_matches_per_sequence_search(search_designs, switching_setup,
                                                         name):
     plant, model, complete, _ = switching_setup
@@ -461,7 +471,8 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
             per_sequence_attack_search(plant, model, design, automaton, 8)
 
 
-@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "exact_m3n2"])
+@pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "exact_m3n2",
+                                  "relaxed_m3n2"])
 def test_window_cached_search_matches_per_sequence_search(search_designs, switching_setup,
                                                           name):
     """Three steps past the window, tables built for one prefix are read by others."""
@@ -481,12 +492,40 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
         ((0, 0, 0, 0, 1, 1, 0, 0, 1, 1), 25.541406250000037)
     assert attack_search(plant, model, relaxed, automaton, 60, "greedy") == \
         ((0, 0) + (1,) * 8 + (0,) * 50, 25.54140625)
+    _, value = worst_case_inputs(plant, model, relaxed, (0, 1) * 100, 200,
+                                 automaton.padding_mode)
+    assert value.hex() == "0x1.98a999999998cp+4"
+
+
+def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup):
+    """Z_0 = e_1 e_0^T at history (1,) and Q = 0 make I - E's lag-0 block
+    I - Z_0 C^1 singular wherever mode 1 is delivered: every search and
+    witness raises at the first such time it reads."""
+    plant, model, automaton, _ = switching_setup
+    hists, N = [(0,), (1,)], 2
+    z_taps = {(h, k): np.zeros((plant.n, model.p)) for h in hists for k in range(N)}
+    z_taps[(1,), 0][1, 0] = 1.0
+    z_taps[(0,), 1][0, 1] = 0.3
+    design = SynthesisResult(
+        gamma_bar=1.0, eps_achieved=0.5, certified_bound=2.0,
+        Q=SwitchingFIR(1, N, plant.n, plant.n,
+                       {(h, k): np.zeros((plant.n, plant.n)) for h in hists for k in range(N)}),
+        Z=SwitchingFIR(1, N, model.p, plant.n, z_taps),
+        T=SwitchingFIR(1, N, model.p, plant.n, {key: -tap for key, tap in z_taps.items()}),
+        status="optimal", mode="relaxed", lag0_margin=1.0)
+    pad = automaton.padding_mode
+    for search, t in ((lambda: attack_search(plant, model, design, automaton, 5), 4),
+                      (lambda: attack_search(plant, model, design, automaton, 5, "greedy"), 0),
+                      (lambda: error_operator(plant, model, design, (0, 0, 1, 0), 4, pad), 2),
+                      (lambda: worst_case_inputs(plant, model, design, (0, 0, 0, 1), 4, pad), 3)):
+        with pytest.raises(np.linalg.LinAlgError, match=f"^lag-0 block at time {t} is singular$"):
+            search()
 
 
 def _record_kernel(monkeypatch):
-    """Patch `_ErrorKernel` to record the padded windows whose lag tables it
-    builds, the relaxed rows it builds, and every row's values a search
-    reads: (kernel, t, window, values)."""
+    """Patch `_ErrorKernel` to record the padded windows whose tables it
+    builds, the (t, padded window) of every relaxed row it builds, and every
+    row's values a search reads: (kernel, t, window, values)."""
     record = SimpleNamespace(tables=[], rows=[], reads=[])
     build, relaxed_row, values = _ErrorKernel._build, _ErrorKernel.relaxed_row, _ErrorKernel.values
 
@@ -494,9 +533,10 @@ def _record_kernel(monkeypatch):
         record.tables.extend(windows)
         return build(kernel, t, windows)
 
-    def rowed(kernel, sigma, t, past):
-        record.rows.append((t, tuple(sigma[:t + 1])))
-        return relaxed_row(kernel, sigma, t, past)
+    def rowed(kernel, table, t, past):
+        [window] = [key for key, found in kernel.tables.items() if found is table]
+        record.rows.append((t, window))
+        return relaxed_row(kernel, table, t, past)
 
     def read(kernel, t, windows):
         found = values(kernel, t, windows)
@@ -517,11 +557,12 @@ def _clear(record):
 def _row_alone(kernel, t, modes):
     """Row t of an exact or FIR design along a sequence ending in `modes`,
     built by itself at t from that one sequence, outside every table."""
-    sigma = (kernel.pad,) * (t + 1 - len(modes)) + tuple(modes)
+    length = max(t + 1, kernel.window)
+    sigma = np.array([(kernel.pad,) * (length - len(modes)) + tuple(modes)], dtype=np.intp)
     if kernel.kind == "fir":
-        return kernel._fir_row(sigma, t)
+        return kernel._fir_row(sigma, t)[0]
     q_taps, z_taps = kernel._taps(kernel.Q, sigma, t), kernel._taps(kernel.Z, sigma, t)
-    return -1.0 * kernel._performance_row(sigma, t, q_taps, z_taps)
+    return -1.0 * kernel._performance_row(sigma, t, q_taps, z_taps)[0]
 
 
 def _assert_reads_match_rows(reads):
@@ -544,26 +585,29 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
     """The state search builds each window's table once, reads the values
     of one row per state (an exact design's layers past the window repeat),
     only values of rows built alone, and checks exactly those values for
-    separation; the relaxed walk builds one row per node."""
+    separation; the relaxed walk builds each window's table once and one
+    row per node, from the table of the node's padded window."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
     record = _record_kernel(monkeypatch)
     separated, checked = simulate._separated, []
     monkeypatch.setattr(simulate, "_separated",
                         lambda values: checked.append(values) or separated(values))
-    H = (window or 5) + 2
+    H = window + 2
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
         _clear(record)
         del checked[:]
         attack_search(plant, model, design, automaton, H)
         nodes = list(automaton.prefixes(H, automaton.initial))
-        if window is None:
-            assert record.rows == [(len(p) - 1, p) for p in nodes]
-            assert checked == []
+        _assert_built_once(record, nodes, window, automaton.padding_mode)
+        if name == "relaxed":
+            pad = automaton.padding_mode
+            assert record.rows == [(len(p) - 1, _padded_windows([p], window, pad).pop())
+                                   for p in nodes]
+            assert checked == [] and record.reads == []
             continue
         exact = isinstance(design, SynthesisResult)
-        _assert_built_once(record, nodes, window, automaton.padding_mode)
         assert {(min(t, window) if exact else t, modes)
                 for _, t, modes, _ in record.reads} == _states(nodes, window, exact)
         _assert_reads_match_rows(record.reads)
@@ -573,10 +617,11 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
             assert len(record.tables) < len(nodes)
 
 
-@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir", "exact_m3n2"])
+@pytest.mark.parametrize("name", ["exact", "memory2", "fir_m3n2", "blind", "fir", "exact_m3n2",
+                                  "relaxed_m3n2"])
 def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_setup, name,
                                                     monkeypatch):
-    """Greedy search and the prefix walk read the kernel's values: each
+    """Greedy search and the prefix walk read the kernel's tables: each
     window's table is built at most once, only for the prefixes they visit,
     and each value read is that of the row built alone."""
     plant, model, complete, _ = switching_setup
