@@ -7,7 +7,8 @@ The model constructors own the rules on config values and the defaults;
 this module checks JSON types and names the field path of every error.
 Attack sequences given by --sigma or a scenario file, and the all-padding
 sequence `simulate` runs without either, must be admissible for the
-config's automaton; --horizon must be positive.
+config's automaton; --horizon must be positive, and must equal the length
+of the --sigma or scenario sequence when it is given with one.
 """
 from __future__ import annotations
 
@@ -362,12 +363,19 @@ def _check_horizon(args) -> None:
             f"must be a positive integer, got {args.horizon}")
 
 
+def _check_length(args, sigma, source: str) -> None:
+    """A given --horizon must equal the length of the sequence that sets it."""
+    _expect(args.horizon is None or args.horizon == len(sigma), "--horizon",
+            f"{args.horizon} differs from the {len(sigma)} steps of {source}")
+
+
 def cmd_norm(args) -> int:
     _check_horizon(args)
     _expect(args.samples >= 1, "--samples", f"must be a positive integer, got {args.samples}")
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
     if args.sigma:
         sigmas = [_parse_sigma(args.sigma, automaton)]
+        _check_length(args, sigmas[0], "--sigma")
     else:
         rng = np.random.default_rng(seed)
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
@@ -402,11 +410,13 @@ def cmd_simulate(args) -> int:
     _, result, plant, model, automaton, syncfg, _ = load_bundle(args.bundle)
     if args.scenario:
         scenario = _load_scenario(args.scenario, plant, automaton)
+        _check_length(args, scenario.sigma, "the scenario")
         predicted = None
     else:
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         if args.sigma:
             sigma = _parse_sigma(args.sigma, automaton)
+            _check_length(args, sigma, "--sigma")
         else:
             sigma = (automaton.padding_mode,) * H
             _expect(automaton.is_admissible(sigma), "--sigma",

@@ -16,11 +16,15 @@ each pivot updates only the block of rows with a nonzero in the pivot
 column and columns with a nonzero in the pivot row.  Outside that block
 the full rank-1 update would subtract a signed zero, so restricting it
 changes no value: the pivot path and the solution are those of the full
-update.  The block is gathered, updated and scattered back through flat
-indices into the C-contiguous tableau, a few rows at a time, so that no
-temporary holds more than BLOCK entries; each entry still gets the one
-multiply and subtract of the full update.  The entering column is copied
-once per iteration, and the ratio test and the pivot read it from there.
+update.  The block is updated in place, a few rows at a time, by one
+np.subtract.at on flat indices into the C-contiguous tableau, so that no
+temporary holds more than BLOCK entries.  ufunc.at is unbuffered and a
+slice's indices are distinct, so each entry in the block gets exactly the
+one multiply and subtract of the full update, signed zeros included, and
+no other entry is written.  The np.ix_ and full-tableau pivots of the test
+suite (ix_pivot, dense_pivot) remain the oracles.  The entering column is
+copied once per iteration, and the ratio test and the pivot read it from
+there.
 """
 from __future__ import annotations
 
@@ -38,7 +42,7 @@ __all__ = [
 ]
 
 PIVOT_TOL = 1e-9
-BLOCK = 1 << 14  # most entries a pivot gathers, updates and scatters at once
+BLOCK = 1 << 14  # most entries one np.subtract.at of a pivot updates
 
 LE = "<="
 EQ = "="
@@ -225,11 +229,14 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, column: np.ndar
     every other entry would only have a signed zero subtracted.
 
     The touched rows are updated in slices of at most BLOCK // len(cols)
-    rows, each gathered, updated and scattered back through flat indices
-    row * width + col.  The slices are disjoint and exclude the pivot row,
-    so each T[r, col] is unchanged until its own slice and equals
-    column[r], which supplies the multipliers; the result is bit-identical
-    to a one-shot update, signed zeros too.
+    rows, each by one np.subtract.at at the flat indices row * width + col
+    with the products factor * scaled.  ufunc.at is unbuffered and the
+    indices of a slice are distinct, so each touched entry gets exactly one
+    x - f * s, as in the full update, and no other entry is written.  The
+    slices are disjoint and exclude the pivot row, so each T[r, col] is
+    unchanged until its own slice and equals column[r], which supplies the
+    multipliers; the result is bit-identical to a one-shot update, signed
+    zeros too.
     The update must write into T itself, so the flat view is taken with
     np.reshape(..., copy=False): every C-contiguous tableau, which is all
     solve builds, flattens to a view, and a layout that does not (Fortran
@@ -250,10 +257,10 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, column: np.ndar
     width = T.shape[1]
     step = max(1, BLOCK // cols.size)
     for start in range(0, rows.size, step):
-        idx = (rows[start:start + step] * width)[:, None] + cols
-        blk = flat[idx]
-        blk -= np.multiply.outer(factors[start:start + step], scaled)
-        flat[idx] = blk
+        part = slice(start, start + step)
+        # 1-d indices and values: ufunc.at's fast path, about 3x a 2-d call
+        np.subtract.at(flat, ((rows[part] * width)[:, None] + cols).reshape(-1),
+                       np.multiply.outer(factors[part], scaled).reshape(-1))
     basis[row] = col
 
 

@@ -9,8 +9,8 @@ from L on are zero.  Diagonal operators have L = 1 and FIR operators L =
 taps, so storage is O(horizon * lags) rather than O(horizon^2).  Leading
 axes are a batch of operators, e.g. one per sampled mode sequence; every
 operation broadcasts over them.  All arithmetic is dense double precision.
-`TruncatedOperator(band)` is the one constructor; `entry`, `kernel` and
-`unroll` are read views of the band.
+`TruncatedOperator(band)` is the one constructor, and consumers read the
+band directly.
 """
 from __future__ import annotations
 
@@ -93,27 +93,6 @@ class TruncatedOperator:
     @property
     def batch_shape(self) -> tuple[int, ...]:
         return self.band.shape[:-4]
-
-    def entry(self, t: int, k: int) -> np.ndarray:
-        """Kernel entry at (t, k); zero outside the band."""
-        if 0 <= k <= t < self.horizon and k < self.lags:
-            return self.band[..., t, k, :, :]
-        return np.zeros(self.batch_shape + (self.out_dim, self.in_dim))
-
-    @property
-    def kernel(self) -> dict[tuple[int, int], np.ndarray]:
-        """Every causal entry inside the band, keyed by (t, k)."""
-        return {(t, k): self.band[..., t, k, :, :]
-                for t in range(self.horizon) for k in range(min(t + 1, self.lags))}
-
-    def unroll(self) -> np.ndarray:
-        """Dense (out_dim*horizon, in_dim*horizon) block lower-triangular matrix."""
-        p, m, H = self.out_dim, self.in_dim, self.horizon
-        dense = np.zeros(self.batch_shape + (H, H, p, m))
-        for k in range(self.lags):
-            t = np.arange(k, H)
-            dense[..., t, t - k, :, :] = self.band[..., k:, k, :, :]
-        return dense.swapaxes(-3, -2).reshape(self.batch_shape + (H * p, H * m))
 
     def __repr__(self):
         return (f"TruncatedOperator(horizon={self.horizon}, in_dim={self.in_dim}, "

@@ -14,7 +14,7 @@ from switchguard.switched_model import broadcast_taps
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
                                    parametrization_residual, synthesize)
 from util import (max_abs_row_sum, random_box_lp, random_operator, random_signal,
-                  resolvent_of_state, vertex_minimum)
+                  resolvent_of_state, unroll, vertex_minimum)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -64,20 +64,20 @@ def test_criterion_4_operator_oracle_suite():
         R = random_operator(rng, H, 3, 2)
         S = random_operator(rng, H, 4, 3)
         worst = max(worst, float(np.max(np.abs(
-            compose(R, S).unroll() - R.unroll() @ S.unroll()))))
+            unroll(compose(R, S)) - unroll(R) @ unroll(S)))))
     for _ in range(100):
         R = random_operator(rng, H, 3, 2)
         S = random_operator(rng, H, 3, 2)
         worst = max(worst, float(np.max(np.abs(
-            add(R, S).unroll() - (R.unroll() + S.unroll())))))
+            unroll(add(R, S)) - (unroll(R) + unroll(S))))))
     for _ in range(100):
         R = random_operator(rng, H, 3, 2)
         u = random_signal(rng, H, 3)
         worst = max(worst, float(np.max(np.abs(
-            apply(R, u).samples.reshape(-1) - R.unroll() @ u.samples.reshape(-1)))))
+            apply(R, u).samples.reshape(-1) - unroll(R) @ u.samples.reshape(-1)))))
     for _ in range(100):
         R = random_operator(rng, H, 2, 3)
-        dense = R.unroll()
+        dense = unroll(R)
         expected = max(max_abs_row_sum(dense[t * 3:(t + 1) * 3]) for t in range(H))
         worst = max(worst, abs(induced_norm(R) - expected))
     for _ in range(100):
@@ -87,7 +87,7 @@ def test_criterion_4_operator_oracle_suite():
         lam_a = compose(delay(1, n, H), make_diagonal(A, H))
         left = add(identity(n, H), scale(lam_a, -1.0))
         worst = max(worst, float(np.max(np.abs(
-            res.unroll() - np.linalg.inv(left.unroll())))))
+            unroll(res) - np.linalg.inv(unroll(left))))))
     ok = worst <= 1e-9
     _report(4, ok, f"500 oracle comparisons (compose/add/apply/norm/resolvent), "
                    f"max deviation {worst:.3e} <= 1e-9")

@@ -609,6 +609,29 @@ def test_nonpositive_horizon_rejected(nominal_bundle, capsys, command, horizon):
     assert "--horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, source", [
+    ("norm", "sigma"), ("simulate", "sigma"), ("simulate", "scenario"),
+])
+def test_horizon_must_equal_sequence_length(nominal_bundle, tmp_path, capsys, command, source):
+    """--horizon given with --sigma or a scenario must equal the sequence's
+    length; a 2-step sequence with --horizon 3 used to run 2 steps and exit 0."""
+    if source == "sigma":
+        given = ["--sigma", "0,0"]
+    else:
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps({"sigma": [0, 0], "w": [[0.0, 0.0]] * 2}))
+        given = ["--scenario", str(path)]
+    argv = [command, nominal_bundle] + given
+    assert main(argv) == 0
+    alone = capsys.readouterr()
+    assert main(argv + ["--horizon", "2"]) == 0
+    assert capsys.readouterr() == alone
+    for horizon in ("3", "1"):
+        assert main(argv + ["--horizon", horizon]) == 2
+        captured = capsys.readouterr()
+        assert "--horizon" in captured.err and captured.out == ""
+
+
 def test_attack_long_single_mode_horizon(nominal_bundle, capsys):
     # one mode passes the mode_count ** horizon cap at any horizon
     assert main(["attack", nominal_bundle, "--horizon", "1200"]) == 0

@@ -280,12 +280,33 @@ def _assert_same_solution(lp, monkeypatch):
 # change there.
 DEMO_PIVOTS = {"nominal_setup": ((71, 2), (0, 0)), "switching_setup": ((908, 2), (3, 0))}
 
+# the other three LPs of the benchmark's demo workloads: the switching
+# config with these changes, and their (pivots, bland_switches) per phase
+RELAXED = {"mode": "relaxed", "eps_bar": 0.1}
+BENCH_LPS = {
+    "switching_m2n4": ({"memory": 2, "fir_length": 4}, ((1188, 8), (4, 0))),
+    "relaxed_m1n5": (RELAXED, ((911, 22), (4, 0))),
+    "relaxed_m1n4": ({**RELAXED, "fir_length": 4}, ((833, 5), (3, 0))),
+}
+
+
+def _bench_lp(switching_setup, name: str) -> LinearProgram:
+    plant, model, automaton, config = switching_setup
+    return _demo_lp((plant, model, automaton, dataclasses.replace(config, **BENCH_LPS[name][0])))
+
 
 @pytest.mark.parametrize("name", ["nominal_setup", "switching_setup"])
 def test_solver_matches_dense_reference_on_demo(name, request, monkeypatch):
     sol = _assert_same_solution(_demo_lp(request.getfixturevalue(name)), monkeypatch)
     assert sol.status == "optimal"
     assert (sol.pivots, sol.bland_switches) == DEMO_PIVOTS[name]
+
+
+@pytest.mark.parametrize("name", list(BENCH_LPS))
+def test_benchmark_lp_pivot_paths_are_pinned(switching_setup, name):
+    sol = solve(_bench_lp(switching_setup, name))
+    assert sol.status == "optimal"
+    assert (sol.pivots, sol.bland_switches) == BENCH_LPS[name][1]
 
 
 def test_solver_matches_dense_reference_on_sparse_lps(monkeypatch):
@@ -313,11 +334,9 @@ def test_restricted_pivot_matches_dense_update():
         assert np.array_equal(basis, ref_basis)
 
 
-def test_solver_matches_ix_pivot_on_largest_demo_lp(switching_setup, monkeypatch):
-    # the demo's M=2 N=4 exact LP has the largest pivot blocks of the demo
-    plant, model, automaton, config = switching_setup
-    lp = _demo_lp((plant, model, automaton,
-                   dataclasses.replace(config, memory=2, fir_length=4)))
+def _assert_matches_ix_pivot(lp, monkeypatch):
+    """solve equals solve with the np.ix_ pivot and the full ratio test, and
+    some pivot spans many row slices."""
     with monkeypatch.context() as patch:
         patch.setattr(lp_solver, "_pivot", ix_pivot)
         patch.setattr(lp_solver, "_ratio_row", full_ratio_row)
@@ -335,6 +354,18 @@ def test_solver_matches_ix_pivot_on_largest_demo_lp(switching_setup, monkeypatch
     assert sol.status == "optimal"
     assert len(touched) == sum(sol.pivots)
     assert max(touched) > 8 * lp_solver.BLOCK  # many row blocks in one pivot
+
+
+def test_solver_matches_ix_pivot_on_largest_demo_lp(switching_setup, monkeypatch):
+    # the demo's M=2 N=4 exact LP has the largest pivot blocks of the demo
+    _assert_matches_ix_pivot(_bench_lp(switching_setup, "switching_m2n4"), monkeypatch)
+
+
+def test_solver_matches_ix_pivot_on_largest_relaxed_lp(switching_setup, monkeypatch):
+    # 836 rows by 473 variables: the largest LP of the demo-relaxed workload
+    lp = _bench_lp(switching_setup, "relaxed_m1n5")
+    assert (len(lp.constraints), lp.variable_count) == (836, 473)
+    _assert_matches_ix_pivot(lp, monkeypatch)
 
 
 def test_blocked_pivot_matches_ix_pivot():

@@ -17,7 +17,7 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, Switc
 from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
 from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
                   per_sequence_attack_search, random_signal, reference_worst_case_inputs,
-                  resolvent_of_state)
+                  resolvent_of_state, unroll)
 
 
 def random_problem(rng, n=2, m_w=2, p=2):
@@ -305,7 +305,7 @@ def test_relaxed_rows_with_vanishing_resolvent_lags():
     for sigma in admissible_sequences(automaton, H):
         assert [len(row) for row in kernel.rows(sigma)] == [1, 2, 3, 4, 4, 4]
         E_ref = compose_chain_error_operator(plant, model, design, sigma, H)
-        assert np.array_equal(error_operator(plant, model, design, sigma, H).unroll(),
+        assert np.array_equal(unroll(error_operator(plant, model, design, sigma, H)),
                               E_ref.unroll())
     for strategy, H in (("exhaustive", 6), ("greedy", 6), ("greedy", 12)):
         assert attack_search(plant, model, design, automaton, H, strategy) == \
@@ -321,7 +321,7 @@ def test_error_operator_matches_factor_path(switching_synthesis, switching_setup
     sigma = automaton.random_sequence(H, rng)
     E_fact = error_operator(plant, model, result, sigma, H)
     E_est = error_operator(plant, model, result.T, sigma, H)
-    assert np.allclose(E_fact.unroll(), E_est.unroll(), atol=1e-8)
+    assert np.allclose(unroll(E_fact), unroll(E_est), atol=1e-8)
 
 
 def test_scenario_validation(switching_setup):
@@ -445,7 +445,7 @@ def test_row_kernel_matches_compose_chain(search_designs, switching_setup, name)
         pad = automaton.padding_mode
         for sigma in admissible_sequences(automaton, H):
             E_ref = compose_chain_error_operator(plant, model, design, sigma, H, pad)
-            assert np.array_equal(error_operator(plant, model, design, sigma, H, pad).unroll(),
+            assert np.array_equal(unroll(error_operator(plant, model, design, sigma, H, pad)),
                                   E_ref.unroll())
             scen, value = worst_case_inputs(plant, model, design, sigma, H, pad)
             scen_ref, value_ref = reference_worst_case_inputs(plant, E_ref, sigma)

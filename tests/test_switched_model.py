@@ -9,8 +9,8 @@ from switchguard import demo
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
                                         build_modes, history_array, instantiate, lift_outputs)
-from util import (admissible_sequences, dense_blockdiag, dict_instantiate, generator_histories,
-                  history_at, row_slice_modes, tuple_random_sequence)
+from util import (admissible_sequences, band_entry, dense_blockdiag, dict_instantiate,
+                  generator_histories, history_at, row_slice_modes, tuple_random_sequence, unroll)
 
 
 def histories(automaton, length):
@@ -311,7 +311,7 @@ def test_instantiate_constant_sigma_is_lti():
     op = instantiate(fir, (0,) * 6, 6)
     for t in range(6):
         for k in range(min(t, 2) + 1):
-            assert np.array_equal(op.entry(t, k), taps[((0,), k)])
+            assert np.array_equal(band_entry(op, t, k), taps[((0,), k)])
 
 
 def test_instantiate_matches_direct_convolution():
@@ -328,10 +328,10 @@ def test_instantiate_matches_direct_convolution():
         fir = SwitchingFIR(M, N, 3, 2, taps)
         H = int(rng.integers(1, 9))
         sigmas = [auto.random_sequence(H, rng) for _ in range(4)]
-        batch = instantiate(fir, sigmas, H, pad).unroll()
+        batch = unroll(instantiate(fir, sigmas, H, pad))
         for b, sigma in enumerate(sigmas):
             expected = dict_instantiate(fir, sigma, H, pad).unroll().tobytes()
-            assert instantiate(fir, sigma, H, pad).unroll().tobytes() == expected
+            assert unroll(instantiate(fir, sigma, H, pad)).tobytes() == expected
             assert batch[b].tobytes() == expected
 
 
@@ -343,7 +343,7 @@ def test_instantiate_alternating_sigma_selects_current_mode_taps():
     op = instantiate(fir, sigma, 10)
     for t in range(10):
         for k in range(min(t, 4) + 1):
-            assert np.array_equal(op.entry(t, k), taps[((sigma[t],), k)])
+            assert np.array_equal(band_entry(op, t, k), taps[((sigma[t],), k)])
 
 
 def test_switching_fir_rejects_a_missing_lag():
@@ -406,21 +406,21 @@ def test_instantiate_causal_in_sigma():
     op_b = instantiate(fir, sigma_b, 6)
     for t in range(4):
         for k in range(t + 1):
-            assert np.array_equal(op_a.entry(t, k), op_b.entry(t, k))
+            assert np.array_equal(band_entry(op_a, t, k), band_entry(op_b, t, k))
 
 
 def test_lift_outputs_nominal_lti():
     model = demo.demo_model()
     Cbar, Dbar = lift_outputs(model, (0,) * 4, 4)
-    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C[0]] * 4), atol=0)
-    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D[0]] * 4), atol=0)
+    assert np.allclose(unroll(Cbar), dense_blockdiag([model.C[0]] * 4), atol=0)
+    assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[0]] * 4), atol=0)
 
 
 def test_lift_outputs_attack_drops_second_row():
     model = demo.demo_model()
     Cbar, _ = lift_outputs(model, (1,) * 5, 5)
     for t in range(5):
-        assert np.all(Cbar.entry(t, 0)[1, :] == 0.0)
+        assert np.all(band_entry(Cbar, t, 0)[1, :] == 0.0)
 
 
 def test_lift_outputs_random_blockdiag_oracle():
@@ -429,8 +429,8 @@ def test_lift_outputs_random_blockdiag_oracle():
     model = SwitchedOutputModel(np.array([C for C, _ in modes]), np.array([D for _, D in modes]))
     sigma = tuple(int(rng.integers(0, 3)) for _ in range(6))
     Cbar, Dbar = lift_outputs(model, sigma, 6)
-    assert np.allclose(Cbar.unroll(), dense_blockdiag([model.C[j] for j in sigma]), atol=0)
-    assert np.allclose(Dbar.unroll(), dense_blockdiag([model.D[j] for j in sigma]), atol=0)
+    assert np.allclose(unroll(Cbar), dense_blockdiag([model.C[j] for j in sigma]), atol=0)
+    assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[j] for j in sigma]), atol=0)
 
 
 def test_lift_outputs_mode_out_of_range():

@@ -16,7 +16,7 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
                                    certify, decision_variables, factor_operators,
                                    parametrization_residual, row_gains, synthesize)
-from util import (assemble_symbolic_lp, build_performance_rows, build_residual_rows,
+from util import (assemble_symbolic_lp, band_entry, build_performance_rows, build_residual_rows,
                   evaluate_rows, history_at, kernel_entries, pack, sampled_norms_loop,
                   symbolic_variables, window_row_gains)
 
@@ -139,9 +139,9 @@ def test_rows_match_operator_kernels(switching_setup):
             w = window_index[history_at(sigma, t, L, automaton.padding_mode)]
             for i in range(plant.n):
                 for (lag, col), value in res.items():
-                    assert np.isclose(value[w, i], E.entry(t, lag)[i, col], atol=1e-12)
+                    assert np.isclose(value[w, i], band_entry(E, t, lag)[i, col], atol=1e-12)
                 for (lag, col), value in perf.items():
-                    assert np.isclose(value[w, i], Phi.entry(t, lag)[i, col], atol=1e-12)
+                    assert np.isclose(value[w, i], band_entry(Phi, t, lag)[i, col], atol=1e-12)
 
 
 def test_assemble_exact_has_pure_equalities(switching_setup):

@@ -24,6 +24,29 @@ def band_operator(horizon: int, in_dim: int, out_dim: int, kernel: dict) -> Trun
     return TruncatedOperator(band)
 
 
+def band_entry(op: TruncatedOperator, t: int, k: int) -> np.ndarray:
+    """Kernel entry (t, k) of a band operator; zero outside the band."""
+    if 0 <= k <= t < op.horizon and k < op.lags:
+        return op.band[..., t, k, :, :]
+    return np.zeros(op.batch_shape + (op.out_dim, op.in_dim))
+
+
+def band_kernel(op: TruncatedOperator) -> dict[tuple[int, int], np.ndarray]:
+    """Every causal entry inside the band, keyed by (t, k)."""
+    return {(t, k): op.band[..., t, k, :, :]
+            for t in range(op.horizon) for k in range(min(t + 1, op.lags))}
+
+
+def unroll(op: TruncatedOperator) -> np.ndarray:
+    """Dense (out_dim*horizon, in_dim*horizon) block lower-triangular matrix."""
+    p, m, H = op.out_dim, op.in_dim, op.horizon
+    dense = np.zeros(op.batch_shape + (H, H, p, m))
+    for k in range(op.lags):
+        t = np.arange(k, H)
+        dense[..., t, t - k, :, :] = op.band[..., k:, k, :, :]
+    return dense.swapaxes(-3, -2).reshape(op.batch_shape + (H * p, H * m))
+
+
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
                     density: float = 0.7) -> TruncatedOperator:
     kernel = {}
@@ -819,7 +842,7 @@ class DictOperator:
     @staticmethod
     def of(op: TruncatedOperator) -> "DictOperator":
         """The oracle copy of a single band operator, every in-band entry stored."""
-        return DictOperator(op.horizon, op.in_dim, op.out_dim, op.kernel)
+        return DictOperator(op.horizon, op.in_dim, op.out_dim, band_kernel(op))
 
     def to_band(self) -> TruncatedOperator:
         return band_operator(self.horizon, self.in_dim, self.out_dim, self.kernel)
