@@ -14,7 +14,7 @@ from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomat
 from .lp_solver import LinearProgram, LpNumericalError, LpSolution, format_lp, solve
 from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
                         assemble_lp, certify, decision_variables, factor_operators,
-                        parametrization_residual, row_gains, synthesize)
+                        row_gains, synthesize)
 from .simulate import (Scenario, Trace, attack_search, error_operator, make_trace,
                        run_estimator, run_fir_estimator, run_glo, simulate_plant,
                        worst_case_inputs)

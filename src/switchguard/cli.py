@@ -8,12 +8,16 @@ this module checks JSON types and names the field path of every error.
 Attack sequences given by --sigma or a scenario file, and the all-padding
 sequence `simulate` runs without either, must be admissible for the
 config's automaton; --horizon must be positive, and must equal the length
-of the --sigma or scenario sequence when it is given with one.
+of the --sigma or scenario sequence when it is given with one.  A flag
+that would be ignored is an input error: --sigma with --scenario, and
+--samples with --sigma.  So is a path that cannot be read or written; the
+error names the path, or the flag that gave it.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -184,9 +188,9 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(path, "file not found") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(path, f"cannot read: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from None
 
 
@@ -300,8 +304,18 @@ def load_bundle(path: str):
     return bundle, result, plant, model, automaton, syncfg, seed
 
 
+def _create(path: str, flag: str):
+    """`path` opened for writing ("\n" line ends, as csv needs); an OSError
+    becomes a ConfigError at the flag that named the path."""
+    try:
+        return open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(flag, f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """The bundle file of `synth --out`."""
+    with _create(path, "--out") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
@@ -330,7 +344,7 @@ def cmd_synth(args) -> int:
         from .synthesis import assemble_lp, decision_variables
         lp = assemble_lp(plant, model, automaton, syncfg,
                          decision_variables(automaton, syncfg, plant.n, model.p))
-        with open(args.dump_lp, "w", encoding="utf-8") as fh:
+        with _create(args.dump_lp, "--dump-lp") as fh:
             fh.write(format_lp(lp, name="estimator synthesis"))
         print(f"wrote LP dump to {args.dump_lp}")
     result = synthesize(plant, model, automaton, syncfg)
@@ -371,7 +385,10 @@ def _check_length(args, sigma, source: str) -> None:
 
 def cmd_norm(args) -> int:
     _check_horizon(args)
-    _expect(args.samples >= 1, "--samples", f"must be a positive integer, got {args.samples}")
+    _expect(not (args.sigma and args.samples is not None), "--samples",
+            "cannot be given with --sigma, the one sequence measured")
+    samples = 10 if args.samples is None else args.samples
+    _expect(samples >= 1, "--samples", f"must be a positive integer, got {samples}")
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
     if args.sigma:
         sigmas = [_parse_sigma(args.sigma, automaton)]
@@ -379,7 +396,7 @@ def cmd_norm(args) -> int:
     else:
         rng = np.random.default_rng(seed)
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
-        sigmas = [automaton.random_sequence(H, rng) for _ in range(args.samples)]
+        sigmas = [automaton.random_sequence(H, rng) for _ in range(samples)]
 
     E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
                               automaton.padding_mode)
@@ -407,6 +424,8 @@ def _load_scenario(path: str, plant: ChannelPlant, automaton: SwitchingAutomaton
 
 def cmd_simulate(args) -> int:
     _check_horizon(args)
+    _expect(not (args.scenario and args.sigma), "--sigma",
+            "cannot be given with --scenario, whose sigma is simulated")
     _, result, plant, model, automaton, syncfg, _ = load_bundle(args.bundle)
     if args.scenario:
         scenario = _load_scenario(args.scenario, plant, automaton)
@@ -427,7 +446,7 @@ def cmd_simulate(args) -> int:
                                                 len(sigma), automaton.padding_mode)
     trace = make_trace(plant, model, result, scenario, automaton.padding_mode)
     if args.trace:
-        with open(args.trace, "w", newline="", encoding="utf-8") as fh:
+        with _create(args.trace, "--trace") as fh:
             writer = csv.writer(fh)
             header = (["t", "sigma"]
                       + [f"x_{i}" for i in range(plant.n)]
@@ -465,19 +484,12 @@ def _tap_diff(fir: SwitchingFIR, reference, history) -> float:
 
 
 def cmd_example(args) -> int:
-    plant = demo.demo_plant()
-
-    nom_model = demo.nominal_model()
-    nom_auto = demo.nominal_automaton()
-    nom_cfg = demo.nominal_synthesis_config()
+    plant, nom_model, nom_auto, nom_cfg, _ = parse_problem(demo.nominal_config_dict())
     nominal = synthesize(plant, nom_model, nom_auto, nom_cfg)
 
-    sw_model = demo.demo_model()
-    sw_auto = demo.demo_automaton()
-    sw_cfg = demo.switching_synthesis_config()
+    _, sw_model, sw_auto, sw_cfg, _ = parse_problem(demo.demo_config_dict())
     switching = synthesize(plant, sw_model, sw_auto, sw_cfg)
-    relaxed_cfg = SynthesisConfig(memory=sw_cfg.memory, fir_length=sw_cfg.fir_length,
-                                  mode="relaxed", eps_bar=0.1)
+    relaxed_cfg = dataclasses.replace(sw_cfg, mode="relaxed", eps_bar=0.1)
     try:
         relaxed = synthesize(plant, sw_model, sw_auto, relaxed_cfg)
         relaxed_line = (f"relaxed attempt (eps_bar=0.1): gamma_bar = {relaxed.gamma_bar:.4f}, "
@@ -553,7 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="residual/performance norms along sequences")
     p.add_argument("bundle")
     p.add_argument("--sigma", help="comma-separated mode sequence")
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--samples", type=int,
+                   help="random sequences measured when no --sigma is given (default 10)")
     p.add_argument("--horizon", type=int)
     p.set_defaults(func=cmd_norm)
 

@@ -8,36 +8,24 @@ design, five taps).  Reference impulse-response tables are reproduced for
 informational diffs; table 1 is matched against the nominal mode and
 table 2 against the attack mode (the published labeling does not name the
 modes, so that pairing is an assumption this package records in output).
+The problem exists only as the two config payloads below; `cli.parse_problem`
+builds its model objects, as for any config file.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .switched_model import ChannelPlant, SwitchedOutputModel, SwitchingAutomaton, build_modes
-from .synthesis import SynthesisConfig
 
 __all__ = [
     "REFERENCE_NOMINAL_COST",
     "REFERENCE_SWITCHING_COST",
     "REFERENCE_NOMINAL_TAPS",
     "REFERENCE_SWITCHING_TAPS",
-    "REFERENCE_INITIAL_STATE",
-    "demo_plant",
-    "demo_masks",
-    "demo_model",
-    "demo_automaton",
-    "nominal_model",
-    "nominal_automaton",
-    "nominal_synthesis_config",
-    "switching_synthesis_config",
     "demo_config_dict",
     "nominal_config_dict",
 ]
 
 REFERENCE_NOMINAL_COST = 5.0275
 REFERENCE_SWITCHING_COST = 32.5
-
-REFERENCE_INITIAL_STATE = np.array([0.1, 0.2, -0.1])
 
 # two-tap single-mode estimator achieving the nominal reference cost
 REFERENCE_NOMINAL_TAPS = [
@@ -64,61 +52,22 @@ REFERENCE_SWITCHING_TAPS = {
 }
 
 
-def demo_plant() -> ChannelPlant:
-    A = np.array([[1.0, 0.0, 1.0],
-                  [-1.0, 1.0, 1.0],
-                  [-1.0, 0.0, 2.0]])
-    B = np.zeros((3, 2))  # disturbances enter through the measurements only
-    channels = (
-        (np.array([[0.0, 1.0, 0.0]]), np.array([[2.0, 0.0]])),
-        (np.array([[1.0, -1.0, -2.0]]), np.array([[0.0, 0.01]])),
-    )
-    return ChannelPlant(A=A, B=B, channels=channels, x0_bound=1.0)
-
-
-def demo_masks() -> list[set[int]]:
-    """Delivered channels per mode: mode 0 delivers both, mode 1 drops channel 2."""
-    return [{1, 2}, {1}]
-
-
-def demo_model() -> SwitchedOutputModel:
-    return build_modes(demo_plant(), demo_masks())
-
-
-def demo_automaton() -> SwitchingAutomaton:
-    return SwitchingAutomaton.complete(2)
-
-
-def nominal_model() -> SwitchedOutputModel:
-    return build_modes(demo_plant(), demo_masks()[:1])
-
-
-def nominal_automaton() -> SwitchingAutomaton:
-    return SwitchingAutomaton.complete(1)
-
-
-def nominal_synthesis_config() -> SynthesisConfig:
-    return SynthesisConfig(memory=1, fir_length=2, mode="exact")
-
-
-def switching_synthesis_config() -> SynthesisConfig:
-    return SynthesisConfig(memory=1, fir_length=5, mode="exact")
-
-
-def _plant_json() -> dict:
-    plant = demo_plant()
-    return {
-        "A": plant.A.tolist(),
-        "B": plant.B.tolist(),
-        "channels": [{"C": C.tolist(), "D": D.tolist()} for C, D in plant.channels],
-        "x0_bound": plant.x0_bound,
-    }
-
-
 def demo_config_dict() -> dict:
-    """Switching problem as a config file payload (attacker may drop channel 2)."""
+    """Switching problem as a config file payload (attacker may drop channel 2).
+
+    Every plant entry is a float: bundles echo the config, and JSON writes
+    an int without a decimal point.
+    """
     return {
-        "plant": _plant_json(),
+        "plant": {
+            "A": [[1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, 0.0, 2.0]],
+            # disturbances enter through the measurements only
+            "B": [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            "channels": [{"C": [[0.0, 1.0, 0.0]], "D": [[2.0, 0.0]]},
+                         {"C": [[1.0, -1.0, -2.0]], "D": [[0.0, 0.01]]}],
+            "x0_bound": 1.0,
+        },
+        # mode 0 delivers both channels, mode 1 drops channel 2
         "attack": {"patterns": [[1, 2], [1]], "automaton": "complete", "padding_mode": 0},
         "synthesis": {"M": 1, "N": 5, "mode": "exact", "eps_bar": 0.0,
                       "verify_horizon": 30, "verify_samples": 20},
@@ -128,10 +77,7 @@ def demo_config_dict() -> dict:
 
 def nominal_config_dict() -> dict:
     """Single-mode problem: both channels always delivered."""
-    return {
-        "plant": _plant_json(),
-        "attack": {"patterns": [[1, 2]], "automaton": "complete", "padding_mode": 0},
-        "synthesis": {"M": 1, "N": 2, "mode": "exact", "eps_bar": 0.0,
-                      "verify_horizon": 30, "verify_samples": 20},
-        "seed": 0,
-    }
+    cfg = demo_config_dict()
+    cfg["attack"]["patterns"] = [[1, 2]]
+    cfg["synthesis"]["N"] = 2
+    return cfg

@@ -419,31 +419,20 @@ def solve(lp: LinearProgram) -> LpSolution:
     return LpSolution("optimal", float(lp.objective @ x), x, tuple(pivots), tuple(switches))
 
 
+def _terms(coeffs: np.ndarray) -> str:
+    """The nonzero terms of a row, `a v0 - b v3 + ...`, or `0 v0` if none."""
+    idx = np.flatnonzero(coeffs)
+    body = " ".join(f"{'-' if a < 0 else '+'} {abs(a):.12g} v{j}"
+                    for j, a in zip(idx.tolist(), coeffs[idx].tolist()))
+    return body.removeprefix("+ ") or "0 v0"
+
+
 def format_lp(lp: LinearProgram, name: str = "problem") -> str:
     """Render in the conventional text LP interchange format (CPLEX-style)."""
-    def term(a: float, j: int, first: bool) -> str:
-        sign = "-" if a < 0 else ("" if first else "+")
-        mag = abs(a)
-        return f"{sign} {mag:.12g} v{j} "
-
-    lines = [f"\\ {name}", "Minimize", " obj:"]
-    body = ""
-    first = True
-    for j, a in enumerate(lp.objective):
-        if a != 0.0:
-            body += term(a, j, first)
-            first = False
-    lines[-1] += " " + (body.strip() or "0 v0")
-    lines.append("Subject To")
+    lines = [f"\\ {name}", "Minimize", f" obj: {_terms(lp.objective)}", "Subject To"]
     for i, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        body = ""
-        first = True
-        for j, a in enumerate(coeffs):
-            if a != 0.0:
-                body += term(a, j, first)
-                first = False
         op = "<=" if rel == LE else "="
-        lines.append(f" c{i}: {body.strip() or '0 v0'} {op} {rhs:.12g}")
+        lines.append(f" c{i}: {_terms(coeffs)} {op} {rhs:.12g}")
     lines.append("Bounds")
     for j, (lo, hi) in enumerate(lp.bounds):
         lo_s = "-inf" if lo is None else f"{lo:.12g}"

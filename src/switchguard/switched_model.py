@@ -214,10 +214,6 @@ class SwitchingAutomaton:
             tuple(compress(range(mode_count), row)) for row in allowed_arr.tolist()))
         object.__setattr__(self, "_successors", successors)
 
-    @staticmethod
-    def complete(mode_count: int, padding_mode: int = 0) -> "SwitchingAutomaton":
-        return SwitchingAutomaton(mode_count, padding_mode=padding_mode)
-
     def successors(self, prev: int | None) -> tuple[int, ...]:
         """Modes that may follow `prev`, ascending; None is the start of a
         sequence.  KeyError for a `prev` outside 0..mode_count-1."""

@@ -46,7 +46,6 @@ __all__ = [
     "synthesize",
     "row_gains",
     "certify",
-    "parametrization_residual",
     "factor_operators",
 ]
 
@@ -477,27 +476,6 @@ def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
         x0_block = oc.scale(x0_block, float(plant.x0_bound))
     return residual, oc.hstack(w_block, x0_block)
-
-
-def parametrization_residual(T: SwitchingFIR, Q: SwitchingFIR, plant: ChannelPlant,
-                             model: SwitchedOutputModel, sigma, horizon: int,
-                             padding_mode: int = 0) -> float:
-    """Gain of T Cbar + X (shift(A) - I) - I with X = -I - Q.
-
-    Vanishes exactly when (T, -Q - I) parametrize a zero-residual stable
-    estimator; bounded by the relaxation level otherwise.
-    """
-    n = plant.n
-    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
-    Cbar, _ = lift_outputs(model, sigma, horizon)
-    T_op = instantiate(T, sigma, horizon, padding_mode)
-    Q_op = instantiate(Q, sigma, horizon, padding_mode)
-    eye = oc.identity(n, horizon)
-    X_op = oc.scale(oc.add(eye, Q_op), -1.0)
-    lam_a_minus_i = oc.add(lam_a, oc.scale(eye, -1.0))
-    total = oc.add(oc.add(oc.compose(T_op, Cbar), oc.compose(X_op, lam_a_minus_i)),
-                   oc.scale(eye, -1.0))
-    return oc.induced_norm(total)
 
 
 def certify(plant: ChannelPlant, model: SwitchedOutputModel,

@@ -5,24 +5,27 @@ from pathlib import Path
 import pytest
 
 from switchguard import demo
+from switchguard.cli import parse_problem
 from switchguard.synthesis import synthesize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
-def plant():
-    return demo.demo_plant()
+def switching_setup():
+    """(plant, model, automaton, config) of the demo problem, parsed from its config."""
+    return parse_problem(demo.demo_config_dict())[:4]
 
 
 @pytest.fixture(scope="session")
-def nominal_setup(plant):
-    return plant, demo.nominal_model(), demo.nominal_automaton(), demo.nominal_synthesis_config()
+def nominal_setup():
+    """The single-mode demo problem: both channels always delivered."""
+    return parse_problem(demo.nominal_config_dict())[:4]
 
 
 @pytest.fixture(scope="session")
-def switching_setup(plant):
-    return plant, demo.demo_model(), demo.demo_automaton(), demo.switching_synthesis_config()
+def plant(switching_setup):
+    return switching_setup[0]
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,9 @@ from switchguard.operator_core import (add, apply, compose, delay, identity,
 from switchguard.simulate import (Scenario, attack_search, make_trace,
                                   worst_case_inputs)
 from switchguard.switched_model import broadcast_taps
-from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError,
-                                   parametrization_residual, synthesize)
-from util import (max_abs_row_sum, random_box_lp, random_operator, random_signal,
-                  resolvent_of_state, unroll, vertex_minimum)
+from switchguard.synthesis import SynthesisConfig, SynthesisInfeasibleError, synthesize
+from util import (max_abs_row_sum, parametrization_residual, random_box_lp, random_operator,
+                  random_signal, resolvent_of_state, unroll, vertex_minimum)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

@@ -632,6 +632,41 @@ def test_horizon_must_equal_sequence_length(nominal_bundle, tmp_path, capsys, co
         assert "--horizon" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--sigma"), ("norm", "--samples"),
+])
+def test_ignored_flag_is_rejected(nominal_bundle, tmp_path, capsys, command, flag):
+    """simulate ran the scenario and ignored --sigma; norm measured --sigma
+    alone and ignored --samples; both exited 0."""
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"sigma": [0, 0], "w": [[0.0, 0.0]] * 2}))
+    given = {"simulate": ["--scenario", str(path), "--sigma", "0,0"],
+             "norm": ["--sigma", "0,0", "--samples", "5"]}[command]
+    assert main([command, nominal_bundle] + given) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["validate", "{dir}"], "{dir}"),
+    (["validate", "{binary}"], "{binary}"),
+    (["synth", "{config}", "--out", "{missing}/b.json"], "--out"),
+    (["synth", "{config}", "--dump-lp", "{missing}/x.lp"], "--dump-lp"),
+    (["simulate", "{bundle}", "--trace", "{missing}/t.csv"], "--trace"),
+], ids=["validate-dir", "validate-binary", "synth-out", "synth-dump-lp", "simulate-trace"])
+def test_unusable_paths_exit_2_naming_them(nominal_config, nominal_bundle, tmp_path, capsys,
+                                           argv, name):
+    """A directory given as a config, or an output path in a missing folder,
+    used to end in a traceback; a config that is not UTF-8 exited 2 without
+    naming its path."""
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00")
+    paths = {"dir": str(tmp_path), "binary": str(tmp_path / "binary.json"),
+             "config": nominal_config, "bundle": nominal_bundle,
+             "missing": str(tmp_path / "missing")}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert f"error: {name.format(**paths)}: " in capsys.readouterr().err
+
+
 def test_attack_long_single_mode_horizon(nominal_bundle, capsys):
     # one mode passes the mode_count ** horizon cap at any horizon
     assert main(["attack", nominal_bundle, "--horizon", "1200"]) == 0

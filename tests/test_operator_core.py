@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchguard import demo
 from switchguard.operator_core import (Signal, TruncatedOperator, add, apply, compose,
                                        delay, hstack, identity, induced_norm,
                                        make_diagonal, scale)
@@ -111,8 +110,8 @@ def test_resolvent_zero_state_matrix():
     assert np.allclose(unroll(op), unroll(identity(2, 5)), atol=0)
 
 
-def test_resolvent_unstable_powers():
-    A = demo.demo_plant().A
+def test_resolvent_unstable_powers(plant):
+    A = plant.A
     op = resolvent_of_state(A, 6)
     expected = np.eye(3)
     for k in range(6):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchguard import demo, simulate
+from switchguard import simulate
 from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
 from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_operator,
                                   make_trace, run_fir_estimator, run_glo, simulate_plant,
@@ -18,6 +18,8 @@ from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, syn
 from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
                   per_sequence_attack_search, random_signal, reference_worst_case_inputs,
                   resolvent_of_state, unroll)
+
+REFERENCE_INITIAL_STATE = np.array([0.1, 0.2, -0.1])
 
 
 def random_problem(rng, n=2, m_w=2, p=2):
@@ -38,9 +40,9 @@ def test_simulate_plant_zero_inputs(switching_setup):
 
 
 @pytest.mark.parametrize("mode", [-1, 2])
-def test_simulate_plant_rejects_modes_out_of_range(mode):
+def test_simulate_plant_rejects_modes_out_of_range(mode, switching_setup):
     """Mode -1 would read the last mode's matrices, mode mode_count none."""
-    plant, model = demo.demo_plant(), demo.demo_model()
+    plant, model, _, _ = switching_setup
     assert model.mode_count == 2
     scen = Scenario(sigma=(0, mode, 1), w=Signal(np.zeros((3, 2))), x0=np.zeros(3), horizon=3)
     with pytest.raises(ValueError, match=rf"^sigma mode {mode} at time 1 out of range"):
@@ -49,7 +51,7 @@ def test_simulate_plant_rejects_modes_out_of_range(mode):
 
 def test_simulate_plant_hand_computed_first_steps(switching_setup):
     plant, model, _, _ = switching_setup
-    x0 = demo.REFERENCE_INITIAL_STATE
+    x0 = REFERENCE_INITIAL_STATE
     scen = Scenario(sigma=(0,) * 4, w=Signal(np.zeros((4, 2))), x0=x0, horizon=4)
     x, y = simulate_plant(plant, model, scen)
     assert np.allclose(y.samples[0], [0.2, 0.1], atol=1e-12)
@@ -267,7 +269,7 @@ def test_attack_exhaustive_cap():
     """Relaxed factors are searched by the prefix walk, which enumerates 2^25 sequences."""
     plant, model = random_problem(np.random.default_rng(9))
     model2 = build_modes(plant, [{1, 2}, {1}])
-    automaton = SwitchingAutomaton.complete(2)
+    automaton = SwitchingAutomaton(2)
 
     def zero(in_dim):
         return SwitchingFIR(1, 1, in_dim, plant.n,
@@ -288,7 +290,7 @@ def test_relaxed_rows_with_vanishing_resolvent_lags():
     plant, _ = random_problem(np.random.default_rng(12))
     plant = dataclasses.replace(plant, A=np.zeros((plant.n, plant.n)))
     model = build_modes(plant, [{1, 2}, {1}])
-    automaton = SwitchingAutomaton.complete(2)
+    automaton = SwitchingAutomaton(2)
     rng = np.random.default_rng(13)
     N, hists = 3, [(0,), (1,)]
     z_taps = {(h, k): (rng.uniform(-1, 1, (plant.n, model.p)) if k == 0
@@ -844,7 +846,7 @@ def test_near_tie_falls_back_to_the_walk():
     assert 0 < high - low < 1e-15
     # the row of mode j holds the single entry T_j D_j = T_j
     T = SwitchingFIR(1, 1, 1, 1, {((0,), 0): np.array([[low]]), ((1,), 0): np.array([[high]])})
-    automaton = SwitchingAutomaton.complete(2)
+    automaton = SwitchingAutomaton(2)
     kernel = _ErrorKernel(plant, model, T, automaton.padding_mode, 3)
     assert simulate._state_search(kernel, automaton, 3) is None
     found = attack_search(plant, model, T, automaton, 3)

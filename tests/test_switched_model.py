@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from switchguard import demo
+from switchguard.cli import parse_problem
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
                                         build_modes, history_array, instantiate, lift_outputs)
@@ -18,8 +19,8 @@ def histories(automaton, length):
     return list(map(tuple, history_array(automaton, length).tolist()))
 
 
-def test_build_modes_reference_matrices():
-    model = demo.demo_model()
+def test_build_modes_reference_matrices(switching_setup):
+    model = switching_setup[1]
     assert np.array_equal(model.C[0], np.array([[0.0, 1, 0], [1, -1, -2]]))
     assert np.array_equal(model.D[0], np.array([[2.0, 0], [0, 0.01]]))
     assert np.array_equal(model.C[1], np.array([[0.0, 1, 0], [0, 0, 0]]))
@@ -28,19 +29,20 @@ def test_build_modes_reference_matrices():
 
 def test_array_dataclasses_compare_by_identity(switching_synthesis):
     """`==` on a model object that holds arrays is a bool, not an array error."""
-    objects = {"plant": demo.demo_plant, "model": demo.demo_model,
-               "automaton": demo.demo_automaton,
-               "fir": lambda: broadcast_taps(switching_synthesis[0].T, demo.demo_automaton())}
-    for name, make in objects.items():
-        first, second = make(), make()
+    def make():
+        plant, model, automaton, _, _ = parse_problem(demo.demo_config_dict())
+        return {"plant": plant, "model": model, "automaton": automaton,
+                "fir": broadcast_taps(switching_synthesis[0].T, automaton)}
+    firsts, seconds = make(), make()
+    for name in firsts:
+        first, second = firsts[name], seconds[name]
         assert (first == first) is True, name
         assert (first == second) is False, name
         assert (first != second) is True, name
     assert (switching_synthesis[0] == switching_synthesis[0]) is True
 
 
-def test_build_modes_full_mask_only():
-    plant = demo.demo_plant()
+def test_build_modes_full_mask_only(plant):
     model = build_modes(plant, [{1, 2}])
     assert model.mode_count == 1
     C0, D0 = plant.stacked()
@@ -48,21 +50,18 @@ def test_build_modes_full_mask_only():
     assert np.array_equal(model.D[0], D0)
 
 
-def test_build_modes_empty_mask_zeroes_everything():
-    plant = demo.demo_plant()
+def test_build_modes_empty_mask_zeroes_everything(plant):
     model = build_modes(plant, [{1, 2}, set()])
     assert np.all(model.C[1] == 0.0)
     assert np.all(model.D[1] == 0.0)
 
 
-def test_build_modes_requires_full_first_pattern():
-    plant = demo.demo_plant()
+def test_build_modes_requires_full_first_pattern(plant):
     with pytest.raises(ValueError):
         build_modes(plant, [{1}])
 
 
-def test_build_modes_duplicate_mask_warns():
-    plant = demo.demo_plant()
+def test_build_modes_duplicate_mask_warns(plant):
     with pytest.warns(UserWarning):
         build_modes(plant, [{1, 2}, {1}, {1}])
 
@@ -94,12 +93,12 @@ def test_build_modes_matches_row_slice_oracle():
                                                                    n, m_w)
 
 
-def test_switched_output_model_stacks_are_read_only_copies():
+def test_switched_output_model_stacks_are_read_only_copies(switching_setup):
     C, D = np.ones((2, 1, 3)), np.ones((2, 1, 2))
     model = SwitchedOutputModel(C, D)
     C[0, 0, 0] = D[0, 0, 0] = 5.0
     assert model.C[0, 0, 0] == model.D[0, 0, 0] == 1.0
-    for stack in (model.C, model.D, demo.demo_model().C, demo.demo_model().D):
+    for stack in (model.C, model.D, switching_setup[1].C, switching_setup[1].D):
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 2.0
@@ -133,9 +132,8 @@ def test_channel_plant_rejects_bad_x0_bound(x0_bound):
                      channels=((np.ones((1, 2)), np.zeros((1, 1))),), x0_bound=x0_bound)
 
 
-def test_mask_idempotence():
-    plant = demo.demo_plant()
-    model = build_modes(plant, demo.demo_masks())
+def test_mask_idempotence(switching_setup):
+    model = switching_setup[1]
     for j in range(model.mode_count):
         keep = (np.sum(np.abs(model.C[j]), axis=1)
                 + np.sum(np.abs(model.D[j]), axis=1)) > 0
@@ -145,7 +143,7 @@ def test_mask_idempotence():
 
 
 def test_enumerate_complete_two_modes():
-    auto = SwitchingAutomaton.complete(2)
+    auto = SwitchingAutomaton(2)
     hists = histories(auto, 2)
     assert hists == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -161,7 +159,7 @@ def test_enumerate_forbidden_transition_bruteforce():
 
 
 def test_enumerate_length_one():
-    auto = SwitchingAutomaton.complete(3)
+    auto = SwitchingAutomaton(3)
     hists = histories(auto, 1)
     assert hists == [(0,), (1,), (2,)]
 
@@ -201,7 +199,7 @@ def test_successors_reject_modes_outside_the_automaton():
 
 
 @pytest.mark.parametrize("auto", [
-    SwitchingAutomaton.complete(3),
+    SwitchingAutomaton(3),
     SwitchingAutomaton(3, allowed=[[1, 1, 0], [0, 0, 1], [1, 0, 1]], initial=[1, 2],
                        padding_mode=2),
 ], ids=["complete", "restricted"])
@@ -318,7 +316,7 @@ def test_instantiate_matches_direct_convolution():
     """Single sequences and a batch of them gather the taps the per-time
     loop of the dict oracle reads, bit for bit."""
     rng = np.random.default_rng(2)
-    auto = SwitchingAutomaton.complete(2)
+    auto = SwitchingAutomaton(2)
     for _ in range(20):
         M = int(rng.integers(1, 3))
         N = int(rng.integers(1, 4))
@@ -396,7 +394,7 @@ def test_instantiate_missing_history_is_hard_error():
 
 def test_instantiate_causal_in_sigma():
     rng = np.random.default_rng(3)
-    auto = SwitchingAutomaton.complete(2)
+    auto = SwitchingAutomaton(2)
     taps = {(h, k): rng.uniform(-1, 1, (2, 2))
             for h in histories(auto, 2) for k in range(3)}
     fir = SwitchingFIR(2, 3, 2, 2, taps)
@@ -409,15 +407,15 @@ def test_instantiate_causal_in_sigma():
             assert np.array_equal(band_entry(op_a, t, k), band_entry(op_b, t, k))
 
 
-def test_lift_outputs_nominal_lti():
-    model = demo.demo_model()
+def test_lift_outputs_nominal_lti(switching_setup):
+    model = switching_setup[1]
     Cbar, Dbar = lift_outputs(model, (0,) * 4, 4)
     assert np.allclose(unroll(Cbar), dense_blockdiag([model.C[0]] * 4), atol=0)
     assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[0]] * 4), atol=0)
 
 
-def test_lift_outputs_attack_drops_second_row():
-    model = demo.demo_model()
+def test_lift_outputs_attack_drops_second_row(switching_setup):
+    model = switching_setup[1]
     Cbar, _ = lift_outputs(model, (1,) * 5, 5)
     for t in range(5):
         assert np.all(band_entry(Cbar, t, 0)[1, :] == 0.0)
@@ -433,8 +431,8 @@ def test_lift_outputs_random_blockdiag_oracle():
     assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[j] for j in sigma]), atol=0)
 
 
-def test_lift_outputs_mode_out_of_range():
-    model = demo.demo_model()
+def test_lift_outputs_mode_out_of_range(switching_setup):
+    model = switching_setup[1]
     with pytest.raises(ValueError):
         lift_outputs(model, (0, 2), 2)
 
@@ -443,7 +441,7 @@ def test_broadcast_taps_copies_source():
     rng = np.random.default_rng(5)
     taps = {((0,), k): rng.uniform(-1, 1, (3, 2)) for k in range(2)}
     fir = SwitchingFIR(1, 2, 2, 3, taps)
-    auto = SwitchingAutomaton.complete(2)
+    auto = SwitchingAutomaton(2)
     blind = broadcast_taps(fir, auto)
     for hist in ((0,), (1,)):
         for k in range(2):
@@ -455,7 +453,7 @@ def test_history_ids_match_tuple_dict_oracle():
     """history_ids against a tuple-keyed dict over every history_array window,
     for complete, restricted and padding != 0 automata, with batch shapes."""
     rng = np.random.default_rng(14)
-    automata = [SwitchingAutomaton.complete(2), SwitchingAutomaton.complete(3, padding_mode=2),
+    automata = [SwitchingAutomaton(2), SwitchingAutomaton(3, padding_mode=2),
                 SwitchingAutomaton(2, allowed=[[True, True], [True, False]]),
                 SwitchingAutomaton(3, allowed=[[True, False, True], [True, True, False],
                                                [False, True, True]],

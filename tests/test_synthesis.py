@@ -15,10 +15,10 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         history_array)
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
                                    certify, decision_variables, factor_operators,
-                                   parametrization_residual, row_gains, synthesize)
+                                   row_gains, synthesize)
 from util import (assemble_symbolic_lp, band_entry, build_performance_rows, build_residual_rows,
-                  evaluate_rows, history_at, kernel_entries, pack, sampled_norms_loop,
-                  symbolic_variables, window_row_gains)
+                  evaluate_rows, history_at, kernel_entries, pack, parametrization_residual,
+                  sampled_norms_loop, symbolic_variables, window_row_gains)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +33,7 @@ def tiny_plant(d_val: float) -> tuple[ChannelPlant, SwitchedOutputModel, Switchi
                          channels=((np.array([[1.0]]), np.array([[d_val]])),),
                          x0_bound=1.0)
     model = build_modes(plant, [{1}])
-    return plant, model, SwitchingAutomaton.complete(1)
+    return plant, model, SwitchingAutomaton(1)
 
 
 def grid_search_gamma(d_val: float) -> float:
@@ -95,7 +95,7 @@ def test_performance_rows_zero_decision():
     plant = ChannelPlant(A=A, B=B, channels=((rng.uniform(-1, 1, (1, 2)),
                                               rng.uniform(-1, 1, (1, 3))),))
     model = build_modes(plant, [{1}])
-    automaton = SwitchingAutomaton.complete(1)
+    automaton = SwitchingAutomaton(1)
     cfg = SynthesisConfig(memory=1, fir_length=2)
     variables = decision_variables(automaton, cfg, plant.n, model.p)
     _, entries = kernel_entries(plant, model, automaton, cfg, variables, "performance",
@@ -219,7 +219,7 @@ def test_infeasible_reports_guidance():
     plant = ChannelPlant(A=np.array([[2.0]]), B=np.array([[1.0]]),
                          channels=((np.array([[0.0]]), np.array([[0.0]])),))
     model = build_modes(plant, [{1}])
-    automaton = SwitchingAutomaton.complete(1)
+    automaton = SwitchingAutomaton(1)
     with pytest.raises(SynthesisInfeasibleError, match="fir_length|eps_bar|relaxed"):
         synthesize(plant, model, automaton, SynthesisConfig(memory=1, fir_length=1))
 
@@ -288,7 +288,7 @@ def test_mode_collapse_matches_nominal(nominal_setup, nominal_synthesis):
     plant, model, _, config = nominal_setup
     nominal, _ = nominal_synthesis
     twin = SwitchedOutputModel(model.C[[0, 0]], model.D[[0, 0]])
-    result = synthesize(plant, twin, SwitchingAutomaton.complete(2), config)
+    result = synthesize(plant, twin, SwitchingAutomaton(2), config)
     assert np.isclose(result.gamma_bar, nominal.gamma_bar, atol=1e-6)
 
 

@@ -6,11 +6,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from switchguard import operator_core as oc
 from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR)
+                                        SwitchingFIR, instantiate, lift_outputs)
 from switchguard.synthesis import (MODE_RELAXED, DecisionVariables, SynthesisConfig,
                                    SynthesisResult, _check_dims, _kernel_terms, _windows)
 
@@ -45,6 +46,27 @@ def unroll(op: TruncatedOperator) -> np.ndarray:
         t = np.arange(k, H)
         dense[..., t, t - k, :, :] = op.band[..., k:, k, :, :]
     return dense.swapaxes(-3, -2).reshape(op.batch_shape + (H * p, H * m))
+
+
+def parametrization_residual(T: SwitchingFIR, Q: SwitchingFIR, plant: ChannelPlant,
+                             model: SwitchedOutputModel, sigma, horizon: int,
+                             padding_mode: int = 0) -> float:
+    """Gain of T Cbar + X (shift(A) - I) - I with X = -I - Q.
+
+    Vanishes exactly when (T, -Q - I) parametrize a zero-residual stable
+    estimator; bounded by the relaxation level otherwise.
+    """
+    n = plant.n
+    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
+    Cbar, _ = lift_outputs(model, sigma, horizon)
+    T_op = instantiate(T, sigma, horizon, padding_mode)
+    Q_op = instantiate(Q, sigma, horizon, padding_mode)
+    eye = oc.identity(n, horizon)
+    X_op = oc.scale(oc.add(eye, Q_op), -1.0)
+    lam_a_minus_i = oc.add(lam_a, oc.scale(eye, -1.0))
+    total = oc.add(oc.add(oc.compose(T_op, Cbar), oc.compose(X_op, lam_a_minus_i)),
+                   oc.scale(eye, -1.0))
+    return oc.induced_norm(total)
 
 
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
