@@ -16,10 +16,12 @@ error names the path, or the flag that gave it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -30,8 +32,8 @@ from .lp_solver import LpNumericalError, format_lp
 from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, build_modes, history_array)
-from .synthesis import (SynthesisConfig, SynthesisInfeasibleError, SynthesisResult,
-                        certify, factor_operators, synthesize)
+from .synthesis import (EXACT_EPS, MODE_EXACT, SynthesisConfig, SynthesisInfeasibleError,
+                        SynthesisResult, certify, factor_operators, synthesize)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -196,13 +198,14 @@ def load_config(path: str) -> dict:
 
 # ---------------------------------------------------------------- bundle I/O
 
-def _fir_to_json(fir: SwitchingFIR) -> dict:
+def _fir_to_json(fir: SwitchingFIR, output_only: bool = False) -> dict:
+    # nothing reads "output_only" back; T's is true, so bundles keep their bytes
     return {
         "memory": fir.memory,
         "fir_length": fir.fir_length,
         "in_dim": fir.in_dim,
         "out_dim": fir.out_dim,
-        "output_only": fir.output_only,
+        "output_only": output_only,
         "entries": [
             {"history": hist, "lag": lag, "matrix": fir.taps[h, lag].tolist()}
             for h, hist in enumerate(fir.windows.tolist()) for lag in range(fir.fir_length)
@@ -232,7 +235,7 @@ def _fir_from_json(data, path: str) -> SwitchingFIR:
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
     try:
-        return SwitchingFIR(*dims, coeffs, output_only=bool(data.get("output_only", False)))
+        return SwitchingFIR(*dims, coeffs)
     except (TypeError, ValueError) as exc:
         # the FIR checks its taps once; only a failure looks for the entry to name
         for i, entry in enumerate(data["entries"]):
@@ -254,23 +257,9 @@ def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> d
         "lag0_margin": result.lag0_margin,
         "Q": _fir_to_json(result.Q),
         "Z": _fir_to_json(result.Z),
-        "T": _fir_to_json(result.T),
+        "T": _fir_to_json(result.T, output_only=True),
         "certification": report,
     }
-
-
-def result_from_bundle(bundle: dict) -> SynthesisResult:
-    return SynthesisResult(
-        gamma_bar=float(bundle["gamma_bar"]),
-        eps_achieved=float(bundle["eps_achieved"]),
-        certified_bound=float(bundle["certified_bound"]),
-        Q=_fir_from_json(bundle["Q"], "Q"),
-        Z=_fir_from_json(bundle["Z"], "Z"),
-        T=_fir_from_json(bundle["T"], "T"),
-        status=str(bundle["status"]),
-        mode=str(bundle["mode"]),
-        lag0_margin=float(bundle["lag0_margin"]),
-    )
 
 
 def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: SwitchedOutputModel,
@@ -299,25 +288,60 @@ def load_bundle(path: str):
     for key in ("gamma_bar", "eps_achieved", "certified_bound", "lag0_margin"):
         _expect(math.isfinite(_number(bundle[key], key)), key, "must be finite")
     plant, model, automaton, syncfg, seed = parse_problem(bundle["config"])
-    result = result_from_bundle(bundle)
+    result = SynthesisResult(
+        gamma_bar=float(bundle["gamma_bar"]),
+        eps_achieved=float(bundle["eps_achieved"]),
+        certified_bound=float(bundle["certified_bound"]),
+        Q=_fir_from_json(bundle["Q"], "Q"),
+        Z=_fir_from_json(bundle["Z"], "Z"),
+        T=_fir_from_json(bundle["T"], "T"),
+        status=str(bundle["status"]),
+        mode=str(bundle["mode"]),
+        lag0_margin=float(bundle["lag0_margin"]),
+    )
+    # the scalars must be those `synthesize` gives for the config; the attack
+    # reads an eps_achieved up to EXACT_EPS as an exact design's
+    eps, exact = result.eps_achieved, syncfg.mode == MODE_EXACT
+    bound = syncfg.certified_bound(result.gamma_bar, eps)
+    for key, ok, expected in (
+            ("status", result.status == "optimal", "'optimal'"),
+            ("mode", result.mode == syncfg.mode, f"the config's mode '{syncfg.mode}'"),
+            ("eps_achieved", 0.0 <= eps and (eps <= EXACT_EPS if exact else eps < 1.0),
+             f"in [0, {EXACT_EPS}] on an exact config" if exact else "in [0, 1)"),
+            ("certified_bound", result.certified_bound == bound,
+             f"{bound!r}, the bound of gamma_bar and eps_achieved")):
+        _expect(ok, key, f"{bundle[key]!r} is not {expected}")
     _check_factors(result, plant, model, automaton, syncfg)
     return bundle, result, plant, model, automaton, syncfg, seed
 
 
-def _create(path: str, flag: str):
+def _create(path: str, flag: str, shown: str | None = None):
     """`path` opened for writing ("\n" line ends, as csv needs); an OSError
-    becomes a ConfigError at the flag that named the path."""
+    becomes a ConfigError at the flag that named the path, `shown` if given."""
     try:
         return open(path, "w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(flag, f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(flag, f"cannot write {shown or path}: {exc.strerror or exc}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """The bundle file of `synth --out`."""
-    with _create(path, "--out") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+@contextlib.contextmanager
+def _bundle_writer(path: str):
+    """write(bundle) to `synth --out`'s file, made in `path`'s folder before
+    the solve, so an unwritable path fails first, moved onto `path` at the
+    end of the block and removed on any failure, so a failed run leaves
+    `path` as it was."""
+    part = f"{path}.{os.getpid()}.part"
+    fh = _create(part, "--out", path)
+    try:
+        with fh:
+            yield lambda bundle: fh.write(json.dumps(bundle, indent=1, sort_keys=True) + "\n")
+        try:
+            os.replace(part, path)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot write {path}: {exc.strerror or exc}") from None
+    except BaseException:
+        os.remove(part)
+        raise
 
 
 # ----------------------------------------------------------------- commands
@@ -340,17 +364,18 @@ def cmd_synth(args) -> int:
         _expect(isinstance(cfg, dict), "$", "config must be a JSON object")
         _section(cfg.setdefault("synthesis", {}), "synthesis").update(overrides)
     plant, model, automaton, syncfg, seed = parse_problem(cfg)
-    if args.dump_lp:
-        from .synthesis import assemble_lp, decision_variables
-        lp = assemble_lp(plant, model, automaton, syncfg,
-                         decision_variables(automaton, syncfg, plant.n, model.p))
-        with _create(args.dump_lp, "--dump-lp") as fh:
-            fh.write(format_lp(lp, name="estimator synthesis"))
-        print(f"wrote LP dump to {args.dump_lp}")
-    result = synthesize(plant, model, automaton, syncfg)
-    report = certify(plant, model, automaton, syncfg, result, seed=seed)
     out = args.out or "bundle.json"
-    _write_json(out, bundle_from_result(cfg, result, report))
+    with _bundle_writer(out) as write:
+        if args.dump_lp:
+            from .synthesis import assemble_lp, decision_variables
+            lp = assemble_lp(plant, model, automaton, syncfg,
+                             decision_variables(automaton, syncfg, plant.n, model.p))
+            with _create(args.dump_lp, "--dump-lp") as fh:
+                fh.write(format_lp(lp, name="estimator synthesis"))
+            print(f"wrote LP dump to {args.dump_lp}")
+        result = synthesize(plant, model, automaton, syncfg)
+        report = certify(plant, model, automaton, syncfg, result, seed=seed)
+        write(bundle_from_result(cfg, result, report))
     print(f"gamma_bar        = {result.gamma_bar:.6f}")
     print(f"eps_achieved     = {result.eps_achieved:.3e}")
     print(f"certified_bound  = {result.certified_bound:.6f}")

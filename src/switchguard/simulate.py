@@ -18,18 +18,12 @@ resolvent substitution, which reads the rows before it.  What it reads of
 the window is the first t + 1 lags of one table per padded window, which
 the kernel builds once.  Exact and FIR tables hold the values of every t,
 so the searches carry values only, read in one call per layer of states
-or greedy step.  Exhaustive search runs over the reachable (t, window)
-states of the automaton, at most H * modes^window of them however many
-sequences there are; `error_operator` and `worst_case_inputs` read the
-same rows.  For a relaxed design the search walks the tree of admissible
-prefixes, builds row t once at each node of depth t + 1 from its window's
-table and the rows above it, and carries the scan down to the children.
-Ties: a later output row, time, sequence or greedy candidate replaces the
-current peak only when larger by more than 1e-15, so among sequences
-within 1e-15 of each other the lexicographically first is reported.  Many
-sequences tie exactly, which is why the rows must not drift by an ulp; the
-state search checks at run time that no two distinct row values lie
-within the margin, and walks the prefixes when they do.
+or greedy step; `error_operator` and `worst_case_inputs` read the same
+rows.  Ties: a later output row, time, sequence or greedy candidate
+replaces the current peak only when strictly larger, and a NaN never does,
+so of the sequences with the largest value the lexicographically first is
+reported.  Many sequences tie exactly, which is why the rows must not
+drift by an ulp.
 """
 from __future__ import annotations
 
@@ -42,7 +36,7 @@ from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, _distinct_rows, instantiate)
-from .synthesis import SynthesisResult
+from .synthesis import EXACT_EPS, SynthesisResult
 
 __all__ = [
     "Scenario",
@@ -56,9 +50,6 @@ __all__ = [
     "attack_search",
     "make_trace",
 ]
-
-_TIE_MARGIN = 1e-15  # see "Ties" in the module docstring
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -219,7 +210,7 @@ class _ErrorKernel:
         if horizon < 1:
             raise ValueError("horizon must be positive")
         if isinstance(estimator, SynthesisResult):
-            self.kind = "exact" if estimator.eps_achieved <= 1e-9 else "relaxed"
+            self.kind = "exact" if estimator.eps_achieved <= EXACT_EPS else "relaxed"
             self.Q, self.Z = estimator.Q, estimator.Z
         elif isinstance(estimator, SwitchingFIR):
             self.kind = "fir"
@@ -408,9 +399,9 @@ class _ErrorKernel:
 
 def _fold(values: list, peak: float) -> float:
     """Fold the values of a block row's output rows, in order, into the
-    running peak: a later one replaces it only if larger by more than 1e-15."""
+    running peak: a later one replaces it only if strictly larger."""
     for value in values:
-        if value > peak + _TIE_MARGIN:
+        if value > peak:
             peak = value
     return peak
 
@@ -449,7 +440,7 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
     value, t_star, i_star = -1.0, 0, 0
     for t, row in enumerate(rows):
         for i, found in enumerate(kernel.row_values(row).tolist()):
-            if found > value + _TIE_MARGIN:
+            if found > value:
                 value, t_star, i_star = found, t, i
     m_w = plant.m_w
     row = rows[t_star][:, i_star]
@@ -465,28 +456,17 @@ def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator
 _CAP = 2 ** 20
 
 
-def _separated(values) -> bool:
-    """True when every value is finite and any two distinct values differ by
-    more than the 1e-15 tie margin, as `_fold` compares them."""
-    ordered = sorted(values)
-    return all(map(math.isfinite, ordered)) and all(
-        high == low or high > low + _TIE_MARGIN for low, high in zip(ordered, ordered[1:]))
-
-
 def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
     """Exhaustive search over the reachable (t, last `window` modes) states.
 
     Row t of an exact or FIR design reads only t and the state's window, so
-    the values of one row per state (`values`, a layer at a time) value
-    every sequence through that state; once two layers of states are equal,
-    every later layer and step repeats them.  When `_separated` holds for
-    the values the search reads, `_fold` makes a sequence's value exactly
-    the largest value of its states, so the search keeps "later wins only by
-    more than 1e-15": a backward max over the states, one array step per
-    time, gives the best value, and taking at each step the smallest
-    successor that can still reach it gives the lexicographically first
-    maximizer.  Returns None when the values are not separated, and
-    (None, -1.0) when no sequence has `horizon` modes."""
+    one row per state (`values`, a layer at a time) values every sequence
+    through it, and once two layers are equal every later one repeats them.
+    A sequence's value is the largest of its states' values, NaNs left out,
+    floored at 0: a backward max over the states gives the best value, and
+    the smallest successor that can still reach it, at each step, the
+    lexicographically first maximizer.  (None, -1.0) when no sequence has
+    `horizon` modes."""
     window = kernel.window
     states = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
     layers = [states]
@@ -506,16 +486,14 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     # per time, the values of each state and their largest; an exact row
     # reads its window alone from t = window on, so a layer past it equal to
     # the one before has its values
-    read, tops = [], []
+    tops = []
     for t, states in enumerate(layers):
         if kernel.kind == "exact" and t > kernel.window and states is layers[t - 1]:
             tops.append(tops[-1])
             continue
         found = kernel.values(t, list(map(tuple, states.tolist())))
-        read.append(np.array(found, dtype=float).reshape(len(states), kernel.n))
-        tops.append(read[-1].max(axis=1))
-    if not _separated(np.concatenate([values.ravel() for values in read]).tolist()):
-        return None
+        values = np.array(found, dtype=float).reshape(len(states), kernel.n)
+        tops.append(np.fmax.reduce(values, axis=1, initial=0.0))
     best = [tops[-1]]  # per time and state, the best value over its completions
     for (parent, succ), top in zip(reversed(edges), reversed(tops[:-1])):
         reach = np.full(len(top), -math.inf)
@@ -566,7 +544,7 @@ def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: i
         peaks.append(_fold(values, peaks[t]))
         if t == horizon - 1:
             value = max(peaks[-1], 0.0)
-            if value > best_value + _TIE_MARGIN:
+            if value > best_value:
                 best_sigma, best_value = prefix, value
     return best_sigma, best_value
 
@@ -579,33 +557,28 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     The error operator is causal: block row t depends on sigma[:t+1] only,
     and a sequence's value is a scan over its rows in time order.
 
-    exhaustive: a true maximizer; of sequences within 1e-15 of each other
+    exhaustive: a true maximizer; of the sequences with the largest value
     the lexicographically first wins.  For exact factors and plain FIR
     taps, row t depends only on t and the last `window` modes (the tap
     history and the N lags), so the search runs over the reachable
-    (t, window) states, at most H * mode_count^window of them, reading the
-    values of one row per state from one table per window of modes
-    (padded in front before it fills), each built once; an exact row stops
-    depending on t from t = window on, so a repeated layer is read once.
-    It needs every pair of distinct row values to lie more than 1e-15
-    apart, which is checked at run time; without it, and for relaxed
-    factors, whose resolvent row t reads the rows before it, the search
-    walks the tree of admissible prefixes depth first in lexicographic
-    order, builds row t once per node (a relaxed row from its window's
-    table; exact and FIR designs read the values of (t, window)) and
-    carries the scan down to the children.  The 2^20 cap bounds what is
-    enumerated: the (t, window) states, or the mode_count^H sequences of
-    the walk.
+    (t, window) states, at most H * mode_count^window of them however many
+    sequences there are; an exact row stops depending on t from
+    t = window on, so a repeated layer is read once.  For relaxed factors,
+    whose resolvent row t reads the rows before it, the search walks the
+    tree of admissible prefixes depth first in lexicographic order, builds
+    row t once per node from its window's table and the rows above it, and
+    carries the scan down to the children.  The 2^20 cap bounds the
+    (t, window) states, or the mode_count^H sequences of the walk.
     greedy: extends one step at a time, keeping the first mode whose
-    prefix admits worst inputs larger by more than 1e-15; deterministic
-    and cheap (one row per candidate for relaxed factors; every design
-    reads a step's candidates from at most one table per window, built in
-    one step), but only a lower bound on the exhaustive value.
+    prefix admits the largest worst inputs; deterministic and cheap (one
+    row per candidate for relaxed factors; every design reads a step's
+    candidates from at most one table per window, built in one step), but
+    only a lower bound on the exhaustive value.
     """
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":
-        found = None if kernel.kind == "relaxed" else _state_search(kernel, automaton, horizon)
-        return _walk_search(kernel, automaton, horizon) if found is None else found
+        search = _walk_search if kernel.kind == "relaxed" else _state_search
+        return search(kernel, automaton, horizon)
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()
         past, peak = [], -1.0
@@ -617,7 +590,7 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             pick = None  # (value, mode, carry, peak) of the first best candidate
             for b, b_values, carry in zip(choices, values, carries):
                 b_peak = _fold(b_values, peak)
-                if pick is None or max(b_peak, 0.0) > pick[0] + _TIE_MARGIN:
+                if pick is None or max(b_peak, 0.0) > pick[0]:
                     pick = (max(b_peak, 0.0), b, carry, b_peak)
             _, b, carry, peak = pick
             prefix += (b,)

@@ -344,8 +344,7 @@ class SwitchingFIR:
     The taps are stored once, in the read-only table `taps` of shape
     (history, lag, out_dim, in_dim), the coeffs values being views into it,
     and the histories as the rows of the read-only, sorted integer array
-    `windows`.  output_only marks operators intended as output-only
-    switching systems (taps read the mode window only).
+    `windows`.
     """
 
     memory: int
@@ -353,7 +352,6 @@ class SwitchingFIR:
     in_dim: int
     out_dim: int
     coeffs: dict
-    output_only: bool = False
     taps: np.ndarray = field(init=False, repr=False)
     windows: np.ndarray = field(init=False, repr=False)
 
@@ -455,5 +453,4 @@ def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,
     taps = fir.taps[fir.history_ids(source)]
     hists = map(tuple, history_array(automaton, fir.memory).tolist())
     coeffs = {(hist, k): taps[k] for hist in hists for k in range(fir.fir_length)}
-    return SwitchingFIR(fir.memory, fir.fir_length, fir.in_dim, fir.out_dim,
-                        coeffs, output_only=fir.output_only)
+    return SwitchingFIR(fir.memory, fir.fir_length, fir.in_dim, fir.out_dim, coeffs)

@@ -51,6 +51,7 @@ __all__ = [
 
 MODE_EXACT = "exact"
 MODE_RELAXED = "relaxed"
+EXACT_EPS = 1e-9  # eps_achieved up to this is an exact design's zero residual
 
 
 class SynthesisInfeasibleError(RuntimeError):
@@ -90,6 +91,12 @@ class SynthesisConfig:
     def window(self) -> int:
         """Length of the extended history windows indexing the constraints."""
         return max(self.memory, self.fir_length)
+
+    def certified_bound(self, gamma_bar: float, eps_achieved: float) -> float:
+        """gamma_bar in exact mode, gamma_bar + eps gamma_bar / (1 - eps) relaxed."""
+        if self.mode == MODE_EXACT:
+            return gamma_bar
+        return gamma_bar + eps_achieved * gamma_bar / (1.0 - eps_achieved)
 
 
 class DecisionVariables:
@@ -432,17 +439,13 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
 
     Q, Z = variables.unpack(sol.values[:variables.count])
     T = SwitchingFIR(Z.memory, Z.fir_length, Z.in_dim, Z.out_dim,
-                     {key: -mat for key, mat in Z.coeffs.items()}, output_only=True)
+                     {key: -mat for key, mat in Z.coeffs.items()})
     gamma_bar = float(sol.objective)
     eps_achieved = float(np.max(row_gains(plant, model, automaton, config, Q, Z)[0]))
-    if config.mode == MODE_EXACT:
-        certified = gamma_bar
-    else:
-        certified = gamma_bar + eps_achieved * gamma_bar / (1.0 - eps_achieved)
     return SynthesisResult(
         gamma_bar=gamma_bar,
         eps_achieved=eps_achieved,
-        certified_bound=certified,
+        certified_bound=config.certified_bound(gamma_bar, eps_achieved),
         Q=Q, Z=Z, T=T,
         status="optimal",
         mode=config.mode,

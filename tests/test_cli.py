@@ -3,16 +3,18 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchguard import demo
-from switchguard.cli import (_fir_from_json, _fir_to_json, _write_json, bundle_from_result,
+from switchguard import cli, demo
+from switchguard.cli import (_bundle_writer, _fir_from_json, _fir_to_json, bundle_from_result,
                              load_bundle, main, parse_problem)
 from switchguard.switched_model import SwitchingFIR, history_array
 from switchguard.synthesis import SynthesisResult
@@ -302,15 +304,40 @@ def test_synth_dump_lp(tmp_path, nominal_config):
     assert "Minimize" in text and "Subject To" in text
 
 
-def test_synth_infeasible_exit_code(tmp_path, capsys):
+def _infeasible_config(folder) -> str:
     cfg = demo.nominal_config_dict()
     cfg["plant"]["channels"] = [{"C": [[0.0, 0.0, 0.0]], "D": [[0.0, 0.0]]}]
     cfg["attack"]["patterns"] = [[1]]
     cfg["synthesis"]["N"] = 1
-    path = tmp_path / "infeasible.json"
+    path = folder / "infeasible.json"
     path.write_text(json.dumps(cfg))
-    assert main(["synth", str(path), "--out", str(tmp_path / "x.json")]) == 3
+    return str(path)
+
+
+def test_synth_infeasible_exit_code(tmp_path, capsys):
+    assert main(["synth", _infeasible_config(tmp_path), "--out", str(tmp_path / "x.json")]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_synth_unwritable_out_fails_before_the_solve(nominal_config, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli, "synthesize", lambda *args: pytest.fail("synthesize ran"))
+    out = tmp_path / "missing" / "b.json"
+    assert main(["synth", nominal_config, "--out", str(out)]) == 2
+    assert f"error: --out: cannot write {out}: " in capsys.readouterr().err
+
+
+def test_failed_synth_leaves_out_as_it_was(tmp_path, capsys):
+    """An infeasible run writes no bundle and leaves no other file; a bundle
+    already at --out keeps its bytes."""
+    config = _infeasible_config(tmp_path)
+    assert main(["synth", config, "--out", str(tmp_path / "new.json")]) == 3
+    assert os.listdir(tmp_path) == ["infeasible.json"]
+    old = tmp_path / "old.json"
+    old.write_text("{}\n")
+    assert main(["synth", config, "--out", str(old)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["infeasible.json", "old.json"]
+    assert old.read_text() == "{}\n"
 
 
 def test_synth_deterministic_bundles(tmp_path, nominal_config):
@@ -337,16 +364,15 @@ def _switching_firs(draw):
     coeffs = {(hist, k): taps[h, k]
               for h, hist in enumerate(itertools.product(range(2), repeat=memory))
               for k in range(fir_length)}
-    return SwitchingFIR(memory, fir_length, shape[3], shape[2], coeffs,
-                        output_only=draw(st.booleans()))
+    return SwitchingFIR(memory, fir_length, shape[3], shape[2], coeffs)
 
 
 @settings(max_examples=60, deadline=None)
 @given(fir=_switching_firs())
 def test_fir_json_round_trip_is_bit_exact(fir):
     back = _fir_from_json(json.loads(json.dumps(_fir_to_json(fir))), "Q")
-    assert (back.memory, back.fir_length, back.in_dim, back.out_dim, back.output_only) == \
-        (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim, fir.output_only)
+    assert (back.memory, back.fir_length, back.in_dim, back.out_dim) == \
+        (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim)
     assert back.taps.tobytes() == fir.taps.tobytes()
     assert np.array_equal(back.windows, fir.windows)
 
@@ -416,7 +442,8 @@ def test_bundle_json_round_trip_is_bit_exact(parts):
                              status="optimal", mode=syncfg.mode, lag0_margin=1.0)
     with tempfile.TemporaryDirectory() as folder:
         path = f"{folder}/bundle.json"
-        _write_json(path, bundle_from_result(config, result, report))
+        with _bundle_writer(path) as write:
+            write(bundle_from_result(config, result, report))
         bundle, _, back, back_model, back_automaton, back_syncfg, back_seed = load_bundle(path)
     assert _same_json(bundle["config"], config)
     assert _same_json(bundle["certification"], report)
@@ -522,6 +549,24 @@ def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper
     bad.write_text(json.dumps(bundle))
     assert main(["attack", str(bad), "--horizon", "3"]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("status", "infeasible"), ("mode", "relaxed"),
+                                          ("eps_achieved", 0.5), ("certified_bound", 1.0)])
+def test_attack_rejects_scalars_synth_does_not_write(tmp_path, capsys, field, value):
+    """The exact design's status, mode, eps_achieved and certified bound must
+    be those `synth` writes for its config: an eps_achieved above 1e-9 made
+    the attack read the design as relaxed, a certified bound of 1.0 was
+    printed next to a value of 25."""
+    frozen = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "switching_m1n5.json"
+    bundle = json.loads(frozen.read_text())
+    assert main(["attack", str(frozen), "--horizon", "6"]) == 0
+    bundle[field] = value
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(bundle))
+    capsys.readouterr()
+    assert main(["attack", str(bad), "--horizon", "6"]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fir_length", [3, 5])

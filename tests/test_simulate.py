@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -585,21 +586,17 @@ def _assert_built_once(record, prefixes, window, pad):
 def test_exhaustive_search_builds_each_window_row_once(search_designs, switching_setup,
                                                        name, monkeypatch):
     """The state search builds each window's table once, reads the values
-    of one row per state (an exact design's layers past the window repeat),
-    only values of rows built alone, and checks exactly those values for
-    separation; the relaxed walk builds each window's table once and one
-    row per node, from the table of the node's padded window."""
+    of one row per state (an exact design's layers past the window repeat)
+    and only values of rows built alone; the relaxed walk builds each
+    window's table once and one row per node, from the table of the node's
+    padded window."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
     record = _record_kernel(monkeypatch)
-    separated, checked = simulate._separated, []
-    monkeypatch.setattr(simulate, "_separated",
-                        lambda values: checked.append(values) or separated(values))
     H = window + 2
     for automaton in _search_automata(complete):
         design = _design_for(search_designs, name, automaton)
         _clear(record)
-        del checked[:]
         attack_search(plant, model, design, automaton, H)
         nodes = list(automaton.prefixes(H, automaton.initial))
         _assert_built_once(record, nodes, window, automaton.padding_mode)
@@ -607,14 +604,12 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
             pad = automaton.padding_mode
             assert record.rows == [(len(p) - 1, _padded_windows([p], window, pad).pop())
                                    for p in nodes]
-            assert checked == [] and record.reads == []
+            assert record.reads == []
             continue
         exact = isinstance(design, SynthesisResult)
         assert {(min(t, window) if exact else t, modes)
                 for _, t, modes, _ in record.reads} == _states(nodes, window, exact)
         _assert_reads_match_rows(record.reads)
-        [values] = checked
-        assert sorted(values) == sorted(v for *_, found in record.reads for v in found)
         if automaton is complete:
             assert len(record.tables) < len(nodes)
 
@@ -797,23 +792,17 @@ def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching
         assert np.array_equal(operator.band, operator_alone.band, equal_nan=True)
 
 
-def _state_search_and_walk(monkeypatch, search):
-    """search() by the state search, which must pass the gap check, and by the
-    prefix walk, forced by failing the check."""
-    checks = []
-    separated = simulate._separated
-    monkeypatch.setattr(simulate, "_separated",
-                        lambda values: checks.append(separated(values)) or checks[-1])
-    by_states = search()
-    assert checks == [True]
-    monkeypatch.setattr(simulate, "_separated", lambda values: False)
-    by_walk = search()
-    monkeypatch.setattr(simulate, "_separated", separated)
-    return by_states, by_walk
+def _state_search_and_walk(plant, model, design, automaton, horizon):
+    """The outcome of the exhaustive search of an exact or FIR design, which
+    is the state search, and of the prefix walk on a fresh kernel."""
+    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, horizon)
+    assert kernel.kind != "relaxed"
+    return (_outcome(lambda: attack_search(plant, model, design, automaton, horizon)),
+            _outcome(lambda: simulate._walk_search(kernel, automaton, horizon)))
 
 
 @pytest.mark.parametrize("name", ["exact", "blind", "fir", "memory2", "fir_m3n2", "exact_m3n2"])
-def test_state_search_matches_walk(search_designs, switching_setup, name, monkeypatch):
+def test_state_search_matches_walk(search_designs, switching_setup, name):
     """Bit for bit, before, at and three steps past the window, also where
     mode 1 is a dead end and where every path dies after two modes."""
     plant, model, complete, _ = switching_setup
@@ -822,35 +811,51 @@ def test_state_search_matches_walk(search_designs, switching_setup, name, monkey
     for automaton in _search_automata(complete) + dead_ends:
         design = _design_for(search_designs, name, automaton)
         for H in range(1, SEARCH_WINDOWS[name] + 4):
-            by_states, by_walk = _state_search_and_walk(
-                monkeypatch, lambda: attack_search(plant, model, design, automaton, H))
-            assert repr(by_states) == repr(by_walk)
+            by_states, by_walk = _state_search_and_walk(plant, model, design, automaton, H)
+            assert by_states == by_walk
 
 
-def test_state_search_matches_walk_on_stress_designs(stress_state, monkeypatch):
+def test_state_search_matches_walk_on_stress_designs(stress_state):
     plant, model, automaton = stress_state.problem
     for design in stress_state.designs.values():
         for H in range(1, 15):
-            by_states, by_walk = _state_search_and_walk(
-                monkeypatch, lambda: attack_search(plant, model, design, automaton, H))
-            assert repr(by_states) == repr(by_walk)
+            by_states, by_walk = _state_search_and_walk(plant, model, design, automaton, H)
+            assert by_states == by_walk
 
 
-def test_near_tie_falls_back_to_the_walk():
-    """Two state values 5e-16 apart: the fold keeps the earlier one, so the
-    largest state value is not the sequence value and the walk must run."""
+@pytest.mark.parametrize("name", ["blind", "fir", "fir_m3n2"])
+def test_state_search_matches_walk_on_overflowing_fir_tables(search_designs, switching_setup,
+                                                             name):
+    """With A scaled by 1e40 the rows hold infinities and NaNs: the state
+    search leaves NaNs out as the walk's fold does, value or exception."""
+    plant, model, complete, _ = switching_setup
+    plant = dataclasses.replace(plant, A=1e40 * plant.A)
+    for automaton in _search_automata(complete)[:2]:
+        design = _design_for(search_designs, name, automaton)
+        for H in range(1, 13):
+            with np.errstate(over="ignore", invalid="ignore"):
+                by_states, by_walk = _state_search_and_walk(plant, model, design, automaton, H)
+            assert by_states == by_walk
+
+
+@pytest.mark.parametrize("low, high", [(0.5, 0.5 + 5e-16), (8.0, math.nextafter(8.0, math.inf))],
+                         ids=["0.5", "8.0-ulp"])
+def test_near_tie_goes_to_the_larger_value(low, high):
+    """Two row values an ulp or two apart are not a tie: the first sequence
+    through the larger one wins in the state search, the walk and the
+    per-sequence search."""
     plant = ChannelPlant(A=np.zeros((1, 1)), B=np.zeros((1, 1)),
                          channels=((np.zeros((1, 1)), np.ones((1, 1))),), x0_bound=0.0)
     model = SwitchedOutputModel(np.zeros((2, 1, 1)), np.ones((2, 1, 1)))
-    low, high = 0.5, 0.5 + 5e-16
-    assert 0 < high - low < 1e-15
+    # an absolute tie margin of 1e-15 would call these a tie
+    assert low < high and not high > low + 1e-15
     # the row of mode j holds the single entry T_j D_j = T_j
     T = SwitchingFIR(1, 1, 1, 1, {((0,), 0): np.array([[low]]), ((1,), 0): np.array([[high]])})
     automaton = SwitchingAutomaton(2)
     kernel = _ErrorKernel(plant, model, T, automaton.padding_mode, 3)
-    assert simulate._state_search(kernel, automaton, 3) is None
     found = attack_search(plant, model, T, automaton, 3)
-    assert found == ((0, 0, 0), low)
+    assert found == ((0, 0, 1), high)
+    assert found == simulate._walk_search(kernel, automaton, 3)
     assert found == per_sequence_attack_search(plant, model, T, automaton, 3)
 
 
@@ -882,10 +887,10 @@ def test_long_horizon_state_search(switching_synthesis, switching_setup, nominal
         assert repr(witnessed) == repr(value)
         values.append(value)
     assert values[0] <= exact.certified_bound < values[1]
-    # the walk, cap included, is what a failed gap check falls back to
-    monkeypatch.setattr(simulate, "_separated", lambda values: False)
+    # the walk enumerates sequences, so its cap stops it here
+    kernel = _ErrorKernel(plant, model, exact, automaton.padding_mode, 1000)
     with pytest.raises(ValueError, match="2\\^20"):
-        attack_search(plant, model, exact, automaton, 1000)
+        simulate._walk_search(kernel, automaton, 1000)
 
 
 def test_state_search_cap(switching_synthesis, switching_setup, monkeypatch):

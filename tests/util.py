@@ -438,7 +438,7 @@ def reference_worst_case_inputs(plant, E: DictOperator, sigma):
             x0_lag[better] = k
         values = w_sum + bound * x0_best
         for i in range(E.out_dim):
-            if values[i] > best[0] + 1e-15:
+            if values[i] > best[0]:
                 best = (float(values[i]), t, i, int(x0_lag[i]))
     value, t_star, i_star, k0 = best
     w = np.zeros((horizon, m_w))
@@ -462,7 +462,7 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
         best_sigma, best_value = None, -1.0
         for sigma in admissible_sequences(automaton, horizon):
             value = value_of(sigma)
-            if value > best_value + 1e-15:
+            if value > best_value:
                 best_sigma, best_value = sigma, value
         return best_sigma, best_value
     prefix = ()
@@ -471,7 +471,7 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
         pick, pick_value = choices[0], -1.0
         for b in choices:
             value = value_of(prefix + (b,))
-            if value > pick_value + 1e-15:
+            if value > pick_value:
                 pick, pick_value = b, value
         prefix += (pick,)
     return prefix, value_of(prefix)
@@ -1064,6 +1064,6 @@ def loop_scan(row, t: int, peak: tuple, n: int, m_w: int, bound: float) -> tuple
         x0_lag[better] = k
     values = w_sum + bound * x0_best
     for i in range(n):
-        if values[i] > peak[0] + 1e-15:
+        if values[i] > peak[0]:
             peak = (float(values[i]), t, i, int(x0_lag[i]))
     return peak
