@@ -30,8 +30,8 @@ from . import __version__, demo
 from . import operator_core as oc
 from .lp_solver import LpNumericalError, format_lp
 from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
-from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, build_modes, history_array)
+from .switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR, build_modes,
+                             history_array)
 from .synthesis import (EXACT_EPS, MODE_EXACT, SynthesisConfig, SynthesisInfeasibleError,
                         SynthesisResult, certify, factor_operators, synthesize)
 
@@ -222,13 +222,20 @@ def _require(obj, keys, path: str) -> None:
             raise ConfigError(f"{path}.{key}" if path != "$" else key, "missing bundle field")
 
 
-def _fir_from_json(data, path: str) -> SwitchingFIR:
-    _require(data, ("memory", "fir_length", "in_dim", "out_dim", "entries"), path)
+_FIR_DIMS = ("memory", "fir_length", "in_dim", "out_dim")
+
+
+def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
+    """The FIR stored at `path`, whose memory, fir_length, in_dim and out_dim
+    must be the JSON integers `dims`, checked before anything is built."""
+    _require(data, _FIR_DIMS + ("entries",), path)
+    for key, expected in zip(_FIR_DIMS, dims):
+        _expect(_integer(data[key], f"{path}.{key}") == expected, f"{path}.{key}",
+                f"{data[key]} does not match the config's {expected}")
     _expect(isinstance(data["entries"], list), f"{path}.entries", "expected a list")
     try:
         coeffs = {(tuple(e["history"]), e["lag"]): np.array(e["matrix"], dtype=float)
                   for e in data["entries"]}
-        dims = [int(data[key]) for key in ("memory", "fir_length", "in_dim", "out_dim")]
     except (KeyError, TypeError, ValueError) as exc:
         # name the first malformed entry; otherwise the error is the FIR's own
         for i, entry in enumerate(data["entries"]):
@@ -241,8 +248,8 @@ def _fir_from_json(data, path: str) -> SwitchingFIR:
         for i, entry in enumerate(data["entries"]):
             _expect(np.isfinite(np.array(entry["matrix"], dtype=float)).all(),
                     f"{path}.entries[{i}].matrix", "matrix entries must be finite")
-        # past a valid memory and fir_length, what is wrong lies in the entries
-        raise ConfigError(path if min(dims[:2]) < 1 else f"{path}.entries", str(exc)) from None
+        # the dims are the config's, so what is wrong lies in the entries
+        raise ConfigError(f"{path}.entries", str(exc)) from None
 
 
 def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> dict:
@@ -262,23 +269,16 @@ def bundle_from_result(config: dict, result: SynthesisResult, report: dict) -> d
     }
 
 
-def _check_factors(result: SynthesisResult, plant: ChannelPlant, model: SwitchedOutputModel,
-                   automaton: SwitchingAutomaton, syncfg: SynthesisConfig) -> None:
-    """The stored taps must cover exactly the windows the config's automaton admits."""
-    M, N = syncfg.memory, syncfg.fir_length
-    histories = history_array(automaton, M).tolist()
-    for name, fir, in_dim in (("Q", result.Q, plant.n), ("Z", result.Z, model.p),
-                              ("T", result.T, model.p)):
-        if (fir.memory, fir.fir_length) != (M, N):
-            raise ConfigError(name, f"memory {fir.memory} and fir_length {fir.fir_length} "
-                                    f"do not match the config's M={M} and N={N}")
-        if (fir.in_dim, fir.out_dim) != (in_dim, plant.n):
-            raise ConfigError(name, f"taps are {fir.out_dim}x{fir.in_dim}, "
-                                    f"expected {plant.n}x{in_dim}")
+def _check_factors(result: SynthesisResult, automaton: SwitchingAutomaton, memory: int) -> None:
+    """The stored taps must cover exactly the windows the config's automaton
+    admits, and T, the estimator `synth` derives from Z, must be -Z."""
+    histories = history_array(automaton, memory).tolist()
+    for name, fir in (("Q", result.Q), ("Z", result.Z), ("T", result.T)):
         # every history holds every lag 0..N-1, so equal histories mean equal entries
         _expect(fir.windows.tolist() == histories, f"{name}.entries",
                 "tap histories and lags do not match the admissible windows of the "
                 "config's attack automaton")
+    _expect(np.array_equal(result.T.taps, -result.Z.taps), "T", "taps are not those of -Z")
 
 
 def load_bundle(path: str):
@@ -288,13 +288,14 @@ def load_bundle(path: str):
     for key in ("gamma_bar", "eps_achieved", "certified_bound", "lag0_margin"):
         _expect(math.isfinite(_number(bundle[key], key)), key, "must be finite")
     plant, model, automaton, syncfg, seed = parse_problem(bundle["config"])
+    M, N = syncfg.memory, syncfg.fir_length
     result = SynthesisResult(
         gamma_bar=float(bundle["gamma_bar"]),
         eps_achieved=float(bundle["eps_achieved"]),
         certified_bound=float(bundle["certified_bound"]),
-        Q=_fir_from_json(bundle["Q"], "Q"),
-        Z=_fir_from_json(bundle["Z"], "Z"),
-        T=_fir_from_json(bundle["T"], "T"),
+        Q=_fir_from_json(bundle["Q"], "Q", (M, N, plant.n, plant.n)),
+        Z=_fir_from_json(bundle["Z"], "Z", (M, N, model.p, plant.n)),
+        T=_fir_from_json(bundle["T"], "T", (M, N, model.p, plant.n)),
         status=str(bundle["status"]),
         mode=str(bundle["mode"]),
         lag0_margin=float(bundle["lag0_margin"]),
@@ -311,7 +312,7 @@ def load_bundle(path: str):
             ("certified_bound", result.certified_bound == bound,
              f"{bound!r}, the bound of gamma_bar and eps_achieved")):
         _expect(ok, key, f"{bundle[key]!r} is not {expected}")
-    _check_factors(result, plant, model, automaton, syncfg)
+    _check_factors(result, automaton, M)
     return bundle, result, plant, model, automaton, syncfg, seed
 
 
@@ -330,6 +331,8 @@ def _bundle_writer(path: str):
     the solve, so an unwritable path fails first, moved onto `path` at the
     end of the block and removed on any failure, so a failed run leaves
     `path` as it was."""
+    if os.path.isdir(path):
+        raise ConfigError("--out", f"cannot write {path}: it is a directory")
     part = f"{path}.{os.getpid()}.part"
     fh = _create(part, "--out", path)
     try:

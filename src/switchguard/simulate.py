@@ -12,14 +12,12 @@ and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  Row t reads only t and the last `window` modes, padded in front
-with the padding mode before they fill, except for a relaxed row's
-resolvent substitution, which reads the rows before it.  What it reads of
-the window is the first t + 1 lags of one table per padded window, which
-the kernel builds once.  Exact and FIR tables hold the values of every t,
-so the searches carry values only, read in one call per layer of states
-or greedy step; `error_operator` and `worst_case_inputs` read the same
-rows.  Ties: a later output row, time, sequence or greedy candidate
+for bit.  Row t reads the first t + 1 lags of one table per window, the
+last `window` modes padded in front with the padding mode, built once.
+Exact and FIR tables hold the values of every t, read a layer of states
+or a greedy step at a time.  A relaxed row's resolvent substitution also
+reads the rows before it; it is built for a batch of prefixes in one
+stacked step.  Ties: a later output row, time, sequence or greedy candidate
 replaces the current peak only when strictly larger, and a NaN never does,
 so of the sequences with the largest value the lexicographically first is
 reported.  Many sequences tie exactly, which is why the rows must not
@@ -201,8 +199,8 @@ class _ErrorKernel:
     of that window, its table: the same taps and modes give the same per-lag
     products, summed in the same order.  `_build` builds each table once,
     into `tables`; `values` reads the values of row t of an exact or FIR
-    design, `rows` the rows along one sequence.  `relaxed_row` builds a
-    relaxed row from its table and the data of the rows before it.
+    design, `relaxed_rows` builds the relaxed rows of a batch of prefixes,
+    and `rows` reads or builds the rows along one sequence.
     """
 
     def __init__(self, plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -239,32 +237,36 @@ class _ErrorKernel:
         """The taps of lags 0..min(t, N - 1) at time t, (..., lags, out, in)."""
         return fir.taps[fir.history_ids(modes[..., -fir.memory:]), :t + 1]
 
-    def relaxed_row(self, table: tuple, t: int, past: list):
+    def relaxed_rows(self, tables: list, t: int, past: list):
         """Row t of a relaxed design, -(I - E)^{-1} applied to the performance
-        rows, from the table of its window, and the (resolvent row,
-        performance row) pair later rows read; `past` holds those pairs for
-        times 0..t-1.  The resolvent row, the (t + 1, n, n) array of its
-        lags, comes by block forward substitution; it needs only the lags
-        with a nonzero sum of products, ascending, which are those the
-        product chain stores.  The lags it leaves out are zero blocks here;
-        they add only zeros to sums that start at +0.0, so no value changes."""
-        phi, contraction, inv0 = table
-        phi, contraction = phi[:t + 1], contraction[:t + 1]
-        # acc[k] sums contraction[j] res_{t-j}[k-j] over j ascending
-        acc = np.zeros((t + 1, self.n, self.n))
-        for j in range(1, len(contraction)):
-            acc[j:] += contraction[j] @ past[t - j][0]
+        rows, along P prefixes from the tables of their windows, and the
+        (resolvent rows, performance rows) later rows read; `past` holds
+        those for times 0..t-1, with P or 1 on the leading axis.  Resolvent
+        row t comes by block forward substitution, one matmul per lag j; a
+        prefix adds products only at its lags with a nonzero sum, those the
+        product chain stores.  The lags it leaves out, up to the batch's
+        longest, are zero blocks; they add only zeros to sums that start at
+        +0.0, so no value changes."""
+        phi = np.stack([table[0][:t + 1] for table in tables])
+        contraction = np.stack([table[1][:t + 1] for table in tables])
+        inv0 = np.stack([table[2] for table in tables])[:, None]
+        # acc[:, k] sums contraction[:, j] res_{t-j}[:, k-j] over j ascending
+        acc = np.zeros((len(tables), t + 1, self.n, self.n))
+        for j in range(1, contraction.shape[1]):
+            acc[:, j:] += contraction[:, j, None] @ past[t - j][0]
         res = -inv0 @ acc
-        res[0] = inv0
-        nonzero = acc.any(axis=(1, 2))
-        nonzero[0] = True
-        row = np.zeros((t + 1,) + phi.shape[1:])
-        used = 0
-        for j in np.flatnonzero(nonzero).tolist():
+        res[:, 0] = inv0[:, 0]
+        nonzero = acc.any(axis=(2, 3))
+        nonzero[:, 0] = True
+        row = np.zeros(phi.shape[:1] + (t + 1,) + phi.shape[2:])
+        used, every = 0, nonzero.all(axis=0).tolist()
+        for j in np.flatnonzero(nonzero.any(axis=0)).tolist():
             later = phi if j == 0 else past[t - j][1]
-            row[j:j + len(later)] += res[j] @ later
-            used = max(used, j + len(later))
-        return -1.0 * row[:used], (res, phi)
+            keep = slice(None) if every[j] else nonzero[:, j]
+            span = slice(j, j + later.shape[1])
+            row[keep, span] += (res[:, j, None] @ later)[keep]
+            used = max(used, span.stop)
+        return -1.0 * row[:, :used], (res, phi)
 
     def _fir_row(self, modes: np.ndarray, t: int) -> np.ndarray:
         """Row t of (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0]."""
@@ -385,7 +387,7 @@ class _ErrorKernel:
         for t in range(self.horizon):
             [table] = self._tables(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
             if self.kind == "relaxed":
-                row, carry = self.relaxed_row(table, t, past)
+                [row], carry = self.relaxed_rows([table], t, past)
                 past.append(carry)
             else:
                 row = table[0][:t + 1]
@@ -393,8 +395,8 @@ class _ErrorKernel:
         return rows
 
     def row_values(self, row: np.ndarray) -> np.ndarray:
-        """The worst-case value of each output row of a block row."""
-        return self._running_values(row)[-1]
+        """The worst-case value of each output row of a block row, or a stack of them."""
+        return self._running_values(row)[..., -1, :]
 
 
 def _fold(values: list, peak: float) -> float:
@@ -515,37 +517,49 @@ def _state_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: 
     return tuple(sigma), value
 
 
-def _step(kernel: _ErrorKernel, t: int, prefixes: list, past: list) -> tuple[list, list]:
-    """The values of row t along each prefix of t + 1 modes, as lists, and
-    the data each row passes to later rows: relaxed rows are built from
-    their tables given `past`, that data for times 0..t-1; the others read
-    in one `values` call."""
-    windows = [p[-kernel.window:] for p in prefixes]
-    if kernel.kind == "relaxed":
-        found = [kernel.relaxed_row(table, t, past) for table in kernel._tables(t, windows)]
-        return [kernel.row_values(row).tolist() for row, _ in found], [c for _, c in found]
-    return kernel.values(t, windows), [None] * len(prefixes)
+_BATCH = 128  # prefixes per batch of the relaxed search: its memory, not its speed
 
 
-def _walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
-    """Exhaustive search over the tree of admissible prefixes, depth first in
-    lexicographic order, carrying the scan down to the children."""
+def _relaxed_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
+    """Exhaustive search of a relaxed design over the tree of admissible
+    prefixes.  A batch of at most `_BATCH` prefixes of one length builds its
+    rows in one step, folds their values into each prefix's peak, and
+    gives way to its children, grown with `extend`, split into batches and
+    stacked in lexicographic order: a batch of one is the depth-first walk.
+    A batch carries what later rows read: the performance rows of every
+    time and the resolvent rows of the last N."""
     if automaton.mode_count ** horizon > _CAP:
         raise ValueError(
             f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
             "exceeds the 2^20 cap; use strategy='greedy'")
+    reach = max(kernel.Q.fir_length, kernel.Z.fir_length)
     best_sigma, best_value = None, -1.0
-    past, peaks = [], [-1.0]  # per depth along the current path
-    for prefix in automaton.prefixes(horizon, automaton.initial):
-        t = len(prefix) - 1
-        del past[t:], peaks[t + 1:]
-        [values], [carry] = _step(kernel, t, [prefix], past)
-        past.append(carry)
-        peaks.append(_fold(values, peaks[t]))
-        if t == horizon - 1:
-            value = max(peaks[-1], 0.0)
-            if value > best_value:
-                best_sigma, best_value = prefix, value
+    # per entry: prefixes, the index of each one's parent, the parents' data
+    roots = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
+    stack = [(roots, np.zeros(len(roots), dtype=np.intp), [], np.array([-1.0]))]
+    while stack:
+        paths, parent, past, peaks = stack.pop()
+        if not 0 < len(paths) <= _BATCH:  # split; an empty entry into none
+            stack.extend((paths[start:start + _BATCH], parent[start:start + _BATCH], past, peaks)
+                         for start in reversed(range(0, len(paths), _BATCH)))
+            continue
+        past = [(None if res is None else res[parent], phi[parent]) for res, phi in past]
+        peaks, t = peaks[parent], paths.shape[1] - 1
+        windows = list(map(tuple, paths[:, -kernel.window:].tolist()))
+        rows, carry = kernel.relaxed_rows(kernel._tables(t, windows), t, past)
+        # _fold of each prefix: NaNs left out, ties keep the peak
+        peaks = np.fmax(peaks, np.fmax.reduce(kernel.row_values(rows), axis=1))
+        if t + 1 < horizon:
+            past.append(carry)
+            if t >= reach:
+                past[t - reach] = (None, past[t - reach][1])
+            parent, children = automaton.extend(paths)
+            stack.append((children, parent, past, peaks))
+            continue
+        values = np.maximum(peaks, 0.0)
+        leaf = int(np.argmax(values))
+        if values[leaf] > best_value:
+            best_sigma, best_value = tuple(paths[leaf].tolist()), float(values[leaf])
     return best_sigma, best_value
 
 
@@ -564,20 +578,18 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     (t, window) states, at most H * mode_count^window of them however many
     sequences there are; an exact row stops depending on t from
     t = window on, so a repeated layer is read once.  For relaxed factors,
-    whose resolvent row t reads the rows before it, the search walks the
-    tree of admissible prefixes depth first in lexicographic order, builds
-    row t once per node from its window's table and the rows above it, and
-    carries the scan down to the children.  The 2^20 cap bounds the
-    (t, window) states, or the mode_count^H sequences of the walk.
+    whose resolvent row t reads the rows before it, the search builds row t
+    once per prefix of the tree of admissible prefixes, in batches taken in
+    lexicographic order (`_relaxed_search`).  The 2^20 cap bounds the
+    (t, window) states, or the mode_count^H sequences of the tree.
     greedy: extends one step at a time, keeping the first mode whose
-    prefix admits the largest worst inputs; deterministic and cheap (one
-    row per candidate for relaxed factors; every design reads a step's
-    candidates from at most one table per window, built in one step), but
-    only a lower bound on the exhaustive value.
+    prefix admits the largest worst inputs; deterministic and cheap (a
+    step's candidates are one batch of relaxed rows, or read from at most
+    one table per window), but only a lower bound on the exhaustive value.
     """
     kernel = _ErrorKernel(plant, model, estimator, automaton.padding_mode, horizon)
     if strategy == "exhaustive":
-        search = _walk_search if kernel.kind == "relaxed" else _state_search
+        search = _relaxed_search if kernel.kind == "relaxed" else _state_search
         return search(kernel, automaton, horizon)
     if strategy == "greedy":
         prefix: tuple[int, ...] = ()
@@ -586,15 +598,18 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             choices = automaton.successors(prefix[-1] if prefix else None)
             if not choices:
                 raise ValueError(f"automaton dead-ends after prefix {prefix}")
-            values, carries = _step(kernel, t, [prefix + (b,) for b in choices], past)
-            pick = None  # (value, mode, carry, peak) of the first best candidate
-            for b, b_values, carry in zip(choices, values, carries):
-                b_peak = _fold(b_values, peak)
-                if pick is None or max(b_peak, 0.0) > pick[0]:
-                    pick = (max(b_peak, 0.0), b, carry, b_peak)
-            _, b, carry, peak = pick
-            prefix += (b,)
-            past.append(carry)
+            windows = [(prefix + (b,))[-kernel.window:] for b in choices]
+            if kernel.kind == "relaxed":
+                rows, carry = kernel.relaxed_rows(kernel._tables(t, windows), t, past)
+                values = kernel.row_values(rows).tolist()
+            else:
+                values = kernel.values(t, windows)
+            peaks = [_fold(b_values, peak) for b_values in values]
+            # the first candidate with the largest max(peak, 0)
+            i = max(range(len(choices)), key=lambda i: max(peaks[i], 0.0))
+            prefix, peak = prefix + (choices[i],), peaks[i]
+            if kernel.kind == "relaxed":
+                past.append(tuple(part[i:i + 1] for part in carry))
         return prefix, max(peak, 0.0)
     raise ValueError(f"unknown strategy '{strategy}'")
 

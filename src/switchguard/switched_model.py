@@ -13,7 +13,6 @@ freezes it along a batch of mode sequences with one lookup and one gather.
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -233,24 +232,6 @@ class SwitchingAutomaton:
         parent, mode = np.nonzero(self.allowed[paths[:, -1]])
         start = 0 if keep is None else max(0, paths.shape[1] + 1 - keep)
         return parent, np.concatenate([paths[parent, start:], mode[:, None]], axis=1)
-
-    def prefixes(self, length: int, first) -> Iterator[tuple[int, ...]]:
-        """Walk the tree of paths of up to `length` modes that start in a mode
-        of `first` and then step along `successors`.
-
-        Yields every nonempty prefix depth first in lexicographic order, each
-        parent before its children, so a caller can carry per-node state
-        down the tree.  The walk keeps an explicit stack: its depth is not
-        limited by Python's recursion limit.
-        """
-        if length < 0:
-            raise ValueError("path length must be nonnegative")
-        stack = [(b,) for b in sorted(first, reverse=True)] if length else []
-        while stack:
-            prefix = stack.pop()
-            yield prefix
-            if len(prefix) < length:
-                stack.extend(prefix + (b,) for b in reversed(self.successors(prefix[-1])))
 
     def is_admissible(self, sigma) -> bool:
         prev = None

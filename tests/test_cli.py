@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 import time
@@ -327,6 +328,16 @@ def test_synth_unwritable_out_fails_before_the_solve(nominal_config, tmp_path, c
     assert f"error: --out: cannot write {out}: " in capsys.readouterr().err
 
 
+def test_synth_out_directory_fails_before_the_solve(nominal_config, tmp_path, capsys,
+                                                    monkeypatch):
+    """An existing directory at --out used to fail only when the finished
+    bundle was moved onto it, after the solve and the certification."""
+    monkeypatch.setattr(cli, "synthesize", lambda *args: pytest.fail("synthesize ran"))
+    assert main(["synth", nominal_config, "--out", str(tmp_path)]) == 2
+    assert f"error: --out: cannot write {tmp_path}: " in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["nominal.json"]
+
+
 def test_failed_synth_leaves_out_as_it_was(tmp_path, capsys):
     """An infeasible run writes no bundle and leaves no other file; a bundle
     already at --out keeps its bytes."""
@@ -370,9 +381,9 @@ def _switching_firs(draw):
 @settings(max_examples=60, deadline=None)
 @given(fir=_switching_firs())
 def test_fir_json_round_trip_is_bit_exact(fir):
-    back = _fir_from_json(json.loads(json.dumps(_fir_to_json(fir))), "Q")
-    assert (back.memory, back.fir_length, back.in_dim, back.out_dim) == \
-        (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim)
+    dims = (fir.memory, fir.fir_length, fir.in_dim, fir.out_dim)
+    back = _fir_from_json(json.loads(json.dumps(_fir_to_json(fir))), "Q", dims)
+    assert (back.memory, back.fir_length, back.in_dim, back.out_dim) == dims
     assert back.taps.tobytes() == fir.taps.tobytes()
     assert np.array_equal(back.windows, fir.windows)
 
@@ -521,7 +532,7 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
     # the config gains two modes that the stored taps do not cover
     pytest.param(lambda b: b["config"]["attack"].update(patterns=[[1, 2], [1], [2]]),
                  "Q.entries", id="uncovered-modes"),
-    pytest.param(lambda b: b["config"]["synthesis"].update(N=3), "Q: memory",
+    pytest.param(lambda b: b["config"]["synthesis"].update(N=3), "error: Q.fir_length: 2 ",
                  id="fir-length"),
     pytest.param(lambda b: b["Z"]["entries"][0].pop("matrix"), "Z.entries[0].matrix",
                  id="missing-matrix"),
@@ -551,6 +562,48 @@ def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper
     assert path in capsys.readouterr().err
 
 
+FROZEN = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+@pytest.mark.parametrize("fir, key, value", [
+    ("Q", "memory", True), ("Z", "memory", 1.5), ("T", "memory", "1"),
+    ("Q", "fir_length", 2.0), ("Z", "fir_length", 6), ("Q", "in_dim", 2),
+    ("T", "out_dim", 3.0)])
+def test_bundle_fir_dims_must_be_the_configs_integers(tmp_path, capsys, fir, key, value):
+    """A memory of true, 1.5 or "1" and a fir_length of 2.0 were read by int();
+    a fir_length of N + 1 was built before it was compared with the config."""
+    bundle = json.loads((FROZEN / "switching_m1n5.json").read_text())
+    bundle[fir][key] = value
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["attack", str(bad), "--horizon", "3"]) == 2
+    assert f"error: {fir}.{key}: " in capsys.readouterr().err
+
+
+def _one_ulp_up(matrix):
+    matrix[0][1] = math.nextafter(matrix[0][1], math.inf)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda b: _one_ulp_up(b["T"]["entries"][3]["matrix"]), id="T-entry"),
+    pytest.param(lambda b: _one_ulp_up(b["Z"]["entries"][0]["matrix"]), id="Z-entry"),
+    pytest.param(lambda b: b.update(T=b["Z"]), id="T-is-Z")])
+def test_bundle_T_must_be_minus_Z(tmp_path, capsys, edit):
+    """`synth` writes T = -Z bit for bit, as both frozen bundles hold; an
+    edited T ran attack, norm and simulate with exit 0."""
+    for name in ("nominal_m1n2.json", "switching_m1n5.json"):
+        result = load_bundle(str(FROZEN / name))[1]
+        assert np.array_equal(result.T.taps, -result.Z.taps)
+    bundle = json.loads((FROZEN / "switching_m1n5.json").read_text())
+    edit(bundle)
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(bundle))
+    for argv in (["attack", str(bad), "--horizon", "3"], ["norm", str(bad), "--horizon", "3"],
+                 ["simulate", str(bad), "--horizon", "3"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: T: taps are not those of -Z\n"
+
+
 @pytest.mark.parametrize("field, value", [("status", "infeasible"), ("mode", "relaxed"),
                                           ("eps_achieved", 0.5), ("certified_bound", 1.0)])
 def test_attack_rejects_scalars_synth_does_not_write(tmp_path, capsys, field, value):
@@ -558,7 +611,7 @@ def test_attack_rejects_scalars_synth_does_not_write(tmp_path, capsys, field, va
     be those `synth` writes for its config: an eps_achieved above 1e-9 made
     the attack read the design as relaxed, a certified bound of 1.0 was
     printed next to a value of 25."""
-    frozen = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "switching_m1n5.json"
+    frozen = FROZEN / "switching_m1n5.json"
     bundle = json.loads(frozen.read_text())
     assert main(["attack", str(frozen), "--horizon", "6"]) == 0
     bundle[field] = value
@@ -614,9 +667,10 @@ def test_simulate_default_sigma_must_be_admissible(tmp_path, capsys):
 
 
 def test_simulate_singular_lag0_exits_numerical(nominal_bundle, capsys):
-    # Z = 0 and I + Q0 of rank 2 make the observer's lag-0 solve singular
+    # Z = 0 (so T = -Z = 0) and I + Q0 of rank 2 make the observer's lag-0
+    # solve singular
     bundle = json.load(open(nominal_bundle))
-    for fir in ("Q", "Z"):
+    for fir in ("Q", "Z", "T"):
         for entry in bundle[fir]["entries"]:
             entry["matrix"] = np.zeros_like(entry["matrix"]).tolist()
     rank_deficient = np.arange(1.0, 10.0).reshape(3, 3)

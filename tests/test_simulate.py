@@ -17,8 +17,8 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, Switc
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
 from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
-                  per_sequence_attack_search, random_signal, reference_worst_case_inputs,
-                  resolvent_of_state, unroll)
+                  per_sequence_attack_search, prefixes, random_signal,
+                  reference_worst_case_inputs, resolvent_of_state, unroll, walk_search)
 
 REFERENCE_INITIAL_STATE = np.array([0.1, 0.2, -0.1])
 
@@ -470,8 +470,33 @@ def test_prefix_tree_search_matches_per_sequence_search(search_designs, switchin
             assert found == per_sequence_attack_search(plant, model, design, automaton, H,
                                                        strategy)
         kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, 8)
-        assert simulate._walk_search(kernel, automaton, 8) == \
+        assert walk_search(kernel, automaton, 8) == \
             per_sequence_attack_search(plant, model, design, automaton, 8)
+
+
+@pytest.mark.parametrize("name, horizons", [("relaxed", range(1, 14)),
+                                            ("relaxed_m3n2", range(1, 11))])
+def test_batched_relaxed_search_matches_walk(search_designs, switching_setup, name, horizons,
+                                            monkeypatch):
+    """sigma and value.hex() of the relaxed search equal the depth-first
+    walk's at batches of 1, 2, 3 and the default number of prefixes, also
+    where mode 1 is a dead end, where every path dies after two modes and
+    where no mode may start."""
+    plant, model, complete, _ = switching_setup
+    design = search_designs[name]
+    automata = [complete] if name == "relaxed" else _search_automata(complete) + [
+        SwitchingAutomaton(2, allowed=[[True, True], [False, False]]),
+        SwitchingAutomaton(2, allowed=[[False, True], [False, False]], initial={0}),
+        SwitchingAutomaton(2, initial=())]
+    for automaton in automata:
+        for H in horizons:
+            kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
+            sigma, value = walk_search(kernel, automaton, H)
+            for batch in (1, 2, 3, simulate._BATCH):
+                with monkeypatch.context() as patch:
+                    patch.setattr(simulate, "_BATCH", batch)
+                    found = attack_search(plant, model, design, automaton, H)
+                assert (found[0], found[1].hex()) == (sigma, value.hex())
 
 
 @pytest.mark.parametrize("name", ["memory2", "fir_m3n2", "exact", "blind", "exact_m3n2",
@@ -500,10 +525,12 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
     assert value.hex() == "0x1.98a999999998cp+4"
 
 
-def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup):
+def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup, monkeypatch):
     """Z_0 = e_1 e_0^T at history (1,) and Q = 0 make I - E's lag-0 block
     I - Z_0 C^1 singular wherever mode 1 is delivered: every search and
-    witness raises at the first such time it reads."""
+    witness raises at the first such time it reads.  The exhaustive search
+    reads both one-mode prefixes in its first batch, and with one prefix per
+    batch walks depth first to (0, 0, 0, 0, 1)."""
     plant, model, automaton, _ = switching_setup
     hists, N = [(0,), (1,)], 2
     z_taps = {(h, k): np.zeros((plant.n, model.p)) for h in hists for k in range(N)}
@@ -517,7 +544,13 @@ def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup):
         T=SwitchingFIR(1, N, model.p, plant.n, {key: -tap for key, tap in z_taps.items()}),
         status="optimal", mode="relaxed", lag0_margin=1.0)
     pad = automaton.padding_mode
-    for search, t in ((lambda: attack_search(plant, model, design, automaton, 5), 4),
+
+    def exhaustive_by_one():
+        monkeypatch.setattr(simulate, "_BATCH", 1)
+        return attack_search(plant, model, design, automaton, 5)
+
+    for search, t in ((lambda: attack_search(plant, model, design, automaton, 5), 0),
+                      (exhaustive_by_one, 4),
                       (lambda: attack_search(plant, model, design, automaton, 5, "greedy"), 0),
                       (lambda: error_operator(plant, model, design, (0, 0, 1, 0), 4, pad), 2),
                       (lambda: worst_case_inputs(plant, model, design, (0, 0, 0, 1), 4, pad), 3)):
@@ -527,19 +560,22 @@ def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup):
 
 def _record_kernel(monkeypatch):
     """Patch `_ErrorKernel` to record the padded windows whose tables it
-    builds, the (t, padded window) of every relaxed row it builds, and every
-    row's values a search reads: (kernel, t, window, values)."""
+    builds, the (t, padded window) of every relaxed row it builds, one per
+    prefix of a batch, and every row's values a search reads: (kernel, t,
+    window, values)."""
     record = SimpleNamespace(tables=[], rows=[], reads=[])
-    build, relaxed_row, values = _ErrorKernel._build, _ErrorKernel.relaxed_row, _ErrorKernel.values
+    build, relaxed_rows, values = (_ErrorKernel._build, _ErrorKernel.relaxed_rows,
+                                   _ErrorKernel.values)
 
     def built(kernel, t, windows):
         record.tables.extend(windows)
         return build(kernel, t, windows)
 
-    def rowed(kernel, table, t, past):
-        [window] = [key for key, found in kernel.tables.items() if found is table]
-        record.rows.append((t, window))
-        return relaxed_row(kernel, table, t, past)
+    def rowed(kernel, tables, t, past):
+        for table in tables:
+            [window] = [key for key, found in kernel.tables.items() if found is table]
+            record.rows.append((t, window))
+        return relaxed_rows(kernel, tables, t, past)
 
     def read(kernel, t, windows):
         found = values(kernel, t, windows)
@@ -547,7 +583,7 @@ def _record_kernel(monkeypatch):
                             for window, row_values in zip(windows, found))
         return found
 
-    for name, fn in (("_build", built), ("relaxed_row", rowed), ("values", read)):
+    for name, fn in (("_build", built), ("relaxed_rows", rowed), ("values", read)):
         monkeypatch.setattr(_ErrorKernel, name, fn)
     return record
 
@@ -587,9 +623,9 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
                                                        name, monkeypatch):
     """The state search builds each window's table once, reads the values
     of one row per state (an exact design's layers past the window repeat)
-    and only values of rows built alone; the relaxed walk builds each
+    and only values of rows built alone; the relaxed search builds each
     window's table once and one row per node, from the table of the node's
-    padded window."""
+    padded window, each layer's nodes in lexicographic order."""
     plant, model, complete, _ = switching_setup
     window = SEARCH_WINDOWS[name]
     record = _record_kernel(monkeypatch)
@@ -598,12 +634,14 @@ def test_exhaustive_search_builds_each_window_row_once(search_designs, switching
         design = _design_for(search_designs, name, automaton)
         _clear(record)
         attack_search(plant, model, design, automaton, H)
-        nodes = list(automaton.prefixes(H, automaton.initial))
+        nodes = list(prefixes(automaton, H, automaton.initial))
         _assert_built_once(record, nodes, window, automaton.padding_mode)
         if name == "relaxed":
             pad = automaton.padding_mode
-            assert record.rows == [(len(p) - 1, _padded_windows([p], window, pad).pop())
-                                   for p in nodes]
+            for t in range(H):
+                assert [found for s, found in record.rows if s == t] == \
+                    [_padded_windows([p], window, pad).pop() for p in nodes if len(p) == t + 1]
+            assert len(record.rows) == len(nodes)
             assert record.reads == []
             continue
         exact = isinstance(design, SynthesisResult)
@@ -629,10 +667,10 @@ def test_greedy_and_walk_build_each_window_row_once(search_designs, switching_se
         H = window + 3
         _clear(record)
         kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, H)
-        walked = simulate._walk_search(kernel, automaton, H)
+        walked = walk_search(kernel, automaton, H)
         walk_record = SimpleNamespace(**{key: found[:] for key, found in vars(record).items()})
         assert walked == attack_search(plant, model, design, automaton, H)
-        nodes = list(automaton.prefixes(H, automaton.initial))
+        nodes = list(prefixes(automaton, H, automaton.initial))
         _assert_built_once(walk_record, nodes, window, automaton.padding_mode)
         _assert_reads_match_rows(walk_record.reads)
         for H in (window + 3, 30):
@@ -699,7 +737,7 @@ def test_scan_matches_loop_scan_on_stress_searches(stress_state, perfbench_workl
     # 32 and 4 windows; greedy builds the tables of its candidates' windows,
     # the resilient design's two (all zeros, then a last 1) and the blind
     # FIR's four
-    nodes = list(automaton.prefixes(10, automaton.initial))
+    nodes = list(prefixes(automaton, 10, automaton.initial))
     assert len(_states(nodes, 5, True)) + len(_states(nodes, 2, False)) == 94 + 38
     assert built == {"resilient_exhaustive_h10": 32, "blind_exhaustive_h10": 4,
                      "resilient_greedy_h60": 2, "blind_greedy_h30": 4}
@@ -798,7 +836,7 @@ def _state_search_and_walk(plant, model, design, automaton, horizon):
     kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, horizon)
     assert kernel.kind != "relaxed"
     return (_outcome(lambda: attack_search(plant, model, design, automaton, horizon)),
-            _outcome(lambda: simulate._walk_search(kernel, automaton, horizon)))
+            _outcome(lambda: walk_search(kernel, automaton, horizon)))
 
 
 @pytest.mark.parametrize("name", ["exact", "blind", "fir", "memory2", "fir_m3n2", "exact_m3n2"])
@@ -855,7 +893,7 @@ def test_near_tie_goes_to_the_larger_value(low, high):
     kernel = _ErrorKernel(plant, model, T, automaton.padding_mode, 3)
     found = attack_search(plant, model, T, automaton, 3)
     assert found == ((0, 0, 1), high)
-    assert found == simulate._walk_search(kernel, automaton, 3)
+    assert found == walk_search(kernel, automaton, 3)
     assert found == per_sequence_attack_search(plant, model, T, automaton, 3)
 
 
@@ -890,7 +928,7 @@ def test_long_horizon_state_search(switching_synthesis, switching_setup, nominal
     # the walk enumerates sequences, so its cap stops it here
     kernel = _ErrorKernel(plant, model, exact, automaton.padding_mode, 1000)
     with pytest.raises(ValueError, match="2\\^20"):
-        simulate._walk_search(kernel, automaton, 1000)
+        walk_search(kernel, automaton, 1000)
 
 
 def test_state_search_cap(switching_synthesis, switching_setup, monkeypatch):

@@ -11,7 +11,8 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, Switc
                                         SwitchingFIR, _distinct_rows, broadcast_taps,
                                         build_modes, history_array, instantiate, lift_outputs)
 from util import (admissible_sequences, band_entry, dense_blockdiag, dict_instantiate,
-                  generator_histories, history_at, row_slice_modes, tuple_random_sequence, unroll)
+                  generator_histories, history_at, prefixes, row_slice_modes,
+                  tuple_random_sequence, unroll)
 
 
 def histories(automaton, length):
@@ -292,14 +293,14 @@ def test_prefix_walk_is_lexicographic_preorder():
         every = [s for L in range(1, 5) for s in itertools.product(range(mode_count), repeat=L)
                  if auto.is_admissible(s)]
         # tuple order puts each prefix right before its extensions
-        assert list(auto.prefixes(4, auto.initial)) == sorted(every)
+        assert list(prefixes(auto, 4, auto.initial)) == sorted(every)
 
 
 def test_paths_do_not_recurse_per_mode():
-    walk = list(SwitchingAutomaton(1).prefixes(5000, [0]))
+    walk = list(prefixes(SwitchingAutomaton(1), 5000, [0]))
     assert len(walk) == 5000 and walk[-1] == (0,) * 5000
     with pytest.raises(ValueError, match="nonnegative"):
-        list(SwitchingAutomaton(1).prefixes(-3, [0]))
+        list(prefixes(SwitchingAutomaton(1), -3, [0]))
 
 
 def test_instantiate_constant_sigma_is_lti():

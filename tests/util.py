@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from switchguard import operator_core as oc
 from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
-from switchguard.simulate import Scenario
+from switchguard.simulate import Scenario, _ErrorKernel, _fold
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, instantiate, lift_outputs)
 from switchguard.synthesis import (MODE_RELAXED, DecisionVariables, SynthesisConfig,
@@ -362,13 +363,32 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
     return c, rows, bounds
 
 
+def prefixes(automaton: SwitchingAutomaton, length: int, first) -> Iterator[tuple[int, ...]]:
+    """Walk the tree of paths of up to `length` modes that start in a mode
+    of `first` and then step along `successors`.
+
+    Yields every nonempty prefix depth first in lexicographic order, each
+    parent before its children, so a caller can carry per-node state down
+    the tree.  The walk keeps an explicit stack: its depth is not limited
+    by Python's recursion limit.
+    """
+    if length < 0:
+        raise ValueError("path length must be nonnegative")
+    stack = [(b,) for b in sorted(first, reverse=True)] if length else []
+    while stack:
+        prefix = stack.pop()
+        yield prefix
+        if len(prefix) < length:
+            stack.extend(prefix + (b,) for b in reversed(automaton.successors(prefix[-1])))
+
+
 def paths(automaton: SwitchingAutomaton, length: int, first) -> list[tuple[int, ...]]:
     """Every `length`-mode path that starts in a mode of `first` and then
     steps along `successors`, in lexicographic order: the full-length
     prefixes of the tree walk."""
     if length == 0:
         return [()]
-    return [p for p in automaton.prefixes(length, first) if len(p) == length]
+    return [p for p in prefixes(automaton, length, first) if len(p) == length]
 
 
 def admissible_sequences(automaton: SwitchingAutomaton, length: int) -> list[tuple[int, ...]]:
@@ -475,6 +495,61 @@ def per_sequence_attack_search(plant, model, estimator, automaton, horizon: int,
                 pick, pick_value = b, value
         prefix += (pick,)
     return prefix, value_of(prefix)
+
+
+def relaxed_row(kernel: _ErrorKernel, table: tuple, t: int, past: list):
+    """Reference relaxed row t along one prefix, built by itself from the
+    table of its window, and the (resolvent row, performance row) pair later
+    rows read; `past` holds those pairs for times 0..t-1.  The resolvent row
+    comes by block forward substitution over the lags with a nonzero sum of
+    products, ascending."""
+    phi, contraction, inv0 = table
+    phi, contraction = phi[:t + 1], contraction[:t + 1]
+    # acc[k] sums contraction[j] res_{t-j}[k-j] over j ascending
+    acc = np.zeros((t + 1, kernel.n, kernel.n))
+    for j in range(1, len(contraction)):
+        acc[j:] += contraction[j] @ past[t - j][0]
+    res = -inv0 @ acc
+    res[0] = inv0
+    nonzero = acc.any(axis=(1, 2))
+    nonzero[0] = True
+    row = np.zeros((t + 1,) + phi.shape[1:])
+    used = 0
+    for j in np.flatnonzero(nonzero).tolist():
+        later = phi if j == 0 else past[t - j][1]
+        row[j:j + len(later)] += res[j] @ later
+        used = max(used, j + len(later))
+    return -1.0 * row[:used], (res, phi)
+
+
+def walk_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon: int):
+    """Reference exhaustive search over the tree of admissible prefixes, depth
+    first in lexicographic order, one row per node (a relaxed row built by
+    `relaxed_row`, the others read by `values`), carrying the scan down to
+    the children."""
+    if automaton.mode_count ** horizon > 2 ** 20:
+        raise ValueError(
+            f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
+            "exceeds the 2^20 cap; use strategy='greedy'")
+    best_sigma, best_value = None, -1.0
+    past, peaks = [], [-1.0]  # per depth along the current path
+    for prefix in prefixes(automaton, horizon, automaton.initial):
+        t = len(prefix) - 1
+        del past[t:], peaks[t + 1:]
+        window = prefix[-kernel.window:]
+        if kernel.kind == "relaxed":
+            [table] = kernel._tables(t, [window])
+            row, carry = relaxed_row(kernel, table, t, past)
+            values = kernel.row_values(row).tolist()
+        else:
+            [values], carry = kernel.values(t, [window]), None
+        past.append(carry)
+        peaks.append(_fold(values, peaks[t]))
+        if t == horizon - 1:
+            value = max(peaks[-1], 0.0)
+            if value > best_value:
+                best_sigma, best_value = prefix, value
+    return best_sigma, best_value
 
 
 def row_slice_modes(plant: ChannelPlant, patterns) -> tuple[np.ndarray, np.ndarray]:
