@@ -56,8 +56,12 @@ def _expect(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _section(value, path: str) -> dict:
+def _section(value, path: str, keys: frozenset) -> dict:
+    """The JSON object at `path`; each of its keys must be one of `keys`."""
     _expect(isinstance(value, dict), path, "expected a JSON object")
+    if not value.keys() <= keys:
+        key = next(key for key in value if key not in keys)
+        raise ConfigError(key if path == "$" else f"{path}.{key}", "unknown field")
     return value
 
 
@@ -118,6 +122,14 @@ def _allowed(value, path: str):
 # Model field -> JSON key, where the two differ.
 _JSON_KEYS = {"memory": "M", "fir_length": "N", "allowed": "automaton"}
 
+# The keys each JSON object of a config or scenario may hold.
+_CONFIG_KEYS = frozenset({"plant", "attack", "synthesis", "seed"})
+_PLANT_KEYS = frozenset({"A", "B", "channels", "x0_bound"})
+_CHANNEL_KEYS = frozenset({"C", "D"})
+_ATTACK_KEYS = frozenset({"patterns", "automaton", "initial", "padding_mode"})
+_SYNTHESIS_KEYS = frozenset({"M", "N", "mode", "eps_bar", "verify_horizon", "verify_samples"})
+_SCENARIO_KEYS = frozenset({"sigma", "w", "x0", "x0_time"})
+
 
 def _build(section: dict, path: str, make, *args, optional=None, **kwargs):
     """make(*args, **kwargs) plus the fields of `optional` (field -> parser)
@@ -140,25 +152,27 @@ def _build(section: dict, path: str, make, *args, optional=None, **kwargs):
 def parse_problem(cfg: dict):
     """Check a config's JSON types and build the problem objects; besides
     the models' rules, the seed must be nonnegative and no mode reachable
-    from the initial ones may lack a successor."""
+    from the initial ones may lack a successor, and no object may hold a
+    key that nothing reads."""
     _expect(isinstance(cfg, dict), "$", "config must be a JSON object")
+    _section(cfg, "$", _CONFIG_KEYS)
     for key in ("plant", "attack", "synthesis"):
         _expect(key in cfg, key, "missing section")
 
-    pc = _section(cfg["plant"], "plant")
+    pc = _section(cfg["plant"], "plant", _PLANT_KEYS)
     A = _matrix(pc.get("A"), "plant.A")
     B = _matrix(pc.get("B"), "plant.B")
     raw_channels = pc.get("channels")
     _expect(isinstance(raw_channels, list), "plant.channels", "expected a list")
     channels = []
     for i, ch in enumerate(raw_channels):
-        _section(ch, f"plant.channels[{i}]")
+        _section(ch, f"plant.channels[{i}]", _CHANNEL_KEYS)
         channels.append((_matrix(ch.get("C"), f"plant.channels[{i}].C"),
                          _matrix(ch.get("D"), f"plant.channels[{i}].D")))
     plant = _build(pc, "plant", ChannelPlant, A=A, B=B, channels=tuple(channels),
                    optional={"x0_bound": _number})
 
-    ac = _section(cfg["attack"], "attack")
+    ac = _section(cfg["attack"], "attack", _ATTACK_KEYS)
     patterns = ac.get("patterns")
     _expect(isinstance(patterns, list), "attack.patterns",
             "expected a list of delivered-channel sets")
@@ -176,7 +190,7 @@ def parse_problem(cfg: dict):
     _expect(not dead, "attack.automaton", f"modes {dead} are reachable from the initial "
             "ones but have no successor, so sequences through them end")
 
-    sc = _section(cfg["synthesis"], "synthesis")
+    sc = _section(cfg["synthesis"], "synthesis", _SYNTHESIS_KEYS)
     syncfg = _build(sc, "synthesis", SynthesisConfig, optional={
         "memory": _integer, "fir_length": _integer, "mode": _string, "eps_bar": _number,
         "verify_horizon": _integer, "verify_samples": _integer})
@@ -241,6 +255,14 @@ def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
         for i, entry in enumerate(data["entries"]):
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
+    # SwitchingFIR's int() would read a mode or lag of 1.7, "1" or true as 1
+    if not all(type(e["lag"]) is int and all(type(m) is int for m in e["history"])
+               for e in data["entries"]):
+        for i, entry in enumerate(data["entries"]):
+            at = f"{path}.entries[{i}]"
+            _expect(isinstance(entry["history"], list) and all(map(_is_int, entry["history"])),
+                    f"{at}.history", "expected a list of integer mode indices")
+            _integer(entry["lag"], f"{at}.lag")
     try:
         return SwitchingFIR(*dims, coeffs)
     except (TypeError, ValueError) as exc:
@@ -365,7 +387,7 @@ def cmd_synth(args) -> int:
                  if value is not None}
     if overrides:
         _expect(isinstance(cfg, dict), "$", "config must be a JSON object")
-        _section(cfg.setdefault("synthesis", {}), "synthesis").update(overrides)
+        _section(cfg.setdefault("synthesis", {}), "synthesis", _SYNTHESIS_KEYS).update(overrides)
     plant, model, automaton, syncfg, seed = parse_problem(cfg)
     out = args.out or "bundle.json"
     with _bundle_writer(out) as write:
@@ -436,7 +458,7 @@ def cmd_norm(args) -> int:
 
 
 def _load_scenario(path: str, plant: ChannelPlant, automaton: SwitchingAutomaton) -> Scenario:
-    data = _section(load_config(path), "scenario")
+    data = _section(load_config(path), "scenario", _SCENARIO_KEYS)
     for key in ("sigma", "w"):
         _expect(key in data, f"scenario.{key}", "missing field")
     w = _matrix(data["w"], "scenario.w")

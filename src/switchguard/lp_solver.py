@@ -1,6 +1,8 @@
 """Deterministic dense linear-program solver (two-phase primal simplex).
 
-Standard form with equalities, inequalities, free and bounded variables.
+Rows are equalities and inequalities; each variable is free or
+nonnegative, the two kinds the synthesis LP uses (any other bound is a
+row).
 Pivoting uses the most-negative-cost rule while progress is made and
 switches to Bland's rule on degenerate stretches, which precludes cycling;
 both rules are fixed, so identical inputs produce bit-identical outputs.
@@ -46,6 +48,7 @@ BLOCK = 1 << 14  # most entries one np.subtract.at of a pivot updates
 
 LE = "<="
 EQ = "="
+_KINDS = ((None, None), (0.0, None))  # free, nonnegative
 
 
 class LpNumericalError(RuntimeError):
@@ -56,7 +59,8 @@ class LpNumericalError(RuntimeError):
 class LinearProgram:
     """minimize objective . v  subject to rows (coeffs, relation, rhs) and bounds.
 
-    bounds[j] = (lo, hi) with None for unbounded sides; defaults to free.
+    bounds[j] is (None, None) for a free variable, the default, or
+    (0.0, None) for a nonnegative one; any other bound is written as a row.
     """
 
     variable_count: int
@@ -74,9 +78,9 @@ class LinearProgram:
             self.bounds = [(None, None)] * self.variable_count
         if len(self.bounds) != self.variable_count:
             raise ValueError("bounds length must equal variable_count")
-        sides = [side for pair in self.bounds for side in pair if side is not None]
-        if not all(map(math.isfinite, sides)):
-            raise ValueError("bounds must be finite numbers or None")
+        for j, pair in enumerate(self.bounds):
+            if pair not in _KINDS:
+                raise ValueError(f"bounds[{j}] must be (None, None) or (0.0, None)")
         rows, self.constraints = self.constraints, []
         for row in rows:
             self.add(*row)
@@ -119,9 +123,9 @@ def _tableau(lp: LinearProgram):
     right-hand side is negative is negated (its zeros become -0.0), so
     b >= 0, and each artificial column is a unit column of a row without
     one in A.  basis holds per row its first unit column, else its
-    artificial; recover(u) yields the original vector.  Free variables
-    split into differences of nonnegatives; finite lower bounds shift;
-    finite upper bounds become extra rows.
+    artificial; recover(u) yields the original vector.  A nonnegative
+    variable is its own column; a free one splits into the difference of
+    two.
 
     T is the only array of its size: one pass over the rows finds the
     right-hand sides and, per variable, its nonzero count, the row of its
@@ -130,56 +134,33 @@ def _tableau(lp: LinearProgram):
     writes each row straight into T.
     """
     n = lp.variable_count
-    first = np.zeros(n, dtype=int)  # column of each original variable
-    sign = np.ones(n)               # its sign in that column
-    free = []                       # free variables; their negative part is first + 1
-    shift = np.zeros(n)
-    nvar = 0
-    extra_rows = []  # (orig var index, ub-lo) handled after mapping
-    for j, (lo, hi) in enumerate(lp.bounds):
-        first[j] = nvar
-        nvar += 1
-        if lo is None and hi is None:
-            free.append(j)
-            nvar += 1
-        elif lo is None:
-            sign[j] = -1.0
-            shift[j] = hi
-        else:
-            shift[j] = lo
-            if hi is not None:
-                # an empty box is encoded as the infeasible row 0 <= -1
-                extra_rows.append((j, -1.0 if hi < lo else hi - lo))
-    free = np.array(free, dtype=int)
+    is_free = np.array([lo is None for lo, _ in lp.bounds], dtype=bool)
+    free = np.flatnonzero(is_free)            # their negative part is first + 1
+    first = np.arange(n) + np.cumsum(is_free) - is_free  # column of each variable
     second = first[free] + 1
+    nvar = n + free.size
 
     def place(a: np.ndarray, out: np.ndarray) -> None:
-        # adding 0.0 turns the -0.0 of a zero coefficient times -1 into +0.0
-        out[first] = a * sign + 0.0
+        # adding 0.0 turns a -0.0, given or made by the negation, into +0.0
+        out[first] = a + 0.0
         out[second] = -a[free] + 0.0
 
     rows = lp.constraints
-    m = len(rows) + len(extra_rows)
+    m = len(rows)
     b = np.zeros(m)
     count = np.zeros(n, dtype=int)  # nonzeros of each variable's column
     last = np.zeros(n, dtype=int)   # row of its last nonzero
     total = np.zeros(n)             # sum of its coefficients: the one nonzero when count is 1
     for i, (coeffs, _, rhs) in enumerate(rows):
-        b[i] = rhs - float(coeffs @ shift)
+        b[i] = rhs
         nonzero = coeffs != 0.0
         count += nonzero
         last[nonzero] = i
         total += coeffs
-    extra = np.array([j for j, _ in extra_rows], dtype=int)  # u_j <= span, shifted by lo
-    b[len(rows):] = [span for _, span in extra_rows]
-    count[extra] += 1
-    last[extra] = len(rows) + np.arange(extra.size)
-    total[extra] += 1.0
     neg = b < 0
     b[neg] *= -1.0
 
-    le_rows = np.array([i for i, (_, rel, _) in enumerate(rows) if rel == LE]
-                       + list(range(len(rows), m)), dtype=int)
+    le_rows = np.array([i for i, (_, rel, _) in enumerate(rows) if rel == LE], dtype=int)
     slack_cols = nvar + np.arange(le_rows.size)
     ncols = nvar + le_rows.size
     # a unit column beats the artificial (index ncols), a structural one the slack
@@ -189,10 +170,8 @@ def _tableau(lp: LinearProgram):
     single = np.flatnonzero(count == 1)
     at = last[single]
     entry = np.where(neg[at], -total[single], total[single])  # after the row's flip
-    is_free = np.zeros(n, dtype=bool)
-    is_free[free] = True
-    unit_first = entry * sign[single] == 1.0              # column first[j] holds sign[j] * a
-    unit_second = is_free[single] & (entry == -1.0)       # column first[j] + 1 holds -a
+    unit_first = entry == 1.0                              # column first[j] holds a
+    unit_second = is_free[single] & (entry == -1.0)        # column first[j] + 1 holds -a
     np.minimum.at(basis, np.concatenate([at[unit_first], at[unit_second]]),
                   np.concatenate([first[single[unit_first]], first[single[unit_second]] + 1]))
     missing = np.flatnonzero(basis == ncols)
@@ -202,7 +181,6 @@ def _tableau(lp: LinearProgram):
     T = np.zeros((m + 1, ncols + missing.size + 1))
     for i, (coeffs, _, _) in enumerate(rows):
         place(coeffs, T[i])
-    T[len(rows) + np.arange(extra.size), first[extra]] = 1.0
     T[le_rows, slack_cols] = 1.0
     for i in np.flatnonzero(neg):
         T[i, :ncols] *= -1.0
@@ -212,7 +190,7 @@ def _tableau(lp: LinearProgram):
     place(lp.objective, c)
 
     def recover(u: np.ndarray) -> np.ndarray:
-        x = shift + sign * u[first]
+        x = u[first] + 0.0
         x[free] -= u[second]
         return x
 

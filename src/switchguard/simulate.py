@@ -527,11 +527,18 @@ def _relaxed_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon
     gives way to its children, grown with `extend`, split into batches and
     stacked in lexicographic order: a batch of one is the depth-first walk.
     A batch carries what later rows read: the performance rows of every
-    time and the resolvent rows of the last N."""
-    if automaton.mode_count ** horizon > _CAP:
-        raise ValueError(
-            f"exhaustive search over {automaton.mode_count}^{horizon} sequences "
-            "exceeds the 2^20 cap; use strategy='greedy'")
+    time and the resolvent rows of the last N.  The cap bounds each layer
+    of the tree: the admissible prefixes of each length, counted per last
+    mode from `initial` and `allowed`."""
+    ends = np.zeros(automaton.mode_count, dtype=np.int64)  # prefixes per last mode
+    ends[sorted(automaton.initial)] = 1
+    for t in range(horizon):
+        if t:
+            ends = ends @ automaton.allowed
+        if ends.sum() > _CAP:
+            raise ValueError(
+                f"exhaustive search over {ends.sum()} admissible prefixes of {t + 1} modes "
+                "exceeds the 2^20 cap; use strategy='greedy'")
     reach = max(kernel.Q.fir_length, kernel.Z.fir_length)
     best_sigma, best_value = None, -1.0
     # per entry: prefixes, the index of each one's parent, the parents' data
@@ -581,7 +588,8 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
     whose resolvent row t reads the rows before it, the search builds row t
     once per prefix of the tree of admissible prefixes, in batches taken in
     lexicographic order (`_relaxed_search`).  The 2^20 cap bounds the
-    (t, window) states, or the mode_count^H sequences of the tree.
+    (t, window) states, or the admissible prefixes of each length in the
+    tree.
     greedy: extends one step at a time, keeping the first mode whose
     prefix admits the largest worst inputs; deterministic and cheap (a
     step's candidates are one batch of relaxed rows, or read from at most

@@ -165,19 +165,15 @@ def test_criterion_8_lp_oracle_and_determinism():
         m = int(rng.integers(2, 9))
         c, A, b, lo, hi, G, h = random_box_lp(rng, n, m)
         status, oracle = vertex_minimum(c, G, h)
-        lp = LinearProgram(n, c, bounds=[(lo[j], hi[j]) for j in range(n)])
-        for i in range(m):
-            lp.add(A[i], LE, b[i])
-        sol = solve(lp)
+        # the box is written as rows of G x <= h over free x
+        sol = solve(LinearProgram(n, c, constraints=[(G[i], LE, h[i]) for i in range(len(h))]))
         assert status == "optimal" and sol.status == "optimal"
         worst = max(worst, abs(sol.objective - oracle))
     c, A, b, lo, hi, G, h = random_box_lp(rng, 5, 6)
 
     def fresh():
-        lp = LinearProgram(5, c.copy(), bounds=[(lo[j], hi[j]) for j in range(5)])
-        for i in range(6):
-            lp.add(A[i].copy(), LE, float(b[i]))
-        return solve(lp)
+        rows = [(G[i].copy(), LE, float(h[i])) for i in range(len(h))]
+        return solve(LinearProgram(5, c.copy(), constraints=rows))
 
     deterministic = fresh().values.tobytes() == fresh().values.tobytes()
     ok = worst <= 1e-6 and deterministic

@@ -82,6 +82,7 @@ def test_validate_empty_patterns(tmp_path, capsys):
     ("x0_time", 9),
     ("x0_time", -1),
     ("w", [[0.0, 0.0]] * 3),  # four modes in sigma
+    ("x0time", 1),  # a misspelt key, which was ignored
 ])
 def test_simulate_rejects_bad_scenario_fields(restricted_bundle, tmp_path, capsys, field, value):
     scen = {"sigma": [0, 1, 0, 1], "w": [[0.0, 0.0]] * 4, "x0": [0.0, 0.0, 0.0]}
@@ -187,6 +188,15 @@ def test_simulate_rejects_non_object_scenario(restricted_bundle, tmp_path, capsy
                  id="automaton-3x3"),
     pytest.param(lambda c: c["attack"].update(initial=[5]), "attack.initial",
                  id="initial-range"),
+    # a key that nothing reads, such as a misspelt one, which was ignored:
+    # synthesis.fir_lenght = 7 solved at the default N
+    pytest.param(lambda c: c.update(sed=1), "sed", id="unknown-top"),
+    pytest.param(lambda c: c["plant"].update(x0_bund=2.0), "plant.x0_bund", id="unknown-plant"),
+    pytest.param(lambda c: c["plant"]["channels"][1].update(E=[[1.0]]),
+                 "plant.channels[1].E", id="unknown-channel"),
+    pytest.param(lambda c: c["attack"].update(padding=0), "attack.padding", id="unknown-attack"),
+    pytest.param(lambda c: c["synthesis"].update(fir_lenght=7), "synthesis.fir_lenght",
+                 id="unknown-synthesis"),
 ])
 def test_validate_rejects_malformed_fields(tmp_path, capsys, tamper, path):
     cfg = demo.nominal_config_dict()
@@ -552,6 +562,8 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
     pytest.param(lambda b: b.update(eps_achieved="0"), "eps_achieved", id="string-eps"),
     pytest.param(lambda b: b.update(lag0_margin=float("-inf")), "lag0_margin",
                  id="infinite-margin"),
+    pytest.param(lambda b: b["config"]["attack"].update(intial=[0]),
+                 "error: attack.intial: unknown field", id="unknown-config-key"),
 ])
 def test_attack_rejects_tampered_bundle(nominal_bundle, tmp_path, capsys, tamper, path):
     bundle = json.load(open(nominal_bundle))
@@ -578,6 +590,21 @@ def test_bundle_fir_dims_must_be_the_configs_integers(tmp_path, capsys, fir, key
     bad.write_text(json.dumps(bundle))
     assert main(["attack", str(bad), "--horizon", "3"]) == 2
     assert f"error: {fir}.{key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fir, i, key, value", [
+    ("Q", 5, "history", [1.7]), ("Z", 6, "history", ["1"]), ("T", 7, "history", [True]),
+    ("Q", 6, "lag", 1.0), ("Z", 1, "lag", True)])
+def test_bundle_tap_history_and_lag_must_be_integers(tmp_path, capsys, fir, i, key, value):
+    """int() read a mode of 1.7, "1" or true and a lag of 1.0 or true as 1,
+    the value the entry held, so the tampered bundle ran with exit 0."""
+    bundle = json.loads((FROZEN / "switching_m1n5.json").read_text())
+    assert bundle[fir]["entries"][i][key] in ([1], 1)
+    bundle[fir]["entries"][i][key] = value
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(bundle))
+    assert main(["attack", str(bad), "--horizon", "3"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {fir}.entries[{i}].{key}: ")
 
 
 def _one_ulp_up(matrix):

@@ -13,7 +13,9 @@ from util import (dense_pivot, dense_tableau, full_ratio_row, ix_pivot, random_b
 
 
 def test_minimize_above_lower_bound():
-    lp = LinearProgram(1, np.array([1.0]), bounds=[(1.0, None)])
+    # minimize x >= 0 above the lower bound 1, written as the row -x <= -1
+    lp = LinearProgram(1, np.array([1.0]), bounds=[(0.0, None)])
+    lp.add(np.array([-1.0]), LE, -1.0)
     sol = solve(lp)
     assert sol.status == "optimal"
     assert np.isclose(sol.objective, 1.0, atol=1e-12)
@@ -64,7 +66,9 @@ def test_equality_and_free_variables():
 
 
 def test_upper_bounds():
-    lp = LinearProgram(1, np.array([-1.0]), bounds=[(0.0, 2.5)])
+    # maximize x >= 0 below the upper bound 2.5, written as the row x <= 2.5
+    lp = LinearProgram(1, np.array([-1.0]), bounds=[(0.0, None)])
+    lp.add(np.array([1.0]), LE, 2.5)
     sol = solve(lp)
     assert sol.status == "optimal"
     assert np.isclose(sol.values[0], 2.5, atol=1e-9)
@@ -84,6 +88,11 @@ def test_small_pivot_beside_large_column_entry(big):
     assert np.isclose(sol.objective, -2.0, atol=1e-9)
 
 
+def _rows_lp(c, G, h) -> LinearProgram:
+    """min c.x s.t. G x <= h, x free: a box LP with its box written as rows."""
+    return LinearProgram(len(c), c, constraints=[(G[i], LE, h[i]) for i in range(len(h))])
+
+
 def test_random_lps_match_vertex_enumeration():
     rng = np.random.default_rng(42)
     checked = 0
@@ -93,10 +102,7 @@ def test_random_lps_match_vertex_enumeration():
         c, A, b, lo, hi, G, h = random_box_lp(rng, n, m)
         status, oracle = vertex_minimum(c, G, h)
         assert status == "optimal"
-        lp = LinearProgram(n, c, bounds=[(lo[j], hi[j]) for j in range(n)])
-        for i in range(m):
-            lp.add(A[i], LE, b[i])
-        sol = solve(lp)
+        sol = solve(_rows_lp(c, G, h))
         assert sol.status == "optimal"
         assert np.isclose(sol.objective, oracle, atol=1e-6), (trial, sol.objective, oracle)
         checked += 1
@@ -108,9 +114,7 @@ def test_constructed_infeasible_instances():
     for _ in range(10):
         n = int(rng.integers(2, 5))
         c, A, b, lo, hi, G, h = random_box_lp(rng, n, 3)
-        lp = LinearProgram(n, c, bounds=[(lo[j], hi[j]) for j in range(n)])
-        for i in range(3):
-            lp.add(A[i], LE, b[i])
+        lp = _rows_lp(c, G, h)
         # contradictory pair: e_0 . x <= lo_0 - 1 while x_0 >= lo_0
         row = np.zeros(n)
         row[0] = 1.0
@@ -124,10 +128,7 @@ def test_feasibility_certificate():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 7))
         c, A, b, lo, hi, G, h = random_box_lp(rng, n, m)
-        lp = LinearProgram(n, c, bounds=[(lo[j], hi[j]) for j in range(n)])
-        for i in range(m):
-            lp.add(A[i], LE, b[i])
-        sol = solve(lp)
+        sol = solve(_rows_lp(c, G, h))
         assert sol.status == "optimal"
         x = sol.values
         assert np.all(A @ x <= b + 1e-7)
@@ -141,10 +142,7 @@ def test_determinism_bit_for_bit():
     c, A, b, lo, hi, G, h = random_box_lp(rng, 4, 5)
 
     def fresh():
-        lp = LinearProgram(4, c.copy(), bounds=[(lo[j], hi[j]) for j in range(4)])
-        for i in range(5):
-            lp.add(A[i].copy(), LE, float(b[i]))
-        return solve(lp)
+        return solve(_rows_lp(c.copy(), G.copy(), h.copy()))
 
     s1, s2 = fresh(), fresh()
     assert s1.values.tobytes() == s2.values.tobytes()
@@ -194,11 +192,15 @@ def test_add_rejects_non_finite_rhs(rhs):
         LinearProgram(1, np.array([1.0]), constraints=[(np.array([1.0]), EQ, rhs)])
 
 
+KINDS_MESSAGE = r"bounds\[{}\] must be \(None, None\) or \(0\.0, None\)"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_coefficients_rejected(bad):
     """A non-finite coefficient or bound would reach the tableau: a NaN
     coefficient made solve report 'unbounded' with objective -inf, and a
-    lower bound of -inf 'optimal' at -inf."""
+    lower bound of -inf 'optimal' at -inf.  A non-finite bound is neither
+    free nor nonnegative, so it is rejected with the other bounds."""
     lp = LinearProgram(1, np.array([1.0]))
     with pytest.raises(ValueError, match="constraint coefficients must be finite"):
         lp.add([bad], LE, 1.0)
@@ -208,8 +210,16 @@ def test_non_finite_coefficients_rejected(bad):
     with pytest.raises(ValueError, match="objective coefficients must be finite"):
         LinearProgram(1, [bad])
     for bounds in ([(bad, None)], [(None, bad)], [(0.0, bad)]):
-        with pytest.raises(ValueError, match="bounds must be finite numbers or None"):
+        with pytest.raises(ValueError, match=KINDS_MESSAGE.format(0)):
             LinearProgram(1, np.array([1.0]), bounds=bounds)
+
+
+@pytest.mark.parametrize("bound", [(1.0, None), (None, 0.0), (0.0, 2.5), (np.nan, None)])
+def test_bounds_other_than_free_or_nonnegative_rejected(bound):
+    """The solver takes free and nonnegative variables only; any other
+    bound is a row, and the error names the variable."""
+    with pytest.raises(ValueError, match=f"^{KINDS_MESSAGE.format(2)}$"):
+        LinearProgram(3, np.zeros(3), bounds=[(None, None), (0.0, None), bound])
 
 
 def test_numerical_error_is_distinct_type():

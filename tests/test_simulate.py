@@ -283,6 +283,24 @@ def test_attack_exhaustive_cap():
         attack_search(plant, model2, relaxed, automaton, 25, "exhaustive")
 
 
+def test_relaxed_cap_counts_admissible_prefixes(search_designs, switching_setup, monkeypatch):
+    """With no two attacked steps in a row, 144 of the 2^10 sequences of
+    10 modes are admissible: a cap of 200 lets the search run and find the
+    walk's answer, and a cap of 143 stops it at the 10-mode layer."""
+    plant, model, _, _ = switching_setup
+    design = search_designs["relaxed"]
+    automaton = SwitchingAutomaton(2, allowed=[[1, 1], [1, 0]])
+    assert len(admissible_sequences(automaton, 10)) == 144
+    kernel = _ErrorKernel(plant, model, design, automaton.padding_mode, 10)
+    sigma, value = walk_search(kernel, automaton, 10)
+    monkeypatch.setattr(simulate, "_CAP", 200)
+    found = attack_search(plant, model, design, automaton, 10)
+    assert (found[0], found[1].hex()) == (sigma, value.hex())
+    monkeypatch.setattr(simulate, "_CAP", 143)
+    with pytest.raises(ValueError, match="144 admissible prefixes of 10 modes"):
+        attack_search(plant, model, design, automaton, 10)
+
+
 def test_relaxed_rows_with_vanishing_resolvent_lags():
     """A = 0, zero Q and a lag-0 Z leave the resolvent only its lag-0 block,
     so block row t keeps the min(t, N) + 1 lags of the performance row: the

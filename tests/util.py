@@ -208,57 +208,41 @@ def dense_standardize(lp: LinearProgram):
     """Reference standardization: min c.u s.t. A u = b, u >= 0 with a dense A.
 
     Returns (A, b, c, recover) where recover(u) yields the original vector.
-    Free variables split into differences of nonnegatives; finite lower
-    bounds shift; finite upper bounds become extra rows.
+    A nonnegative variable is its own column; a free one splits into the
+    difference of two.
     """
     n = lp.variable_count
     first = np.zeros(n, dtype=int)  # column of each original variable
-    sign = np.ones(n)               # its sign in that column
     free = []                       # free variables; their negative part is first + 1
-    shift = np.zeros(n)
     ncols = 0
-    extra_rows = []  # (orig var index, ub-lo) handled after mapping
-    for j, (lo, hi) in enumerate(lp.bounds):
+    for j, (lo, _) in enumerate(lp.bounds):
         first[j] = ncols
         ncols += 1
-        if lo is None and hi is None:
+        if lo is None:
             free.append(j)
             ncols += 1
-        elif lo is None:
-            sign[j] = -1.0
-            shift[j] = hi
-        else:
-            shift[j] = lo
-            if hi is not None:
-                # an empty box is encoded as the infeasible row 0 <= -1
-                extra_rows.append((j, -1.0 if hi < lo else hi - lo))
     free = np.array(free, dtype=int)
     second = first[free] + 1
 
     def place(a: np.ndarray, out: np.ndarray) -> None:
-        # adding 0.0 turns the -0.0 of a zero coefficient times -1 into +0.0
-        out[first] = a * sign + 0.0
+        # adding 0.0 turns a -0.0, given or made by the negation, into +0.0
+        out[first] = a + 0.0
         out[second] = -a[free] + 0.0
 
-    m = len(lp.constraints) + len(extra_rows)
+    m = len(lp.constraints)
     le_rows = [i for i, (_, rel, _) in enumerate(lp.constraints) if rel == LE]
-    le_rows += range(len(lp.constraints), m)
     nslack = len(le_rows)
     A = np.zeros((m, ncols + nslack))
     b = np.zeros(m)
     for i, (coeffs, _, rhs) in enumerate(lp.constraints):
         place(coeffs, A[i])
-        b[i] = rhs - float(coeffs @ shift)
-    for i, (j, span) in enumerate(extra_rows, start=len(lp.constraints)):
-        # u_j <= span in shifted coordinates (already shifted by lo)
-        A[i, first[j]] = 1.0
-        b[i] = span
+        b[i] = rhs
     A[le_rows, ncols + np.arange(nslack)] = 1.0
     c = np.zeros(ncols + nslack)
     place(lp.objective, c)
 
     def recover(u: np.ndarray) -> np.ndarray:
-        x = shift + sign * u[first]
+        x = u[first] + 0.0
         x[free] -= u[second]
         return x
 
@@ -291,14 +275,32 @@ def vstack_drop_rows(T: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return np.vstack([T[keep], T[-1:]])
 
 
+def bound_rows(bounds: list) -> tuple[list, list]:
+    """Bounds (lo, hi), None for an open side, in the two kinds the solver
+    takes.  A variable whose lo is 0 is nonnegative, any other is free, and
+    each remaining finite side becomes the row x_j <= hi or -x_j <= -lo.
+    Returns (kinds, rows); the rows describe the same set as the bounds."""
+    kinds, rows = [], []
+    for j, (lo, hi) in enumerate(bounds):
+        nonnegative = lo == 0.0
+        kinds.append((0.0, None) if nonnegative else (None, None))
+        for side, sign in ((None if nonnegative else lo, -1.0), (hi, 1.0)):
+            if side is not None:
+                row = np.zeros(len(bounds))
+                row[j] = sign
+                rows.append((row, LE, sign * side))
+    return kinds, rows
+
+
 def random_standard_form_lp(rng: np.random.Generator) -> LinearProgram:
     """Small random LP for the tableau build, often infeasible or unbounded.
 
     Variables are free, lower-bounded, upper-only, boxed or (now and then)
-    an empty box; rows mix '=' and '<=' with right-hand sides of either
-    sign; some equality rows appear twice (redundant), and some variables
-    have one nonzero, +-1, in one row, so that their column can be a
-    unit column of an equality row.
+    an empty box, written as rows by `bound_rows`; rows mix '=' and '<='
+    with right-hand sides of either sign; some equality rows appear twice
+    (redundant), and some free or nonnegative variables have one nonzero,
+    +-1, in one row, so that their column can be a unit column of an
+    equality row.
     """
     n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     units = int(rng.integers(0, 3))  # unit variables n.., at zero
@@ -327,16 +329,18 @@ def random_standard_form_lp(rng: np.random.Generator) -> LinearProgram:
     for k in range(units):
         rows[int(rng.integers(len(rows)))][0][n + k] = rng.choice([-1.0, 1.0])
     c = np.concatenate([rng.normal(size=n), np.zeros(units)])
-    return LinearProgram(n + units, c, constraints=rows, bounds=bounds)
+    kinds, box = bound_rows(bounds)
+    return LinearProgram(n + units, c, constraints=rows + box, bounds=kinds)
 
 
 def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 0.25):
     """Random feasible LP with sparse small-integer rows and mixed bounds.
 
     Returns (c, rows, bounds): rows are (coeffs, relation, rhs) with
-    relation '<=' or '='; bounds mix free, one-sided and boxed variables.
-    Integer coefficients and rhs values on the feasible point make
-    degenerate vertices and unit columns common.
+    relation '<=' or '='; the free, one-sided and boxed variables drawn are
+    written as rows by `bound_rows`, so bounds holds only the free and
+    nonnegative kinds.  Integer coefficients and rhs values on the feasible
+    point make degenerate vertices and unit columns common.
     """
     x_feas = rng.integers(-2, 3, size=n).astype(float)
     bounds = []
@@ -360,7 +364,8 @@ def random_sparse_lp(rng: np.random.Generator, n: int, m: int, density: float = 
                 box[j] = sign
                 rows.append((box, "<=", sign * x_feas[j] + 4.0))
     c = rng.normal(size=n)
-    return c, rows, bounds
+    kinds, box = bound_rows(bounds)
+    return c, rows + box, kinds
 
 
 def prefixes(automaton: SwitchingAutomaton, length: int, first) -> Iterator[tuple[int, ...]]:
