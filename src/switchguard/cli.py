@@ -33,7 +33,8 @@ from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR, build_modes,
                              history_array)
 from .synthesis import (EXACT_EPS, MODE_EXACT, SynthesisConfig, SynthesisInfeasibleError,
-                        SynthesisResult, certify, factor_operators, synthesize)
+                        SynthesisResult, _lag0_margin, certify, factor_operators,
+                        synthesize)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -239,6 +240,13 @@ def _require(obj, keys, path: str) -> None:
 _FIR_DIMS = ("memory", "fir_length", "in_dim", "out_dim")
 
 
+def _check_tap_entry(entry: dict, path: str) -> None:
+    """A tap entry's history must be a list of JSON integers, its lag one."""
+    _expect(isinstance(entry["history"], list) and all(map(_is_int, entry["history"])),
+            f"{path}.history", "expected a list of integer mode indices")
+    _integer(entry["lag"], f"{path}.lag")
+
+
 def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
     """The FIR stored at `path`, whose memory, fir_length, in_dim and out_dim
     must be the JSON integers `dims`, checked before anything is built."""
@@ -254,15 +262,13 @@ def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
         # name the first malformed entry; otherwise the error is the FIR's own
         for i, entry in enumerate(data["entries"]):
             _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
+            _check_tap_entry(entry, f"{path}.entries[{i}]")
         raise ConfigError(path, str(exc)) from None
     # SwitchingFIR's int() would read a mode or lag of 1.7, "1" or true as 1
     if not all(type(e["lag"]) is int and all(type(m) is int for m in e["history"])
                for e in data["entries"]):
         for i, entry in enumerate(data["entries"]):
-            at = f"{path}.entries[{i}]"
-            _expect(isinstance(entry["history"], list) and all(map(_is_int, entry["history"])),
-                    f"{at}.history", "expected a list of integer mode indices")
-            _integer(entry["lag"], f"{at}.lag")
+            _check_tap_entry(entry, f"{path}.entries[{i}]")
     try:
         return SwitchingFIR(*dims, coeffs)
     except (TypeError, ValueError) as exc:
@@ -335,6 +341,9 @@ def load_bundle(path: str):
              f"{bound!r}, the bound of gamma_bar and eps_achieved")):
         _expect(ok, key, f"{bundle[key]!r} is not {expected}")
     _check_factors(result, automaton, M)
+    margin = _lag0_margin(result.Z, result.Q, model)
+    _expect(result.lag0_margin == margin, "lag0_margin",
+            f"{bundle['lag0_margin']!r} is not {margin!r}, the margin of Q and Z")
     return bundle, result, plant, model, automaton, syncfg, seed
 
 

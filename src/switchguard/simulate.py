@@ -34,7 +34,7 @@ from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, _distinct_rows, instantiate)
-from .synthesis import EXACT_EPS, SynthesisResult
+from .synthesis import EXACT_EPS, SynthesisResult, _factor_rows
 
 __all__ = [
     "Scenario",
@@ -182,13 +182,12 @@ class _ErrorKernel:
     """Block rows of the error operator of one estimator, and their values.
 
     Block row t of `error_operator(..., sigma, H)`, for every H > t, is one
-    (lags, n, m_w + n) array whose entry k is the lag-k block.  Each entry
-    is formed by the same products, summed in the same order, as the
-    operator-algebra formulas in `error_operator`'s docstring (compose sums
-    over the intermediate lag j ascending, add puts its left operand first),
-    so the rows equal that product chain bit for bit.  A product over
-    several lags is one stacked matmul, whose per-lag products are those of
-    separate matmuls, and so is a product over a leading axis of windows.
+    (lags, n, m_w + n) array whose entry k is the lag-k block, equal bit
+    for bit to the product chain of the operator-algebra formulas in
+    `error_operator`'s docstring.  The performance rows and the lags of the
+    residual E come from `synthesis._factor_rows`, the builder
+    `factor_operators` shares, and `_fir_row` and `relaxed_rows` form
+    their entries by the rule its docstring gives.
 
     Every row builder takes one (..., modes) integer array whose last mode
     is delivered at time t.  Row t reads the modes of lags 0..t and the tap
@@ -221,21 +220,12 @@ class _ErrorKernel:
         self.window = max(max(f.memory, f.fir_length) for f in firs)
         self.horizon = horizon
         self.tables: dict[tuple, tuple] = {}  # per padded window, see _build
-        self.C, self.D = model.C, model.D
+        self.plant, self.model = plant, model
         self.pad = padding_mode
         self.n, self.m_w, self.bound = plant.n, plant.m_w, plant.x0_bound
-        self.A = plant.A
         self.eye = np.eye(plant.n)
-        self.neg_eye = -1.0 * self.eye
-        # the lag-1 blocks of shift o diag(A) and shift o diag(B)
-        self.lam_a = self.eye @ plant.A
-        self.lam_b = self.eye @ plant.B
+        self.lam_b = self.eye @ plant.B  # the lag-1 block of shift o diag(B)
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
-
-    @staticmethod
-    def _taps(fir: SwitchingFIR, modes: np.ndarray, t: int) -> np.ndarray:
-        """The taps of lags 0..min(t, N - 1) at time t, (..., lags, out, in)."""
-        return fir.taps[fir.history_ids(modes[..., -fir.memory:]), :t + 1]
 
     def relaxed_rows(self, tables: list, t: int, past: list):
         """Row t of a relaxed design, -(I - E)^{-1} applied to the performance
@@ -270,13 +260,13 @@ class _ErrorKernel:
 
     def _fir_row(self, modes: np.ndarray, t: int) -> np.ndarray:
         """Row t of (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0]."""
-        taps = self._taps(self.T, modes, t)
+        taps = self.T.taps[self.T.history_ids(modes[..., -self.T.memory:]), :t + 1]
         lags = taps.shape[-3]
         back = modes[..., ::-1][..., :lags]
-        tc_minus_i = taps @ self.C[back]
-        tc_minus_i[..., 0, :, :] += self.neg_eye
+        tc_minus_i = taps @ self.model.C[back]
+        tc_minus_i[..., 0, :, :] -= self.eye
         while len(self.powers) <= t:
-            self.powers = np.concatenate([self.powers, self.A @ self.powers[-1:]])
+            self.powers = np.concatenate([self.powers, self.plant.A @ self.powers[-1:]])
         # prefix[m] = sum over j ascending of tc_minus_i[j] A^(m-j)
         prefix = tc_minus_i[..., :1, :, :] @ self.powers[:t + 1]
         for j in range(1, lags):
@@ -284,39 +274,10 @@ class _ErrorKernel:
         row = np.empty(prefix.shape[:-1] + (self.m_w + self.n,))
         row[..., self.m_w:] = prefix
         w_block = row[..., :self.m_w]
-        w_block[..., 0, :, :] = taps[..., 0, :, :] @ self.D[back[..., 0]]
+        w_block[..., 0, :, :] = taps[..., 0, :, :] @ self.model.D[back[..., 0]]
         w_block[..., 1:, :, :] = prefix[..., :t, :, :] @ self.lam_b
-        w_block[..., 1:lags, :, :] += taps[..., 1:, :, :] @ self.D[back[..., 1:]]
+        w_block[..., 1:lags, :, :] += taps[..., 1:, :, :] @ self.model.D[back[..., 1:]]
         return row
-
-    def _performance_row(self, modes: np.ndarray, t: int, q_taps, z_taps) -> np.ndarray:
-        """Row t of [shift(B) + Z Dbar + Q shift(B), I + Q]."""
-        m_w = self.m_w
-        lq, lz = q_taps.shape[-3], z_taps.shape[-3]
-        row = np.zeros(q_taps.shape[:-3] + (min(t, max(lq, lz)) + 1, self.n, m_w + self.n))
-        w_block, x0_block = row[..., :m_w], row[..., m_w:]
-        w_block[..., :lz, :, :] = z_taps @ self.D[modes[..., ::-1][..., :lz]]
-        shifted = min(lq, t)  # Q_j shift(B) reaches lag j + 1 <= t
-        w_block[..., 1:shifted + 1, :, :] += q_taps[..., :shifted, :, :] @ self.lam_b
-        if t >= 1:
-            w_block[..., 1, :, :] += self.lam_b
-        x0_block[..., :lq, :, :] = q_taps
-        x0_block[..., 0, :, :] += self.eye
-        return row
-
-    def _contraction(self, modes: np.ndarray, t: int, q_taps, z_taps) -> np.ndarray:
-        """The lags of I - E at time t, E = shift(A) + Z Cbar + Q (shift(A) - I)."""
-        lq, lz = q_taps.shape[-3], z_taps.shape[-3]
-        shifted = min(lq, t)  # Q_j shift(A) reaches lag j + 1 <= t
-        E = np.zeros(q_taps.shape[:-3] + (max(lz, shifted + 1), self.n, self.n))
-        E[..., 1:shifted + 1, :, :] = q_taps[..., :shifted, :, :] @ self.lam_a
-        E[..., :lq, :, :] += q_taps @ self.neg_eye
-        E[..., :lz, :, :] = z_taps @ self.C[modes[..., ::-1][..., :lz]] + E[..., :lz, :, :]
-        if t >= 1:
-            E[..., 1, :, :] = self.lam_a + E[..., 1, :, :]
-        contraction = -1.0 * E
-        contraction[..., 0, :, :] = self.eye + contraction[..., 0, :, :]
-        return contraction
 
     def _running_values(self, lags: np.ndarray) -> np.ndarray:
         """The values of the output rows of the first k + 1 lags, for every
@@ -330,16 +291,16 @@ class _ErrorKernel:
 
     def _build(self, t: int, windows: list) -> None:
         """Store the table of each of `windows` (`window` modes each), read
-        at time t, in one stacked step.  Exact and relaxed tables are read at
-        time `window` off the window with one more mode in front, whose N + 1
-        lags are all such a row has: the row's lags, or the performance row,
+        at time t, in one stacked step.  Exact and relaxed tables are
+        `_factor_rows` read at time `window` off the window, whose N + 1 lags
+        are all such a row has: the row's lags, -Phi, or the performance row,
         the lags of I - E and the inverse of their lag-0 block.  A FIR table
         is the row at the last time of the window padded in front to
         max(horizon, window) modes, one lag for every time.  Exact and FIR
         tables keep the values of their row at every time k < horizon, those
         of its first k + 1 lags (an exact table's last values repeat)."""
         for window in windows:
-            if not 0 <= window[-1] < len(self.C):
+            if not 0 <= window[-1] < self.model.mode_count:
                 raise ValueError(f"mode {window[-1]} at time {t} out of range")
         if self.kind == "fir":
             length = max(self.horizon, self.window)
@@ -347,12 +308,11 @@ class _ErrorKernel:
             lags = self._fir_row(np.array([pad + window for window in windows], dtype=np.intp),
                                  length - 1)
         else:
-            modes = np.array([(self.pad,) + window for window in windows], dtype=np.intp)
-            q_taps = self._taps(self.Q, modes, self.window)
-            z_taps = self._taps(self.Z, modes, self.window)
-            phi = self._performance_row(modes, self.window, q_taps, z_taps)
+            E, phi = _factor_rows(self.plant, self.model, self.Q, self.Z,
+                                  np.array(windows, dtype=np.intp), self.window)
             if self.kind == "relaxed":
-                contraction = self._contraction(modes, self.window, q_taps, z_taps)
+                contraction = -1.0 * E
+                contraction[:, 0] = self.eye + contraction[:, 0]
                 if any(map(oc.is_singular, contraction[:, 0])):
                     raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
                 self.tables.update(zip(windows, zip(phi, contraction,

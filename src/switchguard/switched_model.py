@@ -389,6 +389,16 @@ def _sigma_array(sigma, horizon: int) -> np.ndarray:
     return arr[..., :horizon].astype(np.intp, copy=False)
 
 
+def _mode_array(model: SwitchedOutputModel, sigma, horizon: int) -> np.ndarray:
+    """_sigma_array, each of whose modes must be one of the model's."""
+    sigma = _sigma_array(sigma, horizon)
+    bad = np.argwhere((sigma < 0) | (sigma >= model.mode_count))
+    if len(bad):
+        where = tuple(bad[0])
+        raise ValueError(f"mode {sigma[where]} at time {where[-1]} out of range")
+    return sigma
+
+
 def instantiate(fir: SwitchingFIR, sigma, horizon: int,
                 padding_mode: int = 0) -> TruncatedOperator:
     """Freeze the switching FIR along a mode sequence into a kernel operator.
@@ -413,11 +423,7 @@ def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
                  ) -> tuple[TruncatedOperator, TruncatedOperator]:
     """Diagonal operators with blocks C^{sigma(t)}, D^{sigma(t)}; a batch of
     operators for a batch of sequences."""
-    sigma = _sigma_array(sigma, horizon)
-    bad = np.argwhere((sigma < 0) | (sigma >= model.mode_count))
-    if len(bad):
-        where = tuple(bad[0])
-        raise ValueError(f"mode {sigma[where]} at time {where[-1]} out of range")
+    sigma = _mode_array(model, sigma, horizon)
     return (TruncatedOperator(model.C[sigma][..., None, :, :]),
             TruncatedOperator(model.D[sigma][..., None, :, :]))
 

@@ -33,8 +33,8 @@ import numpy as np
 from . import operator_core as oc
 from .lp_solver import EQ, LE, LinearProgram, solve
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, _distinct_rows, _WindowRows, history_array,
-                             instantiate, lift_outputs)
+                             SwitchingFIR, _distinct_rows, _mode_array, _WindowRows,
+                             history_array)
 
 __all__ = [
     "SynthesisConfig",
@@ -412,8 +412,10 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
 
 
 def _lag0_margin(Z: SwitchingFIR, Q: SwitchingFIR, model: SwitchedOutputModel) -> float:
-    """1 - max row sum of the lag-0 contraction block, over all tap windows."""
-    blocks = Z.taps[:, 0] @ model.C[Z.windows[:, -1]] - Q.taps[Q.history_ids(Z.windows), 0]
+    """1 - max row sum of the lag-0 contraction block, over all tap windows.
+    Z and Q hold the same histories (`unpack`, `load_bundle` checks), so
+    their tap tables share rows and no window lookup is built."""
+    blocks = Z.taps[:, 0] @ model.C[Z.windows[:, -1]] - Q.taps[:, 0]
     return 1.0 - float(np.max(np.sum(np.abs(blocks), axis=-1), initial=0.0))
 
 
@@ -453,32 +455,77 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     )
 
 
+def _factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+                 Z: SwitchingFIR, modes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row t of E = shift(A) + Z Cbar + Q (shift(A) - I) and of Phi =
+    [shift(B) + Z Dbar + Q shift(B), I + Q] along a batch of mode windows
+    (..., modes), the last delivered at time t: the lags of E, (..., lags,
+    n, n), and of Phi, (..., lags, n, m_w + n), its x0 block unscaled.
+
+    Each entry is formed by the same products, summed in the same order, as
+    the operator algebra (compose sums over the intermediate lag j
+    ascending, add puts its left operand first), so the rows equal that
+    compose chain bit for bit, up to the sign of a zero.  A product over
+    several lags is one stacked matmul, whose per-lag products are those of
+    separate matmuls, and so is a product over a leading axis of windows.
+    """
+    n, m_w = plant.n, plant.m_w
+    eye = np.eye(n)
+    # the lag-1 blocks of shift o diag(A) and shift o diag(B)
+    lam_a, lam_b = eye @ plant.A, eye @ plant.B
+    q_taps = Q.taps[Q.history_ids(modes[..., -Q.memory:]), :t + 1]
+    z_taps = Z.taps[Z.history_ids(modes[..., -Z.memory:]), :t + 1]
+    lq, lz = q_taps.shape[-3], z_taps.shape[-3]
+    back = modes[..., ::-1][..., :lz]
+    shifted = min(lq, t)  # Q_j shift(X) reaches lag j + 1 <= t
+    lags = min(t, max(lq, lz)) + 1
+    E = np.zeros(q_taps.shape[:-3] + (lags, n, n))
+    E[..., 1:shifted + 1, :, :] = q_taps[..., :shifted, :, :] @ lam_a
+    E[..., :lq, :, :] += q_taps @ (-1.0 * eye)
+    E[..., :lz, :, :] = z_taps @ model.C[back] + E[..., :lz, :, :]
+    phi = np.zeros(q_taps.shape[:-3] + (lags, n, m_w + n))
+    w_block, x0_block = phi[..., :m_w], phi[..., m_w:]
+    w_block[..., :lz, :, :] = z_taps @ model.D[back]
+    w_block[..., 1:shifted + 1, :, :] += q_taps[..., :shifted, :, :] @ lam_b
+    if t >= 1:
+        E[..., 1, :, :] = lam_a + E[..., 1, :, :]
+        w_block[..., 1, :, :] += lam_b
+    x0_block[..., :lq, :, :] = q_taps
+    x0_block[..., 0, :, :] += eye
+    return E, phi
+
+
 def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
                      model: SwitchedOutputModel, sigma, horizon: int,
                      padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
-    """The residual and performance operators along sigma, via operator algebra.
+    """The residual and performance operators along sigma.
 
     The residual is shift(A) + Z Cbar + Q (shift(A) - I); the performance
     operator is [shift(B) + Z Dbar + Q shift(B), b (I + Q)], b the plant's
     initial-condition bound: it maps the stacked (disturbance, initial
     condition in units of b) input to the estimation error when the
     residual vanishes, so its gain covers initial conditions up to the
-    bound.  Q, Z and the outputs are frozen once for both.  sigma may be a
-    batch of sequences, shape (..., horizon), giving batches of operators.
+    bound.  sigma may be a batch of sequences, shape (..., horizon), giving
+    batches of operators.  Row t reads the last W = max(M, N) modes at t,
+    padded in front with padding_mode, and is the first t + 1 lags of the
+    `_factor_rows` row at time W of that window, built once per distinct
+    window.
     """
-    n = plant.n
-    Cbar, Dbar = lift_outputs(model, sigma, horizon)
-    Q_op = instantiate(Q, sigma, horizon, padding_mode)
-    Z_op = instantiate(Z, sigma, horizon, padding_mode)
-    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
-    lam_a_minus_i = oc.add(lam_a, oc.scale(oc.identity(n, horizon), -1.0))
-    residual = oc.add(lam_a, oc.add(oc.compose(Z_op, Cbar), oc.compose(Q_op, lam_a_minus_i)))
-    lam_b = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.B, horizon))
-    w_block = oc.add(lam_b, oc.add(oc.compose(Z_op, Dbar), oc.compose(Q_op, lam_b)))
-    x0_block = oc.add(oc.identity(n, horizon), Q_op)
-    if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the band copy
-        x0_block = oc.scale(x0_block, float(plant.x0_bound))
-    return residual, oc.hstack(w_block, x0_block)
+    sigma = _mode_array(model, sigma, horizon)
+    W = max(max(fir.memory, fir.fir_length) for fir in (Q, Z))
+    padded = np.concatenate([np.full(sigma.shape[:-1] + (W - 1,), padding_mode, np.intp),
+                             sigma], axis=-1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, W, axis=-1)
+    distinct, index = _distinct_rows(windows.reshape(-1, W))
+    E, Phi = _factor_rows(plant, model, Q, Z, distinct, W)
+    if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the pass
+        Phi[..., plant.m_w:] *= float(plant.x0_bound)
+    lags = min(horizon, E.shape[-3])
+    index = index.reshape(sigma.shape)
+    E, Phi = E[index, :lags], Phi[index, :lags]
+    t, k = np.ogrid[:horizon, :lags]
+    E[..., k > t, :, :] = Phi[..., k > t, :, :] = 0.0
+    return oc.TruncatedOperator(E), oc.TruncatedOperator(Phi)
 
 
 def certify(plant: ChannelPlant, model: SwitchedOutputModel,
@@ -490,7 +537,7 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
     gains at the factors, evaluated numerically by `row_gains` at the
     packed taps (the same bits the LP's affine forms give, with no LP
     built).  The residual/performance operators are also measured along
-    sampled admissible sequences via the kernel algebra, a path independent
+    sampled admissible sequences by `factor_operators`, a path independent
     of the rows: the sequences are drawn first, then each operator is built
     and measured once for the whole batch.
     """

@@ -548,9 +548,16 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
                  id="missing-matrix"),
     # the taps of a history must hold every lag 0..N-1
     pytest.param(lambda b: b["Q"]["entries"].pop(1), "Q.entries", id="missing-entry"),
-    pytest.param(lambda b: b["T"]["entries"][1].update(history=[[0]]), "error: T:",
-                 id="nested-history"),
+    # a history that is not a flat list of integers is named, not reported
+    # as the TypeError of building the taps
+    pytest.param(lambda b: b["T"]["entries"][1].update(history=[[0]]),
+                 "error: T.entries[1].history: ", id="nested-history"),
+    pytest.param(lambda b: b["Q"]["entries"][1].update(history=5),
+                 "error: Q.entries[1].history: ", id="int-history"),
     pytest.param(lambda b: b.pop("lag0_margin"), "lag0_margin", id="missing-margin"),
+    # the margin must be the one Q and Z give; an edited one ran with exit 0
+    pytest.param(lambda b: b.update(lag0_margin=123.0), "error: lag0_margin: 123.0 is not ",
+                 id="edited-margin"),
     pytest.param(lambda b: b["Q"]["entries"][0]["matrix"][0].__setitem__(0, float("nan")),
                  "Q.entries[0].matrix", id="nan-tap"),
     pytest.param(lambda b: b["T"]["entries"][1]["matrix"][1].__setitem__(1, float("-inf")),
@@ -702,6 +709,8 @@ def test_simulate_singular_lag0_exits_numerical(nominal_bundle, capsys):
             entry["matrix"] = np.zeros_like(entry["matrix"]).tolist()
     rank_deficient = np.arange(1.0, 10.0).reshape(3, 3)
     bundle["Q"]["entries"][0]["matrix"] = (rank_deficient - np.eye(3)).tolist()
+    # the margin load_bundle recomputes: 1 - 23, the largest absolute row sum of Q0
+    bundle["lag0_margin"] = -22.0
     with open(nominal_bundle, "w") as fh:
         json.dump(bundle, fh)
     assert main(["simulate", nominal_bundle, "--horizon", "3"]) == 4

@@ -1,4 +1,4 @@
-"""The package's exports name what exists.
+"""The package's exports name what exists, and its imports stay numpy-only.
 
 Every name in a module's `__all__` must resolve, and every name that
 `switchguard/__init__.py` imports from a module must be in that module's
@@ -6,7 +6,10 @@ Every name in a module's `__all__` must resolve, and every name that
 """
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import switchguard
@@ -36,3 +39,14 @@ def test_package_imports_only_exported_names():
             assert alias.name in module.__all__, \
                 f"switchguard imports {alias.name!r} from {node.module}, whose __all__ omits it"
             assert getattr(switchguard, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_import_loads_no_scipy():
+    """The runtime needs numpy alone: a fresh interpreter that imports the
+    package and its CLI has loaded no SciPy module."""
+    code = ("import sys, switchguard, switchguard.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60,
+                          check=True)
+    assert done.stdout == "[]\n"

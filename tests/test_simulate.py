@@ -15,7 +15,8 @@ from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_o
                                   worst_case_inputs)
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
-from switchguard.synthesis import SynthesisConfig, SynthesisResult, certify, synthesize
+from switchguard.synthesis import (SynthesisConfig, SynthesisResult, _factor_rows, certify,
+                                   synthesize)
 from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
                   per_sequence_attack_search, prefixes, random_signal,
                   reference_worst_case_inputs, resolvent_of_state, unroll, walk_search)
@@ -618,8 +619,7 @@ def _row_alone(kernel, t, modes):
     sigma = np.array([(kernel.pad,) * (length - len(modes)) + tuple(modes)], dtype=np.intp)
     if kernel.kind == "fir":
         return kernel._fir_row(sigma, t)[0]
-    q_taps, z_taps = kernel._taps(kernel.Q, sigma, t), kernel._taps(kernel.Z, sigma, t)
-    return -1.0 * kernel._performance_row(sigma, t, q_taps, z_taps)[0]
+    return -1.0 * _factor_rows(kernel.plant, kernel.model, kernel.Q, kernel.Z, sigma, t)[1][0]
 
 
 def _assert_reads_match_rows(reads):

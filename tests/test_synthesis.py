@@ -3,7 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from switchguard import demo
@@ -16,9 +16,11 @@ from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
 from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
                                    certify, decision_variables, factor_operators,
                                    row_gains, synthesize)
-from util import (assemble_symbolic_lp, band_entry, build_performance_rows, build_residual_rows,
-                  evaluate_rows, history_at, kernel_entries, pack, parametrization_residual,
-                  sampled_norms_loop, symbolic_variables, window_row_gains)
+from util import (admissible_sequences, assemble_symbolic_lp, band_entry, build_performance_rows,
+                  build_residual_rows, dict_induced_norm, dict_performance_operator,
+                  dict_residual_operator, evaluate_rows, history_at, kernel_entries, pack,
+                  parametrization_residual, sampled_norms_loop, symbolic_variables, unroll,
+                  window_row_gains)
 
 
 @pytest.fixture(scope="module")
@@ -560,6 +562,61 @@ def test_certify_norms_match_dict_oracle_stress(stress_state):
     plant, model, automaton = stress_state.problem
     assert_sampled_norms_match_oracle(plant, model, automaton, stress_state.padded_config,
                                       stress_state.padded)
+
+
+def assert_factor_operators_match_oracle(plant, model, automaton, Q, Z, sigmas, horizon):
+    """factor_operators along one sequence and along the batch `sigmas` equals
+    the dict algebra's residual and performance operators of each sequence:
+    equal unrolled matrices and equal induced norms."""
+    pad = automaton.padding_mode
+    oracles = [(dict_residual_operator(plant, Q, Z, model, sigma, horizon, pad),
+                dict_performance_operator(plant, Q, Z, model, sigma, horizon, pad))
+               for sigma in sigmas]
+    single = factor_operators(plant, Q, Z, model, sigmas[0], horizon, pad)
+    batch = factor_operators(plant, Q, Z, model, sigmas, horizon, pad)
+    for op, ops, oracle in zip(single, batch, zip(*oracles)):
+        assert op.batch_shape == () and ops.batch_shape == (len(sigmas),)
+        assert np.array_equal(unroll(op), oracle[0].unroll())
+        assert induced_norm(op) == dict_induced_norm(oracle[0])
+        for dense, expected in zip(unroll(ops), oracle):
+            assert np.array_equal(dense, expected.unroll())
+        assert induced_norm(ops).tolist() == list(map(dict_induced_norm, oracle))
+
+
+@st.composite
+def factor_operator_cases(draw):
+    """A row_gain_cases draw with a plant bound from {1, 0.375, 6}, a
+    horizon in 1..W+3 (the rows before W read padded windows) and one to
+    three admissible sequences."""
+    plant, model, automaton, config, Q, Z = draw(row_gain_cases())
+    plant = dataclasses.replace(plant, x0_bound=draw(st.sampled_from([1.0, 0.375, 6.0])))
+    horizon = draw(st.integers(1, config.window + 3))
+    found = admissible_sequences(automaton, horizon)
+    assume(found)
+    picks = draw(st.lists(st.integers(0, len(found) - 1), min_size=1, max_size=3))
+    return plant, model, automaton, Q, Z, [found[i] for i in picks], horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_operator_cases())
+def test_factor_operators_match_dict_oracle_random(case):
+    assert_factor_operators_match_oracle(*case)
+
+
+@pytest.mark.parametrize("memory, fir_length", [(2, 1), (3, 2)])
+def test_factor_operators_match_dict_oracle_memory_above_length(switching_setup, memory,
+                                                                 fir_length):
+    """Random taps on the demo problem with M > N, so the tap history reaches
+    further back than the lags, at a bound of 2.5 and every horizon 1..M+3."""
+    plant, model, automaton, _ = switching_setup
+    plant = dataclasses.replace(plant, x0_bound=2.5)
+    config = SynthesisConfig(memory=memory, fir_length=fir_length)
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    rng = np.random.default_rng(memory)
+    Q, Z = variables.unpack(rng.uniform(-1, 1, variables.count))
+    for horizon in range(1, memory + 4):
+        sigmas = [automaton.random_sequence(horizon, rng) for _ in range(3)]
+        assert_factor_operators_match_oracle(plant, model, automaton, Q, Z, sigmas, horizon)
 
 
 def test_row_gains_match_oracle_zero_padded(switching_synthesis, switching_setup):
