@@ -27,6 +27,11 @@ no other entry is written.  The np.ix_ and full-tableau pivots of the test
 suite (ix_pivot, dense_pivot) remain the oracles.  The entering column is
 copied once per iteration, and the ratio test and the pivot read it from
 there.
+
+A solve whose tableau loses accuracy (LpNumericalError, or an optimal
+point that misses a row) is redone by a revised simplex that inverts the
+basis afresh from the original rows every REFACTOR pivots and picks
+large pivots (Harris's ratio test); see solve.
 """
 from __future__ import annotations
 
@@ -45,6 +50,10 @@ __all__ = [
 
 PIVOT_TOL = 1e-9
 BLOCK = 1 << 14  # most entries one np.subtract.at of a pivot updates
+VERIFY_TOL = 1e-9  # relative miss of a row that sends a solve to the fallback
+HARRIS_TOL = 1e-11  # how far below zero the fallback lets a basic value go
+REFACTOR = 32  # fallback pivots between fresh basis inverses
+FALLBACK_ROWS = 1024  # largest LP the fallback takes on (about 8 s at 1253 rows)
 
 LE = "<="
 EQ = "="
@@ -342,7 +351,47 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
 
 
 def solve(lp: LinearProgram) -> LpSolution:
-    """Two-phase primal simplex; returns a vertex solution when optimal."""
+    """Two-phase primal simplex; returns a vertex solution when optimal.
+
+    The tableau simplex runs first.  Its updates accumulate rounding, and
+    on a badly scaled LP (entries near PIVOT_TOL next to entries near 1)
+    it can lose accuracy: it then raises LpNumericalError, or returns a
+    point that misses a row by more than a tolerance relative to the row's
+    magnitude.  In either case the LP is solved again by _refactored_solve,
+    which recomputes the basis inverse from the original rows every
+    REFACTOR pivots, so rounding cannot build up past that; an LP the
+    tableau solves accurately never gets there, so its solution and counts
+    are those of the tableau.  An LP of more than FALLBACK_ROWS rows is not
+    redone, since each dense basis inverse of the fallback costs
+    O(rows^3): its failure is raised as LpNumericalError.
+    """
+    try:
+        sol = _tableau_solve(lp)
+    except LpNumericalError:
+        if len(lp.constraints) > FALLBACK_ROWS:
+            raise
+        return _refactored_solve(lp)
+    if sol.status == "optimal" and not _satisfies(lp, sol.values):
+        if len(lp.constraints) > FALLBACK_ROWS:
+            raise LpNumericalError("the tableau's optimal point misses a row")
+        return _refactored_solve(lp)
+    return sol
+
+
+def _satisfies(lp: LinearProgram, x: np.ndarray) -> bool:
+    """Whether x meets every row and bound of lp to within VERIFY_TOL times
+    the row's magnitude (the largest of 1, |rhs| and sum |a_j x_j|)."""
+    for coeffs, rel, rhs in lp.constraints:
+        miss = float(coeffs @ x) - rhs
+        tol = VERIFY_TOL * max(1.0, abs(rhs), float(np.abs(coeffs) @ np.abs(x)))
+        if miss > tol or (rel == EQ and miss < -tol):
+            return False
+    nonneg = np.array([lo is not None for lo, _ in lp.bounds], dtype=bool)
+    return bool(np.all(x[nonneg] >= -VERIFY_TOL))
+
+
+def _tableau_solve(lp: LinearProgram) -> LpSolution:
+    """The two-phase simplex in one dense tableau (see the module docstring)."""
     T, basis, ncols, c, recover = _tableau(lp)
     m, total_cols = T.shape[0] - 1, T.shape[1] - 1
     missing = np.flatnonzero(basis >= ncols)  # rows with an artificial basic variable
@@ -394,6 +443,147 @@ def solve(lp: LinearProgram) -> LpSolution:
     u = np.zeros(ncols)
     u[basis] = T[:m, -1]
     x = recover(u)
+    return LpSolution("optimal", float(lp.objective @ x), x, tuple(pivots), tuple(switches))
+
+
+def _harris_row(xb: np.ndarray, basis: np.ndarray, w: np.ndarray) -> int:
+    """Leaving row of Harris's two-pass ratio test, -1 when none is eligible.
+
+    Pass one finds the largest step that leaves no basic variable below
+    -HARRIS_TOL; pass two takes, among the rows that step would block, the
+    one with the largest entry w (ties: smallest basic variable index), so
+    a tiny pivot is not taken when a larger one is nearly as tight.
+    """
+    eligible = np.flatnonzero(w > PIVOT_TOL)
+    if eligible.size == 0:
+        return -1
+    level = np.maximum(xb[eligible], 0.0)
+    step = float(np.min((level + HARRIS_TOL) / w[eligible]))
+    blocking = eligible[level / w[eligible] <= step]
+    largest = w[blocking] == np.max(w[blocking])
+    return int(blocking[largest][np.argmin(basis[blocking[largest]])])
+
+
+def _bland_row(xb: np.ndarray, basis: np.ndarray, w: np.ndarray) -> int:
+    """Min-ratio row, ties by smallest basic variable index; -1 when none."""
+    eligible = np.flatnonzero(w > PIVOT_TOL)
+    if eligible.size == 0:
+        return -1
+    ratios = np.maximum(xb[eligible], 0.0) / w[eligible]
+    ties = eligible[ratios <= float(np.min(ratios)) + PIVOT_TOL]
+    return int(ties[np.argmin(basis[ties])])
+
+
+def _revised(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray,
+             enterable: int, max_iter: int) -> tuple[str, int, int]:
+    """Revised simplex on min cost.u, A u = b, u >= 0 from the feasible
+    basis `basis` (updated in place); columns below `enterable` may enter.
+
+    The basis inverse gets a product-form update per pivot and is inverted
+    afresh from A every REFACTOR pivots, and the basic values, prices and
+    entering column are recomputed from it each iteration.  Entering and
+    stall handling are those of _simplex; the leaving row is Harris's,
+    or the min-ratio row under Bland's rule.  Returns (status, pivots,
+    bland_switches).
+    """
+    Binv = np.linalg.inv(A[:, basis])
+    bland = False
+    switches = stall = 0
+    last_obj = math.inf
+    for it in range(max_iter):
+        if it and it % REFACTOR == 0:
+            Binv = np.linalg.inv(A[:, basis])
+        if it % REFACTOR == 0 and not np.isfinite(Binv).all():
+            raise LpNumericalError("refactored simplex: basis inverse not finite")
+        xb = Binv @ b
+        obj = float(cost[basis] @ xb)
+        if obj < last_obj - PIVOT_TOL:
+            stall = 0
+            bland = False
+            last_obj = obj
+        elif not bland:
+            stall += 1
+            if stall >= STALL_LIMIT:
+                bland = True
+                switches += 1
+        reduced = cost[:enterable] - (cost[basis] @ Binv) @ A[:, :enterable]
+        reduced[basis[basis < enterable]] = 0.0
+        if bland:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            if candidates.size == 0:
+                return "optimal", it, switches
+            enter = int(candidates[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -PIVOT_TOL:
+                return "optimal", it, switches
+        w = Binv @ A[:, enter]
+        leave = (_bland_row if bland else _harris_row)(xb, basis, w)
+        if leave < 0:
+            return "unbounded", it, switches
+        Binv[leave] /= w[leave]
+        w[leave] = 0.0
+        Binv -= np.outer(w, Binv[leave])
+        basis[leave] = enter
+    raise LpNumericalError("iteration limit exceeded")
+
+
+def _refactored_solve(lp: LinearProgram) -> LpSolution:
+    """Two-phase revised simplex on the standard form of _tableau.
+
+    Slower than the tableau (a dense inverse every REFACTOR pivots), but
+    each basic solution is computed from the original rows, so rounding
+    does not build up over the pivots; the values returned are solved
+    from the final basis afresh.
+    """
+    try:
+        return _revised_two_phase(lp)
+    except np.linalg.LinAlgError as err:
+        raise LpNumericalError(f"refactored simplex: singular basis ({err})") from err
+
+
+def _revised_two_phase(lp: LinearProgram) -> LpSolution:
+    """The body of _refactored_solve."""
+    T, basis, ncols, c, recover = _tableau(lp)
+    m, total_cols = T.shape[0] - 1, T.shape[1] - 1
+    A, b = T[:m, :total_cols], T[:m, -1]
+    max_iter = 2000 + 200 * (m + total_cols)
+    pivots = [0, 0]
+    switches = [0, 0]
+
+    if np.any(basis >= ncols):
+        cost = np.zeros(total_cols)
+        cost[ncols:] = 1.0
+        # an artificial that leaves never returns, so one still basic at
+        # position i is row i's own, and dropping row i keeps B invertible
+        _, pivots[0], switches[0] = _revised(A, b, cost, basis, ncols, max_iter)
+        Binv = np.linalg.inv(A[:, basis])
+        if float(cost[basis] @ (Binv @ b)) > 1e-7:
+            return LpSolution("infeasible", np.nan, np.full(lp.variable_count, np.nan),
+                              tuple(pivots), tuple(switches))
+        # drive remaining artificials out of the basis, on the largest entry
+        for i in range(m):
+            if basis[i] >= ncols:
+                row = Binv[i] @ A[:, :ncols]
+                j = int(np.argmax(np.abs(row)))
+                if abs(row[j]) > PIVOT_TOL:
+                    basis[i] = j
+                    Binv = np.linalg.inv(A[:, basis])
+                    pivots[0] += 1
+        keep = basis < ncols  # the others are redundant rows
+        A, b, basis = A[keep], b[keep], basis[keep]
+
+    cost = np.zeros(total_cols)
+    cost[:ncols] = c
+    status, pivots[1], switches[1] = _revised(A, b, cost, basis, ncols, max_iter)
+    if status == "unbounded":
+        return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan),
+                          tuple(pivots), tuple(switches))
+    u = np.zeros(ncols)
+    u[basis] = np.maximum(np.linalg.solve(A[:, basis], b), 0.0)
+    x = recover(u)
+    if not _satisfies(lp, x):
+        raise LpNumericalError("refactored simplex: the solution misses a row")
     return LpSolution("optimal", float(lp.objective @ x), x, tuple(pivots), tuple(switches))
 
 

@@ -326,6 +326,44 @@ def test_solver_matches_dense_reference_on_sparse_lps(monkeypatch):
     assert statuses == {"optimal"}
 
 
+def test_refactored_solve_matches_tableau_on_sparse_lps():
+    """The fallback reaches the tableau's status and optimum on LPs both solve."""
+    for seed in range(50):
+        lp = _sparse_lp(seed)
+        sol, ref = lp_solver._refactored_solve(lp), lp_solver._tableau_solve(lp)
+        assert sol.status == ref.status
+        assert np.isclose(sol.objective, ref.objective, rtol=1e-9, atol=1e-9)
+
+
+def test_refactored_solve_statuses():
+    for build, status in ((lambda: _rows_lp(np.array([1.0]), np.array([[1.0], [-1.0]]),
+                                            np.array([0.0, -1.0])), "infeasible"),
+                          (lambda: LinearProgram(1, np.array([-1.0]),
+                                                 bounds=[(0.0, None)]), "unbounded")):
+        assert lp_solver._refactored_solve(build()).status == status
+
+
+def test_solve_falls_back_when_the_tableau_fails(switching_setup, monkeypatch):
+    """A tableau solve that raises, or returns a point missing a row, is
+    redone by the refactored simplex, which reaches the same optimum."""
+    lp = _demo_lp(switching_setup)
+    ref = solve(lp)
+
+    def breakdown(*args, **kwargs):
+        raise LpNumericalError("pivot breakdown")
+
+    def missed(lp):
+        return lp_solver.LpSolution("optimal", 0.0, np.zeros(lp.variable_count))
+
+    for tableau_solve in (breakdown, missed):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_solver, "_tableau_solve", tableau_solve)
+            sol = solve(lp)
+        assert sol.status == "optimal"
+        assert np.isclose(sol.objective, ref.objective, rtol=1e-9)
+        assert lp_solver._satisfies(lp, sol.values)
+
+
 def test_restricted_pivot_matches_dense_update():
     rng = np.random.default_rng(47)
     for _ in range(200):

@@ -10,6 +10,7 @@ from switchguard import demo
 from switchguard.cli import parse_problem
 from switchguard.lp_solver import EQ, format_lp
 from switchguard.operator_core import induced_norm
+from switchguard.simulate import attack_search
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
                                         history_array)
@@ -661,3 +662,23 @@ def test_x0_bound_scales_the_initial_condition_block(switching_setup, x0_bound):
     m_w = plant.m_w
     assert np.array_equal(band[..., :m_w], unit[..., :m_w])
     assert np.array_equal(band[..., m_w:], x0_bound * unit[..., m_w:])
+
+
+@pytest.mark.parametrize("setup, x0_bound", [("nominal_setup", 1.4516908135285954e-10),
+                                             ("nominal_setup", 1e-8),
+                                             ("nominal_setup", 2.0 ** -24),
+                                             ("nominal_setup", 7.5712802970510085),
+                                             ("nominal_setup", 8.154075771907006),
+                                             ("nominal_setup", 9.473097339470852),
+                                             ("switching_setup", 0.01),
+                                             ("switching_setup", 2.0 ** -24)])
+def test_x0_bound_the_tableau_fails_on_is_certified(setup, x0_bound, request):
+    """On these bounds the tableau simplex loses accuracy in phase 1 (it
+    raised LpNumericalError); the re-solve succeeds and the bound still
+    covers every attack."""
+    plant, model, automaton, config = request.getfixturevalue(setup)
+    plant = dataclasses.replace(plant, x0_bound=x0_bound)
+    result = synthesize(plant, model, automaton, config)
+    for strategy in ("exhaustive", "greedy"):
+        value = attack_search(plant, model, result, automaton, 6, strategy)[1]
+        assert value <= result.certified_bound * (1 + 1e-9)
