@@ -85,7 +85,9 @@ def _number(value, path: str) -> float:
         raise ConfigError(path, "number out of range") from None
 
 
-def _matrix(value, path: str) -> np.ndarray:
+def _matrix(value, path: str, finite: bool = True) -> np.ndarray:
+    """A non-empty rectangular nested list of JSON numbers, as a float array;
+    unless finite is False, every entry must be finite."""
     _expect(isinstance(value, list) and value and all(isinstance(r, list) for r in value),
             path, "expected a non-empty nested list (matrix)")
     width = len(value[0])
@@ -101,7 +103,8 @@ def _matrix(value, path: str) -> np.ndarray:
     except OverflowError:
         raise ConfigError(path, "matrix entries out of range") from None
     # a Python loop is faster than a numpy reduction on config-sized matrices
-    _expect(all(map(math.isfinite, mat.ravel().tolist())), path, "matrix entries must be finite")
+    _expect(not finite or all(map(math.isfinite, mat.ravel().tolist())), path,
+            "matrix entries must be finite")
     return mat
 
 
@@ -240,11 +243,16 @@ def _require(obj, keys, path: str) -> None:
 _FIR_DIMS = ("memory", "fir_length", "in_dim", "out_dim")
 
 
-def _check_tap_entry(entry: dict, path: str) -> None:
-    """A tap entry's history must be a list of JSON integers, its lag one."""
+def _tap_entry(entry, path: str) -> tuple:
+    """((history, lag), matrix) of a tap entry, checked in that order: its
+    history must be a list of JSON integers, its lag one, its matrix a
+    rectangular list of numbers (SwitchingFIR's int() would read a mode or
+    lag of 1.7, "1" or true as 1, and float() a true as 1.0)."""
+    _require(entry, ("history", "lag", "matrix"), path)
     _expect(isinstance(entry["history"], list) and all(map(_is_int, entry["history"])),
             f"{path}.history", "expected a list of integer mode indices")
-    _integer(entry["lag"], f"{path}.lag")
+    lag = _integer(entry["lag"], f"{path}.lag")
+    return (tuple(entry["history"]), lag), _matrix(entry["matrix"], f"{path}.matrix", finite=False)
 
 
 def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
@@ -255,27 +263,15 @@ def _fir_from_json(data, path: str, dims: tuple) -> SwitchingFIR:
         _expect(_integer(data[key], f"{path}.{key}") == expected, f"{path}.{key}",
                 f"{data[key]} does not match the config's {expected}")
     _expect(isinstance(data["entries"], list), f"{path}.entries", "expected a list")
+    # one pass over the entries names the first malformed one
+    taps = [_tap_entry(entry, f"{path}.entries[{i}]") for i, entry in enumerate(data["entries"])]
     try:
-        coeffs = {(tuple(e["history"]), e["lag"]): np.array(e["matrix"], dtype=float)
-                  for e in data["entries"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        # name the first malformed entry; otherwise the error is the FIR's own
-        for i, entry in enumerate(data["entries"]):
-            _require(entry, ("history", "lag", "matrix"), f"{path}.entries[{i}]")
-            _check_tap_entry(entry, f"{path}.entries[{i}]")
-        raise ConfigError(path, str(exc)) from None
-    # SwitchingFIR's int() would read a mode or lag of 1.7, "1" or true as 1
-    if not all(type(e["lag"]) is int and all(type(m) is int for m in e["history"])
-               for e in data["entries"]):
-        for i, entry in enumerate(data["entries"]):
-            _check_tap_entry(entry, f"{path}.entries[{i}]")
-    try:
-        return SwitchingFIR(*dims, coeffs)
+        return SwitchingFIR(*dims, dict(taps))
     except (TypeError, ValueError) as exc:
         # the FIR checks its taps once; only a failure looks for the entry to name
-        for i, entry in enumerate(data["entries"]):
-            _expect(np.isfinite(np.array(entry["matrix"], dtype=float)).all(),
-                    f"{path}.entries[{i}].matrix", "matrix entries must be finite")
+        for i, (_, mat) in enumerate(taps):
+            _expect(np.isfinite(mat).all(), f"{path}.entries[{i}].matrix",
+                    "matrix entries must be finite")
         # the dims are the config's, so what is wrong lies in the entries
         raise ConfigError(f"{path}.entries", str(exc)) from None
 

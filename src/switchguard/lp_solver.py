@@ -5,7 +5,8 @@ nonnegative, the two kinds the synthesis LP uses (any other bound is a
 row).
 Pivoting uses the most-negative-cost rule while progress is made and
 switches to Bland's rule on degenerate stretches, which precludes cycling;
-both rules are fixed, so identical inputs produce bit-identical outputs.
+both rules are fixed, so the tableau simplex gives bit-identical outputs on
+identical inputs.
 
 The tableau is the one array of its size in a solve.  Each row is
 standardized straight into it, with its width fixed beforehand by one pass
@@ -31,7 +32,9 @@ there.
 A solve whose tableau loses accuracy (LpNumericalError, or an optimal
 point that misses a row) is redone by a revised simplex that inverts the
 basis afresh from the original rows every REFACTOR pivots and picks
-large pivots (Harris's ratio test); see solve.
+large pivots (Harris's ratio test); see solve.  Its bits depend on the
+BLAS thread count.  Both engines share the entering rule (_Pricing) and
+the min-ratio row (_ratio_row).
 """
 from __future__ import annotations
 
@@ -53,6 +56,8 @@ BLOCK = 1 << 14  # most entries one np.subtract.at of a pivot updates
 VERIFY_TOL = 1e-9  # relative miss of a row that sends a solve to the fallback
 HARRIS_TOL = 1e-11  # how far below zero the fallback lets a basic value go
 REFACTOR = 32  # fallback pivots between fresh basis inverses
+INFEASIBLE_TOL = 1e-7  # artificial sum left after phase 1 that means infeasible
+STALL_LIMIT = 64  # degenerate pivots before Bland's rule takes over
 FALLBACK_ROWS = 1024  # largest LP the fallback takes on (about 8 s at 1253 rows)
 
 LE = "<="
@@ -251,18 +256,19 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int, column: np.ndar
     basis[row] = col
 
 
-def _ratio_row(T: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
-    """Min-ratio row for the entering column `column` (a copy of it);
-    ties broken by smallest basic variable index (Bland).
+def _ratio_row(rhs: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
+    """Min-ratio row for the entering column `column` (entries past rhs's
+    length ignored) over the basic values rhs; ties broken by smallest
+    basic variable index (Bland).
 
     Only rows whose entering-column entry exceeds PIVOT_TOL are eligible;
     -1 when there is none.
     """
-    col = column[:T.shape[0] - 1]
+    col = column[:rhs.size]
     eligible = np.flatnonzero(col > PIVOT_TOL)
     if eligible.size == 0:
         return -1
-    ratios = T[eligible, -1] / col[eligible]
+    ratios = rhs[eligible] / col[eligible]
     best = float(np.min(ratios))
     ties = eligible[ratios <= best + PIVOT_TOL]
     return int(ties[np.argmin(basis[ties])])
@@ -282,7 +288,58 @@ def _drop_rows(T: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return T[:keep.size + 1]
 
 
-STALL_LIMIT = 64
+class _Pricing:
+    """The entering rule of both engines, one per simplex run.
+
+    Entering column: most negative reduced cost (Dantzig) while the
+    objective makes progress; after STALL_LIMIT degenerate iterations
+    Bland's rule (lowest eligible index, lowest-index leaving tie-break)
+    takes over until the objective next improves, which precludes cycling:
+    Bland cannot cycle, so every degenerate stretch ends in finitely many
+    steps, and strict improvements cannot revisit a basis.  Both rules are
+    deterministic.  switches counts the changes to Bland's rule.
+    """
+
+    def __init__(self):
+        self.bland = False
+        self.switches = 0
+        self.stall = 0
+        self.last = math.inf
+
+    def progress(self, objective) -> None:
+        """Record the objective (minimized) at the basis, once per iteration
+        before pricing; the first call only sets the level to improve on."""
+        if objective < self.last - PIVOT_TOL:
+            self.stall = 0
+            self.bland = False
+            self.last = objective
+        elif not self.bland:
+            self.stall += 1
+            if self.stall >= STALL_LIMIT:
+                self.bland = True
+                self.switches += 1
+
+    def enter(self, reduced: np.ndarray) -> int:
+        """The entering column for these reduced costs, -1 when none
+        prices out below -PIVOT_TOL (the basis is optimal)."""
+        if self.bland:
+            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
+            return int(candidates[0]) if candidates.size else -1
+        if reduced.size == 0:
+            return -1
+        enter = int(np.argmin(reduced))
+        return -1 if reduced[enter] >= -PIVOT_TOL else enter
+
+
+def _budget(T: np.ndarray) -> int:
+    """Iteration limit of each phase, from the size of the phase-1 tableau."""
+    return 2000 + 200 * (T.shape[0] + T.shape[1] - 2)
+
+
+def _no_point(lp: LinearProgram, status: str, pivots, switches) -> LpSolution:
+    """The outcome of a solve that ends 'infeasible' or 'unbounded'."""
+    return LpSolution(status, np.nan if status == "infeasible" else -np.inf,
+                      np.full(lp.variable_count, np.nan), tuple(pivots), tuple(switches))
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
@@ -290,13 +347,8 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
     """Simplex iterations on tableau T (objective in the last row).
 
     Returns (status, pivots, bland_switches) with status 'optimal' or
-    'unbounded'.  Entering column: most negative reduced cost (Dantzig)
-    while the objective makes progress; after STALL_LIMIT degenerate
-    iterations Bland's rule (lowest eligible index, lowest-index leaving
-    tie-break) takes over until the objective next improves, which
-    precludes cycling: Bland cannot cycle, so every degenerate stretch ends
-    in finitely many steps, and strict improvements cannot revisit a basis.
-    Both rules are deterministic.
+    'unbounded'.  The entering column is _Pricing's, fed the objective
+    -T[-1, -1] (negation is exact); the leaving row is _ratio_row's.
 
     In phase 1, art_sum is the sum of the artificial variables' right-hand
     sides.  The objective entry T[-1, -1] is minus the artificial sum, so it
@@ -304,45 +356,25 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, max_iter: int,
     tolerance scaled with art_sum means the tableau has lost accuracy, and
     LpNumericalError is raised instead of pivoting on.
     """
-    if ncols == 0:
-        return "optimal", 0, 0  # no column can enter
     if art_sum is not None:
         slack = PIVOT_TOL * max(art_sum, 1.0)
         low, high = -art_sum - slack, slack
-    bland = False
-    switches = 0
-    stall = 0
-    last_obj = T[-1, -1]
+    pricing = _Pricing()
     for it in range(max_iter):
-        reduced = T[-1, :ncols]
-        if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
-                return "optimal", it, switches
-            enter = int(candidates[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -PIVOT_TOL:
-                return "optimal", it, switches
+        pricing.progress(-T[-1, -1])
+        enter = pricing.enter(T[-1, :ncols])
+        if enter < 0:
+            return "optimal", it, pricing.switches
         column = T[:, enter].copy()
-        leave = _ratio_row(T, basis, column)
+        leave = _ratio_row(T[:-1, -1], basis, column)
         if leave < 0:
-            return "unbounded", it, switches
+            return "unbounded", it, pricing.switches
         _pivot(T, basis, leave, enter, column)
         obj = T[-1, -1]
         if art_sum is not None and not low <= obj <= high:
             raise LpNumericalError(
                 f"phase-1 objective {-obj:.6g} left its range [0, {art_sum:.6g}] "
                 f"after {it + 1} pivots")
-        if obj > last_obj + PIVOT_TOL:
-            stall = 0
-            bland = False
-            last_obj = obj
-        elif not bland:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
-                switches += 1
         # min and max are NaN or infinite exactly when an entry is, and
         # unlike np.isfinite(T) they allocate no tableau-sized mask
         if it % 512 == 511 and not (math.isfinite(T.min()) and math.isfinite(T.max())):
@@ -363,24 +395,29 @@ def solve(lp: LinearProgram) -> LpSolution:
     tableau solves accurately never gets there, so its solution and counts
     are those of the tableau.  An LP of more than FALLBACK_ROWS rows is not
     redone, since each dense basis inverse of the fallback costs
-    O(rows^3): its failure is raised as LpNumericalError.
+    O(rows^3): its failure is raised as LpNumericalError, as is a singular
+    basis in the fallback.
     """
     try:
         sol = _tableau_solve(lp)
+        if sol.status == "optimal" and not _satisfies(lp, sol.values):
+            raise LpNumericalError("the tableau's optimal point misses a row")
+        return sol
     except LpNumericalError:
         if len(lp.constraints) > FALLBACK_ROWS:
             raise
+    try:
         return _refactored_solve(lp)
-    if sol.status == "optimal" and not _satisfies(lp, sol.values):
-        if len(lp.constraints) > FALLBACK_ROWS:
-            raise LpNumericalError("the tableau's optimal point misses a row")
-        return _refactored_solve(lp)
-    return sol
+    except np.linalg.LinAlgError as err:
+        raise LpNumericalError(f"refactored simplex: singular basis ({err})") from err
 
 
 def _satisfies(lp: LinearProgram, x: np.ndarray) -> bool:
-    """Whether x meets every row and bound of lp to within VERIFY_TOL times
-    the row's magnitude (the largest of 1, |rhs| and sum |a_j x_j|)."""
+    """Whether x is finite and meets every row and bound of lp to within
+    VERIFY_TOL times the row's magnitude (the largest of 1, |rhs| and
+    sum |a_j x_j|)."""
+    if not np.isfinite(x).all():
+        return False  # a NaN fails every comparison below, so it would pass
     for coeffs, rel, rhs in lp.constraints:
         miss = float(coeffs @ x) - rhs
         tol = VERIFY_TOL * max(1.0, abs(rhs), float(np.abs(coeffs) @ np.abs(x)))
@@ -396,7 +433,7 @@ def _tableau_solve(lp: LinearProgram) -> LpSolution:
     m, total_cols = T.shape[0] - 1, T.shape[1] - 1
     missing = np.flatnonzero(basis >= ncols)  # rows with an artificial basic variable
 
-    max_iter = 2000 + 200 * (m + total_cols)
+    max_iter = _budget(T)
     pivots = [0, 0]
     switches = [0, 0]
 
@@ -409,9 +446,8 @@ def _tableau_solve(lp: LinearProgram) -> LpSolution:
                                                   float(T[missing, -1].sum()))
         if status != "optimal":
             raise LpNumericalError("phase-1 reported unbounded: inconsistent tableau")
-        if T[-1, -1] < -1e-7:
-            return LpSolution("infeasible", np.nan, np.full(lp.variable_count, np.nan),
-                              tuple(pivots), tuple(switches))
+        if T[-1, -1] < -INFEASIBLE_TOL:
+            return _no_point(lp, "infeasible", pivots, switches)
         # drive remaining artificials out of the basis
         for i in range(m):
             if basis[i] >= ncols:
@@ -437,8 +473,7 @@ def _tableau_solve(lp: LinearProgram) -> LpSolution:
             T[-1] -= cb * T[i]
     status, pivots[1], switches[1] = _simplex(T, basis, ncols, max_iter)
     if status == "unbounded":
-        return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan),
-                          tuple(pivots), tuple(switches))
+        return _no_point(lp, "unbounded", pivots, switches)
 
     u = np.zeros(ncols)
     u[basis] = T[:m, -1]
@@ -464,16 +499,6 @@ def _harris_row(xb: np.ndarray, basis: np.ndarray, w: np.ndarray) -> int:
     return int(blocking[largest][np.argmin(basis[blocking[largest]])])
 
 
-def _bland_row(xb: np.ndarray, basis: np.ndarray, w: np.ndarray) -> int:
-    """Min-ratio row, ties by smallest basic variable index; -1 when none."""
-    eligible = np.flatnonzero(w > PIVOT_TOL)
-    if eligible.size == 0:
-        return -1
-    ratios = np.maximum(xb[eligible], 0.0) / w[eligible]
-    ties = eligible[ratios <= float(np.min(ratios)) + PIVOT_TOL]
-    return int(ties[np.argmin(basis[ties])])
-
-
 def _revised(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray,
              enterable: int, max_iter: int) -> tuple[str, int, int]:
     """Revised simplex on min cost.u, A u = b, u >= 0 from the feasible
@@ -481,46 +506,30 @@ def _revised(A: np.ndarray, b: np.ndarray, cost: np.ndarray, basis: np.ndarray,
 
     The basis inverse gets a product-form update per pivot and is inverted
     afresh from A every REFACTOR pivots, and the basic values, prices and
-    entering column are recomputed from it each iteration.  Entering and
-    stall handling are those of _simplex; the leaving row is Harris's,
-    or the min-ratio row under Bland's rule.  Returns (status, pivots,
-    bland_switches).
+    entering column are recomputed from it each iteration.  The entering
+    column is _Pricing's, as in _simplex; the leaving row is Harris's, or
+    _ratio_row's on the basic values clipped at zero under Bland's rule.
+    Returns (status, pivots, bland_switches).
     """
     Binv = np.linalg.inv(A[:, basis])
-    bland = False
-    switches = stall = 0
-    last_obj = math.inf
+    pricing = _Pricing()
     for it in range(max_iter):
         if it and it % REFACTOR == 0:
             Binv = np.linalg.inv(A[:, basis])
         if it % REFACTOR == 0 and not np.isfinite(Binv).all():
             raise LpNumericalError("refactored simplex: basis inverse not finite")
         xb = Binv @ b
-        obj = float(cost[basis] @ xb)
-        if obj < last_obj - PIVOT_TOL:
-            stall = 0
-            bland = False
-            last_obj = obj
-        elif not bland:
-            stall += 1
-            if stall >= STALL_LIMIT:
-                bland = True
-                switches += 1
+        pricing.progress(float(cost[basis] @ xb))
         reduced = cost[:enterable] - (cost[basis] @ Binv) @ A[:, :enterable]
         reduced[basis[basis < enterable]] = 0.0
-        if bland:
-            candidates = np.flatnonzero(reduced < -PIVOT_TOL)
-            if candidates.size == 0:
-                return "optimal", it, switches
-            enter = int(candidates[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -PIVOT_TOL:
-                return "optimal", it, switches
+        enter = pricing.enter(reduced)
+        if enter < 0:
+            return "optimal", it, pricing.switches
         w = Binv @ A[:, enter]
-        leave = (_bland_row if bland else _harris_row)(xb, basis, w)
+        leave = (_ratio_row(np.maximum(xb, 0.0), basis, w) if pricing.bland
+                 else _harris_row(xb, basis, w))
         if leave < 0:
-            return "unbounded", it, switches
+            return "unbounded", it, pricing.switches
         Binv[leave] /= w[leave]
         w[leave] = 0.0
         Binv -= np.outer(w, Binv[leave])
@@ -534,20 +543,13 @@ def _refactored_solve(lp: LinearProgram) -> LpSolution:
     Slower than the tableau (a dense inverse every REFACTOR pivots), but
     each basic solution is computed from the original rows, so rounding
     does not build up over the pivots; the values returned are solved
-    from the final basis afresh.
+    from the final basis afresh.  A singular basis raises
+    np.linalg.LinAlgError.
     """
-    try:
-        return _revised_two_phase(lp)
-    except np.linalg.LinAlgError as err:
-        raise LpNumericalError(f"refactored simplex: singular basis ({err})") from err
-
-
-def _revised_two_phase(lp: LinearProgram) -> LpSolution:
-    """The body of _refactored_solve."""
     T, basis, ncols, c, recover = _tableau(lp)
     m, total_cols = T.shape[0] - 1, T.shape[1] - 1
     A, b = T[:m, :total_cols], T[:m, -1]
-    max_iter = 2000 + 200 * (m + total_cols)
+    max_iter = _budget(T)
     pivots = [0, 0]
     switches = [0, 0]
 
@@ -558,9 +560,8 @@ def _revised_two_phase(lp: LinearProgram) -> LpSolution:
         # position i is row i's own, and dropping row i keeps B invertible
         _, pivots[0], switches[0] = _revised(A, b, cost, basis, ncols, max_iter)
         Binv = np.linalg.inv(A[:, basis])
-        if float(cost[basis] @ (Binv @ b)) > 1e-7:
-            return LpSolution("infeasible", np.nan, np.full(lp.variable_count, np.nan),
-                              tuple(pivots), tuple(switches))
+        if float(cost[basis] @ (Binv @ b)) > INFEASIBLE_TOL:
+            return _no_point(lp, "infeasible", pivots, switches)
         # drive remaining artificials out of the basis, on the largest entry
         for i in range(m):
             if basis[i] >= ncols:
@@ -577,8 +578,7 @@ def _revised_two_phase(lp: LinearProgram) -> LpSolution:
     cost[:ncols] = c
     status, pivots[1], switches[1] = _revised(A, b, cost, basis, ncols, max_iter)
     if status == "unbounded":
-        return LpSolution("unbounded", -np.inf, np.full(lp.variable_count, np.nan),
-                          tuple(pivots), tuple(switches))
+        return _no_point(lp, "unbounded", pivots, switches)
     u = np.zeros(ncols)
     u[basis] = np.maximum(np.linalg.solve(A[:, basis], b), 0.0)
     x = recover(u)

@@ -399,6 +399,14 @@ def _mode_array(model: SwitchedOutputModel, sigma, horizon: int) -> np.ndarray:
     return sigma
 
 
+def _trailing_windows(sigma: np.ndarray, width: int, padding_mode: int) -> np.ndarray:
+    """The `width` modes ending at each time of sigma (..., horizon), padded in
+    front with padding_mode: a (..., horizon, width) view."""
+    padded = np.concatenate([np.full(sigma.shape[:-1] + (width - 1,), padding_mode, np.intp),
+                             sigma], axis=-1)
+    return np.lib.stride_tricks.sliding_window_view(padded, width, axis=-1)
+
+
 def instantiate(fir: SwitchingFIR, sigma, horizon: int,
                 padding_mode: int = 0) -> TruncatedOperator:
     """Freeze the switching FIR along a mode sequence into a kernel operator.
@@ -410,10 +418,7 @@ def instantiate(fir: SwitchingFIR, sigma, horizon: int,
     """
     sigma = _sigma_array(sigma, horizon)
     M, lags = fir.memory, min(fir.fir_length, horizon)
-    padded = np.concatenate([np.full(sigma.shape[:-1] + (M - 1,), padding_mode, np.intp),
-                             sigma], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, M, axis=-1)
-    band = fir.taps[:, :lags][fir.history_ids(windows)]
+    band = fir.taps[:, :lags][fir.history_ids(_trailing_windows(sigma, M, padding_mode))]
     t, k = np.ogrid[:horizon, :lags]
     band[..., k > t, :, :] = 0.0
     return TruncatedOperator(band)

@@ -33,8 +33,8 @@ import numpy as np
 from . import operator_core as oc
 from .lp_solver import EQ, LE, LinearProgram, solve
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, _distinct_rows, _mode_array, _WindowRows,
-                             history_array)
+                             SwitchingFIR, _distinct_rows, _mode_array, _trailing_windows,
+                             _WindowRows, history_array)
 
 __all__ = [
     "SynthesisConfig",
@@ -513,9 +513,7 @@ def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     """
     sigma = _mode_array(model, sigma, horizon)
     W = max(max(fir.memory, fir.fir_length) for fir in (Q, Z))
-    padded = np.concatenate([np.full(sigma.shape[:-1] + (W - 1,), padding_mode, np.intp),
-                             sigma], axis=-1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, W, axis=-1)
+    windows = _trailing_windows(sigma, W, padding_mode)
     distinct, index = _distinct_rows(windows.reshape(-1, W))
     E, Phi = _factor_rows(plant, model, Q, Z, distinct, W)
     if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the pass

@@ -562,6 +562,14 @@ def test_simulate_rejects_bad_scenario_sigma(restricted_bundle, tmp_path, capsys
                  "Q.entries[0].matrix", id="nan-tap"),
     pytest.param(lambda b: b["T"]["entries"][1]["matrix"][1].__setitem__(1, float("-inf")),
                  "T.entries[1].matrix", id="infinite-tap"),
+    # a tap matrix is read as the config's matrices are: a rectangular list
+    # of numbers, named at its entry; a true was read as 1.0 and ran
+    pytest.param(lambda b: b["Q"]["entries"][1].update(matrix=[[1, "a"]]),
+                 "error: Q.entries[1].matrix: ", id="string-tap"),
+    pytest.param(lambda b: b["Q"]["entries"][1]["matrix"][1].pop(),
+                 "error: Q.entries[1].matrix: rows have unequal lengths", id="ragged-tap"),
+    pytest.param(lambda b: b["Q"]["entries"][1]["matrix"][0].__setitem__(0, True),
+                 "error: Q.entries[1].matrix[0][0]: ", id="boolean-tap"),
     # the bundle's scalars are finite numbers; JSON true is not one
     pytest.param(lambda b: b.update(certified_bound=True), "certified_bound",
                  id="boolean-bound"),

@@ -343,6 +343,42 @@ def test_refactored_solve_statuses():
         assert lp_solver._refactored_solve(build()).status == status
 
 
+def _beale_lp() -> LinearProgram:
+    """Beale's LP, on which the most-negative-cost rule cycles from the slack basis."""
+    rows = [([0.25, -60.0, -0.04, 9.0], LE, 0.0), ([0.5, -90.0, -0.02, 3.0], LE, 0.0),
+            ([0.0, 0.0, 1.0, 0.0], LE, 1.0)]
+    return LinearProgram(4, [-0.75, 150.0, -0.02, 6.0], constraints=rows,
+                         bounds=[(0.0, None)] * 4)
+
+
+@pytest.mark.parametrize("case, stall_limit", [("beale", 1), ("nominal_setup", 4)])
+def test_refactored_solve_takes_bland_steps(case, stall_limit, request, monkeypatch):
+    """With a low STALL_LIMIT the fallback switches to Bland's rule and its
+    min-ratio row, and still reaches the tableau's optimum.  Its pivots and
+    bits depend on the BLAS thread count, so only the outcome is checked."""
+    lp = _beale_lp() if case == "beale" else _demo_lp(request.getfixturevalue(case))
+    ref = lp_solver._tableau_solve(lp)
+    bland_rows = []
+    ratio_row = lp_solver._ratio_row
+    monkeypatch.setattr(lp_solver, "_ratio_row",
+                        lambda *args: bland_rows.append(1) or ratio_row(*args))
+    monkeypatch.setattr(lp_solver, "STALL_LIMIT", stall_limit)
+    sol = lp_solver._refactored_solve(lp)
+    assert sol.status == ref.status == "optimal"
+    assert sum(sol.bland_switches) > 0 and bland_rows
+    assert np.isclose(sol.objective, ref.objective, rtol=1e-9, atol=1e-9)
+    assert lp_solver._satisfies(lp, sol.values)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_satisfies_rejects_non_finite_points(bad):
+    """A NaN fails both comparisons of a row test, and an infinite point
+    gets an infinite tolerance, so neither may pass as meeting the rows."""
+    lp = LinearProgram(1, [1.0], constraints=[([1.0], LE, 1.0)])
+    assert lp_solver._satisfies(lp, np.array([0.5]))
+    assert not lp_solver._satisfies(lp, np.array([bad]))
+
+
 def test_solve_falls_back_when_the_tableau_fails(switching_setup, monkeypatch):
     """A tableau solve that raises, or returns a point missing a row, is
     redone by the refactored simplex, which reaches the same optimum."""
@@ -362,6 +398,36 @@ def test_solve_falls_back_when_the_tableau_fails(switching_setup, monkeypatch):
         assert sol.status == "optimal"
         assert np.isclose(sol.objective, ref.objective, rtol=1e-9)
         assert lp_solver._satisfies(lp, sol.values)
+
+
+def test_one_fallback_gate(monkeypatch):
+    """Both tableau failures pass one FALLBACK_ROWS gate: above it the
+    failure is raised and the fallback never runs; below it a singular
+    basis in the fallback is raised as LpNumericalError."""
+    lp = LinearProgram(1, [1.0], constraints=[([1.0], LE, 1.0)])
+    reran = []
+
+    def breakdown(lp):
+        raise LpNumericalError("pivot breakdown")
+
+    def missed(lp):
+        return lp_solver.LpSolution("optimal", 5.0, np.array([5.0]))
+
+    def singular(lp):
+        reran.append(lp)
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(lp_solver, "_refactored_solve", singular)
+    for tableau_solve, message in ((breakdown, "pivot breakdown"), (missed, "misses a row")):
+        monkeypatch.setattr(lp_solver, "_tableau_solve", tableau_solve)
+        monkeypatch.setattr(lp_solver, "FALLBACK_ROWS", 0)
+        with pytest.raises(LpNumericalError, match=message):
+            solve(lp)
+        assert not reran
+        monkeypatch.setattr(lp_solver, "FALLBACK_ROWS", 1)
+        with pytest.raises(LpNumericalError, match=r"singular basis \(Singular matrix\)"):
+            solve(lp)
+        assert reran.pop() is lp
 
 
 def test_restricted_pivot_matches_dense_update():
@@ -475,8 +541,8 @@ def test_ratio_row_matches_full_ratio_test():
         T[:m, 0] = rng.choice(entries, size=m)
         T[:m, -1] = rng.choice(rhs, size=m)
         basis = rng.permutation(3 * m)[:m]
-        want = full_ratio_row(T, basis, T[:, 0].copy())
-        assert lp_solver._ratio_row(T, basis, T[:, 0].copy()) == want
+        want = full_ratio_row(T[:m, -1], basis, T[:, 0].copy())
+        assert lp_solver._ratio_row(T[:m, -1], basis, T[:, 0].copy()) == want
         eligible = T[:m, 0] > tol
         if want < 0:
             none_eligible += 1

@@ -173,17 +173,17 @@ def ix_pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int,
     basis[row] = col
 
 
-def full_ratio_row(T: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
-    """Reference ratio test over every row of the entering column: ineligible
-    rows get ratio inf; ties broken by smallest basic variable index
-    (Bland), -1 if none."""
-    m = T.shape[0] - 1
+def full_ratio_row(rhs: np.ndarray, basis: np.ndarray, column: np.ndarray) -> int:
+    """Reference ratio test over every basic value rhs and entry of the
+    entering column: ineligible rows get ratio inf; ties broken by smallest
+    basic variable index (Bland), -1 if none."""
+    m = rhs.size
     col = column[:m]
     eligible = col > PIVOT_TOL
     if not np.any(eligible):
         return -1
     ratios = np.full(m, np.inf)
-    ratios[eligible] = T[:m, -1][eligible] / col[eligible]
+    ratios[eligible] = rhs[eligible] / col[eligible]
     best = float(np.min(ratios))
     ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
     return int(ties[np.argmin(basis[ties])])
