@@ -8,7 +8,9 @@ this module checks JSON types and names the field path of every error.
 Attack sequences given by --sigma or a scenario file, and the all-padding
 sequence `simulate` runs without either, must be admissible for the
 config's automaton; --horizon must be positive, and must equal the length
-of the --sigma or scenario sequence when it is given with one.  A flag
+of the --sigma or scenario sequence when it is given with one.  Horizons,
+sequence lengths and --samples are at most `SEQUENCE_BUDGET` (2048), checked
+before anything is built.  A flag
 that would be ignored is an input error: --sigma with --scenario, and
 --samples with --sigma.  So is a path that cannot be read or written; the
 error names the path, or the flag that gave it.
@@ -32,9 +34,9 @@ from .lp_solver import LpNumericalError, format_lp
 from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR, build_modes,
                              history_array)
-from .synthesis import (EXACT_EPS, MODE_EXACT, SynthesisConfig, SynthesisInfeasibleError,
-                        SynthesisResult, _lag0_margin, certify, factor_operators,
-                        synthesize)
+from .synthesis import (EXACT_EPS, MODE_EXACT, SEQUENCE_BUDGET, SynthesisConfig,
+                        SynthesisInfeasibleError, SynthesisResult, _lag0_margin, certify,
+                        factor_operators, synthesize)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -419,6 +421,7 @@ def _parse_sigma(text: str, automaton: SwitchingAutomaton) -> tuple[int, ...]:
     except ValueError:
         raise ConfigError("--sigma", "expected comma-separated mode indices") from None
     _expect(len(sigma) > 0, "--sigma", "empty sequence")
+    _within_budget(len(sigma), "--sigma", "modes")
     top = automaton.mode_count - 1
     for m in sigma:
         _expect(0 <= m <= top, "--sigma", f"mode {m} outside 0..{top}")
@@ -427,9 +430,16 @@ def _parse_sigma(text: str, automaton: SwitchingAutomaton) -> tuple[int, ...]:
     return sigma
 
 
+def _within_budget(count: int, path: str, what: str) -> None:
+    _expect(count <= SEQUENCE_BUDGET, path,
+            f"{count} {what} exceed the budget of {SEQUENCE_BUDGET}")
+
+
 def _check_horizon(args) -> None:
     _expect(args.horizon is None or args.horizon >= 1, "--horizon",
             f"must be a positive integer, got {args.horizon}")
+    if args.horizon is not None:
+        _within_budget(args.horizon, "--horizon", "steps")
 
 
 def _check_length(args, sigma, source: str) -> None:
@@ -444,6 +454,7 @@ def cmd_norm(args) -> int:
             "cannot be given with --sigma, the one sequence measured")
     samples = 10 if args.samples is None else args.samples
     _expect(samples >= 1, "--samples", f"must be a positive integer, got {samples}")
+    _within_budget(samples, "--samples", "sequences")
     _, result, plant, model, automaton, syncfg, seed = load_bundle(args.bundle)
     if args.sigma:
         sigmas = [_parse_sigma(args.sigma, automaton)]
@@ -468,6 +479,7 @@ def _load_scenario(path: str, plant: ChannelPlant, automaton: SwitchingAutomaton
         _expect(key in data, f"scenario.{key}", "missing field")
     w = _matrix(data["w"], "scenario.w")
     sigma = _modes(data["sigma"], "scenario.sigma")
+    _within_budget(len(sigma), "scenario.sigma", "modes")
     x0 = data.get("x0", [0.0] * plant.n)
     _expect(isinstance(x0, list), "scenario.x0", "expected a list of numbers")
     x0 = np.array([_number(v, "scenario.x0") for v in x0])

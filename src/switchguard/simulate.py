@@ -13,15 +13,16 @@ ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
 as the operator-algebra formulas, so the rows equal that product chain bit
 for bit.  Row t reads the first t + 1 lags of one table per window, the
-last `window` modes padded in front with the padding mode, built once.
-Exact and FIR tables hold the values of every t, read a layer of states
-or a greedy step at a time.  A relaxed row's resolvent substitution also
-reads the rows before it; it is built for a batch of prefixes in one
-stacked step.  Ties: a later output row, time, sequence or greedy candidate
-replaces the current peak only when strictly larger, and a NaN never does,
-so of the sequences with the largest value the lexicographically first is
-reported.  Many sequences tie exactly, which is why the rows must not
-drift by an ulp.
+last `window` modes padded in front with the padding mode, built once; an
+exact or relaxed window's table gathers each lag from the kernel's one
+table per (tap history, lag mode) pair.  Exact and FIR tables hold the
+values of every t, read a layer of states or a greedy step at a time.  A
+relaxed row's resolvent substitution also reads the rows before it; it is
+built for a batch of prefixes in one stacked step.  Ties: a later output
+row, time, sequence or greedy candidate replaces the current peak only when
+strictly larger, and a NaN never does, so of the sequences with the largest
+value the lexicographically first is reported.  Many sequences tie
+exactly, which is why the rows must not drift by an ulp.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from . import operator_core as oc
 from .operator_core import Signal, TruncatedOperator
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, _distinct_rows, instantiate)
-from .synthesis import EXACT_EPS, SynthesisResult, _factor_rows
+from .synthesis import EXACT_EPS, SynthesisResult, _pair_index, _pair_rows
 
 __all__ = [
     "Scenario",
@@ -185,9 +186,11 @@ class _ErrorKernel:
     (lags, n, m_w + n) array whose entry k is the lag-k block, equal bit
     for bit to the product chain of the operator-algebra formulas in
     `error_operator`'s docstring.  The performance rows and the lags of the
-    residual E come from `synthesis._factor_rows`, the builder
-    `factor_operators` shares, and `_fir_row` and `relaxed_rows` form
-    their entries by the rule its docstring gives.
+    residual E are gathered from `synthesis._pair_rows`, the table
+    `factor_operators` also reads, built once per kernel at time `window`:
+    a row's lag-k block depends only on its tap history, k and the mode k
+    steps back.  `_fir_row` and `relaxed_rows` form their entries by the
+    rule its docstring gives.
 
     Every row builder takes one (..., modes) integer array whose last mode
     is delivered at time t.  Row t reads the modes of lags 0..t and the tap
@@ -196,7 +199,7 @@ class _ErrorKernel:
     I - E and the inverse of their lag-0 block.  Along every sequence ending
     in one such padded window, these are the first t + 1 lags of longer ones
     of that window, its table: the same taps and modes give the same per-lag
-    products, summed in the same order.  `_build` builds each table once,
+    products, summed in the same order.  `_build` gathers each table once,
     into `tables`; `values` reads the values of row t of an exact or FIR
     design, `relaxed_rows` builds the relaxed rows of a batch of prefixes,
     and `rows` reads or builds the rows along one sequence.
@@ -206,6 +209,8 @@ class _ErrorKernel:
                  padding_mode: int, horizon: int):
         if horizon < 1:
             raise ValueError("horizon must be positive")
+        if not 0 <= padding_mode < model.mode_count:
+            raise ValueError(f"padding_mode {padding_mode} outside 0..{model.mode_count - 1}")
         if isinstance(estimator, SynthesisResult):
             self.kind = "exact" if estimator.eps_achieved <= EXACT_EPS else "relaxed"
             self.Q, self.Z = estimator.Q, estimator.Z
@@ -226,6 +231,16 @@ class _ErrorKernel:
         self.eye = np.eye(plant.n)
         self.lam_b = self.eye @ plant.B  # the lag-1 block of shift o diag(B)
         self.powers = np.eye(plant.n)[None]  # A^k, the kernel of (I - shift(A))^{-1}
+        if self.kind == "exact":
+            self.pair_rows = (-1.0 * _pair_rows(plant, model, self.Q, self.Z, self.window)[1],)
+        elif self.kind == "relaxed":
+            E, phi = _pair_rows(plant, model, self.Q, self.Z, self.window)
+            contraction = -1.0 * E
+            contraction[:, 0] = self.eye + contraction[:, 0]
+            self.singular = np.array(list(map(oc.is_singular, contraction[:, 0])), dtype=bool)
+            inv0 = np.zeros_like(contraction[:, 0])
+            inv0[~self.singular] = np.linalg.inv(contraction[~self.singular, 0])
+            self.pair_rows = (phi, contraction, inv0)
 
     def relaxed_rows(self, tables: list, t: int, past: list):
         """Row t of a relaxed design, -(I - E)^{-1} applied to the performance
@@ -291,14 +306,16 @@ class _ErrorKernel:
 
     def _build(self, t: int, windows: list) -> None:
         """Store the table of each of `windows` (`window` modes each), read
-        at time t, in one stacked step.  Exact and relaxed tables are
-        `_factor_rows` read at time `window` off the window, whose N + 1 lags
-        are all such a row has: the row's lags, -Phi, or the performance row,
-        the lags of I - E and the inverse of their lag-0 block.  A FIR table
-        is the row at the last time of the window padded in front to
-        max(horizon, window) modes, one lag for every time.  Exact and FIR
-        tables keep the values of their row at every time k < horizon, those
-        of its first k + 1 lags (an exact table's last values repeat)."""
+        at time t, in one stacked step.  Exact and relaxed tables gather the
+        lags of the row at time `window` off the window, whose N + 1 lags
+        are all such a row has, from the kernel's `_pair_rows` table: -Phi,
+        or Phi, the lags of I - E and the inverse of their lag-0 block, that
+        inverse taken once per pair and a singular one raised only when a
+        window reads it.  A FIR table is the row at the last time of the
+        window padded in front to max(horizon, window) modes, one lag for
+        every time.  Exact and FIR tables keep the values of their row's
+        first k + 1 lags for every lag k; row t reads those of its last lag,
+        min(t, lags - 1)."""
         for window in windows:
             if not 0 <= window[-1] < self.model.mode_count:
                 raise ValueError(f"mode {window[-1]} at time {t} out of range")
@@ -308,19 +325,17 @@ class _ErrorKernel:
             lags = self._fir_row(np.array([pad + window for window in windows], dtype=np.intp),
                                  length - 1)
         else:
-            E, phi = _factor_rows(self.plant, self.model, self.Q, self.Z,
-                                  np.array(windows, dtype=np.intp), self.window)
+            index = _pair_index(self.Q, np.array(windows, dtype=np.intp),
+                                self.model.mode_count, self.pair_rows[0].shape[1])
             if self.kind == "relaxed":
-                contraction = -1.0 * E
-                contraction[:, 0] = self.eye + contraction[:, 0]
-                if any(map(oc.is_singular, contraction[:, 0])):
+                lag0 = index[0][:, 0]
+                if self.singular[lag0].any():
                     raise np.linalg.LinAlgError(f"lag-0 block at time {t} is singular")
-                self.tables.update(zip(windows, zip(phi, contraction,
-                                                    np.linalg.inv(contraction[:, 0]))))
+                phi, contraction, inv0 = self.pair_rows
+                self.tables.update(zip(windows, zip(phi[index], contraction[index], inv0[lag0])))
                 return
-            lags = -1.0 * phi
-        for window, table, values in zip(windows, lags, self._running_values(lags).tolist()):
-            self.tables[window] = (table, values + values[-1:] * (self.horizon - len(values)))
+            lags = self.pair_rows[0][index]
+        self.tables.update(zip(windows, zip(lags, self._running_values(lags).tolist())))
 
     def _tables(self, t: int, windows: list) -> list:
         """The table of each of `windows`, the last min(t + 1, window) modes
@@ -336,7 +351,7 @@ class _ErrorKernel:
     def values(self, t: int, windows: list) -> list:
         """The (window, n) values of row t of an exact or FIR design, nested
         lists, at each of `windows`, the last min(t + 1, window) modes."""
-        return [values[t] for _, values in self._tables(t, windows)]
+        return [values[min(t, len(values) - 1)] for _, values in self._tables(t, windows)]
 
     def rows(self, sigma) -> list:
         """Block rows 0..horizon-1 along sigma: relaxed rows built in time

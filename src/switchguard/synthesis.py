@@ -52,6 +52,9 @@ __all__ = [
 MODE_EXACT = "exact"
 MODE_RELAXED = "relaxed"
 EXACT_EPS = 1e-9  # eps_achieved up to this is an exact design's zero residual
+# the longest sequence, and the most sampled sequences, a run builds rows for:
+# a relaxed design's rows grow with the horizon, so its memory with its square
+SEQUENCE_BUDGET = 2048
 
 
 class SynthesisInfeasibleError(RuntimeError):
@@ -86,6 +89,12 @@ class SynthesisConfig:
             raise ValueError("verify_horizon must be >= 1")
         if self.verify_samples < 1:
             raise ValueError("verify_samples must be >= 1")
+        if self.verify_horizon > SEQUENCE_BUDGET:
+            raise ValueError(
+                f"verify_horizon must be at most {SEQUENCE_BUDGET}, the sequence budget")
+        if self.verify_samples > SEQUENCE_BUDGET:
+            raise ValueError(
+                f"verify_samples must be at most {SEQUENCE_BUDGET}, the sequence budget")
 
     @property
     def window(self) -> int:
@@ -455,28 +464,39 @@ def synthesize(plant: ChannelPlant, model: SwitchedOutputModel,
     )
 
 
-def _factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
-                 Z: SwitchingFIR, modes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+def _pair_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+               Z: SwitchingFIR, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Row t of E = shift(A) + Z Cbar + Q (shift(A) - I) and of Phi =
-    [shift(B) + Z Dbar + Q shift(B), I + Q] along a batch of mode windows
-    (..., modes), the last delivered at time t: the lags of E, (..., lags,
-    n, n), and of Phi, (..., lags, n, m_w + n), its x0 block unscaled.
+    [shift(B) + Z Dbar + Q shift(B), I + Q] once per (tap history, mode)
+    pair: the lags of E, (pair, lags, n, n), and of Phi, (pair, lags, n,
+    m_w + n), its x0 block unscaled.  Pair h * mode_count + mode, h a row
+    of the taps, is the window of max(M, N) modes whose last M are tap
+    history h and whose others are `mode`, the last delivered at time t.
 
-    Each entry is formed by the same products, summed in the same order, as
-    the operator algebra (compose sums over the intermediate lag j
-    ascending, add puts its left operand first), so the rows equal that
-    compose chain bit for bit, up to the sign of a zero.  A product over
-    several lags is one stacked matmul, whose per-lag products are those of
-    separate matmuls, and so is a product over a leading axis of windows.
+    A row's lag-k block depends only on its tap history, k and the mode
+    delivered k steps back (`_pair_index`), so every window's row gathers
+    its lags from this table.  Each entry is formed by the same products,
+    summed in the same order, as the operator algebra (compose sums over
+    the intermediate lag j ascending, add puts its left operand first), so
+    the rows equal that compose chain bit for bit, up to the sign of a
+    zero.  A product over several lags is one stacked matmul, whose per-lag
+    products are those of separate matmuls, and so is a product over the
+    pairs.  Q and Z must hold the same tap histories.
     """
-    n, m_w = plant.n, plant.m_w
+    if Q.memory != Z.memory or not np.array_equal(Q.windows, Z.windows):
+        raise ValueError("Q and Z must hold the same tap histories")
+    n, m_w, modes = plant.n, plant.m_w, model.mode_count
+    M, W = Q.memory, max(Q.memory, Q.fir_length, Z.fir_length)
+    hists = np.repeat(np.arange(len(Q.windows)), modes)
+    windows = np.empty((len(hists), W), dtype=np.intp)
+    windows[:, :W - M] = np.tile(np.arange(modes), len(Q.windows))[:, None]
+    windows[:, W - M:] = Q.windows[hists]
     eye = np.eye(n)
     # the lag-1 blocks of shift o diag(A) and shift o diag(B)
     lam_a, lam_b = eye @ plant.A, eye @ plant.B
-    q_taps = Q.taps[Q.history_ids(modes[..., -Q.memory:]), :t + 1]
-    z_taps = Z.taps[Z.history_ids(modes[..., -Z.memory:]), :t + 1]
+    q_taps, z_taps = Q.taps[hists, :t + 1], Z.taps[hists, :t + 1]
     lq, lz = q_taps.shape[-3], z_taps.shape[-3]
-    back = modes[..., ::-1][..., :lz]
+    back = windows[..., ::-1][..., :lz]
     shifted = min(lq, t)  # Q_j shift(X) reaches lag j + 1 <= t
     lags = min(t, max(lq, lz)) + 1
     E = np.zeros(q_taps.shape[:-3] + (lags, n, n))
@@ -495,6 +515,31 @@ def _factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFI
     return E, phi
 
 
+def _pair_index(fir: SwitchingFIR, windows: np.ndarray, mode_count: int, lags: int) -> tuple:
+    """The index that gathers lags 0..lags-1 of the rows along a batch of
+    windows (..., modes), the last delivered at the row's time, from a
+    `_pair_rows` table: (pair, lag) arrays broadcasting to (..., lags).  Lag
+    k's pair is the window's tap history, its last `fir.memory` modes, and
+    the mode k steps back; a lag past the window reads no mode, so it takes
+    mode 0."""
+    pairs = np.zeros(windows.shape[:-1] + (lags,), dtype=np.intp)
+    back = windows[..., ::-1][..., :lags]
+    pairs[..., :back.shape[-1]] = back
+    pairs += mode_count * fir.history_ids(windows[..., -fir.memory:])[..., None]
+    return pairs, np.arange(lags)
+
+
+def _factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+                 Z: SwitchingFIR, modes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row t of E and of Phi along a batch of mode windows (..., modes), the
+    last delivered at time t: the lags of E, (..., lags, n, n), and of Phi,
+    (..., lags, n, m_w + n), its x0 block unscaled, gathered from the
+    `_pair_rows` table at time t."""
+    E, phi = _pair_rows(plant, model, Q, Z, t)
+    index = _pair_index(Q, modes, model.mode_count, E.shape[1])
+    return E[index], phi[index]
+
+
 def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
                      model: SwitchedOutputModel, sigma, horizon: int,
                      padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
@@ -508,19 +553,20 @@ def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     bound.  sigma may be a batch of sequences, shape (..., horizon), giving
     batches of operators.  Row t reads the last W = max(M, N) modes at t,
     padded in front with padding_mode, and is the first t + 1 lags of the
-    `_factor_rows` row at time W of that window, built once per distinct
-    window.
+    row at time W of that window: each lag gathered from the `_pair_rows`
+    table at time W, built once, by the window's tap history and the mode
+    at that lag.
     """
     sigma = _mode_array(model, sigma, horizon)
+    if not 0 <= padding_mode < model.mode_count:
+        raise ValueError(f"padding_mode {padding_mode} outside 0..{model.mode_count - 1}")
     W = max(max(fir.memory, fir.fir_length) for fir in (Q, Z))
-    windows = _trailing_windows(sigma, W, padding_mode)
-    distinct, index = _distinct_rows(windows.reshape(-1, W))
-    E, Phi = _factor_rows(plant, model, Q, Z, distinct, W)
+    E, Phi = _pair_rows(plant, model, Q, Z, W)
     if plant.x0_bound != 1.0:  # a product with 1.0 is exact: skip the pass
         Phi[..., plant.m_w:] *= float(plant.x0_bound)
-    lags = min(horizon, E.shape[-3])
-    index = index.reshape(sigma.shape)
-    E, Phi = E[index, :lags], Phi[index, :lags]
+    lags = min(horizon, E.shape[1])
+    index = _pair_index(Q, _trailing_windows(sigma, W, padding_mode), model.mode_count, lags)
+    E, Phi = E[index], Phi[index]
     t, k = np.ogrid[:horizon, :lags]
     E[..., k > t, :, :] = Phi[..., k > t, :, :] = 0.0
     return oc.TruncatedOperator(E), oc.TruncatedOperator(Phi)

@@ -18,7 +18,7 @@ from switchguard import cli, demo
 from switchguard.cli import (_bundle_writer, _fir_from_json, _fir_to_json, bundle_from_result,
                              load_bundle, main, parse_problem)
 from switchguard.switched_model import SwitchingFIR, history_array
-from switchguard.synthesis import SynthesisResult
+from switchguard.synthesis import SEQUENCE_BUDGET, SynthesisResult
 
 from util import (build_performance_rows, build_residual_rows, evaluate_rows, pack,
                   symbolic_variables)
@@ -817,6 +817,59 @@ def test_attack_long_single_mode_horizon(nominal_bundle, capsys):
     assert "sigma*  = " + "0" * 1200 in out
     value = float([ln for ln in out.splitlines() if ln.startswith("value")][0].split("=")[1])
     assert abs(value - 5.0275) <= 1e-4
+
+
+@pytest.mark.parametrize("argv, name, unit", [
+    (["simulate", "{bundle}", "--horizon", "{over}"], "--horizon", "steps"),
+    (["norm", "{bundle}", "--horizon", "{over}"], "--horizon", "steps"),
+    (["attack", "{bundle}", "--horizon", "{over}", "--strategy", "greedy"], "--horizon", "steps"),
+    (["attack", "{bundle}", "--horizon", "{over}"], "--horizon", "steps"),
+    (["norm", "{bundle}", "--samples", "{over}"], "--samples", "sequences"),
+    (["norm", "{bundle}", "--sigma", "{sigma}"], "--sigma", "modes"),
+    (["simulate", "{bundle}", "--sigma", "{sigma}"], "--sigma", "modes"),
+    (["simulate", "{bundle}", "--scenario", "{scenario}"], "scenario.sigma", "modes"),
+], ids=["simulate-horizon", "norm-horizon", "greedy-horizon", "exhaustive-horizon",
+        "norm-samples", "norm-sigma", "simulate-sigma", "scenario-sigma"])
+def test_sizes_over_the_sequence_budget_exit_2(nominal_bundle, tmp_path, capsys, monkeypatch,
+                                               argv, name, unit):
+    """One past SEQUENCE_BUDGET exits 2 naming the flag and the budget before
+    any row is built; `simulate --horizon 100000000` ended in a MemoryError
+    traceback."""
+    over = SEQUENCE_BUDGET + 1
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps({"sigma": [0] * over, "w": [[0.0, 0.0]] * over}))
+    for built in ("factor_operators", "worst_case_inputs", "make_trace", "attack_search"):
+        monkeypatch.setattr(cli, built, lambda *args, **kwargs: pytest.fail("rows were built"))
+    args = [arg.format(bundle=nominal_bundle, over=over, sigma=",".join(["0"] * over),
+                       scenario=path) for arg in argv]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name}: {over} {unit} exceed the budget of {SEQUENCE_BUDGET}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key", ["verify_horizon", "verify_samples"])
+def test_verification_over_the_sequence_budget_rejected(tmp_path, capsys, key):
+    cfg = demo.nominal_config_dict()
+    cfg["synthesis"][key] = SEQUENCE_BUDGET
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == 0
+    capsys.readouterr()
+    cfg["synthesis"][key] = SEQUENCE_BUDGET + 1
+    cpath.write_text(json.dumps(cfg))
+    assert main(["validate", str(cpath)]) == 2
+    assert capsys.readouterr().err == (f"error: synthesis.{key}: {key} must be at most "
+                                       f"{SEQUENCE_BUDGET}, the sequence budget\n")
+
+
+def test_sizes_at_the_sequence_budget_run(nominal_bundle, capsys):
+    assert main(["attack", nominal_bundle, "--horizon", str(SEQUENCE_BUDGET),
+                 "--strategy", "greedy"]) == 0
+    assert "sigma*  = " + "0" * SEQUENCE_BUDGET in capsys.readouterr().out
+    assert main(["norm", nominal_bundle, "--samples", str(SEQUENCE_BUDGET),
+                 "--horizon", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == SEQUENCE_BUDGET + 1
 
 
 def test_example_command(capsys):

@@ -16,7 +16,7 @@ from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_o
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
 from switchguard.synthesis import (SynthesisConfig, SynthesisResult, _factor_rows, certify,
-                                   synthesize)
+                                   factor_operators, synthesize)
 from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
                   per_sequence_attack_search, prefixes, random_signal,
                   reference_worst_case_inputs, resolvent_of_state, unroll, walk_search)
@@ -846,6 +846,41 @@ def test_overflowing_fir_tables_match_rows_built_alone(search_designs, switching
         assert repr(witness[1]) == repr(witness_alone[1])
         assert np.array_equal(witness[0].w.samples, witness_alone[0].w.samples, equal_nan=True)
         assert np.array_equal(operator.band, operator_alone.band, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ["exact", "relaxed", "exact_m3n2", "relaxed_m3n2"])
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+def test_attack_search_builds_the_pair_table_once(search_designs, switching_setup, name,
+                                                  strategy, monkeypatch):
+    """One search builds its kernel's (tap history, lag mode) table once, at
+    time `window`, whatever the horizon; every window's rows gather from it."""
+    plant, model, automaton, _ = switching_setup
+    pair_rows, calls = simulate._pair_rows, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return pair_rows(*args)
+
+    monkeypatch.setattr(simulate, "_pair_rows", counted)
+    window = SEARCH_WINDOWS[name]
+    for horizon in (1, window, window + 3, 40 if strategy == "greedy" else window + 4):
+        calls.clear()
+        attack_search(plant, model, search_designs[name], automaton, horizon, strategy)
+        assert calls == [window]
+
+
+@pytest.mark.parametrize("pad", [-1, 2])
+def test_padding_mode_outside_the_modes_is_rejected(switching_synthesis, switching_setup, pad):
+    """A padding mode the model lacks would gather another pair's lags from
+    the (tap history, lag mode) table; the operator builders reject it."""
+    plant, model, _, _ = switching_setup
+    result = switching_synthesis[0]
+    message = f"^padding_mode {pad} outside 0..1$"
+    for build in (lambda: error_operator(plant, model, result, (0, 1, 0), 3, pad),
+                  lambda: worst_case_inputs(plant, model, result, (0, 1, 0), 3, pad),
+                  lambda: factor_operators(plant, result.Q, result.Z, model, (0, 1, 0), 3, pad)):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 def _state_search_and_walk(plant, model, design, automaton, horizon):

@@ -14,14 +14,14 @@ from switchguard.simulate import attack_search
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
                                         history_array)
-from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, assemble_lp,
-                                   certify, decision_variables, factor_operators,
+from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, _factor_rows,
+                                   assemble_lp, certify, decision_variables, factor_operators,
                                    row_gains, synthesize)
 from util import (admissible_sequences, assemble_symbolic_lp, band_entry, build_performance_rows,
                   build_residual_rows, dict_induced_norm, dict_performance_operator,
-                  dict_residual_operator, evaluate_rows, history_at, kernel_entries, pack,
-                  parametrization_residual, sampled_norms_loop, symbolic_variables, unroll,
-                  window_row_gains)
+                  dict_residual_operator, distinct_window_factor_operators, evaluate_rows,
+                  history_at, kernel_entries, pack, parametrization_residual, sampled_norms_loop,
+                  symbolic_variables, unroll, window_factor_rows, window_row_gains)
 
 
 @pytest.fixture(scope="module")
@@ -618,6 +618,75 @@ def test_factor_operators_match_dict_oracle_memory_above_length(switching_setup,
     for horizon in range(1, memory + 4):
         sigmas = [automaton.random_sequence(horizon, rng) for _ in range(3)]
         assert_factor_operators_match_oracle(plant, model, automaton, Q, Z, sigmas, horizon)
+
+
+def assert_factor_rows_match_window_oracle(plant, model, automaton, Q, Z):
+    """`_factor_rows`, gathered from the (tap history, lag mode) table, equals
+    the rows built per window byte for byte, signed zeros included: at every
+    t in 0..W, for one admissible window, for all of them and for a batch of
+    two such stacks."""
+    W = max(Q.memory, Q.fir_length)
+    windows = history_array(automaton, W)
+    for t in range(W + 1):
+        for modes in (windows[0], windows, np.stack([windows, windows[::-1]])):
+            for found, oracle in zip(_factor_rows(plant, model, Q, Z, modes, t),
+                                     window_factor_rows(plant, model, Q, Z, modes, t)):
+                assert found.shape == oracle.shape
+                assert found.tobytes() == oracle.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(row_gain_cases())
+def test_factor_rows_match_window_oracle_random(case):
+    plant, model, automaton, _, Q, Z = case
+    assert_factor_rows_match_window_oracle(plant, model, automaton, Q, Z)
+
+
+@pytest.mark.parametrize("memory, fir_length", [(2, 1), (3, 2), (1, 3)])
+def test_factor_rows_match_window_oracle_three_modes(switching_setup, memory, fir_length):
+    """A three-mode automaton (mode 2 drops the first channel and must be
+    followed by the nominal mode, padding mode 1), with the tap history
+    reaching further back than the lags and not."""
+    plant = switching_setup[0]
+    model = build_modes(plant, [[1, 2], [1], [2]])
+    automaton = SwitchingAutomaton(3, allowed=[[True, True, True], [True, True, True],
+                                               [True, False, False]], padding_mode=1)
+    config = SynthesisConfig(memory=memory, fir_length=fir_length)
+    variables = decision_variables(automaton, config, plant.n, model.p)
+    rng = np.random.default_rng(10 * memory + fir_length)
+    Q, Z = variables.unpack(rng.uniform(-1, 1, variables.count))
+    assert_factor_rows_match_window_oracle(plant, model, automaton, Q, Z)
+
+
+def assert_factor_operators_match_distinct_windows(plant, model, automaton, Q, Z, sigmas,
+                                                   horizon):
+    """factor_operators equals the rows built once per distinct padded window
+    and gathered per sequence, byte for byte."""
+    found = factor_operators(plant, Q, Z, model, sigmas, horizon, automaton.padding_mode)
+    oracle = distinct_window_factor_operators(plant, Q, Z, model, sigmas, horizon,
+                                              automaton.padding_mode)
+    for op, band in zip(found, oracle):
+        assert op.band.shape == band.shape
+        assert op.band.tobytes() == band.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(factor_operator_cases())
+def test_factor_operators_match_distinct_windows_random(case):
+    assert_factor_operators_match_distinct_windows(*case)
+
+
+def test_factor_operators_match_distinct_windows_stress(stress_state):
+    """The sequences `certify` samples in the `stress` workload, on the
+    frozen N=5 design padded to N=10 (1024 windows)."""
+    plant, model, automaton = stress_state.problem
+    config = stress_state.padded_config
+    rng = np.random.default_rng(stress_state.seed)
+    sigmas = [automaton.random_sequence(config.verify_horizon, rng)
+              for _ in range(config.verify_samples)]
+    assert_factor_operators_match_distinct_windows(plant, model, automaton, stress_state.padded.Q,
+                                                   stress_state.padded.Z, sigmas,
+                                                   config.verify_horizon)
 
 
 def test_row_gains_match_oracle_zero_padded(switching_synthesis, switching_setup):

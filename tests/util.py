@@ -12,7 +12,8 @@ from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalE
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario, _ErrorKernel, _fold
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR, instantiate, lift_outputs)
+                                        SwitchingFIR, _distinct_rows, _mode_array,
+                                        _trailing_windows, instantiate, lift_outputs)
 from switchguard.synthesis import (MODE_RELAXED, DecisionVariables, SynthesisConfig,
                                    SynthesisResult, _check_dims, _kernel_terms, _windows)
 
@@ -674,6 +675,59 @@ def window_row_gains(plant, model, automaton, config, Q, Z):
                 total += np.abs(entry[..., col])
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
+
+
+def window_factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+                       Z: SwitchingFIR, modes: np.ndarray, t: int):
+    """Reference row t of E and of Phi (x0 block unscaled) built per window:
+    the products of `synthesis._pair_rows` formed for every window of the
+    batch (..., modes) itself, the last mode delivered at time t, each tap
+    block looked up by its own history."""
+    n, m_w = plant.n, plant.m_w
+    eye = np.eye(n)
+    lam_a, lam_b = eye @ plant.A, eye @ plant.B
+    q_taps = Q.taps[Q.history_ids(modes[..., -Q.memory:]), :t + 1]
+    z_taps = Z.taps[Z.history_ids(modes[..., -Z.memory:]), :t + 1]
+    lq, lz = q_taps.shape[-3], z_taps.shape[-3]
+    back = modes[..., ::-1][..., :lz]
+    shifted = min(lq, t)
+    lags = min(t, max(lq, lz)) + 1
+    E = np.zeros(q_taps.shape[:-3] + (lags, n, n))
+    E[..., 1:shifted + 1, :, :] = q_taps[..., :shifted, :, :] @ lam_a
+    E[..., :lq, :, :] += q_taps @ (-1.0 * eye)
+    E[..., :lz, :, :] = z_taps @ model.C[back] + E[..., :lz, :, :]
+    phi = np.zeros(q_taps.shape[:-3] + (lags, n, m_w + n))
+    w_block, x0_block = phi[..., :m_w], phi[..., m_w:]
+    w_block[..., :lz, :, :] = z_taps @ model.D[back]
+    w_block[..., 1:shifted + 1, :, :] += q_taps[..., :shifted, :, :] @ lam_b
+    if t >= 1:
+        E[..., 1, :, :] = lam_a + E[..., 1, :, :]
+        w_block[..., 1, :, :] += lam_b
+    x0_block[..., :lq, :, :] = q_taps
+    x0_block[..., 0, :, :] += eye
+    return E, phi
+
+
+def distinct_window_factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
+                                     model: SwitchedOutputModel, sigma, horizon: int,
+                                     padding_mode: int = 0):
+    """Reference (residual, performance) lag bands along sigma: the row at
+    time W = max(M, N) built by `window_factor_rows` once per distinct padded
+    window of the sequences, its x0 block scaled, and each sequence's rows
+    gathered from those."""
+    sigma = _mode_array(model, sigma, horizon)
+    W = max(max(fir.memory, fir.fir_length) for fir in (Q, Z))
+    windows = _trailing_windows(sigma, W, padding_mode)
+    distinct, index = _distinct_rows(windows.reshape(-1, W))
+    E, Phi = window_factor_rows(plant, model, Q, Z, distinct, W)
+    if plant.x0_bound != 1.0:
+        Phi[..., plant.m_w:] *= float(plant.x0_bound)
+    lags = min(horizon, E.shape[-3])
+    index = index.reshape(sigma.shape)
+    E, Phi = E[index, :lags], Phi[index, :lags]
+    t, k = np.ogrid[:horizon, :lags]
+    E[..., k > t, :, :] = Phi[..., k > t, :, :] = 0.0
+    return E, Phi
 
 
 # ------------------------------------------------------------ symbolic oracle
