@@ -35,8 +35,8 @@ from .simulate import Scenario, attack_search, make_trace, worst_case_inputs
 from .switched_model import (ChannelPlant, SwitchingAutomaton, SwitchingFIR, build_modes,
                              history_array)
 from .synthesis import (EXACT_EPS, MODE_EXACT, SEQUENCE_BUDGET, SynthesisConfig,
-                        SynthesisInfeasibleError, SynthesisResult, _lag0_margin, certify,
-                        factor_operators, synthesize)
+                        SynthesisInfeasibleError, SynthesisResult, _lag0_margin,
+                        _sampled_norms, certify, synthesize)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -416,11 +416,11 @@ def cmd_synth(args) -> int:
 
 
 def _parse_sigma(text: str, automaton: SwitchingAutomaton) -> tuple[int, ...]:
-    try:
-        sigma = tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
-    except ValueError:
-        raise ConfigError("--sigma", "expected comma-separated mode indices") from None
-    _expect(len(sigma) > 0, "--sigma", "empty sequence")
+    """Comma-separated plain decimal modes: no sign, underscore or empty entry."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    _expect(all(tok.isascii() and tok.isdigit() for tok in tokens), "--sigma",
+            "expected comma-separated mode indices")
+    sigma = tuple(map(int, tokens))
     _within_budget(len(sigma), "--sigma", "modes")
     top = automaton.mode_count - 1
     for m in sigma:
@@ -464,11 +464,11 @@ def cmd_norm(args) -> int:
         H = args.horizon if args.horizon is not None else syncfg.verify_horizon
         sigmas = [automaton.random_sequence(H, rng) for _ in range(samples)]
 
-    E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, len(sigmas[0]),
-                              automaton.padding_mode)
+    norms = _sampled_norms(plant, model, result.Q, result.Z, sigmas, len(sigmas[0]),
+                           automaton.padding_mode)
     writer = csv.writer(sys.stdout)
     writer.writerow(["sigma", "eps", "gamma"])
-    for sigma, eps, gamma in zip(sigmas, oc.induced_norm(E), oc.induced_norm(Phi)):
+    for sigma, eps, gamma in zip(sigmas, *norms):
         writer.writerow(["".join(map(str, sigma)), f"{eps:.12g}", f"{gamma:.12g}"])
     return EXIT_OK
 

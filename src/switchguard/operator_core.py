@@ -5,12 +5,16 @@ block kernel: entry (t, k) is the matrix multiplying the input sample at
 time t - k when producing the output sample at time t.  The kernel is kept
 as one ndarray `band` of shape (..., H, L, out_dim, in_dim) with L <= H:
 band[..., t, k] is the lag-k block at time t, zero where k > t, and lags
-from L on are zero.  Diagonal operators have L = 1 and FIR operators L =
-taps, so storage is O(horizon * lags) rather than O(horizon^2).  Leading
-axes are a batch of operators, e.g. one per sampled mode sequence; every
-operation broadcasts over them.  All arithmetic is dense double precision.
+from L on are zero.  FIR operators have L = taps, so storage is
+O(horizon * lags) rather than O(horizon^2).  Leading axes are a batch of
+operators, e.g. one per sampled mode sequence, which `induced_norm`
+measures in one call.  All arithmetic is dense double precision.
 `TruncatedOperator(band)` is the one constructor, and consumers read the
-band directly.
+band directly.  The package builds its bands from tap tables and per-lag
+products (`switched_model.instantiate`, `synthesis.factor_operators`, the
+attack kernel's rows) and only applies and measures them here; the
+operator algebra those products follow (compose, add, inverse) is the
+dict-of-lags reference chain in tests/util.py.
 """
 from __future__ import annotations
 
@@ -21,14 +25,7 @@ import numpy as np
 __all__ = [
     "Signal",
     "TruncatedOperator",
-    "make_diagonal",
-    "delay",
-    "identity",
-    "compose",
-    "add",
-    "scale",
     "is_singular",
-    "hstack",
     "apply",
     "induced_norm",
 ]
@@ -99,63 +96,6 @@ class TruncatedOperator:
                 f"out_dim={self.out_dim}, lags={self.lags}, batch={self.batch_shape})")
 
 
-def make_diagonal(block, horizon: int) -> TruncatedOperator:
-    """Time-invariant block-diagonal operator: the matrix `block` at every time."""
-    mat = np.asarray(block, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {mat.shape}")
-    return TruncatedOperator(np.array([mat] * horizon)[:, None])
-
-
-def delay(power: int, dim: int, horizon: int) -> TruncatedOperator:
-    """The shift operator raised to `power`: prepends zeros, truncates at the horizon."""
-    if power < 0:
-        raise ValueError("delay power must be nonnegative")
-    band = np.zeros((horizon, min(power + 1, horizon), dim, dim))
-    if power < horizon:
-        band[power:, power] = np.eye(dim)
-    return TruncatedOperator(band)
-
-
-def identity(dim: int, horizon: int) -> TruncatedOperator:
-    return delay(0, dim, horizon)
-
-
-def compose(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
-    """Operator product R o S; kernel convolution over intermediate lags.
-
-    Entry (t, k) sums R(t, j) S(t - j, k - j) over the intermediate lag j
-    ascending, one batched matmul per lag j of R.
-    """
-    if S.out_dim != R.in_dim:
-        raise ValueError(f"inner dimensions differ: R takes {R.in_dim}, S yields {S.out_dim}")
-    if R.horizon != S.horizon:
-        raise ValueError("horizons differ")
-    H = R.horizon
-    lags = min(H, R.lags + S.lags - 1)
-    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
-    out = np.zeros(batch + (H, lags, R.out_dim, S.in_dim))
-    r, s = R.band, S.band
-    for j in range(R.lags):
-        w = min(S.lags, lags - j)
-        out[..., j:, j:j + w, :, :] += r[..., j:, j, None, :, :] @ s[..., :H - j, :w, :, :]
-    return TruncatedOperator(out)
-
-
-def add(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
-    if (R.in_dim, R.out_dim, R.horizon) != (S.in_dim, S.out_dim, S.horizon):
-        raise ValueError("operands must share dimensions and horizon")
-    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
-    out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim))
-    out[..., :R.lags, :, :] = R.band
-    out[..., :S.lags, :, :] += S.band
-    return TruncatedOperator(out)
-
-
-def scale(R: TruncatedOperator, c: float) -> TruncatedOperator:
-    return TruncatedOperator(c * R.band)
-
-
 def is_singular(mat: np.ndarray) -> bool:
     """Whether a square matrix is singular to working precision.
 
@@ -165,17 +105,6 @@ def is_singular(mat: np.ndarray) -> bool:
     """
     sv = np.linalg.svd(mat, compute_uv=False)
     return not sv[-1] > sv[0] * max(mat.shape) * np.finfo(float).eps
-
-
-def hstack(R: TruncatedOperator, S: TruncatedOperator) -> TruncatedOperator:
-    """Concatenate input channels: [R S] acting on stacked (u_R, u_S)."""
-    if R.out_dim != S.out_dim or R.horizon != S.horizon:
-        raise ValueError("operands must share out_dim and horizon")
-    batch = np.broadcast_shapes(R.batch_shape, S.batch_shape)
-    out = np.zeros(batch + (R.horizon, max(R.lags, S.lags), R.out_dim, R.in_dim + S.in_dim))
-    out[..., :R.lags, :, :R.in_dim] = R.band
-    out[..., :S.lags, :, R.in_dim:] = S.band
-    return TruncatedOperator(out)
 
 
 def apply(R: TruncatedOperator, u: Signal) -> Signal:

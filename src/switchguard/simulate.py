@@ -11,11 +11,12 @@ The error operator is causal: its block row t depends on sigma[:t+1] only,
 and the worst-case value along sigma is a scan over the rows with t
 ascending.  `_ErrorKernel` therefore builds the operator one block row at a
 time, forming every entry with the same products summed in the same order
-as the operator-algebra formulas, so the rows equal that product chain bit
-for bit.  Row t reads the first t + 1 lags of one table per window, the
-last `window` modes padded in front with the padding mode, built once; an
-exact or relaxed window's table gathers each lag from the kernel's one
-table per (tap history, lag mode) pair.  Exact and FIR tables hold the
+as the operator-algebra formulas, so the rows equal that product chain
+(tests/util.py's `compose_chain_error_operator`) bit for bit.  Row t reads
+the first t + 1 lags of one table per window, the last `window` modes
+padded in front with the padding mode, built once; an exact or relaxed
+window's table gathers each lag from the kernel's one table per (tap
+history, lag mode) pair.  Exact and FIR tables hold the
 values of every t, read a layer of states or a greedy step at a time.  A
 relaxed row's resolvent substitution also reads the rows before it; it is
 built for a batch of prefixes in one stacked step.  Ties: a later output
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operator_core as oc
-from .operator_core import Signal, TruncatedOperator
+from .operator_core import Signal
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                              SwitchingFIR, _distinct_rows, instantiate)
 from .synthesis import EXACT_EPS, SynthesisResult, _pair_index, _pair_rows
@@ -44,7 +45,6 @@ __all__ = [
     "run_fir_estimator",
     "run_glo",
     "run_estimator",
-    "error_operator",
     "worst_case_inputs",
     "attack_search",
     "make_trace",
@@ -182,10 +182,13 @@ def run_estimator(estimator, plant: ChannelPlant, model: SwitchedOutputModel,
 class _ErrorKernel:
     """Block rows of the error operator of one estimator, and their values.
 
-    Block row t of `error_operator(..., sigma, H)`, for every H > t, is one
-    (lags, n, m_w + n) array whose entry k is the lag-k block, equal bit
-    for bit to the product chain of the operator-algebra formulas in
-    `error_operator`'s docstring.  The performance rows and the lags of the
+    The error operator maps stacked (w, embedded x0 sequence) inputs to the
+    estimation error: (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] +
+    [T Dbar, 0] for plain FIR taps T, and -(I - E)^{-1} Phi for synthesized
+    factors, E the residual and Phi the performance blocks, the resolvent
+    skipped for an exact design.  Its block row t, for every horizon H > t,
+    is one (lags, n, m_w + n) array whose entry k is the lag-k block, bit
+    for bit that product chain.  The performance rows and the lags of the
     residual E are gathered from `synthesis._pair_rows`, the table
     `factor_operators` also reads, built once per kernel at time `window`:
     a row's lag-k block depends only on its tap history, k and the mode k
@@ -241,6 +244,14 @@ class _ErrorKernel:
             inv0 = np.zeros_like(contraction[:, 0])
             inv0[~self.singular] = np.linalg.inv(contraction[~self.singular, 0])
             self.pair_rows = (phi, contraction, inv0)
+            self.reach = max(self.Q.fir_length, self.Z.fir_length)
+
+    def keep(self, past: list, carry: tuple) -> None:
+        """Append row t's `carry` to `past` and drop the resolvent rows of
+        time t - `reach`, which no later resolvent row reads."""
+        past.append(carry)
+        if len(past) > self.reach:
+            past[-1 - self.reach] = (None, past[-1 - self.reach][1])
 
     def relaxed_rows(self, tables: list, t: int, past: list):
         """Row t of a relaxed design, -(I - E)^{-1} applied to the performance
@@ -363,7 +374,7 @@ class _ErrorKernel:
             [table] = self._tables(t, [tuple(sigma[max(0, t + 1 - self.window):t + 1])])
             if self.kind == "relaxed":
                 [row], carry = self.relaxed_rows([table], t, past)
-                past.append(carry)
+                self.keep(past, carry)
             else:
                 row = table[0][:t + 1]
             rows.append(row)
@@ -381,24 +392,6 @@ def _fold(values: list, peak: float) -> float:
         if value > peak:
             peak = value
     return peak
-
-
-def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
-                   sigma, horizon: int, padding_mode: int = 0) -> TruncatedOperator:
-    """Map from stacked (w, embedded x0 sequence) to the estimation error.
-
-    For plain FIR taps T: (T Cbar - I)(I - shift(A))^{-1}[shift(B), I] + [T Dbar, 0].
-    For synthesized factors: -(I - residual)^{-1} [performance blocks]; the
-    resolvent factor is skipped when the residual vanished.  The operator
-    is causal, so it is stacked from its block rows, each built from
-    sigma[:t+1] alone.
-    """
-    kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
-    rows = kernel.rows(tuple(sigma))
-    band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
-    for t, row in enumerate(rows):
-        band[t, :len(row)] = row
-    return TruncatedOperator(band)
 
 
 def worst_case_inputs(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
@@ -514,7 +507,6 @@ def _relaxed_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon
             raise ValueError(
                 f"exhaustive search over {ends.sum()} admissible prefixes of {t + 1} modes "
                 "exceeds the 2^20 cap; use strategy='greedy'")
-    reach = max(kernel.Q.fir_length, kernel.Z.fir_length)
     best_sigma, best_value = None, -1.0
     # per entry: prefixes, the index of each one's parent, the parents' data
     roots = np.array(sorted(automaton.initial), dtype=np.intp).reshape(-1, 1)
@@ -532,9 +524,7 @@ def _relaxed_search(kernel: _ErrorKernel, automaton: SwitchingAutomaton, horizon
         # _fold of each prefix: NaNs left out, ties keep the peak
         peaks = np.fmax(peaks, np.fmax.reduce(kernel.row_values(rows), axis=1))
         if t + 1 < horizon:
-            past.append(carry)
-            if t >= reach:
-                past[t - reach] = (None, past[t - reach][1])
+            kernel.keep(past, carry)
             parent, children = automaton.extend(paths)
             stack.append((children, parent, past, peaks))
             continue
@@ -592,7 +582,7 @@ def attack_search(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
             i = max(range(len(choices)), key=lambda i: max(peaks[i], 0.0))
             prefix, peak = prefix + (choices[i],), peaks[i]
             if kernel.kind == "relaxed":
-                past.append(tuple(part[i:i + 1] for part in carry))
+                kernel.keep(past, tuple(part[i:i + 1] for part in carry))
         return prefix, max(peak, 0.0)
     raise ValueError(f"unknown strategy '{strategy}'")
 

@@ -29,7 +29,6 @@ __all__ = [
     "build_modes",
     "history_array",
     "instantiate",
-    "lift_outputs",
     "broadcast_taps",
 ]
 
@@ -376,6 +375,8 @@ class SwitchingFIR:
         return _WindowRows(self.windows)
 
     def histories(self) -> list[tuple[int, ...]]:
+        """The tap histories as tuples, in tap-row order; the package reads
+        `windows`, and perfbench's FIR padding reads this."""
         return list(map(tuple, self.windows.tolist()))
 
 
@@ -424,21 +425,13 @@ def instantiate(fir: SwitchingFIR, sigma, horizon: int,
     return TruncatedOperator(band)
 
 
-def lift_outputs(model: SwitchedOutputModel, sigma, horizon: int
-                 ) -> tuple[TruncatedOperator, TruncatedOperator]:
-    """Diagonal operators with blocks C^{sigma(t)}, D^{sigma(t)}; a batch of
-    operators for a batch of sequences."""
-    sigma = _mode_array(model, sigma, horizon)
-    return (TruncatedOperator(model.C[sigma][..., None, :, :]),
-            TruncatedOperator(model.D[sigma][..., None, :, :]))
-
-
 def broadcast_taps(fir: SwitchingFIR, automaton: SwitchingAutomaton,
                    source_history=None) -> SwitchingFIR:
     """Copy one history's taps to every admissible history.
 
     Used to apply a single-mode design blindly under switching, e.g. a
-    nominal estimator that ignores the attack pattern.
+    nominal estimator that ignores the attack pattern; perfbench's
+    `stress` set-up builds its blind design with it.
     """
     source = (tuple(source_history) if source_history is not None
               else (automaton.padding_mode,) * fir.memory)

@@ -478,10 +478,10 @@ def _pair_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
     its lags from this table.  Each entry is formed by the same products,
     summed in the same order, as the operator algebra (compose sums over
     the intermediate lag j ascending, add puts its left operand first), so
-    the rows equal that compose chain bit for bit, up to the sign of a
-    zero.  A product over several lags is one stacked matmul, whose per-lag
-    products are those of separate matmuls, and so is a product over the
-    pairs.  Q and Z must hold the same tap histories.
+    the rows equal tests/util.py's compose chain bit for bit, up to the
+    sign of a zero.  A product over several lags is one stacked matmul,
+    whose per-lag products are those of separate matmuls, and so is a
+    product over the pairs.  Q and Z must hold the same tap histories.
     """
     if Q.memory != Z.memory or not np.array_equal(Q.windows, Z.windows):
         raise ValueError("Q and Z must hold the same tap histories")
@@ -529,17 +529,6 @@ def _pair_index(fir: SwitchingFIR, windows: np.ndarray, mode_count: int, lags: i
     return pairs, np.arange(lags)
 
 
-def _factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
-                 Z: SwitchingFIR, modes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row t of E and of Phi along a batch of mode windows (..., modes), the
-    last delivered at time t: the lags of E, (..., lags, n, n), and of Phi,
-    (..., lags, n, m_w + n), its x0 block unscaled, gathered from the
-    `_pair_rows` table at time t."""
-    E, phi = _pair_rows(plant, model, Q, Z, t)
-    index = _pair_index(Q, modes, model.mode_count, E.shape[1])
-    return E[index], phi[index]
-
-
 def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
                      model: SwitchedOutputModel, sigma, horizon: int,
                      padding_mode: int = 0) -> tuple[oc.TruncatedOperator, oc.TruncatedOperator]:
@@ -572,6 +561,25 @@ def factor_operators(plant: ChannelPlant, Q: SwitchingFIR, Z: SwitchingFIR,
     return oc.TruncatedOperator(E), oc.TruncatedOperator(Phi)
 
 
+# sequence-steps of residual and performance bands built at once when
+# measuring sampled sequences: bounds the memory of certify and of `norm`
+CHUNK = 1 << 14
+
+
+def _sampled_norms(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+                   Z: SwitchingFIR, sigmas, horizon: int,
+                   padding_mode: int) -> tuple[np.ndarray, np.ndarray]:
+    """The induced norms of the residual and performance operators along
+    each of `sigmas`, built CHUNK // horizon sequences (at least one) at a
+    time: a sequence's norms read its own rows alone, so the bits are those
+    of one batch."""
+    step = max(1, CHUNK // horizon)
+    chunks = [[oc.induced_norm(op) for op in factor_operators(
+        plant, Q, Z, model, sigmas[start:start + step], horizon, padding_mode)]
+        for start in range(0, len(sigmas), step)]
+    return tuple(np.concatenate(norms) for norms in zip(*chunks))
+
+
 def certify(plant: ChannelPlant, model: SwitchedOutputModel,
             automaton: SwitchingAutomaton, config: SynthesisConfig,
             result: SynthesisResult, seed: int = 0) -> dict:
@@ -582,16 +590,15 @@ def certify(plant: ChannelPlant, model: SwitchedOutputModel,
     packed taps (the same bits the LP's affine forms give, with no LP
     built).  The residual/performance operators are also measured along
     sampled admissible sequences by `factor_operators`, a path independent
-    of the rows: the sequences are drawn first, then each operator is built
-    and measured once for the whole batch.
+    of the rows: the sequences are drawn first, then the operators are
+    built and measured in batches of at most CHUNK sequence-steps.
     """
     res_gains, perf_gains = row_gains(plant, model, automaton, config, result.Q, result.Z)
     rng = np.random.default_rng(seed)
     H = config.verify_horizon
     sigmas = [automaton.random_sequence(H, rng) for _ in range(config.verify_samples)]
-    E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, H,
-                              automaton.padding_mode)
-    res_norms, perf_norms = oc.induced_norm(E), oc.induced_norm(Phi)
+    res_norms, perf_norms = _sampled_norms(plant, model, result.Q, result.Z, sigmas, H,
+                                           automaton.padding_mode)
     return {
         "gamma_rows": float(np.max(perf_gains)),
         "eps_rows": float(np.max(res_gains)),

@@ -6,14 +6,14 @@ lines as they execute.
 import numpy as np
 
 from switchguard.lp_solver import LE, LinearProgram, solve
-from switchguard.operator_core import (add, apply, compose, delay, identity,
-                                       induced_norm, make_diagonal, scale)
+from switchguard.operator_core import apply, induced_norm
 from switchguard.simulate import (Scenario, attack_search, make_trace,
                                   worst_case_inputs)
 from switchguard.switched_model import broadcast_taps
 from switchguard.synthesis import SynthesisConfig, SynthesisInfeasibleError, synthesize
-from util import (max_abs_row_sum, parametrization_residual, random_box_lp, random_operator,
-                  random_signal, resolvent_of_state, unroll, vertex_minimum)
+from util import (DictOperator, dict_add, dict_compose, max_abs_row_sum,
+                  parametrization_residual, random_box_lp, random_operator, random_signal,
+                  resolvent_of_state, unroll, vertex_minimum)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -62,13 +62,13 @@ def test_criterion_4_operator_oracle_suite():
     for _ in range(100):
         R = random_operator(rng, H, 3, 2)
         S = random_operator(rng, H, 4, 3)
-        worst = max(worst, float(np.max(np.abs(
-            unroll(compose(R, S)) - unroll(R) @ unroll(S)))))
+        product = dict_compose(DictOperator.of(R), DictOperator.of(S))
+        worst = max(worst, float(np.max(np.abs(product.unroll() - unroll(R) @ unroll(S)))))
     for _ in range(100):
         R = random_operator(rng, H, 3, 2)
         S = random_operator(rng, H, 3, 2)
-        worst = max(worst, float(np.max(np.abs(
-            unroll(add(R, S)) - (unroll(R) + unroll(S))))))
+        total = dict_add(DictOperator.of(R), DictOperator.of(S))
+        worst = max(worst, float(np.max(np.abs(total.unroll() - (unroll(R) + unroll(S))))))
     for _ in range(100):
         R = random_operator(rng, H, 3, 2)
         u = random_signal(rng, H, 3)
@@ -83,10 +83,8 @@ def test_criterion_4_operator_oracle_suite():
         n = int(rng.integers(1, 4))
         A = rng.uniform(-1.5, 1.5, (n, n))
         res = resolvent_of_state(A, H)
-        lam_a = compose(delay(1, n, H), make_diagonal(A, H))
-        left = add(identity(n, H), scale(lam_a, -1.0))
-        worst = max(worst, float(np.max(np.abs(
-            unroll(res) - np.linalg.inv(unroll(left))))))
+        left = np.eye(n * H) - np.kron(np.eye(H, k=-1), A)  # I - shift(A)
+        worst = max(worst, float(np.max(np.abs(unroll(res) - np.linalg.inv(left)))))
     ok = worst <= 1e-9
     _report(4, ok, f"500 oracle comparisons (compose/add/apply/norm/resolvent), "
                    f"max deviation {worst:.3e} <= 1e-9")

@@ -521,6 +521,16 @@ def test_norm_bad_sigma(nominal_bundle, capsys):
     assert main(["norm", nominal_bundle, "--sigma", "0,7"]) == 2
 
 
+@pytest.mark.parametrize("sigma", ["0_1,0", "+1,0", "0,,1", "0,1,"])
+def test_sigma_reads_only_plain_decimal_modes(restricted_bundle, capsys, sigma):
+    """An underscore or sign inside a mode, or an empty entry, is an input
+    error rather than another admissible sequence."""
+    assert main(["norm", restricted_bundle, "--sigma", sigma]) == 2
+    captured = capsys.readouterr()
+    assert "--sigma" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("command", ["norm", "simulate"])
 def test_inadmissible_sigma_rejected(restricted_bundle, command, capsys):
     assert main([command, restricted_bundle, "--sigma", "0,1,0,1"]) == 0
@@ -838,7 +848,7 @@ def test_sizes_over_the_sequence_budget_exit_2(nominal_bundle, tmp_path, capsys,
     over = SEQUENCE_BUDGET + 1
     path = tmp_path / "scen.json"
     path.write_text(json.dumps({"sigma": [0] * over, "w": [[0.0, 0.0]] * over}))
-    for built in ("factor_operators", "worst_case_inputs", "make_trace", "attack_search"):
+    for built in ("_sampled_norms", "worst_case_inputs", "make_trace", "attack_search"):
         monkeypatch.setattr(cli, built, lambda *args, **kwargs: pytest.fail("rows were built"))
     args = [arg.format(bundle=nominal_bundle, over=over, sigma=",".join(["0"] * over),
                        scenario=path) for arg in argv]

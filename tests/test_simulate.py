@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchguard import simulate
-from switchguard.operator_core import Signal, apply, compose, delay, make_diagonal
-from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, error_operator,
-                                  make_trace, run_fir_estimator, run_glo, simulate_plant,
-                                  worst_case_inputs)
+from switchguard.operator_core import Signal, apply
+from switchguard.simulate import (Scenario, _ErrorKernel, attack_search, make_trace,
+                                  run_fir_estimator, run_glo, simulate_plant, worst_case_inputs)
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, broadcast_taps, build_modes, instantiate)
-from switchguard.synthesis import (SynthesisConfig, SynthesisResult, _factor_rows, certify,
-                                   factor_operators, synthesize)
-from util import (admissible_sequences, compose_chain_error_operator, loop_scan,
-                  per_sequence_attack_search, prefixes, random_signal,
+from switchguard.synthesis import (SynthesisConfig, SynthesisResult, certify, factor_operators,
+                                   synthesize)
+from util import (admissible_sequences, compose_chain_error_operator, error_operator,
+                  factor_rows, loop_scan, per_sequence_attack_search, prefixes, random_signal,
                   reference_worst_case_inputs, resolvent_of_state, unroll, walk_search)
 
 REFERENCE_INITIAL_STATE = np.array([0.1, 0.2, -0.1])
@@ -70,18 +70,15 @@ def test_simulate_plant_matches_operator_form():
         x0 = rng.uniform(-1, 1, plant.n)
         scen = Scenario(sigma=(0,) * H, w=w, x0=x0, horizon=H)
         x, y = simulate_plant(plant, model, scen)
-        # x = (I - shift A)^{-1} (shift B w + embedded x0)
-        R = resolvent_of_state(plant.A, H)
-        lam_b = compose(delay(1, plant.n, H), make_diagonal(plant.B, H))
+        # x = (I - shift A)^{-1} (shift B w + embedded x0), as dense products
         x0_seq = np.zeros((H, plant.n))
         x0_seq[0] = x0
-        forced = Signal(apply(lam_b, w).samples + x0_seq)
-        x_op = apply(R, forced)
-        assert np.allclose(x.samples, x_op.samples, atol=1e-9)
-        Cbar = make_diagonal(model.C[0], H)
-        Dbar = make_diagonal(model.D[0], H)
-        y_op = apply(Cbar, x_op).samples + apply(Dbar, w).samples
-        assert np.allclose(y.samples, y_op, atol=1e-9)
+        forced = np.kron(np.eye(H, k=-1), plant.B) @ w.samples.reshape(-1) + x0_seq.reshape(-1)
+        x_op = unroll(resolvent_of_state(plant.A, H)) @ forced
+        assert np.allclose(x.samples.reshape(-1), x_op, atol=1e-9)
+        y_op = (np.kron(np.eye(H), model.C[0]) @ x_op
+                + np.kron(np.eye(H), model.D[0]) @ w.samples.reshape(-1))
+        assert np.allclose(y.samples.reshape(-1), y_op, atol=1e-9)
 
 
 def test_simulate_plant_x0_injection_time(switching_setup):
@@ -544,6 +541,23 @@ def test_relaxed_demo_attacks_are_pinned(search_designs, switching_setup):
     assert value.hex() == "0x1.98a999999998cp+4"
 
 
+def test_greedy_relaxed_attack_keeps_only_the_rows_it_reads(search_designs, switching_setup):
+    """Greedy on the relaxed demo design at H=256 keeps the resolvent rows of
+    the last N times only: the attack is pinned, and the traced peak stays
+    below the 5.5 MB that keeping every resolvent row takes."""
+    plant, model, automaton, _ = switching_setup
+    tracemalloc.start()
+    try:
+        sigma, value = attack_search(plant, model, search_designs["relaxed"], automaton, 256,
+                                     "greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sigma == (0, 0) + (1,) * 8 + (0,) * 246
+    assert value.hex() == "0x1.98a999999999ap+4"
+    assert peak < 2e6
+
+
 def test_relaxed_singular_lag0_block_is_reported_at_its_time(switching_setup, monkeypatch):
     """Z_0 = e_1 e_0^T at history (1,) and Q = 0 make I - E's lag-0 block
     I - Z_0 C^1 singular wherever mode 1 is delivered: every search and
@@ -619,7 +633,7 @@ def _row_alone(kernel, t, modes):
     sigma = np.array([(kernel.pad,) * (length - len(modes)) + tuple(modes)], dtype=np.intp)
     if kernel.kind == "fir":
         return kernel._fir_row(sigma, t)[0]
-    return -1.0 * _factor_rows(kernel.plant, kernel.model, kernel.Q, kernel.Z, sigma, t)[1][0]
+    return -1.0 * factor_rows(kernel.plant, kernel.model, kernel.Q, kernel.Z, sigma, t)[1][0]
 
 
 def _assert_reads_match_rows(reads):

@@ -8,10 +8,10 @@ import pytest
 from switchguard import demo
 from switchguard.cli import parse_problem
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR, _distinct_rows, broadcast_taps,
-                                        build_modes, history_array, instantiate, lift_outputs)
+                                        SwitchingFIR, _distinct_rows, _mode_array,
+                                        broadcast_taps, build_modes, history_array, instantiate)
 from util import (admissible_sequences, band_entry, dense_blockdiag, dict_instantiate,
-                  generator_histories, history_at, prefixes, row_slice_modes,
+                  dict_lift_outputs, generator_histories, history_at, prefixes, row_slice_modes,
                   tuple_random_sequence, unroll)
 
 
@@ -408,18 +408,19 @@ def test_instantiate_causal_in_sigma():
             assert np.array_equal(band_entry(op_a, t, k), band_entry(op_b, t, k))
 
 
+# lift_outputs exists as the dict oracle's reference copy, dict_lift_outputs
 def test_lift_outputs_nominal_lti(switching_setup):
     model = switching_setup[1]
-    Cbar, Dbar = lift_outputs(model, (0,) * 4, 4)
-    assert np.allclose(unroll(Cbar), dense_blockdiag([model.C[0]] * 4), atol=0)
-    assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[0]] * 4), atol=0)
+    Cbar, Dbar = dict_lift_outputs(model, (0,) * 4, 4)
+    assert np.array_equal(Cbar.unroll(), dense_blockdiag([model.C[0]] * 4))
+    assert np.array_equal(Dbar.unroll(), dense_blockdiag([model.D[0]] * 4))
 
 
 def test_lift_outputs_attack_drops_second_row(switching_setup):
     model = switching_setup[1]
-    Cbar, _ = lift_outputs(model, (1,) * 5, 5)
+    Cbar, _ = dict_lift_outputs(model, (1,) * 5, 5)
     for t in range(5):
-        assert np.all(band_entry(Cbar, t, 0)[1, :] == 0.0)
+        assert np.all(Cbar.entry(t, 0)[1, :] == 0.0)
 
 
 def test_lift_outputs_random_blockdiag_oracle():
@@ -427,15 +428,16 @@ def test_lift_outputs_random_blockdiag_oracle():
     modes = [(rng.uniform(-1, 1, (2, 3)), rng.uniform(-1, 1, (2, 2))) for _ in range(3)]
     model = SwitchedOutputModel(np.array([C for C, _ in modes]), np.array([D for _, D in modes]))
     sigma = tuple(int(rng.integers(0, 3)) for _ in range(6))
-    Cbar, Dbar = lift_outputs(model, sigma, 6)
-    assert np.allclose(unroll(Cbar), dense_blockdiag([model.C[j] for j in sigma]), atol=0)
-    assert np.allclose(unroll(Dbar), dense_blockdiag([model.D[j] for j in sigma]), atol=0)
+    Cbar, Dbar = dict_lift_outputs(model, sigma, 6)
+    assert np.array_equal(Cbar.unroll(), dense_blockdiag([model.C[j] for j in sigma]))
+    assert np.array_equal(Dbar.unroll(), dense_blockdiag([model.D[j] for j in sigma]))
 
 
 def test_lift_outputs_mode_out_of_range(switching_setup):
+    """The mode check lift_outputs made, `_mode_array`'s, which factor_operators reads."""
     model = switching_setup[1]
-    with pytest.raises(ValueError):
-        lift_outputs(model, (0, 2), 2)
+    with pytest.raises(ValueError, match=r"^mode 2 at time 1 out of range$"):
+        _mode_array(model, (0, 2), 2)
 
 
 def test_broadcast_taps_copies_source():

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from switchguard import demo
+from switchguard import demo, synthesis
 from switchguard.cli import parse_problem
 from switchguard.lp_solver import EQ, format_lp
 from switchguard.operator_core import induced_norm
@@ -14,14 +15,15 @@ from switchguard.simulate import attack_search
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel,
                                         SwitchingAutomaton, SwitchingFIR, build_modes,
                                         history_array)
-from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, _factor_rows,
+from switchguard.synthesis import (SynthesisConfig, SynthesisInfeasibleError, _sampled_norms,
                                    assemble_lp, certify, decision_variables, factor_operators,
                                    row_gains, synthesize)
 from util import (admissible_sequences, assemble_symbolic_lp, band_entry, build_performance_rows,
                   build_residual_rows, dict_induced_norm, dict_performance_operator,
                   dict_residual_operator, distinct_window_factor_operators, evaluate_rows,
-                  history_at, kernel_entries, pack, parametrization_residual, sampled_norms_loop,
-                  symbolic_variables, unroll, window_factor_rows, window_row_gains)
+                  factor_rows, history_at, kernel_entries, pack, parametrization_residual,
+                  sampled_norms_loop, symbolic_variables, unroll, window_factor_rows,
+                  window_row_gains)
 
 
 @pytest.fixture(scope="module")
@@ -565,6 +567,50 @@ def test_certify_norms_match_dict_oracle_stress(stress_state):
                                       stress_state.padded)
 
 
+@pytest.mark.parametrize("chunk", [1, 7 * 30 + 1, synthesis.CHUNK])
+def test_sampled_norms_in_chunks_equal_one_band(switching_synthesis, switching_setup,
+                                                monkeypatch, chunk):
+    """`_sampled_norms` gives the norms of one band over every sequence, bit
+    for bit, whether its chunks hold one sequence, seven (the last one
+    ragged) or all forty."""
+    plant, model, automaton, _ = switching_setup
+    result = switching_synthesis[0]
+    rng = np.random.default_rng(5)
+    sigmas = [automaton.random_sequence(30, rng) for _ in range(40)]
+    E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, 30,
+                              automaton.padding_mode)
+    monkeypatch.setattr(synthesis, "CHUNK", chunk)
+    found = _sampled_norms(plant, model, result.Q, result.Z, sigmas, 30, automaton.padding_mode)
+    assert [norms.tobytes() for norms in found] == [induced_norm(E).tobytes(),
+                                                    induced_norm(Phi).tobytes()]
+
+
+def test_sampled_norms_peak_is_bounded_by_the_chunk(switching_synthesis, switching_setup):
+    """512 sequences of 128 steps, four chunks: the norms are the one band's
+    and the traced peak is at most 60% of that band's (40 MB against 88 MB)."""
+    plant, model, automaton, _ = switching_setup
+    result = switching_synthesis[0]
+    rng = np.random.default_rng(6)
+    sigmas = [automaton.random_sequence(128, rng) for _ in range(512)]
+
+    def one_band():
+        E, Phi = factor_operators(plant, result.Q, result.Z, model, sigmas, 128,
+                                  automaton.padding_mode)
+        return induced_norm(E), induced_norm(Phi)
+
+    found, peaks = [], []
+    for build in (one_band, lambda: _sampled_norms(plant, model, result.Q, result.Z, sigmas,
+                                                   128, automaton.padding_mode)):
+        tracemalloc.start()
+        try:
+            found.append([norms.tobytes() for norms in build()])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert found[0] == found[1]
+    assert peaks[1] < 0.6 * peaks[0]
+
+
 def assert_factor_operators_match_oracle(plant, model, automaton, Q, Z, sigmas, horizon):
     """factor_operators along one sequence and along the batch `sigmas` equals
     the dict algebra's residual and performance operators of each sequence:
@@ -621,7 +667,7 @@ def test_factor_operators_match_dict_oracle_memory_above_length(switching_setup,
 
 
 def assert_factor_rows_match_window_oracle(plant, model, automaton, Q, Z):
-    """`_factor_rows`, gathered from the (tap history, lag mode) table, equals
+    """`factor_rows`, gathered from the (tap history, lag mode) table, equals
     the rows built per window byte for byte, signed zeros included: at every
     t in 0..W, for one admissible window, for all of them and for a batch of
     two such stacks."""
@@ -629,7 +675,7 @@ def assert_factor_rows_match_window_oracle(plant, model, automaton, Q, Z):
     windows = history_array(automaton, W)
     for t in range(W + 1):
         for modes in (windows[0], windows, np.stack([windows, windows[::-1]])):
-            for found, oracle in zip(_factor_rows(plant, model, Q, Z, modes, t),
+            for found, oracle in zip(factor_rows(plant, model, Q, Z, modes, t),
                                      window_factor_rows(plant, model, Q, Z, modes, t)):
                 assert found.shape == oracle.shape
                 assert found.tobytes() == oracle.tobytes()

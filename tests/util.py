@@ -7,15 +7,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from switchguard import operator_core as oc
 from switchguard.lp_solver import EQ, LE, PIVOT_TOL, LinearProgram, LpNumericalError
 from switchguard.operator_core import Signal, TruncatedOperator, is_singular
 from switchguard.simulate import Scenario, _ErrorKernel, _fold
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
                                         SwitchingFIR, _distinct_rows, _mode_array,
-                                        _trailing_windows, instantiate, lift_outputs)
+                                        _trailing_windows)
 from switchguard.synthesis import (MODE_RELAXED, DecisionVariables, SynthesisConfig,
-                                   SynthesisResult, _check_dims, _kernel_terms, _windows)
+                                   SynthesisResult, _check_dims, _kernel_terms, _pair_index,
+                                   _pair_rows, _windows)
 
 
 def band_operator(horizon: int, in_dim: int, out_dim: int, kernel: dict) -> TruncatedOperator:
@@ -56,19 +56,20 @@ def parametrization_residual(T: SwitchingFIR, Q: SwitchingFIR, plant: ChannelPla
     """Gain of T Cbar + X (shift(A) - I) - I with X = -I - Q.
 
     Vanishes exactly when (T, -Q - I) parametrize a zero-residual stable
-    estimator; bounded by the relaxation level otherwise.
+    estimator; bounded by the relaxation level otherwise.  Formed in the
+    dict oracle's algebra.
     """
     n = plant.n
-    lam_a = oc.compose(oc.delay(1, n, horizon), oc.make_diagonal(plant.A, horizon))
-    Cbar, _ = lift_outputs(model, sigma, horizon)
-    T_op = instantiate(T, sigma, horizon, padding_mode)
-    Q_op = instantiate(Q, sigma, horizon, padding_mode)
-    eye = oc.identity(n, horizon)
-    X_op = oc.scale(oc.add(eye, Q_op), -1.0)
-    lam_a_minus_i = oc.add(lam_a, oc.scale(eye, -1.0))
-    total = oc.add(oc.add(oc.compose(T_op, Cbar), oc.compose(X_op, lam_a_minus_i)),
-                   oc.scale(eye, -1.0))
-    return oc.induced_norm(total)
+    lam_a = dict_compose(dict_delay(1, n, horizon), dict_make_diagonal(plant.A, horizon))
+    Cbar, _ = dict_lift_outputs(model, sigma, horizon)
+    T_op = dict_instantiate(T, sigma, horizon, padding_mode)
+    Q_op = dict_instantiate(Q, sigma, horizon, padding_mode)
+    eye = dict_delay(0, n, horizon)
+    X_op = dict_scale(dict_add(eye, Q_op), -1.0)
+    lam_a_minus_i = dict_add(lam_a, dict_scale(eye, -1.0))
+    total = dict_add(dict_add(dict_compose(T_op, Cbar), dict_compose(X_op, lam_a_minus_i)),
+                     dict_scale(eye, -1.0))
+    return dict_induced_norm(total)
 
 
 def random_operator(rng: np.random.Generator, horizon: int, in_dim: int, out_dim: int,
@@ -418,6 +419,19 @@ def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, 
     return tuple(int(sigma[s]) if s >= 0 else padding_mode for s in range(t - length + 1, t + 1))
 
 
+def error_operator(plant: ChannelPlant, model: SwitchedOutputModel, estimator,
+                   sigma, horizon: int, padding_mode: int = 0) -> TruncatedOperator:
+    """The error operator along sigma, stacked from `_ErrorKernel`'s block
+    rows, each built from sigma[:t+1] alone; its formula is in the kernel's
+    docstring, and `compose_chain_error_operator` is its reference."""
+    kernel = _ErrorKernel(plant, model, estimator, padding_mode, horizon)
+    rows = kernel.rows(tuple(sigma))
+    band = np.zeros((horizon, max(map(len, rows))) + rows[0].shape[1:])
+    for t, row in enumerate(rows):
+        band[t, :len(row)] = row
+    return TruncatedOperator(band)
+
+
 def compose_chain_error_operator(plant, model, estimator, sigma, horizon: int,
                                  padding_mode: int = 0) -> DictOperator:
     """Reference error operator: the whole-horizon product chain of the dict oracle."""
@@ -675,6 +689,18 @@ def window_row_gains(plant, model, automaton, config, Q, Z):
                 total += np.abs(entry[..., col])
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
+
+
+def factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
+                Z: SwitchingFIR, modes: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row t of E and of Phi along a batch of mode windows (..., modes), the
+    last delivered at time t: the lags of E, (..., lags, n, n), and of Phi,
+    (..., lags, n, m_w + n), its x0 block unscaled, gathered from the
+    `synthesis._pair_rows` table at time t as `factor_operators` and the
+    attack kernel gather them."""
+    E, phi = _pair_rows(plant, model, Q, Z, t)
+    index = _pair_index(Q, modes, model.mode_count, E.shape[1])
+    return E[index], phi[index]
 
 
 def window_factor_rows(plant: ChannelPlant, model: SwitchedOutputModel, Q: SwitchingFIR,
@@ -967,12 +993,15 @@ def assemble_symbolic_lp(residual_rows, performance_rows, config: SynthesisConfi
 
 # ------------------------------------------------------------ dict operator oracle
 #
-# The kernel-dict operator algebra that operator_core's lag bands replaced:
-# only stored entries, products formed entry by entry and summed over the
-# lags in ascending order.  The
-# reference that the band operations must reproduce bit for bit (zeros of
-# either sign comparing equal), and the home of the inverse and resolvent,
-# which src/ no longer needs.
+# The one operator algebra of the project: causal operators kept as dicts of
+# their stored kernel entries, products formed entry by entry and summed
+# over the lags in ascending order.  src/ builds its bands from tap tables
+# and per-lag products without composing operators; this algebra is the
+# reference chain those products must reproduce bit for bit (zeros of
+# either sign comparing equal): `dict_residual_operator` and
+# `dict_performance_operator` for `factor_operators` and `_pair_rows`,
+# `compose_chain_error_operator` for the attack kernel's rows, and
+# `parametrization_residual` for the synthesized factors.
 
 
 class DictOperator:
