@@ -211,6 +211,9 @@ class SwitchingAutomaton:
         successors.update(enumerate(
             tuple(compress(range(mode_count), row)) for row in allowed_arr.tolist()))
         object.__setattr__(self, "_successors", successors)
+        # the successor count shared by the start and every mode, else 0
+        counts = {len(choices) for choices in successors.values()}
+        object.__setattr__(self, "_choice_count", counts.pop() if len(counts) == 1 else 0)
 
     def successors(self, prev: int | None) -> tuple[int, ...]:
         """Modes that may follow `prev`, ascending; None is the start of a
@@ -241,7 +244,25 @@ class SwitchingAutomaton:
         return True
 
     def random_sequence(self, length: int, rng: np.random.Generator) -> tuple[int, ...]:
+        """A random admissible sequence of `length` modes drawn from rng.
+
+        The stream is that of a walk that picks step t's mode as
+        `successors(prev)[rng.integers(len(successors(prev)))]`, one scalar
+        draw per step: a seed gives the same modes and leaves rng in the
+        same state whichever path runs.  When the start and every mode have
+        the same successor count c >= 1 (a complete automaton, say), the
+        choices are one `rng.integers(c, size=length)` draw, which numpy
+        fills from the same stream, and the walk reads the successor table;
+        otherwise the walk draws step by step.  ValueError when a step finds
+        no successor.
+        """
         seq: list[int] = []
+        if self._choice_count:
+            prev = None
+            for choice in rng.integers(self._choice_count, size=length).tolist():
+                prev = self._successors[prev][choice]
+                seq.append(prev)
+            return tuple(seq)
         for _ in range(length):
             choices = self.successors(seq[-1] if seq else None)
             if not choices:

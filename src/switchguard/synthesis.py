@@ -9,17 +9,22 @@ absolute row sum is the estimation-error peak gain to minimize.  The
 recovered estimator is T = -Z; the observer gain factors are (Q, Z).
 
 The kernel entries of those rows are encoded once, by `_kernel_terms`:
-lag by lag, integer variable-id arrays, coefficient arrays and constants
-shaped (window, state row, column, term), with the windows one integer
-array gathered once per tap history.  Variable ids are arithmetic over
-(tap history, lag, Q or Z block entry), so `DecisionVariables.pack` and
-`unpack` are reshapes.  `assemble_lp` stacks the terms, drops the zero
-coefficients and deduplicates slacks and rows by sorting integer keys of
-their (id, coefficient, constant) terms, numbered in order of first
-occurrence.  `row_gains` evaluates the same terms at the packed taps, each
-entry its constant plus its products summed left to right.  A row's lag-k
-entries depend only on its tap history, k and the mode at lag k, so the
-entries are evaluated once per (tap history, lag mode) pair, and each
+at most two blocks per row kind (the kernel columns and, for performance
+rows, the x0 block), each spanning every lag, as integer variable-id
+arrays, coefficient arrays and constants shaped (window, state row, lag,
+column, term), with the windows one integer array gathered once per tap
+history.  A term a lag lacks has coefficient 0 and the id one past the
+last variable.  Variable ids are arithmetic over (tap history, lag, Q or
+Z block entry), so `DecisionVariables.pack` and `unpack` are reshapes.
+`assemble_lp` flattens (lag, column) into the entry axis, stacks the
+terms, drops the zero coefficients and deduplicates slacks and rows by
+sorting integer keys of their (id, coefficient, constant) terms, numbered
+in order of first occurrence; it refuses an LP whose dense rows exceed
+LP_BYTE_BUDGET before building them.  `row_gains` evaluates the same
+terms at the packed taps, each entry its constant plus its products
+summed left to right.  A row's lag-k entries depend only on its tap
+history, k and the mode at lag k, so each block is evaluated once, for
+every lag, on one window per (tap history, lag mode) pair, and each
 window sums its pairs' absolute entries left to right in entry order: the
 gains are the bits the LP's affine forms give.  `synthesize` takes
 eps_achieved from it and `certify` takes gamma_rows and eps_rows.
@@ -55,6 +60,10 @@ EXACT_EPS = 1e-9  # eps_achieved up to this is an exact design's zero residual
 # the longest sequence, and the most sampled sequences, a run builds rows for:
 # a relaxed design's rows grow with the horizon, so its memory with its square
 SEQUENCE_BUDGET = 2048
+# the most bytes the synthesis LP's dense rows may take (rows x columns x 8);
+# the solver's tableau is as large again.  The largest demo LP tested,
+# 2246 x 950, takes 17 MB
+LP_BYTE_BUDGET = 1 << 27
 
 
 class SynthesisInfeasibleError(RuntimeError):
@@ -184,27 +193,29 @@ def _windows(automaton: SwitchingAutomaton, config: SynthesisConfig):
 
 
 def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
-                  windows: np.ndarray, hist_ids: np.ndarray, variables: DecisionVariables):
-    """Terms of the kernel entries of every residual or performance row, lag by lag.
+                  windows: np.ndarray, hist_ids: np.ndarray,
+                  variables: DecisionVariables) -> list[tuple]:
+    """Terms of the kernel entries of every residual or performance row, every lag at once.
 
     Residual rows are those of shift(A) + Z Cbar + Q (shift(A) - I), and
     performance rows those of [shift(B) + Z Dbar + Q shift(B), b (I + Q)]: one
     row per (window, state row), the window's tap history numbered by
-    hist_ids.  Yields (lag, col, var, coeff, const) per block of entries, in
-    row entry order: the entries (lag, col + j), with var the integer ids
-    and coeff the coefficients, broadcastable together to (window, state
-    row, column j, term), and const shaped (state row, column j).  An
-    entry's value is const + (((0 + a1 x1) + a2 x2) + ...) over its terms
-    in order.
+    hist_ids.  Returns the row's blocks in row entry order: the kernel
+    columns, lags 0..N, then for performance rows the x0 block, lags
+    0..N-1; within a block the entries run lag by lag, column by column.
+    A block is (var, coeff, const): var the integer ids, shaped (window,
+    state row, lag, 1 | column, term), coeff the coefficients, (window | 1,
+    1, lag, column, term), and const (state row, lag, column).  An entry's
+    value is const + (((0 + a1 x1) + a2 x2) + ...) over its terms in order.
 
     Entry (k, col) of shift(X) + Z Mbar + Q (shift(X) + Y0) holds Z_k[i, c]
     M_k[c, col] over c, Q_k[i, r] Y0[r, col] over the rows r where Y0 has a
-    nonzero, and Q_{k-1}[i, r] X[r, col] over r, with M_k the mode matrix
-    delivered k steps before the output time; its constant is X[i, col] at
-    lag 1.  Performance rows then add the I + Q block scaled by the plant's
-    initial-condition bound b: one term b Q_k[i, j] per entry, with
-    constant b I[i, j] at lag 0.  Zero coefficients are kept, so every
-    entry of a block has the same number of terms.
+    nonzero, and Q_{k-1}[i, r] X[r, col] over r, in that order, with M_k
+    the mode matrix delivered k steps before the output time; its constant
+    is X[i, col] at lag 1.  The x0 block holds one term b Q_k[i, j] per
+    entry, with constant b I[i, j] at lag 0.  Zero coefficients are kept;
+    a lag with fewer terms than its block is padded after its own terms
+    with coefficient 0 and id `variables.count`.
     """
     n, p, N = variables.n, variables.p, variables.fir_length
     if kind == _RESIDUAL:
@@ -212,40 +223,40 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     else:
         X, Y0, mode_mats = plant.B, np.zeros((n, plant.m_w)), model.D
     nw, q = len(windows), X.shape[1]
-    # column k: the mode delivered k steps before the output time
-    lag_modes = windows[:, ::-1]
     y0_rows = np.flatnonzero(Y0.any(axis=1))
-    hist = hist_ids[:, None, None]
-    state = np.arange(n)[:, None]
-    for k in range(N + 1):
-        # ids (window, state row, term) and coeffs (window | 1, column, term)
-        ids, coeffs = [], []
-        if k < N:
-            ids.append(variables.z_var(hist, k, state, np.arange(p)))
-            coeffs.append(mode_mats[lag_modes[:, k]].transpose(0, 2, 1))
-            ids.append(variables.q_var(hist, k, state, y0_rows))
-            coeffs.append(Y0[y0_rows].T[None])
-        if k >= 1:
-            ids.append(variables.q_var(hist, k - 1, state, np.arange(n)))
-            coeffs.append(X.T[None])
-        var = np.concatenate(ids, axis=-1)[:, :, None]
-        coeff = np.concatenate([np.broadcast_to(a, (nw, q, a.shape[-1])) for a in coeffs],
-                               axis=-1)[:, None]
-        # constants are sums from 0.0: a -0.0 in X gives 0.0
-        const = 0.0 + X if k == 1 else np.zeros((n, q))
-        yield k, 0, var, coeff, const
+    zy = p + len(y0_rows)  # the Z_k and Q_k Y0 terms, lags 0..N-1
+    width = max(zy + n if N > 1 else zy, n)
+    # ids over (window, state row, lag, term); Q_{k-1} is lag k's X term
+    hist, state, lags = hist_ids[:, None, None, None], np.arange(n)[:, None, None], np.arange(N)
+    q_ids = variables.q_var(hist, lags[:, None], state, np.arange(n))
+    var = np.full((nw, n, N + 1, 1, width), variables.count)
+    var[:, :, :N, 0, :p] = variables.z_var(hist, lags[:, None], state, np.arange(p))
+    var[:, :, :N, 0, p:zy] = variables.q_var(hist, lags[:, None], state, y0_rows)
+    var[:, :, N, 0, :n] = q_ids[:, :, N - 1]
+    coeff = np.zeros((nw, 1, N + 1, q, width))
+    # lag k reads the mode delivered k steps before the output time
+    coeff[:, 0, :N, :, :p] = mode_mats[windows[:, ::-1][:, :N]].transpose(0, 1, 3, 2)
+    coeff[:, 0, :N, :, p:zy] = Y0[y0_rows].T
+    coeff[:, 0, N, :, :n] = X.T
+    if N > 1:
+        var[:, :, 1:N, 0, zy:] = q_ids[:, :, :N - 1]
+        coeff[:, 0, 1:N, :, zy:] = X.T
+    const = np.zeros((n, N + 1, q))
+    const[:, 1] = 0.0 + X  # constants are sums from 0.0: a -0.0 in X gives 0.0
+    blocks = [(var, coeff, const)]
     if kind == _PERFORMANCE:
         bound = float(plant.x0_bound)
-        for k in range(N):
-            var = variables.q_var(hist, k, state, np.arange(n))[..., None]
-            yield (k, q, var, np.full((1, 1, 1, 1), bound),
-                   bound * np.eye(n) if k == 0 else np.zeros((n, n)))
+        const = np.zeros((n, N, n))
+        const[:, 0] = bound * np.eye(n)
+        blocks.append((q_ids[..., None], np.full((1, 1, 1, 1, 1), bound), const))
+    return blocks
 
 
 def _forms(blocks, nvar: int, width: int):
     """The entries of the rows as affine forms with their zero coefficients dropped.
 
-    Stacks the blocks of _kernel_terms into var and coeff arrays shaped
+    Flattens the (lag, column) axes of each block of _kernel_terms into one
+    entry axis and stacks the blocks into var and coeff arrays shaped
     (form, term), padded to `width` terms, and const shaped (form,), the
     forms in row order (window, state row, entry).  A dropped term keeps its
     zero coefficient and gets id nvar, and each form's terms are sorted by
@@ -253,12 +264,13 @@ def _forms(blocks, nvar: int, width: int):
     of a zero.
     """
     var, coeff, const = [], [], []
-    for _, _, v, a, c in blocks:
+    for v, a, c in blocks:
         shape = np.broadcast_shapes(v.shape, a.shape)
+        flat = shape[:2] + (shape[2] * shape[3], shape[4])
         pad = [(0, 0)] * 3 + [(0, width - shape[-1])]
-        var.append(np.pad(np.broadcast_to(v, shape), pad, constant_values=nvar))
-        coeff.append(np.pad(np.broadcast_to(a, shape), pad))
-        const.append(np.broadcast_to(c, shape[:3]))
+        var.append(np.pad(np.broadcast_to(v, shape).reshape(flat), pad, constant_values=nvar))
+        coeff.append(np.pad(np.broadcast_to(a, shape).reshape(flat), pad))
+        const.append(np.broadcast_to(c, shape[:4]).reshape(flat[:3]))
     var = np.concatenate(var, axis=2).reshape(-1, width)
     coeff = np.concatenate(coeff, axis=2).reshape(var.shape)
     const = np.concatenate(const, axis=2).reshape(-1)
@@ -309,16 +321,18 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     and identical rows collapse, so the LP stays small while covering
     every admissible window.  Slacks, rows and equalities are numbered in
     the order of their first occurrence over the rows (window, then state
-    row, then entry), performance rows first.
+    row, then entry), performance rows first.  ValueError, before any dense
+    row is built, when the dense rows would take more than LP_BYTE_BUDGET
+    bytes.
     """
     _check_dims(plant, model)
     nvar = variables.count
     gamma = nvar
     windows, taps, tap_ids = _windows(automaton, config)
     hist_ids = variables.history_ids(taps)[tap_ids]
-    blocks = [list(_kernel_terms(plant, model, kind, windows, hist_ids, variables))
+    blocks = [_kernel_terms(plant, model, kind, windows, hist_ids, variables)
               for kind in (_PERFORMANCE, _RESIDUAL)]
-    width = max(b[2].shape[-1] for kind in blocks for b in kind)
+    width = max(var.shape[-1] for kind in blocks for var, _, _ in kind)
     perf, res = (_forms(kind, nvar, width) for kind in blocks)
 
     relaxed = config.mode == MODE_RELAXED
@@ -329,31 +343,42 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     total = nvar + 1 + nslack
     nrows = len(windows) * plant.n
 
+    def collapse(row_sids):
+        # rows with the same multiset of slacks collapse into one
+        return row_sids[_first_occurrence(np.sort(row_sids, axis=1))[1]]
+
+    perf_sids = collapse(sid[:len(perf[2])].reshape(nrows, -1))
+    if relaxed:
+        res_sids = collapse(sid[len(perf[2]):].reshape(nrows, -1))
+    else:
+        res_once = _first_occurrence(_form_keys(*res))[1]
+    rows = 2 * nslack + len(perf_sids) + len(res_sids if relaxed else res_once)
+    if rows * total * 8 > LP_BYTE_BUDGET:
+        raise ValueError(
+            f"synthesis.M/synthesis.N: M={config.memory} and N={config.fir_length} give an LP "
+            f"of {rows} x {total} dense rows, {rows * total * 8} bytes, above the budget of "
+            f"{LP_BYTE_BUDGET}")
+
+    def slack_sums(row_sids):
+        sums = np.zeros((len(row_sids), total))
+        np.add.at(sums, (np.arange(len(row_sids))[:, None], nvar + 1 + row_sids), 1.0)
+        return sums
+
     # s >= form and s >= -form, one pair of rows per slack
     var, coeff, const = var[first], coeff[first], const[first]
     up, dn = _dense_rows(var, coeff, total), _dense_rows(var, -coeff, total)
     slack = np.arange(nslack)
     up[slack, nvar + 1 + slack] = dn[slack, nvar + 1 + slack] = -1.0
     constraints = [row for u, d, c in zip(up, dn, const) for row in ((u, LE, -c), (d, LE, c))]
-
-    def row_sums(row_sids):
-        # rows with the same multiset of slacks collapse into one
-        _, once = _first_occurrence(np.sort(row_sids, axis=1))
-        sums = np.zeros((len(once), total))
-        np.add.at(sums, (np.arange(len(once))[:, None], nvar + 1 + row_sids[once]), 1.0)
-        return sums
-
-    perf_sums = row_sums(sid[:len(perf[2])].reshape(nrows, -1))
+    perf_sums = slack_sums(perf_sids)
     perf_sums[:, gamma] = -1.0
     constraints += [(row, LE, 0.0) for row in perf_sums]
     if relaxed:
-        res_sums = row_sums(sid[len(perf[2]):].reshape(nrows, -1))
-        constraints += [(row, LE, config.eps_bar) for row in res_sums]
+        constraints += [(row, LE, config.eps_bar) for row in slack_sums(res_sids)]
     else:
         var, coeff, const = res
-        _, once = _first_occurrence(_form_keys(var, coeff, const))
-        eqs = _dense_rows(var[once], coeff[once], total)
-        constraints += [(row, EQ, -c) for row, c in zip(eqs, const[once])]
+        eqs = _dense_rows(var[res_once], coeff[res_once], total)
+        constraints += [(row, EQ, -c) for row, c in zip(eqs, const[res_once])]
 
     return LinearProgram(
         variable_count=total,
@@ -386,36 +411,42 @@ def row_gains(plant: ChannelPlant, model: SwitchedOutputModel,
     Returns (residual_gains, performance_gains), one per (window, state row)
     in the LP's row order.  A row's lag-k entries depend only on its tap
     history, k and the mode delivered k steps before the output time, so
-    the kernel-entry terms of `_kernel_terms` are evaluated at the packed
-    taps once per (tap history, lag mode) pair: on one window per pair
-    whose lags all hold that mode.  Each window then gathers its pairs'
-    absolute entries and sums them left to right in entry order.  A zero
-    coefficient the LP drops adds a signed zero here, which changes no sum
+    each block of `_kernel_terms` is evaluated at the packed taps once, for
+    every lag, on one window per (tap history, lag mode) pair whose lags
+    all hold that mode; a padded term reads id `variables.count` as 0.0.
+    Each window then gathers its pairs' absolute entries lag by lag and
+    sums them left to right in entry order.  A zero coefficient the LP
+    drops, or a padded term, adds a signed zero here, which changes no sum
     that is not zero and only the sign of one that is, so every gain is
     bit-identical to evaluating the LP's affine forms.
     """
     _check_dims(plant, model)
     windows, taps, hist_ids = _windows(automaton, config)
     variables = DecisionVariables(taps, config.memory, config.fir_length, plant.n, model.p)
-    x = variables.pack(Q, Z)
+    x = np.append(variables.pack(Q, Z), 0.0)
     modes, L = automaton.mode_count, windows.shape[1]
     # pair hist * modes + mode: a window whose lags all hold the mode
     pair_hists, pair_modes = np.divmod(np.arange(len(taps) * modes), modes)
     pair_windows = np.repeat(pair_modes[:, None], L, axis=1)
-    lag_modes = windows[:, ::-1]
+    # each window's pair at lags 0..N; past the window no mode matrix is
+    # read, so any mode does
+    pairs = np.zeros((len(windows), config.fir_length + 1), dtype=np.intp)
+    back = windows[:, ::-1][:, :pairs.shape[1]]
+    pairs[:, :back.shape[1]] = back
+    pairs += modes * hist_ids[:, None]
     gains = []
     for kind in (_RESIDUAL, _PERFORMANCE):
         total = np.zeros((len(windows), plant.n))
-        for k, _, var, coeff, const in _kernel_terms(plant, model, kind, pair_windows,
-                                                     pair_hists, variables):
+        for var, coeff, const in _kernel_terms(plant, model, kind, pair_windows, pair_hists,
+                                               variables):
             value = 0.0
             for t in range(var.shape[-1]):
                 value = value + coeff[..., t] * x[var[..., t]]
-            # past the window no mode matrix is read, so any mode does
-            pair = hist_ids * modes + (lag_modes[:, k] if k < L else 0)
-            entry = np.abs(const + value).take(pair, axis=0)
-            for col in range(entry.shape[-1]):
-                total += entry[..., col]
+            entries = np.abs(const + value)  # (pair, state row, lag, column)
+            for k in range(entries.shape[2]):
+                entry = entries[:, :, k].take(pairs[:, k], axis=0)
+                for col in range(entry.shape[-1]):
+                    total += entry[..., col]
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
 

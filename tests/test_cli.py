@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchguard import cli, demo
+from switchguard import cli, demo, synthesis
 from switchguard.cli import (_bundle_writer, _fir_from_json, _fir_to_json, bundle_from_result,
                              load_bundle, main, parse_problem)
 from switchguard.switched_model import SwitchingFIR, history_array
@@ -880,6 +880,29 @@ def test_sizes_at_the_sequence_budget_run(nominal_bundle, capsys):
     assert main(["norm", nominal_bundle, "--samples", str(SEQUENCE_BUDGET),
                  "--horizon", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == SEQUENCE_BUDGET + 1
+
+
+def test_lp_over_the_byte_budget_exits_2(nominal_config, tmp_path, capsys, monkeypatch):
+    """synth counts the LP's dense rows after deduplication and refuses them,
+    before building one, when they take more than LP_BYTE_BUDGET bytes:
+    the switching demo at M=7 N=2 needed 10754 x 7298 rows (628 MB) and a
+    tableau as large.  The nominal LP runs at its exact byte count."""
+    plant, model, automaton, config, _ = parse_problem(demo.nominal_config_dict())
+    lp = synthesis.assemble_lp(plant, model, automaton, config,
+                               synthesis.decision_variables(automaton, config, plant.n, model.p))
+    rows, cols = len(lp.constraints), lp.variable_count
+    monkeypatch.setattr(synthesis, "LP_BYTE_BUDGET", rows * cols * 8)
+    assert main(["synth", nominal_config, "--out", str(tmp_path / "at.json")]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(synthesis, "LP_BYTE_BUDGET", rows * cols * 8 - 1)
+    monkeypatch.setattr(synthesis, "_dense_rows", lambda *args: pytest.fail("rows were built"))
+    out = tmp_path / "over.json"
+    assert main(["synth", nominal_config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: synthesis.M/synthesis.N: M=1 and N=2 give an LP of {rows} x {cols} dense "
+        f"rows, {rows * cols * 8} bytes, above the budget of {rows * cols * 8 - 1}\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_example_command(capsys):

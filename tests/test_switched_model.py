@@ -199,17 +199,33 @@ def test_successors_reject_modes_outside_the_automaton():
             auto.successors(prev)
 
 
-@pytest.mark.parametrize("auto", [
-    SwitchingAutomaton(3),
-    SwitchingAutomaton(3, allowed=[[1, 1, 0], [0, 0, 1], [1, 0, 1]], initial=[1, 2],
-                       padding_mode=2),
-], ids=["complete", "restricted"])
-def test_random_sequence_matches_reference_walk(auto):
-    """Seeded draws equal the reference walk's, and leave the generator in the same state."""
+@pytest.mark.parametrize("auto, length", [
+    (SwitchingAutomaton(3), 40),
+    (SwitchingAutomaton(3, allowed=[[1, 1, 0], [0, 0, 1], [1, 0, 1]], initial=[1, 2],
+                        padding_mode=2), 40),
+    (SwitchingAutomaton(1), 40),
+    (SwitchingAutomaton(3, allowed=[[0, 1, 1], [1, 1, 0], [1, 0, 1]], initial=[0, 2]), 40),
+    (SwitchingAutomaton(3), 0),
+    (SwitchingAutomaton(2, initial=[]), 40),
+], ids=["complete", "restricted", "one-mode", "out-degree-2", "length-0", "empty-initial"])
+def test_random_sequence_matches_reference_walk(auto, length):
+    """Seeded draws equal the reference walk's, a dead end raises the same
+    error, and the generator is left in the same state: on the one-draw
+    path (every successor count, the start's too, equal and at least 1;
+    one mode draws nothing) and on the step-by-step one."""
     for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert auto.random_sequence(40, rng) == tuple_random_sequence(auto, 40, ref)
+        outcomes = []
+        for walk, gen in ((auto.random_sequence, rng),
+                          (lambda n, g: tuple_random_sequence(auto, n, g), ref)):
+            try:
+                outcomes.append(walk(length, gen))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
         assert rng.bit_generator.state == ref.bit_generator.state
+    if length and not auto.initial:
+        assert outcomes[0] == "automaton dead-ends after prefix ()"
 
 
 def test_walker_matches_brute_force():

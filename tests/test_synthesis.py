@@ -567,6 +567,24 @@ def test_certify_norms_match_dict_oracle_stress(stress_state):
                                       stress_state.padded)
 
 
+# float.hex of certify's report on the `stress` state at seed 1
+STRESS_CERTIFY = {
+    "gamma_rows": "0x1.040000000000bp+5",
+    "eps_rows": "0x1.ac7e6dcf89083p-41",
+    "max_sampled_residual_norm": "0x1.ac793f7ce5243p-41",
+    "max_sampled_performance_norm": "0x1.040000000000bp+5",
+}
+
+
+def test_stress_certify_is_pinned(stress_state):
+    """certify on the padded N=10 `stress` design, bit for bit: the row gains
+    over its 1024 windows and the norms along its 20 drawn sequences."""
+    plant, model, automaton = stress_state.problem
+    report = certify(plant, model, automaton, stress_state.padded_config, stress_state.padded,
+                     seed=1)
+    assert {key: report[key].hex() for key in STRESS_CERTIFY} == STRESS_CERTIFY
+
+
 @pytest.mark.parametrize("chunk", [1, 7 * 30 + 1, synthesis.CHUNK])
 def test_sampled_norms_in_chunks_equal_one_band(switching_synthesis, switching_setup,
                                                 monkeypatch, chunk):

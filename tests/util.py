@@ -648,45 +648,49 @@ def kernel_entries(plant, model, automaton, config, variables, kind: str, x: np.
     kind is "residual" or "performance".  Returns (windows, values): the
     windows as tuples in row order, and per entry (lag, input column), in
     row entry order, the (window, state row) array of const + (((0 + a1*x1)
-    + a2*x2) + ...) with `variables` numbering the terms.
+    + a2*x2) + ...) with `variables` numbering the terms; a padded term
+    reads 0.0.
     """
     windows, taps, tap_ids = _windows(automaton, config)
     histories = map(tuple, np.asarray(variables.histories).tolist())
     position = {hist: a for a, hist in enumerate(histories)}
     hist_ids = np.array([position[hist] for hist in map(tuple, taps.tolist())],
                         dtype=np.intp)[tap_ids]
-    values = {}
-    for lag, col, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
-                                                     variables):
+    x = np.append(x, 0.0)  # a padded term's id, variables.count, reads 0.0
+    values, col = {}, 0
+    for var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids, variables):
         shape = np.broadcast_shapes(var.shape, coeff.shape)
         var, coeff = np.broadcast_to(var, shape), np.broadcast_to(coeff, shape)
-        for j in range(shape[2]):
-            total = np.zeros(shape[:2])
-            for t in range(shape[3]):
-                total = total + coeff[:, :, j, t] * x[var[:, :, j, t]]
-            values[(lag, col + j)] = const[:, j] + total
+        for lag in range(shape[2]):
+            for j in range(shape[3]):
+                total = np.zeros(shape[:2])
+                for t in range(shape[4]):
+                    total = total + coeff[:, :, lag, j, t] * x[var[:, :, lag, j, t]]
+                values[(lag, col + j)] = const[:, lag, j] + total
+        col += shape[3]
     return [tuple(w) for w in windows.tolist()], values
 
 
 def window_row_gains(plant, model, automaton, config, Q, Z):
     """Reference (residual, performance) row gains: the kernel-entry terms of
-    `_kernel_terms` evaluated once per window at the packed taps, each row's
-    absolute entries summed left to right in entry order."""
+    `_kernel_terms` evaluated once per window at the packed taps, a padded
+    term reading 0.0, each row's absolute entries summed left to right in
+    entry order."""
     _check_dims(plant, model)
     windows, taps, hist_ids = _windows(automaton, config)
     variables = DecisionVariables(taps, config.memory, config.fir_length, plant.n, model.p)
-    x = variables.pack(Q, Z)
+    x = np.append(variables.pack(Q, Z), 0.0)
     gains = []
     for kind in ("residual", "performance"):
         total = np.zeros((len(windows), plant.n))
-        for _, _, var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids,
-                                                     variables):
+        for var, coeff, const in _kernel_terms(plant, model, kind, windows, hist_ids, variables):
             value = 0.0
             for t in range(var.shape[-1]):
                 value = value + coeff[..., t] * x[var[..., t]]
             entry = const + value
-            for col in range(entry.shape[-1]):
-                total += np.abs(entry[..., col])
+            for lag in range(entry.shape[2]):
+                for col in range(entry.shape[3]):
+                    total += np.abs(entry[:, :, lag, col])
         gains.append(total.reshape(-1))
     return gains[0], gains[1]
 
