@@ -2,7 +2,8 @@
 
 Configs and result bundles are JSON (matrices as row-major nested lists),
 traces are CSV.  Exit codes: 0 ok, 2 input error, 3 infeasible,
-4 numerical failure.  All commands are deterministic under a fixed seed.
+4 numerical failure, such as a simulated error that is not finite.  All
+commands are deterministic under a fixed seed.
 The model constructors own the rules on config values and the defaults;
 this module checks JSON types and names the field path of every error.
 Attack sequences given by --sigma or a scenario file, and the all-padding
@@ -512,6 +513,11 @@ def cmd_simulate(args) -> int:
         scenario, predicted = worst_case_inputs(plant, model, result, sigma,
                                                 len(sigma), automaton.padding_mode)
     trace = make_trace(plant, model, result, scenario, automaton.padding_mode)
+    if not math.isfinite(trace.sup_error):
+        print(f"numerical failure: the simulated error over --horizon {scenario.horizon} steps "
+              f"is not finite (sup_error = {trace.sup_error}); try a shorter --horizon",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
     if args.trace:
         with _create(args.trace, "--trace") as fh:
             writer = csv.writer(fh)

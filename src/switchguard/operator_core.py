@@ -124,11 +124,31 @@ def apply(R: TruncatedOperator, u: Signal) -> Signal:
 
 
 def _abs_row_sums(band: np.ndarray) -> np.ndarray:
-    """(..., H, out_dim) absolute row sums: |entries| summed over the inputs,
-    then over the lags in ascending order."""
-    total = np.sum(np.abs(band[..., 0, :, :]), axis=-1)
-    for k in range(1, band.shape[-3]):
-        total += np.sum(np.abs(band[..., k, :, :]), axis=-1)
+    """(..., H, out_dim) absolute row sums: each lag's |entries| summed over
+    the inputs, then the lags' sums added in ascending order.
+
+    One lag at a time, so no temporary is larger than a lag of the band.
+    Below 8 inputs a lag's columns are added left to right, one array pass
+    per column, as `np.sum` does there.  From 8 inputs on `np.sum` sums
+    pairwise, an order a column pass would not reproduce, so that branch
+    (and a band of no inputs) calls it.  Either way a lag's sums are
+    `np.sum(np.abs(band[..., k, :, :]), axis=-1)` bit for bit, which keeps
+    the sampled norms, and so the bundles `certify` writes, the same at
+    every width.
+    """
+    in_dim, total = band.shape[-1], None
+    for k in range(band.shape[-3]):
+        entries = np.abs(band[..., k, :, :])
+        if 0 < in_dim < 8:
+            lag = entries[..., 0] if in_dim == 1 else entries[..., 0] + entries[..., 1]
+            for col in range(2, in_dim):
+                lag += entries[..., col]
+        else:  # for the bits, not the speed: np.sum's pairwise order
+            lag = np.sum(entries, axis=-1)
+        if total is None:
+            total = lag
+        else:
+            total += lag
     return total
 
 

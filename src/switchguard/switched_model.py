@@ -271,16 +271,71 @@ class SwitchingAutomaton:
         return tuple(seq)
 
 
+_KEY_BITS = 62  # bits of a packed row key: its shifts and differences stay in int64
+
+
+def _row_keys(rows: np.ndarray) -> list[np.ndarray]:
+    """int64 keys of the rows of a nonempty 2-d integer array, one array per
+    run of columns, whose order compared key by key is the lexicographic
+    order of the rows.
+
+    A column of range [lo, hi] takes (hi - lo).bit_length() bits, that is
+    ceil(log2(hi - lo + 1)), which hold its value minus lo.  The columns
+    fill a key left to right, the first in the highest bits, until the next
+    would pass _KEY_BITS and starts a new key.  A column too wide to pack,
+    such as a float's bits, is a key of its own, its values as they are.
+    """
+    cols = rows.T.copy()  # contiguous columns reduce in one pass each
+    low = cols.min(axis=1)
+    bits = [(hi - lo).bit_length() for lo, hi in zip(low.tolist(), cols.max(axis=1).tolist())]
+    runs, used = [], _KEY_BITS + 1  # per key (start, stop) of its columns, stop None if raw
+    for col, width in enumerate(bits):
+        if width > _KEY_BITS:
+            runs.append((col, None))
+            used = _KEY_BITS + 1
+        elif used + width > _KEY_BITS:
+            runs.append((col, col + 1))
+            used = width
+        else:
+            runs[-1] = (runs[-1][0], col + 1)
+            used += width
+    keys = []
+    for start, stop in runs:
+        if stop is None:
+            keys.append(cols[start])
+            continue
+        weights, shift = [], sum(bits[start:stop])
+        for width in bits[start:stop]:
+            shift -= width
+            weights.append(1 << shift)
+        cols[start:stop] -= low[start:stop, None]
+        keys.append(np.array(weights) @ cols[start:stop])
+    return keys
+
+
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-d integer array, lexicographically sorted, and
-    the index of every row among them: one lexsort and a neighbour compare."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    the index of every row among them.
+
+    The rows are packed into as few int64 keys as their column ranges allow
+    (`_row_keys`), so equal rows have equal keys and lexicographic row order
+    is the keys' numeric order: a stable argsort sorts a single key, a
+    lexsort several, and a row starts a new distinct row where a key
+    differs from its neighbour's.  Every mode window packs into one key.
+    """
+    if not len(rows):
+        return rows, np.empty(0, dtype=np.intp)
+    keys = _row_keys(rows)
+    order = np.argsort(keys[0], kind="stable") if len(keys) == 1 else np.lexsort(keys[::-1])
+    ordered = [key[order] for key in keys]
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=starts[1:])
+    for key in ordered[1:]:
+        starts[1:] |= key[1:] != key[:-1]
     inverse = np.empty(len(rows), dtype=np.intp)
     inverse[order] = starts.cumsum() - 1
-    return ordered[starts], inverse
+    return rows[order[starts]], inverse
 
 
 def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
@@ -305,6 +360,23 @@ def history_array(automaton: SwitchingAutomaton, length: int) -> np.ndarray:
     if not startup:
         return interior
     return _distinct_rows(np.concatenate([interior] + startup))[0]
+
+
+def _history_bound(automaton: SwitchingAutomaton, length: int) -> int:
+    """An upper bound on len(history_array(automaton, length)), counted
+    without building a window: the interior windows plus the startup
+    windows of each padding length, which history_array merges.  Paths are
+    counted per last mode, one step of `allowed` at a time, in Python
+    integers, so no count overflows."""
+    allowed = automaton.allowed.astype(object)
+    interior = np.ones(automaton.mode_count, dtype=object)
+    tails = np.zeros(automaton.mode_count, dtype=object)
+    tails[sorted(automaton.initial)] = 1
+    total = 0
+    for _ in range(length - 1):
+        total += tails.sum()
+        interior, tails = interior @ allowed, tails @ allowed
+    return int(total + interior.sum())
 
 
 class _WindowRows:

@@ -19,8 +19,9 @@ Z block entry), so `DecisionVariables.pack` and `unpack` are reshapes.
 `assemble_lp` flattens (lag, column) into the entry axis, stacks the
 terms, drops the zero coefficients and deduplicates slacks and rows by
 sorting integer keys of their (id, coefficient, constant) terms, numbered
-in order of first occurrence; it refuses an LP whose dense rows exceed
-LP_BYTE_BUDGET before building them.  `row_gains` evaluates the same
+in order of first occurrence.  It refuses an LP whose windows' terms,
+counted from the automaton before any window is enumerated, or whose
+dense rows would exceed LP_BYTE_BUDGET.  `row_gains` evaluates the same
 terms at the packed taps, each entry its constant plus its products
 summed left to right.  A row's lag-k entries depend only on its tap
 history, k and the mode at lag k, so each block is evaluated once, for
@@ -38,8 +39,8 @@ import numpy as np
 from . import operator_core as oc
 from .lp_solver import EQ, LE, LinearProgram, solve
 from .switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                             SwitchingFIR, _distinct_rows, _mode_array, _trailing_windows,
-                             _WindowRows, history_array)
+                             SwitchingFIR, _distinct_rows, _history_bound, _mode_array,
+                             _trailing_windows, _WindowRows, history_array)
 
 __all__ = [
     "SynthesisConfig",
@@ -60,9 +61,9 @@ EXACT_EPS = 1e-9  # eps_achieved up to this is an exact design's zero residual
 # the longest sequence, and the most sampled sequences, a run builds rows for:
 # a relaxed design's rows grow with the horizon, so its memory with its square
 SEQUENCE_BUDGET = 2048
-# the most bytes the synthesis LP's dense rows may take (rows x columns x 8);
-# the solver's tableau is as large again.  The largest demo LP tested,
-# 2246 x 950, takes 17 MB
+# the most bytes the synthesis LP's dense rows may take (rows x columns x 8),
+# and the constraint terms of its windows; the solver's tableau is as large
+# again.  The largest demo LP tested, 2246 x 950, takes 17 MB
 LP_BYTE_BUDGET = 1 << 27
 
 
@@ -192,6 +193,26 @@ def _windows(automaton: SwitchingAutomaton, config: SynthesisConfig):
     return windows, suffixes, tap_ids
 
 
+def _term_width(p: int, y0_rows: int, n: int, N: int) -> int:
+    """Terms per kernel entry in `_kernel_terms`: the Z_k and Q_k Y0 terms,
+    then, from lag 1 on, the Q_{k-1} X terms; the last lag has n."""
+    zy = p + y0_rows
+    return max(zy + n if N > 1 else zy, n)
+
+
+def _kernel_term_bytes(plant: ChannelPlant, model: SwitchedOutputModel, N: int,
+                       windows: int) -> int:
+    """Bytes of the arrays `_kernel_terms` allocates for `windows` windows,
+    both row kinds: each kind's variable ids and coefficients of the kernel
+    columns, (window, n, N + 1, 1, width) and (window, 1, N + 1, q, width),
+    and its Q ids, (window, n, N, n); all 8-byte entries."""
+    n = plant.n
+    per_window = 0
+    for y0_rows, q in ((0, plant.m_w), (n, n)):  # performance, residual
+        per_window += (N + 1) * _term_width(model.p, y0_rows, n, N) * (n + q) + n * N * n
+    return 8 * windows * per_window
+
+
 def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
                   windows: np.ndarray, hist_ids: np.ndarray,
                   variables: DecisionVariables) -> list[tuple]:
@@ -225,7 +246,7 @@ def _kernel_terms(plant: ChannelPlant, model: SwitchedOutputModel, kind: str,
     nw, q = len(windows), X.shape[1]
     y0_rows = np.flatnonzero(Y0.any(axis=1))
     zy = p + len(y0_rows)  # the Z_k and Q_k Y0 terms, lags 0..N-1
-    width = max(zy + n if N > 1 else zy, n)
+    width = _term_width(p, len(y0_rows), n, N)
     # ids over (window, state row, lag, term); Q_{k-1} is lag k's X term
     hist, state, lags = hist_ids[:, None, None, None], np.arange(n)[:, None, None], np.arange(N)
     q_ids = variables.q_var(hist, lags[:, None], state, np.arange(n))
@@ -321,11 +342,19 @@ def assemble_lp(plant: ChannelPlant, model: SwitchedOutputModel,
     and identical rows collapse, so the LP stays small while covering
     every admissible window.  Slacks, rows and equalities are numbered in
     the order of their first occurrence over the rows (window, then state
-    row, then entry), performance rows first.  ValueError, before any dense
-    row is built, when the dense rows would take more than LP_BYTE_BUDGET
-    bytes.
+    row, then entry), performance rows first.  ValueError, before any
+    window is enumerated, when the constraint terms of the automaton's
+    window count (`_history_bound`) would take more than LP_BYTE_BUDGET
+    bytes, and, before any dense row is built, when the dense rows would.
     """
     _check_dims(plant, model)
+    bound = _history_bound(automaton, config.window)
+    need = _kernel_term_bytes(plant, model, config.fir_length, bound)
+    if need > LP_BYTE_BUDGET:
+        raise ValueError(
+            f"synthesis.M/synthesis.N: M={config.memory} and N={config.fir_length} give up to "
+            f"{bound} windows, whose constraint terms take {need} bytes, above the budget of "
+            f"{LP_BYTE_BUDGET}")
     nvar = variables.count
     gamma = nvar
     windows, taps, tap_ids = _windows(automaton, config)

@@ -905,6 +905,75 @@ def test_lp_over_the_byte_budget_exits_2(nominal_config, tmp_path, capsys, monke
     assert captured.out == "" and not out.exists()
 
 
+class _Enumerated(Exception):
+    """Raised in place of `synthesis._windows`: the run passed the window budget."""
+
+
+def _enumerate(*args):
+    raise _Enumerated
+
+
+def test_window_terms_over_the_byte_budget_exit_2(tmp_path, capsys, monkeypatch):
+    """synth counts the windows from the automaton and refuses, before
+    `_windows` enumerates one, when the arrays `_kernel_terms` would build
+    for them take more than LP_BYTE_BUDGET bytes: the switching demo at
+    M=11 N=2 built every window's forms, peaking at 99 MB, before its dense
+    rows were refused.  At the demo's exact byte count the run reaches the
+    enumeration; one byte less exits 2 without it.  The pinned demo LPs run
+    in the solver tests under the default budget."""
+    cfg = demo.demo_config_dict()
+    # M=3 N=8 relaxed, whose 123 MB of dense rows run, is inside the budget
+    plant, model, automaton, config, _ = parse_problem(dict(cfg, synthesis=dict(
+        cfg["synthesis"], M=3, N=8, mode="relaxed", eps_bar=0.1)))
+    bound = synthesis._history_bound(automaton, config.window)
+    assert synthesis._kernel_term_bytes(plant, model, 8, bound) <= synthesis.LP_BYTE_BUDGET
+    path = tmp_path / "switching.json"
+    path.write_text(json.dumps(cfg))
+    plant, model, automaton, config, _ = parse_problem(cfg)
+    variables = synthesis.decision_variables(automaton, config, plant.n, model.p)
+    windows, taps, tap_ids = synthesis._windows(automaton, config)
+    perf, res = (synthesis._kernel_terms(plant, model, kind, windows,
+                                         variables.history_ids(taps)[tap_ids], variables)
+                 for kind in (synthesis._PERFORMANCE, synthesis._RESIDUAL))
+    # each kind's kernel-column ids and coefficients, and its Q ids: the
+    # performance x0 block's ids, an array the residual kind builds too
+    q_ids = perf[1][0].nbytes
+    built = sum(var.nbytes + coeff.nbytes + q_ids for var, coeff, _ in (perf[0], res[0]))
+    # 2^5 interior windows of N=5 modes and 2 + 4 + 8 + 16 startup windows,
+    # 32 of them repeating interior ones
+    assert len(windows) == 32
+    need = built // 32 * 62
+    assert synthesis._kernel_term_bytes(plant, model, config.fir_length, 62) == need
+    monkeypatch.setattr(synthesis, "_windows", _enumerate)
+    monkeypatch.setattr(synthesis, "LP_BYTE_BUDGET", need)
+    out = tmp_path / "out.json"
+    with pytest.raises(_Enumerated):
+        main(["synth", str(path), "--out", str(out)])
+    capsys.readouterr()
+    monkeypatch.setattr(synthesis, "LP_BYTE_BUDGET", need - 1)
+    assert main(["synth", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: synthesis.M/synthesis.N: M=1 and N=5 give up to 62 windows, whose constraint "
+        f"terms take {need} bytes, above the budget of {need - 1}\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_simulate_non_finite_error_exits_numerical(tmp_path, capsys):
+    """Over 1600 steps the frozen switching design's simulated error
+    overflows to nan, which simulate printed with exit 0; it now exits 4,
+    naming --horizon, before writing the trace or printing a line."""
+    trace = tmp_path / "trace.csv"
+    with np.errstate(all="ignore"):
+        code = main(["simulate", str(FROZEN / "switching_m1n5.json"), "--horizon", "1600",
+                     "--trace", str(trace)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and not trace.exists()
+    assert captured.err.startswith("numerical failure: ") and "--horizon 1600" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_example_command(capsys):
     code = main(["example"])
     out = capsys.readouterr().out

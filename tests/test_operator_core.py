@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchguard.operator_core import Signal, TruncatedOperator, apply, induced_norm
+from switchguard.operator_core import (Signal, TruncatedOperator, _abs_row_sums, apply,
+                                       induced_norm)
 from util import (DictOperator, band_entry, band_kernel, dense_blockdiag, dict_add, dict_apply,
                   dict_compose, dict_delay, dict_hstack, dict_induced_norm, dict_make_diagonal,
-                  dict_scale, invert, max_abs_row_sum, random_operator, random_signal,
-                  resolvent_of_state, unroll)
+                  dict_scale, invert, max_abs_row_sum, np_sum_abs_row_sums, random_operator,
+                  random_signal, resolvent_of_state, unroll)
 
 # The operator algebra (make_diagonal, delay, compose, add, scale, hstack)
 # exists only as the dict oracle of util.py, the reference chain the
@@ -318,3 +319,25 @@ def test_band_operations_match_dict_oracle(case):
             assert induced_norm(single) == norms[b] == dict_induced_norm(oracle)
             u = random_signal(rng, H, in_dim)
             assert np.array_equal(apply(single, u).samples, dict_apply(oracle, u).samples)
+
+
+def test_abs_row_sums_match_np_sum():
+    """The row sums add a lag's columns left to right below 8 inputs and call
+    np.sum from 8 on; either way they equal np.sum bit for bit, with a batch
+    axis, at every input width 0..10 and band width 1..12.  The entries span
+    16 decades, so the order of a sum shows in its bits: strictly left to
+    right is np.sum's order below 8 inputs only."""
+    rng = np.random.default_rng(33)
+    for in_dim in range(11):
+        for lags in range(1, 13):
+            shape = (2, 13, lags, 3, in_dim)
+            band = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+            band[rng.random(shape) < 0.1] = -0.0
+            expected = np_sum_abs_row_sums(band)
+            assert _abs_row_sums(band).tobytes() == expected.tobytes()
+            assert _abs_row_sums(band[0]).tobytes() == expected[0].tobytes()
+            if in_dim:
+                entries = np.abs(band)
+                left_to_right = entries.cumsum(axis=-1)[..., -1]
+                same = left_to_right.tobytes() == np.sum(entries, axis=-1).tobytes()
+                assert same == (in_dim < 8)

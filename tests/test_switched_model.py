@@ -7,12 +7,14 @@ import pytest
 
 from switchguard import demo
 from switchguard.cli import parse_problem
+from switchguard import synthesis
 from switchguard.switched_model import (ChannelPlant, SwitchedOutputModel, SwitchingAutomaton,
-                                        SwitchingFIR, _distinct_rows, _mode_array,
-                                        broadcast_taps, build_modes, history_array, instantiate)
+                                        SwitchingFIR, _distinct_rows, _history_bound,
+                                        _mode_array, _row_keys, broadcast_taps, build_modes,
+                                        history_array, instantiate)
 from util import (admissible_sequences, band_entry, dense_blockdiag, dict_instantiate,
-                  dict_lift_outputs, generator_histories, history_at, prefixes, row_slice_modes,
-                  tuple_random_sequence, unroll)
+                  dict_lift_outputs, generator_histories, history_at, lexsort_distinct_rows,
+                  paths, prefixes, row_slice_modes, tuple_random_sequence, unroll)
 
 
 def histories(automaton, length):
@@ -297,6 +299,72 @@ def test_distinct_rows_matches_unique():
         expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
         assert np.array_equal(distinct, expected)
         assert np.array_equal(inverse, expected_inverse.reshape(-1))
+
+
+def _demo_form_keys():
+    """The integer keys `assemble_lp` deduplicates the switching demo's
+    affine forms by: ids, coefficient bits and constant bits."""
+    plant, model, automaton, config, _ = parse_problem(demo.demo_config_dict())
+    variables = synthesis.decision_variables(automaton, config, plant.n, model.p)
+    windows, taps, tap_ids = synthesis._windows(automaton, config)
+    hist_ids = variables.history_ids(taps)[tap_ids]
+    blocks = [synthesis._kernel_terms(plant, model, kind, windows, hist_ids, variables)
+              for kind in (synthesis._PERFORMANCE, synthesis._RESIDUAL)]
+    width = max(var.shape[-1] for kind in blocks for var, _, _ in kind)
+    forms = [synthesis._forms(kind, variables.count, width) for kind in blocks]
+    var, coeff, const = (np.concatenate(parts) for parts in zip(*forms))
+    return synthesis._form_keys(var, coeff, const)
+
+
+def test_distinct_rows_match_lexsort():
+    """Rows packed into int64 keys give the distinct rows and the inverse of
+    one lexsort over the columns, byte for byte: narrow random ranges, a
+    2-mode array too wide for one key, negative and full-range int64
+    columns (each its own key), the demo LP's form keys, one row and none."""
+    rng = np.random.default_rng(33)
+    info = np.iinfo(np.int64)
+    cases = []
+    for span in range(1, 6):
+        for _ in range(40):
+            shape = (int(rng.integers(1, 60)), int(rng.integers(1, 12)))
+            cases.append(rng.integers(-2, 3) + rng.integers(0, span, shape))
+    two_modes = rng.integers(0, 2, (400, 70))
+    cases.append(np.concatenate([two_modes, two_modes[::3]]))
+    wide = rng.integers(info.min, info.max, (60, 3), endpoint=True)
+    wide[:, 1] = rng.integers(-3, 0, 60)
+    wide[::2, 0] = [info.min, info.max] * 15
+    cases += [wide, np.concatenate([wide, wide[::-2]]), _demo_form_keys()]
+    cases += [np.zeros((0, 4), dtype=np.int64), np.array([[info.min, 0, info.max]])]
+    for rows in cases:
+        expected = lexsort_distinct_rows(rows)
+        found = _distinct_rows(rows)
+        assert found[0].shape == expected[0].shape and found[0].dtype == expected[0].dtype
+        assert found[0].tobytes() == expected[0].tobytes()
+        assert found[1].tobytes() == expected[1].tobytes()
+    # 70 one-bit columns fill a 62-bit key and start a second; a column
+    # wider than 62 bits is its own key, kept as it is
+    assert len(_row_keys(two_modes)) == 2
+    assert len(_row_keys(history_array(SwitchingAutomaton(2), 10))) == 1
+    keys = _row_keys(wide)
+    assert len(keys) == 3 and keys[0].tobytes() == wide[:, 0].tobytes()
+
+
+def test_history_bound_covers_history_array():
+    """The window count the LP budget reads before enumerating is at least
+    the number of windows history_array builds, and exactly the interior
+    plus startup windows before they are merged."""
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        modes = int(rng.integers(1, 4))
+        automaton = SwitchingAutomaton(modes, rng.random((modes, modes)) < 0.7,
+                                       [m for m in range(modes) if rng.random() < 0.6],
+                                       int(rng.integers(modes)))
+        for length in range(1, 6):
+            merged = len(generator_histories(automaton, length))
+            unmerged = len(paths(automaton, length, range(modes))) + sum(
+                len(admissible_sequences(automaton, length - j)) for j in range(1, length))
+            assert _history_bound(automaton, length) == unmerged >= merged
+            assert len(history_array(automaton, length)) == merged
 
 
 def test_prefix_walk_is_lexicographic_preorder():

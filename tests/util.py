@@ -102,6 +102,15 @@ def max_abs_row_sum(mat: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(mat), axis=1)))
 
 
+def np_sum_abs_row_sums(band: np.ndarray) -> np.ndarray:
+    """Reference `operator_core._abs_row_sums`: `np.sum` of each lag's
+    |entries| over the inputs, the lags' sums added in ascending order."""
+    total = np.sum(np.abs(band[..., 0, :, :]), axis=-1)
+    for k in range(1, band.shape[-3]):
+        total += np.sum(np.abs(band[..., k, :, :]), axis=-1)
+    return total
+
+
 def vertex_minimum(c: np.ndarray, G: np.ndarray, h: np.ndarray):
     """Brute-force LP oracle: min c.x over {x : G x <= h} via vertex enumeration.
 
@@ -412,6 +421,18 @@ def generator_histories(automaton: SwitchingAutomaton, length: int) -> list[tupl
     for j in range(1, length):
         found.update((pad,) * j + path for path in admissible_sequences(automaton, length - j))
     return sorted(found)
+
+
+def lexsort_distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference `switched_model._distinct_rows`: one lexsort over the
+    columns and a neighbour compare of whole rows."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = starts.cumsum() - 1
+    return ordered[starts], inverse
 
 
 def history_at(sigma, t: int, length: int, padding_mode: int = 0) -> tuple[int, ...]:
